@@ -10,8 +10,8 @@
 //! - `gram_accumulate_ns` — [`lion_linalg::simd::gram_fixed`] (N = 3),
 //! - `exp_weights_ns` — [`lion_linalg::simd::exp_non_positive`],
 //!
-//! plus two end-to-end medians measured exactly like their source
-//! benches (`bench_adaptive`, `bench_stream_resolve`):
+//! plus two end-to-end medians (the second measured exactly like
+//! `bench_stream_resolve`):
 //!
 //! - `single_solve_ns` — one full-trace 2D solve on the fig16 rig,
 //! - `incremental_resolve_ns` — one steady-state O(delta) re-solve tick.
@@ -47,10 +47,10 @@ use lion_linalg::simd;
 use lion_bench::rig;
 
 /// How many times slower/faster than the committed baseline a fresh
-/// median may be before `--check` fails (same scheme as BENCH_5/6/8).
+/// median may be before `--check` fails (same scheme as BENCH_6/8).
 const CHECK_RATIO: f64 = 3.0;
 /// Absolute budget for one full-trace 2D solve. Half of the ~1.36 ms
-/// the pre-SoA pipeline took (BENCH_5 at PR 5); the reworked pipeline
+/// the pre-SoA pipeline took; the reworked pipeline
 /// measures ~4× under the budget, leaving room for machine noise.
 const SINGLE_SOLVE_BUDGET_NS: u64 = 700_000;
 /// Absolute budget for one steady-state incremental re-solve tick: the
@@ -79,7 +79,7 @@ fn bench(runs: usize, mut f: impl FnMut()) -> u64 {
     median_ns((0..runs).map(|_| time_ns(&mut f)).collect())
 }
 
-/// The fig16-style workload from `bench_adaptive`: indoor multipath,
+/// The fig16-style workload: indoor multipath,
 /// narrow-beam antenna at (0, 0.8, 0), one scan of the ±0.75 m track.
 fn linear_workload(seed: u64) -> (Vec<(Point3, f64)>, LocalizerConfig) {
     let antenna_pos = Point3::new(0.0, 0.8, 0.0);

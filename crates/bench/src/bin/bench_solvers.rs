@@ -33,7 +33,7 @@ use lion_geom::{LineSegment, Point3};
 use lion_bench::rig;
 
 /// How many times slower/faster than the committed baseline a fresh
-/// median may be before `--check` fails (see `bench_adaptive`).
+/// median may be before `--check` fails (same scheme as BENCH_8/10).
 const CHECK_RATIO: f64 = 3.0;
 /// The documented cross-backend agreement radius on the fig16 rig
 /// (DESIGN §12): the grid estimate must land within this distance of

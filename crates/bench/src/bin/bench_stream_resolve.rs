@@ -52,7 +52,7 @@ use lion_geom::{CircularArc, Point3, Vec3};
 use lion_bench::rig;
 
 /// How many times slower/faster than the committed baseline a fresh
-/// median may be before `--check` fails (same scheme as BENCH_5).
+/// median may be before `--check` fails (same scheme as BENCH_6/10).
 const CHECK_RATIO: f64 = 3.0;
 /// Noise allowance on the fresh-run speedup during `--check`: the
 /// fresh incremental-vs-replay ratio must reach this fraction of the
@@ -91,7 +91,7 @@ fn bench_ticks(
     )
 }
 
-/// The indoor scenario from `bench_adaptive`, scanned over a closed
+/// The fig16 indoor scenario (as in `bench_kernels`), scanned over a closed
 /// circular track instead of the linear slide: a line spans only one
 /// geometric dimension, which the incremental state machine always
 /// replays, so the O(delta) path needs full-rank (2D) geometry to

@@ -11,69 +11,47 @@
 //! module sweeps the parameter grid, ranks trials by `|mean residual|`,
 //! and averages the best few estimates.
 //!
-//! # The shared-prefix sweep
+//! # The sweep
 //!
-//! The default sweep ([`Localizer2d::locate_adaptive`] and friends) no
-//! longer re-runs the full pipeline per grid cell. It hoists everything
-//! the cells share out of the loop — unwrapping, smoothing, the
-//! principal-component frame, the frame coordinates and distance deltas
-//! of every sample, and an x-sorted sample index — then solves each cell
-//! on a binary-searched slice of that shared state through an
-//! incrementally maintained normal-equation system
-//! ([`lion_linalg::NormalEq`]). Ranges are visited in ascending order so
-//! a wider range *extends* the narrower range's system in place instead
-//! of rebuilding it. All buffers live in the [`Workspace`], so the
-//! steady-state sweep performs **zero heap allocations**.
+//! A sweep preprocesses once: it unwraps and smooths the measurements
+//! into the workspace's profile, checks the whole trajectory's geometry,
+//! and centers every scanning range on the trajectory's x centroid. Each
+//! `(range, interval)` cell then restricts that profile to its range and
+//! solves the restricted profile through the standard locate pipeline —
+//! the same backend dispatch `locate_in` runs — with the pair strategy's
+//! interval set to the cell's. So a cell gets its own principal-component
+//! frame, its own middle sample as reference, and the backend
+//! [`LocalizerConfig::solver`] selects. A cell that fails (too few
+//! samples or pairs, a rank problem, a failed recovery) is counted as
+//! skipped. Grid-backend cells ignore the interval (the grid scores
+//! samples directly, no pairing), so only the range axis differentiates
+//! their trials.
 //!
-//! Two deliberate semantic changes versus the naive per-cell pipeline
-//! (which is preserved as [`Localizer2d::locate_adaptive_naive_in`] for
-//! comparison and benchmarking):
-//!
-//! - every cell shares one **pinned reference sample** (the sample whose
-//!   x is closest to the range center, so it lies inside every centered
-//!   range) instead of each restricted sub-profile's middle sample, and
-//! - every cell shares the **global principal-component frame** instead
-//!   of a per-subset frame.
-//!
-//! Both transformations shift the linear system only within its column
-//! space, so per-cell residuals — and therefore the `|mean residual|`
-//! ranking — are unchanged in exact arithmetic; positions agree to
-//! floating-point noise. Whole-trajectory geometry errors
-//! ([`CoreError::DegenerateGeometry`], invalid `rank_tolerance`) are now
-//! reported for the sweep as a whole instead of silently skipping every
-//! cell. `config.reference_index` is ignored by both sweep variants.
+//! Whole-trajectory problems — an invalid `rank_tolerance`,
+//! [`CoreError::DegenerateGeometry`] — fail the sweep as a whole instead
+//! of silently skipping every cell. `config.reference_index` is ignored.
+//! All buffers, the restricted cell profile included, live in the
+//! [`Workspace`], so the steady-state sweep performs **zero heap
+//! allocations**.
 //!
 //! The sweep is also available as an owned [`SweepPlan`] whose cells can
 //! be solved independently (and concurrently) with per-worker
-//! workspaces; [`SweepPlan::finish`] reduces results in submission order
-//! so the outcome is bit-identical for any worker count.
-//!
-//! When the base configuration selects [`crate::SolverKind::Grid`], each
-//! cell runs the likelihood-grid backend on its range-sliced sample
-//! subset instead of the normal-equation solve — reusing the same shared
-//! deltas, pinned reference, and x-sorted slicing. Grid cells ignore the
-//! scanning interval (the grid scores samples directly, no pairing), so
-//! cells that share a range produce identical estimates and only the
-//! range axis of the sweep differentiates trials.
+//! workspaces; [`SweepPlan::finish`] reduces the results so the outcome
+//! is bit-identical to the sequential sweep for any worker count.
 
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-use lion_geom::{Point3, Vec3};
-use lion_linalg::{solve_irls_normal, IrlsConfig, WeightFunction};
+use lion_geom::Point3;
 
 use crate::error::CoreError;
 use crate::localizer::{
-    analyze_geometry_small, assemble_position, prepare_profile_in, Estimate, Localizer2d,
-    Localizer3d, LocalizerConfig, Mode, Weighting,
+    analyze_geometry_small, prepare_profile_in, Estimate, Localizer2d, Localizer3d, LocalizerConfig,
 };
-use crate::pairs::PairStrategy;
 use crate::preprocess::PhaseProfile;
-use crate::solver::{
-    grid_estimate, grid_search, pick_mirror_side, GridBest, GridConfig, GridProblem,
-};
-use crate::workspace::{elapsed_ns, CellScratch, StageMetrics, SweepScratch, Workspace};
+use crate::solver::{dispatch_profile, SolveSpace};
+use crate::workspace::{elapsed_ns, StageMetrics, Workspace};
 
 /// The parameter grid for the adaptive sweep.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -229,12 +207,13 @@ pub struct AdaptiveOutcome {
 }
 
 impl Localizer2d {
-    /// Runs the adaptive parameter sweep for 2D localization via the
-    /// shared-prefix engine (see the module docs).
+    /// Runs the adaptive parameter sweep for 2D localization (see the
+    /// module docs).
     ///
     /// # Errors
     ///
-    /// - configuration errors from [`AdaptiveConfig`] validation,
+    /// - configuration errors from [`AdaptiveConfig`] validation and an
+    ///   invalid `rank_tolerance`,
     /// - [`CoreError::NoPairs`] when every combination fails,
     /// - preprocessing errors from the underlying profile construction,
     /// - [`CoreError::DegenerateGeometry`] when the whole trajectory has
@@ -279,35 +258,14 @@ impl Localizer2d {
         ws: &mut Workspace,
         out: &mut AdaptiveOutcome,
     ) -> Result<(), CoreError> {
-        sweep_shared(
+        sweep(
             measurements,
             self.config(),
-            Mode::TwoD,
-            4,
+            SolveSpace::TwoD,
             adaptive,
             ws,
             out,
         )
-    }
-
-    /// The pre-shared-prefix sweep: restricts the profile and re-runs the
-    /// full per-cell pipeline (own frame, own reference, QR-based IRLS)
-    /// for every grid cell. Kept as the comparison baseline for the
-    /// benchmark suite and the parity regression tests.
-    ///
-    /// # Errors
-    ///
-    /// See [`Localizer2d::locate_adaptive`].
-    pub fn locate_adaptive_naive_in(
-        &self,
-        measurements: &[(Point3, f64)],
-        adaptive: &AdaptiveConfig,
-        ws: &mut Workspace,
-    ) -> Result<AdaptiveOutcome, CoreError> {
-        let profile = crate::localizer::prepare_in(measurements, self.config(), ws)?;
-        sweep_naive(&profile, self.config(), adaptive, ws, |profile, cfg, ws| {
-            Localizer2d::new(cfg.clone()).locate_profile_in(profile, ws)
-        })
     }
 
     /// Builds an owned [`SweepPlan`] whose cells can be solved on any
@@ -323,13 +281,13 @@ impl Localizer2d {
         adaptive: &AdaptiveConfig,
         ws: &mut Workspace,
     ) -> Result<SweepPlan, CoreError> {
-        SweepPlan::build(measurements, self.config(), Mode::TwoD, 4, adaptive, ws)
+        SweepPlan::build(measurements, self.config(), SolveSpace::TwoD, adaptive, ws)
     }
 }
 
 impl Localizer3d {
-    /// Runs the adaptive parameter sweep for 3D localization via the
-    /// shared-prefix engine (see the module docs).
+    /// Runs the adaptive parameter sweep for 3D localization (see the
+    /// module docs).
     ///
     /// # Errors
     ///
@@ -371,33 +329,14 @@ impl Localizer3d {
         ws: &mut Workspace,
         out: &mut AdaptiveOutcome,
     ) -> Result<(), CoreError> {
-        sweep_shared(
+        sweep(
             measurements,
             self.config(),
-            Mode::ThreeD,
-            5,
+            SolveSpace::ThreeD,
             adaptive,
             ws,
             out,
         )
-    }
-
-    /// The pre-shared-prefix sweep; see
-    /// [`Localizer2d::locate_adaptive_naive_in`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Localizer2d::locate_adaptive`].
-    pub fn locate_adaptive_naive_in(
-        &self,
-        measurements: &[(Point3, f64)],
-        adaptive: &AdaptiveConfig,
-        ws: &mut Workspace,
-    ) -> Result<AdaptiveOutcome, CoreError> {
-        let profile = crate::localizer::prepare_in(measurements, self.config(), ws)?;
-        sweep_naive(&profile, self.config(), adaptive, ws, |profile, cfg, ws| {
-            Localizer3d::new(cfg.clone()).locate_profile_in(profile, ws)
-        })
     }
 
     /// Builds an owned [`SweepPlan`]; see [`Localizer2d::sweep_plan`].
@@ -411,104 +350,22 @@ impl Localizer3d {
         adaptive: &AdaptiveConfig,
         ws: &mut Workspace,
     ) -> Result<SweepPlan, CoreError> {
-        SweepPlan::build(measurements, self.config(), Mode::ThreeD, 5, adaptive, ws)
-    }
-}
-
-fn sweep_naive(
-    profile: &PhaseProfile,
-    base: &LocalizerConfig,
-    adaptive: &AdaptiveConfig,
-    ws: &mut Workspace,
-    mut locate: impl FnMut(
-        &PhaseProfile,
-        &LocalizerConfig,
-        &mut Workspace,
-    ) -> Result<Estimate, CoreError>,
-) -> Result<AdaptiveOutcome, CoreError> {
-    adaptive.validate()?;
-    let _sweep_span = lion_obs::span!("lion.adaptive");
-    let sweep_start = Instant::now();
-    // Inner trials re-enter the pipeline stages below; snapshotting their
-    // disjoint sum lets the sweep attribute its own orchestration overhead
-    // (grid iteration, profile restriction, ranking) exactly.
-    let inner_before = ws.metrics.pipeline_ns();
-    // Center ranges on the x centroid of the trajectory (the paper centers
-    // its scanning range at x = 0 with the antenna at the track middle).
-    let cx = profile.positions().iter().map(|p| p.x).sum::<f64>() / profile.len() as f64;
-    let mut trials = Vec::new();
-    let mut skipped = 0;
-    for &range in &adaptive.scanning_ranges {
-        let restricted = profile.restrict_x(cx - range / 2.0, cx + range / 2.0);
-        ws.metrics.reads_dropped += (profile.len() - restricted.len()) as u64;
-        if restricted.len() < 4 {
-            skipped += adaptive.intervals.len();
-            continue;
-        }
-        for &interval in &adaptive.intervals {
-            let mut cfg = base.clone();
-            cfg.pair_strategy = base.pair_strategy.with_interval(interval);
-            // The restricted profile has its own middle sample.
-            cfg.reference_index = None;
-            match locate(&restricted, &cfg, ws) {
-                Ok(estimate) => trials.push(AdaptiveTrial {
-                    range,
-                    interval,
-                    estimate,
-                }),
-                Err(_) => skipped += 1,
-            }
-        }
-    }
-    let sweep_ns = elapsed_ns(sweep_start);
-    let inner_ns = ws.metrics.pipeline_ns() - inner_before;
-    ws.metrics.adaptive_ns += sweep_ns;
-    ws.metrics.adaptive_exclusive_ns += sweep_ns.saturating_sub(inner_ns);
-    ws.metrics.adaptive_trials += trials.len() as u64;
-    ws.metrics.adaptive_skipped += skipped as u64;
-    lion_obs::event!(
-        lion_obs::Level::Debug,
-        "lion.adaptive.sweep",
-        "trials" => trials.len(),
-        "skipped" => skipped,
-        "sweep_ns" => sweep_ns,
-    );
-    if trials.is_empty() {
-        return Err(CoreError::NoPairs);
-    }
-    trials.sort_by(|a, b| {
-        a.estimate
-            .mean_residual
-            .abs()
-            .partial_cmp(&b.estimate.mean_residual.abs())
-            .expect("residuals are finite")
-    });
-    let keep = adaptive.keep.min(trials.len());
-    let inv = 1.0 / keep as f64;
-    let avg = trials[..keep].iter().fold(Point3::ORIGIN, |acc, t| {
-        Point3::new(
-            acc.x + t.estimate.position.x * inv,
-            acc.y + t.estimate.position.y * inv,
-            acc.z + t.estimate.position.z * inv,
+        SweepPlan::build(
+            measurements,
+            self.config(),
+            SolveSpace::ThreeD,
+            adaptive,
+            ws,
         )
-    });
-    let mut best = trials[0].estimate.clone();
-    best.position = avg;
-    Ok(AdaptiveOutcome {
-        estimate: best,
-        trials,
-        skipped,
-    })
+    }
 }
 
-/// The shared-prefix sweep entry point: preprocesses once into the
-/// workspace-owned profile, then runs every grid cell on the shared
-/// state.
-fn sweep_shared(
+/// The sequential sweep: preprocesses once into the workspace-owned
+/// profile, then solves every grid cell on it.
+fn sweep(
     measurements: &[(Point3, f64)],
     base: &LocalizerConfig,
-    mode: Mode,
-    min_needed: usize,
+    space: SolveSpace,
     adaptive: &AdaptiveConfig,
     ws: &mut Workspace,
     out: &mut AdaptiveOutcome,
@@ -516,16 +373,15 @@ fn sweep_shared(
     adaptive.validate()?;
     let mut profile = std::mem::take(&mut ws.profile);
     let result = prepare_profile_in(measurements, base, &mut profile, ws)
-        .and_then(|()| sweep_profile_shared(&profile, base, mode, min_needed, adaptive, ws, out));
+        .and_then(|()| sweep_profile(&profile, base, space, adaptive, ws, out));
     ws.profile = profile;
     result
 }
 
-fn sweep_profile_shared(
+fn sweep_profile(
     profile: &PhaseProfile,
     base: &LocalizerConfig,
-    mode: Mode,
-    min_needed: usize,
+    space: SolveSpace,
     adaptive: &AdaptiveConfig,
     ws: &mut Workspace,
     out: &mut AdaptiveOutcome,
@@ -534,91 +390,43 @@ fn sweep_profile_shared(
     let sweep_start = Instant::now();
     out.trials.clear();
     out.skipped = 0;
-    let Workspace { sweep, metrics, .. } = ws;
-    let SweepScratch {
-        coords,
-        deltas,
-        sorted_idx,
-        range_order,
-        cell,
-        ..
-    } = sweep;
-    // Inner cells accrue pairs/solve time below; snapshotting the disjoint
+    // Cells accrue pairs/solve time below; snapshotting the disjoint
     // pipeline sum lets the sweep attribute its own orchestration overhead
-    // exactly, as the naive sweep does.
-    let inner_before = metrics.pipeline_ns();
-    let info = sweep_frame(profile, base, mode, coords, deltas, sorted_idx)?;
-    let positions = profile.positions();
-    record_reads_dropped(
-        positions,
-        sorted_idx,
+    // (range restriction, ranking) exactly.
+    let inner_before = ws.metrics.pipeline_ns();
+    let cx = sweep_center(
+        profile,
+        base,
+        space,
         &adaptive.scanning_ranges,
-        info.cx,
-        metrics,
-    );
-    // Visit ranges ascending so each cell's sample subset extends the
-    // previous one and the normal equations grow in place.
-    range_order.clear();
-    range_order.extend(0..adaptive.scanning_ranges.len());
-    range_order.sort_unstable_by(|&a, &b| {
-        adaptive.scanning_ranges[a].total_cmp(&adaptive.scanning_ranges[b])
-    });
-    let ctx = CellCtx {
-        positions,
-        coords: coords.as_slice(),
-        deltas: deltas.as_slice(),
-        sorted_idx: sorted_idx.as_slice(),
-        k: info.k,
-        cx: info.cx,
-        reference: info.reference,
-        centroid: info.centroid,
-        axes: info.axes,
-        lower_dimension: info.lower_dimension,
-        side_hint: base.side_hint,
-        pair_strategy: &base.pair_strategy,
-        irls: resolve_irls(&base.weighting),
-        min_needed,
-        mode,
-        grid: base.solver.grid().copied(),
-    };
-    let mut skipped = 0usize;
-    for &interval in &adaptive.intervals {
-        let mut have_prev = false;
-        for &ri in range_order.iter() {
-            let range = adaptive.scanning_ranges[ri];
-            let cell_start = Instant::now();
-            let solved = solve_cell(&ctx, range, interval, have_prev, cell, metrics);
-            lion_obs::global().histogram_record("lion.adaptive.cell_ns", elapsed_ns(cell_start));
-            match solved {
-                Ok(estimate) => {
-                    out.trials.push(AdaptiveTrial {
-                        range,
-                        interval,
-                        estimate,
-                    });
-                    have_prev = true;
-                }
-                Err(_) => {
-                    skipped += 1;
-                    have_prev = false;
-                }
+        &mut ws.metrics,
+    )?;
+    for &range in &adaptive.scanning_ranges {
+        for &interval in &adaptive.intervals {
+            match locate_cell(profile, base, space, cx, range, interval, ws) {
+                Ok(estimate) => out.trials.push(AdaptiveTrial {
+                    range,
+                    interval,
+                    estimate,
+                }),
+                Err(_) => out.skipped += 1,
             }
         }
     }
     let sweep_ns = elapsed_ns(sweep_start);
+    let metrics = &mut ws.metrics;
     let inner_ns = metrics.pipeline_ns() - inner_before;
     metrics.adaptive_ns += sweep_ns;
     metrics.adaptive_exclusive_ns += sweep_ns.saturating_sub(inner_ns);
     metrics.adaptive_trials += out.trials.len() as u64;
-    metrics.adaptive_skipped += skipped as u64;
+    metrics.adaptive_skipped += out.skipped as u64;
     lion_obs::event!(
         lion_obs::Level::Debug,
         "lion.adaptive.sweep",
         "trials" => out.trials.len(),
-        "skipped" => skipped,
+        "skipped" => out.skipped,
         "sweep_ns" => sweep_ns,
     );
-    out.skipped = skipped;
     if out.trials.is_empty() {
         return Err(CoreError::NoPairs);
     }
@@ -627,29 +435,18 @@ fn sweep_profile_shared(
     Ok(())
 }
 
-/// Per-sweep shared state computed once by [`sweep_frame`].
-struct SweepFrameInfo {
-    /// Range-center x (the trajectory's x centroid).
-    cx: f64,
-    /// Pinned reference sample: the one whose x is nearest `cx`.
-    reference: usize,
-    centroid: Point3,
-    axes: [Vec3; 3],
-    /// Number of spanned frame directions (solved coordinates).
-    k: usize,
-    lower_dimension: bool,
-}
-
-/// Validates the base configuration, analyzes the whole-trajectory
-/// geometry, and fills the shared coordinate/delta/sort buffers.
-fn sweep_frame(
+/// The whole-trajectory checks every sweep runs once, before any cell:
+/// validates `rank_tolerance` and the trajectory's geometry, and counts
+/// the reads each scanning range drops. Returns the range center, the
+/// trajectory's x centroid (the paper centers its scanning range at
+/// x = 0 with the antenna at the track middle).
+fn sweep_center(
     profile: &PhaseProfile,
     base: &LocalizerConfig,
-    mode: Mode,
-    coords: &mut Vec<f64>,
-    deltas: &mut Vec<f64>,
-    sorted_idx: &mut Vec<usize>,
-) -> Result<SweepFrameInfo, CoreError> {
+    space: SolveSpace,
+    ranges: &[f64],
+    metrics: &mut StageMetrics,
+) -> Result<f64, CoreError> {
     if !(base.rank_tolerance > 0.0 && base.rank_tolerance < 1.0) {
         return Err(CoreError::InvalidConfig {
             parameter: "rank_tolerance",
@@ -657,303 +454,40 @@ fn sweep_frame(
         });
     }
     let positions = profile.positions();
-    let n = positions.len();
-    // Center ranges on the x centroid of the trajectory (the paper centers
-    // its scanning range at x = 0 with the antenna at the track middle).
-    let cx = positions.iter().map(|p| p.x).sum::<f64>() / n as f64;
-    // The sample nearest the range center lies inside every centered
-    // nonempty range, so one reference serves all cells. First wins ties.
-    let mut reference = 0;
-    let mut best = f64::INFINITY;
-    for (i, p) in positions.iter().enumerate() {
-        let d = (p.x - cx).abs();
-        if d < best {
-            best = d;
-            reference = i;
-        }
-    }
-    let frame = analyze_geometry_small(positions, mode, base.rank_tolerance)?;
-    let k = frame.spanned;
-    coords.clear();
-    coords.reserve(n * k);
-    for p in positions {
-        let d = *p - frame.centroid;
-        for axis in frame.axes.iter().take(k) {
-            coords.push(d.dot(*axis));
-        }
-    }
-    profile.delta_distances_into(reference, deltas);
-    sorted_idx.clear();
-    sorted_idx.extend(0..n);
-    sorted_idx.sort_unstable_by(|&a, &b| positions[a].x.total_cmp(&positions[b].x));
-    Ok(SweepFrameInfo {
-        cx,
-        reference,
-        centroid: frame.centroid,
-        axes: frame.axes,
-        k,
-        lower_dimension: k < frame.dims,
-    })
-}
-
-/// Accounts the reads each scanning range excludes, matching the naive
-/// sweep's per-range accounting (natural range order).
-fn record_reads_dropped(
-    positions: &[Point3],
-    sorted_idx: &[usize],
-    ranges: &[f64],
-    cx: f64,
-    metrics: &mut StageMetrics,
-) {
-    let n = positions.len();
+    analyze_geometry_small(positions, space.mode(), base.rank_tolerance)?;
+    let cx = positions.iter().map(|p| p.x).sum::<f64>() / positions.len() as f64;
     for &range in ranges {
-        let lo = sorted_idx.partition_point(|&i| positions[i].x < cx - range / 2.0);
-        let hi = sorted_idx.partition_point(|&i| positions[i].x <= cx + range / 2.0);
-        metrics.reads_dropped += (n - (hi - lo)) as u64;
+        let (lo, hi) = (cx - range / 2.0, cx + range / 2.0);
+        let kept = positions.iter().filter(|p| p.x >= lo && p.x <= hi).count();
+        metrics.reads_dropped += (positions.len() - kept) as u64;
     }
+    Ok(cx)
 }
 
-/// Borrowed shared state every cell solve reads.
-struct CellCtx<'a> {
-    positions: &'a [Point3],
-    coords: &'a [f64],
-    deltas: &'a [f64],
-    sorted_idx: &'a [usize],
-    k: usize,
+/// Solves one `(range, interval)` grid cell — the one per-cell path,
+/// shared by the sequential sweep and [`SweepPlan::solve_cell`]. Restricts
+/// the prepared profile to the scanning range centered on `cx` and runs
+/// the standard locate pipeline on it with the cell's pairing interval.
+fn locate_cell(
+    profile: &PhaseProfile,
+    base: &LocalizerConfig,
+    space: SolveSpace,
     cx: f64,
-    reference: usize,
-    centroid: Point3,
-    axes: [Vec3; 3],
-    lower_dimension: bool,
-    side_hint: Option<Point3>,
-    pair_strategy: &'a PairStrategy,
-    irls: IrlsConfig,
-    min_needed: usize,
-    mode: Mode,
-    /// `Some` routes every cell through the likelihood-grid backend.
-    grid: Option<GridConfig>,
-}
-
-/// Resolves the localizer's weighting into the IRLS configuration the
-/// normal-equation solver runs: plain least squares becomes uniform
-/// weights, which converge immediately with zero reweighting iterations.
-fn resolve_irls(weighting: &Weighting) -> IrlsConfig {
-    match weighting {
-        Weighting::Weighted(cfg) => *cfg,
-        _ => IrlsConfig {
-            weight_fn: WeightFunction::Uniform,
-            ..IrlsConfig::default()
-        },
-    }
-}
-
-/// Builds the radical-line/plane row for the global pair `(i, j)` in the
-/// shared frame (paper Eq. 12); returns the right-hand side.
-fn build_row(ctx: &CellCtx<'_>, i: usize, j: usize, row: &mut [f64]) -> f64 {
-    let k = ctx.k;
-    let ci = &ctx.coords[i * k..(i + 1) * k];
-    let cj = &ctx.coords[j * k..(j + 1) * k];
-    let mut rhs = 0.0;
-    for c in 0..k {
-        row[c] = 2.0 * (ci[c] - cj[c]);
-        rhs += ci[c] * ci[c] - cj[c] * cj[c];
-    }
-    row[k] = 2.0 * (ctx.deltas[i] - ctx.deltas[j]);
-    rhs - ctx.deltas[i] * ctx.deltas[i] + ctx.deltas[j] * ctx.deltas[j]
-}
-
-/// Whether `prev` is an (ordered) subsequence of `cur`. Single pass over
-/// `cur`; both lists are in sequence order so a narrower range's pairs
-/// interleave into a wider range's in order.
-fn is_subsequence(prev: &[(usize, usize)], cur: &[(usize, usize)]) -> bool {
-    if prev.len() > cur.len() {
-        return false;
-    }
-    let mut cur_it = cur.iter();
-    'outer: for p in prev {
-        for c in cur_it.by_ref() {
-            if c == p {
-                continue 'outer;
-            }
-        }
-        return false;
-    }
-    true
-}
-
-/// Solves one `(range, interval)` grid cell on the shared sweep state.
-///
-/// With `allow_reuse`, and when the rows currently inside the cell's
-/// normal equations form a subsequence of this cell's pair list, the
-/// missing rows are inserted in place instead of rebuilding the system.
-/// The two paths are bit-identical: the IRLS entry rebuilds the Gram
-/// matrix in row order with uniform weights either way.
-fn solve_cell(
-    ctx: &CellCtx<'_>,
     range: f64,
     interval: f64,
-    allow_reuse: bool,
-    cell: &mut CellScratch,
-    metrics: &mut StageMetrics,
+    ws: &mut Workspace,
 ) -> Result<Estimate, CoreError> {
-    let positions = ctx.positions;
-    let lo = ctx
-        .sorted_idx
-        .partition_point(|&i| positions[i].x < ctx.cx - range / 2.0);
-    let hi = ctx
-        .sorted_idx
-        .partition_point(|&i| positions[i].x <= ctx.cx + range / 2.0);
-    cell.subset.clear();
-    cell.subset.extend_from_slice(&ctx.sorted_idx[lo..hi]);
-    // Back to sequence order so pair generation sees the same ordering a
-    // restricted sub-profile would.
-    cell.subset.sort_unstable();
-    if cell.subset.len() < ctx.min_needed {
-        return Err(CoreError::TooFewMeasurements {
-            got: cell.subset.len(),
-            needed: ctx.min_needed,
-        });
-    }
-    if let Some(grid) = &ctx.grid {
-        return solve_cell_grid(ctx, grid, cell, metrics);
-    }
-    cell.subset_pos.clear();
-    cell.subset_pos
-        .extend(cell.subset.iter().map(|&i| positions[i]));
-    {
-        let _span = lion_obs::span!("lion.pairs");
-        let t = Instant::now();
-        ctx.pair_strategy
-            .with_interval(interval)
-            .pairs_into(&cell.subset_pos, &mut cell.local_pairs);
-        metrics.pairs_ns += elapsed_ns(t);
-    }
-    if cell.local_pairs.is_empty() {
-        return Err(CoreError::NoPairs);
-    }
-    let cols = ctx.k + 1;
-    if cell.local_pairs.len() < cols {
-        return Err(CoreError::TooFewMeasurements {
-            got: cell.local_pairs.len(),
-            needed: cols,
-        });
-    }
-    cell.pairs.clear();
-    cell.pairs.extend(
-        cell.local_pairs
-            .iter()
-            .map(|&(a, b)| (cell.subset[a], cell.subset[b])),
-    );
-    let _span = lion_obs::span!("lion.solve");
-    let t = Instant::now();
-    let mut row = [0.0_f64; 4];
-    let reuse =
-        allow_reuse && cell.ne.cols() == cols && is_subsequence(&cell.ne_pairs, &cell.pairs);
-    if reuse {
-        // Walk both pair lists with one pointer: rows already inside the
-        // system advance it; new rows are inserted at their aligned index.
-        let mut prev_i = 0;
-        for (pos, &(gi, gj)) in cell.pairs.iter().enumerate() {
-            if prev_i < cell.ne_pairs.len() && cell.ne_pairs[prev_i] == (gi, gj) {
-                prev_i += 1;
-            } else {
-                let rhs = build_row(ctx, gi, gj, &mut row);
-                cell.ne.insert_row(pos, &row[..cols], rhs);
-            }
-        }
-        metrics.adaptive_cells_reused += 1;
-        lion_obs::global().counter_add("lion.adaptive.cells_reused", 1);
-    } else {
-        cell.ne.begin(cols);
-        for &(gi, gj) in &cell.pairs {
-            let rhs = build_row(ctx, gi, gj, &mut row);
-            cell.ne.push_row(&row[..cols], rhs);
-        }
-    }
-    cell.ne_pairs.clear();
-    cell.ne_pairs.extend_from_slice(&cell.pairs);
-    let rebuilds_before = cell.ne.gram_rebuilds();
-    let outcome = solve_irls_normal(&mut cell.ne, &ctx.irls, &mut cell.irls)?;
-    metrics.solves += 1;
-    metrics.irls_iterations += outcome.iterations as u64;
-    let m = cell.ne.rows();
-    metrics.equations += m as u64;
-    // Per-parameter standard errors with the final IRLS weights, the
-    // normal-equation analog of the QR pipeline's `parameter_std`.
-    crate::localizer::normal_param_std(
-        &mut cell.ne,
-        &cell.irls,
-        &mut cell.param_std,
-        &mut cell.cov_diag,
-    );
-    let rebuilds = cell.ne.gram_rebuilds() - rebuilds_before;
-    if rebuilds > 0 {
-        metrics.adaptive_gram_rebuilds += rebuilds;
-        lion_obs::global().counter_add("lion.adaptive.gram_rebuilds", rebuilds);
-    }
-    metrics.solve_ns += elapsed_ns(t);
-    drop(_span);
-    let (position, position_std) = assemble_position(
-        ctx.centroid,
-        &ctx.axes,
-        ctx.k,
-        cell.ne.solution(),
-        &cell.param_std,
-        positions[ctx.reference],
-        ctx.lower_dimension,
-        ctx.side_hint,
-    )?;
-    Ok(Estimate {
-        position,
-        reference_distance: cell.ne.solution()[ctx.k],
-        reference_position: positions[ctx.reference],
-        mean_residual: outcome.mean_residual,
-        weighted_rms: outcome.weighted_rms,
-        iterations: outcome.iterations,
-        equation_count: m,
-        lower_dimension: ctx.lower_dimension,
-        position_std,
-    })
-}
-
-/// Solves one grid cell through the likelihood-grid backend on the
-/// shared sweep state: the range-sliced subset indexes straight into the
-/// shared delta buffer, and the pinned reference / global frame carry
-/// over unchanged. The scanning interval plays no role (no pairing).
-fn solve_cell_grid(
-    ctx: &CellCtx<'_>,
-    grid: &GridConfig,
-    cell: &mut CellScratch,
-    metrics: &mut StageMetrics,
-) -> Result<Estimate, CoreError> {
-    let _span = lion_obs::span!("lion.solve");
-    let t = Instant::now();
-    let problem = GridProblem {
-        positions: ctx.positions,
-        deltas: ctx.deltas,
-        subset: Some(&cell.subset),
-        reference: ctx.reference,
-        anchor: ctx.centroid,
-        planar: ctx.mode == Mode::TwoD,
-        side_hint: ctx.side_hint,
-    };
-    let result = grid_search(&problem, grid, None).map(|mut best| {
-        if ctx.lower_dimension {
-            let resolved =
-                pick_mirror_side(best.position, ctx.centroid, ctx.axes[ctx.k], ctx.side_hint);
-            if resolved != best.position {
-                best = GridBest {
-                    position: resolved,
-                    score: problem.score(resolved),
-                };
-            }
-        }
-        grid_estimate(&problem, best, grid.levels)
-    });
-    metrics.solve_ns += elapsed_ns(t);
-    metrics.solves += 1;
-    metrics.equations += cell.subset.len() as u64;
-    result
+    let cell_start = Instant::now();
+    let mut cell = std::mem::take(&mut ws.cell_profile);
+    profile.restrict_x_into(cx - range / 2.0, cx + range / 2.0, &mut cell);
+    let mut config = base.clone();
+    config.pair_strategy = base.pair_strategy.with_interval(interval);
+    // The restricted profile has its own middle sample.
+    config.reference_index = None;
+    let solved = dispatch_profile(&cell, &config, space, ws);
+    ws.cell_profile = cell;
+    lion_obs::global().histogram_record("lion.adaptive.cell_ns", elapsed_ns(cell_start));
+    solved
 }
 
 /// Ranks trials by `|mean residual|` ascending, breaking ties by
@@ -972,7 +506,7 @@ fn rank_trials(trials: &mut [AdaptiveTrial]) {
 
 /// Averages the positions of the `keep` best (already ranked) trials
 /// into the outcome's estimate; the remaining fields come from the best
-/// trial. Identical arithmetic to the naive sweep's reduction.
+/// trial.
 fn reduce_outcome(keep: usize, out: &mut AdaptiveOutcome) {
     let keep = keep.min(out.trials.len());
     let inv = 1.0 / keep as f64;
@@ -987,37 +521,26 @@ fn reduce_outcome(keep: usize, out: &mut AdaptiveOutcome) {
     out.estimate.position = avg;
 }
 
-/// An owned, immutable description of one adaptive sweep: the shared
-/// preprocessed state plus the flattened `(range, interval)` grid in
-/// sequential visit order (intervals outer, ranges ascending).
+/// An owned, immutable description of one adaptive sweep: the prepared
+/// profile, the base configuration, and the flattened `(range, interval)`
+/// grid in the sequential sweep's visit order (ranges outer, intervals
+/// inner).
 ///
 /// Cells are independent — solve them on any worker with any
 /// [`Workspace`] via [`SweepPlan::solve_cell`], then reduce with
 /// [`SweepPlan::finish`]. As long as results are passed to `finish` in
 /// cell-index order, the outcome is bit-identical to the sequential
-/// [`Localizer2d::locate_adaptive`] for any worker count: plan cells
-/// always build their normal equations from scratch, which produces the
-/// same Gram matrix as the sequential prefix-extension path (the IRLS
-/// entry rebuilds in row order either way), and [`rank_trials`]' total
+/// [`Localizer2d::locate_adaptive`] for any worker count: each cell runs
+/// the same solve as the sequential sweep on the same profile, a reused
+/// workspace never changes a solve's result, and [`rank_trials`]' total
 /// order makes the ranking visit-order independent.
 #[derive(Debug, Clone)]
 pub struct SweepPlan {
-    positions: Vec<Point3>,
-    coords: Vec<f64>,
-    deltas: Vec<f64>,
-    sorted_idx: Vec<usize>,
+    profile: PhaseProfile,
+    config: LocalizerConfig,
+    space: SolveSpace,
+    /// Range center (the trajectory's x centroid).
     cx: f64,
-    reference: usize,
-    centroid: Point3,
-    axes: [Vec3; 3],
-    k: usize,
-    lower_dimension: bool,
-    side_hint: Option<Point3>,
-    pair_strategy: PairStrategy,
-    irls: IrlsConfig,
-    min_needed: usize,
-    mode: Mode,
-    grid: Option<GridConfig>,
     keep: usize,
     /// `(range, interval)` per cell, in sequential visit order.
     cells: Vec<(f64, f64)>,
@@ -1027,77 +550,36 @@ impl SweepPlan {
     fn build(
         measurements: &[(Point3, f64)],
         base: &LocalizerConfig,
-        mode: Mode,
-        min_needed: usize,
+        space: SolveSpace,
         adaptive: &AdaptiveConfig,
         ws: &mut Workspace,
     ) -> Result<SweepPlan, CoreError> {
         adaptive.validate()?;
         let mut profile = std::mem::take(&mut ws.profile);
-        let result = prepare_profile_in(measurements, base, &mut profile, ws)
-            .and_then(|()| SweepPlan::from_profile(&profile, base, mode, min_needed, adaptive, ws));
+        let plan = prepare_profile_in(measurements, base, &mut profile, ws)
+            .and_then(|()| {
+                sweep_center(
+                    &profile,
+                    base,
+                    space,
+                    &adaptive.scanning_ranges,
+                    &mut ws.metrics,
+                )
+            })
+            .map(|cx| SweepPlan {
+                profile: profile.clone(),
+                config: base.clone(),
+                space,
+                cx,
+                keep: adaptive.keep,
+                cells: adaptive
+                    .scanning_ranges
+                    .iter()
+                    .flat_map(|&range| adaptive.intervals.iter().map(move |&i| (range, i)))
+                    .collect(),
+            });
         ws.profile = profile;
-        result
-    }
-
-    fn from_profile(
-        profile: &PhaseProfile,
-        base: &LocalizerConfig,
-        mode: Mode,
-        min_needed: usize,
-        adaptive: &AdaptiveConfig,
-        ws: &mut Workspace,
-    ) -> Result<SweepPlan, CoreError> {
-        let mut coords = Vec::new();
-        let mut deltas = Vec::new();
-        let mut sorted_idx = Vec::new();
-        let info = sweep_frame(
-            profile,
-            base,
-            mode,
-            &mut coords,
-            &mut deltas,
-            &mut sorted_idx,
-        )?;
-        let positions = profile.positions();
-        record_reads_dropped(
-            positions,
-            &sorted_idx,
-            &adaptive.scanning_ranges,
-            info.cx,
-            &mut ws.metrics,
-        );
-        let mut range_order: Vec<usize> = (0..adaptive.scanning_ranges.len()).collect();
-        range_order.sort_unstable_by(|&a, &b| {
-            adaptive.scanning_ranges[a].total_cmp(&adaptive.scanning_ranges[b])
-        });
-        let mut cells =
-            Vec::with_capacity(adaptive.scanning_ranges.len() * adaptive.intervals.len());
-        for &interval in &adaptive.intervals {
-            for &ri in &range_order {
-                cells.push((adaptive.scanning_ranges[ri], interval));
-            }
-        }
-        Ok(SweepPlan {
-            positions: positions.to_vec(),
-            coords,
-            deltas,
-            sorted_idx,
-            cx: info.cx,
-            reference: info.reference,
-            centroid: info.centroid,
-            axes: info.axes,
-            k: info.k,
-            lower_dimension: info.lower_dimension,
-            side_hint: base.side_hint,
-            pair_strategy: base.pair_strategy.clone(),
-            irls: resolve_irls(&base.weighting),
-            min_needed,
-            mode,
-            grid: base.solver.grid().copied(),
-            keep: adaptive.keep,
-            cells,
-        })
+        plan
     }
 
     /// Number of grid cells in the plan.
@@ -1133,35 +615,16 @@ impl SweepPlan {
     /// Panics when `index >= cell_count()`.
     pub fn solve_cell(&self, index: usize, ws: &mut Workspace) -> Result<AdaptiveTrial, CoreError> {
         let (range, interval) = self.cells[index];
-        let ctx = CellCtx {
-            positions: &self.positions,
-            coords: &self.coords,
-            deltas: &self.deltas,
-            sorted_idx: &self.sorted_idx,
-            k: self.k,
-            cx: self.cx,
-            reference: self.reference,
-            centroid: self.centroid,
-            axes: self.axes,
-            lower_dimension: self.lower_dimension,
-            side_hint: self.side_hint,
-            pair_strategy: &self.pair_strategy,
-            irls: self.irls,
-            min_needed: self.min_needed,
-            mode: self.mode,
-            grid: self.grid,
-        };
-        let cell_start = Instant::now();
-        let solved = solve_cell(
-            &ctx,
+        locate_cell(
+            &self.profile,
+            &self.config,
+            self.space,
+            self.cx,
             range,
             interval,
-            false,
-            &mut ws.sweep.cell,
-            &mut ws.metrics,
-        );
-        lion_obs::global().histogram_record("lion.adaptive.cell_ns", elapsed_ns(cell_start));
-        solved.map(|estimate| AdaptiveTrial {
+            ws,
+        )
+        .map(|estimate| AdaptiveTrial {
             range,
             interval,
             estimate,
@@ -1360,57 +823,47 @@ mod tests {
     }
 
     #[test]
-    fn shared_sweep_matches_naive_ranking() {
-        let target = Point3::new(0.1, 0.8, 0.0);
-        let m = linear_scan(target, 0.6, 0.005);
+    fn reads_dropped_counts_each_range_once() {
+        let target = Point3::new(0.0, 0.8, 0.0);
+        let m = linear_scan(target, 1.25, 0.01);
+        let adaptive = AdaptiveConfig {
+            scanning_ranges: vec![0.6, 1.0],
+            intervals: vec![0.2, 0.3],
+            keep: 1,
+        };
+        let cx = m.iter().map(|(p, _)| p.x).sum::<f64>() / m.len() as f64;
+        let expected: u64 = adaptive
+            .scanning_ranges
+            .iter()
+            .map(|r| {
+                let (lo, hi) = (cx - r / 2.0, cx + r / 2.0);
+                m.iter().filter(|(p, _)| p.x < lo || p.x > hi).count() as u64
+            })
+            .sum();
         let loc = Localizer2d::new(cfg());
-        let grid = AdaptiveConfig::default();
-        let shared = loc.locate_adaptive(&m, &grid).unwrap();
-        let naive = loc
-            .locate_adaptive_naive_in(&m, &grid, &mut Workspace::new())
-            .unwrap();
-        assert_eq!(shared.trials.len(), naive.trials.len());
-        assert_eq!(shared.skipped, naive.skipped);
-        // The shared frame/reference shift every cell's system only within
-        // its column space, so each cell's estimate and residual agree to
-        // floating-point noise. (On clean data all residuals are ~ machine
-        // epsilon, so the *ranking* among them is noise — the noisy-data
-        // regression test covers ranking parity.)
-        for st in &shared.trials {
-            let nt = naive
-                .trials
-                .iter()
-                .find(|t| t.range == st.range && t.interval == st.interval)
-                .expect("cell present in both sweeps");
-            let d = st.estimate.position.distance(nt.estimate.position);
-            assert!(d < 1e-6, "cell position diverged by {d}");
-            assert!(
-                (st.estimate.mean_residual - nt.estimate.mean_residual).abs() < 1e-9,
-                "cell residual diverged"
-            );
-        }
-        let d = shared.estimate.position.distance(naive.estimate.position);
-        assert!(d < 1e-6, "positions diverged by {d}");
+        let mut ws = Workspace::new();
+        loc.locate_adaptive_in(&m, &adaptive, &mut ws).unwrap();
+        assert_eq!(ws.take_metrics().reads_dropped, expected);
+        loc.sweep_plan(&m, &adaptive, &mut ws).unwrap();
+        assert_eq!(ws.take_metrics().reads_dropped, expected);
     }
 
     #[test]
-    fn wider_ranges_reuse_narrower_systems() {
-        let target = Point3::new(0.1, 0.8, 0.0);
-        let m = linear_scan(target, 0.6, 0.005);
-        let mut ws = Workspace::new();
-        let outcome = Localizer2d::new(cfg())
-            .locate_adaptive_in(&m, &AdaptiveConfig::default(), &mut ws)
-            .unwrap();
-        let metrics = ws.take_metrics();
-        // 6 ranges × 6 intervals, every cell solvable: each interval's five
-        // wider ranges extend the narrowest one's system.
-        assert_eq!(outcome.trials.len(), 36);
-        assert_eq!(metrics.adaptive_cells_reused, 30);
-        // Fresh cells accumulate cleanly (no rebuild); each reused cell's
-        // inserted rows dirty the Gram, forcing exactly one rebuild at the
-        // IRLS entry — that rebuild is what makes the two paths
-        // bit-identical.
-        assert!(metrics.adaptive_gram_rebuilds >= metrics.adaptive_cells_reused);
+    fn single_line_3d_sweep_is_degenerate_not_no_pairs() {
+        // A single straight line cannot fix a 3D position (paper
+        // Sec. III-C2): the whole-trajectory check must say so instead of
+        // every cell failing into `NoPairs`.
+        let m = linear_scan(Point3::new(0.1, 0.8, 0.2), 0.6, 0.005);
+        let loc = Localizer3d::new(cfg());
+        let grid = AdaptiveConfig::default();
+        assert!(matches!(
+            loc.locate_adaptive(&m, &grid),
+            Err(CoreError::DegenerateGeometry { .. })
+        ));
+        assert!(matches!(
+            loc.sweep_plan(&m, &grid, &mut Workspace::new()),
+            Err(CoreError::DegenerateGeometry { .. })
+        ));
     }
 
     #[test]

@@ -366,44 +366,8 @@ impl Localizer2d {
         result
     }
 
-    /// Locates from the reads held by a [`crate::SlidingWindow`];
-    /// superseded by the space-parametric free function
-    /// [`locate_window_in`], which both solve spaces and the incremental
-    /// re-solve path share.
-    ///
-    /// # Errors
-    ///
-    /// See [`Localizer2d::locate`].
-    #[deprecated(
-        since = "0.8.0",
-        note = "use the free `lion_core::locate_window_in(config, SolveSpace::TwoD, window, ws)` \
-                (the seam-aware streaming entry point)"
-    )]
-    pub fn locate_window_in(
-        &self,
-        window: &crate::SlidingWindow,
-        ws: &mut Workspace,
-    ) -> Result<Estimate, CoreError> {
-        locate_window_in(&self.config, crate::SolveSpace::TwoD, window, ws)
-    }
-
-    /// Locates from an already prepared (unwrapped/smoothed) profile.
-    ///
-    /// # Errors
-    ///
-    /// See [`Localizer2d::locate`].
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `locate_profile_in` with a reusable `Workspace` (the \
-                consolidated solve entry point)"
-    )]
-    pub fn locate_profile(&self, profile: &PhaseProfile) -> Result<Estimate, CoreError> {
-        self.locate_profile_in(profile, &mut Workspace::new())
-    }
-
     /// Locates from an already prepared (unwrapped/smoothed) profile with
-    /// a reusable [`Workspace`] — the entry point the adaptive parameter
-    /// sweep uses to avoid re-unwrapping, and the dispatch point where
+    /// a reusable [`Workspace`] — the dispatch point where
     /// [`LocalizerConfig::solver`] selects the backend.
     ///
     /// # Errors
@@ -459,40 +423,6 @@ impl Localizer3d {
         result
     }
 
-    /// Locates from the reads held by a [`crate::SlidingWindow`];
-    /// superseded by the space-parametric free function
-    /// [`locate_window_in`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Localizer3d::locate`].
-    #[deprecated(
-        since = "0.8.0",
-        note = "use the free `lion_core::locate_window_in(config, SolveSpace::ThreeD, window, ws)` \
-                (the seam-aware streaming entry point)"
-    )]
-    pub fn locate_window_in(
-        &self,
-        window: &crate::SlidingWindow,
-        ws: &mut Workspace,
-    ) -> Result<Estimate, CoreError> {
-        locate_window_in(&self.config, crate::SolveSpace::ThreeD, window, ws)
-    }
-
-    /// Locates from an already prepared profile.
-    ///
-    /// # Errors
-    ///
-    /// See [`Localizer3d::locate`].
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `locate_profile_in` with a reusable `Workspace` (the \
-                consolidated solve entry point)"
-    )]
-    pub fn locate_profile(&self, profile: &PhaseProfile) -> Result<Estimate, CoreError> {
-        self.locate_profile_in(profile, &mut Workspace::new())
-    }
-
     /// Locates from an already prepared profile with a reusable
     /// [`Workspace`]; the dispatch point where
     /// [`LocalizerConfig::solver`] selects the backend.
@@ -510,9 +440,8 @@ impl Localizer3d {
 }
 
 /// Locates from the reads held by a [`crate::SlidingWindow`] — the
-/// consolidated streaming entry point, replacing the near-duplicate
-/// `Localizer2d::locate_window_in` / `Localizer3d::locate_window_in`
-/// methods with one seam-aware function parametric over the solve space.
+/// streaming entry point, one seam-aware function parametric over the
+/// solve space.
 ///
 /// The window's `(position, wrapped phase)` measurements are staged into
 /// `ws`'s reusable buffer and replayed through the standard unwrap →
@@ -541,29 +470,11 @@ pub fn locate_window_in(
     result
 }
 
-/// Builds and preprocesses the phase profile for a localizer config,
-/// recording unwrap/smooth timings into the workspace.
-pub(crate) fn prepare_in(
-    measurements: &[(Point3, f64)],
-    config: &LocalizerConfig,
-    ws: &mut Workspace,
-) -> Result<PhaseProfile, CoreError> {
-    let span = lion_obs::span!("lion.unwrap");
-    let t = Instant::now();
-    let mut profile = PhaseProfile::from_wrapped(measurements, config.wavelength)?;
-    ws.metrics.unwrap_ns += elapsed_ns(t);
-    drop(span);
-    let _span = lion_obs::span!("lion.smooth");
-    let t = Instant::now();
-    profile.smooth(config.smoothing_window);
-    ws.metrics.smooth_ns += elapsed_ns(t);
-    Ok(profile)
-}
-
-/// [`prepare_in`] into a caller-owned profile: rebuilds `profile` from
-/// the wrapped measurements and smooths it using the workspace's scratch
-/// buffers, so the steady-state prepare stage performs no heap
-/// allocations. Timings land in the same `unwrap_ns`/`smooth_ns` buckets.
+/// Builds and preprocesses the phase profile for a localizer config into
+/// a caller-owned profile: rebuilds `profile` from the wrapped
+/// measurements and smooths it using the workspace's scratch buffers, so
+/// the steady-state prepare stage performs no heap allocations. Records
+/// unwrap/smooth timings into the workspace.
 pub(crate) fn prepare_profile_in(
     measurements: &[(Point3, f64)],
     config: &LocalizerConfig,
@@ -578,11 +489,11 @@ pub(crate) fn prepare_profile_in(
     rebuilt?;
     let _span = lion_obs::span!("lion.smooth");
     let t = Instant::now();
-    let mut prefix = std::mem::take(&mut ws.sweep.smooth_prefix);
-    let mut tmp = std::mem::take(&mut ws.sweep.smooth_tmp);
-    profile.smooth_with_scratch(config.smoothing_window, &mut prefix, &mut tmp);
-    ws.sweep.smooth_prefix = prefix;
-    ws.sweep.smooth_tmp = tmp;
+    profile.smooth_with_scratch(
+        config.smoothing_window,
+        &mut ws.smooth_prefix,
+        &mut ws.smooth_tmp,
+    );
     ws.metrics.smooth_ns += elapsed_ns(t);
     Ok(())
 }
@@ -612,11 +523,11 @@ pub(crate) fn prepare_profile_lanes_in(
     rebuilt?;
     let _span = lion_obs::span!("lion.smooth");
     let t = Instant::now();
-    let mut prefix = std::mem::take(&mut ws.sweep.smooth_prefix);
-    let mut tmp = std::mem::take(&mut ws.sweep.smooth_tmp);
-    profile.smooth_with_scratch(config.smoothing_window, &mut prefix, &mut tmp);
-    ws.sweep.smooth_prefix = prefix;
-    ws.sweep.smooth_tmp = tmp;
+    profile.smooth_with_scratch(
+        config.smoothing_window,
+        &mut ws.smooth_prefix,
+        &mut ws.smooth_tmp,
+    );
     ws.metrics.smooth_ns += elapsed_ns(t);
     Ok(())
 }
@@ -966,8 +877,8 @@ pub(crate) fn assemble_position(
 
 /// Per-parameter standard errors from a solved normal-equation system
 /// and its IRLS scratch — the normal-equation analog of the QR pipeline's
-/// [`parameter_std`], shared by the batch weighted path, the adaptive
-/// sweep's cells, and the incremental delta ticks. Writes the 1σ errors
+/// [`parameter_std`], shared by the batch weighted path and the
+/// incremental delta ticks. Writes the 1σ errors
 /// (coordinates then `d_r`) into `param_std`, leaving it empty when the
 /// covariance is unavailable (no spare degrees of freedom, degenerate
 /// weights, or a singular Gram matrix).

@@ -417,14 +417,23 @@ impl PhaseProfile {
     /// Keeps samples whose x-coordinate lies in `[min_x, max_x]` — the
     /// paper's "scanning range" restriction, applied after unwrapping.
     pub fn restrict_x(&self, min_x: f64, max_x: f64) -> PhaseProfile {
-        let keep: Vec<usize> = (0..self.len())
-            .filter(|&i| self.positions[i].x >= min_x && self.positions[i].x <= max_x)
-            .collect();
-        PhaseProfile::from_parts(
-            keep.iter().map(|&i| self.positions[i]).collect(),
-            keep.iter().map(|&i| self.phases[i]).collect(),
-            self.wavelength,
-        )
+        let mut out = PhaseProfile::default();
+        self.restrict_x_into(min_x, max_x, &mut out);
+        out
+    }
+
+    /// [`PhaseProfile::restrict_x`] into a caller-owned profile, reusing
+    /// its buffers — what each adaptive-sweep cell runs, so the
+    /// steady-state sweep allocates nothing. The kept samples keep their
+    /// sequence order and `out` takes this profile's wavelength.
+    pub fn restrict_x_into(&self, min_x: f64, max_x: f64, out: &mut PhaseProfile) {
+        out.clear_samples();
+        out.wavelength = self.wavelength;
+        for (&p, &phase) in self.positions.iter().zip(&self.phases) {
+            if p.x >= min_x && p.x <= max_x {
+                out.push_sample(p, phase);
+            }
+        }
     }
 
     /// Keeps every `step`-th sample (step 0 behaves like 1).
@@ -603,6 +612,11 @@ mod tests {
         let r = p.restrict_x(-0.2, 0.2);
         assert_eq!(r.len(), 5);
         assert!(r.positions().iter().all(|q| q.x.abs() <= 0.2 + 1e-12));
+        // Refilling a used profile gives the same subset, lanes included.
+        let mut reused = p.clone();
+        p.restrict_x_into(-0.2, 0.2, &mut reused);
+        assert_eq!(reused, r);
+        assert_eq!(reused.xs(), r.xs());
         let d = p.decimate(2);
         assert_eq!(d.len(), 6);
         assert_eq!(d.positions()[1].x, p.positions()[2].x);

@@ -205,13 +205,6 @@ impl SolverKind {
             SolverKind::Grid(grid) => grid.validate(),
         }
     }
-
-    pub(crate) fn grid(&self) -> Option<&GridConfig> {
-        match self {
-            SolverKind::Grid(grid) => Some(grid),
-            _ => None,
-        }
-    }
 }
 
 /// The refinement schedule of the likelihood grid.
@@ -443,44 +436,30 @@ pub(crate) fn dispatch_profile(
     }
 }
 
-/// The immutable inputs of one grid search. `subset` (when set) holds
-/// the global sample indices in scope — the adaptive sweep passes its
-/// range-sliced subset here, reusing the shared deltas and the pinned
-/// reference exactly as the linear cells do.
-pub(crate) struct GridProblem<'a> {
-    pub(crate) positions: &'a [Point3],
-    pub(crate) deltas: &'a [f64],
-    pub(crate) subset: Option<&'a [usize]>,
-    pub(crate) reference: usize,
+/// The immutable inputs of one grid search.
+struct GridProblem<'a> {
+    positions: &'a [Point3],
+    deltas: &'a [f64],
+    reference: usize,
     /// Search-region center; its `z` is the fixed plane height in 2D.
-    pub(crate) anchor: Point3,
+    anchor: Point3,
     /// 2D mode: candidates keep `z = anchor.z`.
-    pub(crate) planar: bool,
-    pub(crate) side_hint: Option<Point3>,
+    planar: bool,
+    side_hint: Option<Point3>,
 }
 
 impl GridProblem<'_> {
     fn sample_count(&self) -> usize {
-        self.subset.map_or(self.positions.len(), <[usize]>::len)
+        self.positions.len()
     }
 
-    /// Mean squared delta residual of `cand` over the samples in scope.
-    pub(crate) fn score(&self, cand: Point3) -> f64 {
+    /// Mean squared delta residual of `cand` over every sample.
+    fn score(&self, cand: Point3) -> f64 {
         let d_ref = cand.distance(self.positions[self.reference]);
         let mut sum = 0.0;
-        match self.subset {
-            Some(subset) => {
-                for &i in subset {
-                    let r = self.deltas[i] - (cand.distance(self.positions[i]) - d_ref);
-                    sum += r * r;
-                }
-            }
-            None => {
-                for (p, &delta) in self.positions.iter().zip(self.deltas) {
-                    let r = delta - (cand.distance(*p) - d_ref);
-                    sum += r * r;
-                }
-            }
+        for (p, &delta) in self.positions.iter().zip(self.deltas) {
+            let r = delta - (cand.distance(*p) - d_ref);
+            sum += r * r;
         }
         sum / self.sample_count() as f64
     }
@@ -490,26 +469,17 @@ impl GridProblem<'_> {
     fn mean_residual(&self, cand: Point3) -> f64 {
         let d_ref = cand.distance(self.positions[self.reference]);
         let mut sum = 0.0;
-        match self.subset {
-            Some(subset) => {
-                for &i in subset {
-                    sum += self.deltas[i] - (cand.distance(self.positions[i]) - d_ref);
-                }
-            }
-            None => {
-                for (p, &delta) in self.positions.iter().zip(self.deltas) {
-                    sum += delta - (cand.distance(*p) - d_ref);
-                }
-            }
+        for (p, &delta) in self.positions.iter().zip(self.deltas) {
+            sum += delta - (cand.distance(*p) - d_ref);
         }
         sum / self.sample_count() as f64
     }
 }
 
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct GridBest {
-    pub(crate) position: Point3,
-    pub(crate) score: f64,
+struct GridBest {
+    position: Point3,
+    score: f64,
 }
 
 /// Whether `cand` replaces `best` under the deterministic ordering:
@@ -619,7 +589,7 @@ fn radial_sweep(
 /// [`CoreError::GridExhausted`] when no candidate scored finitely, and
 /// [`CoreError::DegenerateLikelihood`] when the coarse level's score
 /// contrast falls below [`GridConfig::min_contrast`].
-pub(crate) fn grid_search(
+fn grid_search(
     problem: &GridProblem<'_>,
     cfg: &GridConfig,
     mut level_scores: Option<&mut Vec<f64>>,
@@ -731,17 +701,8 @@ fn polish(problem: &GridProblem<'_>, half_extent: f64, best: GridBest) -> GridBe
     let fill = |x: &Vector, out: &mut [f64]| {
         let cand = Point3::new(x[0], x[1], if dims == 2 { problem.anchor.z } else { x[2] });
         let d_ref = cand.distance(problem.positions[problem.reference]);
-        match problem.subset {
-            Some(subset) => {
-                for (k, &i) in subset.iter().enumerate() {
-                    out[k] = problem.deltas[i] - (cand.distance(problem.positions[i]) - d_ref);
-                }
-            }
-            None => {
-                for (k, (p, &delta)) in problem.positions.iter().zip(problem.deltas).enumerate() {
-                    out[k] = delta - (cand.distance(*p) - d_ref);
-                }
-            }
+        for (k, (p, &delta)) in problem.positions.iter().zip(problem.deltas).enumerate() {
+            out[k] = delta - (cand.distance(*p) - d_ref);
         }
     };
     let Ok(report) = lm.minimize(&Vector::from_slice(&x0[..dims]), fill, n) else {
@@ -774,7 +735,7 @@ fn polish(problem: &GridProblem<'_>, half_extent: f64, best: GridBest) -> GridBe
 /// Reflect the found optimum across the subspace and keep the side the
 /// hint prefers — or, without a hint, the positive side of the
 /// canonical normal, matching the linear backend's convention.
-pub(crate) fn pick_mirror_side(
+fn pick_mirror_side(
     position: Point3,
     centroid: Point3,
     normal: Vec3,
@@ -795,7 +756,7 @@ pub(crate) fn pick_mirror_side(
 }
 
 /// Builds the [`Estimate`] for a finished grid search.
-pub(crate) fn grid_estimate(problem: &GridProblem<'_>, best: GridBest, levels: usize) -> Estimate {
+fn grid_estimate(problem: &GridProblem<'_>, best: GridBest, levels: usize) -> Estimate {
     let reference_position = problem.positions[problem.reference];
     Estimate {
         position: best.position,
@@ -852,12 +813,10 @@ fn solve_grid_profile(
     let frame = analyze_geometry_small(positions, space.mode(), config.rank_tolerance)?;
     let _span = lion_obs::span!("lion.solve");
     let t = Instant::now();
-    let mut deltas = std::mem::take(&mut ws.sweep.deltas);
-    profile.delta_distances_into(reference, &mut deltas);
+    profile.delta_distances_into(reference, &mut ws.deltas);
     let problem = GridProblem {
         positions,
-        deltas: &deltas,
-        subset: None,
+        deltas: &ws.deltas,
         reference,
         anchor: frame.centroid,
         planar: space == SolveSpace::TwoD,
@@ -880,7 +839,6 @@ fn solve_grid_profile(
         }
         grid_estimate(&problem, best, grid.levels)
     });
-    ws.sweep.deltas = deltas;
     ws.metrics.solve_ns += elapsed_ns(t);
     ws.metrics.solves += 1;
     ws.metrics.equations += n as u64;

@@ -90,11 +90,9 @@ pub struct StageMetrics {
     pub adaptive_trials: u64,
     /// Skipped `(range, interval)` combinations across adaptive sweeps.
     pub adaptive_skipped: u64,
-    /// Sweep cells that extended a narrower range's normal equations in
-    /// place instead of rebuilding from scratch.
+    /// Always 0; removed with the benchmark's next revision.
     pub adaptive_cells_reused: u64,
-    /// Full Gram-matrix rebuilds performed by the incremental
-    /// normal-equation solver during adaptive sweeps.
+    /// Always 0; removed with the benchmark's next revision.
     pub adaptive_gram_rebuilds: u64,
 }
 
@@ -113,8 +111,6 @@ impl StageMetrics {
         self.reads_dropped += other.reads_dropped;
         self.adaptive_trials += other.adaptive_trials;
         self.adaptive_skipped += other.adaptive_skipped;
-        self.adaptive_cells_reused += other.adaptive_cells_reused;
-        self.adaptive_gram_rebuilds += other.adaptive_gram_rebuilds;
     }
 
     /// Sum of the four disjoint pipeline timers (unwrap + smooth + pairs +
@@ -171,56 +167,6 @@ impl SampleSoa {
     }
 }
 
-/// Reusable buffers for one adaptive-sweep grid cell: the sample subset,
-/// its pair lists, the incremental normal equations, and the IRLS
-/// scratch. Owned per [`Workspace`] so the steady-state sweep touches no
-/// allocator.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct CellScratch {
-    /// Global sample indices inside the cell's scanning range, in
-    /// sequence order.
-    pub(crate) subset: Vec<usize>,
-    /// Positions of `subset`, for pair generation.
-    pub(crate) subset_pos: Vec<lion_geom::Point3>,
-    /// Pairs in subset-local indices.
-    pub(crate) local_pairs: Vec<(usize, usize)>,
-    /// Pairs mapped to global sample indices.
-    pub(crate) pairs: Vec<(usize, usize)>,
-    /// Global pairs of the rows currently inside `ne` (push order).
-    pub(crate) ne_pairs: Vec<(usize, usize)>,
-    /// Incrementally maintained normal equations.
-    pub(crate) ne: NormalEq,
-    /// IRLS iteration scratch.
-    pub(crate) irls: NormalIrlsScratch,
-    /// Per-parameter standard errors of the last solve.
-    pub(crate) param_std: Vec<f64>,
-    /// Covariance-diagonal scratch.
-    pub(crate) cov_diag: Vec<f64>,
-}
-
-/// Reusable buffers for the shared-prefix adaptive sweep: the global
-/// frame coordinates, distance deltas, x-sorted sample order, and the
-/// per-cell scratch.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct SweepScratch {
-    /// Frame coordinates of every sample (`n × k`, row-major).
-    pub(crate) coords: Vec<f64>,
-    /// Distance deltas against the pinned global reference.
-    pub(crate) deltas: Vec<f64>,
-    /// Sample indices sorted ascending by x, for binary-searched range
-    /// slicing.
-    pub(crate) sorted_idx: Vec<usize>,
-    /// Indices of the configured scanning ranges, ascending by value, so
-    /// each range extends the previous (narrower) one's system.
-    pub(crate) range_order: Vec<usize>,
-    /// Moving-average prefix-sum scratch.
-    pub(crate) smooth_prefix: Vec<f64>,
-    /// Moving-average output scratch.
-    pub(crate) smooth_tmp: Vec<f64>,
-    /// Per-cell solver scratch.
-    pub(crate) cell: CellScratch,
-}
-
 /// Reusable solver state for the LION pipeline.
 ///
 /// Holds the design matrix, right-hand side, frame-coordinate buffer, and
@@ -264,9 +210,13 @@ pub struct Workspace {
     pub(crate) ne_irls: NormalIrlsScratch,
     /// Covariance-diagonal scratch of the batch weighted solve path.
     pub(crate) cov_diag: Vec<f64>,
-    /// Adaptive-sweep scratch (frame coordinates, sorted index, per-cell
-    /// normal equations).
-    pub(crate) sweep: SweepScratch,
+    /// Moving-average prefix-sum scratch.
+    pub(crate) smooth_prefix: Vec<f64>,
+    /// Moving-average output scratch.
+    pub(crate) smooth_tmp: Vec<f64>,
+    /// The current adaptive-sweep cell: `profile` restricted to the
+    /// cell's scanning range.
+    pub(crate) cell_profile: PhaseProfile,
 }
 
 impl Workspace {
@@ -289,7 +239,9 @@ impl Workspace {
             ne: NormalEq::new(),
             ne_irls: NormalIrlsScratch::new(),
             cov_diag: Vec::new(),
-            sweep: SweepScratch::default(),
+            smooth_prefix: Vec::new(),
+            smooth_tmp: Vec::new(),
+            cell_profile: PhaseProfile::default(),
         }
     }
 

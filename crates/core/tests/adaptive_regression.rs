@@ -1,11 +1,10 @@
-//! Ranking-parity regression between the shared-prefix sweep and the
-//! preserved naive sweep on fig16-style noisy data.
+//! Accuracy regression for the adaptive sweep on fig16-style noisy data.
 //!
 //! On noisy measurements the per-cell mean residuals differ by far more
-//! than floating-point noise, so both sweeps must agree on which grid
-//! cells are best — the property the paper's adaptive parameter
-//! selection rests on. Clean-data parity (per-cell estimates) is covered
-//! by the in-module tests; this one pins the *ranking*.
+//! than floating-point noise, so the `|mean residual|` ranking — the
+//! property the paper's adaptive parameter selection rests on — decides
+//! which cells are averaged. The averaged estimate must stay close to the
+//! planted antenna.
 
 use std::f64::consts::{PI, TAU};
 
@@ -53,34 +52,7 @@ fn cfg() -> LocalizerConfig {
 }
 
 #[test]
-fn shared_and_naive_sweeps_rank_cells_identically_on_noisy_data() {
-    let target = Point3::new(0.1, 0.8, 0.0);
-    let loc = Localizer2d::new(cfg());
-    let grid = AdaptiveConfig::default();
-    for seed in [7, 42, 1234] {
-        let m = fig16_measurements(target, 0.1, seed);
-        let shared = loc.locate_adaptive(&m, &grid).expect("shared sweep");
-        let naive = loc
-            .locate_adaptive_naive_in(&m, &grid, &mut lion_core::Workspace::new())
-            .expect("naive sweep");
-        assert_eq!(shared.trials.len(), naive.trials.len(), "seed {seed}");
-        assert_eq!(shared.skipped, naive.skipped, "seed {seed}");
-        // Both sweeps pick the same best cells, in the same order.
-        for (rank, (s, n)) in shared.trials.iter().zip(&naive.trials).enumerate() {
-            assert_eq!(
-                (s.range, s.interval),
-                (n.range, n.interval),
-                "seed {seed}: ranking diverged at rank {rank}"
-            );
-        }
-        // And the averaged estimates coincide to floating-point noise.
-        let d = shared.estimate.position.distance(naive.estimate.position);
-        assert!(d < 1e-6, "seed {seed}: positions diverged by {d}");
-    }
-}
-
-#[test]
-fn shared_sweep_stays_accurate_on_noisy_data() {
+fn sweep_stays_accurate_on_noisy_data() {
     let target = Point3::new(0.1, 0.8, 0.0);
     let loc = Localizer2d::new(cfg());
     let grid = AdaptiveConfig::default();

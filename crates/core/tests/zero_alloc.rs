@@ -1,4 +1,4 @@
-//! The steady-state shared-prefix sweep must not touch the heap.
+//! The steady-state adaptive sweep must not touch the heap.
 //!
 //! A counting global allocator wraps the system allocator; after two
 //! warm-up sweeps size every workspace buffer and intern the telemetry

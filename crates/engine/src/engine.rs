@@ -180,9 +180,11 @@ impl Engine {
     /// Runs the 2D adaptive sweep with the grid cells fanned out across
     /// the worker pool.
     ///
-    /// Preprocessing (unwrap, smooth, frame analysis) happens once on the
-    /// calling thread; each worker then solves cells with its own
-    /// [`Workspace`], and results are reduced in submission order. The
+    /// Preprocessing (unwrap, smooth, the whole-trajectory geometry
+    /// check) happens once on the calling thread; each worker then solves
+    /// cells with its own [`Workspace`] — one cell is the standard locate
+    /// pipeline on the range-restricted profile — and results are reduced
+    /// in submission order. The
     /// outcome is **bit-identical** for any worker count — including to
     /// the sequential [`Localizer2d::locate_adaptive`] — see the
     /// [`SweepPlan`] docs for why.

@@ -185,14 +185,6 @@ impl MetricsReport {
         registry.counter_add("engine.reads_dropped", self.total.reads_dropped);
         registry.counter_add("engine.adaptive_trials", self.total.adaptive_trials);
         registry.counter_add("engine.adaptive_skipped", self.total.adaptive_skipped);
-        registry.counter_add(
-            "engine.adaptive_cells_reused",
-            self.total.adaptive_cells_reused,
-        );
-        registry.counter_add(
-            "engine.adaptive_gram_rebuilds",
-            self.total.adaptive_gram_rebuilds,
-        );
         for (name, hist) in self.stages.named() {
             registry.histogram_merge(&format!("engine.stage.{name}_ns"), hist);
         }
@@ -223,8 +215,7 @@ impl MetricsReport {
              \"wall_ns\":{},\"total\":{{\"unwrap_ns\":{},\"smooth_ns\":{},\"pairs_ns\":{},\
              \"solve_ns\":{},\"adaptive_ns\":{},\"adaptive_exclusive_ns\":{},\"solves\":{},\
              \"irls_iterations\":{},\"equations\":{},\"reads_dropped\":{},\
-             \"adaptive_trials\":{},\"adaptive_skipped\":{},\"adaptive_cells_reused\":{},\
-             \"adaptive_gram_rebuilds\":{}}},\"stages\":{{{}}}}}",
+             \"adaptive_trials\":{},\"adaptive_skipped\":{}}},\"stages\":{{{}}}}}",
             self.jobs,
             self.failed,
             failures,
@@ -242,8 +233,6 @@ impl MetricsReport {
             t.reads_dropped,
             t.adaptive_trials,
             t.adaptive_skipped,
-            t.adaptive_cells_reused,
-            t.adaptive_gram_rebuilds,
             stages,
         )
     }
@@ -276,16 +265,7 @@ impl MetricsReport {
             reads_dropped: u(total_doc.get("reads_dropped"), "reads_dropped")?,
             adaptive_trials: u(total_doc.get("adaptive_trials"), "adaptive_trials")?,
             adaptive_skipped: u(total_doc.get("adaptive_skipped"), "adaptive_skipped")?,
-            // Added later than the fields above; default to zero so
-            // reports exported before the shared-prefix sweep still load.
-            adaptive_cells_reused: total_doc
-                .get("adaptive_cells_reused")
-                .and_then(|v| v.as_u64())
-                .unwrap_or(0),
-            adaptive_gram_rebuilds: total_doc
-                .get("adaptive_gram_rebuilds")
-                .and_then(|v| v.as_u64())
-                .unwrap_or(0),
+            ..StageMetrics::default()
         };
         let mut failures = Vec::new();
         for pair in doc
@@ -517,8 +497,7 @@ mod tests {
             reads_dropped: 4,
             adaptive_trials: 30,
             adaptive_skipped: 6,
-            adaptive_cells_reused: 25,
-            adaptive_gram_rebuilds: 31,
+            ..StageMetrics::default()
         };
         let results: Vec<Result<JobOutput, CoreError>> = vec![Err(CoreError::NoPairs)];
         let timings = [JobTiming {

@@ -13,7 +13,8 @@
 //! - [`Qr`]: Householder QR (least-squares solve, rank detection),
 //! - [`Cholesky`]: for symmetric positive-definite systems,
 //! - [`NormalEq`]: incrementally maintained normal equations (rank-1 IRLS
-//!   reweights, row insert/remove) for families of related solves,
+//!   reweights, front drains and in-place row replacement) for families
+//!   of related solves,
 //! - [`sym_eigen3`]: stack-only symmetric 3×3 eigensolver for geometry
 //!   frames,
 //! - [`Svd`]: one-sided Jacobi SVD (condition numbers, pseudo-inverse),

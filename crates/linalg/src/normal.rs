@@ -1,13 +1,11 @@
 //! Incremental normal-equation solver for families of related
 //! least-squares problems.
 //!
-//! The adaptive sweep (paper Sec. IV-C1) solves a 6×6 grid of weighted
-//! least-squares problems that share most of their rows: every grid cell
-//! draws its equations from the same sample pool, IRLS only changes the
-//! weights between iterations, and a wider scanning range's system is a
-//! superset of a narrower one's. [`NormalEq`] exploits all three by
-//! maintaining the normal equations `AᵀWA · x = AᵀWk` (paper Eq. 16)
-//! incrementally:
+//! IRLS (paper Eq. 16) solves a sequence of weighted least-squares
+//! problems that differ only in their weights, and a sliding streaming
+//! window re-solves a system that differs from the previous one by a few
+//! rows at each end. [`NormalEq`] exploits both by maintaining the normal
+//! equations `AᵀWA · x = AᵀWk` incrementally:
 //!
 //! - **Row accumulation** — `push_row` folds `wᵢ·aᵢaᵢᵀ` / `wᵢ·aᵢkᵢ` into
 //!   the Gram matrix as rows arrive, so building costs `O(m·n²)` with no
@@ -16,8 +14,8 @@
 //!   shifts the Gram matrix by `Δwᵢ·aᵢaᵢᵀ`, an `O(n²)` update per changed
 //!   row instead of an `O(m·n²)` rebuild. A full rebuild every
 //!   `rebuild_every`-th reweight bounds floating-point drift.
-//! - **Row insert/remove** — a wider scanning range extends a narrower
-//!   one's system in place instead of starting over.
+//! - **Row edits** — `remove_rows_front` and `replace_row` downdate the
+//!   rows a window slide retires or changes instead of starting over.
 //!
 //! Solves go through the same Cholesky kernel as [`crate::Cholesky`]
 //! (literally the same function), so the two routes cannot drift.
@@ -26,9 +24,7 @@
 //! push order, and [`NormalEq::rebuild`] re-accumulates in storage order
 //! with identical arithmetic. A system built by pushing rows 0..m with
 //! unit weights and a system rebuilt from the same stored rows therefore
-//! produce *bit-identical* Gram matrices, factors, and solutions — this
-//! is what lets the sequential (row-reusing) and parallel (fresh-build)
-//! adaptive sweeps return identical results.
+//! produce *bit-identical* Gram matrices, factors, and solutions.
 //!
 //! Accuracy: solving via the normal equations squares the condition
 //! number relative to the QR route ([`crate::lstsq::solve_weighted`]),
@@ -51,7 +47,7 @@ const DEFAULT_REBUILD_EVERY: usize = 8;
 /// nothing above the diagonal, so the mirrored upper entries would be
 /// dead work (upper storage stays at the zeros `begin` wrote). This is
 /// the single accumulation kernel used by `push_row`, `rebuild`, rank-1
-/// reweights (with `w = Δw`), and row removal (with `w = −wᵢ`) —
+/// reweights (with `w = Δw`), and row removals (with `w = −wᵢ`) —
 /// identical per-entry addition order everywhere is what makes fresh
 /// builds and rebuilds bit-identical.
 fn accumulate(gram: &mut [f64], atk: &mut [f64], cols: usize, a: &[f64], k: f64, w: f64) {
@@ -158,8 +154,8 @@ pub struct NormalEq {
     unit: Vec<f64>,
     /// Weight-delta scratch for bulk reweights.
     wdelta: Vec<f64>,
-    /// When set, `gram`/`atk` do not reflect `rows` (rows were inserted
-    /// or the caller asked for a deferred rebuild).
+    /// When set, `gram`/`atk` do not reflect `rows` (a bulk load, or the
+    /// drift budget ran out).
     dirty: bool,
     rebuild_every: usize,
     /// Rank-1 Gram edits (reweights, row removals/replacements) since the
@@ -167,7 +163,6 @@ pub struct NormalEq {
     /// appending accumulates in storage order, so it is bit-identical to
     /// what a rebuild would produce and introduces no drift.
     updates_since_rebuild: usize,
-    gram_rebuilds: u64,
 }
 
 impl NormalEq {
@@ -194,7 +189,6 @@ impl NormalEq {
             dirty: false,
             rebuild_every: rebuild_every.max(1),
             updates_since_rebuild: 0,
-            gram_rebuilds: 0,
         }
     }
 
@@ -286,12 +280,6 @@ impl NormalEq {
         &self.solution
     }
 
-    /// Cumulative count of full Gram rebuilds (survives `begin`), the
-    /// counter behind the `lion.adaptive.gram_rebuilds` metric.
-    pub fn gram_rebuilds(&self) -> u64 {
-        self.gram_rebuilds
-    }
-
     /// Appends a row with unit weight, folding it into the Gram matrix.
     ///
     /// # Panics
@@ -306,60 +294,6 @@ impl NormalEq {
         if !self.dirty {
             accumulate(&mut self.gram, &mut self.atk, self.cols, a, k, 1.0);
         }
-    }
-
-    /// Inserts a row (unit weight) at position `at`, marking the Gram
-    /// matrix dirty; the next solve (or [`NormalEq::rebuild`]) brings it
-    /// back in sync. Used by the sweep to extend a narrower range's
-    /// system with a wider range's extra rows while keeping rows in the
-    /// canonical order that makes rebuilds bit-identical to fresh builds.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `a.len()` differs from the column count or `at` is
-    /// past the end.
-    pub fn insert_row(&mut self, at: usize, a: &[f64], k: f64) {
-        assert_eq!(a.len(), self.cols, "row length must equal column count");
-        assert!(at <= self.rhs.len(), "insert position out of bounds");
-        let old = self.rows.len();
-        self.rows.resize(old + self.cols, 0.0);
-        self.rows
-            .copy_within(at * self.cols..old, (at + 1) * self.cols);
-        self.rows[at * self.cols..(at + 1) * self.cols].copy_from_slice(a);
-        self.rhs.insert(at, k);
-        self.weights.insert(at, 1.0);
-        self.note_updates(1);
-        self.dirty = true;
-    }
-
-    /// Removes the row at `at`. When the Gram matrix is in sync it is
-    /// rank-1 *downdated* (`−wᵢ·aᵢaᵢᵀ`) rather than rebuilt; the usual
-    /// drift caveat applies and, like reweights, the edit counts against
-    /// the `rebuild_every` drift budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `at` is out of bounds.
-    pub fn remove_row(&mut self, at: usize) {
-        assert!(at < self.rhs.len(), "remove position out of bounds");
-        if !self.dirty {
-            let start = at * self.cols;
-            accumulate(
-                &mut self.gram,
-                &mut self.atk,
-                self.cols,
-                &self.rows[start..start + self.cols],
-                self.rhs[at],
-                -self.weights[at],
-            );
-        }
-        let old = self.rows.len();
-        self.rows
-            .copy_within((at + 1) * self.cols.., at * self.cols);
-        self.rows.truncate(old - self.cols);
-        self.rhs.remove(at);
-        self.weights.remove(at);
-        self.note_updates(1);
     }
 
     /// Removes the first `count` rows in one batched front drain — the
@@ -565,7 +499,8 @@ impl NormalEq {
     }
 
     /// Recomputes `AᵀWA` / `AᵀWk` from the stored rows in storage order,
-    /// clearing any drift from rank-1 updates and syncing after inserts.
+    /// clearing any drift from rank-1 updates and syncing after a bulk
+    /// load.
     pub fn rebuild(&mut self) {
         self.gram.iter_mut().for_each(|g| *g = 0.0);
         self.atk.iter_mut().for_each(|g| *g = 0.0);
@@ -589,7 +524,6 @@ impl NormalEq {
         }
         self.dirty = false;
         self.updates_since_rebuild = 0;
-        self.gram_rebuilds += 1;
     }
 
     /// [`bulk_accumulate`]-backed rebuild for the column counts the
@@ -606,8 +540,8 @@ impl NormalEq {
         }
     }
 
-    /// Solves the current system, rebuilding first if rows were inserted
-    /// since the last sync. The returned slice aliases
+    /// Solves the current system, rebuilding first if the Gram matrix is
+    /// out of sync with the stored rows. The returned slice aliases
     /// [`NormalEq::solution`].
     ///
     /// # Errors
@@ -959,71 +893,6 @@ mod tests {
     }
 
     #[test]
-    fn insert_extends_to_wider_system() {
-        let rows = line_rows();
-        // Narrow system: middle rows 2..6; wide system: all rows.
-        let mut ne = NormalEq::new();
-        ne.begin(2);
-        for (a, k) in &rows[2..6] {
-            ne.push_row(a, *k);
-        }
-        let narrow = ne.solve().unwrap().to_vec();
-        let narrow_qr = qr_weighted(&rows[2..6], &[1.0; 4]);
-        for (p, q) in narrow.iter().zip(&narrow_qr) {
-            assert!((p - q).abs() < 1e-9);
-        }
-        // Extend to the full row set, keeping storage order canonical.
-        ne.insert_row(0, &rows[0].0, rows[0].1);
-        ne.insert_row(1, &rows[1].0, rows[1].1);
-        ne.insert_row(6, &rows[6].0, rows[6].1);
-        ne.insert_row(7, &rows[7].0, rows[7].1);
-        let wide = ne.solve().unwrap().to_vec();
-        let wide_qr = qr_weighted(&rows, &[1.0; 8]);
-        for (p, q) in wide.iter().zip(&wide_qr) {
-            assert!((p - q).abs() < 1e-9, "{wide:?} vs {wide_qr:?}");
-        }
-        assert_eq!(ne.rows(), 8);
-        for (i, (a, _)) in rows.iter().enumerate() {
-            assert_eq!(ne.row(i), a.as_slice());
-        }
-    }
-
-    #[test]
-    fn insert_then_rebuild_is_bit_identical_to_fresh_build() {
-        let rows = line_rows();
-        let mut extended = NormalEq::new();
-        extended.begin(2);
-        for (a, k) in &rows[2..6] {
-            extended.push_row(a, *k);
-        }
-        extended.solve().unwrap();
-        extended.insert_row(0, &rows[0].0, rows[0].1);
-        extended.insert_row(1, &rows[1].0, rows[1].1);
-        extended.insert_row(6, &rows[6].0, rows[6].1);
-        extended.insert_row(7, &rows[7].0, rows[7].1);
-        let a = extended.solve().unwrap().to_vec();
-        let mut fresh = build(&rows);
-        let b = fresh.solve().unwrap().to_vec();
-        // Exactly equal, not approximately: the determinism contract.
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn remove_row_matches_subset() {
-        let rows = line_rows();
-        let mut ne = build(&rows);
-        ne.solve().unwrap();
-        ne.remove_row(7); // drop the outlier
-        let sol = ne.solve().unwrap().to_vec();
-        let qr = qr_weighted(&rows[..7], &[1.0; 7]);
-        for (p, q) in sol.iter().zip(&qr) {
-            assert!((p - q).abs() < 1e-9, "{sol:?} vs {qr:?}");
-        }
-        // The clean line is recovered exactly once the outlier is gone.
-        assert!((sol[0] - 2.0).abs() < 1e-9 && (sol[1] - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn irls_matches_qr_irls() {
         let rows = line_rows();
         let refs: Vec<&[f64]> = rows.iter().map(|(a, _)| a.as_slice()).collect();
@@ -1129,12 +998,10 @@ mod tests {
 
     #[test]
     fn row_edits_count_toward_rebuild_cadence() {
-        // Regression for the drift bound under mixed insert/remove
-        // streams: before the fix only reweights ticked the budget, so a
-        // caller that only edits rows (uniform weights, sliding window)
-        // accumulated unbounded rank-1 drift. Now every row edit counts,
-        // and crossing the budget forces a full rebuild on the next
-        // solve.
+        // Every row edit ticks the drift budget, so a caller that only
+        // edits rows (uniform weights, sliding window) cannot accumulate
+        // unbounded rank-1 drift: crossing the budget forces a full
+        // rebuild on the next solve.
         let rows = line_rows();
         let mut ne = NormalEq::with_rebuild_every(4);
         ne.begin(2);
@@ -1142,52 +1009,28 @@ mod tests {
             ne.push_row(a, *k);
         }
         ne.solve().unwrap();
-        let rebuilds_before = ne.gram_rebuilds();
         // Three edits: under budget, still rank-1 (no rebuild yet).
-        ne.remove_row(7);
+        ne.replace_row(7, &rows[7].0, rows[7].1);
         ne.replace_row(0, &rows[0].0, rows[0].1);
         ne.remove_rows_front(1);
-        assert_eq!(ne.gram_rebuilds(), rebuilds_before);
+        assert!(!ne.dirty);
         ne.solve().unwrap();
-        assert_eq!(ne.gram_rebuilds(), rebuilds_before);
+        assert_eq!(ne.updates_since_rebuild, 3);
         // One more edit crosses the budget of 4: the next solve rebuilds.
-        ne.remove_row(0);
+        ne.remove_rows_front(1);
+        assert!(ne.dirty);
         ne.solve().unwrap();
-        assert_eq!(ne.gram_rebuilds(), rebuilds_before + 1);
+        assert_eq!(ne.updates_since_rebuild, 0);
         // The rebuild resets the budget: further under-budget edits stay
         // rank-1 again.
-        ne.remove_row(0);
+        ne.remove_rows_front(1);
         ne.solve().unwrap();
-        assert_eq!(ne.gram_rebuilds(), rebuilds_before + 1);
-        // And the post-rebuild answer matches a fresh build exactly.
-        let survivors: Vec<([f64; 2], f64)> = rows[2..7].iter().skip(1).copied().collect();
-        let mut fresh = build(&survivors);
+        assert!(!ne.dirty);
+        assert_eq!(ne.updates_since_rebuild, 1);
+        // And the answer matches a fresh build exactly (the integer line
+        // data keeps every rank-1 edit exact).
+        let mut fresh = build(&rows[3..]);
         assert_eq!(ne.solve().unwrap(), fresh.solve().unwrap());
-    }
-
-    #[test]
-    fn inserts_and_removes_share_one_drift_budget() {
-        // Mixed sequences: inserts force a rebuild via `dirty` anyway,
-        // but they must also tick the shared budget so interleaved
-        // removals cannot stretch the cadence.
-        let rows = line_rows();
-        let mut ne = NormalEq::with_rebuild_every(2);
-        ne.begin(2);
-        for (a, k) in &rows[..6] {
-            ne.push_row(a, *k);
-        }
-        ne.solve().unwrap();
-        let before = ne.gram_rebuilds();
-        ne.insert_row(6, &rows[6].0, rows[6].1);
-        ne.remove_row(0);
-        ne.solve().unwrap();
-        // The budget of 2 was spent (insert + remove): exactly one
-        // rebuild, folded into the solve.
-        assert_eq!(ne.gram_rebuilds(), before + 1);
-        let qr = qr_weighted(&rows[1..7], &[1.0; 6]);
-        for (p, q) in ne.solution().iter().zip(&qr) {
-            assert!((p - q).abs() < 1e-9);
-        }
     }
 
     #[test]

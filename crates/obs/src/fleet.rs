@@ -56,7 +56,7 @@ pub struct SloConfig {
     /// Solves per rolling window (≥ 1; default 1024).
     pub window: usize,
     /// A solve slower than this misses the latency objective (default
-    /// 1 ms — generous against BENCH_5's ~38 µs streaming re-solve).
+    /// 1 ms — generous against the ~19 µs streaming replay re-solve in BENCH_8).
     pub latency_objective_ns: u64,
     /// Fraction of solves allowed to fail or miss the objective before
     /// the budget is exhausted (default 0.01, i.e. 99% objective).

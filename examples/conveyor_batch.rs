@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build()?;
     // Every eighth case runs the adaptive range/interval sweep — the
     // QC station double-checking a sample of cases — so the batch also
-    // exercises the shared-prefix sweep and its reuse counters.
+    // exercises the sweep and its trial counters.
     let mut jobs = Vec::new();
     for case in 0..96 {
         let trace = scenario.scan(&track, 0.25, 120.0)?;
@@ -103,16 +103,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\n== per-stage instrumentation ==\n{}", parallel.report);
 
-    // The shared-prefix sweep's reuse counters: how many grid cells
-    // extended a previous cell's normal equations instead of rebuilding,
-    // and how often the Gram matrix was rebuilt from scratch.
+    // The sweep's trial counters: grid cells solved and skipped.
     let totals = &parallel.report.total;
     println!(
-        "adaptive sweep: {} trials ({} skipped), {} cells reused, {} gram rebuilds",
-        totals.adaptive_trials,
-        totals.adaptive_skipped,
-        totals.adaptive_cells_reused,
-        totals.adaptive_gram_rebuilds,
+        "adaptive sweep: {} trials ({} skipped)",
+        totals.adaptive_trials, totals.adaptive_skipped,
     );
 
     // Optional telemetry export: `conveyor_batch -- <dir>` writes the

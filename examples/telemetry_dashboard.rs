@@ -97,7 +97,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .seed(41_213)
         .build()?;
     // A sample of jobs runs the adaptive sweep so the dashboard shows
-    // the shared-prefix reuse counters alongside the stage latencies.
+    // the sweep's trial counters alongside the stage latencies.
     let mut jobs = Vec::new();
     for case in 0..64 {
         let trace = scenario.scan(&track, 0.25, 120.0)?;
@@ -137,14 +137,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         snapshot.gauge("engine.workers").unwrap_or(0.0),
     );
     println!(
-        "adaptive: {} trials | {} cells reused | {} gram rebuilds",
+        "adaptive: {} trials | {} skipped",
         snapshot.counter("engine.adaptive_trials").unwrap_or(0),
-        snapshot
-            .counter("engine.adaptive_cells_reused")
-            .unwrap_or(0),
-        snapshot
-            .counter("engine.adaptive_gram_rebuilds")
-            .unwrap_or(0),
+        snapshot.counter("engine.adaptive_skipped").unwrap_or(0),
     );
     println!();
     println!(
