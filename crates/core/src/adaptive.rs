@@ -27,6 +27,13 @@
 //! samples directly, no pairing), so only the range axis differentiates
 //! their trials.
 //!
+//! Every scanning range is centered on the same x, so the ranges nest:
+//! two ranges that keep the same number of reads keep the very same
+//! reads. A cell's estimate depends only on its restricted profile and
+//! its interval, so a range that keeps as many reads as an earlier one
+//! copies that range's per-interval results (with `range` rewritten)
+//! instead of solving them again — bit-identical to solving them.
+//!
 //! Whole-trajectory problems — an invalid `rank_tolerance`,
 //! [`CoreError::DegenerateGeometry`] — fail the sweep as a whole instead
 //! of silently skipping every cell. `config.reference_index` is ignored.
@@ -36,8 +43,10 @@
 //!
 //! The sweep is also available as an owned [`SweepPlan`] whose cells can
 //! be solved independently (and concurrently) with per-worker
-//! workspaces; [`SweepPlan::finish`] reduces the results so the outcome
-//! is bit-identical to the sequential sweep for any worker count.
+//! workspaces; it hands out only the cells that need solving, and
+//! [`SweepPlan::finish`] expands the copies and reduces the results so
+//! the outcome is bit-identical to the sequential sweep for any worker
+//! count.
 
 use std::time::Instant;
 
@@ -394,25 +403,22 @@ fn sweep_profile(
     // pipeline sum lets the sweep attribute its own orchestration overhead
     // (range restriction, ranking) exactly.
     let inner_before = ws.metrics.pipeline_ns();
-    let cx = sweep_center(
+    let mut slots = std::mem::take(&mut ws.range_slots);
+    let result = sweep_center(
         profile,
         base,
         space,
         &adaptive.scanning_ranges,
+        &mut slots,
         &mut ws.metrics,
-    )?;
-    for &range in &adaptive.scanning_ranges {
-        for &interval in &adaptive.intervals {
-            match locate_cell(profile, base, space, cx, range, interval, ws) {
-                Ok(estimate) => out.trials.push(AdaptiveTrial {
-                    range,
-                    interval,
-                    estimate,
-                }),
-                Err(_) => out.skipped += 1,
-            }
-        }
-    }
+    )
+    .map(|cx| {
+        run_cells(adaptive, &mut slots, out, |range, interval| {
+            locate_cell(profile, base, space, cx, range, interval, ws)
+        })
+    });
+    ws.range_slots = slots;
+    let copied = result?;
     let sweep_ns = elapsed_ns(sweep_start);
     let metrics = &mut ws.metrics;
     let inner_ns = metrics.pipeline_ns() - inner_before;
@@ -420,11 +426,13 @@ fn sweep_profile(
     metrics.adaptive_exclusive_ns += sweep_ns.saturating_sub(inner_ns);
     metrics.adaptive_trials += out.trials.len() as u64;
     metrics.adaptive_skipped += out.skipped as u64;
+    metrics.adaptive_cells_reused += copied;
     lion_obs::event!(
         lion_obs::Level::Debug,
         "lion.adaptive.sweep",
         "trials" => out.trials.len(),
         "skipped" => out.skipped,
+        "reused" => copied,
         "sweep_ns" => sweep_ns,
     );
     if out.trials.is_empty() {
@@ -437,14 +445,16 @@ fn sweep_profile(
 
 /// The whole-trajectory checks every sweep runs once, before any cell:
 /// validates `rank_tolerance` and the trajectory's geometry, and counts
-/// the reads each scanning range drops. Returns the range center, the
-/// trajectory's x centroid (the paper centers its scanning range at
+/// the reads each scanning range keeps into `slots` (one per range) and
+/// the reads it drops into `reads_dropped`. Returns the range center,
+/// the trajectory's x centroid (the paper centers its scanning range at
 /// x = 0 with the antenna at the track middle).
 fn sweep_center(
     profile: &PhaseProfile,
     base: &LocalizerConfig,
     space: SolveSpace,
     ranges: &[f64],
+    slots: &mut Vec<RangeSlot>,
     metrics: &mut StageMetrics,
 ) -> Result<f64, CoreError> {
     if !(base.rank_tolerance > 0.0 && base.rank_tolerance < 1.0) {
@@ -456,12 +466,90 @@ fn sweep_center(
     let positions = profile.positions();
     analyze_geometry_small(positions, space.mode(), base.rank_tolerance)?;
     let cx = positions.iter().map(|p| p.x).sum::<f64>() / positions.len() as f64;
+    slots.clear();
     for &range in ranges {
         let (lo, hi) = (cx - range / 2.0, cx + range / 2.0);
         let kept = positions.iter().filter(|p| p.x >= lo && p.x <= hi).count();
         metrics.reads_dropped += (positions.len() - kept) as u64;
+        slots.push(RangeSlot {
+            kept,
+            ..RangeSlot::default()
+        });
     }
     Ok(cx)
+}
+
+/// One scanning range of a sweep: how many reads it keeps and, once its
+/// cells have run, where their results sit in the outcome.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct RangeSlot {
+    /// Reads the range keeps (the same filter as the cell restriction).
+    kept: usize,
+    /// The range's trials are `out.trials[first..end]`.
+    first: usize,
+    end: usize,
+    /// The range's failed cells.
+    skipped: usize,
+}
+
+/// The earlier range whose results range `k` copies, if any: the first
+/// one keeping as many reads. Ranges share a center and so nest (`cx ±
+/// r/2` is monotone in `r` under rounding), which makes an equal count an
+/// equal sample set — the same restricted profile, hence the same
+/// estimate for every interval.
+fn reuse_source(slots: &[RangeSlot], k: usize) -> Option<usize> {
+    slots[..k].iter().position(|s| s.kept == slots[k].kept)
+}
+
+/// Fills `out` with every grid cell's result, ranges outer and intervals
+/// inner — the one cell loop of the sequential sweep and
+/// [`SweepPlan::finish`]. A range with a [`reuse_source`] copies that
+/// range's trials and skip count; every other cell takes its result
+/// from `solve(range, interval)`. Returns the number of copied trials.
+fn run_cells(
+    adaptive: &AdaptiveConfig,
+    slots: &mut [RangeSlot],
+    out: &mut AdaptiveOutcome,
+    mut solve: impl FnMut(f64, f64) -> Result<Estimate, CoreError>,
+) -> u64 {
+    let mut copied = 0;
+    for (k, &range) in adaptive.scanning_ranges.iter().enumerate() {
+        let first = out.trials.len();
+        let skipped_before = out.skipped;
+        if let Some(src) = reuse_source(slots, k) {
+            let RangeSlot {
+                first: from,
+                end: to,
+                skipped,
+                ..
+            } = slots[src];
+            for t in from..to {
+                let trial = AdaptiveTrial {
+                    range,
+                    ..out.trials[t].clone()
+                };
+                out.trials.push(trial);
+            }
+            out.skipped += skipped;
+            copied += (to - from) as u64;
+        } else {
+            for &interval in &adaptive.intervals {
+                match solve(range, interval) {
+                    Ok(estimate) => out.trials.push(AdaptiveTrial {
+                        range,
+                        interval,
+                        estimate,
+                    }),
+                    Err(_) => out.skipped += 1,
+                }
+            }
+        }
+        let slot = &mut slots[k];
+        slot.first = first;
+        slot.end = out.trials.len();
+        slot.skipped = out.skipped - skipped_before;
+    }
+    copied
 }
 
 /// Solves one `(range, interval)` grid cell — the one per-cell path,
@@ -522,9 +610,10 @@ fn reduce_outcome(keep: usize, out: &mut AdaptiveOutcome) {
 }
 
 /// An owned, immutable description of one adaptive sweep: the prepared
-/// profile, the base configuration, and the flattened `(range, interval)`
-/// grid in the sequential sweep's visit order (ranges outer, intervals
-/// inner).
+/// profile, the base configuration, the grid, and the cells that need
+/// solving in the sequential sweep's visit order (ranges outer, intervals
+/// inner). A range that keeps the same reads as an earlier range has no
+/// cells here: [`SweepPlan::finish`] copies the earlier range's results.
 ///
 /// Cells are independent — solve them on any worker with any
 /// [`Workspace`] via [`SweepPlan::solve_cell`], then reduce with
@@ -532,8 +621,9 @@ fn reduce_outcome(keep: usize, out: &mut AdaptiveOutcome) {
 /// cell-index order, the outcome is bit-identical to the sequential
 /// [`Localizer2d::locate_adaptive`] for any worker count: each cell runs
 /// the same solve as the sequential sweep on the same profile, a reused
-/// workspace never changes a solve's result, and [`rank_trials`]' total
-/// order makes the ranking visit-order independent.
+/// workspace never changes a solve's result, `finish` copies exactly the
+/// ranges the sequential sweep copies, and [`rank_trials`]' total order
+/// makes the ranking visit-order independent.
 #[derive(Debug, Clone)]
 pub struct SweepPlan {
     profile: PhaseProfile,
@@ -541,8 +631,10 @@ pub struct SweepPlan {
     space: SolveSpace,
     /// Range center (the trajectory's x centroid).
     cx: f64,
-    keep: usize,
-    /// `(range, interval)` per cell, in sequential visit order.
+    adaptive: AdaptiveConfig,
+    /// Reads kept per scanning range.
+    slots: Vec<RangeSlot>,
+    /// `(range, interval)` per cell to solve, in sequential visit order.
     cells: Vec<(f64, f64)>,
 }
 
@@ -556,6 +648,7 @@ impl SweepPlan {
     ) -> Result<SweepPlan, CoreError> {
         adaptive.validate()?;
         let mut profile = std::mem::take(&mut ws.profile);
+        let mut slots = Vec::new();
         let plan = prepare_profile_in(measurements, base, &mut profile, ws)
             .and_then(|()| {
                 sweep_center(
@@ -563,26 +656,33 @@ impl SweepPlan {
                     base,
                     space,
                     &adaptive.scanning_ranges,
+                    &mut slots,
                     &mut ws.metrics,
                 )
             })
-            .map(|cx| SweepPlan {
-                profile: profile.clone(),
-                config: base.clone(),
-                space,
-                cx,
-                keep: adaptive.keep,
-                cells: adaptive
-                    .scanning_ranges
-                    .iter()
-                    .flat_map(|&range| adaptive.intervals.iter().map(move |&i| (range, i)))
-                    .collect(),
+            .map(|cx| {
+                let mut cells = Vec::new();
+                for (k, &range) in adaptive.scanning_ranges.iter().enumerate() {
+                    if reuse_source(&slots, k).is_none() {
+                        cells.extend(adaptive.intervals.iter().map(|&i| (range, i)));
+                    }
+                }
+                SweepPlan {
+                    profile: profile.clone(),
+                    config: base.clone(),
+                    space,
+                    cx,
+                    adaptive: adaptive.clone(),
+                    slots,
+                    cells,
+                }
             });
         ws.profile = profile;
         plan
     }
 
-    /// Number of grid cells in the plan.
+    /// Number of cells to solve: the grid cells minus those of ranges
+    /// that copy an earlier range.
     pub fn cell_count(&self) -> usize {
         self.cells.len()
     }
@@ -598,7 +698,7 @@ impl SweepPlan {
 
     /// How many best trials [`SweepPlan::finish`] averages.
     pub fn keep(&self) -> usize {
-        self.keep
+        self.adaptive.keep
     }
 
     /// Solves cell `index` with `ws`'s scratch buffers; pair/solve
@@ -631,8 +731,9 @@ impl SweepPlan {
         })
     }
 
-    /// Reduces per-cell results — **in cell-index order** — into the
-    /// sweep outcome: failures count as skipped, survivors are ranked by
+    /// Reduces per-cell results — one per cell, **in cell-index order** —
+    /// into the sweep outcome: copied ranges are expanded, failures count
+    /// as skipped (as does a missing result), survivors are ranked by
     /// `|mean residual|`, and the `keep` best positions averaged.
     ///
     /// # Errors
@@ -642,18 +743,20 @@ impl SweepPlan {
         &self,
         results: impl IntoIterator<Item = Result<AdaptiveTrial, CoreError>>,
     ) -> Result<AdaptiveOutcome, CoreError> {
+        let mut results = results.into_iter();
         let mut out = AdaptiveOutcome::default();
-        for result in results {
-            match result {
-                Ok(trial) => out.trials.push(trial),
-                Err(_) => out.skipped += 1,
-            }
-        }
+        let mut slots = self.slots.clone();
+        run_cells(&self.adaptive, &mut slots, &mut out, |_, _| {
+            results
+                .next()
+                .unwrap_or(Err(CoreError::NoPairs))
+                .map(|trial| trial.estimate)
+        });
         if out.trials.is_empty() {
             return Err(CoreError::NoPairs);
         }
         rank_trials(&mut out.trials);
-        reduce_outcome(self.keep, &mut out);
+        reduce_outcome(self.adaptive.keep, &mut out);
         Ok(out)
     }
 }

@@ -715,7 +715,9 @@ pub(crate) fn run_with_min_in(
     }
     let pairs_span = lion_obs::span!("lion.pairs");
     let t = Instant::now();
-    config.pair_strategy.pairs_into(positions, &mut ws.pairs);
+    config
+        .pair_strategy
+        .pairs_with(positions, &mut ws.pair_lines, &mut ws.pairs);
     ws.metrics.pairs_ns += elapsed_ns(t);
     drop(pairs_span);
     let _solve_span = lion_obs::span!("lion.solve");

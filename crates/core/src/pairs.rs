@@ -92,13 +92,25 @@ impl PairStrategy {
     }
 
     /// [`PairStrategy::pairs`] into a caller-provided buffer, reusing its
-    /// allocation. For [`PairStrategy::Interval`] and
-    /// [`PairStrategy::AllWithMinSeparation`] this is allocation-free in
-    /// steady state; [`PairStrategy::StructuredScan`] still allocates
-    /// internally for its per-line classification (it is not on the
-    /// adaptive hot path — the zero-alloc sweep guarantee covers the
-    /// interval strategies).
+    /// allocation. [`PairStrategy::Interval`] and
+    /// [`PairStrategy::AllWithMinSeparation`] are allocation-free in
+    /// steady state; [`PairStrategy::StructuredScan`] allocates its
+    /// per-line index buffers on every call here. The solve pipeline
+    /// pairs through the same code with those buffers kept in the
+    /// [`crate::Workspace`], which makes every strategy allocation-free
+    /// on the adaptive sweep's hot path.
     pub fn pairs_into(&self, positions: &[Point3], out: &mut Vec<(usize, usize)>) {
+        self.pairs_with(positions, &mut LineScratch::default(), out);
+    }
+
+    /// [`PairStrategy::pairs_into`] with caller-owned scratch for the
+    /// structured scheme's per-line index buffers.
+    pub(crate) fn pairs_with(
+        &self,
+        positions: &[Point3],
+        lines: &mut LineScratch,
+        out: &mut Vec<(usize, usize)>,
+    ) {
         out.clear();
         match self {
             PairStrategy::Interval { interval } => interval_pairs_into(positions, *interval, out),
@@ -110,10 +122,14 @@ impl PairStrategy {
                 scan,
                 x_interval,
                 tolerance,
-            } => out.extend(structured_pairs(positions, scan, *x_interval, *tolerance)),
+            } => structured_pairs_into(positions, scan, *x_interval, *tolerance, lines, out),
         }
     }
 }
+
+/// The sample indices [`PairStrategy::StructuredScan`] classifies onto
+/// each scan line (`L1`, `L2`, `L3`), sorted by x.
+pub(crate) type LineScratch = [Vec<usize>; 3];
 
 fn interval_pairs_into(positions: &[Point3], interval: f64, out: &mut Vec<(usize, usize)>) {
     if !(interval > 0.0 && interval.is_finite()) {
@@ -163,21 +179,24 @@ fn all_pairs_into(
     }
 }
 
-fn structured_pairs(
+fn structured_pairs_into(
     positions: &[Point3],
     scan: &ThreeLineScan,
     x_interval: f64,
     tolerance: f64,
-) -> Vec<(usize, usize)> {
+    lines: &mut LineScratch,
+    out: &mut Vec<(usize, usize)>,
+) {
     // NaN-safe: comparisons are false for NaN, so NaN parameters bail out.
     let params_ok = x_interval > 0.0 && x_interval.is_finite() && tolerance > 0.0;
     if !params_ok {
-        return Vec::new();
+        return;
     }
     // Classify samples onto the three lines by (y, z) proximity.
-    let mut l1: Vec<usize> = Vec::new();
-    let mut l2: Vec<usize> = Vec::new();
-    let mut l3: Vec<usize> = Vec::new();
+    let [l1, l2, l3] = lines;
+    l1.clear();
+    l2.clear();
+    l3.clear();
     for (i, p) in positions.iter().enumerate() {
         if p.y.abs() <= tolerance && p.z.abs() <= tolerance {
             l1.push(i);
@@ -187,52 +206,64 @@ fn structured_pairs(
             l3.push(i);
         }
     }
-    let by_x = |v: &mut Vec<usize>| {
-        v.sort_by(|&a, &b| positions[a].x.partial_cmp(&positions[b].x).expect("finite"));
-    };
-    by_x(&mut l1);
-    by_x(&mut l2);
-    by_x(&mut l3);
+    // Each line holds ascending indices, so ordering by (x, index) is the
+    // stable x order, reached without the stable sort's scratch buffer.
+    for line in [&mut *l1, &mut *l2, &mut *l3] {
+        line.sort_unstable_by(|&a, &b| {
+            positions[a]
+                .x
+                .partial_cmp(&positions[b].x)
+                .expect("finite")
+                .then(a.cmp(&b))
+        });
+    }
 
-    // Binary search for the sample nearest a target x on a sorted line.
-    let nearest = |line: &[usize], x: f64| -> Option<usize> {
-        if line.is_empty() {
-            return None;
-        }
-        let pos = line.partition_point(|&i| positions[i].x < x);
-        let candidates = [pos.checked_sub(1), Some(pos)];
-        let mut best: Option<usize> = None;
-        for c in candidates.into_iter().flatten() {
-            if c < line.len() {
-                let idx = line[c];
-                let err = (positions[idx].x - x).abs();
-                if err <= tolerance && best.is_none_or(|b| (positions[b].x - x).abs() > err) {
-                    best = Some(idx);
-                }
-            }
-        }
-        best
-    };
-
-    let mut out = Vec::new();
-    for &i in &l1 {
+    // The queries below rise with x along L1, so each line's partition
+    // point only moves forward: one cursor per line pairs in linear time.
+    let (mut c1, mut c2, mut c3) = (0, 0, 0);
+    for &i in l1.iter() {
         let x = positions[i].x;
         // x-pair along L1 (observes the x coordinate).
-        if let Some(j) = nearest(&l1, x + x_interval) {
+        if let Some(j) = nearest_from(positions, l1, &mut c1, x + x_interval, tolerance) {
             if j != i {
                 out.push((i, j));
             }
         }
         // Cross pair to L3 at the same x (observes y).
-        if let Some(j) = nearest(&l3, x) {
+        if let Some(j) = nearest_from(positions, l3, &mut c3, x, tolerance) {
             out.push((i, j));
         }
         // Cross pair to L2 at the same x (observes z).
-        if let Some(j) = nearest(&l2, x) {
+        if let Some(j) = nearest_from(positions, l2, &mut c2, x, tolerance) {
             out.push((i, j));
         }
     }
-    out
+}
+
+/// The sample on x-sorted `line` nearest `x`, if within `tolerance`.
+/// `pos` is the partition point of the previous query (the first sample
+/// with x ≥ it); queries must not decrease between calls.
+fn nearest_from(
+    positions: &[Point3],
+    line: &[usize],
+    pos: &mut usize,
+    x: f64,
+    tolerance: f64,
+) -> Option<usize> {
+    while *pos < line.len() && positions[line[*pos]].x < x {
+        *pos += 1;
+    }
+    let mut best: Option<usize> = None;
+    for c in [pos.checked_sub(1), Some(*pos)].into_iter().flatten() {
+        if c < line.len() {
+            let idx = line[c];
+            let err = (positions[idx].x - x).abs();
+            if err <= tolerance && best.is_none_or(|b| (positions[b].x - x).abs() > err) {
+                best = Some(idx);
+            }
+        }
+    }
+    best
 }
 
 #[cfg(test)]

@@ -21,7 +21,8 @@
 //! Out-of-order arrival is handled by timestamp-sorted insertion: a late
 //! read is spliced into its time slot (so the window always equals the
 //! re-sorted trace), and a read older than everything a full window
-//! retains is rejected as too late.
+//! retains is rejected as too late. A read with a non-finite time,
+//! position or phase is rejected on its own count.
 
 use std::collections::VecDeque;
 
@@ -53,6 +54,8 @@ pub enum PushOutcome {
     Evicted,
     /// Rejected: the read is older than everything a full window retains.
     TooLate,
+    /// Rejected: the read's time, position or phase is NaN or infinite.
+    NonFinite,
 }
 
 /// How the window's contents changed since the last
@@ -103,6 +106,7 @@ pub struct SlidingWindow {
     capacity: usize,
     evicted: u64,
     rejected_late: u64,
+    rejected_non_finite: u64,
     pending: WindowDelta,
 }
 
@@ -128,6 +132,7 @@ impl SlidingWindow {
             capacity,
             evicted: 0,
             rejected_late: 0,
+            rejected_non_finite: 0,
             pending: WindowDelta::default(),
         })
     }
@@ -168,6 +173,11 @@ impl SlidingWindow {
         self.rejected_late
     }
 
+    /// Total reads rejected for a non-finite field since construction.
+    pub fn rejected_non_finite(&self) -> u64 {
+        self.rejected_non_finite
+    }
+
     /// Time span covered by the window (newest − oldest timestamp), the
     /// online analogue of the paper's *scanning range*; 0 when fewer than
     /// two reads are held.
@@ -192,21 +202,23 @@ impl SlidingWindow {
     /// the accounting, so consecutive calls describe disjoint spans of
     /// stream history. A fresh window reports an all-zero delta.
     ///
-    /// Rejected reads ([`PushOutcome::TooLate`]) never appear in a delta —
-    /// they did not change the window.
+    /// Rejected reads ([`PushOutcome::TooLate`],
+    /// [`PushOutcome::NonFinite`]) never appear in a delta — they did not
+    /// change the window.
     pub fn take_slide_delta(&mut self) -> WindowDelta {
         std::mem::take(&mut self.pending)
     }
 
     /// Inserts a read in timestamp order, evicting the oldest read when
-    /// full. A read with a non-finite field, or older than everything a
-    /// full window retains, is rejected (the latter as
-    /// [`PushOutcome::TooLate`]). Ties insert after existing equal
-    /// timestamps, so in-order delivery is never reordered.
+    /// full. A read with a non-finite field is rejected as
+    /// [`PushOutcome::NonFinite`], one older than everything a full
+    /// window retains as [`PushOutcome::TooLate`]. Ties insert after
+    /// existing equal timestamps, so in-order delivery is never
+    /// reordered.
     pub fn push(&mut self, time: f64, position: Point3, wrapped: f64) -> PushOutcome {
         if !time.is_finite() || !position.is_finite() || !wrapped.is_finite() {
-            self.rejected_late += 1;
-            return PushOutcome::TooLate;
+            self.rejected_non_finite += 1;
+            return PushOutcome::NonFinite;
         }
         let mut evicted_now = false;
         if self.is_full() {
@@ -386,11 +398,29 @@ mod tests {
     }
 
     #[test]
-    fn non_finite_reads_rejected() {
+    fn non_finite_reads_rejected_apart_from_late_ones() {
         let mut w = SlidingWindow::new(3).unwrap();
-        assert_eq!(w.push(f64::NAN, p(0.0), 0.0), PushOutcome::TooLate);
-        assert_eq!(w.push(0.0, p(0.0), f64::INFINITY), PushOutcome::TooLate);
-        assert!(w.is_empty());
+        w.push(1.0, p(1.0), 0.5);
+        let before: Vec<WindowSample> = w.samples().copied().collect();
+        w.take_slide_delta();
+        let mut rejected = 0;
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let reads = [
+                (bad, p(2.0), 0.5),
+                (2.0, Point3::new(bad, 0.0, 0.0), 0.5),
+                (2.0, Point3::new(2.0, bad, 0.0), 0.5),
+                (2.0, Point3::new(2.0, 0.0, bad), 0.5),
+                (2.0, p(2.0), bad),
+            ];
+            for (time, position, phase) in reads {
+                assert_eq!(w.push(time, position, phase), PushOutcome::NonFinite);
+                rejected += 1;
+            }
+        }
+        assert_eq!(w.rejected_non_finite(), rejected);
+        assert_eq!(w.rejected_late(), 0);
+        assert_eq!(w.samples().copied().collect::<Vec<_>>(), before);
+        assert_eq!(w.take_slide_delta(), WindowDelta::default());
     }
 
     #[test]
@@ -491,7 +521,7 @@ mod tests {
         w.push(6.0, p(6.0), 0.0);
         w.take_slide_delta();
         assert_eq!(w.push(1.0, p(1.0), 0.0), PushOutcome::TooLate);
-        assert_eq!(w.push(f64::NAN, p(0.0), 0.0), PushOutcome::TooLate);
+        assert_eq!(w.push(f64::NAN, p(0.0), 0.0), PushOutcome::NonFinite);
         assert_eq!(w.take_slide_delta(), WindowDelta::default());
     }
 

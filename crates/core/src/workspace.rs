@@ -17,6 +17,8 @@ use lion_linalg::{Matrix, NormalEq, NormalIrlsScratch, Vector};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
+use crate::adaptive::RangeSlot;
+use crate::pairs::LineScratch;
 use crate::preprocess::PhaseProfile;
 
 /// Monotonic per-stage timers (nanoseconds) and counters accumulated
@@ -90,7 +92,9 @@ pub struct StageMetrics {
     pub adaptive_trials: u64,
     /// Skipped `(range, interval)` combinations across adaptive sweeps.
     pub adaptive_skipped: u64,
-    /// Always 0; removed with the benchmark's next revision.
+    /// Trials an adaptive sweep copied from an earlier scanning range
+    /// that keeps the same reads, instead of solving them (included in
+    /// `adaptive_trials`).
     pub adaptive_cells_reused: u64,
     /// Always 0; removed with the benchmark's next revision.
     pub adaptive_gram_rebuilds: u64,
@@ -111,6 +115,7 @@ impl StageMetrics {
         self.reads_dropped += other.reads_dropped;
         self.adaptive_trials += other.adaptive_trials;
         self.adaptive_skipped += other.adaptive_skipped;
+        self.adaptive_cells_reused += other.adaptive_cells_reused;
     }
 
     /// Sum of the four disjoint pipeline timers (unwrap + smooth + pairs +
@@ -196,6 +201,8 @@ pub struct Workspace {
     pub(crate) deltas: Vec<f64>,
     /// Sample pairs of the batch solve path.
     pub(crate) pairs: Vec<(usize, usize)>,
+    /// Per-scan-line index buffers of the structured pairing.
+    pub(crate) pair_lines: LineScratch,
     /// Pair endpoints as `i32` index lanes — the gather-friendly mirror
     /// of `pairs` the SIMD row-assembly kernel consumes.
     pub(crate) pair_i: Vec<i32>,
@@ -217,6 +224,8 @@ pub struct Workspace {
     /// The current adaptive-sweep cell: `profile` restricted to the
     /// cell's scanning range.
     pub(crate) cell_profile: PhaseProfile,
+    /// Per-range bookkeeping of the adaptive sweep.
+    pub(crate) range_slots: Vec<RangeSlot>,
 }
 
 impl Workspace {
@@ -232,6 +241,7 @@ impl Workspace {
             profile: PhaseProfile::default(),
             deltas: Vec::new(),
             pairs: Vec::new(),
+            pair_lines: LineScratch::default(),
             pair_i: Vec::new(),
             pair_j: Vec::new(),
             solution: Vec::new(),
@@ -242,6 +252,7 @@ impl Workspace {
             smooth_prefix: Vec::new(),
             smooth_tmp: Vec::new(),
             cell_profile: PhaseProfile::default(),
+            range_slots: Vec::new(),
         }
     }
 

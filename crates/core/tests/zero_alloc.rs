@@ -3,18 +3,21 @@
 //! A counting global allocator wraps the system allocator; after two
 //! warm-up sweeps size every workspace buffer and intern the telemetry
 //! keys, a third sweep over the same workload must perform **zero**
-//! allocations. Runs single-threaded by construction (one test in this
-//! binary), so the counter observes only the sweep.
+//! allocations. Covered: the 2D `Interval` sweep, the windowed locate,
+//! and the 3D `StructuredScan` calibration sweep on a scan shorter than
+//! the widest range (so ranges are copied, not only solved). Runs
+//! single-threaded by construction (one test in this binary), so the
+//! counter observes only the code under test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::f64::consts::{PI, TAU};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use lion_core::{
-    locate_window_in, AdaptiveConfig, AdaptiveOutcome, Localizer2d, LocalizerConfig, PairStrategy,
-    SlidingWindow, SolveSpace, Workspace,
+    locate_window_in, AdaptiveConfig, AdaptiveOutcome, Localizer2d, Localizer3d, LocalizerConfig,
+    PairStrategy, SlidingWindow, SolveSpace, Workspace,
 };
-use lion_geom::Point3;
+use lion_geom::{Point3, ThreeLineScan, Trajectory};
 
 struct CountingAlloc;
 
@@ -116,4 +119,46 @@ fn steady_state_sweep_allocates_nothing() {
         "steady-state windowed locate performed {during} heap allocations"
     );
     assert!(est.distance_error(target) < 1e-1);
+
+    // The calibration sweep: 3D, `StructuredScan` pairs on the paper's
+    // 0.8 m three-line scan, the default grid. Ranges 0.9–1.1 m keep the
+    // whole scan, so they copy the 0.8 m range's trials.
+    let scan = ThreeLineScan::new(-0.4, 0.4, 0.2, 0.2).expect("valid scan");
+    let antenna = Point3::new(0.03, 0.8, 0.12);
+    let path = scan.to_path();
+    let m: Vec<(Point3, f64)> = (0..=(path.length() / 0.002) as usize)
+        .map(|i| {
+            let p = path.position(i as f64 * 0.002);
+            (p, (4.0 * PI * antenna.distance(p) / LAMBDA).rem_euclid(TAU))
+        })
+        .collect();
+    let localizer = Localizer3d::new(LocalizerConfig {
+        pair_strategy: PairStrategy::StructuredScan {
+            scan,
+            x_interval: 0.2,
+            tolerance: 0.003,
+        },
+        side_hint: Some(Point3::new(0.0, 0.8, 0.1)),
+        ..LocalizerConfig::default()
+    });
+    for _ in 0..2 {
+        localizer
+            .locate_adaptive_into(&m, &grid, &mut ws, &mut out)
+            .expect("clean 3D sweep succeeds");
+    }
+    ws.take_metrics();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    localizer
+        .locate_adaptive_into(&m, &grid, &mut ws, &mut out)
+        .expect("clean 3D sweep succeeds");
+    let during = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(
+        during, 0,
+        "steady-state 3D StructuredScan sweep performed {during} heap allocations"
+    );
+    assert!(
+        ws.metrics().adaptive_cells_reused > 0,
+        "ranges must be copied"
+    );
+    assert!(out.estimate.distance_error(antenna) < 5e-2);
 }

@@ -144,6 +144,9 @@ pub struct StreamOutcome {
     pub overflow_dropped: u64,
     /// Reads rejected by the window as too late.
     pub late_rejected: u64,
+    /// Reads rejected by the window for a NaN or infinite time, position
+    /// or phase.
+    pub non_finite_rejected: u64,
     /// Due solves that failed (counted, not fatal — the stream carries
     /// on; a window can be transiently degenerate).
     pub solve_errors: u64,
@@ -309,6 +312,7 @@ fn run_stream_job(
         reads_in: ingress.offered(),
         overflow_dropped: ingress.overflow_dropped(),
         late_rejected: pipeline.rejected_late(),
+        non_finite_rejected: pipeline.rejected_non_finite(),
         solve_errors,
         converged: pipeline.is_converged(),
         resolve_rows_delta: pipeline.resolve_rows_delta(),
@@ -615,6 +619,24 @@ mod tests {
         assert_eq!(outcome.resolve_rows_delta, 0);
         assert_eq!(outcome.resolve_rebuilds, 0);
         assert_eq!(outcome.resolve_fallbacks, 0);
+    }
+
+    #[test]
+    fn non_finite_reads_are_not_counted_as_late() {
+        let antenna = Point3::new(1.2, 0.4, 0.0);
+        let mut reads = clean_reads(antenna, 200);
+        reads[50].phase = f64::NAN;
+        reads[90].time = f64::INFINITY;
+        reads[120].position.y = f64::NEG_INFINITY;
+        let job = StreamJob::new(reads, StreamConfig::default());
+        let outcome = Engine::serial()
+            .run_streams(std::slice::from_ref(&job))
+            .pop()
+            .unwrap()
+            .expect("runs");
+        assert_eq!(outcome.non_finite_rejected, 3);
+        assert_eq!(outcome.late_rejected, 0);
+        assert!(outcome.final_estimate().is_some());
     }
 
     #[test]

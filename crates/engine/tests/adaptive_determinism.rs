@@ -67,6 +67,26 @@ fn adaptive_2d_is_bit_identical_across_worker_counts() {
 }
 
 #[test]
+fn adaptive_fanout_with_copied_ranges_is_bit_identical() {
+    // A 0.8 m track: the 0.9–1.1 m ranges keep the same reads as the
+    // 0.8 m one, so the plan solves fewer cells and `finish` copies.
+    let target = Point3::new(0.1, 0.8, 0.0);
+    let m = noisy_linear_scan(target, 0.4, 0.005, 0.05);
+    let config = cfg();
+    let grid = AdaptiveConfig::default();
+    let sequential = Localizer2d::new(config.clone())
+        .locate_adaptive(&m, &grid)
+        .expect("sequential sweep succeeds");
+    for workers in [1, 2, 5, 7] {
+        let engine = Engine::builder().workers(workers).build().expect("valid");
+        let fanned = engine
+            .locate_adaptive_2d(&m, &config, &grid)
+            .expect("fanned sweep succeeds");
+        assert_eq!(sequential, fanned, "workers={workers}");
+    }
+}
+
+#[test]
 fn adaptive_3d_is_bit_identical_across_worker_counts() {
     let target = Point3::new(0.1, 0.2, 0.7);
     let m: Vec<(Point3, f64)> = (0..400)

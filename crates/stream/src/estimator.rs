@@ -196,7 +196,7 @@ impl StreamLocalizer {
             self.window.push(read.time, read.position, read.phase)
         };
         match outcome {
-            PushOutcome::TooLate => return Ok(None),
+            PushOutcome::TooLate | PushOutcome::NonFinite => return Ok(None),
             PushOutcome::Inserted | PushOutcome::Evicted => {}
         }
         self.accepted += 1;
@@ -390,6 +390,11 @@ impl StreamLocalizer {
     /// Reads rejected as too late to matter (window slid past them).
     pub fn rejected_late(&self) -> u64 {
         self.window.rejected_late()
+    }
+
+    /// Reads rejected for a NaN or infinite time, position or phase.
+    pub fn rejected_non_finite(&self) -> u64 {
+        self.window.rejected_non_finite()
     }
 
     /// Estimates emitted so far.
