@@ -15,7 +15,7 @@
 use std::time::Instant;
 
 use lion_geom::{Point3, Vec3};
-use lion_linalg::{lstsq, IrlsConfig, Matrix, NormalEq, NormalIrlsScratch};
+use lion_linalg::{lstsq, IrlsConfig, Matrix, NormalEq, NormalIrlsScratch, WeightFunction};
 use serde::{Deserialize, Serialize};
 
 use crate::error::CoreError;
@@ -148,6 +148,24 @@ impl LocalizerConfig {
                 found: format!("{interval}"),
             });
         }
+        if let Weighting::Weighted(irls) = &self.weighting {
+            // A NaN or non-positive tolerance would run every solve to
+            // the iteration cap, a bad Huber delta would yield NaN weights.
+            if !(irls.tolerance > 0.0 && irls.tolerance.is_finite()) {
+                return Err(CoreError::InvalidConfig {
+                    parameter: "irls tolerance",
+                    found: format!("{}", irls.tolerance),
+                });
+            }
+            if let WeightFunction::Huber { delta } = irls.weight_fn {
+                if !(delta > 0.0 && delta.is_finite()) {
+                    return Err(CoreError::InvalidConfig {
+                        parameter: "huber delta",
+                        found: format!("{delta}"),
+                    });
+                }
+            }
+        }
         self.solver.validate()?;
         Ok(())
     }
@@ -242,7 +260,12 @@ pub struct Estimate {
     pub mean_residual: f64,
     /// Weighted RMS residual (diagnostic).
     pub weighted_rms: f64,
-    /// Reweighting iterations performed (0 for plain least squares).
+    /// IRLS reweights performed (0 for plain least squares): weighted
+    /// solves of the accelerated fixed-point loop
+    /// ([`lion_linalg::solve_irls_normal`]), which stops once a reweight
+    /// moves the estimate less than the configured tolerance or at
+    /// `max_iterations` ([`crate::StageMetrics::irls_unconverged`] counts
+    /// the solves that stopped there unconverged).
     pub iterations: usize,
     /// Number of equations in the solved system.
     pub equation_count: usize,
@@ -740,7 +763,7 @@ pub(crate) fn run_with_min_in(
     } = ws;
     crate::model::build_system_soa(coords, n, k, deltas, pairs, pair_i, pair_j, design, rhs)?;
     let m = design.rows();
-    let (mean_residual, weighted_rms, iterations) = match &config.weighting {
+    let (mean_residual, weighted_rms, iterations, converged) = match &config.weighting {
         Weighting::Weighted(cfg) => {
             // The weighted hot path solves on the normal equations: the
             // Gram accumulation and Gaussian reweighting run through the
@@ -758,6 +781,7 @@ pub(crate) fn run_with_min_in(
                 outcome.mean_residual,
                 outcome.weighted_rms,
                 outcome.iterations,
+                outcome.converged,
             )
         }
         Weighting::LeastSquares => {
@@ -772,12 +796,13 @@ pub(crate) fn run_with_min_in(
             param_std.extend(parameter_std(design, &res, &uniform));
             solution.clear();
             solution.extend_from_slice(x.as_slice());
-            (mean, rms, 0)
+            (mean, rms, 0, true)
         }
     };
     metrics.solve_ns += elapsed_ns(t);
     metrics.solves += 1;
     metrics.irls_iterations += iterations as u64;
+    metrics.irls_unconverged += u64::from(!converged);
     metrics.equations += m as u64;
     drop(_solve_span);
 
@@ -1188,6 +1213,63 @@ mod tests {
         let mut cfg = clean_config();
         cfg.rank_tolerance = 0.0;
         assert!(Localizer2d::new(cfg).locate(&m).is_err());
+    }
+
+    fn weighted(irls: IrlsConfig) -> LocalizerConfig {
+        LocalizerConfig {
+            weighting: Weighting::Weighted(irls),
+            ..clean_config()
+        }
+    }
+
+    #[test]
+    fn invalid_irls_tolerance_rejected() {
+        for tolerance in [f64::NAN, 0.0, -1e-8, f64::INFINITY] {
+            let err = weighted(IrlsConfig {
+                tolerance,
+                ..IrlsConfig::default()
+            })
+            .validate()
+            .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    CoreError::InvalidConfig {
+                        parameter: "irls tolerance",
+                        ..
+                    }
+                ),
+                "{tolerance}: {err:?}"
+            );
+        }
+        assert!(weighted(IrlsConfig::default()).validate().is_ok());
+    }
+
+    #[test]
+    fn invalid_huber_delta_rejected() {
+        for delta in [f64::NAN, 0.0, -0.01, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = weighted(IrlsConfig {
+                weight_fn: WeightFunction::Huber { delta },
+                ..IrlsConfig::default()
+            })
+            .validate()
+            .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    CoreError::InvalidConfig {
+                        parameter: "huber delta",
+                        ..
+                    }
+                ),
+                "{delta}: {err:?}"
+            );
+        }
+        let huber = weighted(IrlsConfig {
+            weight_fn: WeightFunction::Huber { delta: 0.01 },
+            ..IrlsConfig::default()
+        });
+        assert!(huber.validate().is_ok());
     }
 
     #[test]

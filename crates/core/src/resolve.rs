@@ -441,6 +441,7 @@ impl IncrementalState {
         ws.metrics.solve_ns += elapsed_ns(t);
         ws.metrics.solves += 1;
         ws.metrics.irls_iterations += outcome.iterations as u64;
+        ws.metrics.irls_unconverged += u64::from(!outcome.converged);
         ws.metrics.equations += m as u64;
         Some(Estimate {
             position,

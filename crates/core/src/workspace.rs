@@ -84,6 +84,10 @@ pub struct StageMetrics {
     pub solves: u64,
     /// Total IRLS reweighting iterations across all solves.
     pub irls_iterations: u64,
+    /// Solves whose IRLS stopped at `max_iterations` without meeting its
+    /// tolerance (their estimate is the last iterate, not the fixed
+    /// point).
+    pub irls_unconverged: u64,
     /// Total stacked radical-line/plane equations across all solves.
     pub equations: u64,
     /// Reads excluded by adaptive scanning-range restriction.
@@ -111,6 +115,7 @@ impl StageMetrics {
         self.adaptive_exclusive_ns += other.adaptive_exclusive_ns;
         self.solves += other.solves;
         self.irls_iterations += other.irls_iterations;
+        self.irls_unconverged += other.irls_unconverged;
         self.equations += other.equations;
         self.reads_dropped += other.reads_dropped;
         self.adaptive_trials += other.adaptive_trials;
@@ -285,6 +290,7 @@ mod tests {
             unwrap_ns: 1,
             solve_ns: 2,
             solves: 3,
+            irls_unconverged: 1,
             ..StageMetrics::default()
         };
         let b = StageMetrics {
@@ -292,6 +298,7 @@ mod tests {
             solve_ns: 20,
             solves: 30,
             equations: 7,
+            irls_unconverged: 2,
             ..StageMetrics::default()
         };
         a.merge(&b);
@@ -299,6 +306,7 @@ mod tests {
         assert_eq!(a.solve_ns, 22);
         assert_eq!(a.solves, 33);
         assert_eq!(a.equations, 7);
+        assert_eq!(a.irls_unconverged, 3);
         assert_eq!(a.pipeline_ns(), 11 + 22);
     }
 

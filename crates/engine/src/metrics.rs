@@ -181,6 +181,7 @@ impl MetricsReport {
         registry.gauge_set("engine.workers", self.workers as f64);
         registry.counter_add("engine.solves", self.total.solves);
         registry.counter_add("engine.irls_iterations", self.total.irls_iterations);
+        registry.counter_add("engine.irls_unconverged", self.total.irls_unconverged);
         registry.counter_add("engine.equations", self.total.equations);
         registry.counter_add("engine.reads_dropped", self.total.reads_dropped);
         registry.counter_add("engine.adaptive_trials", self.total.adaptive_trials);
@@ -214,7 +215,7 @@ impl MetricsReport {
             "{{\"jobs\":{},\"failed\":{},\"failures_by_kind\":[{}],\"workers\":{},\
              \"wall_ns\":{},\"total\":{{\"unwrap_ns\":{},\"smooth_ns\":{},\"pairs_ns\":{},\
              \"solve_ns\":{},\"adaptive_ns\":{},\"adaptive_exclusive_ns\":{},\"solves\":{},\
-             \"irls_iterations\":{},\"equations\":{},\"reads_dropped\":{},\
+             \"irls_iterations\":{},\"irls_unconverged\":{},\"equations\":{},\"reads_dropped\":{},\
              \"adaptive_trials\":{},\"adaptive_skipped\":{}}},\"stages\":{{{}}}}}",
             self.jobs,
             self.failed,
@@ -229,6 +230,7 @@ impl MetricsReport {
             t.adaptive_exclusive_ns,
             t.solves,
             t.irls_iterations,
+            t.irls_unconverged,
             t.equations,
             t.reads_dropped,
             t.adaptive_trials,
@@ -261,6 +263,7 @@ impl MetricsReport {
             )?,
             solves: u(total_doc.get("solves"), "solves")?,
             irls_iterations: u(total_doc.get("irls_iterations"), "irls_iterations")?,
+            irls_unconverged: u(total_doc.get("irls_unconverged"), "irls_unconverged")?,
             equations: u(total_doc.get("equations"), "equations")?,
             reads_dropped: u(total_doc.get("reads_dropped"), "reads_dropped")?,
             adaptive_trials: u(total_doc.get("adaptive_trials"), "adaptive_trials")?,
@@ -375,9 +378,10 @@ impl fmt::Display for MetricsReport {
         )?;
         write!(
             f,
-            "counts: {} solves | {} IRLS iters | {} equations | {} reads dropped | {} adaptive trials ({} skipped)",
+            "counts: {} solves | {} IRLS iters ({} unconverged) | {} equations | {} reads dropped | {} adaptive trials ({} skipped)",
             self.total.solves,
             self.total.irls_iterations,
+            self.total.irls_unconverged,
             self.total.equations,
             self.total.reads_dropped,
             self.total.adaptive_trials,
@@ -473,6 +477,7 @@ mod tests {
             "solve",
             "adaptive",
             "IRLS",
+            "unconverged",
             "p50/p90/p99",
             "queue-wait",
         ] {
@@ -493,6 +498,7 @@ mod tests {
             adaptive_exclusive_ns: 40,
             solves: 3,
             irls_iterations: 9,
+            irls_unconverged: 1,
             equations: 120,
             reads_dropped: 4,
             adaptive_trials: 30,
@@ -515,6 +521,7 @@ mod tests {
         let m = StageMetrics {
             solve_ns: 100,
             solves: 1,
+            irls_unconverged: 1,
             ..StageMetrics::default()
         };
         let results: Vec<Result<JobOutput, CoreError>> = vec![Err(CoreError::NoPairs)];
@@ -525,6 +532,7 @@ mod tests {
         assert_eq!(snap.counter("engine.jobs"), Some(1));
         assert_eq!(snap.counter("engine.failures.no_pairs"), Some(1));
         assert_eq!(snap.gauge("engine.workers"), Some(2.0));
+        assert_eq!(snap.counter("engine.irls_unconverged"), Some(1));
         assert_eq!(
             snap.histogram("engine.stage.solve_ns").map(|h| h.count()),
             Some(1)

@@ -48,6 +48,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+mod anderson;
 mod cholesky;
 mod eigen;
 mod error;

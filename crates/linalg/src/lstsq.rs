@@ -6,6 +6,7 @@
 //! derived from its residual as `wᵢ = exp(−(rᵢ−μ)²/(2σ²))` (paper Eq. 15),
 //! iterated until the estimate stabilizes.
 
+use crate::anderson::Anderson;
 use crate::cholesky::Cholesky;
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
@@ -122,7 +123,8 @@ pub struct IrlsConfig {
     /// last estimation and the current estimation is less than the given
     /// threshold".
     pub max_iterations: usize,
-    /// Convergence threshold on `‖xₖ − xₖ₋₁‖∞`.
+    /// Convergence threshold on the reweighting step `‖G(xₖ) − xₖ‖∞`,
+    /// where `G` reweights from the residuals at `xₖ` and re-solves.
     pub tolerance: f64,
     /// Weighting scheme.
     pub weight_fn: WeightFunction,
@@ -167,6 +169,7 @@ pub struct LstsqScratch {
     rhs: Vector,
     weights: Vec<f64>,
     residuals: Vec<f64>,
+    anderson: Anderson,
 }
 
 impl LstsqScratch {
@@ -178,6 +181,7 @@ impl LstsqScratch {
             rhs: Vector::zeros(0),
             weights: Vec::new(),
             residuals: Vec::new(),
+            anderson: Anderson::default(),
         }
     }
 }
@@ -197,7 +201,8 @@ pub struct IrlsReport {
     pub weights: Vec<f64>,
     /// Final per-equation residuals `rᵢ = Aᵢ·X* − kᵢ`.
     pub residuals: Vec<f64>,
-    /// Number of reweighting iterations performed.
+    /// Number of reweighting iterations performed (weighted solves,
+    /// accelerated steps included; the initial plain solve not counted).
     pub iterations: usize,
     /// Plain mean of the final residuals. The LION adaptive parameter
     /// selection picks the configuration whose mean residual is closest to
@@ -351,6 +356,13 @@ pub fn residuals_into(
 /// 3. Solve WLS (paper Eq. 16); repeat from 2 until the estimate moves less
 ///    than `config.tolerance` or `config.max_iterations` is reached.
 ///
+/// Between reweights the next iterate is extrapolated from the last two
+/// steps (depth-2 Anderson acceleration), exactly as
+/// [`crate::solve_irls_normal`] does on the normal equations; this QR
+/// route is its reference and takes the same steps. The returned
+/// solution is the last weighted solve, with residuals and weights taken
+/// at it.
+///
 /// # Errors
 ///
 /// Propagates factorization errors; [`LinalgError::RankDeficient`] from the
@@ -396,26 +408,32 @@ pub fn solve_irls_with(
         rhs,
         weights,
         residuals: res,
+        anderson,
     } = scratch;
     let mut x = solve(a, k)?;
     residuals_into(a, k, &x, res)?;
     config.weight_fn.weights_into(res, weights);
+    anderson.reset();
     let mut iterations = 0;
     let mut converged = matches!(config.weight_fn, WeightFunction::Uniform);
     if !converged {
         for _ in 0..config.max_iterations {
             iterations += 1;
-            let x_new = solve_weighted_into(a, k, weights, scaled, rhs)?;
-            let delta = x_new
+            let g = solve_weighted_into(a, k, weights, scaled, rhs)?;
+            let step = g
                 .as_slice()
                 .iter()
                 .zip(x.as_slice())
                 .fold(0.0_f64, |m, (p, q)| m.max((p - q).abs()));
-            x = x_new;
+            converged = step < config.tolerance;
+            if converged || iterations == config.max_iterations {
+                x = g;
+            } else {
+                anderson.step(x.as_mut_slice(), g.as_slice());
+            }
             residuals_into(a, k, &x, res)?;
             config.weight_fn.weights_into(res, weights);
-            if delta < config.tolerance {
-                converged = true;
+            if converged {
                 break;
             }
         }

@@ -3,7 +3,8 @@
 # Build, test, lint, and check formatting — everything CI would run.
 # Tests run with overflow-checks on (see [profile.test] in Cargo.toml);
 # the streaming parity + backpressure suites, the adaptive sweep's
-# reuse oracle and the structured-pairing oracle are named explicitly so
+# reuse oracle, the structured-pairing oracle and the accelerated-IRLS
+# fixed-point oracle are named explicitly so
 # a test-filter typo can't silently skip a bit-identicality gate.
 verify:
     cargo build --release
@@ -11,6 +12,7 @@ verify:
     cargo test -q --test stream_parity --test stream_backpressure
     cargo test -q --test tracing_causality
     cargo test -q -p lion-linalg --test proptests normal_eq
+    cargo test -q -p lion-linalg --test irls_fixed_point
     cargo test -q -p lion-core --test zero_alloc --test adaptive_regression
     cargo test -q -p lion-core --test sweep_reuse --test structured_pairs
     cargo test -q -p lion-core --test scalar_dispatch

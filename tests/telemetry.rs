@@ -4,7 +4,7 @@
 //! formats.
 
 use std::f64::consts::{PI, TAU};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use lion::obs::export::{parse_json_line, to_json_line, to_prometheus};
 use lion::prelude::*;
@@ -29,10 +29,25 @@ fn batch_jobs(n: usize) -> Vec<Job> {
         .collect()
 }
 
+/// Serializes the engine runs of this binary's tests: while the
+/// global-subscriber test has its collector installed, the spans of any
+/// job another test runs at the same time reach it too and inflate its
+/// counts.
+static ENGINE_RUNS: Mutex<()> = Mutex::new(());
+
+fn engine_runs() -> MutexGuard<'static, ()> {
+    // The guarded value is `()`, so a test that panicked holding the
+    // lock leaves nothing inconsistent behind.
+    ENGINE_RUNS
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// The one test that installs the process-global subscriber (kept as a
 /// single function so parallel tests in this binary can't race on it).
 #[test]
 fn spans_reach_a_global_subscriber_from_worker_threads() {
+    let _serial = engine_runs();
     let collector = Arc::new(lion::obs::CollectingSubscriber::new());
     lion::obs::set_global_subscriber(collector.clone());
     let mut jobs = batch_jobs(12);
@@ -76,6 +91,7 @@ fn spans_reach_a_global_subscriber_from_worker_threads() {
 
 #[test]
 fn report_distributions_cover_every_job_and_round_trip() {
+    let _serial = engine_runs();
     let jobs = batch_jobs(8);
     let outcome = Engine::serial().run(&jobs);
     let report = &outcome.report;
@@ -93,6 +109,7 @@ fn report_distributions_cover_every_job_and_round_trip() {
 
 #[test]
 fn registry_snapshot_exports_to_both_formats() {
+    let _serial = engine_runs();
     let outcome = Engine::serial().run(&batch_jobs(4));
     let registry = Registry::new();
     outcome.report.record_into(&registry);
