@@ -208,10 +208,13 @@ mod tests {
         let target = Point3::new(0.7, 0.3, 0.0);
         let m = turntable_measurements(target, 0.2, 720);
         let spin = locate(&m, &cfg()).unwrap();
-        let lion = lion_core::Localizer2d::new(lion_core::LocalizerConfig {
-            smoothing_window: 1,
-            ..lion_core::LocalizerConfig::default()
-        })
+        let lion = lion_core::Localizer::new(
+            lion_core::LocalizerConfig {
+                smoothing_window: 1,
+                ..lion_core::LocalizerConfig::default()
+            },
+            lion_core::SolveSpace::TwoD,
+        )
         .locate(&m)
         .unwrap();
         let e_spin = spin.position.distance(target);

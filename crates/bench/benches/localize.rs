@@ -7,7 +7,7 @@ use lion_baselines::hologram::{self, HologramConfig, SearchVolume};
 use lion_baselines::hyperbola::{self, HyperbolaConfig};
 use lion_baselines::parabola::{self, ParabolaConfig};
 use lion_bench::rig;
-use lion_core::{Localizer2d, LocalizerConfig};
+use lion_core::{Localizer, LocalizerConfig, SolveSpace};
 use lion_geom::{LineSegment, Point3};
 
 fn shared_trace() -> Vec<(Point3, f64)> {
@@ -30,7 +30,7 @@ fn bench_localize(c: &mut Criterion) {
         side_hint: Some(hint),
         ..LocalizerConfig::default()
     };
-    let localizer = Localizer2d::new(lion_cfg);
+    let localizer = Localizer::new(lion_cfg, SolveSpace::TwoD);
     group.bench_function("lion", |b| {
         b.iter(|| localizer.locate(std::hint::black_box(&m)).expect("locates"))
     });

@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use lion_bench::rig;
-use lion_core::{Localizer2d, Localizer3d, LocalizerConfig, PairStrategy, Weighting};
+use lion_core::{Localizer, LocalizerConfig, PairStrategy, SolveSpace, Weighting};
 use lion_geom::{LineSegment, Point3, ThreeLineScan};
 
 fn measurements_2d(n: usize) -> Vec<(Point3, f64)> {
@@ -39,7 +39,7 @@ fn bench_solver(c: &mut Criterion) {
             side_hint: Some(Point3::new(0.0, 0.5, 0.0)),
             ..LocalizerConfig::default()
         };
-        let localizer = Localizer2d::new(cfg);
+        let localizer = Localizer::new(cfg, SolveSpace::TwoD);
         group.bench_with_input(BenchmarkId::from_parameter(m.len()), &m, |b, m| {
             b.iter(|| localizer.locate(std::hint::black_box(m)).expect("locates"))
         });
@@ -59,7 +59,7 @@ fn bench_solver(c: &mut Criterion) {
             side_hint: Some(Point3::new(0.0, 0.5, 0.1)),
             ..LocalizerConfig::default()
         };
-        let localizer = Localizer3d::new(cfg);
+        let localizer = Localizer::new(cfg, SolveSpace::ThreeD);
         group.bench_with_input(BenchmarkId::from_parameter(m.len()), &m, |b, m| {
             b.iter(|| localizer.locate(std::hint::black_box(m)).expect("locates"))
         });
@@ -78,7 +78,7 @@ fn bench_solver(c: &mut Criterion) {
             side_hint: Some(Point3::new(0.0, 0.5, 0.0)),
             ..LocalizerConfig::default()
         };
-        let localizer = Localizer2d::new(cfg);
+        let localizer = Localizer::new(cfg, SolveSpace::TwoD);
         group.bench_function(name, |b| {
             b.iter(|| localizer.locate(std::hint::black_box(&m)).expect("locates"))
         });

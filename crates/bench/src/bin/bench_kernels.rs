@@ -39,7 +39,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use lion_core::{
-    IncrementalState, Localizer2d, LocalizerConfig, SlidingWindow, SolveSpace, Workspace,
+    IncrementalState, Localizer, LocalizerConfig, SlidingWindow, SolveSpace, Workspace,
 };
 use lion_geom::{CircularArc, LineSegment, Point3, Vec3};
 use lion_linalg::simd;
@@ -265,7 +265,7 @@ fn bench_kernels() -> (u64, u64, u64, u64, u64) {
 
 fn bench_single_solve() -> u64 {
     let (m, config) = linear_workload(42);
-    let localizer = Localizer2d::new(config);
+    let localizer = Localizer::new(config, SolveSpace::TwoD);
     let mut ws = Workspace::new();
     bench(51, || {
         localizer.locate_in(&m, &mut ws).expect("solvable trace");
@@ -276,7 +276,6 @@ fn bench_incremental_resolve() -> u64 {
     const CADENCE: usize = 16;
     const WINDOW: usize = 256;
     let (m, config) = circular_workload(42);
-    let space = SolveSpace::TwoD;
     let mut cursor = 0usize;
     let mut tick = 0u64;
     let mut next = |window: &mut SlidingWindow| {
@@ -292,9 +291,9 @@ fn bench_incremental_resolve() -> u64 {
         next(&mut window);
     }
     let mut ws = Workspace::new();
-    let mut state = IncrementalState::new();
+    let mut state = IncrementalState::new(Localizer::new(config, SolveSpace::TwoD));
     state
-        .solve_window(&mut window, &config, space, &mut ws)
+        .solve_window(&mut window, &mut ws)
         .expect("warm-up resync solves");
     // Ingest is untimed — the budget tracks the re-solve alone, the
     // same separation `bench_stream_resolve` (BENCH_8) measures.
@@ -304,7 +303,7 @@ fn bench_incremental_resolve() -> u64 {
                 next(&mut window);
                 let t = Instant::now();
                 state
-                    .solve_window(&mut window, &config, space, &mut ws)
+                    .solve_window(&mut window, &mut ws)
                     .expect("solvable window");
                 u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
             })

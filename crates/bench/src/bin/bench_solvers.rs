@@ -1,4 +1,4 @@
-//! Tracked benchmark for the solver backends behind the [`Solver`] seam.
+//! Tracked benchmark for the solver backends behind the [`lion_core::Solver`] seam.
 //!
 //! Measures median wall times on the fig16-style workload (indoor
 //! scenario, ±0.75 m track, paper defaults) for:
@@ -25,8 +25,8 @@
 use std::time::Instant;
 
 use lion_core::{
-    AdaptiveConfig, AdaptiveOutcome, GridConfig, Localizer2d, LocalizerConfig, PhaseProfile,
-    SolverKind, Workspace,
+    AdaptiveConfig, AdaptiveOutcome, GridConfig, Localizer, LocalizerConfig, PhaseProfile,
+    SolveSpace, SolverKind, Workspace,
 };
 use lion_geom::{LineSegment, Point3};
 
@@ -145,11 +145,14 @@ impl BenchResults {
 fn run_benches() -> BenchResults {
     let (m, config) = workload(42);
     let adaptive = AdaptiveConfig::default();
-    let linear = Localizer2d::new(config.clone());
-    let grid = Localizer2d::new(LocalizerConfig {
-        solver: SolverKind::Grid(GridConfig::default()),
-        ..config
-    });
+    let linear = Localizer::new(config.clone(), SolveSpace::TwoD);
+    let grid = Localizer::new(
+        LocalizerConfig {
+            solver: SolverKind::Grid(GridConfig::default()),
+            ..config
+        },
+        SolveSpace::TwoD,
+    );
 
     // Single solves run on the paper's 0.8 m scanning range (as the
     // fig16 experiments do): the range restriction keeps the off-beam

@@ -7,8 +7,8 @@
 //! and times the re-solve alone, through both paths:
 //!
 //! - **replay** — the full O(window) pipeline
-//!   (`lion_core::locate_window_in`), exactly what `ResolveMode::Replay`
-//!   runs on every tick;
+//!   (`lion_core::Localizer::locate_window_in`), exactly what
+//!   `ResolveMode::Replay` runs on every tick;
 //! - **incremental** — the persistent-state O(delta) patch
 //!   (`lion_core::IncrementalState::solve_window`), what
 //!   `ResolveMode::Incremental` runs between resyncs.
@@ -45,7 +45,7 @@
 use std::time::Instant;
 
 use lion_core::{
-    locate_window_in, IncrementalState, LocalizerConfig, SlidingWindow, SolveSpace, Workspace,
+    IncrementalState, Localizer, LocalizerConfig, SlidingWindow, SolveSpace, Workspace,
 };
 use lion_geom::{CircularArc, Point3, Vec3};
 
@@ -198,7 +198,7 @@ impl BenchResults {
 
 fn run_benches() -> BenchResults {
     let (m, config) = workload(42);
-    let space = SolveSpace::TwoD;
+    let localizer = Localizer::new(config, SolveSpace::TwoD);
 
     // Replay path: one cadence tick = CADENCE pushes + full replay.
     let mut feed = Feed::new(&m);
@@ -209,7 +209,9 @@ fn run_benches() -> BenchResults {
     }
     let mut ws = Workspace::new();
     let replay_resolve_ns = bench_ticks(101, &mut feed, &mut window, |w| {
-        locate_window_in(&config, space, w, &mut ws).expect("solvable window");
+        localizer
+            .locate_window_in(w, &mut ws)
+            .expect("solvable window");
     });
 
     // Incremental path: the identical feed through persistent state.
@@ -223,14 +225,12 @@ fn run_benches() -> BenchResults {
         window.push(t, p, phase);
     }
     let mut ws = Workspace::new();
-    let mut state = IncrementalState::new();
+    let mut state = IncrementalState::new(localizer);
     state
-        .solve_window(&mut window, &config, space, &mut ws)
+        .solve_window(&mut window, &mut ws)
         .expect("warm-up resync solves");
     let incremental_resolve_ns = bench_ticks(401, &mut feed, &mut window, |w| {
-        state
-            .solve_window(w, &config, space, &mut ws)
-            .expect("solvable window");
+        state.solve_window(w, &mut ws).expect("solvable window");
     });
 
     BenchResults {

@@ -4,7 +4,7 @@
 
 use lion_baselines::hologram::{self, HologramConfig, SearchVolume};
 use lion_baselines::refine::{locate_refined, RefineConfig};
-use lion_core::{AdaptiveConfig, Localizer2d, LocalizerConfig, PairStrategy, Weighting};
+use lion_core::{AdaptiveConfig, Localizer, LocalizerConfig, PairStrategy, SolveSpace, Weighting};
 use lion_engine::{Engine, Job, MetricsReport};
 use lion_geom::{LineSegment, Point3, ThreeLineScan};
 use lion_linalg::{IrlsConfig, WeightFunction};
@@ -376,7 +376,7 @@ pub fn run_position_error(seed: u64, trials: usize) -> Vec<AblationPoint> {
             for (i, trace) in traces.iter().enumerate() {
                 let m = model.apply(trace, seed ^ (i as u64)).to_measurements();
                 let cfg = rig::paper_localizer_config(target);
-                if let Ok(est) = Localizer2d::new(cfg).locate(&m) {
+                if let Ok(est) = Localizer::new(cfg, SolveSpace::TwoD).locate(&m) {
                     errs.push(est.distance_error(target));
                 }
             }
@@ -431,7 +431,7 @@ pub fn run_refine(seed: u64, trials: usize) -> Vec<AblationPoint> {
             ref_cells.push(est.cells_evaluated as f64);
         }
         let cfg = rig::paper_localizer_config(target);
-        if let Ok(est) = Localizer2d::new(cfg).locate(&m) {
+        if let Ok(est) = Localizer::new(cfg, SolveSpace::TwoD).locate(&m) {
             lion_err.push(est.distance_error(target));
         }
     }

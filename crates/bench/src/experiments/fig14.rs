@@ -10,7 +10,7 @@
 //!     beyond ~1.4 m.
 
 use lion_baselines::hologram::{self, HologramConfig, SearchVolume};
-use lion_core::{AdaptiveConfig, Localizer2d, Localizer3d};
+use lion_core::{AdaptiveConfig, Localizer, SolveSpace};
 use lion_geom::{LineSegment, Path, Point3};
 
 use crate::experiments::ExperimentReport;
@@ -54,7 +54,7 @@ pub fn run_3d(seed: u64, trials: usize) -> Vec<PositionError> {
                     .expect("valid scan")
                     .to_measurements();
                 let cfg = rig::paper_localizer_config(target);
-                if let Ok(est) = Localizer3d::new(cfg).locate(&m) {
+                if let Ok(est) = Localizer::new(cfg, SolveSpace::ThreeD).locate(&m) {
                     ex.push((est.position.x - target.x).abs());
                     ey.push((est.position.y - target.y).abs());
                     ez.push((est.position.z - target.z).abs());
@@ -113,7 +113,9 @@ pub fn run_2d(seed: u64, trials: usize, grid: f64) -> Vec<DepthError> {
             // LION with the adaptive parameter sweep (the paper's default).
             let cfg = rig::paper_localizer_config(hint);
             let adaptive = AdaptiveConfig::default();
-            if let Ok(outcome) = Localizer2d::new(cfg).locate_adaptive(&rel, &adaptive) {
+            if let Ok(outcome) =
+                Localizer::new(cfg, SolveSpace::TwoD).locate_adaptive(&rel, &adaptive)
+            {
                 let est = outcome.estimate.position;
                 let p0_est = Point3::new(antenna_pos.x - est.x, antenna_pos.y - est.y, 0.0);
                 lion_errors.push(p0_est.to_xy().distance(p0.to_xy()));

@@ -11,7 +11,7 @@
 //! - Interval sweep (range fixed at 80 cm): larger intervals enlarge the
 //!   pairwise phase difference relative to noise.
 
-use lion_core::{Localizer2d, PhaseProfile, Workspace};
+use lion_core::{Localizer, PhaseProfile, SolveSpace, Workspace};
 use lion_geom::{LineSegment, Point3};
 
 use crate::experiments::ExperimentReport;
@@ -70,7 +70,9 @@ fn sweep(
                     }
                     Err(_) => continue,
                 };
-                if let Ok(est) = Localizer2d::new(cfg).locate_profile_in(&profile, &mut ws) {
+                if let Ok(est) =
+                    Localizer::new(cfg, SolveSpace::TwoD).locate_profile_in(&profile, &mut ws)
+                {
                     residuals.push(est.mean_residual.abs());
                     errors.push(est.distance_error(antenna_pos));
                 }

@@ -7,7 +7,7 @@
 //! and the error shrinks as the radius grows.
 
 use lion_baselines::tagspin::{self, TagspinConfig};
-use lion_core::Localizer2d;
+use lion_core::{Localizer, SolveSpace};
 use lion_geom::{CircularArc, Point3};
 
 use crate::experiments::ExperimentReport;
@@ -52,7 +52,7 @@ pub fn run(seed: u64, trials: usize, radii: &[f64]) -> Vec<RadiusError> {
                 let mut cfg = rig::paper_localizer_config(target);
                 // Pair spacing must fit on the circle.
                 cfg.pair_strategy = cfg.pair_strategy.with_interval((radius * 0.9).min(0.2));
-                if let Ok(est) = Localizer2d::new(cfg).locate(&m) {
+                if let Ok(est) = Localizer::new(cfg, SolveSpace::TwoD).locate(&m) {
                     ex.push((est.position.x - target.x).abs());
                     ey.push((est.position.y - target.y).abs());
                     et.push(est.distance_error(target));

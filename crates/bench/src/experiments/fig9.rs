@@ -5,7 +5,7 @@
 //! the perpendicular coordinate performs comparably to the hologram.
 
 use lion_baselines::hologram::{self, HologramConfig, SearchVolume};
-use lion_core::Localizer2d;
+use lion_core::{Localizer, SolveSpace};
 use lion_geom::{LineSegment, Point3};
 use lion_sim::Antenna;
 
@@ -47,7 +47,7 @@ pub fn run(seed: u64, trials: usize, grid: f64) -> Fig9Result {
             .expect("valid scan")
             .to_measurements();
         let cfg = rig::paper_localizer_config(Point3::new(0.0, 0.8, 0.0));
-        if let Ok(est) = Localizer2d::new(cfg).locate(&m) {
+        if let Ok(est) = Localizer::new(cfg, SolveSpace::TwoD).locate(&m) {
             lion_errors.push(est.distance_error(target));
             if est.lower_dimension {
                 lowdim += 1;

@@ -56,7 +56,7 @@ use lion_geom::Point3;
 
 use crate::error::CoreError;
 use crate::localizer::{
-    analyze_geometry_small, prepare_profile_in, Estimate, Localizer2d, Localizer3d, LocalizerConfig,
+    analyze_geometry_small, prepare_profile_in, Estimate, Localizer, LocalizerConfig,
 };
 use crate::preprocess::PhaseProfile;
 use crate::solver::{dispatch_profile, SolveSpace};
@@ -215,9 +215,8 @@ pub struct AdaptiveOutcome {
     pub skipped: usize,
 }
 
-impl Localizer2d {
-    /// Runs the adaptive parameter sweep for 2D localization (see the
-    /// module docs).
+impl Localizer {
+    /// Runs the adaptive parameter sweep (see the module docs).
     ///
     /// # Errors
     ///
@@ -235,12 +234,12 @@ impl Localizer2d {
         self.locate_adaptive_in(measurements, adaptive, &mut Workspace::new())
     }
 
-    /// [`Localizer2d::locate_adaptive`] with a reusable [`Workspace`].
+    /// [`Localizer::locate_adaptive`] with a reusable [`Workspace`].
     /// Bit-identical results; sweep timings and counters land in `ws`.
     ///
     /// # Errors
     ///
-    /// See [`Localizer2d::locate_adaptive`].
+    /// See [`Localizer::locate_adaptive`].
     pub fn locate_adaptive_in(
         &self,
         measurements: &[(Point3, f64)],
@@ -252,13 +251,13 @@ impl Localizer2d {
         Ok(out)
     }
 
-    /// [`Localizer2d::locate_adaptive_in`] into a caller-owned outcome:
+    /// [`Localizer::locate_adaptive_in`] into a caller-owned outcome:
     /// the trial list's capacity is reused across calls, making the
     /// steady-state sweep fully allocation-free.
     ///
     /// # Errors
     ///
-    /// See [`Localizer2d::locate_adaptive`]. On error `out` holds no
+    /// See [`Localizer::locate_adaptive`]. On error `out` holds no
     /// meaningful data.
     pub fn locate_adaptive_into(
         &self,
@@ -267,14 +266,7 @@ impl Localizer2d {
         ws: &mut Workspace,
         out: &mut AdaptiveOutcome,
     ) -> Result<(), CoreError> {
-        sweep(
-            measurements,
-            self.config(),
-            SolveSpace::TwoD,
-            adaptive,
-            ws,
-            out,
-        )
+        sweep(measurements, self.config(), self.space(), adaptive, ws, out)
     }
 
     /// Builds an owned [`SweepPlan`] whose cells can be solved on any
@@ -283,89 +275,14 @@ impl Localizer2d {
     ///
     /// # Errors
     ///
-    /// See [`Localizer2d::locate_adaptive`].
+    /// See [`Localizer::locate_adaptive`].
     pub fn sweep_plan(
         &self,
         measurements: &[(Point3, f64)],
         adaptive: &AdaptiveConfig,
         ws: &mut Workspace,
     ) -> Result<SweepPlan, CoreError> {
-        SweepPlan::build(measurements, self.config(), SolveSpace::TwoD, adaptive, ws)
-    }
-}
-
-impl Localizer3d {
-    /// Runs the adaptive parameter sweep for 3D localization (see the
-    /// module docs).
-    ///
-    /// # Errors
-    ///
-    /// See [`Localizer2d::locate_adaptive`].
-    pub fn locate_adaptive(
-        &self,
-        measurements: &[(Point3, f64)],
-        adaptive: &AdaptiveConfig,
-    ) -> Result<AdaptiveOutcome, CoreError> {
-        self.locate_adaptive_in(measurements, adaptive, &mut Workspace::new())
-    }
-
-    /// [`Localizer3d::locate_adaptive`] with a reusable [`Workspace`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Localizer2d::locate_adaptive`].
-    pub fn locate_adaptive_in(
-        &self,
-        measurements: &[(Point3, f64)],
-        adaptive: &AdaptiveConfig,
-        ws: &mut Workspace,
-    ) -> Result<AdaptiveOutcome, CoreError> {
-        let mut out = AdaptiveOutcome::default();
-        self.locate_adaptive_into(measurements, adaptive, ws, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`Localizer3d::locate_adaptive_in`] into a caller-owned outcome;
-    /// see [`Localizer2d::locate_adaptive_into`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Localizer2d::locate_adaptive`].
-    pub fn locate_adaptive_into(
-        &self,
-        measurements: &[(Point3, f64)],
-        adaptive: &AdaptiveConfig,
-        ws: &mut Workspace,
-        out: &mut AdaptiveOutcome,
-    ) -> Result<(), CoreError> {
-        sweep(
-            measurements,
-            self.config(),
-            SolveSpace::ThreeD,
-            adaptive,
-            ws,
-            out,
-        )
-    }
-
-    /// Builds an owned [`SweepPlan`]; see [`Localizer2d::sweep_plan`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Localizer2d::locate_adaptive`].
-    pub fn sweep_plan(
-        &self,
-        measurements: &[(Point3, f64)],
-        adaptive: &AdaptiveConfig,
-        ws: &mut Workspace,
-    ) -> Result<SweepPlan, CoreError> {
-        SweepPlan::build(
-            measurements,
-            self.config(),
-            SolveSpace::ThreeD,
-            adaptive,
-            ws,
-        )
+        SweepPlan::build(measurements, self.config(), self.space(), adaptive, ws)
     }
 }
 
@@ -464,7 +381,7 @@ fn sweep_center(
         });
     }
     let positions = profile.positions();
-    analyze_geometry_small(positions, space.mode(), base.rank_tolerance)?;
+    analyze_geometry_small(positions, space, base.rank_tolerance)?;
     let cx = positions.iter().map(|p| p.x).sum::<f64>() / positions.len() as f64;
     slots.clear();
     for &range in ranges {
@@ -619,11 +536,11 @@ fn reduce_outcome(keep: usize, out: &mut AdaptiveOutcome) {
 /// [`Workspace`] via [`SweepPlan::solve_cell`], then reduce with
 /// [`SweepPlan::finish`]. As long as results are passed to `finish` in
 /// cell-index order, the outcome is bit-identical to the sequential
-/// [`Localizer2d::locate_adaptive`] for any worker count: each cell runs
+/// [`Localizer::locate_adaptive`] for any worker count: each cell runs
 /// the same solve as the sequential sweep on the same profile, a reused
 /// workspace never changes a solve's result, `finish` copies exactly the
-/// ranges the sequential sweep copies, and [`rank_trials`]' total order
-/// makes the ranking visit-order independent.
+/// ranges the sequential sweep copies, and the trial ranking is a total
+/// order over distinct grid cells, so it is visit-order independent.
 #[derive(Debug, Clone)]
 pub struct SweepPlan {
     profile: PhaseProfile,
@@ -796,7 +713,7 @@ mod tests {
     fn adaptive_sweep_matches_truth_on_clean_data() {
         let target = Point3::new(0.1, 0.8, 0.0);
         let m = linear_scan(target, 0.6, 0.005);
-        let outcome = Localizer2d::new(cfg())
+        let outcome = Localizer::new(cfg(), SolveSpace::TwoD)
             .locate_adaptive(&m, &AdaptiveConfig::default())
             .unwrap();
         assert!(
@@ -820,7 +737,7 @@ mod tests {
             intervals: vec![0.2],
             keep: 1,
         };
-        let outcome = Localizer2d::new(cfg())
+        let outcome = Localizer::new(cfg(), SolveSpace::TwoD)
             .locate_adaptive(&m, &adaptive)
             .unwrap();
         // With a 0.6 m range and 0.2 m interval there are ~40 pairs, far
@@ -836,25 +753,33 @@ mod tests {
             intervals: vec![0.2],
             keep: 1,
         };
-        assert!(Localizer2d::new(cfg()).locate_adaptive(&m, &bad).is_err());
+        assert!(Localizer::new(cfg(), SolveSpace::TwoD)
+            .locate_adaptive(&m, &bad)
+            .is_err());
         let bad = AdaptiveConfig {
             scanning_ranges: vec![0.6],
             intervals: vec![],
             keep: 1,
         };
-        assert!(Localizer2d::new(cfg()).locate_adaptive(&m, &bad).is_err());
+        assert!(Localizer::new(cfg(), SolveSpace::TwoD)
+            .locate_adaptive(&m, &bad)
+            .is_err());
         let bad = AdaptiveConfig {
             scanning_ranges: vec![0.6],
             intervals: vec![0.2],
             keep: 0,
         };
-        assert!(Localizer2d::new(cfg()).locate_adaptive(&m, &bad).is_err());
+        assert!(Localizer::new(cfg(), SolveSpace::TwoD)
+            .locate_adaptive(&m, &bad)
+            .is_err());
         let bad = AdaptiveConfig {
             scanning_ranges: vec![-0.6],
             intervals: vec![0.2],
             keep: 1,
         };
-        assert!(Localizer2d::new(cfg()).locate_adaptive(&m, &bad).is_err());
+        assert!(Localizer::new(cfg(), SolveSpace::TwoD)
+            .locate_adaptive(&m, &bad)
+            .is_err());
     }
 
     #[test]
@@ -867,7 +792,7 @@ mod tests {
             keep: 1,
         };
         assert!(matches!(
-            Localizer2d::new(cfg()).locate_adaptive(&m, &bad),
+            Localizer::new(cfg(), SolveSpace::TwoD).locate_adaptive(&m, &bad),
             Err(CoreError::NoPairs)
         ));
     }
@@ -881,7 +806,7 @@ mod tests {
             intervals: vec![0.2, 0.3],
             keep: 1,
         };
-        let outcome = Localizer2d::new(cfg())
+        let outcome = Localizer::new(cfg(), SolveSpace::TwoD)
             .locate_adaptive(&m, &adaptive)
             .unwrap();
         assert!(outcome.skipped >= 2);
@@ -897,7 +822,7 @@ mod tests {
             intervals: vec![0.2],
             keep: 50,
         };
-        let outcome = Localizer2d::new(cfg())
+        let outcome = Localizer::new(cfg(), SolveSpace::TwoD)
             .locate_adaptive(&m, &adaptive)
             .unwrap();
         assert!(outcome.estimate.distance_error(target) < 1e-5);
@@ -908,7 +833,7 @@ mod tests {
         let target = Point3::new(0.1, 0.8, 0.0);
         let m = linear_scan(target, 0.6, 0.005);
         let mut ws = Workspace::new();
-        Localizer2d::new(cfg())
+        Localizer::new(cfg(), SolveSpace::TwoD)
             .locate_adaptive_in(&m, &AdaptiveConfig::default(), &mut ws)
             .unwrap();
         let metrics = ws.take_metrics();
@@ -943,7 +868,7 @@ mod tests {
                 m.iter().filter(|(p, _)| p.x < lo || p.x > hi).count() as u64
             })
             .sum();
-        let loc = Localizer2d::new(cfg());
+        let loc = Localizer::new(cfg(), SolveSpace::TwoD);
         let mut ws = Workspace::new();
         loc.locate_adaptive_in(&m, &adaptive, &mut ws).unwrap();
         assert_eq!(ws.take_metrics().reads_dropped, expected);
@@ -957,7 +882,7 @@ mod tests {
         // Sec. III-C2): the whole-trajectory check must say so instead of
         // every cell failing into `NoPairs`.
         let m = linear_scan(Point3::new(0.1, 0.8, 0.2), 0.6, 0.005);
-        let loc = Localizer3d::new(cfg());
+        let loc = Localizer::new(cfg(), SolveSpace::ThreeD);
         let grid = AdaptiveConfig::default();
         assert!(matches!(
             loc.locate_adaptive(&m, &grid),
@@ -973,7 +898,7 @@ mod tests {
     fn repeated_sweeps_with_reused_workspace_are_bit_identical() {
         let target = Point3::new(0.1, 0.8, 0.0);
         let m = linear_scan(target, 0.6, 0.005);
-        let loc = Localizer2d::new(cfg());
+        let loc = Localizer::new(cfg(), SolveSpace::TwoD);
         let grid = AdaptiveConfig::default();
         let mut ws = Workspace::new();
         let mut first = AdaptiveOutcome::default();
@@ -989,7 +914,7 @@ mod tests {
     fn sweep_plan_matches_sequential_sweep() {
         let target = Point3::new(0.1, 0.8, 0.0);
         let m = linear_scan(target, 0.6, 0.005);
-        let loc = Localizer2d::new(cfg());
+        let loc = Localizer::new(cfg(), SolveSpace::TwoD);
         let grid = AdaptiveConfig::default();
         let sequential = loc.locate_adaptive(&m, &grid).unwrap();
         let mut ws = Workspace::new();
@@ -1019,7 +944,7 @@ mod tests {
             intervals: vec![0.15, 0.25],
             keep: 2,
         };
-        let loc = Localizer3d::new(c);
+        let loc = Localizer::new(c, SolveSpace::ThreeD);
         let sequential = loc.locate_adaptive(&m, &adaptive).unwrap();
         let mut ws = Workspace::new();
         let plan = loc.sweep_plan(&m, &adaptive, &mut ws).unwrap();
@@ -1036,7 +961,7 @@ mod tests {
         let m = linear_scan(target, 0.6, 0.005);
         let mut c = cfg();
         c.solver = crate::SolverKind::Grid(crate::GridConfig::default());
-        let loc = Localizer2d::new(c);
+        let loc = Localizer::new(c, SolveSpace::TwoD);
         let adaptive = AdaptiveConfig {
             scanning_ranges: vec![0.8, 1.0],
             intervals: vec![0.2],
@@ -1076,7 +1001,9 @@ mod tests {
             intervals: vec![0.15, 0.25],
             keep: 2,
         };
-        let outcome = Localizer3d::new(c).locate_adaptive(&m, &adaptive).unwrap();
+        let outcome = Localizer::new(c, SolveSpace::ThreeD)
+            .locate_adaptive(&m, &adaptive)
+            .unwrap();
         assert!(
             outcome.estimate.distance_error(target) < 1e-4,
             "error {}",

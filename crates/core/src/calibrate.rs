@@ -16,8 +16,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::adaptive::AdaptiveConfig;
 use crate::error::CoreError;
-use crate::localizer::{Estimate, Localizer3d, LocalizerConfig};
+use crate::localizer::{Estimate, Localizer, LocalizerConfig};
 use crate::preprocess::wrap_phase;
+use crate::solver::SolveSpace;
 use crate::workspace::Workspace;
 
 /// Result of a full phase calibration for one antenna–tag pair.
@@ -122,7 +123,7 @@ impl Calibrator {
         if cfg.side_hint.is_none() {
             cfg.side_hint = Some(physical_center);
         }
-        let localizer = Localizer3d::new(cfg.clone());
+        let localizer = Localizer::new(cfg.clone(), SolveSpace::ThreeD);
         let estimate = match &self.adaptive {
             Some(a) => localizer.locate_adaptive_in(measurements, a, ws)?.estimate,
             None => localizer.locate_in(measurements, ws)?,

@@ -23,9 +23,10 @@
 //!    ([`preprocess::PhaseProfile`]),
 //! 2. [`pairs`] — choose sample pairs ([`pairs::PairStrategy`]),
 //! 3. [`model`] — stack the linear system,
-//! 4. [`Localizer2d`] / [`Localizer3d`] — solve with the paper's weighted
-//!    least squares, recovering a missing perpendicular coordinate from
-//!    `d_r` when the trajectory spans fewer dimensions than the space,
+//! 4. [`Localizer`] — solve with the paper's weighted least squares in a
+//!    [`SolveSpace`] (2D or 3D, a value rather than a type), recovering a
+//!    missing perpendicular coordinate from `d_r` when the trajectory
+//!    spans fewer dimensions than the space,
 //! 5. [`adaptive`] — sweep scanning range/interval and keep the estimates
 //!    whose mean residual is closest to zero,
 //! 6. [`calibrate`] — convert the located phase center into the antenna's
@@ -34,7 +35,7 @@
 //! # Example
 //!
 //! ```
-//! use lion_core::{Localizer2d, LocalizerConfig};
+//! use lion_core::{Localizer, LocalizerConfig, SolveSpace};
 //! use lion_geom::Point3;
 //! use std::f64::consts::{PI, TAU};
 //!
@@ -49,7 +50,7 @@
 //!         (p, (4.0 * PI * antenna.distance(p) / lambda) % TAU)
 //!     })
 //!     .collect();
-//! let est = Localizer2d::new(LocalizerConfig::paper()).locate(&measurements)?;
+//! let est = Localizer::new(LocalizerConfig::paper(), SolveSpace::TwoD).locate(&measurements)?;
 //! // Millimeter-level with the default smoothing window (which trades a
 //! // small bias for noise robustness; set `smoothing_window = 1` for
 //! // machine-precision recovery on clean data).
@@ -83,10 +84,7 @@ pub use calibrate::{
     estimate_offset, fuse_calibrations, Calibration, CalibrationSpread, Calibrator,
 };
 pub use error::CoreError;
-pub use localizer::{
-    locate_window_in, Estimate, Localizer2d, Localizer3d, LocalizerConfig, LocalizerConfigBuilder,
-    Weighting,
-};
+pub use localizer::{Estimate, Localizer, LocalizerConfig, LocalizerConfigBuilder, Weighting};
 pub use multistatic::{MultistaticConfig, MultistaticEstimate};
 pub use pairs::PairStrategy;
 pub use preprocess::PhaseProfile;

@@ -21,6 +21,7 @@ use serde::{Deserialize, Serialize};
 use crate::error::CoreError;
 use crate::pairs::PairStrategy;
 use crate::preprocess::PhaseProfile;
+use crate::solver::SolveSpace;
 use crate::workspace::{elapsed_ns, Workspace};
 
 /// Which estimator solves the stacked linear system.
@@ -40,7 +41,7 @@ impl Default for Weighting {
     }
 }
 
-/// Configuration shared by [`Localizer2d`] and [`Localizer3d`].
+/// Configuration of a [`Localizer`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct LocalizerConfig {
     /// Carrier wavelength in meters (default: the paper's 920.625 MHz →
@@ -306,14 +307,22 @@ impl Default for Estimate {
     }
 }
 
-/// 2D localization: the target and the tag trajectory lie in (or are
-/// projected onto) the horizontal plane; sample `z` coordinates are
-/// ignored except to report the plane height.
+/// The LION localizer: one linear model, `A·[x y (z) d_r]ᵀ = K`, solved
+/// in the target space [`SolveSpace`].
+///
+/// The space is a value, not a type: 2D and 3D differ only in how many
+/// coordinate columns the principal-component frame spans, and the
+/// lower-dimension `d_r` recovery (paper Sec. III-C, Observation 2)
+/// handles both. In [`SolveSpace::TwoD`] the target and the tag
+/// trajectory lie in (or are projected onto) the horizontal plane and
+/// sample `z` coordinates only report the plane height;
+/// [`SolveSpace::ThreeD`] needs a trajectory spanning two (planar, with
+/// `d_r` recovery) or three dimensions.
 ///
 /// # Example
 ///
 /// ```
-/// use lion_core::{Localizer2d, LocalizerConfig};
+/// use lion_core::{Localizer, LocalizerConfig, SolveSpace};
 /// use lion_geom::Point3;
 ///
 /// # fn main() -> Result<(), lion_core::CoreError> {
@@ -331,27 +340,21 @@ impl Default for Estimate {
 ///     .collect();
 /// let mut config = LocalizerConfig::default();
 /// config.smoothing_window = 1;
-/// let estimate = Localizer2d::new(config).locate(&measurements)?;
+/// let estimate = Localizer::new(config, SolveSpace::TwoD).locate(&measurements)?;
 /// assert!(estimate.distance_error(antenna) < 1e-6);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct Localizer2d {
+#[derive(Debug, Clone)]
+pub struct Localizer {
     config: LocalizerConfig,
+    space: SolveSpace,
 }
 
-/// 3D localization over a trajectory that spans two (planar, with `d_r`
-/// recovery) or three dimensions.
-#[derive(Debug, Clone, Default)]
-pub struct Localizer3d {
-    config: LocalizerConfig,
-}
-
-impl Localizer2d {
-    /// Creates a 2D localizer.
-    pub fn new(config: LocalizerConfig) -> Self {
-        Localizer2d { config }
+impl Localizer {
+    /// Creates a localizer solving in `space`.
+    pub fn new(config: LocalizerConfig, space: SolveSpace) -> Self {
+        Localizer { config, space }
     }
 
     /// The configuration in use.
@@ -359,24 +362,31 @@ impl Localizer2d {
         &self.config
     }
 
+    /// The target space every solve runs in.
+    pub fn space(&self) -> SolveSpace {
+        self.space
+    }
+
     /// Locates the target from `(position, wrapped phase)` measurements.
     ///
     /// # Errors
     ///
     /// See [`CoreError`]; notably [`CoreError::DegenerateGeometry`] when
-    /// all samples coincide, and [`CoreError::RecoveryFailed`] when the
-    /// lower-dimension discriminant is negative (heavy noise).
+    /// all samples coincide, or when a 3D solve gets collinear samples —
+    /// the paper proves a single straight trajectory cannot fix a 3D
+    /// position (Sec. III-C2) — and [`CoreError::RecoveryFailed`] when
+    /// the lower-dimension discriminant is negative (heavy noise).
     pub fn locate(&self, measurements: &[(Point3, f64)]) -> Result<Estimate, CoreError> {
         self.locate_in(measurements, &mut Workspace::new())
     }
 
-    /// [`Localizer2d::locate`] with a reusable [`Workspace`]: solver
+    /// [`Localizer::locate`] with a reusable [`Workspace`]: solver
     /// buffers come from (and stage metrics are recorded into) `ws`.
     /// Bit-identical to `locate`.
     ///
     /// # Errors
     ///
-    /// See [`Localizer2d::locate`].
+    /// See [`Localizer::locate`].
     pub fn locate_in(
         &self,
         measurements: &[(Point3, f64)],
@@ -395,102 +405,42 @@ impl Localizer2d {
     ///
     /// # Errors
     ///
-    /// See [`Localizer2d::locate`].
+    /// See [`Localizer::locate`].
     pub fn locate_profile_in(
         &self,
         profile: &PhaseProfile,
         ws: &mut Workspace,
     ) -> Result<Estimate, CoreError> {
-        crate::solver::dispatch_profile(profile, &self.config, crate::SolveSpace::TwoD, ws)
-    }
-}
-
-impl Localizer3d {
-    /// Creates a 3D localizer.
-    pub fn new(config: LocalizerConfig) -> Self {
-        Localizer3d { config }
+        crate::solver::dispatch_profile(profile, &self.config, self.space, ws)
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &LocalizerConfig {
-        &self.config
-    }
-
-    /// Locates the target from `(position, wrapped phase)` measurements.
+    /// Locates from the reads held by a [`crate::SlidingWindow`] — the
+    /// streaming entry point.
+    ///
+    /// The window's `(position, wrapped phase)` measurements are staged
+    /// into `ws`'s reusable buffer and replayed through the standard
+    /// unwrap → smooth → pairs → solve pipeline, so the result is
+    /// **bit-identical** to [`Localizer::locate`] on the same window
+    /// contents — the streaming/batch parity guarantee, and the oracle
+    /// the O(delta) [`crate::IncrementalState`] path is checked against.
     ///
     /// # Errors
     ///
-    /// See [`CoreError`]; notably [`CoreError::DegenerateGeometry`] when
-    /// the samples are collinear — the paper proves a single straight
-    /// trajectory cannot fix a 3D position (Sec. III-C2).
-    pub fn locate(&self, measurements: &[(Point3, f64)]) -> Result<Estimate, CoreError> {
-        self.locate_in(measurements, &mut Workspace::new())
-    }
-
-    /// [`Localizer3d::locate`] with a reusable [`Workspace`]: solver
-    /// buffers come from (and stage metrics are recorded into) `ws`.
-    /// Bit-identical to `locate`.
-    ///
-    /// # Errors
-    ///
-    /// See [`Localizer3d::locate`].
-    pub fn locate_in(
+    /// See [`Localizer::locate`].
+    pub fn locate_window_in(
         &self,
-        measurements: &[(Point3, f64)],
+        window: &crate::SlidingWindow,
         ws: &mut Workspace,
     ) -> Result<Estimate, CoreError> {
+        let mut staged = std::mem::take(&mut ws.samples);
+        window.write_soa_into(&mut staged);
         let mut profile = std::mem::take(&mut ws.profile);
-        let result = prepare_profile_in(measurements, &self.config, &mut profile, ws)
+        let result = prepare_profile_lanes_in(&staged, &self.config, &mut profile, ws)
             .and_then(|()| self.locate_profile_in(&profile, ws));
         ws.profile = profile;
+        ws.samples = staged;
         result
     }
-
-    /// Locates from an already prepared profile with a reusable
-    /// [`Workspace`]; the dispatch point where
-    /// [`LocalizerConfig::solver`] selects the backend.
-    ///
-    /// # Errors
-    ///
-    /// See [`Localizer3d::locate`].
-    pub fn locate_profile_in(
-        &self,
-        profile: &PhaseProfile,
-        ws: &mut Workspace,
-    ) -> Result<Estimate, CoreError> {
-        crate::solver::dispatch_profile(profile, &self.config, crate::SolveSpace::ThreeD, ws)
-    }
-}
-
-/// Locates from the reads held by a [`crate::SlidingWindow`] — the
-/// streaming entry point, one seam-aware function parametric over the
-/// solve space.
-///
-/// The window's `(position, wrapped phase)` measurements are staged into
-/// `ws`'s reusable buffer and replayed through the standard unwrap →
-/// smooth → pairs → solve pipeline (dispatching on
-/// [`LocalizerConfig::solver`]), so the result is **bit-identical** to
-/// the batch `locate` on the same window contents — the streaming/batch
-/// parity guarantee, and the oracle the O(delta)
-/// [`crate::IncrementalState`] path is checked against.
-///
-/// # Errors
-///
-/// See [`Localizer2d::locate`] / [`Localizer3d::locate`].
-pub fn locate_window_in(
-    config: &LocalizerConfig,
-    space: crate::SolveSpace,
-    window: &crate::SlidingWindow,
-    ws: &mut Workspace,
-) -> Result<Estimate, CoreError> {
-    let mut staged = std::mem::take(&mut ws.samples);
-    window.write_soa_into(&mut staged);
-    let mut profile = std::mem::take(&mut ws.profile);
-    let result = prepare_profile_lanes_in(&staged, config, &mut profile, ws)
-        .and_then(|()| crate::solver::dispatch_profile(&profile, config, space, ws));
-    ws.profile = profile;
-    ws.samples = staged;
-    result
 }
 
 /// Builds and preprocesses the phase profile for a localizer config into
@@ -555,12 +505,6 @@ pub(crate) fn prepare_profile_lanes_in(
     Ok(())
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Mode {
-    TwoD,
-    ThreeD,
-}
-
 /// Stack-only principal-component frame shared by every solve path: a
 /// 3×3 symmetric eigendecomposition of `Σ d·dᵀ` instead of an SVD of the
 /// centered `n × k` matrix, so computing it allocates nothing. The square
@@ -581,7 +525,7 @@ pub(crate) struct FrameSmall {
 
 pub(crate) fn analyze_geometry_small(
     positions: &[Point3],
-    mode: Mode,
+    space: SolveSpace,
     rank_tolerance: f64,
 ) -> Result<FrameSmall, CoreError> {
     let n = positions.len();
@@ -589,9 +533,9 @@ pub(crate) fn analyze_geometry_small(
     let centroid = positions.iter().fold(Point3::ORIGIN, |acc, p| {
         Point3::new(acc.x + p.x * inv, acc.y + p.y * inv, acc.z + p.z * inv)
     });
-    let dims = match mode {
-        Mode::TwoD => 2,
-        Mode::ThreeD => 3,
+    let dims = match space {
+        SolveSpace::TwoD => 2,
+        SolveSpace::ThreeD => 3,
     };
     // Unnormalized sample covariance Σ d·dᵀ; its eigenvalues are the
     // squared singular values of the centered sample matrix. 2D mode
@@ -599,9 +543,9 @@ pub(crate) fn analyze_geometry_small(
     let mut cov = [[0.0_f64; 3]; 3];
     for p in positions {
         let d = *p - centroid;
-        let v = match mode {
-            Mode::TwoD => [d.x, d.y, 0.0],
-            Mode::ThreeD => [d.x, d.y, d.z],
+        let v = match space {
+            SolveSpace::TwoD => [d.x, d.y, 0.0],
+            SolveSpace::ThreeD => [d.x, d.y, d.z],
         };
         for r in 0..3 {
             for c in 0..3 {
@@ -631,7 +575,7 @@ pub(crate) fn analyze_geometry_small(
             detail: "tag positions span no direction".to_string(),
         });
     }
-    if mode == Mode::ThreeD && spanned == 1 {
+    if space == SolveSpace::ThreeD && spanned == 1 {
         return Err(CoreError::DegenerateGeometry {
             detail: "a single linear trajectory cannot determine a 3D position \
                      (paper Sec. III-C2); add a second line or a planar scan"
@@ -677,17 +621,17 @@ pub(crate) fn canonicalize(n: Vec3) -> Vec3 {
 pub(crate) fn run_with_min(
     profile: &PhaseProfile,
     config: &LocalizerConfig,
-    mode: Mode,
+    space: SolveSpace,
     min_needed: usize,
 ) -> Result<Estimate, CoreError> {
-    run_with_min_in(profile, config, mode, min_needed, &mut Workspace::new())
+    run_with_min_in(profile, config, space, min_needed, &mut Workspace::new())
 }
 
 /// [`run_with_min`] with caller-provided solver buffers and metrics.
 pub(crate) fn run_with_min_in(
     profile: &PhaseProfile,
     config: &LocalizerConfig,
-    mode: Mode,
+    space: SolveSpace,
     min_needed: usize,
     ws: &mut Workspace,
 ) -> Result<Estimate, CoreError> {
@@ -715,7 +659,7 @@ pub(crate) fn run_with_min_in(
         });
     }
     let positions = profile.positions();
-    let frame = analyze_geometry_small(positions, mode, config.rank_tolerance)?;
+    let frame = analyze_geometry_small(positions, space, config.rank_tolerance)?;
     let lower_dimension = frame.spanned < frame.dims;
     let k = frame.spanned;
     profile.delta_distances_into(reference, &mut ws.deltas);
@@ -1016,7 +960,9 @@ mod tests {
             Point3::new(0.0, 1.0, 0.0),
         ] {
             let m = circle_measurements(target, 300, 0.3);
-            let est = Localizer2d::new(clean_config()).locate(&m).unwrap();
+            let est = Localizer::new(clean_config(), SolveSpace::TwoD)
+                .locate(&m)
+                .unwrap();
             assert!(
                 est.distance_error(target) < 1e-6,
                 "target {target}: error {}",
@@ -1040,7 +986,7 @@ mod tests {
             .collect();
         let mut cfg = clean_config();
         cfg.side_hint = Some(Point3::new(0.0, 0.5, 0.0));
-        let est = Localizer2d::new(cfg).locate(&m).unwrap();
+        let est = Localizer::new(cfg, SolveSpace::TwoD).locate(&m).unwrap();
         assert!(est.lower_dimension);
         assert!(
             est.distance_error(target) < 1e-6,
@@ -1064,7 +1010,7 @@ mod tests {
             .collect();
         let mut cfg = clean_config();
         cfg.side_hint = Some(Point3::new(0.0, 1.0, 0.0));
-        let est = Localizer2d::new(cfg).locate(&m).unwrap();
+        let est = Localizer::new(cfg, SolveSpace::TwoD).locate(&m).unwrap();
         assert!(est.lower_dimension);
         assert!(
             est.distance_error(target) < 1e-6,
@@ -1090,7 +1036,7 @@ mod tests {
             .collect();
         let mut cfg = clean_config();
         cfg.side_hint = Some(target);
-        let est = Localizer3d::new(cfg).locate(&m).unwrap();
+        let est = Localizer::new(cfg, SolveSpace::ThreeD).locate(&m).unwrap();
         assert!(est.lower_dimension);
         assert!(
             est.distance_error(target) < 1e-5,
@@ -1111,12 +1057,12 @@ mod tests {
             .collect();
         let mut cfg = clean_config();
         cfg.side_hint = Some(Point3::new(0.0, -0.5, 0.0));
-        let est = Localizer2d::new(cfg).locate(&m).unwrap();
+        let est = Localizer::new(cfg, SolveSpace::TwoD).locate(&m).unwrap();
         assert!(est.distance_error(target) < 1e-6);
         // Without a hint the positive-y mirror is returned.
         let mut cfg = clean_config();
         cfg.side_hint = None;
-        let est = Localizer2d::new(cfg).locate(&m).unwrap();
+        let est = Localizer::new(cfg, SolveSpace::TwoD).locate(&m).unwrap();
         let mirror = Point3::new(0.1, 0.9, 0.0);
         assert!(est.distance_error(mirror) < 1e-6);
     }
@@ -1141,7 +1087,7 @@ mod tests {
             x_interval: 0.2,
             tolerance: 0.003,
         };
-        let est = Localizer3d::new(cfg).locate(&m).unwrap();
+        let est = Localizer::new(cfg, SolveSpace::ThreeD).locate(&m).unwrap();
         assert!(
             est.distance_error(target) < 1e-6,
             "error {}",
@@ -1157,7 +1103,7 @@ mod tests {
         let m = circle_measurements(target, 300, 0.4);
         let mut cfg = clean_config();
         cfg.side_hint = Some(Point3::new(0.0, 0.0, 0.5));
-        let est = Localizer3d::new(cfg).locate(&m).unwrap();
+        let est = Localizer::new(cfg, SolveSpace::ThreeD).locate(&m).unwrap();
         assert!(est.lower_dimension);
         assert!(
             est.distance_error(target) < 1e-6,
@@ -1175,14 +1121,18 @@ mod tests {
                 (p, phase_of(target, p))
             })
             .collect();
-        let err = Localizer3d::new(clean_config()).locate(&m).unwrap_err();
+        let err = Localizer::new(clean_config(), SolveSpace::ThreeD)
+            .locate(&m)
+            .unwrap_err();
         assert!(matches!(err, CoreError::DegenerateGeometry { .. }));
     }
 
     #[test]
     fn coincident_positions_rejected() {
         let m: Vec<(Point3, f64)> = (0..10).map(|_| (Point3::ORIGIN, 0.3)).collect();
-        let err = Localizer2d::new(clean_config()).locate(&m).unwrap_err();
+        let err = Localizer::new(clean_config(), SolveSpace::TwoD)
+            .locate(&m)
+            .unwrap_err();
         assert!(matches!(err, CoreError::DegenerateGeometry { .. }));
     }
 
@@ -1190,7 +1140,7 @@ mod tests {
     fn too_few_measurements_rejected() {
         let m = vec![(Point3::ORIGIN, 0.0), (Point3::new(0.1, 0.0, 0.0), 0.1)];
         assert!(matches!(
-            Localizer2d::new(clean_config()).locate(&m),
+            Localizer::new(clean_config(), SolveSpace::TwoD).locate(&m),
             Err(CoreError::TooFewMeasurements { .. })
         ));
     }
@@ -1202,7 +1152,7 @@ mod tests {
         let mut cfg = clean_config();
         cfg.reference_index = Some(999);
         assert!(matches!(
-            Localizer2d::new(cfg).locate(&m),
+            Localizer::new(cfg, SolveSpace::TwoD).locate(&m),
             Err(CoreError::InvalidConfig { .. })
         ));
     }
@@ -1212,7 +1162,7 @@ mod tests {
         let m = circle_measurements(Point3::new(0.5, 0.5, 0.0), 50, 0.3);
         let mut cfg = clean_config();
         cfg.rank_tolerance = 0.0;
-        assert!(Localizer2d::new(cfg).locate(&m).is_err());
+        assert!(Localizer::new(cfg, SolveSpace::TwoD).locate(&m).is_err());
     }
 
     fn weighted(irls: IrlsConfig) -> LocalizerConfig {
@@ -1278,7 +1228,7 @@ mod tests {
         let mut cfg = clean_config();
         cfg.pair_strategy = PairStrategy::Interval { interval: 5.0 };
         assert!(matches!(
-            Localizer2d::new(cfg).locate(&m),
+            Localizer::new(cfg, SolveSpace::TwoD).locate(&m),
             Err(CoreError::NoPairs)
         ));
     }
@@ -1289,8 +1239,10 @@ mod tests {
         let m = circle_measurements(target, 200, 0.3);
         let mut cfg_ls = clean_config();
         cfg_ls.weighting = Weighting::LeastSquares;
-        let e_ls = Localizer2d::new(cfg_ls).locate(&m).unwrap();
-        let e_wls = Localizer2d::new(clean_config()).locate(&m).unwrap();
+        let e_ls = Localizer::new(cfg_ls, SolveSpace::TwoD).locate(&m).unwrap();
+        let e_wls = Localizer::new(clean_config(), SolveSpace::TwoD)
+            .locate(&m)
+            .unwrap();
         assert!(e_ls.position.distance(e_wls.position) < 1e-8);
         assert_eq!(e_ls.iterations, 0);
     }
@@ -1299,7 +1251,9 @@ mod tests {
     fn estimate_reports_metadata() {
         let target = Point3::new(0.5, 0.8, 0.0);
         let m = circle_measurements(target, 100, 0.3);
-        let est = Localizer2d::new(clean_config()).locate(&m).unwrap();
+        let est = Localizer::new(clean_config(), SolveSpace::TwoD)
+            .locate(&m)
+            .unwrap();
         assert!(est.equation_count > 0);
         assert!(est.reference_distance > 0.0);
         // d_r matches the true distance to the reference position.
@@ -1321,7 +1275,9 @@ mod tests {
             }
         }
         assert!(wraps > 2, "test should exercise unwrapping, wraps={wraps}");
-        let est = Localizer2d::new(clean_config()).locate(&m).unwrap();
+        let est = Localizer::new(clean_config(), SolveSpace::TwoD)
+            .locate(&m)
+            .unwrap();
         assert!(est.distance_error(target) < 1e-6);
     }
 
@@ -1345,8 +1301,12 @@ mod tests {
             .iter()
             .map(|&(p, t)| (p, (t + 0.1 * gauss()).rem_euclid(TAU)))
             .collect();
-        let clean_est = Localizer2d::new(clean_config()).locate(&clean).unwrap();
-        let noisy_est = Localizer2d::new(clean_config()).locate(&noisy).unwrap();
+        let clean_est = Localizer::new(clean_config(), SolveSpace::TwoD)
+            .locate(&clean)
+            .unwrap();
+        let noisy_est = Localizer::new(clean_config(), SolveSpace::TwoD)
+            .locate(&noisy)
+            .unwrap();
         // Clean data: negligible uncertainty.
         assert!(clean_est.position_std.norm() < 1e-6);
         // Noisy data: uncertainty reported, and consistent with the actual

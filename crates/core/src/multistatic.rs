@@ -35,9 +35,10 @@ use lion_geom::Point3;
 use serde::{Deserialize, Serialize};
 
 use crate::error::CoreError;
-use crate::localizer::{Estimate, LocalizerConfig, Mode};
+use crate::localizer::{Estimate, LocalizerConfig};
 use crate::pairs::PairStrategy;
 use crate::preprocess::PhaseProfile;
+use crate::solver::SolveSpace;
 
 /// Configuration for the multistatic solver.
 #[derive(Debug, Clone, PartialEq)]
@@ -191,7 +192,7 @@ pub fn locate_tag(
         ) else {
             continue;
         };
-        let Ok(est) = crate::localizer::run_with_min(&profile, &localizer_cfg, Mode::TwoD, 3)
+        let Ok(est) = crate::localizer::run_with_min(&profile, &localizer_cfg, SolveSpace::TwoD, 3)
         else {
             continue;
         };

@@ -1,7 +1,7 @@
 //! O(delta) incremental streaming re-solve (the PR-8 tentpole).
 //!
-//! The replay path ([`crate::locate_window_in`]) re-runs the whole
-//! unwrap → smooth → pairs → solve pipeline over the full
+//! The replay path ([`crate::Localizer::locate_window_in`]) re-runs the
+//! whole unwrap → smooth → pairs → solve pipeline over the full
 //! [`SlidingWindow`] on every cadence tick — O(window) work per solve
 //! even when only a handful of reads entered or left since the last
 //! tick. [`IncrementalState`] instead mirrors the window's preprocessed
@@ -57,13 +57,10 @@ use lion_linalg::{
 };
 
 use crate::error::CoreError;
-use crate::localizer::{
-    analyze_geometry_small, assemble_position, locate_window_in, Estimate, LocalizerConfig,
-    Weighting,
-};
+use crate::localizer::{analyze_geometry_small, assemble_position, Estimate, Localizer, Weighting};
 use crate::pairs::PairStrategy;
 use crate::preprocess;
-use crate::solver::{SolveSpace, SolverKind};
+use crate::solver::SolverKind;
 use crate::window::SlidingWindow;
 use crate::workspace::{elapsed_ns, Workspace};
 
@@ -85,15 +82,19 @@ pub enum ResolvePath {
 
 /// Persistent per-stream state for O(delta) cadence re-solves.
 ///
-/// Owned by the caller (one per stream) and fed the stream's
-/// [`SlidingWindow`] on every cadence tick via
-/// [`IncrementalState::solve_window`]. The state decides per tick
-/// whether the slide since the last call is patchable; when it is not —
-/// splice, too-large delta, evicted reference, non-linear solver,
-/// structural pair change, or the periodic [`RESYNC_EVERY`] re-anchor —
-/// it runs the replay path and rebuilds itself from the window.
+/// Owned by the caller (one per stream), built around the stream's
+/// [`Localizer`], and fed the stream's [`SlidingWindow`] on every
+/// cadence tick via [`IncrementalState::solve_window`]. The state
+/// decides per tick whether the slide since the last call is patchable;
+/// when it is not — splice, too-large delta, evicted reference,
+/// non-linear solver, structural pair change, or the periodic
+/// [`RESYNC_EVERY`] re-anchor — it runs the localizer's replay path and
+/// rebuilds itself from the window.
 #[derive(Debug, Clone)]
 pub struct IncrementalState {
+    /// The localizer every tick solves with; its replay path
+    /// ([`Localizer::locate_window_in`]) is the oracle.
+    localizer: Localizer,
     /// Whether the mirrors below describe the window as of the last tick.
     valid: bool,
     ticks_since_resync: u32,
@@ -106,8 +107,6 @@ pub struct IncrementalState {
     centroid: Point3,
     axes: [Vec3; 3],
     k: usize,
-    /// Config fingerprint; a change forces a resync.
-    cfg_sig: (u64, usize, u64, u64),
     // Window mirrors, index-aligned with the window's samples.
     positions: Vec<Point3>,
     wrapped: Vec<f64>,
@@ -128,12 +127,6 @@ pub struct IncrementalState {
     rows_delta: u64,
     rebuilds: u64,
     delta_solves: u64,
-}
-
-impl Default for IncrementalState {
-    fn default() -> Self {
-        IncrementalState::new()
-    }
 }
 
 /// Radical-line/plane row for the pair `(i, j)` in the frozen frame —
@@ -163,20 +156,12 @@ fn resolve_irls(weighting: &Weighting) -> IrlsConfig {
     }
 }
 
-fn config_signature(config: &LocalizerConfig) -> (u64, usize, u64, u64) {
-    (
-        config.wavelength.to_bits(),
-        config.smoothing_window,
-        config.pair_strategy.interval().to_bits(),
-        config.rank_tolerance.to_bits(),
-    )
-}
-
 impl IncrementalState {
-    /// An empty (invalid) state; the first [`IncrementalState::solve_window`]
-    /// call resyncs.
-    pub fn new() -> Self {
+    /// An empty (invalid) state solving with `localizer`; the first
+    /// [`IncrementalState::solve_window`] call resyncs.
+    pub fn new(localizer: Localizer) -> Self {
         IncrementalState {
+            localizer,
             valid: false,
             ticks_since_resync: 0,
             front_abs: 0,
@@ -184,7 +169,6 @@ impl IncrementalState {
             centroid: Point3::ORIGIN,
             axes: [Vec3::new(0.0, 0.0, 0.0); 3],
             k: 0,
-            cfg_sig: (0, 0, 0, 0),
             positions: Vec::new(),
             wrapped: Vec::new(),
             unwrapped: Vec::new(),
@@ -234,34 +218,29 @@ impl IncrementalState {
     ///
     /// # Errors
     ///
-    /// Exactly the replay path's errors ([`crate::locate_window_in`]):
-    /// any tick whose incremental patch cannot proceed — including a
-    /// window too small or too degenerate to solve — falls back to
-    /// replay, and a failed replay invalidates the state.
+    /// Exactly the replay path's errors
+    /// ([`Localizer::locate_window_in`]): any tick whose incremental
+    /// patch cannot proceed — including a window too small or too
+    /// degenerate to solve — falls back to replay, and a failed replay
+    /// invalidates the state.
     pub fn solve_window(
         &mut self,
         window: &mut SlidingWindow,
-        config: &LocalizerConfig,
-        space: SolveSpace,
         ws: &mut Workspace,
     ) -> Result<(Estimate, ResolvePath), CoreError> {
         let delta = window.take_slide_delta();
-        let eligible = self.valid
-            && !delta.spliced
-            && self.ticks_since_resync < RESYNC_EVERY
-            && config.reference_index.is_none()
-            && matches!(config.solver, SolverKind::Linear)
-            && matches!(config.pair_strategy, PairStrategy::Interval { .. })
-            && self.cfg_sig == config_signature(config);
+        // `valid` implies a delta-capable configuration: `resync` only
+        // sets it for one.
+        let eligible = self.valid && !delta.spliced && self.ticks_since_resync < RESYNC_EVERY;
         self.front_abs += delta.evicted as u64;
         if eligible {
-            if let Some(est) = self.delta_tick(delta.evicted, delta.appended, window, config, ws) {
+            if let Some(est) = self.delta_tick(delta.evicted, delta.appended, window, ws) {
                 self.ticks_since_resync += 1;
                 self.delta_solves += 1;
                 return Ok((est, ResolvePath::Incremental));
             }
         }
-        let est = self.resync(window, config, space, ws)?;
+        let est = self.resync(window, ws)?;
         Ok((est, ResolvePath::Replayed))
     }
 
@@ -273,9 +252,9 @@ impl IncrementalState {
         evicted: usize,
         appended: usize,
         window: &SlidingWindow,
-        config: &LocalizerConfig,
         ws: &mut Workspace,
     ) -> Option<Estimate> {
+        let config = self.localizer.config();
         let old_len = self.positions.len();
         let n_new = window.len();
         // Slide-model consistency: the window must equal the mirror with
@@ -465,12 +444,11 @@ impl IncrementalState {
     fn resync(
         &mut self,
         window: &mut SlidingWindow,
-        config: &LocalizerConfig,
-        space: SolveSpace,
         ws: &mut Workspace,
     ) -> Result<Estimate, CoreError> {
         self.valid = false;
-        let est = locate_window_in(config, space, window, ws)?;
+        let est = self.localizer.locate_window_in(window, ws)?;
+        let (config, space) = (self.localizer.config(), self.localizer.space());
         self.rebuilds += 1;
         self.ticks_since_resync = 0;
         if config.reference_index.is_some()
@@ -495,8 +473,7 @@ impl IncrementalState {
             };
             self.unwrapped.push(u);
         }
-        let Ok(frame) =
-            analyze_geometry_small(&self.positions, space.mode(), config.rank_tolerance)
+        let Ok(frame) = analyze_geometry_small(&self.positions, space, config.rank_tolerance)
         else {
             return Ok(est);
         };
@@ -550,7 +527,6 @@ impl IncrementalState {
             let rhs = build_row(&self.coords, &self.deltas, k, i, j, &mut row);
             self.ne.push_row(&row[..cols], rhs);
         }
-        self.cfg_sig = config_signature(config);
         self.valid = true;
         Ok(est)
     }
@@ -559,6 +535,8 @@ impl IncrementalState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::localizer::LocalizerConfig;
+    use crate::solver::SolveSpace;
     use crate::window::SlidingWindow;
     use std::f64::consts::{PI, TAU};
 
@@ -591,15 +569,13 @@ mod tests {
         let target = Point3::new(1.0, 0.4, 0.0);
         let reads = circle_reads(target, 400);
         let mut window = SlidingWindow::new(128).unwrap();
-        let mut state = IncrementalState::new();
         let mut ws = Workspace::new();
-        let cfg = config();
+        let localizer = Localizer::new(config(), SolveSpace::TwoD);
+        let mut state = IncrementalState::new(localizer.clone());
         for r in &reads[..128] {
             window.push(r.0, r.1, r.2);
         }
-        let (est, path) = state
-            .solve_window(&mut window, &cfg, SolveSpace::TwoD, &mut ws)
-            .unwrap();
+        let (est, path) = state.solve_window(&mut window, &mut ws).unwrap();
         assert_eq!(path, ResolvePath::Replayed);
         assert!(est.distance_error(target) < 0.02);
         // Slide by 16 and re-solve: must go incremental and stay close to
@@ -609,10 +585,8 @@ mod tests {
             for r in chunk {
                 window.push(r.0, r.1, r.2);
             }
-            let (est, path) = state
-                .solve_window(&mut window, &cfg, SolveSpace::TwoD, &mut ws)
-                .unwrap();
-            let oracle = locate_window_in(&cfg, SolveSpace::TwoD, &window, &mut ws).unwrap();
+            let (est, path) = state.solve_window(&mut window, &mut ws).unwrap();
+            let oracle = localizer.locate_window_in(&window, &mut ws).unwrap();
             assert!(
                 est.position.distance(oracle.position) < 1e-6,
                 "path {path:?}: {} vs oracle {}",
@@ -636,34 +610,28 @@ mod tests {
         let target = Point3::new(0.8, 0.6, 0.0);
         let reads = circle_reads(target, 300);
         let mut window = SlidingWindow::new(128).unwrap();
-        let mut state = IncrementalState::new();
         let mut ws = Workspace::new();
-        let cfg = config();
+        let localizer = Localizer::new(config(), SolveSpace::TwoD);
+        let mut state = IncrementalState::new(localizer.clone());
         for r in &reads[..160] {
             window.push(r.0, r.1, r.2);
         }
-        state
-            .solve_window(&mut window, &cfg, SolveSpace::TwoD, &mut ws)
-            .unwrap();
+        state.solve_window(&mut window, &mut ws).unwrap();
         // Deliver a chunk with one read held back, then spliced late.
         for r in &reads[161..180] {
             window.push(r.0, r.1, r.2);
         }
         let held = &reads[160];
         window.push(held.0, held.1, held.2); // lands mid-window → splice
-        let (est, path) = state
-            .solve_window(&mut window, &cfg, SolveSpace::TwoD, &mut ws)
-            .unwrap();
+        let (est, path) = state.solve_window(&mut window, &mut ws).unwrap();
         assert_eq!(path, ResolvePath::Replayed);
-        let oracle = locate_window_in(&cfg, SolveSpace::TwoD, &window, &mut ws).unwrap();
+        let oracle = localizer.locate_window_in(&window, &mut ws).unwrap();
         assert_eq!(est, oracle, "replay tick must be bit-identical");
         // Next in-order chunk goes incremental again.
         for r in &reads[180..200] {
             window.push(r.0, r.1, r.2);
         }
-        let (_, path) = state
-            .solve_window(&mut window, &cfg, SolveSpace::TwoD, &mut ws)
-            .unwrap();
+        let (_, path) = state.solve_window(&mut window, &mut ws).unwrap();
         assert_eq!(path, ResolvePath::Incremental);
     }
 
@@ -672,12 +640,13 @@ mod tests {
         let target = Point3::new(0.9, 0.2, 0.0);
         let reads = circle_reads(target, 260);
         let mut window = SlidingWindow::new(128).unwrap();
-        let mut state = IncrementalState::new();
         let mut ws = Workspace::new();
         let cfg = LocalizerConfig {
             solver: SolverKind::Grid(crate::solver::GridConfig::default()),
             ..config()
         };
+        let localizer = Localizer::new(cfg, SolveSpace::TwoD);
+        let mut state = IncrementalState::new(localizer.clone());
         for r in &reads[..140] {
             window.push(r.0, r.1, r.2);
         }
@@ -685,11 +654,9 @@ mod tests {
             for r in chunk {
                 window.push(r.0, r.1, r.2);
             }
-            let (est, path) = state
-                .solve_window(&mut window, &cfg, SolveSpace::TwoD, &mut ws)
-                .unwrap();
+            let (est, path) = state.solve_window(&mut window, &mut ws).unwrap();
             assert_eq!(path, ResolvePath::Replayed);
-            let oracle = locate_window_in(&cfg, SolveSpace::TwoD, &window, &mut ws).unwrap();
+            let oracle = localizer.locate_window_in(&window, &mut ws).unwrap();
             assert_eq!(est, oracle);
         }
     }
@@ -699,23 +666,19 @@ mod tests {
         let target = Point3::new(1.1, 0.1, 0.0);
         let reads = circle_reads(target, 128 + (RESYNC_EVERY as usize + 4) * 4);
         let mut window = SlidingWindow::new(128).unwrap();
-        let mut state = IncrementalState::new();
         let mut ws = Workspace::new();
-        let cfg = config();
+        let localizer = Localizer::new(config(), SolveSpace::TwoD);
+        let mut state = IncrementalState::new(localizer.clone());
         for r in &reads[..128] {
             window.push(r.0, r.1, r.2);
         }
-        state
-            .solve_window(&mut window, &cfg, SolveSpace::TwoD, &mut ws)
-            .unwrap();
+        state.solve_window(&mut window, &mut ws).unwrap();
         let mut replays = 0;
         for chunk in reads[128..].chunks(4) {
             for r in chunk {
                 window.push(r.0, r.1, r.2);
             }
-            let (_, path) = state
-                .solve_window(&mut window, &cfg, SolveSpace::TwoD, &mut ws)
-                .unwrap();
+            let (_, path) = state.solve_window(&mut window, &mut ws).unwrap();
             if path == ResolvePath::Replayed {
                 replays += 1;
             }
@@ -731,22 +694,18 @@ mod tests {
         let target = Point3::new(0.7, 0.7, 0.0);
         let reads = circle_reads(target, 200);
         let mut window = SlidingWindow::new(96).unwrap();
-        let mut state = IncrementalState::new();
         let mut ws = Workspace::new();
-        let cfg = config();
+        let localizer = Localizer::new(config(), SolveSpace::TwoD);
+        let mut state = IncrementalState::new(localizer.clone());
         for r in &reads[..120] {
             window.push(r.0, r.1, r.2);
         }
-        state
-            .solve_window(&mut window, &cfg, SolveSpace::TwoD, &mut ws)
-            .unwrap();
+        state.solve_window(&mut window, &mut ws).unwrap();
         for r in &reads[120..136] {
             window.push(r.0, r.1, r.2);
         }
         state.invalidate();
-        let (_, path) = state
-            .solve_window(&mut window, &cfg, SolveSpace::TwoD, &mut ws)
-            .unwrap();
+        let (_, path) = state.solve_window(&mut window, &mut ws).unwrap();
         assert_eq!(path, ResolvePath::Replayed);
     }
 }

@@ -16,8 +16,8 @@
 //!   around the best cell.
 //! - [`SolverKind`] — the validated configuration knob on
 //!   [`LocalizerConfig`] that selects the backend for every entry point
-//!   (`locate*`, `locate_window_in`, the adaptive sweeps, the engine's
-//!   batch jobs and the streaming cadence path).
+//!   (the [`crate::Localizer`] methods, the adaptive sweeps, the
+//!   engine's batch jobs and the streaming cadence path).
 //!
 //! # Grid scoring
 //!
@@ -49,7 +49,7 @@ use lion_linalg::{LevenbergMarquardt, Vector};
 
 use crate::error::CoreError;
 use crate::localizer::{
-    analyze_geometry_small, prepare_profile_in, run_with_min_in, Estimate, LocalizerConfig, Mode,
+    analyze_geometry_small, prepare_profile_in, run_with_min_in, Estimate, LocalizerConfig,
 };
 use crate::preprocess::PhaseProfile;
 use crate::workspace::{elapsed_ns, Workspace};
@@ -72,25 +72,22 @@ const RADIAL_MAX: f64 = 3.0;
 /// first pass with no strict improvement).
 const LEVEL_PASSES: usize = 8;
 
-/// The target space a solve runs in — the public mirror of the internal
-/// pipeline mode. 2D pins the estimate's `z` to the mean sample height;
-/// 3D searches (or solves) all three coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The target space a solve runs in: the one representation of the
+/// 2D-or-3D choice, carried as a value by [`crate::Localizer`], the
+/// stream configuration and the engine. The paper's linear model is the
+/// same in both; the space only sets how many coordinate columns the
+/// principal-component frame may span. 2D pins the estimate's `z` to the
+/// mean sample height; 3D searches (or solves) all three coordinates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolveSpace {
-    /// Horizontal-plane localization (the [`crate::Localizer2d`] space).
+    /// Horizontal-plane localization.
+    #[default]
     TwoD,
-    /// Full 3D localization (the [`crate::Localizer3d`] space).
+    /// Full 3D localization.
     ThreeD,
 }
 
 impl SolveSpace {
-    pub(crate) fn mode(self) -> Mode {
-        match self {
-            SolveSpace::TwoD => Mode::TwoD,
-            SolveSpace::ThreeD => Mode::ThreeD,
-        }
-    }
-
     /// The minimum sample count either backend needs in this space.
     pub fn min_samples(self) -> usize {
         match self {
@@ -113,7 +110,7 @@ impl SolveSpace {
 /// `rank_tolerance`); backend-specific knobs live on the backend itself
 /// (e.g. [`GridConfig`]). The config's own [`LocalizerConfig::solver`]
 /// field is ignored here — backend selection happens in the
-/// `Localizer2d`/`Localizer3d` entry points, which is what keeps a
+/// [`crate::Localizer`] entry points, which is what keeps a
 /// `LinearSolver` usable as a cross-check against a grid-configured
 /// pipeline.
 pub trait Solver {
@@ -312,28 +309,10 @@ impl GridConfig {
 
 /// The paper's linear pipeline behind the [`Solver`] trait: radical-line
 /// system, (iteratively reweighted) least squares, lower-dimension
-/// `d_r` recovery. This is the exact code path `Localizer2d::locate` has
+/// `d_r` recovery. This is the exact code path `Localizer::locate` has
 /// always run — the trait impl is a thin adapter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinearSolver;
-
-impl LinearSolver {
-    /// Solves a [`crate::SlidingWindow`] resuming from persistent
-    /// incremental state: O(delta) when the slide since the last call is
-    /// patchable, falling back to a bit-exact replay otherwise. This is
-    /// the streaming counterpart of [`crate::locate_window_in`]; see
-    /// [`crate::IncrementalState`] for the state machine and parity tiers.
-    pub fn resume_window_in(
-        &self,
-        state: &mut crate::IncrementalState,
-        window: &mut crate::SlidingWindow,
-        config: &LocalizerConfig,
-        space: SolveSpace,
-        ws: &mut Workspace,
-    ) -> Result<(Estimate, crate::ResolvePath), CoreError> {
-        state.solve_window(window, config, space, ws)
-    }
-}
 
 impl Solver for LinearSolver {
     fn name(&self) -> &'static str {
@@ -347,7 +326,7 @@ impl Solver for LinearSolver {
         space: SolveSpace,
         ws: &mut Workspace,
     ) -> Result<Estimate, CoreError> {
-        run_with_min_in(profile, config, space.mode(), space.min_samples(), ws)
+        run_with_min_in(profile, config, space, space.min_samples(), ws)
     }
 }
 
@@ -420,8 +399,7 @@ impl Solver for GridSolver {
 }
 
 /// Routes a prepared profile to the backend `config.solver` selects —
-/// the single dispatch point behind `locate`, `locate_in`,
-/// `locate_window_in`, and `locate_profile_in`.
+/// the single dispatch point behind every [`crate::Localizer`] method.
 pub(crate) fn dispatch_profile(
     profile: &PhaseProfile,
     config: &LocalizerConfig,
@@ -810,7 +788,7 @@ fn solve_grid_profile(
     // Same whole-trajectory degeneracy screen as the linear path — a
     // single straight line still cannot fix a 3D position (the grid
     // would land on an arbitrary point of the ambiguity ring).
-    let frame = analyze_geometry_small(positions, space.mode(), config.rank_tolerance)?;
+    let frame = analyze_geometry_small(positions, space, config.rank_tolerance)?;
     let _span = lion_obs::span!("lion.solve");
     let t = Instant::now();
     profile.delta_distances_into(reference, &mut ws.deltas);

@@ -14,7 +14,8 @@ use lion_geom::{Point3, Vec3};
 use serde::{Deserialize, Serialize};
 
 use crate::error::CoreError;
-use crate::localizer::{Estimate, Localizer2d, LocalizerConfig};
+use crate::localizer::{Estimate, Localizer, LocalizerConfig};
+use crate::solver::SolveSpace;
 
 /// One tracking output: where the item was at `time`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -253,7 +254,7 @@ impl ConveyorTracker {
                 });
             }
         }
-        let localizer = Localizer2d::new(cfg.localizer.clone());
+        let localizer = Localizer::new(cfg.localizer.clone(), SolveSpace::TwoD);
         let mut out = Vec::new();
         let mut start = 0;
         while start + cfg.window <= reads.len() {

@@ -1,6 +1,6 @@
 //! Bounded-memory sliding windows over a live read stream.
 //!
-//! Offline entry points ([`crate::Localizer2d::locate`]) consume a whole
+//! Offline entry points ([`crate::Localizer::locate`]) consume a whole
 //! trace at once. A deployed reader instead produces one read at a time,
 //! indefinitely — the online pipeline keeps only the most recent reads in
 //! a [`SlidingWindow`]: a time-ordered ring buffer with a hard capacity,
@@ -8,10 +8,11 @@
 //!
 //! The window stores each sample's **wrapped** phase (exactly as the
 //! reader reported it) alongside an incrementally maintained unwrapped
-//! phase. Solves use the wrapped phases: [`crate::locate_window_in`]
-//! replays the window through the exact same unwrap → smooth → pairs →
-//! solve path as the batch `locate`, so a streaming solve on a static
-//! window is **bit-identical** to the batch solver on the same reads.
+//! phase. Solves use the wrapped phases:
+//! [`crate::Localizer::locate_window_in`] replays the window through the
+//! exact same unwrap → smooth → pairs → solve path as the batch
+//! `locate`, so a streaming solve on a static window is
+//! **bit-identical** to the batch solver on the same reads.
 //! That full replay remains the parity oracle; an
 //! [`crate::IncrementalState`] can instead consume the window's
 //! [`WindowDelta`] (see [`SlidingWindow::take_slide_delta`]) to re-solve
@@ -291,7 +292,7 @@ impl SlidingWindow {
     /// Writes the window's `(position, wrapped phase)` measurements —
     /// oldest first — into `out` (cleared first). This is exactly the
     /// list the batch entry points accept, which is what makes streaming
-    /// solves bit-identical to [`crate::Localizer2d::locate`] on the same
+    /// solves bit-identical to [`crate::Localizer::locate`] on the same
     /// window.
     pub fn write_measurements_into(&self, out: &mut Vec<(Point3, f64)>) {
         out.clear();

@@ -37,7 +37,7 @@ use crate::preprocess::PhaseProfile;
 /// # Example
 ///
 /// ```
-/// use lion_core::{Localizer2d, LocalizerConfig, Workspace};
+/// use lion_core::{Localizer, LocalizerConfig, SolveSpace, Workspace};
 /// use lion_geom::Point3;
 /// use std::f64::consts::{PI, TAU};
 ///
@@ -52,7 +52,7 @@ use crate::preprocess::PhaseProfile;
 ///     })
 ///     .collect();
 /// let mut ws = Workspace::new();
-/// Localizer2d::new(LocalizerConfig::paper()).locate_in(&m, &mut ws)?;
+/// Localizer::new(LocalizerConfig::paper(), SolveSpace::TwoD).locate_in(&m, &mut ws)?;
 /// let metrics = ws.take_metrics();
 /// assert_eq!(metrics.solves, 1);
 /// assert!(metrics.equations > 0);
@@ -180,7 +180,7 @@ impl SampleSoa {
 /// Reusable solver state for the LION pipeline.
 ///
 /// Holds the design matrix, right-hand side, frame-coordinate buffer, and
-/// least-squares scratch that [`crate::Localizer2d::locate_in`] and
+/// least-squares scratch that [`crate::Localizer::locate_in`] and
 /// friends fill on every run, plus the [`StageMetrics`] they record into.
 /// Create one per worker/thread and reuse it across solves; see the
 /// module docs for the reuse guarantee.

@@ -8,7 +8,7 @@
 
 use std::f64::consts::{PI, TAU};
 
-use lion_core::{AdaptiveConfig, Localizer2d, LocalizerConfig, PairStrategy};
+use lion_core::{AdaptiveConfig, Localizer, LocalizerConfig, PairStrategy, SolveSpace};
 use lion_geom::Point3;
 
 const LAMBDA: f64 = 299_792_458.0 / 920.625e6;
@@ -54,7 +54,7 @@ fn cfg() -> LocalizerConfig {
 #[test]
 fn sweep_stays_accurate_on_noisy_data() {
     let target = Point3::new(0.1, 0.8, 0.0);
-    let loc = Localizer2d::new(cfg());
+    let loc = Localizer::new(cfg(), SolveSpace::TwoD);
     let grid = AdaptiveConfig::default();
     let m = fig16_measurements(target, 0.1, 99);
     let outcome = loc.locate_adaptive(&m, &grid).expect("sweep succeeds");

@@ -5,8 +5,7 @@ use std::f64::consts::{PI, TAU};
 
 use lion_core::preprocess::{unwrap_phases, wrap_phase, PhaseProfile};
 use lion_core::{
-    GridConfig, GridSolver, Localizer2d, Localizer3d, LocalizerConfig, PairStrategy, SolveSpace,
-    Workspace,
+    GridConfig, GridSolver, Localizer, LocalizerConfig, PairStrategy, SolveSpace, Workspace,
 };
 use lion_geom::Point3;
 
@@ -79,7 +78,7 @@ proptest! {
                 (p, wrap_phase(phase_of(target, p) + phase_offset))
             })
             .collect();
-        let est = Localizer2d::new(clean_config()).locate(&m).expect("locates");
+        let est = Localizer::new(clean_config(), SolveSpace::TwoD).locate(&m).expect("locates");
         prop_assert!(
             est.distance_error(target) < 1e-5,
             "error {} for target {target}",
@@ -102,7 +101,7 @@ proptest! {
             .collect();
         let mut cfg = clean_config();
         cfg.side_hint = Some(Point3::new(0.0, 1.0, 0.0));
-        let est = Localizer2d::new(cfg).locate(&m).expect("locates");
+        let est = Localizer::new(cfg, SolveSpace::TwoD).locate(&m).expect("locates");
         prop_assert!(est.lower_dimension);
         prop_assert!(
             est.distance_error(target) < 1e-5,
@@ -127,7 +126,7 @@ proptest! {
             .collect();
         let mut cfg = clean_config();
         cfg.side_hint = Some(Point3::new(0.0, 0.0, 1.0));
-        let est = Localizer3d::new(cfg).locate(&m).expect("locates");
+        let est = Localizer::new(cfg, SolveSpace::ThreeD).locate(&m).expect("locates");
         prop_assert!(est.lower_dimension);
         prop_assert!(
             est.distance_error(target) < 1e-4,
@@ -149,7 +148,7 @@ proptest! {
                 (p, phase_of(target, p))
             })
             .collect();
-        let est = Localizer2d::new(clean_config()).locate(&m).expect("locates");
+        let est = Localizer::new(clean_config(), SolveSpace::TwoD).locate(&m).expect("locates");
         let true_dr = target.distance(est.reference_position);
         prop_assert!((est.reference_distance - true_dr).abs() < 1e-5);
     }
@@ -209,8 +208,8 @@ proptest! {
         up.side_hint = Some(Point3::new(0.0, 1.0, 0.0));
         let mut down = clean_config();
         down.side_hint = Some(Point3::new(0.0, -1.0, 0.0));
-        let e_up = Localizer2d::new(up).locate(&m).expect("locates");
-        let e_down = Localizer2d::new(down).locate(&m).expect("locates");
+        let e_up = Localizer::new(up, SolveSpace::TwoD).locate(&m).expect("locates");
+        let e_down = Localizer::new(down, SolveSpace::TwoD).locate(&m).expect("locates");
         prop_assert!((e_up.position.x - e_down.position.x).abs() < 1e-7);
         prop_assert!((e_up.position.y + e_down.position.y).abs() < 1e-7);
     }

@@ -12,8 +12,7 @@
 use std::f64::consts::{PI, TAU};
 
 use lion_core::{
-    locate_window_in, Estimate, Localizer2d, LocalizerConfig, PairStrategy, SlidingWindow,
-    SolveSpace, Workspace,
+    Estimate, Localizer, LocalizerConfig, PairStrategy, SlidingWindow, SolveSpace, Workspace,
 };
 use lion_geom::Point3;
 use lion_linalg::simd::{self, Backend};
@@ -70,7 +69,7 @@ fn forced_scalar_pipeline_is_bit_identical() {
         side_hint: Some(Point3::new(0.0, 0.5, 0.0)),
         ..LocalizerConfig::default()
     };
-    let localizer = Localizer2d::new(config.clone());
+    let localizer = Localizer::new(config, SolveSpace::TwoD);
     let mut ws = Workspace::new();
 
     // Batch path.
@@ -88,10 +87,13 @@ fn forced_scalar_pipeline_is_bit_identical() {
     for (i, &(p, phase)) in m.iter().take(128).enumerate() {
         window.push(i as f64 * 0.01, p, phase);
     }
-    let auto = locate_window_in(&config, SolveSpace::TwoD, &window, &mut ws).expect("auto solve");
+    let auto = localizer
+        .locate_window_in(&window, &mut ws)
+        .expect("auto solve");
     simd::force(Some(Backend::Scalar));
-    let scalar =
-        locate_window_in(&config, SolveSpace::TwoD, &window, &mut ws).expect("scalar solve");
+    let scalar = localizer
+        .locate_window_in(&window, &mut ws)
+        .expect("scalar solve");
     simd::force(None);
     assert_bit_identical(&auto, &scalar, "windowed locate_window_in");
 }

@@ -12,8 +12,8 @@
 use std::f64::consts::{PI, TAU};
 
 use lion_core::{
-    AdaptiveConfig, AdaptiveOutcome, AdaptiveTrial, CoreError, GridConfig, Localizer2d,
-    Localizer3d, LocalizerConfig, PairStrategy, SolverKind, SweepPlan, Workspace,
+    AdaptiveConfig, AdaptiveOutcome, AdaptiveTrial, CoreError, GridConfig, Localizer,
+    LocalizerConfig, PairStrategy, SolveSpace, SolverKind, SweepPlan, Workspace,
 };
 use lion_geom::{Point3, ThreeLineScan, Trajectory};
 
@@ -63,14 +63,8 @@ fn three_line_scan(scan: &ThreeLineScan) -> Vec<Point3> {
         .collect()
 }
 
-#[derive(Clone, Copy)]
-enum Space {
-    TwoD,
-    ThreeD,
-}
-
 struct Case {
-    space: Space,
+    space: SolveSpace,
     config: LocalizerConfig,
     reads: Vec<(Point3, f64)>,
     grid: AdaptiveConfig,
@@ -82,27 +76,14 @@ impl Case {
         grid: &AdaptiveConfig,
         ws: &mut Workspace,
     ) -> Result<AdaptiveOutcome, CoreError> {
-        match self.space {
-            Space::TwoD => {
-                Localizer2d::new(self.config.clone()).locate_adaptive_in(&self.reads, grid, ws)
-            }
-            Space::ThreeD => {
-                Localizer3d::new(self.config.clone()).locate_adaptive_in(&self.reads, grid, ws)
-            }
-        }
+        Localizer::new(self.config.clone(), self.space).locate_adaptive_in(&self.reads, grid, ws)
     }
 
     fn plan(&self) -> SweepPlan {
         let ws = &mut Workspace::new();
-        match self.space {
-            Space::TwoD => {
-                Localizer2d::new(self.config.clone()).sweep_plan(&self.reads, &self.grid, ws)
-            }
-            Space::ThreeD => {
-                Localizer3d::new(self.config.clone()).sweep_plan(&self.reads, &self.grid, ws)
-            }
-        }
-        .expect("plan builds")
+        Localizer::new(self.config.clone(), self.space)
+            .sweep_plan(&self.reads, &self.grid, ws)
+            .expect("plan builds")
     }
 
     /// Reads kept by each range, centered on the track's x centroid.
@@ -203,7 +184,7 @@ fn check(case: &Case) {
 fn reuse_matches_per_range_oracle_2d_interval() {
     let target = Point3::new(0.1, 0.8, 0.0);
     check(&Case {
-        space: Space::TwoD,
+        space: SolveSpace::TwoD,
         config: LocalizerConfig {
             smoothing_window: 1,
             pair_strategy: PairStrategy::Interval { interval: 0.2 },
@@ -225,7 +206,7 @@ fn reuse_matches_per_range_oracle_3d_structured_scan() {
     let scan = ThreeLineScan::new(-0.4, 0.4, 0.2, 0.2).expect("valid scan");
     let target = Point3::new(0.03, 0.8, 0.12);
     check(&Case {
-        space: Space::ThreeD,
+        space: SolveSpace::ThreeD,
         config: LocalizerConfig {
             pair_strategy: PairStrategy::StructuredScan {
                 scan,
@@ -244,7 +225,7 @@ fn reuse_matches_per_range_oracle_3d_structured_scan() {
 fn reuse_matches_per_range_oracle_grid_backend() {
     let target = Point3::new(0.1, 0.8, 0.0);
     check(&Case {
-        space: Space::TwoD,
+        space: SolveSpace::TwoD,
         config: LocalizerConfig {
             smoothing_window: 1,
             side_hint: Some(Point3::new(0.0, 0.5, 0.0)),

@@ -14,8 +14,8 @@ use std::f64::consts::{PI, TAU};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use lion_core::{
-    locate_window_in, AdaptiveConfig, AdaptiveOutcome, Localizer2d, Localizer3d, LocalizerConfig,
-    PairStrategy, SlidingWindow, SolveSpace, Workspace,
+    AdaptiveConfig, AdaptiveOutcome, Localizer, LocalizerConfig, PairStrategy, SlidingWindow,
+    SolveSpace, Workspace,
 };
 use lion_geom::{Point3, ThreeLineScan, Trajectory};
 
@@ -64,7 +64,7 @@ fn steady_state_sweep_allocates_nothing() {
         side_hint: Some(Point3::new(0.0, 0.5, 0.0)),
         ..LocalizerConfig::default()
     };
-    let localizer = Localizer2d::new(config);
+    let localizer = Localizer::new(config, SolveSpace::TwoD);
     let grid = AdaptiveConfig::default();
     let mut ws = Workspace::new();
     let mut out = AdaptiveOutcome::default();
@@ -94,7 +94,6 @@ fn steady_state_sweep_allocates_nothing() {
     // into a full sliding window and re-running the windowed locate
     // (which stages the window into the workspace's SoA sample lanes,
     // unwraps, smooths, and solves) must also leave the heap untouched.
-    let config = localizer.config().clone();
     let mut window = SlidingWindow::new(128).expect("valid capacity");
     let mut feed = m.iter().cycle();
     let mut tick = 0.0_f64;
@@ -107,12 +106,15 @@ fn steady_state_sweep_allocates_nothing() {
         push_one(&mut window);
     }
     for _ in 0..2 {
-        locate_window_in(&config, SolveSpace::TwoD, &window, &mut ws).expect("clean window solves");
+        localizer
+            .locate_window_in(&window, &mut ws)
+            .expect("clean window solves");
     }
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     push_one(&mut window);
-    let est =
-        locate_window_in(&config, SolveSpace::TwoD, &window, &mut ws).expect("clean window solves");
+    let est = localizer
+        .locate_window_in(&window, &mut ws)
+        .expect("clean window solves");
     let during = ALLOCATIONS.load(Ordering::Relaxed) - before;
     assert_eq!(
         during, 0,
@@ -132,15 +134,18 @@ fn steady_state_sweep_allocates_nothing() {
             (p, (4.0 * PI * antenna.distance(p) / LAMBDA).rem_euclid(TAU))
         })
         .collect();
-    let localizer = Localizer3d::new(LocalizerConfig {
-        pair_strategy: PairStrategy::StructuredScan {
-            scan,
-            x_interval: 0.2,
-            tolerance: 0.003,
+    let localizer = Localizer::new(
+        LocalizerConfig {
+            pair_strategy: PairStrategy::StructuredScan {
+                scan,
+                x_interval: 0.2,
+                tolerance: 0.003,
+            },
+            side_hint: Some(Point3::new(0.0, 0.8, 0.1)),
+            ..LocalizerConfig::default()
         },
-        side_hint: Some(Point3::new(0.0, 0.8, 0.1)),
-        ..LocalizerConfig::default()
-    });
+        SolveSpace::ThreeD,
+    );
     for _ in 0..2 {
         localizer
             .locate_adaptive_into(&m, &grid, &mut ws, &mut out)

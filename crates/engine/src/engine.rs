@@ -4,8 +4,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use lion_core::{
-    AdaptiveConfig, AdaptiveOutcome, AdaptiveTrial, CoreError, Localizer2d, Localizer3d,
-    LocalizerConfig, StageMetrics, SweepPlan, Workspace,
+    AdaptiveConfig, AdaptiveOutcome, AdaptiveTrial, CoreError, Localizer, LocalizerConfig,
+    SolveSpace, StageMetrics, SweepPlan, Workspace,
 };
 use lion_geom::Point3;
 
@@ -177,8 +177,8 @@ impl Engine {
         }
     }
 
-    /// Runs the 2D adaptive sweep with the grid cells fanned out across
-    /// the worker pool.
+    /// Runs the adaptive sweep in `space` with the grid cells fanned out
+    /// across the worker pool.
     ///
     /// Preprocessing (unwrap, smooth, the whole-trajectory geometry
     /// check) happens once on the calling thread; each worker then solves
@@ -186,37 +186,22 @@ impl Engine {
     /// pipeline on the range-restricted profile — and results are reduced
     /// in submission order. The
     /// outcome is **bit-identical** for any worker count — including to
-    /// the sequential [`Localizer2d::locate_adaptive`] — see the
+    /// the sequential [`Localizer::locate_adaptive`] — see the
     /// [`SweepPlan`] docs for why.
     ///
     /// # Errors
     ///
-    /// See [`Localizer2d::locate_adaptive`].
-    pub fn locate_adaptive_2d(
+    /// See [`Localizer::locate_adaptive`].
+    pub fn locate_adaptive(
         &self,
         measurements: &[(Point3, f64)],
         config: &LocalizerConfig,
+        space: SolveSpace,
         adaptive: &AdaptiveConfig,
     ) -> Result<AdaptiveOutcome, CoreError> {
         let mut ws = Workspace::new();
-        let plan = Localizer2d::new(config.clone()).sweep_plan(measurements, adaptive, &mut ws)?;
-        self.run_plan(&plan, ws)
-    }
-
-    /// Runs the 3D adaptive sweep across the worker pool; see
-    /// [`Engine::locate_adaptive_2d`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Localizer2d::locate_adaptive`].
-    pub fn locate_adaptive_3d(
-        &self,
-        measurements: &[(Point3, f64)],
-        config: &LocalizerConfig,
-        adaptive: &AdaptiveConfig,
-    ) -> Result<AdaptiveOutcome, CoreError> {
-        let mut ws = Workspace::new();
-        let plan = Localizer3d::new(config.clone()).sweep_plan(measurements, adaptive, &mut ws)?;
+        let plan =
+            Localizer::new(config.clone(), space).sweep_plan(measurements, adaptive, &mut ws)?;
         self.run_plan(&plan, ws)
     }
 

@@ -1,17 +1,19 @@
 //! Batch work items: one trace plus the pipeline to run on it.
 
 use lion_core::{
-    AdaptiveConfig, AdaptiveOutcome, Calibration, Calibrator, CoreError, Estimate, Localizer2d,
-    Localizer3d, LocalizerConfig, Workspace,
+    AdaptiveConfig, AdaptiveOutcome, Calibration, Calibrator, CoreError, Estimate, Localizer,
+    LocalizerConfig, SolveSpace, Workspace,
 };
 use lion_geom::Point3;
 
 /// Which pipeline a [`Job`] runs on its trace.
 #[derive(Debug, Clone)]
 pub enum JobKind {
-    /// Plain 2D localization ([`Localizer2d::locate`]).
+    /// Plain 2D localization ([`Localizer::locate`] in
+    /// [`SolveSpace::TwoD`]).
     Locate2d,
-    /// Plain 3D localization ([`Localizer3d::locate`]).
+    /// Plain 3D localization ([`Localizer::locate`] in
+    /// [`SolveSpace::ThreeD`]).
     Locate3d,
     /// 2D localization behind the adaptive range/interval sweep.
     Adaptive2d(AdaptiveConfig),
@@ -129,17 +131,18 @@ impl Job {
     /// recorded into) `ws`. Bit-identical to calling the corresponding
     /// `lion-core` entry point directly.
     pub(crate) fn execute(&self, ws: &mut Workspace) -> Result<JobOutput, CoreError> {
+        let localizer = |space| Localizer::new(self.config.clone(), space);
         match &self.kind {
-            JobKind::Locate2d => Localizer2d::new(self.config.clone())
+            JobKind::Locate2d => localizer(SolveSpace::TwoD)
                 .locate_in(&self.measurements, ws)
                 .map(JobOutput::Estimate),
-            JobKind::Locate3d => Localizer3d::new(self.config.clone())
+            JobKind::Locate3d => localizer(SolveSpace::ThreeD)
                 .locate_in(&self.measurements, ws)
                 .map(JobOutput::Estimate),
-            JobKind::Adaptive2d(adaptive) => Localizer2d::new(self.config.clone())
+            JobKind::Adaptive2d(adaptive) => localizer(SolveSpace::TwoD)
                 .locate_adaptive_in(&self.measurements, adaptive, ws)
                 .map(JobOutput::Adaptive),
-            JobKind::Adaptive3d(adaptive) => Localizer3d::new(self.config.clone())
+            JobKind::Adaptive3d(adaptive) => localizer(SolveSpace::ThreeD)
                 .locate_adaptive_in(&self.measurements, adaptive, ws)
                 .map(JobOutput::Adaptive),
             JobKind::Calibrate {

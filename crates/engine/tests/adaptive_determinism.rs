@@ -5,7 +5,7 @@
 
 use std::f64::consts::{PI, TAU};
 
-use lion_core::{AdaptiveConfig, Localizer2d, Localizer3d, LocalizerConfig, PairStrategy};
+use lion_core::{AdaptiveConfig, Localizer, LocalizerConfig, PairStrategy, SolveSpace};
 use lion_engine::Engine;
 use lion_geom::Point3;
 
@@ -54,13 +54,13 @@ fn adaptive_2d_is_bit_identical_across_worker_counts() {
     let m = noisy_linear_scan(target, 0.6, 0.005, 0.05);
     let config = cfg();
     let grid = AdaptiveConfig::default();
-    let sequential = Localizer2d::new(config.clone())
+    let sequential = Localizer::new(config.clone(), SolveSpace::TwoD)
         .locate_adaptive(&m, &grid)
         .expect("sequential sweep succeeds");
     for workers in [1, 2, 4, 7] {
         let engine = Engine::builder().workers(workers).build().expect("valid");
         let fanned = engine
-            .locate_adaptive_2d(&m, &config, &grid)
+            .locate_adaptive(&m, &config, SolveSpace::TwoD, &grid)
             .expect("fanned sweep succeeds");
         assert_eq!(sequential, fanned, "workers={workers}");
     }
@@ -74,13 +74,13 @@ fn adaptive_fanout_with_copied_ranges_is_bit_identical() {
     let m = noisy_linear_scan(target, 0.4, 0.005, 0.05);
     let config = cfg();
     let grid = AdaptiveConfig::default();
-    let sequential = Localizer2d::new(config.clone())
+    let sequential = Localizer::new(config.clone(), SolveSpace::TwoD)
         .locate_adaptive(&m, &grid)
         .expect("sequential sweep succeeds");
     for workers in [1, 2, 5, 7] {
         let engine = Engine::builder().workers(workers).build().expect("valid");
         let fanned = engine
-            .locate_adaptive_2d(&m, &config, &grid)
+            .locate_adaptive(&m, &config, SolveSpace::TwoD, &grid)
             .expect("fanned sweep succeeds");
         assert_eq!(sequential, fanned, "workers={workers}");
     }
@@ -103,13 +103,13 @@ fn adaptive_3d_is_bit_identical_across_worker_counts() {
         intervals: vec![0.15, 0.2, 0.25],
         keep: 2,
     };
-    let sequential = Localizer3d::new(config.clone())
+    let sequential = Localizer::new(config.clone(), SolveSpace::ThreeD)
         .locate_adaptive(&m, &grid)
         .expect("sequential sweep succeeds");
     for workers in [1, 3, 6] {
         let engine = Engine::builder().workers(workers).build().expect("valid");
         let fanned = engine
-            .locate_adaptive_3d(&m, &config, &grid)
+            .locate_adaptive(&m, &config, SolveSpace::ThreeD, &grid)
             .expect("fanned sweep succeeds");
         assert_eq!(sequential, fanned, "workers={workers}");
     }
@@ -126,14 +126,14 @@ fn per_cell_failures_count_as_skipped_in_fanout() {
         intervals: vec![0.2, 0.3],
         keep: 1,
     };
-    let sequential = Localizer2d::new(config.clone())
+    let sequential = Localizer::new(config.clone(), SolveSpace::TwoD)
         .locate_adaptive(&m, &grid)
         .expect("usable cells remain");
     let fanned = Engine::builder()
         .workers(4)
         .build()
         .expect("valid")
-        .locate_adaptive_2d(&m, &config, &grid)
+        .locate_adaptive(&m, &config, SolveSpace::TwoD, &grid)
         .expect("usable cells remain");
     assert_eq!(sequential, fanned);
     assert_eq!(fanned.skipped, 2);

@@ -13,9 +13,23 @@
 //! backend and the comparisons are trivially equal — the suite is still
 //! worth running there as a smoke test of the dispatch seam itself.
 
+use std::sync::{Mutex, MutexGuard};
+
 use proptest::prelude::*;
 
 use lion_linalg::simd;
+
+/// The widest vector any backend dispatches to: 4 `f64` lanes (AVX2;
+/// NEON has 2, which the same offsets and lengths cover).
+const WIDTH: usize = 4;
+
+/// Serializes the tests that flip the process-wide dispatch override, so
+/// one test's `force(None)` cannot land between another's `force` and
+/// its check of [`simd::active`].
+fn dispatch_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Strategy: finite phases in `[0, 2π)` like a wrapped RFID phase stream.
 fn phases(len: impl Into<proptest::collection::SizeRange>) -> impl Strategy<Value = Vec<f64>> {
@@ -134,6 +148,7 @@ proptest! {
 /// tests precisely because the kernels are bit-identical.
 #[test]
 fn forced_scalar_dispatch_matches_auto() {
+    let _serial = dispatch_lock();
     let xs: Vec<f64> = (0..37).map(|i| -(i as f64) * 0.37).collect();
     let mut auto = xs.clone();
     simd::exp_non_positive(&mut auto);
@@ -144,4 +159,136 @@ fn forced_scalar_dispatch_matches_auto() {
     simd::force(None);
     assert_eq!(auto, forced);
     assert_eq!(simd::active(), simd::detected());
+}
+
+/// `len` deterministic values in `[lo, hi)` (xorshift from `seed`).
+fn fill(seed: u64, len: usize, lo: f64, hi: f64) -> Vec<f64> {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    (0..len)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            lo + (hi - lo) * ((state >> 11) as f64 / (1_u64 << 53) as f64)
+        })
+        .collect()
+}
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Runs `check(offset, len)` for every slice start `0..=WIDTH` and
+/// length `0..=3·WIDTH`, first under automatic dispatch and then with
+/// the scalar backend forced.
+fn sweep_offsets_and_lengths(mut check: impl FnMut(usize, usize)) {
+    let _serial = dispatch_lock();
+    for forced in [None, Some(simd::Backend::Scalar)] {
+        simd::force(forced);
+        for offset in 0..=WIDTH {
+            for len in 0..=3 * WIDTH {
+                check(offset, len);
+            }
+        }
+    }
+    simd::force(None);
+}
+
+/// Each check runs the kernel on a window `[offset, offset + len)` of a
+/// buffer padded on both sides and compares the *whole* buffer, so a
+/// stray write outside the window fails too.
+#[test]
+fn kernels_match_scalar_at_misaligned_starts_and_short_lengths() {
+    sweep_offsets_and_lengths(|offset, len| {
+        let span = offset..offset + len;
+        let total = offset + len + WIDTH;
+
+        let xs = fill(1, total, -800.0, 0.0);
+        let (mut scalar, mut dispatched) = (xs.clone(), xs);
+        simd::exp_non_positive_scalar(&mut scalar[span.clone()]);
+        simd::exp_non_positive(&mut dispatched[span.clone()]);
+        assert_eq!(bits(&scalar), bits(&dispatched), "exp @{offset}+{len}");
+
+        let ph = fill(2, total, 0.0, std::f64::consts::TAU);
+        let (mut scalar, mut dispatched) = (ph.clone(), ph);
+        let (mut revs_a, mut revs_b) = (Vec::new(), Vec::new());
+        simd::phase_unwrap_in_place_scalar(&mut scalar[span.clone()], &mut revs_a);
+        simd::phase_unwrap_in_place(&mut dispatched[span.clone()], &mut revs_b);
+        assert_eq!(bits(&scalar), bits(&dispatched), "unwrap @{offset}+{len}");
+        assert_eq!(bits(&revs_a), bits(&revs_b), "unwrap revs @{offset}+{len}");
+
+        // The prefix window is one longer than the output window.
+        let data = fill(3, len, -10.0, 10.0);
+        let mut prefix = fill(4, total + 1, -1.0, 1.0);
+        prefix[offset] = 0.0;
+        for (i, d) in data.iter().enumerate() {
+            prefix[offset + i + 1] = prefix[offset + i] + d;
+        }
+        for window in [2, 3, WIDTH, WIDTH + 1, 2 * WIDTH + 1] {
+            let out = fill(5, total, -1.0, 1.0);
+            let (mut scalar, mut dispatched) = (out.clone(), out);
+            let prefix = &prefix[offset..offset + len + 1];
+            simd::sliding_mean_from_prefix_scalar(prefix, window, &mut scalar[span.clone()]);
+            simd::sliding_mean_from_prefix(prefix, window, &mut dispatched[span.clone()]);
+            assert_eq!(
+                bits(&scalar),
+                bits(&dispatched),
+                "sliding mean w={window} @{offset}+{len}"
+            );
+        }
+
+        // `len` rows over `n` samples; every input slice starts at `offset`.
+        let n = 2 * WIDTH + 1;
+        for k in 1..=3 {
+            let coords = fill(6, offset + n * k, -2.0, 2.0);
+            let deltas = fill(7, offset + n, -2.0, 2.0);
+            let pick = |mul: usize, add: usize| -> Vec<i32> {
+                (0..offset + len)
+                    .map(|r| ((r * mul + add) % n) as i32)
+                    .collect()
+            };
+            let (pair_i, pair_j) = (pick(1, 0), pick(7, 1));
+            let design = fill(8, offset + len * (k + 1) + WIDTH, -1.0, 1.0);
+            let rhs = fill(9, total, -1.0, 1.0);
+            let (mut design_a, mut design_b) = (design.clone(), design);
+            let (mut rhs_a, mut rhs_b) = (rhs.clone(), rhs);
+            let rows = offset..offset + len * (k + 1);
+            let (coords, deltas) = (&coords[offset..], &deltas[offset..]);
+            let (pair_i, pair_j) = (&pair_i[span.clone()], &pair_j[span.clone()]);
+            simd::radical_rows_scalar(
+                coords,
+                n,
+                k,
+                deltas,
+                pair_i,
+                pair_j,
+                &mut design_a[rows.clone()],
+                &mut rhs_a[span.clone()],
+            );
+            simd::radical_rows(
+                coords,
+                n,
+                k,
+                deltas,
+                pair_i,
+                pair_j,
+                &mut design_b[rows],
+                &mut rhs_b[span.clone()],
+            );
+            assert_eq!(
+                bits(&design_a),
+                bits(&design_b),
+                "rows k={k} @{offset}+{len}"
+            );
+            assert_eq!(bits(&rhs_a), bits(&rhs_b), "rhs k={k} @{offset}+{len}");
+        }
+
+        let flat = fill(10, offset + 4 * len, -5.0, 5.0);
+        let rhs = fill(11, total, -5.0, 5.0);
+        let weights = fill(12, total, 0.0, 1.0);
+        let (rhs, weights) = (&rhs[span.clone()], &weights[span.clone()]);
+        gram_parity::<2>(&flat[offset..offset + 2 * len], rhs, weights);
+        gram_parity::<3>(&flat[offset..offset + 3 * len], rhs, weights);
+        gram_parity::<4>(&flat[offset..offset + 4 * len], rhs, weights);
+    });
 }

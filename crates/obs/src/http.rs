@@ -157,10 +157,6 @@ fn handle_connection(mut stream: TcpStream) -> io::Result<()> {
     let head = match read_head(&mut stream) {
         Ok(head) => head,
         Err(HeadError::TooLarge) => {
-            // Consume the rest of the oversized head (bounded) so closing
-            // the socket after the response doesn't RST away unread bytes
-            // — a reset can destroy the 414 before the client reads it.
-            drain_head(&mut stream);
             return write_response(
                 &mut stream,
                 "414 URI Too Long",
@@ -274,32 +270,44 @@ fn read_head(stream: &mut TcpStream) -> Result<String, HeadError> {
             break;
         }
         head.extend_from_slice(&buf[..n]);
-        if head.windows(4).any(|w| w == b"\r\n\r\n") || head.windows(2).any(|w| w == b"\n\n") {
+        if ends_head(&head) {
             break;
         }
         if head.len() > MAX_HEAD_BYTES {
+            // Consume the rest of the oversized head (bounded) so closing
+            // the socket after the response doesn't RST away unread bytes
+            // — a reset can destroy the 414 before the client reads it.
+            drain_head(stream, &head);
             return Err(HeadError::TooLarge);
         }
     }
     String::from_utf8(head).map_err(|_| HeadError::Malformed)
 }
 
+/// Whether `bytes` contain the blank line that ends a request head.
+fn ends_head(bytes: &[u8]) -> bool {
+    bytes.windows(4).any(|w| w == b"\r\n\r\n") || bytes.windows(2).any(|w| w == b"\n\n")
+}
+
 /// Discards the remainder of an oversized request head, up to an outer
 /// bound of 8× [`MAX_HEAD_BYTES`] — enough for any realistic overlong
-/// URI without letting a hostile client stream forever.
-fn drain_head(stream: &mut TcpStream) {
-    let mut buf = [0u8; 512];
+/// URI without letting a hostile client stream forever. `head` is what
+/// was read so far (at least three bytes). Each read is scanned together
+/// with the three bytes before it, so a blank line split across reads
+/// still ends the drain.
+fn drain_head(stream: &mut TcpStream, head: &[u8]) {
+    let mut buf = [0u8; 3 + 512];
+    buf[..3].copy_from_slice(&head[head.len() - 3..]);
     let mut drained = 0usize;
     while drained < 8 * MAX_HEAD_BYTES {
-        match stream.read(&mut buf) {
+        match stream.read(&mut buf[3..]) {
             Ok(0) | Err(_) => return,
             Ok(n) => {
                 drained += n;
-                if buf[..n].windows(4).any(|w| w == b"\r\n\r\n")
-                    || buf[..n].windows(2).any(|w| w == b"\n\n")
-                {
+                if ends_head(&buf[..3 + n]) {
                     return;
                 }
+                buf.copy_within(n..n + 3, 0);
             }
         }
     }

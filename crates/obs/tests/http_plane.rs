@@ -7,7 +7,7 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{Mutex, MutexGuard};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use lion_obs::http::TelemetryServer;
 use lion_obs::{DoctorConfig, SloConfig};
@@ -222,6 +222,34 @@ fn unknown_routes_404_and_non_get_405_with_allow() {
     ] {
         assert!(index.contains(route), "index missing {route}");
     }
+    server.shutdown();
+}
+
+#[test]
+fn oversized_head_with_a_split_blank_line_is_answered_promptly() {
+    let _serial = global_state_lock();
+    let server = TelemetryServer::bind("127.0.0.1:0").expect("bind");
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    // A 9 KiB head whose terminating blank line straddles two writes:
+    // the server must see `\r\n\r` + `\n` as the end of the head instead
+    // of waiting out its socket timeout.
+    let started = Instant::now();
+    let head = format!(
+        "GET /metrics?pad={} HTTP/1.1\r\nHost: test\r\n\r",
+        "x".repeat(9 * 1024)
+    );
+    stream.write_all(head.as_bytes()).expect("send head");
+    std::thread::sleep(Duration::from_millis(100));
+    stream.write_all(b"\n").expect("send last byte");
+    let mut response = Vec::new();
+    stream.read_to_end(&mut response).expect("read");
+    let elapsed = started.elapsed();
+    let text = String::from_utf8_lossy(&response);
+    assert!(text.starts_with("HTTP/1.1 414 URI Too Long"), "{text}");
+    assert!(elapsed < Duration::from_secs(1), "414 took {elapsed:?}");
     server.shutdown();
 }
 

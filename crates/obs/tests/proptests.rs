@@ -1,7 +1,8 @@
-//! Property-based tests for the log-linear histogram.
+//! Property-based tests for the log-linear histogram and the JSON codec.
 
 use proptest::prelude::*;
 
+use lion_obs::json::{escape, parse, Json};
 use lion_obs::{Histogram, SUB_BUCKETS};
 
 /// Exact quantile of a value list: rank-⌈q·n⌉ order statistic.
@@ -13,6 +14,34 @@ fn exact_quantile(sorted: &[u64], q: f64) -> u64 {
 
 fn values() -> impl Strategy<Value = Vec<u64>> {
     proptest::collection::vec(0u64..2_000_000_000, 1..200)
+}
+
+/// JSON punctuation and keyword letters: codes past 255 draw from here,
+/// so the parser gets past the first byte of most inputs.
+const JSON_BYTES: &[u8] = b"[]{}\",:\\ 0123456789.eE+-tnrfualsu";
+
+/// Arbitrary bytes, half of them JSON-ish, decoded lossily to a string.
+fn byte_text() -> impl Strategy<Value = String> {
+    proptest::collection::vec(0u64..512, 0..96).prop_map(|codes| {
+        let bytes: Vec<u8> = codes
+            .iter()
+            .map(|&c| match u8::try_from(c) {
+                Ok(b) => b,
+                Err(_) => JSON_BYTES[c as usize % JSON_BYTES.len()],
+            })
+            .collect();
+        String::from_utf8_lossy(&bytes).into_owned()
+    })
+}
+
+/// Arbitrary Unicode scalar values, control characters included.
+fn unicode_text() -> impl Strategy<Value = String> {
+    proptest::collection::vec(0u64..0x11_0000, 0..48).prop_map(|codes| {
+        codes
+            .iter()
+            .filter_map(|&c| char::from_u32(c as u32))
+            .collect()
+    })
 }
 
 proptest! {
@@ -103,5 +132,20 @@ proptest! {
         let parsed = lion_obs::json::parse(&line).expect("valid json");
         let back = Histogram::from_json(&parsed).expect("well-formed");
         prop_assert_eq!(h, back);
+    }
+
+    #[test]
+    fn json_parse_never_panics_on_arbitrary_text(text in byte_text()) {
+        if let Err(e) = parse(&text) {
+            prop_assert!(e.offset <= text.len(), "offset {} past {}", e.offset, text.len());
+        }
+    }
+
+    #[test]
+    fn json_escape_round_trips_any_string(a in byte_text(), b in unicode_text()) {
+        for s in [&a, &b] {
+            let doc = format!("\"{}\"", escape(s));
+            prop_assert_eq!(parse(&doc), Ok(Json::Str(s.clone())));
+        }
     }
 }

@@ -107,7 +107,7 @@ pub enum SimError {
 impl SimError {
     /// A stable snake_case label for this error's variant, independent of
     /// the variant's payload — the same taxonomy contract as
-    /// [`lion_core::CoreError::kind`] (used for failure counters and the
+    /// `lion_core::CoreError::kind` (used for failure counters and the
     /// workspace-wide `lion::Error::kind`).
     pub fn kind(&self) -> &'static str {
         match self {

@@ -2,6 +2,10 @@
 
 use lion_core::{CoreError, LocalizerConfig};
 
+/// Which solver dimensionality the stream drives: the core
+/// [`lion_core::SolveSpace`] under the stream's name.
+pub use lion_core::SolveSpace as Space;
+
 /// When the pipeline re-solves.
 ///
 /// Both variants are phrased in the *stream's* units — read counts and
@@ -102,26 +106,6 @@ impl ConvergenceConfig {
             });
         }
         Ok(())
-    }
-}
-
-/// Which solver dimensionality the stream drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Space {
-    /// Planar localization ([`lion_core::Localizer2d`]).
-    #[default]
-    TwoD,
-    /// Full 3D localization ([`lion_core::Localizer3d`]).
-    ThreeD,
-}
-
-impl Space {
-    /// The core solver dimensionality this stream space drives.
-    pub fn solve_space(self) -> lion_core::SolveSpace {
-        match self {
-            Space::TwoD => lion_core::SolveSpace::TwoD,
-            Space::ThreeD => lion_core::SolveSpace::ThreeD,
-        }
     }
 }
 

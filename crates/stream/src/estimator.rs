@@ -4,8 +4,8 @@ use std::time::Instant;
 
 use lion_core::calibrate::estimate_offset;
 use lion_core::{
-    locate_window_in, CoreError, Estimate, IncrementalState, PushOutcome, ResolvePath,
-    SlidingWindow, SolverKind, Workspace,
+    CoreError, Estimate, IncrementalState, Localizer, PushOutcome, ResolvePath, SlidingWindow,
+    SolverKind, Workspace,
 };
 use lion_geom::Point3;
 use lion_obs::HistogramTimer;
@@ -79,7 +79,7 @@ pub struct StreamEstimate {
 /// In the default [`ResolveMode::Replay`] a solve replays the window
 /// through the **exact same** code path as the batch localizer, so a
 /// streaming estimate on a static window is bit-identical to
-/// [`lion_core::Localizer2d::locate`] on the same reads (see
+/// [`lion_core::Localizer::locate`] on the same reads (see
 /// `tests/stream_parity.rs`). [`ResolveMode::Incremental`] trades that
 /// guarantee down to a documented 1e-6 on delta ticks in exchange for
 /// O(delta) work per solve; fallback ticks remain bit-identical.
@@ -119,6 +119,9 @@ pub struct StreamEstimate {
 #[derive(Debug)]
 pub struct StreamLocalizer {
     config: StreamConfig,
+    /// The batch localizer every replay solve runs:
+    /// [`StreamConfig::localizer`] in [`StreamConfig::space`].
+    localizer: Localizer,
     /// Persistent O(delta) re-solve state; `Some` iff the configured
     /// resolve mode is [`ResolveMode::Incremental`].
     resolve: Option<IncrementalState>,
@@ -145,8 +148,9 @@ impl StreamLocalizer {
     /// See [`StreamConfig::validate`].
     pub fn new(config: StreamConfig) -> Result<Self, CoreError> {
         config.validate()?;
+        let localizer = Localizer::new(config.localizer.clone(), config.space);
         let resolve = match config.resolve_mode {
-            ResolveMode::Incremental => Some(IncrementalState::new()),
+            ResolveMode::Incremental => Some(IncrementalState::new(localizer.clone())),
             _ => None,
         };
         let window = SlidingWindow::new(config.window_capacity)?;
@@ -154,6 +158,7 @@ impl StreamLocalizer {
             tracker: ConvergenceTracker::new(config.convergence),
             measurements: Vec::with_capacity(config.window_capacity),
             config,
+            localizer,
             resolve,
             window,
             workspace: Workspace::new(),
@@ -254,14 +259,10 @@ impl StreamLocalizer {
     /// geometry, grid failures, ...).
     pub fn cross_check_in(&mut self, kind: SolverKind) -> Result<Estimate, CoreError> {
         let _span = lion_obs::span!("lion.stream.cross_check");
-        let mut config = self.config.localizer.clone();
+        let mut config = self.localizer.config().clone();
         config.solver = kind;
-        locate_window_in(
-            &config,
-            self.config.space.solve_space(),
-            &self.window,
-            &mut self.workspace,
-        )
+        Localizer::new(config, self.localizer.space())
+            .locate_window_in(&self.window, &mut self.workspace)
     }
 
     fn solve(
@@ -271,21 +272,12 @@ impl StreamLocalizer {
     ) -> Result<StreamEstimate, CoreError> {
         let _span = lion_obs::span!("lion.stream.solve");
         let solve_timer = HistogramTimer::start(lion_obs::global(), SOLVE_HISTOGRAM);
-        let space = self.config.space.solve_space();
         let solved = match self.resolve.as_mut() {
-            Some(state) => state.solve_window(
-                &mut self.window,
-                &self.config.localizer,
-                space,
-                &mut self.workspace,
-            ),
-            None => locate_window_in(
-                &self.config.localizer,
-                space,
-                &self.window,
-                &mut self.workspace,
-            )
-            .map(|est| (est, ResolvePath::Replayed)),
+            Some(state) => state.solve_window(&mut self.window, &mut self.workspace),
+            None => self
+                .localizer
+                .locate_window_in(&self.window, &mut self.workspace)
+                .map(|est| (est, ResolvePath::Replayed)),
         };
         // Tags the latency with the ambient trace id (when tracing is
         // attached) so histogram exemplars link slow solves to their

@@ -27,7 +27,8 @@
 //! 1. **Bit-identical to batch** (in the default [`ResolveMode::Replay`]).
 //!    A solve replays the window's wrapped phases through the exact same
 //!    unwrap → smooth → pair → solve path as
-//!    [`lion_core::Localizer2d::locate`], so a streaming estimate on a
+//!    [`lion_core::Localizer::locate`] (in the configured [`Space`], the
+//!    core [`lion_core::SolveSpace`]), so a streaming estimate on a
 //!    static window equals the batch answer **bit for bit** — including
 //!    under shuffled arrival, because insertion is timestamp-sorted
 //!    (`tests/stream_parity.rs`).

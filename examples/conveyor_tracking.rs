@@ -52,7 +52,7 @@ fn main() -> Result<(), lion::Error> {
             ..LocalizerConfig::default()
         };
         let t0 = Instant::now();
-        let est = Localizer2d::new(config).locate(&relative)?;
+        let est = Localizer::new(config, SolveSpace::TwoD).locate(&relative)?;
         let lion_time = t0.elapsed().as_secs_f64();
         lion_total += lion_time;
         let start = Point3::new(

@@ -37,7 +37,7 @@ fn main() -> Result<(), lion::Error> {
         side_hint: Some(physical_center),
         ..LocalizerConfig::default()
     };
-    let estimate = Localizer2d::new(config).locate(&trace.to_measurements())?;
+    let estimate = Localizer::new(config, SolveSpace::TwoD).locate(&trace.to_measurements())?;
 
     println!("physical center : {physical_center}");
     println!("true phase center: {truth}");

@@ -40,7 +40,7 @@ fn main() -> Result<(), lion::Error> {
                 },
                 ..LocalizerConfig::default()
             };
-            let est = Localizer2d::new(config).locate(&trace.to_measurements())?;
+            let est = Localizer::new(config, SolveSpace::TwoD).locate(&trace.to_measurements())?;
             ex += (est.position.x - target.x).abs() / REVS as f64;
             ey += (est.position.y - target.y).abs() / REVS as f64;
             et += est.distance_error(target) / REVS as f64;

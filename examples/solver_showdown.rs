@@ -45,7 +45,7 @@ fn main() -> Result<(), lion::Error> {
                 .side_hint(Point3::new(0.0, 1.0, 0.0))
                 .solver(kind)
                 .build()?;
-            let localizer = Localizer2d::new(config);
+            let localizer = Localizer::new(config, SolveSpace::TwoD);
             let t = Instant::now();
             let estimate = localizer.locate(&m)?;
             let elapsed = t.elapsed();

@@ -1,6 +1,7 @@
 # Project task runner. `just verify` is the full pre-merge gate.
 
-# Build, test, lint, and check formatting — everything CI would run.
+# Build, test, lint, check doc links, and check formatting — everything
+# CI would run.
 # Tests run with overflow-checks on (see [profile.test] in Cargo.toml);
 # the streaming parity + backpressure suites, the adaptive sweep's
 # reuse oracle, the structured-pairing oracle and the accelerated-IRLS
@@ -23,6 +24,7 @@ verify:
     cargo test -q --test alerts_history
     cargo build --release --offline --manifest-path bench_e2e/Cargo.toml
     cargo clippy --workspace --all-targets -- -D warnings
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
     cargo fmt --check
 
 # Regenerate every paper figure.

@@ -57,7 +57,7 @@
 //!     .build()?
 //!     .scan(&track, 0.1, 100.0)?;
 //!
-//! let estimate = Localizer2d::new(LocalizerConfig::paper())
+//! let estimate = Localizer::new(LocalizerConfig::paper(), SolveSpace::TwoD)
 //!     .locate(&trace.to_measurements())?;
 //! // The estimate recovers the hidden phase center, not the physical one.
 //! assert!((estimate.position.x - 0.02).abs() < 0.01);
@@ -89,32 +89,25 @@ pub use lion_stream as stream;
 /// use lion::prelude::*;
 ///
 /// let config = LocalizerConfig::builder().smoothing_window(21).build().unwrap();
-/// let _localizer = Localizer2d::new(config);
+/// let _localizer = Localizer::new(config, SolveSpace::ThreeD);
 /// let _engine = Engine::serial();
 /// ```
 pub mod prelude {
     pub use crate::Error;
     pub use lion_core::{
-        locate_window_in, AdaptiveConfig, AdaptiveOutcome, Calibration, Calibrator,
-        ConveyorTracker, CoreError, Estimate, GridConfig, GridSolver, IncrementalState,
-        LinearSolver, Localizer2d, Localizer3d, LocalizerConfig, PairStrategy, PhaseProfile,
-        PushOutcome, ResolvePath, SlidingWindow, SolveSpace, Solver, SolverKind, StageMetrics,
-        TrackerConfig, Weighting, WindowDelta, Workspace,
+        AdaptiveConfig, Calibration, Calibrator, ConveyorTracker, Estimate, GridConfig, Localizer,
+        LocalizerConfig, PairStrategy, PhaseProfile, ResolvePath, SolveSpace, SolverKind,
+        StageMetrics, TrackerConfig,
     };
-    pub use lion_engine::{
-        BatchOutcome, Engine, Job, JobKind, JobOutput, JobTiming, MetricsReport,
-        StageDistributions, StreamJob, StreamOutcome,
-    };
-    pub use lion_geom::{CircularArc, LineSegment, Point2, Point3, Trajectory, Vec3};
+    pub use lion_engine::{Engine, Job, MetricsReport, StreamJob};
+    pub use lion_geom::{CircularArc, LineSegment, Point3, Trajectory, Vec3};
     pub use lion_obs::{
-        install_flight_recorder, install_telemetry_hub, uninstall_telemetry_hub, AlertEngine,
-        AlertExpr, AlertRule, BackgroundSampler, Doctor, DoctorConfig, FleetDoctor, FleetReport,
-        FlightRecorder, FlightSnapshot, HealthReport, Histogram, HistogramTimer, HistoryConfig,
-        ManualClock, Registry, Sampler, SloConfig, Snapshot, TelemetryServer, Tier, TraceContext,
-        Tsdb, TsdbConfig, WallClock,
+        install_flight_recorder, install_telemetry_hub, uninstall_telemetry_hub, AlertExpr,
+        AlertRule, Doctor, DoctorConfig, FlightSnapshot, HealthReport, Histogram, HistoryConfig,
+        ManualClock, Registry, SloConfig, TelemetryServer, Tier, TraceContext,
     };
     pub use lion_sim::{
-        Antenna, Environment, NoiseModel, PhaseTrace, SampleSource, Scenario, ScenarioBuilder, Tag,
+        Antenna, Environment, NoiseModel, PhaseTrace, SampleSource, ScenarioBuilder, Tag,
     };
     pub use lion_stream::{
         Cadence, ConvergenceConfig, ResolveMode, StreamConfig, StreamEstimate, StreamLocalizer,

@@ -3,7 +3,7 @@
 //! hostile input.
 
 use lion::baselines::{hologram, hyperbola, parabola, BaselineError};
-use lion::core::{CoreError, Localizer2d, Localizer3d, LocalizerConfig};
+use lion::core::{CoreError, Localizer, LocalizerConfig, SolveSpace};
 use lion::geom::{CircularArc, LineSegment, Point3, Trajectory};
 use lion::sim::{Antenna, FrequencyPlan, NoiseModel, ScenarioBuilder, Tag};
 
@@ -24,14 +24,14 @@ fn clean_circle_measurements(target: Point3, n: usize) -> Vec<(Point3, f64)> {
 fn nan_measurements_are_rejected_not_propagated() {
     let mut m = clean_circle_measurements(Point3::new(0.5, 0.5, 0.0), 100);
     m[50].1 = f64::NAN;
-    let err = Localizer2d::new(LocalizerConfig::default())
+    let err = Localizer::new(LocalizerConfig::default(), SolveSpace::TwoD)
         .locate(&m)
         .unwrap_err();
     assert!(matches!(err, CoreError::NonFiniteMeasurement { index: 50 }));
 
     m[50].1 = 0.5;
     m[10].0 = Point3::new(f64::INFINITY, 0.0, 0.0);
-    let err = Localizer2d::new(LocalizerConfig::default())
+    let err = Localizer::new(LocalizerConfig::default(), SolveSpace::TwoD)
         .locate(&m)
         .unwrap_err();
     assert!(matches!(err, CoreError::NonFiniteMeasurement { index: 10 }));
@@ -39,7 +39,7 @@ fn nan_measurements_are_rejected_not_propagated() {
 
 #[test]
 fn empty_and_tiny_inputs_error_cleanly() {
-    let l2 = Localizer2d::new(LocalizerConfig::default());
+    let l2 = Localizer::new(LocalizerConfig::default(), SolveSpace::TwoD);
     assert!(matches!(
         l2.locate(&[]),
         Err(CoreError::TooFewMeasurements { .. })
@@ -55,7 +55,7 @@ fn empty_and_tiny_inputs_error_cleanly() {
 fn identical_positions_are_degenerate() {
     let m: Vec<(Point3, f64)> = (0..50).map(|i| (Point3::ORIGIN, 0.01 * i as f64)).collect();
     assert!(matches!(
-        Localizer2d::new(LocalizerConfig::default()).locate(&m),
+        Localizer::new(LocalizerConfig::default(), SolveSpace::TwoD).locate(&m),
         Err(CoreError::DegenerateGeometry { .. })
     ));
 }
@@ -72,7 +72,7 @@ fn single_line_3d_is_rejected_with_guidance() {
             (p, phase)
         })
         .collect();
-    match Localizer3d::new(LocalizerConfig::default()).locate(&m) {
+    match Localizer::new(LocalizerConfig::default(), SolveSpace::ThreeD).locate(&m) {
         Err(CoreError::DegenerateGeometry { detail }) => {
             assert!(detail.contains("linear"), "detail: {detail}");
         }
@@ -113,7 +113,7 @@ fn hyperbola_errors_are_typed() {
 #[test]
 fn errors_format_and_chain() {
     use std::error::Error;
-    let err = Localizer2d::new(LocalizerConfig::default())
+    let err = Localizer::new(LocalizerConfig::default(), SolveSpace::TwoD)
         .locate(&[])
         .unwrap_err();
     let s = err.to_string();
@@ -127,7 +127,7 @@ fn errors_format_and_chain() {
 fn unified_error_preserves_kind_and_domain_across_crates() {
     // Every per-crate error funnels into `lion::Error` with its stable
     // machine-readable kind intact and a domain naming the origin crate.
-    let core_err = Localizer2d::new(LocalizerConfig::default())
+    let core_err = Localizer::new(LocalizerConfig::default(), SolveSpace::TwoD)
         .locate(&[])
         .unwrap_err();
     let unified: lion::Error = core_err.into();
@@ -171,7 +171,7 @@ fn frequency_hopping_degrades_but_does_not_panic() {
         .to_measurements();
     // May succeed with degraded accuracy or fail with a typed error; both
     // are acceptable, panicking is not.
-    let _ = Localizer2d::new(LocalizerConfig::default()).locate(&m);
+    let _ = Localizer::new(LocalizerConfig::default(), SolveSpace::TwoD).locate(&m);
 }
 
 #[test]
@@ -208,7 +208,7 @@ fn recovery_failure_is_reported_when_hint_is_wrong_side_of_disc() {
         smoothing_window: 101,
         ..LocalizerConfig::default()
     };
-    let _ = Localizer2d::new(cfg).locate(&m);
+    let _ = Localizer::new(cfg, SolveSpace::TwoD).locate(&m);
 }
 
 #[test]

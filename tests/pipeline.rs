@@ -2,7 +2,7 @@
 //! truth, run the full LION pipeline, and check the truth is recovered.
 
 use lion::core::{
-    AdaptiveConfig, Calibrator, Localizer2d, Localizer3d, LocalizerConfig, PairStrategy,
+    AdaptiveConfig, Calibrator, Localizer, LocalizerConfig, PairStrategy, SolveSpace,
 };
 use lion::geom::{CircularArc, LineSegment, Point3, ThreeLineScan, Trajectory};
 use lion::linalg::stats;
@@ -103,10 +103,13 @@ fn localizer_2d_matches_hologram_on_shared_trace() {
     let trace = sc.scan(&circle, 0.1, 100.0).expect("valid scan");
     let m = trace.to_measurements();
 
-    let lion_est = Localizer2d::new(LocalizerConfig {
-        side_hint: Some(Point3::new(0.3, 0.8, 0.0)),
-        ..LocalizerConfig::default()
-    })
+    let lion_est = Localizer::new(
+        LocalizerConfig {
+            side_hint: Some(Point3::new(0.3, 0.8, 0.0)),
+            ..LocalizerConfig::default()
+        },
+        SolveSpace::TwoD,
+    )
     .locate(&m)
     .expect("lion locates");
 
@@ -140,7 +143,7 @@ fn localizer_agrees_with_hyperbola_baseline() {
         .expect("valid scan")
         .to_measurements();
 
-    let lion_est = Localizer2d::new(LocalizerConfig::default())
+    let lion_est = Localizer::new(LocalizerConfig::default(), SolveSpace::TwoD)
         .locate(&m)
         .expect("lion locates");
     let hyp_est = hyperbola::locate(&m, &HyperbolaConfig::default()).expect("hyperbola locates");
@@ -165,12 +168,15 @@ fn three_d_localization_from_planar_circle_recovers_height() {
     // so noisy distance differences attenuate the d_r regressor unless the
     // pairwise phase difference is enlarged — the paper's Fig. 18 lesson
     // (bigger scanning interval) plus heavier smoothing.
-    let est = Localizer3d::new(LocalizerConfig {
-        side_hint: Some(Point3::new(0.0, 0.0, 0.5)),
-        smoothing_window: 51,
-        pair_strategy: lion::core::PairStrategy::Interval { interval: 0.45 },
-        ..LocalizerConfig::default()
-    })
+    let est = Localizer::new(
+        LocalizerConfig {
+            side_hint: Some(Point3::new(0.0, 0.0, 0.5)),
+            smoothing_window: 51,
+            pair_strategy: lion::core::PairStrategy::Interval { interval: 0.45 },
+            ..LocalizerConfig::default()
+        },
+        SolveSpace::ThreeD,
+    )
     .locate(&m)
     .expect("locates");
     assert!(est.lower_dimension);
@@ -196,10 +202,13 @@ fn tag_relative_localization_roundtrip() {
         .iter()
         .map(|s| (Point3::new(s.position.x - p0.x, 0.0, 0.0), s.phase))
         .collect();
-    let est = Localizer2d::new(LocalizerConfig {
-        side_hint: Some(Point3::new(0.3, 0.8, 0.0)),
-        ..LocalizerConfig::default()
-    })
+    let est = Localizer::new(
+        LocalizerConfig {
+            side_hint: Some(Point3::new(0.3, 0.8, 0.0)),
+            ..LocalizerConfig::default()
+        },
+        SolveSpace::TwoD,
+    )
     .locate(&rel)
     .expect("locates");
     let p0_est = Point3::new(
@@ -272,7 +281,7 @@ fn estimates_are_reproducible_with_fixed_seed() {
             .scan(&circle, 0.1, 100.0)
             .expect("valid scan")
             .to_measurements();
-        Localizer2d::new(LocalizerConfig::default())
+        Localizer::new(LocalizerConfig::default(), SolveSpace::TwoD)
             .locate(&m)
             .expect("locates")
     };

@@ -54,8 +54,11 @@ fn config(solver: SolverKind) -> LocalizerConfig {
 #[test]
 fn grid_matches_linear_within_documented_tolerance_on_fig16() {
     let target = Point3::new(0.1, 0.8, 0.0);
-    let linear = Localizer2d::new(config(SolverKind::Linear));
-    let grid = Localizer2d::new(config(SolverKind::Grid(GridConfig::default())));
+    let linear = Localizer::new(config(SolverKind::Linear), SolveSpace::TwoD);
+    let grid = Localizer::new(
+        config(SolverKind::Grid(GridConfig::default())),
+        SolveSpace::TwoD,
+    );
 
     // Noiseless (smoothing off, so neither backend sees biased phases):
     // both objectives share the same global minimum, and the grid's
@@ -63,7 +66,7 @@ fn grid_matches_linear_within_documented_tolerance_on_fig16() {
     let unsmoothed = |solver| {
         let mut c = config(solver);
         c.smoothing_window = 1;
-        Localizer2d::new(c)
+        Localizer::new(c, SolveSpace::TwoD)
     };
     let clean = fig16_measurements(target, 0.0, 7);
     let ls = unsmoothed(SolverKind::Linear)
@@ -104,12 +107,12 @@ fn grid_sweep_is_bit_identical_across_worker_counts() {
     let adaptive = AdaptiveConfig::default();
 
     let serial = Engine::serial()
-        .locate_adaptive_2d(&m, &cfg, &adaptive)
+        .locate_adaptive(&m, &cfg, SolveSpace::TwoD, &adaptive)
         .expect("serial sweep");
     for workers in [2, 4, 7] {
         let engine = Engine::builder().workers(workers).build().expect("valid");
         let fanned = engine
-            .locate_adaptive_2d(&m, &cfg, &adaptive)
+            .locate_adaptive(&m, &cfg, SolveSpace::TwoD, &adaptive)
             .expect("fanned sweep");
         let (s, f) = (serial.estimate.position, fanned.estimate.position);
         assert_eq!(s.x.to_bits(), f.x.to_bits(), "{workers} workers: x");

@@ -59,7 +59,7 @@ fn batch_reference(reads: &[StreamRead], config: &LocalizerConfig) -> Estimate {
     let mut sorted: Vec<&StreamRead> = reads.iter().collect();
     sorted.sort_by(|a, b| a.time.total_cmp(&b.time));
     let measurements: Vec<(Point3, f64)> = sorted.iter().map(|r| (r.position, r.phase)).collect();
-    Localizer2d::new(config.clone())
+    Localizer::new(config.clone(), SolveSpace::TwoD)
         .locate(&measurements)
         .expect("batch reference solves")
 }
@@ -201,7 +201,7 @@ fn three_d_parity() {
         .build()
         .expect("valid");
     let measurements: Vec<(Point3, f64)> = reads.iter().map(|r| (r.position, r.phase)).collect();
-    let batch = Localizer3d::new(config.localizer.clone())
+    let batch = Localizer::new(config.localizer.clone(), SolveSpace::ThreeD)
         .locate(&measurements)
         .expect("3d batch solves");
     let streamed = stream_estimate(&shuffled(&reads), config);

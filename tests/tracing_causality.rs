@@ -229,7 +229,7 @@ fn error_construction_files_a_dump_with_ambient_context() {
         let id = span.id().expect("recording");
         // A per-crate error surfacing as `lion::Error` inside the span
         // must file a dump stamped with this exact trace position.
-        let core_err = Localizer2d::new(LocalizerConfig::default())
+        let core_err = Localizer::new(LocalizerConfig::default(), SolveSpace::TwoD)
             .locate(&[])
             .unwrap_err();
         let _: lion::Error = core_err.into();
