@@ -89,8 +89,9 @@ impl StreamJob {
 
     /// Enables calibration-health watchdogs for this stream: a
     /// [`Doctor`] with `config` observes every solve (residual drift,
-    /// convergence stalls, ingress shed rate, solve-latency p99) and the
-    /// outcome's [`StreamOutcome::health`] carries its report.
+    /// convergence stalls, ingress shed rate, solver disagreement,
+    /// resolve fallbacks) and the outcome's [`StreamOutcome::health`]
+    /// carries its report — a pure function of the job.
     pub fn with_doctor(mut self, config: DoctorConfig) -> Self {
         self.doctor = Some(config);
         self
@@ -189,10 +190,9 @@ fn run_stream_job(
     let mut ingress = Ingress::new(job.queue_capacity)?;
     let mut doctor = job.doctor.clone().map(Doctor::new);
     // Live telemetry plane: when a hub is installed, every solve feeds
-    // the fleet SLO window. One relaxed atomic load when it isn't.
+    // the fleet SLO window — the only consumer of solve wall time, so
+    // solves are clocked only then. One relaxed atomic load when it isn't.
     let hub = lion_obs::telemetry_hub();
-    // Clock solves only when someone consumes the latency.
-    let clock_solves = doctor.is_some() || hub.is_some();
     let mut estimates = Vec::new();
     let mut solve_errors = 0u64;
     let mut observed_accepted = 0u64;
@@ -200,7 +200,6 @@ fn run_stream_job(
     let mut observe = |doctor: &mut Option<Doctor>,
                        estimate: &StreamEstimate,
                        ingress: &Ingress,
-                       solve_ns: u64,
                        solver_disagreement_m: Option<f64>| {
         let Some(doctor) = doctor.as_mut() else {
             return;
@@ -217,7 +216,6 @@ fn run_stream_job(
             time: estimate.trigger_time,
             mean_residual: estimate.mean_residual,
             converged: estimate.converged,
-            solve_ns,
             reads_in: accepted - observed_accepted,
             shed: shed - observed_shed,
             solver_disagreement_m,
@@ -248,19 +246,18 @@ fn run_stream_job(
             }
         }
         while let Some((read, arrival)) = ingress.pop_with_arrival() {
-            let pushed_at = clock_solves.then(Instant::now);
+            let pushed_at = hub.is_some().then(Instant::now);
             match pipeline.push_at(read, arrival) {
                 Ok(Some(estimate)) => {
-                    let solve_ns =
-                        pushed_at.map_or(0, |t| lion_obs::saturating_ns_between(t, Instant::now()));
-                    if let Some(hub) = &hub {
+                    if let (Some(hub), Some(t)) = (&hub, pushed_at) {
+                        let solve_ns = lion_obs::saturating_ns_between(t, Instant::now());
                         hub.with_fleet(|fleet| fleet.observe_solve(solve_ns));
                     }
                     let disagreement = doctor
                         .is_some()
                         .then(|| cross_check(&mut pipeline, &estimate))
                         .flatten();
-                    observe(&mut doctor, &estimate, &ingress, solve_ns, disagreement);
+                    observe(&mut doctor, &estimate, &ingress, disagreement);
                     estimates.push(estimate);
                 }
                 Ok(None) => {}
@@ -276,19 +273,18 @@ fn run_stream_job(
     if job.flush_at_end {
         // Only meaningful when reads arrived after the last cadence
         // solve; a flush on an already-solved window re-emits.
-        let flushed_at = clock_solves.then(Instant::now);
+        let flushed_at = hub.is_some().then(Instant::now);
         match pipeline.flush() {
             Ok(Some(estimate)) => {
-                let solve_ns =
-                    flushed_at.map_or(0, |t| lion_obs::saturating_ns_between(t, Instant::now()));
-                if let Some(hub) = &hub {
+                if let (Some(hub), Some(t)) = (&hub, flushed_at) {
+                    let solve_ns = lion_obs::saturating_ns_between(t, Instant::now());
                     hub.with_fleet(|fleet| fleet.observe_solve(solve_ns));
                 }
                 let disagreement = doctor
                     .is_some()
                     .then(|| cross_check(&mut pipeline, &estimate))
                     .flatten();
-                observe(&mut doctor, &estimate, &ingress, solve_ns, disagreement);
+                observe(&mut doctor, &estimate, &ingress, disagreement);
                 estimates.push(estimate);
             }
             Ok(None) => {}

@@ -1,30 +1,24 @@
 //! Deterministic alerting over stored samples.
 //!
-//! An [`AlertEngine`] evaluates two rule kinds against a [`Tsdb`] —
+//! An [`AlertEngine`] evaluates [`AlertRule`]s against a [`Tsdb`] —
 //! never against live metrics, so every verdict is reproducible from
-//! stored history alone:
-//!
-//! - **recording rules** materialize derived values (counter rates,
-//!   windowed quantiles rebuilt from histogram deltas) as new gauge
-//!   series named `rule:<name>`, queryable like any stored series;
-//! - **alert rules** compare an expression against a threshold with a
-//!   `for`-duration and a hysteresis band, driving the classic
-//!   inactive → pending → firing state machine. A firing alert resolves
-//!   only once the value crosses the *clear* threshold, so values
-//!   oscillating inside the band cannot flap the alert.
+//! stored history alone. A rule compares an expression against a
+//! threshold with a `for`-duration and a hysteresis band, driving the
+//! classic inactive → pending → firing state machine. A firing alert
+//! resolves only once the value falls to the *clear* threshold, so
+//! values oscillating inside the band cannot flap the alert.
 //!
 //! Evaluation happens at sample timestamps supplied by the caller (the
 //! hub's sampler), so under a [`ManualClock`](crate::ManualClock) the
 //! full transition history is bit-identical run to run — the property
-//! the worker-count parity gate asserts. When an alert fires, its
-//! annotations are enriched from the current [`FleetReport`] (worst
-//! stream per Doctor rule) and from histogram exemplars in the offending
+//! the worker-count parity gate asserts. When an alert over a histogram
+//! window fires, its annotations carry the exemplars recorded in that
 //! window (trace ids linking to [`FlightRecorder`](crate::FlightRecorder)
 //! span trees).
 
 use std::collections::VecDeque;
 
-use crate::fleet::FleetReport;
+use crate::json;
 use crate::tsdb::Tsdb;
 
 /// Resolved alerts retained for `/alerts`.
@@ -35,14 +29,6 @@ const TRANSITIONS_RETAINED: usize = 256;
 /// A value derived from stored samples, evaluated at a point in time.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AlertExpr {
-    /// Exact per-second rate of a counter series over the trailing
-    /// window: `(last − first) / span` of the cumulative values.
-    CounterRatePerSec {
-        /// Counter series name.
-        series: String,
-        /// Trailing window width.
-        window_ns: u64,
-    },
     /// The `q`-quantile of a histogram series over the trailing window,
     /// rebuilt from stored bucket deltas.
     WindowQuantile {
@@ -58,13 +44,6 @@ pub enum AlertExpr {
         /// Gauge series name.
         series: String,
     },
-    /// Mean of a gauge series over the trailing window.
-    GaugeAvg {
-        /// Gauge series name.
-        series: String,
-        /// Trailing window width.
-        window_ns: u64,
-    },
 }
 
 impl AlertExpr {
@@ -73,16 +52,12 @@ impl AlertExpr {
     /// changes alert state.
     pub fn evaluate(&self, tsdb: &Tsdb, now_ns: u64) -> Option<f64> {
         match self {
-            AlertExpr::CounterRatePerSec { series, window_ns } => {
-                tsdb.rate_per_sec(series, *window_ns, now_ns)
-            }
             AlertExpr::WindowQuantile {
                 series,
                 q,
                 window_ns,
             } => tsdb.window_quantile(series, *q, *window_ns, now_ns),
             AlertExpr::GaugeLast { series } => tsdb.gauge_last(series),
-            AlertExpr::GaugeAvg { series, window_ns } => tsdb.gauge_avg(series, *window_ns, now_ns),
         }
     }
 
@@ -100,71 +75,28 @@ impl AlertExpr {
     /// A compact human-readable form for JSON and summaries.
     pub fn describe(&self) -> String {
         match self {
-            AlertExpr::CounterRatePerSec { series, window_ns } => {
-                format!("rate({series}[{}s])", window_ns / 1_000_000_000)
-            }
             AlertExpr::WindowQuantile {
                 series,
                 q,
                 window_ns,
             } => format!("quantile({q}, {series}[{}s])", window_ns / 1_000_000_000),
             AlertExpr::GaugeLast { series } => format!("last({series})"),
-            AlertExpr::GaugeAvg { series, window_ns } => {
-                format!("avg({series}[{}s])", window_ns / 1_000_000_000)
-            }
         }
     }
 }
 
-/// Materializes an [`AlertExpr`] as the gauge series `rule:<name>` on
-/// every evaluation where the expression yields a value.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecordingRule {
-    /// Output series suffix: values land in `rule:<name>`.
-    pub name: String,
-    /// The derived value.
-    pub expr: AlertExpr,
-}
-
-impl RecordingRule {
-    /// Creates a recording rule.
-    pub fn new(name: impl Into<String>, expr: AlertExpr) -> RecordingRule {
-        RecordingRule {
-            name: name.into(),
-            expr,
-        }
-    }
-
-    /// The output series name.
-    pub fn output_series(&self) -> String {
-        format!("rule:{}", self.name)
-    }
-}
-
-/// Which side of the threshold counts as breaching.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Cmp {
-    /// Breach when `value > threshold`; clear when
-    /// `value <= clear_threshold`.
-    Above,
-    /// Breach when `value < threshold`; clear when
-    /// `value >= clear_threshold`.
-    Below,
-}
-
-/// A threshold alert with `for`-duration and hysteresis.
+/// A threshold alert with `for`-duration and hysteresis: it breaches
+/// while `value > threshold`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AlertRule {
     /// Alert name (unique within an engine).
     pub name: String,
     /// The evaluated expression.
     pub expr: AlertExpr,
-    /// Breach direction.
-    pub cmp: Cmp,
     /// Breach threshold.
     pub threshold: f64,
-    /// Hysteresis: a firing alert resolves only once the value crosses
-    /// this (for [`Cmp::Above`], `value <= clear_threshold`).
+    /// Hysteresis: a firing alert resolves only once
+    /// `value <= clear_threshold`.
     pub clear_threshold: f64,
     /// The breach must persist this long before the alert fires.
     pub for_ns: u64,
@@ -178,20 +110,6 @@ impl AlertRule {
         AlertRule {
             name: name.into(),
             expr,
-            cmp: Cmp::Above,
-            threshold,
-            clear_threshold: threshold,
-            for_ns: 0,
-            annotations: Vec::new(),
-        }
-    }
-
-    /// An alert that fires when `expr < threshold`.
-    pub fn below(name: impl Into<String>, expr: AlertExpr, threshold: f64) -> AlertRule {
-        AlertRule {
-            name: name.into(),
-            expr,
-            cmp: Cmp::Below,
             threshold,
             clear_threshold: threshold,
             for_ns: 0,
@@ -215,68 +133,6 @@ impl AlertRule {
     pub fn annotate(mut self, key: impl Into<String>, value: impl Into<String>) -> AlertRule {
         self.annotations.push((key.into(), value.into()));
         self
-    }
-
-    fn breached(&self, value: f64) -> bool {
-        match self.cmp {
-            Cmp::Above => value > self.threshold,
-            Cmp::Below => value < self.threshold,
-        }
-    }
-
-    fn cleared(&self, value: f64) -> bool {
-        match self.cmp {
-            Cmp::Above => value <= self.clear_threshold,
-            Cmp::Below => value >= self.clear_threshold,
-        }
-    }
-
-    /// The default rule set mirroring the calibration Doctor: one alert
-    /// per Doctor watchdog over the `fleet.rule.<name>.firing` gauges
-    /// the hub refreshes before each sample, plus an SLO burn-rate
-    /// alert and a windowed p99 solve-latency alert rebuilt from the
-    /// `lion.stream.solve_ns` histogram deltas (the one carrying trace
-    /// exemplars). The README's "Metrics history & alerting" table
-    /// documents each pairing.
-    pub fn doctor_rules() -> Vec<AlertRule> {
-        let mut rules: Vec<AlertRule> = crate::fleet::RULE_ORDER
-            .iter()
-            .map(|rule| {
-                AlertRule::above(
-                    format!("doctor_{rule}"),
-                    AlertExpr::GaugeLast {
-                        series: format!("fleet.rule.{rule}.firing"),
-                    },
-                    0.0,
-                )
-                .annotate("doctor_rule", *rule)
-            })
-            .collect();
-        rules.push(
-            AlertRule::above(
-                "slo_burn_rate",
-                AlertExpr::GaugeLast {
-                    series: "fleet.slo.burn_rate".to_string(),
-                },
-                1.0,
-            )
-            .clear_at(0.5)
-            .annotate("doctor_rule", "solve_latency"),
-        );
-        rules.push(
-            AlertRule::above(
-                "solve_latency_p99",
-                AlertExpr::WindowQuantile {
-                    series: "lion.stream.solve_ns".to_string(),
-                    q: 0.99,
-                    window_ns: 60_000_000_000,
-                },
-                1_000_000.0,
-            )
-            .clear_at(750_000.0)
-            .annotate("doctor_rule", "solve_latency"),
-        );
-        rules
     }
 }
 
@@ -358,11 +214,10 @@ impl RuleRuntime {
     }
 }
 
-/// Evaluates recording and alert rules against a [`Tsdb`] at sample
-/// timestamps, maintaining deterministic alert state.
+/// Evaluates alert rules against a [`Tsdb`] at sample timestamps,
+/// maintaining deterministic alert state.
 #[derive(Debug)]
 pub struct AlertEngine {
-    recording: Vec<RecordingRule>,
     rules: Vec<AlertRule>,
     runtime: Vec<RuleRuntime>,
     resolved: VecDeque<ResolvedAlert>,
@@ -372,11 +227,10 @@ pub struct AlertEngine {
 }
 
 impl AlertEngine {
-    /// Creates an engine over the given rule sets.
-    pub fn new(recording: Vec<RecordingRule>, rules: Vec<AlertRule>) -> AlertEngine {
+    /// Creates an engine over the given rules.
+    pub fn new(rules: Vec<AlertRule>) -> AlertEngine {
         let runtime = rules.iter().map(|_| RuleRuntime::new()).collect();
         AlertEngine {
-            recording,
             rules,
             runtime,
             resolved: VecDeque::new(),
@@ -386,24 +240,11 @@ impl AlertEngine {
         }
     }
 
-    /// Runs one evaluation pass at `now_ns`: recording rules first (so
-    /// alert rules may reference `rule:<name>` series from the same
-    /// pass), then every alert rule in declaration order. Returns the
-    /// transitions this pass produced. `fleet` enriches fire-time
-    /// annotations with the worst stream per Doctor rule.
-    pub fn evaluate(
-        &mut self,
-        tsdb: &Tsdb,
-        now_ns: u64,
-        fleet: Option<&FleetReport>,
-    ) -> Vec<AlertTransition> {
+    /// Runs one evaluation pass at `now_ns` over every rule in
+    /// declaration order. Returns the transitions this pass produced.
+    pub fn evaluate(&mut self, tsdb: &Tsdb, now_ns: u64) -> Vec<AlertTransition> {
         self.evaluations += 1;
         self.last_eval_ns = now_ns;
-        for rule in &self.recording {
-            if let Some(v) = rule.expr.evaluate(tsdb, now_ns) {
-                tsdb.push_gauge(&rule.output_series(), now_ns, v);
-            }
-        }
         let mut edges = Vec::new();
         for (rule, rt) in self.rules.iter().zip(self.runtime.iter_mut()) {
             // No data → hold state. A dead sampler must not resolve a
@@ -416,34 +257,32 @@ impl AlertEngine {
             let from = rt.state;
             match rt.state {
                 AlertState::Inactive => {
-                    if rule.breached(value) {
+                    if value > rule.threshold {
                         rt.breach_since_ns = now_ns;
                         rt.peak_value = value;
                         if rule.for_ns == 0 {
                             rt.state = AlertState::Firing;
                             rt.fired_at_ns = now_ns;
-                            rt.fire_annotations =
-                                fire_annotations(rule, value, tsdb, now_ns, fleet);
+                            rt.fire_annotations = fire_annotations(rule, value, tsdb, now_ns);
                         } else {
                             rt.state = AlertState::Pending;
                         }
                     }
                 }
                 AlertState::Pending => {
-                    if rule.breached(value) {
-                        rt.peak_value = peak(rule.cmp, rt.peak_value, value);
+                    if value > rule.threshold {
+                        rt.peak_value = rt.peak_value.max(value);
                         if now_ns.saturating_sub(rt.breach_since_ns) >= rule.for_ns {
                             rt.state = AlertState::Firing;
                             rt.fired_at_ns = now_ns;
-                            rt.fire_annotations =
-                                fire_annotations(rule, value, tsdb, now_ns, fleet);
+                            rt.fire_annotations = fire_annotations(rule, value, tsdb, now_ns);
                         }
                     } else {
                         rt.state = AlertState::Inactive;
                     }
                 }
                 AlertState::Firing => {
-                    if rule.cleared(value) {
+                    if value <= rule.clear_threshold {
                         rt.state = AlertState::Inactive;
                         self.resolved.push_back(ResolvedAlert {
                             rule: rule.name.clone(),
@@ -456,7 +295,7 @@ impl AlertEngine {
                         }
                         rt.fire_annotations.clear();
                     } else {
-                        rt.peak_value = peak(rule.cmp, rt.peak_value, value);
+                        rt.peak_value = rt.peak_value.max(value);
                     }
                 }
             }
@@ -544,23 +383,21 @@ impl AlertEngine {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"rule\":{},\"expr\":{},\"state\":\"{}\",\"threshold\":{},\"clear_threshold\":{},\"for_ns\":{}",
-                json_string(&rule.name),
-                json_string(&rule.expr.describe()),
+                "{{\"rule\":\"{}\",\"expr\":\"{}\",\"state\":\"{}\",\"threshold\":{},\"clear_threshold\":{},\"for_ns\":{}",
+                json::escape(&rule.name),
+                json::escape(&rule.expr.describe()),
                 rt.state.label(),
-                fmt_f64(rule.threshold),
-                fmt_f64(rule.clear_threshold),
+                json::number(rule.threshold),
+                json::number(rule.clear_threshold),
                 rule.for_ns
             ));
-            match rt.last_value {
-                Some(v) => out.push_str(&format!(",\"value\":{}", fmt_f64(v))),
-                None => out.push_str(",\"value\":null"),
-            }
+            let value = rt.last_value.unwrap_or(f64::NAN);
+            out.push_str(&format!(",\"value\":{}", json::number(value)));
             if rt.state == AlertState::Firing {
                 out.push_str(&format!(
                     ",\"fired_at_ns\":{},\"peak_value\":{}",
                     rt.fired_at_ns,
-                    fmt_f64(rt.peak_value)
+                    json::number(rt.peak_value)
                 ));
             }
             if rt.state == AlertState::Pending {
@@ -577,7 +414,7 @@ impl AlertEngine {
                     if j > 0 {
                         out.push(',');
                     }
-                    out.push_str(&format!("{}:{}", json_string(k), json_string(v)));
+                    out.push_str(&format!("\"{}\":\"{}\"", json::escape(k), json::escape(v)));
                 }
                 out.push('}');
             }
@@ -589,11 +426,11 @@ impl AlertEngine {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"rule\":{},\"fired_at_ns\":{},\"resolved_at_ns\":{},\"peak_value\":{}}}",
-                json_string(&r.rule),
+                "{{\"rule\":\"{}\",\"fired_at_ns\":{},\"resolved_at_ns\":{},\"peak_value\":{}}}",
+                json::escape(&r.rule),
                 r.fired_at_ns,
                 r.resolved_at_ns,
-                fmt_f64(r.peak_value)
+                json::number(r.peak_value)
             ));
         }
         out.push_str("]}");
@@ -601,39 +438,15 @@ impl AlertEngine {
     }
 }
 
-/// The "worse" of two values relative to the breach direction.
-fn peak(cmp: Cmp, a: f64, b: f64) -> f64 {
-    match cmp {
-        Cmp::Above => a.max(b),
-        Cmp::Below => a.min(b),
-    }
-}
-
 /// Dynamic annotations captured the moment a rule fires: the driving
-/// value, the worst stream for the rule's Doctor counterpart (from the
-/// fleet rollup), and trace-id exemplars from the offending histogram
-/// window.
+/// value and trace-id exemplars from the offending histogram window.
 fn fire_annotations(
     rule: &AlertRule,
     value: f64,
     tsdb: &Tsdb,
     now_ns: u64,
-    fleet: Option<&FleetReport>,
 ) -> Vec<(String, String)> {
     let mut out = vec![("fired_value".to_string(), format!("{value}"))];
-    let doctor_rule = rule
-        .annotations
-        .iter()
-        .find(|(k, _)| k == "doctor_rule")
-        .map(|(_, v)| v.as_str());
-    if let (Some(doctor_rule), Some(fleet)) = (doctor_rule, fleet) {
-        if let Some(rollup) = fleet.rule(doctor_rule) {
-            if let Some(worst) = &rollup.worst_stream {
-                out.push(("worst_stream".to_string(), worst.clone()));
-                out.push(("worst_value".to_string(), format!("{}", rollup.worst_value)));
-            }
-        }
-    }
     if let Some((series, window_ns)) = rule.expr.histogram_series() {
         let exemplars = tsdb.window_exemplars(series, window_ns, now_ns);
         if !exemplars.is_empty() {
@@ -645,34 +458,6 @@ fn fire_annotations(
             out.push(("exemplar_trace_ids".to_string(), ids.join(",")));
         }
     }
-    out
-}
-
-/// Formats an `f64` as JSON (non-finite → `null`).
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 
@@ -696,36 +481,36 @@ mod tests {
     #[test]
     fn pending_for_duration_then_firing_then_hysteresis_resolve() {
         let db = Tsdb::new(TsdbConfig::default());
-        let mut engine = AlertEngine::new(vec![], vec![gauge_rule(2_000_000_000)]);
+        let mut engine = AlertEngine::new(vec![gauge_rule(2_000_000_000)]);
         let sec = 1_000_000_000u64;
 
         db.push_gauge("g", 0, 1.0);
-        assert!(engine.evaluate(&db, 0, None).is_empty());
+        assert!(engine.evaluate(&db, 0).is_empty());
 
         // Breach → pending.
         db.push_gauge("g", sec, 20.0);
-        let edges = engine.evaluate(&db, sec, None);
+        let edges = engine.evaluate(&db, sec);
         assert_eq!(edges.len(), 1);
         assert_eq!(edges[0].to, AlertState::Pending);
 
         // Still breaching but under the for-duration.
         db.push_gauge("g", 2 * sec, 25.0);
-        assert!(engine.evaluate(&db, 2 * sec, None).is_empty());
+        assert!(engine.evaluate(&db, 2 * sec).is_empty());
 
         // Past the for-duration → firing.
         db.push_gauge("g", 3 * sec, 22.0);
-        let edges = engine.evaluate(&db, 3 * sec, None);
+        let edges = engine.evaluate(&db, 3 * sec);
         assert_eq!(edges.len(), 1);
         assert_eq!(edges[0].to, AlertState::Firing);
 
         // Inside the hysteresis band (5 < 7 <= 10): still firing.
         db.push_gauge("g", 4 * sec, 7.0);
-        assert!(engine.evaluate(&db, 4 * sec, None).is_empty());
+        assert!(engine.evaluate(&db, 4 * sec).is_empty());
         assert_eq!(engine.firing(), vec!["g_high"]);
 
         // Below the clear threshold → resolved.
         db.push_gauge("g", 5 * sec, 4.0);
-        let edges = engine.evaluate(&db, 5 * sec, None);
+        let edges = engine.evaluate(&db, 5 * sec);
         assert_eq!(edges.len(), 1);
         assert_eq!(edges[0].to, AlertState::Inactive);
         let resolved: Vec<_> = engine.resolved().collect();
@@ -738,12 +523,12 @@ mod tests {
     #[test]
     fn pending_resets_when_breach_stops_early() {
         let db = Tsdb::new(TsdbConfig::default());
-        let mut engine = AlertEngine::new(vec![], vec![gauge_rule(10_000_000_000)]);
+        let mut engine = AlertEngine::new(vec![gauge_rule(10_000_000_000)]);
         db.push_gauge("g", 0, 20.0);
-        engine.evaluate(&db, 0, None);
+        engine.evaluate(&db, 0);
         assert_eq!(engine.pending(), vec!["g_high"]);
         db.push_gauge("g", 1, 1.0);
-        engine.evaluate(&db, 1, None);
+        engine.evaluate(&db, 1);
         assert!(engine.pending().is_empty());
         assert!(engine.firing().is_empty());
         // The aborted pending episode never fired, so nothing resolved.
@@ -753,68 +538,17 @@ mod tests {
     #[test]
     fn no_data_holds_state() {
         let db = Tsdb::new(TsdbConfig::default());
-        let mut engine = AlertEngine::new(vec![], vec![gauge_rule(0)]);
+        let mut engine = AlertEngine::new(vec![gauge_rule(0)]);
         db.push_gauge("g", 0, 20.0);
-        engine.evaluate(&db, 0, None);
+        engine.evaluate(&db, 0);
         assert_eq!(engine.firing(), vec!["g_high"]);
         // Evaluate against a different (empty) store: no data, still firing.
         let empty = Tsdb::new(TsdbConfig::default());
-        let edges = engine.evaluate(&empty, 1_000_000_000, None);
+        let edges = engine.evaluate(&empty, 1_000_000_000);
         assert!(edges.is_empty());
         assert_eq!(engine.firing(), vec!["g_high"]);
         let json = engine.to_json();
         assert!(json.contains("\"value\":null"), "{json}");
-    }
-
-    #[test]
-    fn recording_rules_materialize_gauge_series() {
-        let db = Tsdb::new(TsdbConfig::default());
-        db.push_counter("c", 0, 0);
-        db.push_counter("c", 2_000_000_000, 100);
-        let recording = vec![RecordingRule::new(
-            "c_rate",
-            AlertExpr::CounterRatePerSec {
-                series: "c".to_string(),
-                window_ns: 10_000_000_000,
-            },
-        )];
-        // An alert over the recorded series sees the same-pass value.
-        let alert = AlertRule::above(
-            "rate_high",
-            AlertExpr::GaugeLast {
-                series: "rule:c_rate".to_string(),
-            },
-            10.0,
-        );
-        let mut engine = AlertEngine::new(recording, vec![alert]);
-        let edges = engine.evaluate(&db, 2_000_000_000, None);
-        assert_eq!(db.gauge_last("rule:c_rate"), Some(50.0));
-        assert_eq!(edges.len(), 1);
-        assert_eq!(edges[0].to, AlertState::Firing);
-    }
-
-    #[test]
-    fn below_rules_invert_breach_and_clear() {
-        let db = Tsdb::new(TsdbConfig::default());
-        let rule = AlertRule::below(
-            "g_low",
-            AlertExpr::GaugeLast {
-                series: "g".to_string(),
-            },
-            1.0,
-        )
-        .clear_at(2.0);
-        let mut engine = AlertEngine::new(vec![], vec![rule]);
-        db.push_gauge("g", 0, 0.5);
-        engine.evaluate(&db, 0, None);
-        assert_eq!(engine.firing(), vec!["g_low"]);
-        // 1.5 is above the breach threshold but below clear: still firing.
-        db.push_gauge("g", 1, 1.5);
-        engine.evaluate(&db, 1, None);
-        assert_eq!(engine.firing(), vec!["g_low"]);
-        db.push_gauge("g", 2, 3.0);
-        engine.evaluate(&db, 2, None);
-        assert!(engine.firing().is_empty());
     }
 
     #[test]
@@ -845,29 +579,10 @@ mod tests {
             },
             1_000_000.0,
         );
-        let mut engine = AlertEngine::new(vec![], vec![rule]);
-        engine.evaluate(&db, 0, None);
+        let mut engine = AlertEngine::new(vec![rule]);
+        engine.evaluate(&db, 0);
         let json = engine.to_json();
         assert!(json.contains("\"exemplar_trace_ids\":\"0xabc\""), "{json}");
         assert!(json.contains("\"state\":\"firing\""), "{json}");
-    }
-
-    #[test]
-    fn doctor_rules_cover_every_watchdog() {
-        let rules = AlertRule::doctor_rules();
-        for watchdog in crate::fleet::RULE_ORDER {
-            assert!(
-                rules.iter().any(|r| r
-                    .annotations
-                    .iter()
-                    .any(|(k, v)| k == "doctor_rule" && v == watchdog)),
-                "no alert rule annotated for doctor rule {watchdog}"
-            );
-        }
-        // Names are unique.
-        let mut names: Vec<&str> = rules.iter().map(|r| r.name.as_str()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), rules.len());
     }
 }

@@ -12,8 +12,7 @@
 //!   [`write_prometheus`]): the standard `# TYPE` + sample-line format,
 //!   rendered to a string for a scrape endpoint, a file, or stdout.
 //!   Histograms emit cumulative `_bucket{le="…"}` samples plus `_sum` and
-//!   `_count`. [`to_prometheus_with_labels`] attaches a constant label
-//!   set to every sample, with values escaped per the exposition format.
+//!   `_count`.
 //! - **Chrome trace events** ([`to_chrome_trace`], [`write_chrome_trace`]):
 //!   the flight recorder's tail as a Trace Event Format JSON document
 //!   that loads directly in Perfetto (<https://ui.perfetto.dev>) or
@@ -42,13 +41,7 @@ pub fn to_json_line(label: &str, snapshot: &Snapshot) -> String {
         let key = json::escape(name);
         match metric {
             Metric::Counter(v) => counters.push(format!("\"{key}\":{v}")),
-            Metric::Gauge(v) => {
-                if v.is_finite() {
-                    gauges.push(format!("\"{key}\":{v}"));
-                } else {
-                    gauges.push(format!("\"{key}\":null"));
-                }
-            }
+            Metric::Gauge(v) => gauges.push(format!("\"{key}\":{}", json::number(*v))),
             Metric::Histogram(h) => histograms.push(format!("\"{key}\":{}", h.to_json())),
         }
     }
@@ -152,23 +145,19 @@ fn metric_kind(metric: &Metric) -> &'static str {
     }
 }
 
-/// Appends one metric's sample lines (no `# HELP`/`# TYPE` header) for
-/// the label set rendered as `block`/`bucket_prefix` (see
-/// [`label_block`]).
-fn push_samples(out: &mut String, name: &str, metric: &Metric, block: &str, bucket_prefix: &str) {
+/// Appends one metric's sample lines (no `# HELP`/`# TYPE` header).
+fn push_samples(out: &mut String, name: &str, metric: &Metric) {
     match metric {
-        Metric::Counter(v) => out.push_str(&format!("{name}{block} {v}\n")),
-        Metric::Gauge(v) => out.push_str(&format!("{name}{block} {v}\n")),
+        Metric::Counter(v) => out.push_str(&format!("{name} {v}\n")),
+        Metric::Gauge(v) => out.push_str(&format!("{name} {v}\n")),
         Metric::Histogram(h) => {
             let mut cumulative = 0u64;
             for (upper, count) in h.nonzero_buckets() {
                 cumulative = cumulative.saturating_add(count);
-                out.push_str(&format!(
-                    "{name}_bucket{{{bucket_prefix}le=\"{upper}\"}} {cumulative}\n"
-                ));
+                out.push_str(&format!("{name}_bucket{{le=\"{upper}\"}} {cumulative}\n"));
             }
             out.push_str(&format!(
-                "{name}_bucket{{{bucket_prefix}le=\"+Inf\"}} {}\n{name}_sum{block} {}\n{name}_count{block} {}\n",
+                "{name}_bucket{{le=\"+Inf\"}} {}\n{name}_sum {}\n{name}_count {}\n",
                 h.count(),
                 h.sum(),
                 h.count()
@@ -177,48 +166,37 @@ fn push_samples(out: &mut String, name: &str, metric: &Metric, block: &str, buck
     }
 }
 
-/// Renders several labeled snapshots as one conformant exposition
-/// document: metric families are merged across the groups, and every
-/// family gets its `# HELP` and `# TYPE` lines **exactly once**, before
-/// all of its samples — even when the same metric appears under several
-/// label sets (the rule the Prometheus text parser enforces).
+/// Renders a snapshot in the Prometheus text exposition format. Every
+/// metric family gets its `# HELP` and `# TYPE` lines **exactly once**,
+/// before all of its samples — even when several registry names
+/// sanitize to the same family (the rule the Prometheus text parser
+/// enforces).
 ///
-/// Families are emitted in ascending (sanitized) name order; within a
-/// family, samples follow the group order given. The `# HELP` text is
-/// the metric's original (pre-sanitization) registry name. If two groups
-/// disagree on a family's kind, the first group's kind wins and the
-/// conflicting samples are dropped — a scrape document with one family
-/// under two types would be rejected whole.
+/// Families are emitted in ascending (sanitized) name order. The
+/// `# HELP` text is the first contributing registry name (before
+/// sanitization). If two registry names land in one family with
+/// different kinds, the first name's kind wins and the other's samples
+/// are dropped — a scrape document with one family under two types
+/// would be rejected whole.
 ///
 /// Counter families follow the Prometheus naming convention: the family
 /// name gets a `_total` suffix unless the registry name already carries
 /// one, so `engine.jobs` exports as `engine_jobs_total`.
-pub fn to_prometheus_grouped(groups: &[(&[(&str, &str)], &Snapshot)]) -> String {
+pub fn to_prometheus(snapshot: &Snapshot) -> String {
     use std::collections::BTreeMap;
     // family → (kind, help, accumulated sample lines)
     let mut families: BTreeMap<String, (&'static str, String, String)> = BTreeMap::new();
-    for (labels, snapshot) in groups {
-        let block = label_block(labels);
-        let bucket_prefix = if labels.is_empty() {
-            String::new()
-        } else {
-            // Inside a merged `{…,le="…"}` block: constant labels first.
-            let inner = block.trim_start_matches('{').trim_end_matches('}');
-            format!("{inner},")
-        };
-        for (name, metric) in &snapshot.metrics {
-            let kind = metric_kind(metric);
-            let mut family = prometheus_name(name);
-            if kind == "counter" && !family.ends_with("_total") {
-                family.push_str("_total");
-            }
-            let entry = families
-                .entry(family.clone())
-                .or_insert_with(|| (kind, escape_help(name), String::new()));
-            if entry.0 != kind {
-                continue;
-            }
-            push_samples(&mut entry.2, &family, metric, &block, &bucket_prefix);
+    for (name, metric) in &snapshot.metrics {
+        let kind = metric_kind(metric);
+        let mut family = prometheus_name(name);
+        if kind == "counter" && !family.ends_with("_total") {
+            family.push_str("_total");
+        }
+        let entry = families
+            .entry(family.clone())
+            .or_insert_with(|| (kind, escape_help(name), String::new()));
+        if entry.0 == kind {
+            push_samples(&mut entry.2, &family, metric);
         }
     }
     let mut out = String::new();
@@ -227,11 +205,6 @@ pub fn to_prometheus_grouped(groups: &[(&[(&str, &str)], &Snapshot)]) -> String 
         out.push_str(samples);
     }
     out
-}
-
-/// Renders a snapshot in the Prometheus text exposition format.
-pub fn to_prometheus(snapshot: &Snapshot) -> String {
-    to_prometheus_grouped(&[(&[], snapshot)])
 }
 
 /// Writes the Prometheus rendering of a snapshot to `path`, creating
@@ -247,46 +220,6 @@ pub fn write_prometheus(path: &Path, snapshot: &Snapshot) -> io::Result<()> {
     fs::write(path, to_prometheus(snapshot))
 }
 
-/// Escapes a Prometheus label *value* per the text exposition format:
-/// `\` → `\\`, `"` → `\"`, newline → `\n`.
-pub fn escape_label_value(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for c in value.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders one `{name="value",…}` label block (empty string for no
-/// labels), with values escaped by [`escape_label_value`] and label
-/// names sanitized like metric names.
-fn label_block(labels: &[(&str, &str)]) -> String {
-    if labels.is_empty() {
-        return String::new();
-    }
-    let rendered: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("{}=\"{}\"", prometheus_name(k), escape_label_value(v)))
-        .collect();
-    format!("{{{}}}", rendered.join(","))
-}
-
-/// Like [`to_prometheus`], but attaches `labels` to every sample.
-/// Histogram `_bucket` samples merge the constant labels with their `le`
-/// label. Label values are escaped per the exposition format, so values
-/// containing `"`, `\`, or newlines stay parseable. To export the same
-/// metrics under several label sets in one document, use
-/// [`to_prometheus_grouped`] — concatenating two renderings would repeat
-/// the `# HELP`/`# TYPE` headers, which the exposition format forbids.
-pub fn to_prometheus_with_labels(snapshot: &Snapshot, labels: &[(&str, &str)]) -> String {
-    to_prometheus_grouped(&[(labels, snapshot)])
-}
-
 /// Formats nanoseconds-since-epoch as Trace Event microseconds with
 /// exact sub-µs decimals. The conversion is monotone and exact, so
 /// recorded interval containment (child within parent) survives export.
@@ -299,8 +232,7 @@ fn chrome_us(ns: u64) -> String {
 fn chrome_value(value: &Value) -> String {
     match value {
         Value::U64(v) => format!("{v}"),
-        Value::F64(v) if v.is_finite() => format!("{v}"),
-        Value::F64(_) => "null".to_string(),
+        Value::F64(v) => json::number(*v),
         Value::Bool(v) => format!("{v}"),
         Value::Str(s) => format!("\"{}\"", json::escape(s)),
         Value::Owned(s) => format!("\"{}\"", json::escape(s)),
@@ -453,69 +385,44 @@ mod tests {
     }
 
     #[test]
-    fn label_values_are_escaped_per_exposition_format() {
-        assert_eq!(escape_label_value("plain"), "plain");
-        assert_eq!(escape_label_value("a\"b\\c\nd"), "a\\\"b\\\\c\\nd",);
-        let r = Registry::new();
-        r.counter_add("jobs", 1);
-        r.histogram_record("lat_ns", 500);
-        let text = to_prometheus_with_labels(&r.snapshot(), &[("run", "line1\nline\"2\\end")]);
-        assert!(text.contains("jobs_total{run=\"line1\\nline\\\"2\\\\end\"} 1"));
-        // Histogram buckets merge the constant labels with `le`.
-        assert!(text.contains("lat_ns_bucket{run=\"line1\\nline\\\"2\\\\end\",le=\"+Inf\"} 1"));
-        assert!(text.contains("lat_ns_count{run=\"line1\\nline\\\"2\\\\end\"} 1"));
-        // No raw (unescaped) newline may survive inside a sample line.
-        for line in text.lines() {
-            assert!(!line.contains("line1\nline"));
-        }
-    }
-
-    #[test]
-    fn help_and_type_appear_exactly_once_per_family_across_label_sets() {
-        // The same registry exported under two label sets — the fleet
-        // per-stream case. Headers must not repeat per label set.
+    fn help_and_type_appear_exactly_once_per_family() {
+        // Two registry names that sanitize to one family share a header.
         let r = Registry::new();
         r.counter_add("engine.jobs", 7);
-        r.histogram_record("solve_ns", 1_000);
-        let snap = r.snapshot();
-        let text =
-            to_prometheus_grouped(&[(&[("stream", "a")], &snap), (&[("stream", "b")], &snap)]);
-        for family in ["engine_jobs_total", "solve_ns"] {
-            let help = text.matches(&format!("# HELP {family} ")).count();
-            let typ = text.matches(&format!("# TYPE {family} ")).count();
-            assert_eq!(help, 1, "HELP for {family} repeated:\n{text}");
-            assert_eq!(typ, 1, "TYPE for {family} repeated:\n{text}");
-        }
-        // Both label sets' samples survive, under the single header.
-        assert!(text.contains("engine_jobs_total{stream=\"a\"} 7"));
-        assert!(text.contains("engine_jobs_total{stream=\"b\"} 7"));
-        assert!(text.contains("solve_ns_count{stream=\"a\"} 1"));
-        assert!(text.contains("solve_ns_count{stream=\"b\"} 1"));
-        // Headers precede every sample of their family.
+        r.counter_add("engine_jobs", 2);
+        let text = to_prometheus(&r.snapshot());
+        assert_eq!(
+            text.matches("# HELP engine_jobs_total ").count(),
+            1,
+            "{text}"
+        );
+        assert_eq!(
+            text.matches("# TYPE engine_jobs_total ").count(),
+            1,
+            "{text}"
+        );
+        // Both samples survive, after the header.
+        assert!(text.contains("engine_jobs_total 7\n"));
+        assert!(text.contains("engine_jobs_total 2\n"));
         let type_pos = text.find("# TYPE engine_jobs_total ").unwrap();
-        let first_sample = text.find("engine_jobs_total{").unwrap();
-        assert!(type_pos < first_sample);
-        // HELP text carries the original (unsanitized) name.
+        assert!(type_pos < text.find("engine_jobs_total 7").unwrap());
+        // HELP text carries the first original (unsanitized) name.
         assert!(text.contains("# HELP engine_jobs_total engine.jobs\n"));
     }
 
     #[test]
     fn kind_conflicts_keep_the_first_family_type() {
         // A counter named `*_total` keeps its name, so it can collide
-        // with a gauge of the same registry name.
-        let a = Registry::new();
-        a.counter_add("x_total", 1);
-        let b = Registry::new();
-        b.gauge_set("x_total", 2.0);
-        let text = to_prometheus_grouped(&[
-            (&[("s", "a")], &a.snapshot()),
-            (&[("s", "b")], &b.snapshot()),
-        ]);
+        // with a gauge whose name sanitizes to the same family.
+        let r = Registry::new();
+        r.gauge_set("x.total", 2.0);
+        r.counter_add("x_total", 1);
+        let text = to_prometheus(&r.snapshot());
         assert_eq!(text.matches("# TYPE x_total ").count(), 1);
-        assert!(text.contains("# TYPE x_total counter"));
-        assert!(text.contains("x_total{s=\"a\"} 1"));
-        // The conflicting gauge sample is dropped, not emitted untyped.
-        assert!(!text.contains("x_total{s=\"b\"}"));
+        assert!(text.contains("# TYPE x_total gauge"));
+        assert!(text.contains("x_total 2"));
+        // The conflicting counter sample is dropped, not emitted untyped.
+        assert!(!text.contains("x_total 1"));
     }
 
     #[test]
@@ -545,52 +452,6 @@ mod tests {
         // Pre-suffixed names are not doubled.
         assert!(text.contains("reads_total 5"));
         assert!(!text.contains("reads_total_total"));
-    }
-
-    #[test]
-    fn label_escaping_round_trips_through_with_labels() {
-        // Regression: `\n` and `"` in a label value must come back out
-        // of the rendered document escaped — and unescaping the rendered
-        // value must reproduce the original exactly.
-        let original = "line1\nline\"2\\end";
-        let r = Registry::new();
-        r.counter_add("jobs", 3);
-        let text = to_prometheus_with_labels(&r.snapshot(), &[("run", original)]);
-        let line = text
-            .lines()
-            .find(|l| l.starts_with("jobs_total{"))
-            .expect("sample line");
-        let value = line
-            .split("run=\"")
-            .nth(1)
-            .and_then(|rest| rest.split("\"}").next())
-            .expect("label value");
-        assert_eq!(value, "line1\\nline\\\"2\\\\end");
-        // Unescape per the exposition format and compare to the input.
-        let mut unescaped = String::new();
-        let mut chars = value.chars();
-        while let Some(c) = chars.next() {
-            if c == '\\' {
-                match chars.next() {
-                    Some('n') => unescaped.push('\n'),
-                    Some('"') => unescaped.push('"'),
-                    Some('\\') => unescaped.push('\\'),
-                    other => panic!("unknown escape \\{other:?}"),
-                }
-            } else {
-                unescaped.push(c);
-            }
-        }
-        assert_eq!(unescaped, original);
-    }
-
-    #[test]
-    fn with_empty_labels_matches_plain_rendering() {
-        let snapshot = sample_snapshot();
-        assert_eq!(
-            to_prometheus_with_labels(&snapshot, &[]),
-            to_prometheus(&snapshot)
-        );
     }
 
     #[test]

@@ -14,15 +14,17 @@
 //!   ([`FleetDoctor::observe_solve`], [`FleetDoctor::observe_failure`]),
 //!   and produces a deterministic [`FleetReport`]: per-rule firing
 //!   counts with worst-offender stream ids, healthy/degraded/critical
-//!   stream totals, and p50/p99 rollups of per-stream residual-drift
-//!   ratio and solve-latency p99 built on the exact-merge
-//!   [`Histogram`].
+//!   stream totals, and p50/p99 of the per-stream residual-drift ratio
+//!   built on the exact-merge [`Histogram`]. It is the one fleet view of
+//!   Doctor verdicts: `/health`, and the `fleet.rule.<rule>.firing`
+//!   gauges in `/metrics` and the history store.
 //! - [`SloTracker`] — a rolling window of solve outcomes scored against
 //!   a latency objective and an error budget: the fraction of solves
 //!   within the objective, the failure rate broken down by error kind
 //!   (the `failures_by_kind` taxonomy), and the **burn rate** — failure
 //!   rate divided by budget, so `> 1` means the budget is being spent
-//!   faster than it accrues.
+//!   faster than it accrues. It is the one answer to "are solves slow
+//!   or failing?": `fleet.slo.burn_rate` and the `slo_burn_rate` alert.
 //!
 //! A process-wide [`TelemetryHub`] carries one `FleetDoctor` for the
 //! scrape server ([`crate::http`]) and the engine to share. Like the
@@ -40,9 +42,10 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-use crate::alert::{AlertEngine, AlertExpr, AlertRule, RecordingRule};
-use crate::doctor::{HealthReport, RuleStatus};
+use crate::alert::{AlertEngine, AlertExpr, AlertRule};
+use crate::doctor::{HealthReport, RuleStatus, RULES};
 use crate::hist::Histogram;
+use crate::json;
 use crate::registry::Registry;
 use crate::tsdb::{SampleClock, Sampler, Tsdb, TsdbConfig, WallClock};
 
@@ -121,7 +124,7 @@ impl SloReport {
         let failures: Vec<String> = self
             .failures_by_kind
             .iter()
-            .map(|(kind, n)| format!("\"{}\":{n}", crate::json::escape(kind)))
+            .map(|(kind, n)| format!("\"{}\":{n}", json::escape(kind)))
             .collect();
         format!(
             "{{\"window_len\":{},\"total\":{},\"latency_objective_ns\":{},\
@@ -130,9 +133,9 @@ impl SloReport {
             self.window_len,
             self.total,
             self.latency_objective_ns,
-            fmt_f64(self.attainment),
-            fmt_f64(self.error_budget),
-            fmt_f64(self.burn_rate),
+            json::number(self.attainment),
+            json::number(self.error_budget),
+            json::number(self.burn_rate),
             failures.join(","),
         )
     }
@@ -229,7 +232,7 @@ pub struct RuleRollup {
 }
 
 /// The fleet-wide health rollup: stream totals, per-rule aggregation,
-/// latency/drift distributions, and the SLO verdict.
+/// the residual-drift distribution, and the SLO verdict.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetReport {
     /// Streams ingested.
@@ -244,20 +247,8 @@ pub struct FleetReport {
     pub rules: Vec<RuleRollup>,
     /// p50/p99 of per-stream residual-drift ratios (×1000).
     pub residual_ratio_milli: (u64, u64),
-    /// p50/p99 of per-stream windowed solve-latency p99s, nanoseconds.
-    pub solve_p99_ns: (u64, u64),
     /// The SLO verdict at report time.
     pub slo: SloReport,
-}
-
-/// Formats an `f64` for the in-repo JSON parser: finite as-is,
-/// non-finite as `null`.
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
 }
 
 impl FleetReport {
@@ -275,14 +266,14 @@ impl FleetReport {
                 format!(
                     "{{\"rule\":\"{}\",\"firing\":{},\"insufficient\":{},\
                      \"worst_stream\":{},\"worst_value\":{}}}",
-                    crate::json::escape(&r.rule),
+                    json::escape(&r.rule),
                     r.firing,
                     r.insufficient,
                     match &r.worst_stream {
-                        Some(id) => format!("\"{}\"", crate::json::escape(id)),
+                        Some(id) => format!("\"{}\"", json::escape(id)),
                         None => "null".to_string(),
                     },
-                    fmt_f64(r.worst_value),
+                    json::number(r.worst_value),
                 )
             })
             .collect();
@@ -290,7 +281,6 @@ impl FleetReport {
             "{{\"streams\":{},\"healthy\":{},\"degraded\":{},\"critical\":{},\
              \"rules\":[{}],\
              \"residual_ratio_milli\":{{\"p50\":{},\"p99\":{}}},\
-             \"solve_p99_ns\":{{\"p50\":{},\"p99\":{}}},\
              \"slo\":{}}}",
             self.streams,
             self.healthy,
@@ -299,8 +289,6 @@ impl FleetReport {
             rules.join(","),
             self.residual_ratio_milli.0,
             self.residual_ratio_milli.1,
-            self.solve_p99_ns.0,
-            self.solve_p99_ns.1,
             self.slo.to_json(),
         )
     }
@@ -323,7 +311,6 @@ impl FleetReport {
             "fleet.residual_ratio_milli.p99",
             self.residual_ratio_milli.1 as f64,
         );
-        registry.gauge_set("fleet.solve_p99_ns.p99", self.solve_p99_ns.1 as f64);
         registry.gauge_set("fleet.slo.attainment", self.slo.attainment);
         registry.gauge_set("fleet.slo.burn_rate", self.slo.burn_rate);
         registry.gauge_set("fleet.slo.window_len", self.slo.window_len as f64);
@@ -350,11 +337,8 @@ impl fmt::Display for FleetReport {
         }
         writeln!(
             f,
-            "  residual ratio p50/p99 = {}/{} milli, solve p99 p50/p99 = {}/{} ns",
-            self.residual_ratio_milli.0,
-            self.residual_ratio_milli.1,
-            self.solve_p99_ns.0,
-            self.solve_p99_ns.1,
+            "  residual ratio p50/p99 = {}/{} milli",
+            self.residual_ratio_milli.0, self.residual_ratio_milli.1,
         )?;
         writeln!(
             f,
@@ -363,17 +347,6 @@ impl fmt::Display for FleetReport {
         )
     }
 }
-
-/// The doctor's fixed rule order, mirrored here so the rollup reports
-/// every rule even before any stream mentioned it.
-pub(crate) const RULE_ORDER: [&str; 6] = [
-    "residual_drift",
-    "convergence_stall",
-    "ingress_shed",
-    "solve_latency",
-    "solver_disagreement",
-    "resolve_fallback",
-];
 
 /// Running per-rule accumulator inside [`FleetDoctor`].
 #[derive(Debug, Clone, Default)]
@@ -394,7 +367,6 @@ pub struct FleetDoctor {
     critical: u64,
     rules: BTreeMap<String, RuleAccum>,
     residual_ratio: Histogram,
-    solve_p99: Histogram,
     slo: SloTracker,
 }
 
@@ -408,7 +380,6 @@ impl FleetDoctor {
             critical: 0,
             rules: BTreeMap::new(),
             residual_ratio: Histogram::new(),
-            solve_p99: Histogram::new(),
             slo: SloTracker::new(slo),
         }
     }
@@ -452,16 +423,9 @@ impl FleetDoctor {
                 if replace {
                     entry.worst = Some((rule.value, stream_id.to_string()));
                 }
-                match rule.rule {
-                    "residual_drift" => {
-                        let milli = (rule.value * RATIO_SCALE).clamp(0.0, u64::MAX as f64);
-                        self.residual_ratio.record(milli as u64);
-                    }
-                    "solve_latency" => {
-                        let ns = rule.value.clamp(0.0, u64::MAX as f64);
-                        self.solve_p99.record(ns as u64);
-                    }
-                    _ => {}
+                if rule.rule == "residual_drift" {
+                    let milli = (rule.value * RATIO_SCALE).clamp(0.0, u64::MAX as f64);
+                    self.residual_ratio.record(milli as u64);
                 }
             }
         }
@@ -478,9 +442,10 @@ impl FleetDoctor {
         self.slo.observe_failure(kind);
     }
 
-    /// The current fleet-wide rollup.
+    /// The current fleet-wide rollup: every Doctor rule, even one no
+    /// stream reported yet.
     pub fn report(&self) -> FleetReport {
-        let rules = RULE_ORDER
+        let rules = RULES
             .iter()
             .map(|name| {
                 let accum = self.rules.get(*name).cloned().unwrap_or_default();
@@ -504,19 +469,19 @@ impl FleetDoctor {
             critical: self.critical,
             rules,
             residual_ratio_milli: (self.residual_ratio.p50(), self.residual_ratio.p99()),
-            solve_p99_ns: (self.solve_p99.p50(), self.solve_p99.p99()),
             slo: self.slo.report(),
         }
     }
 }
 
 /// Configuration for the hub's metrics-history plane: the store sizing,
-/// the sampling cadence and clock, and the rule sets the alert engine
-/// evaluates on every sample.
+/// the sampling cadence and clock, and the alert rules evaluated on
+/// every sample.
 ///
-/// The default enables a [`WallClock`]-driven 1 s cadence with the
-/// Doctor-mirroring alert rules ([`AlertRule::doctor_rules`]) and a
-/// solve-error-rate recording rule; tests inject a
+/// The default enables a [`WallClock`]-driven 1 s cadence with one
+/// alert, `slo_burn_rate`: `fleet.slo.burn_rate` above 1, clearing at
+/// 0.5. Doctor verdicts are not re-alerted; they reach the store as the
+/// `fleet.rule.<rule>.firing` gauges. Tests inject a
 /// [`ManualClock`](crate::ManualClock) for deterministic timestamps.
 #[derive(Debug)]
 pub struct HistoryConfig {
@@ -526,8 +491,6 @@ pub struct HistoryConfig {
     pub sample_period_ns: u64,
     /// The sampler's time source.
     pub clock: Arc<dyn SampleClock>,
-    /// Recording rules materialized as `rule:<name>` gauge series.
-    pub recording_rules: Vec<RecordingRule>,
     /// Alert rules evaluated on every sample.
     pub alert_rules: Vec<AlertRule>,
 }
@@ -538,14 +501,14 @@ impl Default for HistoryConfig {
             tsdb: TsdbConfig::default(),
             sample_period_ns: 1_000_000_000,
             clock: Arc::new(WallClock),
-            recording_rules: vec![RecordingRule::new(
-                "solve_error_rate",
-                AlertExpr::CounterRatePerSec {
-                    series: "lion.stream.solve_errors".to_string(),
-                    window_ns: 60_000_000_000,
+            alert_rules: vec![AlertRule::above(
+                "slo_burn_rate",
+                AlertExpr::GaugeLast {
+                    series: "fleet.slo.burn_rate".to_string(),
                 },
-            )],
-            alert_rules: AlertRule::doctor_rules(),
+                1.0,
+            )
+            .clear_at(0.5)],
         }
     }
 }
@@ -594,7 +557,7 @@ impl TelemetryHub {
     pub fn enable_history(&self, config: HistoryConfig) -> Arc<Tsdb> {
         let tsdb = Arc::new(Tsdb::new(config.tsdb));
         let sampler = Sampler::new(tsdb.clone(), config.sample_period_ns, config.clock);
-        let alerts = AlertEngine::new(config.recording_rules, config.alert_rules);
+        let alerts = AlertEngine::new(config.alert_rules);
         let plane = HistoryPlane {
             tsdb: tsdb.clone(),
             sampler: Mutex::new(sampler),
@@ -633,8 +596,7 @@ impl TelemetryHub {
     pub fn sample_tick(&self) -> Option<u64> {
         let history = self.history.read().expect("history lock poisoned");
         let plane = history.as_ref()?;
-        let report = self.fleet_report();
-        report.record_into(crate::global());
+        self.fleet_report().record_into(crate::global());
         let t_ns = plane
             .sampler
             .lock()
@@ -644,7 +606,7 @@ impl TelemetryHub {
             .alerts
             .lock()
             .expect("alert engine poisoned")
-            .evaluate(&plane.tsdb, t_ns, Some(&report));
+            .evaluate(&plane.tsdb, t_ns);
         Some(t_ns)
     }
 
@@ -758,7 +720,7 @@ mod tests {
     use super::*;
     use crate::doctor::{Doctor, DoctorConfig, SolveObservation};
 
-    fn health(residual: f64, solve_ns: u64, shed: u64) -> HealthReport {
+    fn health(residual: f64, shed: u64) -> HealthReport {
         let mut doctor = Doctor::new(DoctorConfig {
             window: 4,
             ..DoctorConfig::default()
@@ -770,7 +732,6 @@ mod tests {
                 // stream fires residual_drift against its own baseline.
                 mean_residual: if i < 4 { 1e-3 } else { residual },
                 converged: true,
-                solve_ns,
                 reads_in: 25,
                 shed,
                 solver_disagreement_m: Some(1e-3),
@@ -783,9 +744,9 @@ mod tests {
     #[test]
     fn rollup_classifies_streams_and_finds_worst_offenders() {
         let mut fleet = FleetDoctor::new(SloConfig::default());
-        fleet.ingest("stream-0", &health(1e-3, 1_000, 0)); // healthy
-        fleet.ingest("stream-1", &health(5e-2, 1_000, 0)); // drift fires
-        fleet.ingest("stream-2", &health(9e-2, 1_000, 20)); // drift + shed
+        fleet.ingest("stream-0", &health(1e-3, 0)); // healthy
+        fleet.ingest("stream-1", &health(5e-2, 0)); // drift fires
+        fleet.ingest("stream-2", &health(9e-2, 20)); // drift + shed
         let report = fleet.report();
         assert_eq!(report.streams, 3);
         assert_eq!(
@@ -798,15 +759,15 @@ mod tests {
         assert!(drift.worst_value > report.rule("ingress_shed").unwrap().worst_value);
         // Every doctor rule appears, in the doctor's order.
         let names: Vec<&str> = report.rules.iter().map(|r| r.rule.as_str()).collect();
-        assert_eq!(names, RULE_ORDER);
+        assert_eq!(names, RULES);
     }
 
     #[test]
     fn rollup_is_independent_of_ingest_order() {
         let reports = [
-            ("a", health(1e-3, 1_000, 0)),
-            ("b", health(5e-2, 2_000, 5)),
-            ("c", health(9e-2, 500, 0)),
+            ("a", health(1e-3, 0)),
+            ("b", health(5e-2, 5)),
+            ("c", health(9e-2, 0)),
         ];
         let mut forward = FleetDoctor::new(SloConfig::default());
         for (id, h) in &reports {
@@ -822,7 +783,7 @@ mod tests {
 
     #[test]
     fn worst_offender_ties_break_toward_smaller_id() {
-        let h = health(5e-2, 1_000, 0);
+        let h = health(5e-2, 0);
         let mut a = FleetDoctor::new(SloConfig::default());
         a.ingest("z", &h);
         a.ingest("a", &h);
@@ -878,7 +839,7 @@ mod tests {
     #[test]
     fn fleet_report_json_parses_and_gauges_publish() {
         let mut fleet = FleetDoctor::new(SloConfig::default());
-        fleet.ingest("s0", &health(1e-3, 1_000, 0));
+        fleet.ingest("s0", &health(1e-3, 0));
         fleet.observe_solve(500);
         fleet.observe_failure("no_pairs");
         let report = fleet.report();
@@ -985,6 +946,14 @@ mod tests {
     #[test]
     fn hub_history_plane_samples_and_alerts_deterministically() {
         use crate::tsdb::ManualClock;
+        // The default rule set is the single SLO verdict.
+        let defaults: Vec<String> = HistoryConfig::default()
+            .alert_rules
+            .into_iter()
+            .map(|rule| rule.name)
+            .collect();
+        assert_eq!(defaults, ["slo_burn_rate"]);
+
         let hub = TelemetryHub::new(SloConfig::default());
         assert!(!hub.history_enabled());
         assert!(hub.sample_tick().is_none());
@@ -999,8 +968,7 @@ mod tests {
                     series: "fleet.rule.ingress_shed.firing".to_string(),
                 },
                 0.0,
-            )
-            .annotate("doctor_rule", "ingress_shed")],
+            )],
             ..HistoryConfig::default()
         });
         assert!(hub.history_enabled());
@@ -1013,13 +981,12 @@ mod tests {
 
         // A shedding stream flips the gauge; the alert fires on the
         // next due sample, at exactly the manual-clock timestamp.
-        hub.with_fleet(|fleet| fleet.ingest("s9", &health(1e-3, 1_000, 20)));
+        hub.with_fleet(|fleet| fleet.ingest("s9", &health(1e-3, 20)));
         clock.set(1_000_000_000);
         assert_eq!(hub.sample_tick(), Some(1_000_000_000));
         let firing = hub.with_alerts(|a| a.firing().join(",")).unwrap();
         assert_eq!(firing, "shed");
         let json = hub.alerts_json().unwrap();
         assert!(json.contains("\"state\":\"firing\""), "{json}");
-        assert!(json.contains("\"worst_stream\":\"s9\""), "{json}");
     }
 }

@@ -47,6 +47,7 @@ use std::time::Duration;
 
 use crate::export;
 use crate::fleet::telemetry_hub;
+use crate::json;
 use crate::recorder::flight_recorder;
 use crate::tsdb::Tier;
 
@@ -478,8 +479,8 @@ fn render_query(query: &str) -> (&'static str, &'static str, String) {
         let mut body = String::new();
         for info in tsdb.series_list() {
             body.push_str(&format!(
-                "{{\"series\":{},\"kind\":\"{}\",\"raw\":{},\"10s\":{},\"1m\":{}}}\n",
-                crate::alert::json_string(&info.name),
+                "{{\"series\":\"{}\",\"kind\":\"{}\",\"raw\":{},\"10s\":{},\"1m\":{}}}\n",
+                json::escape(&info.name),
                 info.kind,
                 info.raw_len,
                 info.mid_len,
@@ -533,8 +534,8 @@ fn render_query(query: &str) -> (&'static str, &'static str, String) {
         crate::tsdb::SeriesPoints::Histogram(ps) => ps.iter().map(|p| p.to_json()).collect(),
     };
     let mut body = format!(
-        "{{\"series\":{},\"tier\":\"{}\",\"points\":{}}}\n",
-        crate::alert::json_string(series),
+        "{{\"series\":\"{}\",\"tier\":\"{}\",\"points\":{}}}\n",
+        json::escape(series),
         tier.label(),
         lines.len(),
     );
@@ -557,6 +558,7 @@ fn render_alerts() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn request_line_parses_and_rejects_garbage() {
@@ -589,6 +591,74 @@ mod tests {
         );
         assert_eq!(percent_decode("%zz"), "%zz");
         assert_eq!(percent_decode("100%"), "100%");
+    }
+
+    /// Characters that steer the request-head parsers: methods, targets,
+    /// query separators, escapes, whitespace and line breaks.
+    const HEAD_CHARS: &[char] = &[
+        'G',
+        'E',
+        'T',
+        'H',
+        ' ',
+        '\t',
+        '\r',
+        '\n',
+        '/',
+        '?',
+        '&',
+        '=',
+        '%',
+        '+',
+        '#',
+        '0',
+        '7',
+        'a',
+        'F',
+        'z',
+        '\u{e9}',
+        '\u{1f600}',
+    ];
+
+    /// Arbitrary Unicode text, half of it drawn from [`HEAD_CHARS`].
+    fn head_text() -> impl Strategy<Value = String> {
+        proptest::collection::vec(0u64..0x22_0000, 0..64).prop_map(|codes| {
+            codes
+                .iter()
+                .filter_map(|&c| match c.checked_sub(0x11_0000) {
+                    Some(i) => Some(HEAD_CHARS[i as usize % HEAD_CHARS.len()]),
+                    None => char::from_u32(c as u32),
+                })
+                .collect()
+        })
+    }
+
+    /// Escapes every byte outside the RFC 3986 unreserved set as `%XX`.
+    fn percent_encode(s: &str) -> String {
+        s.bytes()
+            .map(|b| match b {
+                b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'.' | b'_' | b'~' => {
+                    (b as char).to_string()
+                }
+                _ => format!("%{b:02X}"),
+            })
+            .collect()
+    }
+
+    proptest! {
+        #[test]
+        fn head_parsers_never_panic_and_paths_stay_rooted(text in head_text()) {
+            if let Some((_, path, _)) = parse_request_line(&text) {
+                prop_assert!(path.starts_with('/'), "accepted path {path:?}");
+            }
+            parse_query_params(&text);
+            percent_decode(&text);
+        }
+
+        #[test]
+        fn percent_decode_inverts_percent_encoding(text in head_text()) {
+            prop_assert_eq!(percent_decode(&percent_encode(&text)), text.clone());
+        }
     }
 
     #[test]

@@ -133,6 +133,17 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// Renders an `f64` as a JSON number: finite values in Rust's shortest
+/// round-trip form (so [`parse`] reads back the same value), non-finite
+/// values as `null`.
+pub fn number(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v}")
+    } else {
+        "null".to_string()
+    }
+}
+
 /// Parses one JSON document (trailing whitespace allowed).
 ///
 /// # Errors

@@ -6,10 +6,10 @@
 //!
 //! Four pieces, each usable alone:
 //!
-//! - **Spans and events** ([`span!`], [`event!`], [`Subscriber`]) — a
-//!   thread-local/global subscriber model in the spirit of `tracing`.
-//!   With no subscriber installed the macros cost a single relaxed atomic
-//!   load ([`enabled`]), so the solver hot paths stay instrumented
+//! - **Spans and events** ([`span!`], [`event!`], [`Subscriber`]) — one
+//!   process-wide subscriber in the spirit of `tracing`. With no
+//!   subscriber installed the macros cost a single relaxed atomic load
+//!   ([`enabled`]), so the solver hot paths stay instrumented
 //!   unconditionally.
 //! - **Histograms** ([`Histogram`]) — fixed-bucket log-linear (HDR-style)
 //!   `u64` distributions with ≤ 6.25% relative quantization error,
@@ -19,7 +19,8 @@
 //!   and histograms with deterministic (sorted) snapshots.
 //! - **Exporters** ([`export`]) — JSON-lines snapshot files (with a full
 //!   round-trip parser, since the vendored `serde` is a no-op stub) and
-//!   Prometheus text exposition.
+//!   Prometheus text exposition, one `# HELP`/`# TYPE` header per metric
+//!   family.
 //!
 //! On top of those, the **live telemetry plane**: [`fleet`] rolls
 //! per-stream [`doctor`] health reports into a fleet-wide report with
@@ -30,8 +31,13 @@
 //! The **history plane** extends the hub with an embedded time-series
 //! store ([`tsdb`]: raw/10s/1m tiers under a hard memory cap, sampled on
 //! an injectable clock) and a deterministic alerting engine ([`alert`]:
-//! recording rules, threshold + `for`-duration + hysteresis alerts with
-//! trace-exemplar annotations) behind `GET /query` and `GET /alerts`.
+//! threshold + `for`-duration + hysteresis alerts with trace-exemplar
+//! annotations) behind `GET /query` and `GET /alerts`.
+//!
+//! Each health question has one signal. "Is the calibration still
+//! good?" is the [`Doctor`]'s five rules, rolled up per fleet in
+//! [`FleetReport`]. "Are solves slow or failing?" is the fleet SLO burn
+//! rate ([`SloTracker`]) and its default `slo_burn_rate` alert.
 //!
 //! # Example
 //!
@@ -40,12 +46,12 @@
 //! use lion_obs::{CollectingSubscriber, Level};
 //!
 //! let collector = Arc::new(CollectingSubscriber::new());
-//! let guard = lion_obs::set_thread_subscriber(collector.clone());
+//! lion_obs::set_global_subscriber(collector.clone());
 //! {
 //!     let _span = lion_obs::span!("solve");
 //!     lion_obs::event!(Level::Info, "solve.start", "equations" => 128u64);
 //! }
-//! drop(guard);
+//! lion_obs::clear_global_subscriber();
 //! assert_eq!(collector.events().len(), 1);
 //! assert_eq!(collector.span_histogram("solve").unwrap().count(), 1);
 //! ```
@@ -68,11 +74,10 @@ mod timer;
 pub mod trace;
 pub mod tsdb;
 
-pub use alert::{
-    AlertEngine, AlertExpr, AlertRule, AlertState, AlertTransition, Cmp, RecordingRule,
-    ResolvedAlert,
+pub use alert::{AlertEngine, AlertExpr, AlertRule, AlertState, AlertTransition, ResolvedAlert};
+pub use doctor::{
+    Doctor, DoctorConfig, HealthReport, RuleReport, RuleStatus, SolveObservation, RULES,
 };
-pub use doctor::{Doctor, DoctorConfig, HealthReport, RuleReport, RuleStatus, SolveObservation};
 pub use fleet::{
     install_telemetry_hub, telemetry_hub, uninstall_telemetry_hub, BackgroundSampler, FleetDoctor,
     FleetReport, HistoryConfig, SloConfig, SloReport, SloTracker, TelemetryHub,
@@ -86,8 +91,7 @@ pub use recorder::{
 pub use registry::{global, Metric, Registry, Snapshot};
 pub use subscriber::{
     clear_global_subscriber, dispatch_event, dispatch_span_close, enabled, set_global_subscriber,
-    set_thread_subscriber, CollectingSubscriber, Event, Level, OwnedEvent, Span, SpanClose,
-    Subscriber, ThreadSubscriberGuard, Value,
+    CollectingSubscriber, Event, Level, OwnedEvent, Span, SpanClose, Subscriber, Value,
 };
 pub use timer::{saturating_ns_between, HistogramTimer};
 pub use trace::{attach, TraceContext, TraceGuard};
@@ -95,3 +99,12 @@ pub use tsdb::{
     CounterPoint, GaugePoint, HistPoint, ManualClock, SampleClock, Sampler, SeriesInfo,
     SeriesPoints, Tier, Tsdb, TsdbConfig, TsdbStats, WallClock,
 };
+
+/// Serializes the unit tests that install a process-wide sink (the
+/// global subscriber or the flight recorder) or emit spans and events
+/// that such a sink would catch.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}

@@ -107,12 +107,6 @@ mod tests {
     use super::*;
     use crate::recorder::{install_flight_recorder, uninstall_flight_recorder};
 
-    /// These tests share the global recorder slot; serialize them.
-    fn recorder_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     fn total_elapsed(snapshot: &FlightSnapshot) -> u64 {
         // Roots only: children are contained in their parents.
         snapshot
@@ -124,7 +118,7 @@ mod tests {
 
     #[test]
     fn exclusive_sums_are_disjoint_and_collapse_deterministically() {
-        let _guard = recorder_lock();
+        let _guard = crate::test_lock();
         let recorder = install_flight_recorder(256);
         {
             let _outer = crate::span!("pipeline");

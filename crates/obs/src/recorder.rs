@@ -421,15 +421,9 @@ pub fn note_failure(domain: &str, kind: &str) {
 mod tests {
     use super::*;
 
-    /// Recorder tests share the global recorder slot; serialize them.
-    fn recorder_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     #[test]
     fn records_spans_and_events_in_order() {
-        let _serial = recorder_lock();
+        let _serial = crate::test_lock();
         let recorder = install_flight_recorder(64);
         {
             let _outer = crate::span!("rec.outer");
@@ -466,7 +460,7 @@ mod tests {
 
     #[test]
     fn full_ring_evicts_oldest_and_counts_drops() {
-        let _serial = recorder_lock();
+        let _serial = crate::test_lock();
         let recorder = install_flight_recorder(4);
         for _ in 0..10 {
             let _span = crate::span!("rec.churn");
@@ -481,7 +475,7 @@ mod tests {
 
     #[test]
     fn ancestry_walks_to_the_root() {
-        let _serial = recorder_lock();
+        let _serial = crate::test_lock();
         let recorder = install_flight_recorder(16);
         let leaf_id;
         {
@@ -498,7 +492,7 @@ mod tests {
 
     #[test]
     fn note_failure_files_a_dump_with_context() {
-        let _serial = recorder_lock();
+        let _serial = crate::test_lock();
         let recorder = install_flight_recorder(16);
         let ctx = {
             let span = crate::span!("rec.failing");
@@ -520,14 +514,14 @@ mod tests {
 
     #[test]
     fn note_failure_without_recorder_is_a_noop() {
-        let _serial = recorder_lock();
+        let _serial = crate::test_lock();
         uninstall_flight_recorder();
         note_failure("core", "whatever");
     }
 
     #[test]
     fn merge_is_exact_across_threads() {
-        let _serial = recorder_lock();
+        let _serial = crate::test_lock();
         let recorder = install_flight_recorder(64);
         let handles: Vec<_> = (0..4)
             .map(|_| {

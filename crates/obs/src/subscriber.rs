@@ -1,9 +1,9 @@
 //! Structured events and timed spans, modeled on `tracing`.
 //!
-//! A [`Subscriber`] receives [`Event`]s and closed [`SpanClose`]s. One can
-//! be installed process-wide ([`set_global_subscriber`]) or per thread
-//! ([`set_thread_subscriber`], which overrides the global one on that
-//! thread and restores the previous subscriber when its guard drops).
+//! A [`Subscriber`] receives [`Event`]s and closed [`SpanClose`]s. One is
+//! installed process-wide ([`set_global_subscriber`]) and sees every
+//! thread's telemetry, alongside the flight recorder when one is
+//! installed.
 //!
 //! Instrumented code pays almost nothing when no subscriber is installed:
 //! the [`span!`](crate::span) and [`event!`](crate::event) macros check a
@@ -11,7 +11,6 @@
 //! reads, and dispatch entirely on the disabled path. This is what lets
 //! the hot solver loops stay instrumented unconditionally.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -158,8 +157,8 @@ pub trait Subscriber: Send + Sync {
     fn on_span_close(&self, span: &SpanClose);
 }
 
-/// Count of installed sinks (global slot + thread-local slots + the
-/// flight recorder). Non-zero means instrumentation must dispatch.
+/// Count of installed sinks (the global subscriber slot and the flight
+/// recorder). Non-zero means instrumentation must dispatch.
 static INSTALLED: AtomicUsize = AtomicUsize::new(0);
 
 /// Registers one more reason for instrumentation to run (used by the
@@ -175,10 +174,6 @@ pub(crate) fn instrumentation_off() {
 
 static GLOBAL: RwLock<Option<Arc<dyn Subscriber>>> = RwLock::new(None);
 
-thread_local! {
-    static LOCAL: RefCell<Option<Arc<dyn Subscriber>>> = const { RefCell::new(None) };
-}
-
 /// Whether any subscriber is installed — the macros' fast-path check.
 /// A single relaxed atomic load; when `false`, instrumentation skips all
 /// other work.
@@ -187,8 +182,7 @@ pub fn enabled() -> bool {
     INSTALLED.load(Ordering::Relaxed) != 0
 }
 
-/// Installs (or replaces) the process-wide subscriber. Worker threads
-/// without a thread-local subscriber dispatch here.
+/// Installs (or replaces) the process-wide subscriber.
 pub fn set_global_subscriber(subscriber: Arc<dyn Subscriber>) {
     let mut slot = GLOBAL.write().expect("subscriber lock poisoned");
     if slot.is_none() {
@@ -198,7 +192,7 @@ pub fn set_global_subscriber(subscriber: Arc<dyn Subscriber>) {
 }
 
 /// Removes the process-wide subscriber, restoring the no-op fast path
-/// (unless thread-local subscribers remain).
+/// (unless a flight recorder remains installed).
 pub fn clear_global_subscriber() {
     let mut slot = GLOBAL.write().expect("subscriber lock poisoned");
     if slot.take().is_some() {
@@ -206,73 +200,23 @@ pub fn clear_global_subscriber() {
     }
 }
 
-/// Restores the previous thread-local subscriber when dropped.
-#[must_use = "dropping the guard immediately uninstalls the subscriber"]
-pub struct ThreadSubscriberGuard {
-    previous: Option<Arc<dyn Subscriber>>,
-}
-
-/// Installs `subscriber` for the current thread only, overriding the
-/// global subscriber there. The returned guard restores the previous
-/// state on drop.
-pub fn set_thread_subscriber(subscriber: Arc<dyn Subscriber>) -> ThreadSubscriberGuard {
-    let previous = LOCAL.with(|slot| slot.borrow_mut().replace(subscriber));
-    if previous.is_none() {
-        INSTALLED.fetch_add(1, Ordering::Relaxed);
-    }
-    ThreadSubscriberGuard { previous }
-}
-
-impl Drop for ThreadSubscriberGuard {
-    fn drop(&mut self) {
-        let restored = self.previous.take();
-        LOCAL.with(|slot| {
-            let mut slot = slot.borrow_mut();
-            if restored.is_none() && slot.is_some() {
-                INSTALLED.fetch_sub(1, Ordering::Relaxed);
-            }
-            *slot = restored;
-        });
-    }
-}
-
-/// Sends an event to the flight recorder (if installed) and to the
-/// thread-local subscriber if present, else the global one. Called by
-/// the [`event!`](crate::event) macro after its [`enabled`] check;
-/// harmless (just slower) to call directly.
+/// Sends an event to the flight recorder (if installed) and the global
+/// subscriber (if installed). Called by the [`event!`](crate::event)
+/// macro after its [`enabled`] check; harmless (just slower) to call
+/// directly.
 pub fn dispatch_event(event: &Event<'_>) {
     recorder::record_event(event);
-    let handled = LOCAL.with(|slot| {
-        if let Some(sub) = slot.borrow().as_ref() {
-            sub.on_event(event);
-            true
-        } else {
-            false
-        }
-    });
-    if !handled {
-        if let Some(sub) = GLOBAL.read().expect("subscriber lock poisoned").as_ref() {
-            sub.on_event(event);
-        }
+    if let Some(sub) = GLOBAL.read().expect("subscriber lock poisoned").as_ref() {
+        sub.on_event(event);
     }
 }
 
-/// Sends a closed span to the flight recorder (if installed) and to the
-/// thread-local subscriber if present, else the global one.
+/// Sends a closed span to the flight recorder (if installed) and the
+/// global subscriber (if installed).
 pub fn dispatch_span_close(span: &SpanClose) {
     recorder::record_span_close(span);
-    let handled = LOCAL.with(|slot| {
-        if let Some(sub) = slot.borrow().as_ref() {
-            sub.on_span_close(span);
-            true
-        } else {
-            false
-        }
-    });
-    if !handled {
-        if let Some(sub) = GLOBAL.read().expect("subscriber lock poisoned").as_ref() {
-            sub.on_span_close(span);
-        }
+    if let Some(sub) = GLOBAL.read().expect("subscriber lock poisoned").as_ref() {
+        sub.on_span_close(span);
     }
 }
 
@@ -493,55 +437,37 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_span_is_inert() {
-        // No subscriber installed on this thread and no global installed
-        // by this test: the span must not record. (Another test may have
-        // a global installed concurrently, so assert only on the
-        // thread-local path.)
+    fn spans_record_only_while_a_sink_is_installed() {
+        let _serial = crate::test_lock();
+        assert!(!span!("idle").is_recording());
         let collector = Arc::new(CollectingSubscriber::new());
-        {
-            let _guard = set_thread_subscriber(collector.clone());
-            let span = span!("active");
-            assert!(span.is_recording());
-        }
+        set_global_subscriber(collector.clone());
+        assert!(span!("active").is_recording());
+        clear_global_subscriber();
+        assert!(!span!("idle").is_recording());
         assert!(collector.span_histogram("active").is_some());
+        assert!(collector.span_histogram("idle").is_none());
     }
 
     #[test]
-    fn thread_subscriber_collects_events_and_spans() {
+    fn global_subscriber_collects_events_and_spans() {
+        let _serial = crate::test_lock();
         let collector = Arc::new(CollectingSubscriber::new());
-        let guard = set_thread_subscriber(collector.clone());
+        set_global_subscriber(collector.clone());
         event!(Level::Info, "test.event", "k" => 3u64, "s" => "v");
         {
             let _span = span!("test.span");
         }
-        drop(guard);
+        clear_global_subscriber();
         let events = collector.events();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].name, "test.event");
         assert_eq!(events[0].fields[0], ("k", Value::U64(3)));
         let hist = collector.span_histogram("test.span").expect("span closed");
         assert_eq!(hist.count(), 1);
-        // After the guard dropped, events no longer reach the collector.
+        // Once cleared, events no longer reach the collector.
         event!(Level::Info, "test.after");
         assert_eq!(collector.events().len(), 1);
-    }
-
-    #[test]
-    fn nested_guards_restore_previous_subscriber() {
-        let outer = Arc::new(CollectingSubscriber::new());
-        let inner = Arc::new(CollectingSubscriber::new());
-        let _outer_guard = set_thread_subscriber(outer.clone());
-        {
-            let _inner_guard = set_thread_subscriber(inner.clone());
-            event!(Level::Debug, "inner.only");
-        }
-        event!(Level::Debug, "outer.only");
-        assert_eq!(inner.events().len(), 1);
-        assert_eq!(inner.events()[0].name, "inner.only");
-        let outer_events = outer.events();
-        assert_eq!(outer_events.len(), 1);
-        assert_eq!(outer_events[0].name, "outer.only");
     }
 
     #[test]

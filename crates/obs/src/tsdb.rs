@@ -7,13 +7,14 @@
 //!
 //! - **gauges**: each raw point keeps `last/min/max/sum/count` so
 //!   downsampled tiers preserve extremes and averages exactly;
-//! - **counters**: each point stores the *cumulative* value, so a rate
-//!   over any window is the exact `(last − first) / span` — no
-//!   per-interval rounding;
+//! - **counters**: each point stores the *cumulative* value, so the
+//!   increase over any window is exact — no per-interval rounding;
 //! - **histograms**: each point stores the sparse bucket *delta* against
 //!   the sampler's previous snapshot ([`Histogram::sparse_delta`]), so a
 //!   windowed quantile is reconstructed exactly (up to the histogram's
-//!   own ≤ 6.25% bucket error) by summing the deltas in the window.
+//!   own ≤ 6.25% bucket error) by summing the deltas in the window. The
+//!   point's exemplars are likewise only the ones new since that
+//!   snapshot, so a window's exemplars come from the window.
 //!
 //! # Tiers and downsampling
 //!
@@ -50,6 +51,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::hist::{merge_exemplars, Exemplar, Histogram};
+use crate::json;
 use crate::registry::{Metric, Registry};
 
 /// Width of the mid (10s) downsampling tier in nanoseconds.
@@ -163,7 +165,7 @@ pub struct HistPoint {
     pub sum: u64,
     /// Sparse `(bucket index, count delta)` pairs, ascending by index.
     pub buckets: Vec<(u32, u64)>,
-    /// Exemplars carried by the source histogram at sample time.
+    /// Exemplars the source histogram gained in the interval.
     pub exemplars: Vec<Exemplar>,
 }
 
@@ -715,24 +717,6 @@ impl Tsdb {
         })
     }
 
-    /// Exact per-second rate of the counter `name` over
-    /// `[now - window, now]` from the raw tier: `(last − first) / span`.
-    /// `None` without two points spanning a positive interval; a counter
-    /// reset (last < first) clamps to 0.
-    pub fn rate_per_sec(&self, name: &str, window_ns: u64, now_ns: u64) -> Option<f64> {
-        let from = now_ns.saturating_sub(window_ns);
-        let points = match self.query(name, Tier::Raw, from, now_ns)? {
-            SeriesPoints::Counter(v) => v,
-            _ => return None,
-        };
-        let (first, last) = (points.first()?, points.last()?);
-        if last.t_ns <= first.t_ns {
-            return None;
-        }
-        let delta = last.value.saturating_sub(first.value) as f64;
-        Some(delta / ((last.t_ns - first.t_ns) as f64 / 1e9))
-    }
-
     /// The window's histogram, rebuilt by summing the raw-tier bucket
     /// deltas in `[now - window, now]`. `None` when the series is
     /// missing or not a histogram; the result may be empty.
@@ -781,21 +765,6 @@ impl Tsdb {
             SeriesPoints::Gauge(v) => v.last().map(|p| p.last),
             _ => None,
         }
-    }
-
-    /// Mean of the raw gauge observations in `[now - window, now]`.
-    pub fn gauge_avg(&self, name: &str, window_ns: u64, now_ns: u64) -> Option<f64> {
-        let from = now_ns.saturating_sub(window_ns);
-        let points = match self.query(name, Tier::Raw, from, now_ns)? {
-            SeriesPoints::Gauge(v) => v,
-            _ => return None,
-        };
-        let count: u64 = points.iter().map(|p| p.count).sum();
-        if count == 0 {
-            return None;
-        }
-        let sum: f64 = points.iter().map(|p| p.sum).sum();
-        Some(sum / count as f64)
     }
 
     /// Current accounting: series/byte totals plus the deterministic
@@ -866,7 +835,7 @@ impl SampleClock for ManualClock {
 /// Counters store their cumulative value, gauges their current value,
 /// and histograms the sparse bucket delta against the sampler's previous
 /// snapshot of the same histogram — the store's exact-increment
-/// primitive. The first [`Sampler::tick`] samples immediately; later
+/// primitive — with only the exemplars that snapshot lacked. The first [`Sampler::tick`] samples immediately; later
 /// ticks sample only once the injected clock passes the next due time.
 #[derive(Debug)]
 pub struct Sampler {
@@ -924,15 +893,16 @@ impl Sampler {
                 Metric::Counter(v) => self.tsdb.push_counter(&name, t_ns, v),
                 Metric::Gauge(v) => self.tsdb.push_gauge(&name, t_ns, v),
                 Metric::Histogram(h) => {
-                    let (buckets, dcount, dsum) = h.sparse_delta(self.prev_hist.get(&name));
-                    self.tsdb.push_histogram_delta(
-                        &name,
-                        t_ns,
-                        dcount,
-                        dsum,
-                        buckets,
-                        h.exemplars().to_vec(),
-                    );
+                    let prev = self.prev_hist.get(&name);
+                    let (buckets, dcount, dsum) = h.sparse_delta(prev);
+                    let fresh = h
+                        .exemplars()
+                        .iter()
+                        .filter(|e| prev.is_none_or(|p| !p.exemplars().contains(e)))
+                        .copied()
+                        .collect();
+                    self.tsdb
+                        .push_histogram_delta(&name, t_ns, dcount, dsum, buckets, fresh);
                     self.prev_hist.insert(name, h);
                 }
             }
@@ -944,25 +914,16 @@ impl Sampler {
 // ---------------------------------------------------------------------
 // JSON rendering for /query (ndjson: one object per point).
 
-/// Formats an `f64` as JSON (non-finite → `null`).
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 impl GaugePoint {
     /// One ndjson line for `/query`.
     pub fn to_json(&self) -> String {
         format!(
             "{{\"t_ns\":{},\"last\":{},\"min\":{},\"max\":{},\"sum\":{},\"count\":{}}}",
             self.t_ns,
-            fmt_f64(self.last),
-            fmt_f64(self.min),
-            fmt_f64(self.max),
-            fmt_f64(self.sum),
+            json::number(self.last),
+            json::number(self.min),
+            json::number(self.max),
+            json::number(self.sum),
             self.count
         )
     }
@@ -1042,24 +1003,6 @@ mod tests {
         assert_eq!(b.sum, 9.0);
         // Raw keeps everything (capacity 8).
         assert_eq!(db.query("g", Tier::Raw, 0, u64::MAX).unwrap().len(), 4);
-    }
-
-    #[test]
-    fn counter_rate_is_exact_and_reset_safe() {
-        let db = Tsdb::new(small_config());
-        db.push_counter("c", 0, 100);
-        db.push_counter("c", 2_000_000_000, 300);
-        // (300 - 100) / 2s = 100/s, exactly.
-        assert_eq!(
-            db.rate_per_sec("c", 10_000_000_000, 2_000_000_000),
-            Some(100.0)
-        );
-        // Counter reset: rate clamps to 0 instead of going negative.
-        db.push_counter("c", 4_000_000_000, 10);
-        assert_eq!(
-            db.rate_per_sec("c", 3_000_000_000, 4_000_000_000),
-            Some(0.0)
-        );
     }
 
     #[test]
@@ -1274,5 +1217,26 @@ mod tests {
         let ex = db.window_exemplars("h", u64::MAX, 2_000_000_000);
         assert_eq!(ex.len(), 2);
         assert_eq!(ex.last().unwrap().trace_id, 2);
+    }
+
+    #[test]
+    fn window_exemplars_exclude_traces_recorded_before_the_window() {
+        let sec = 1_000_000_000u64;
+        let registry = Registry::new();
+        let clock = ManualClock::new(0);
+        let db = Arc::new(Tsdb::new(TsdbConfig::default()));
+        let mut sampler = Sampler::new(db.clone(), 10 * sec, clock.clone());
+        // A 5 ms solve traced at t = 0, then fast untraced solves only.
+        registry.histogram_record_with_exemplar("h", 5_000_000, 0xabc);
+        sampler.tick(&registry);
+        for t in 1..=6u64 {
+            registry.histogram_record("h", 1_000);
+            clock.set(t * 10 * sec);
+            sampler.tick(&registry);
+        }
+        assert_eq!(db.window_exemplars("h", u64::MAX, 60 * sec).len(), 1);
+        let p99 = db.window_quantile("h", 0.99, 10 * sec, 60 * sec).unwrap();
+        assert!(p99 < 2_000.0, "window p99 {p99}");
+        assert!(db.window_exemplars("h", 10 * sec, 60 * sec).is_empty());
     }
 }

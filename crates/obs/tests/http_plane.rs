@@ -68,7 +68,6 @@ fn all_five_routes_serve_parseable_bodies_with_correct_types() {
             time: 0.0,
             mean_residual: 1e-3,
             converged: true,
-            solve_ns: 900,
             reads_in: 30,
             shed: 0,
             solver_disagreement_m: None,

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use lion_obs::json::{escape, parse, Json};
+use lion_obs::json::{escape, number, parse, Json};
 use lion_obs::{Histogram, SUB_BUCKETS};
 
 /// Exact quantile of a value list: rank-⌈q·n⌉ order statistic.
@@ -138,6 +138,26 @@ proptest! {
     fn json_parse_never_panics_on_arbitrary_text(text in byte_text()) {
         if let Err(e) = parse(&text) {
             prop_assert!(e.offset <= text.len(), "offset {} past {}", e.offset, text.len());
+        }
+    }
+
+    #[test]
+    fn json_number_round_trips_finite_values_and_nulls_the_rest(
+        bits in 0u64..u64::MAX,
+        pick in 0u64..8,
+    ) {
+        // Every bit pattern, with the non-finite values drawn often.
+        let x = match pick {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            _ => f64::from_bits(bits),
+        };
+        let back = parse(&number(x)).expect("number renders valid JSON");
+        if x.is_finite() {
+            prop_assert_eq!(back.as_f64(), Some(x));
+        } else {
+            prop_assert_eq!(back, Json::Null);
         }
     }
 

@@ -36,7 +36,6 @@
 use lion::obs::SolveObservation;
 use lion::prelude::*;
 use std::path::PathBuf;
-use std::time::Instant;
 
 /// Parses `--trace <dir>` from the command line, if present.
 fn trace_dir_from_args() -> Option<PathBuf> {
@@ -91,8 +90,8 @@ fn serve_fleet(addr: &str) -> Result<(), Box<dyn std::error::Error>> {
     lion::obs::install_flight_recorder(1 << 14);
     let hub = install_telemetry_hub(SloConfig::default());
     // History plane: the embedded time-series store (raw/10s/1m tiers),
-    // the default recording + doctor alert rules, and a background
-    // sampler that snapshots the registry once a second while held.
+    // the default SLO burn-rate alert, and a background sampler that
+    // snapshots the registry once a second while held.
     hub.enable_history(HistoryConfig::default());
     let sampler = hub.start_background_sampler(std::time::Duration::from_millis(250));
     let server = TelemetryServer::bind(addr)?;
@@ -217,8 +216,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // recorded Chrome trace shows one job tree instead of loose roots.
     let feed_span = lion::obs::span!("conveyor.feed");
     for sample in source {
-        // Clock reads only while the doctor watches solve latency.
-        let pushed_at = doctor.is_some().then(Instant::now);
         let emitted = match stream.push(StreamRead::from(sample)) {
             Ok(emitted) => emitted,
             // A transiently degenerate window (warm-up) is not fatal to
@@ -231,8 +228,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     time: est.trigger_time,
                     mean_residual: est.mean_residual,
                     converged: est.converged,
-                    solve_ns: pushed_at
-                        .map_or(0, |t| lion::obs::saturating_ns_between(t, Instant::now())),
                     reads_in: est.reads_seen - observed_reads,
                     shed: 0,
                     solver_disagreement_m: None,

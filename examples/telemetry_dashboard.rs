@@ -196,7 +196,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 time: i as f64,
                 mean_residual: estimate.map_or(f64::NAN, |e| e.mean_residual),
                 converged: estimate.is_some(),
-                solve_ns: outcome.timings[i].execute_ns,
                 reads_in: 1,
                 shed: u64::from(result.is_err()),
                 solver_disagreement_m: None,

@@ -4,9 +4,9 @@
 # CI would run.
 # Tests run with overflow-checks on (see [profile.test] in Cargo.toml);
 # the streaming parity + backpressure suites, the adaptive sweep's
-# reuse oracle, the structured-pairing oracle and the accelerated-IRLS
-# fixed-point oracle are named explicitly so
-# a test-filter typo can't silently skip a bit-identicality gate.
+# reuse oracle, the structured-pairing oracle, the accelerated-IRLS
+# fixed-point oracle and the Doctor's health suite are named explicitly
+# so a test-filter typo can't silently skip a bit-identicality gate.
 verify:
     cargo build --release
     cargo test --workspace -q
@@ -21,7 +21,7 @@ verify:
     cargo test -q --test solver_parity
     cargo test -q -p lion-obs --test http_plane
     cargo test -q --test fleet_health
-    cargo test -q --test alerts_history
+    cargo test -q --test alerts_history --test doctor
     cargo build --release --offline --manifest-path bench_e2e/Cargo.toml
     cargo clippy --workspace --all-targets -- -D warnings
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline

@@ -127,7 +127,6 @@ fn injected_phase_ramp_trips_residual_drift_within_one_window() {
             "residual_drift",
             "convergence_stall",
             "ingress_shed",
-            "solve_latency",
             "solver_disagreement",
             "resolve_fallback"
         ],
