@@ -15,16 +15,24 @@
 //!
 //! A sweep preprocesses once: it unwraps and smooths the measurements
 //! into the workspace's profile, checks the whole trajectory's geometry,
-//! and centers every scanning range on the trajectory's x centroid. Each
-//! `(range, interval)` cell then restricts that profile to its range and
-//! solves the restricted profile through the standard locate pipeline —
-//! the same backend dispatch `locate_in` runs — with the pair strategy's
-//! interval set to the cell's. So a cell gets its own principal-component
-//! frame, its own middle sample as reference, and the backend
-//! [`LocalizerConfig::solver`] selects. A cell that fails (too few
-//! samples or pairs, a rank problem, a failed recovery) is counted as
-//! skipped. Grid-backend cells ignore the interval (the grid scores
-//! samples directly, no pairing), so only the range axis differentiates
+//! and centers every scanning range on the trajectory's x centroid.
+//!
+//! Ranges run outer and intervals inner. **Range work runs once per
+//! range**: the sweep restricts the profile to the range and prepares it
+//! (the sample floor, the range's own middle sample as reference, its
+//! principal-component frame, the reference deltas, the frame
+//! coordinates and the `StructuredScan` scan-line classification), none
+//! of which depends on the interval. **Interval work runs once per
+//! cell**: pairs → rows → Gram → IRLS → σ̂ at the cell's interval, read
+//! from the prepared range. Both halves are the ones `locate_in` runs
+//! back to back, so a cell's estimate is bit-identical to solving its
+//! restricted profile alone at its interval; nothing is shared between
+//! ranges. The backend [`LocalizerConfig::solver`] selects does the
+//! solving. A cell that fails (too few samples or pairs, a rank problem,
+//! a failed recovery) is counted as skipped; a range that fails
+//! preparation skips all of its cells. Grid-backend cells ignore the
+//! interval (the grid scores samples directly, no pairing) and solve
+//! from the restricted profile, so only the range axis differentiates
 //! their trials.
 //!
 //! Every scanning range is centered on the same x, so the ranges nest:
@@ -37,16 +45,17 @@
 //! Whole-trajectory problems — an invalid `rank_tolerance`,
 //! [`CoreError::DegenerateGeometry`] — fail the sweep as a whole instead
 //! of silently skipping every cell. `config.reference_index` is ignored.
-//! All buffers, the restricted cell profile included, live in the
-//! [`Workspace`], so the steady-state sweep performs **zero heap
-//! allocations**.
+//! All buffers, the prepared range included, live in the [`Workspace`],
+//! so the steady-state sweep performs **zero heap allocations**. The
+//! `lion.adaptive.cell_ns` histogram times each cell's interval work;
+//! range preparation lands in the sweep's exclusive time.
 //!
-//! The sweep is also available as an owned [`SweepPlan`] whose cells can
-//! be solved independently (and concurrently) with per-worker
-//! workspaces; it hands out only the cells that need solving, and
-//! [`SweepPlan::finish`] expands the copies and reduces the results so
-//! the outcome is bit-identical to the sequential sweep for any worker
-//! count.
+//! The sweep is also available as an owned [`SweepPlan`]. It prepares
+//! each range that needs solving up front and hands out that range's
+//! cells, which can be solved independently (and concurrently) with
+//! per-worker workspaces; [`SweepPlan::finish`] expands the copies and
+//! reduces the results so the outcome is bit-identical to the
+//! sequential sweep for any worker count.
 
 use std::time::Instant;
 
@@ -56,10 +65,11 @@ use lion_geom::Point3;
 
 use crate::error::CoreError;
 use crate::localizer::{
-    analyze_geometry_small, prepare_profile_in, Estimate, Localizer, LocalizerConfig,
+    analyze_geometry_small, prepare_profile_in, solve_prepared, Estimate, Localizer,
+    LocalizerConfig, Prepared,
 };
 use crate::preprocess::PhaseProfile;
-use crate::solver::{dispatch_profile, SolveSpace};
+use crate::solver::{dispatch_profile, SolveSpace, SolverKind};
 use crate::workspace::{elapsed_ns, StageMetrics, Workspace};
 
 /// The parameter grid for the adaptive sweep.
@@ -317,10 +327,12 @@ fn sweep_profile(
     out.trials.clear();
     out.skipped = 0;
     // Cells accrue pairs/solve time below; snapshotting the disjoint
-    // pipeline sum lets the sweep attribute its own orchestration overhead
-    // (range restriction, ranking) exactly.
+    // pipeline sum lets the sweep attribute its own work (range
+    // restriction and preparation, ranking) exactly.
     let inner_before = ws.metrics.pipeline_ns();
     let mut slots = std::mem::take(&mut ws.range_slots);
+    let mut unit = std::mem::take(&mut ws.sweep_range);
+    let base = &range_config(base);
     let result = sweep_center(
         profile,
         base,
@@ -330,10 +342,14 @@ fn sweep_profile(
         &mut ws.metrics,
     )
     .map(|cx| {
-        run_cells(adaptive, &mut slots, out, |range, interval| {
-            locate_cell(profile, base, space, cx, range, interval, ws)
+        run_cells(adaptive, &mut slots, out, |range, out| {
+            unit.prepare(profile, base, space, cx, range);
+            for &interval in &adaptive.intervals {
+                push_cell(out, range, interval, unit.solve(base, space, interval, ws));
+            }
         })
     });
+    ws.sweep_range = unit;
     ws.range_slots = slots;
     let copied = result?;
     let sweep_ns = elapsed_ns(sweep_start);
@@ -421,13 +437,15 @@ fn reuse_source(slots: &[RangeSlot], k: usize) -> Option<usize> {
 /// Fills `out` with every grid cell's result, ranges outer and intervals
 /// inner — the one cell loop of the sequential sweep and
 /// [`SweepPlan::finish`]. A range with a [`reuse_source`] copies that
-/// range's trials and skip count; every other cell takes its result
-/// from `solve(range, interval)`. Returns the number of copied trials.
+/// range's trials and skip count; every other range is handed to
+/// `solve_range(range, out)`, which pushes one result per interval, in
+/// interval order, with [`push_cell`]. Returns the number of copied
+/// trials.
 fn run_cells(
     adaptive: &AdaptiveConfig,
     slots: &mut [RangeSlot],
     out: &mut AdaptiveOutcome,
-    mut solve: impl FnMut(f64, f64) -> Result<Estimate, CoreError>,
+    mut solve_range: impl FnMut(f64, &mut AdaptiveOutcome),
 ) -> u64 {
     let mut copied = 0;
     for (k, &range) in adaptive.scanning_ranges.iter().enumerate() {
@@ -450,16 +468,7 @@ fn run_cells(
             out.skipped += skipped;
             copied += (to - from) as u64;
         } else {
-            for &interval in &adaptive.intervals {
-                match solve(range, interval) {
-                    Ok(estimate) => out.trials.push(AdaptiveTrial {
-                        range,
-                        interval,
-                        estimate,
-                    }),
-                    Err(_) => out.skipped += 1,
-                }
-            }
+            solve_range(range, out);
         }
         let slot = &mut slots[k];
         slot.first = first;
@@ -469,30 +478,94 @@ fn run_cells(
     copied
 }
 
-/// Solves one `(range, interval)` grid cell — the one per-cell path,
-/// shared by the sequential sweep and [`SweepPlan::solve_cell`]. Restricts
-/// the prepared profile to the scanning range centered on `cx` and runs
-/// the standard locate pipeline on it with the cell's pairing interval.
-fn locate_cell(
-    profile: &PhaseProfile,
-    base: &LocalizerConfig,
-    space: SolveSpace,
-    cx: f64,
+/// Records one cell's result in `out`: a trial, or a skip.
+fn push_cell(
+    out: &mut AdaptiveOutcome,
     range: f64,
     interval: f64,
-    ws: &mut Workspace,
-) -> Result<Estimate, CoreError> {
-    let cell_start = Instant::now();
-    let mut cell = std::mem::take(&mut ws.cell_profile);
-    profile.restrict_x_into(cx - range / 2.0, cx + range / 2.0, &mut cell);
-    let mut config = base.clone();
-    config.pair_strategy = base.pair_strategy.with_interval(interval);
-    // The restricted profile has its own middle sample.
-    config.reference_index = None;
-    let solved = dispatch_profile(&cell, &config, space, ws);
-    ws.cell_profile = cell;
-    lion_obs::global().histogram_record("lion.adaptive.cell_ns", elapsed_ns(cell_start));
-    solved
+    result: Result<Estimate, CoreError>,
+) {
+    match result {
+        Ok(estimate) => out.trials.push(AdaptiveTrial {
+            range,
+            interval,
+            estimate,
+        }),
+        Err(_) => out.skipped += 1,
+    }
+}
+
+/// The sweep's base configuration: every scanning range takes its own
+/// middle sample as reference, so `reference_index` is cleared.
+fn range_config(base: &LocalizerConfig) -> LocalizerConfig {
+    LocalizerConfig {
+        reference_index: None,
+        ..base.clone()
+    }
+}
+
+/// One scanning range of a sweep, prepared — the unit both the
+/// sequential sweep and [`SweepPlan`] solve intervals against. Holds the
+/// profile restricted to the range and, for the linear backend, the
+/// interval-independent half of its solve ([`Prepared`]): frame,
+/// reference, deltas, coordinates and scan lines, computed once for all
+/// of the range's intervals. The grid backend ignores the interval and
+/// solves each cell from the restricted profile.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RangeUnit {
+    profile: PhaseProfile,
+    prepared: Prepared,
+    /// Why preparation failed; every interval of the range then fails
+    /// with it.
+    failure: Option<CoreError>,
+}
+
+impl RangeUnit {
+    /// Restricts `profile` to the range of width `range` centered on
+    /// `cx` and prepares it, reusing this unit's buffers. `base` must
+    /// come from [`range_config`].
+    fn prepare(
+        &mut self,
+        profile: &PhaseProfile,
+        base: &LocalizerConfig,
+        space: SolveSpace,
+        cx: f64,
+        range: f64,
+    ) {
+        profile.restrict_x_into(cx - range / 2.0, cx + range / 2.0, &mut self.profile);
+        self.failure = match base.solver {
+            SolverKind::Linear => self
+                .prepared
+                .prepare(&self.profile, base, space, space.min_samples())
+                .err(),
+            SolverKind::Grid(_) => None,
+        };
+    }
+
+    /// Solves the prepared range at `interval`: pairs, rows, Gram, IRLS
+    /// and σ̂ for the linear backend, the whole grid search for the grid
+    /// backend. Records its time in the `lion.adaptive.cell_ns`
+    /// histogram.
+    fn solve(
+        &self,
+        base: &LocalizerConfig,
+        space: SolveSpace,
+        interval: f64,
+        ws: &mut Workspace,
+    ) -> Result<Estimate, CoreError> {
+        if let Some(e) = &self.failure {
+            return Err(e.clone());
+        }
+        let cell_start = Instant::now();
+        let mut config = base.clone();
+        config.pair_strategy = base.pair_strategy.with_interval(interval);
+        let solved = match config.solver {
+            SolverKind::Linear => solve_prepared(&self.profile, &self.prepared, &config, ws),
+            SolverKind::Grid(_) => dispatch_profile(&self.profile, &config, space, ws),
+        };
+        lion_obs::global().histogram_record("lion.adaptive.cell_ns", elapsed_ns(cell_start));
+        solved
+    }
 }
 
 /// Ranks trials by `|mean residual|` ascending, breaking ties by
@@ -526,33 +599,36 @@ fn reduce_outcome(keep: usize, out: &mut AdaptiveOutcome) {
     out.estimate.position = avg;
 }
 
-/// An owned, immutable description of one adaptive sweep: the prepared
-/// profile, the base configuration, the grid, and the cells that need
-/// solving in the sequential sweep's visit order (ranges outer, intervals
-/// inner). A range that keeps the same reads as an earlier range has no
-/// cells here: [`SweepPlan::finish`] copies the earlier range's results.
+/// An owned, immutable description of one adaptive sweep: the base
+/// configuration, the grid, each range that needs solving, restricted
+/// and prepared, and the cells that need solving in the sequential
+/// sweep's visit order (ranges outer, intervals inner). A range that
+/// keeps the same reads as an earlier range has no cells here:
+/// [`SweepPlan::finish`] copies the earlier range's results.
 ///
 /// Cells are independent — solve them on any worker with any
 /// [`Workspace`] via [`SweepPlan::solve_cell`], then reduce with
 /// [`SweepPlan::finish`]. As long as results are passed to `finish` in
 /// cell-index order, the outcome is bit-identical to the sequential
 /// [`Localizer::locate_adaptive`] for any worker count: each cell runs
-/// the same solve as the sequential sweep on the same profile, a reused
-/// workspace never changes a solve's result, `finish` copies exactly the
-/// ranges the sequential sweep copies, and the trial ranking is a total
-/// order over distinct grid cells, so it is visit-order independent.
+/// the same solve as the sequential sweep on the same prepared range, a
+/// reused workspace never changes a solve's result, `finish` copies
+/// exactly the ranges the sequential sweep copies, and the trial ranking
+/// is a total order over distinct grid cells, so it is visit-order
+/// independent.
 #[derive(Debug, Clone)]
 pub struct SweepPlan {
-    profile: PhaseProfile,
+    /// The base configuration, from `range_config`.
     config: LocalizerConfig,
     space: SolveSpace,
-    /// Range center (the trajectory's x centroid).
-    cx: f64,
     adaptive: AdaptiveConfig,
     /// Reads kept per scanning range.
     slots: Vec<RangeSlot>,
-    /// `(range, interval)` per cell to solve, in sequential visit order.
-    cells: Vec<(f64, f64)>,
+    /// One prepared unit per scanning range that has cells.
+    units: Vec<RangeUnit>,
+    /// `(unit, range, interval)` per cell to solve, in sequential visit
+    /// order.
+    cells: Vec<(usize, f64, f64)>,
 }
 
 impl SweepPlan {
@@ -564,13 +640,14 @@ impl SweepPlan {
         ws: &mut Workspace,
     ) -> Result<SweepPlan, CoreError> {
         adaptive.validate()?;
+        let config = range_config(base);
         let mut profile = std::mem::take(&mut ws.profile);
         let mut slots = Vec::new();
-        let plan = prepare_profile_in(measurements, base, &mut profile, ws)
+        let plan = prepare_profile_in(measurements, &config, &mut profile, ws)
             .and_then(|()| {
                 sweep_center(
                     &profile,
-                    base,
+                    &config,
                     space,
                     &adaptive.scanning_ranges,
                     &mut slots,
@@ -578,19 +655,22 @@ impl SweepPlan {
                 )
             })
             .map(|cx| {
+                let mut units = Vec::new();
                 let mut cells = Vec::new();
                 for (k, &range) in adaptive.scanning_ranges.iter().enumerate() {
                     if reuse_source(&slots, k).is_none() {
-                        cells.extend(adaptive.intervals.iter().map(|&i| (range, i)));
+                        let mut unit = RangeUnit::default();
+                        unit.prepare(&profile, &config, space, cx, range);
+                        cells.extend(adaptive.intervals.iter().map(|&i| (units.len(), range, i)));
+                        units.push(unit);
                     }
                 }
                 SweepPlan {
-                    profile: profile.clone(),
-                    config: base.clone(),
+                    config,
                     space,
-                    cx,
                     adaptive: adaptive.clone(),
                     slots,
+                    units,
                     cells,
                 }
             });
@@ -610,7 +690,8 @@ impl SweepPlan {
     ///
     /// Panics when `index >= cell_count()`.
     pub fn cell(&self, index: usize) -> (f64, f64) {
-        self.cells[index]
+        let (_, range, interval) = self.cells[index];
+        (range, interval)
     }
 
     /// How many best trials [`SweepPlan::finish`] averages.
@@ -631,21 +712,14 @@ impl SweepPlan {
     ///
     /// Panics when `index >= cell_count()`.
     pub fn solve_cell(&self, index: usize, ws: &mut Workspace) -> Result<AdaptiveTrial, CoreError> {
-        let (range, interval) = self.cells[index];
-        locate_cell(
-            &self.profile,
-            &self.config,
-            self.space,
-            self.cx,
-            range,
-            interval,
-            ws,
-        )
-        .map(|estimate| AdaptiveTrial {
-            range,
-            interval,
-            estimate,
-        })
+        let (unit, range, interval) = self.cells[index];
+        self.units[unit]
+            .solve(&self.config, self.space, interval, ws)
+            .map(|estimate| AdaptiveTrial {
+                range,
+                interval,
+                estimate,
+            })
     }
 
     /// Reduces per-cell results — one per cell, **in cell-index order** —
@@ -663,11 +737,11 @@ impl SweepPlan {
         let mut results = results.into_iter();
         let mut out = AdaptiveOutcome::default();
         let mut slots = self.slots.clone();
-        run_cells(&self.adaptive, &mut slots, &mut out, |_, _| {
-            results
-                .next()
-                .unwrap_or(Err(CoreError::NoPairs))
-                .map(|trial| trial.estimate)
+        run_cells(&self.adaptive, &mut slots, &mut out, |range, out| {
+            for &interval in &self.adaptive.intervals {
+                let result = results.next().unwrap_or(Err(CoreError::NoPairs));
+                push_cell(out, range, interval, result.map(|trial| trial.estimate));
+            }
         });
         if out.trials.is_empty() {
             return Err(CoreError::NoPairs);

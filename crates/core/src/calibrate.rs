@@ -166,15 +166,20 @@ pub fn fuse_calibrations(
             acc.z + c.phase_center.z / n,
         )
     });
-    let offsets: Vec<f64> = runs.iter().map(|c| c.phase_offset).collect();
-    let offset = stats::circular_mean(&offsets).ok_or_else(|| CoreError::DegenerateGeometry {
-        detail: "per-run phase offsets are uniformly spread; the runs disagree".to_string(),
-    })?;
+    let mut offsets = stats::CircularResultant::default();
+    for run in runs {
+        offsets.push(run.phase_offset);
+    }
+    let offset = offsets
+        .mean()
+        .ok_or_else(|| CoreError::DegenerateGeometry {
+            detail: "per-run phase offsets are uniformly spread; the runs disagree".to_string(),
+        })?;
     let center_spread = runs
         .iter()
         .map(|c| c.phase_center.distance(center))
         .fold(0.0_f64, f64::max);
-    let offset_spread = stats::circular_std_dev(&offsets).unwrap_or(f64::INFINITY);
+    let offset_spread = offsets.std_dev().unwrap_or(f64::INFINITY);
     // Displacement is re-derived from the fused center; the physical
     // center is common to all runs by construction.
     let physical = runs[0].phase_center - runs[0].center_displacement;
@@ -239,7 +244,9 @@ pub fn estimate_offset(
     if measurements.is_empty() {
         return Err(CoreError::TooFewMeasurements { got: 0, needed: 1 });
     }
-    let mut diffs = Vec::with_capacity(measurements.len());
+    // One pass over the measurements folds the resultant both statistics
+    // read; no per-sample buffer.
+    let mut diffs = stats::CircularResultant::default();
     for (i, (p, theta)) in measurements.iter().enumerate() {
         if !p.is_finite() || !theta.is_finite() {
             return Err(CoreError::NonFiniteMeasurement { index: i });
@@ -248,12 +255,12 @@ pub fn estimate_offset(
         let theta_d = 4.0 * std::f64::consts::PI * d / wavelength;
         diffs.push(theta - theta_d);
     }
-    let mean = stats::circular_mean(&diffs).ok_or_else(|| CoreError::DegenerateGeometry {
+    let mean = diffs.mean().ok_or_else(|| CoreError::DegenerateGeometry {
         detail: "per-sample phase offsets are uniformly spread; the phase \
                  center estimate is likely wrong"
             .to_string(),
     })?;
-    let spread = stats::circular_std_dev(&diffs).unwrap_or(f64::INFINITY);
+    let spread = diffs.std_dev().unwrap_or(f64::INFINITY);
     Ok((mean, spread))
 }
 
@@ -419,6 +426,40 @@ mod tests {
         assert!(fused.phase_center.distance(truth) <= worst + 1e-12);
         // Displacement is consistent with the fused center.
         assert!((fused.center_displacement - (fused.phase_center - physical)).norm() < 1e-12);
+    }
+
+    #[test]
+    fn estimate_offset_equals_the_two_call_form() {
+        // Seeded noisy phases around displaced centers: the one-pass fold
+        // must give the very offset and spread of collecting the
+        // per-sample differences and calling the two statistics.
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut uniform = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for _ in 0..16 {
+            let truth = Point3::new(
+                0.1 * uniform() - 0.05,
+                0.7 + 0.2 * uniform(),
+                0.1 * uniform(),
+            );
+            let offset = TAU * uniform();
+            let m: Vec<(Point3, f64)> = scan_measurements(truth, offset)
+                .into_iter()
+                .map(|(p, t)| (p, (t + 0.3 * (uniform() - 0.5)).rem_euclid(TAU)))
+                .collect();
+            let center = Point3::new(truth.x + 0.01, truth.y, truth.z - 0.01);
+            let diffs: Vec<f64> = m
+                .iter()
+                .map(|(p, t)| t - 4.0 * PI * center.distance(*p) / LAMBDA)
+                .collect();
+            let (mean, spread) = estimate_offset(&m, center, LAMBDA).unwrap();
+            assert_eq!(Some(mean), stats::circular_mean(&diffs));
+            assert_eq!(Some(spread), stats::circular_std_dev(&diffs));
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@ use lion_linalg::{lstsq, IrlsConfig, Matrix, NormalEq, NormalIrlsScratch, Weight
 use serde::{Deserialize, Serialize};
 
 use crate::error::CoreError;
-use crate::pairs::PairStrategy;
+use crate::pairs::{LineScratch, PairStrategy};
 use crate::preprocess::PhaseProfile;
 use crate::solver::SolveSpace;
 use crate::workspace::{elapsed_ns, Workspace};
@@ -511,7 +511,7 @@ pub(crate) fn prepare_profile_lanes_in(
 /// roots of the eigenvalues equal the singular values of the centered
 /// matrix, so the spanned-direction count matches what an SVD route would
 /// report up to floating-point noise far below the rank tolerance.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct FrameSmall {
     pub(crate) centroid: Point3,
     /// Orthonormal axes, strongest spread first. For 2D mode only the xy
@@ -627,7 +627,8 @@ pub(crate) fn run_with_min(
     run_with_min_in(profile, config, space, min_needed, &mut Workspace::new())
 }
 
-/// [`run_with_min`] with caller-provided solver buffers and metrics.
+/// [`run_with_min`] with caller-provided solver buffers and metrics:
+/// the range-level [`Prepared::prepare`] step, then [`solve_prepared`].
 pub(crate) fn run_with_min_in(
     profile: &PhaseProfile,
     config: &LocalizerConfig,
@@ -635,56 +636,128 @@ pub(crate) fn run_with_min_in(
     min_needed: usize,
     ws: &mut Workspace,
 ) -> Result<Estimate, CoreError> {
-    let n = profile.len();
-    if n < min_needed {
-        return Err(CoreError::TooFewMeasurements {
-            got: n,
-            needed: min_needed,
-        });
-    }
-    let reference = match config.reference_index {
-        Some(r) if r < n => r,
-        Some(r) => {
-            return Err(CoreError::InvalidConfig {
-                parameter: "reference_index",
-                found: format!("{r} for {n} samples"),
-            })
+    let mut prepared = std::mem::take(&mut ws.prepared);
+    let result = prepared
+        .prepare(profile, config, space, min_needed)
+        .and_then(|()| solve_prepared(profile, &prepared, config, ws));
+    ws.prepared = prepared;
+    result
+}
+
+/// The interval-independent half of a solve: everything it reads that
+/// depends only on the profile and the range-level settings (sample
+/// floor, `reference_index`, `rank_tolerance`, the pair strategy's scan
+/// lines), never on the pair interval. [`Prepared::prepare`] fills it
+/// once; [`solve_prepared`] then runs pairs → rows → Gram → IRLS → σ̂
+/// for any interval of the same strategy. The adaptive sweep prepares
+/// each scanning range once and solves it at every interval; a single
+/// solve runs the two halves back to back.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Prepared {
+    pub(crate) frame: FrameSmall,
+    pub(crate) reference: usize,
+    /// Distance deltas against the reference sample.
+    pub(crate) deltas: Vec<f64>,
+    /// Frame coordinates of every sample, **axis-major**
+    /// (`coords[c * n + i]` is coordinate `c` of sample `i`): each solved
+    /// axis is one contiguous lane, the layout the
+    /// `lion_linalg::simd` row-assembly kernel gathers from.
+    coords: Vec<f64>,
+    /// The structured pairing's scan lines.
+    lines: LineScratch,
+}
+
+impl Prepared {
+    /// Validates `profile` against the sample floor, the reference index
+    /// and the rank tolerance, then computes its frame, reference deltas,
+    /// frame coordinates and scan-line classification, reusing this
+    /// state's buffers.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::TooFewMeasurements`], [`CoreError::InvalidConfig`]
+    /// and [`CoreError::DegenerateGeometry`].
+    pub(crate) fn prepare(
+        &mut self,
+        profile: &PhaseProfile,
+        config: &LocalizerConfig,
+        space: SolveSpace,
+        min_needed: usize,
+    ) -> Result<(), CoreError> {
+        let n = profile.len();
+        if n < min_needed {
+            return Err(CoreError::TooFewMeasurements {
+                got: n,
+                needed: min_needed,
+            });
         }
-        None => n / 2,
-    };
-    if !(config.rank_tolerance > 0.0 && config.rank_tolerance < 1.0) {
-        return Err(CoreError::InvalidConfig {
-            parameter: "rank_tolerance",
-            found: format!("{}", config.rank_tolerance),
-        });
+        self.reference = match config.reference_index {
+            Some(r) if r < n => r,
+            Some(r) => {
+                return Err(CoreError::InvalidConfig {
+                    parameter: "reference_index",
+                    found: format!("{r} for {n} samples"),
+                })
+            }
+            None => n / 2,
+        };
+        if !(config.rank_tolerance > 0.0 && config.rank_tolerance < 1.0) {
+            return Err(CoreError::InvalidConfig {
+                parameter: "rank_tolerance",
+                found: format!("{}", config.rank_tolerance),
+            });
+        }
+        let positions = profile.positions();
+        self.frame = analyze_geometry_small(positions, space, config.rank_tolerance)?;
+        profile.delta_distances_into(self.reference, &mut self.deltas);
+        let frame = &self.frame;
+        let (xs, ys, zs) = (profile.xs(), profile.ys(), profile.zs());
+        self.coords.clear();
+        self.coords.reserve(n * frame.spanned);
+        for axis in frame.axes.iter().take(frame.spanned) {
+            for i in 0..n {
+                self.coords.push(
+                    (xs[i] - frame.centroid.x) * axis.x
+                        + (ys[i] - frame.centroid.y) * axis.y
+                        + (zs[i] - frame.centroid.z) * axis.z,
+                );
+            }
+        }
+        config
+            .pair_strategy
+            .classify_into(positions, &mut self.lines);
+        Ok(())
     }
+}
+
+/// The interval-dependent half of a solve: pairs `profile` under
+/// `config.pair_strategy`, stacks the rows, solves them and rebuilds the
+/// world position. `prepared` must come from [`Prepared::prepare`] on the
+/// same profile with a config that differs from `config` at most in the
+/// pair interval.
+pub(crate) fn solve_prepared(
+    profile: &PhaseProfile,
+    prepared: &Prepared,
+    config: &LocalizerConfig,
+    ws: &mut Workspace,
+) -> Result<Estimate, CoreError> {
+    let n = profile.len();
+    debug_assert_eq!(prepared.deltas.len(), n, "prepared for another profile");
     let positions = profile.positions();
-    let frame = analyze_geometry_small(positions, space, config.rank_tolerance)?;
+    let Prepared {
+        frame,
+        reference,
+        deltas,
+        coords,
+        lines,
+    } = prepared;
     let lower_dimension = frame.spanned < frame.dims;
     let k = frame.spanned;
-    profile.delta_distances_into(reference, &mut ws.deltas);
-
-    // Frame coordinates of every sample, **axis-major** into the
-    // workspace's reusable buffer: each solved axis is one contiguous
-    // lane, streamed from the profile's SoA position lanes — the layout
-    // the SIMD row-assembly kernel gathers from.
-    let (xs, ys, zs) = (profile.xs(), profile.ys(), profile.zs());
-    ws.coords.clear();
-    ws.coords.reserve(n * k);
-    for axis in frame.axes.iter().take(k) {
-        for i in 0..n {
-            ws.coords.push(
-                (xs[i] - frame.centroid.x) * axis.x
-                    + (ys[i] - frame.centroid.y) * axis.y
-                    + (zs[i] - frame.centroid.z) * axis.z,
-            );
-        }
-    }
     let pairs_span = lion_obs::span!("lion.pairs");
     let t = Instant::now();
     config
         .pair_strategy
-        .pairs_with(positions, &mut ws.pair_lines, &mut ws.pairs);
+        .pairs_from(positions, lines, &mut ws.pairs);
     ws.metrics.pairs_ns += elapsed_ns(t);
     drop(pairs_span);
     let _solve_span = lion_obs::span!("lion.solve");
@@ -692,9 +765,7 @@ pub(crate) fn run_with_min_in(
     let Workspace {
         design,
         rhs,
-        coords,
         metrics,
-        deltas,
         pairs,
         pair_i,
         pair_j,
@@ -756,7 +827,7 @@ pub(crate) fn run_with_min_in(
         k,
         solution,
         param_std,
-        positions[reference],
+        positions[*reference],
         lower_dimension,
         config.side_hint,
     )?;
@@ -765,7 +836,7 @@ pub(crate) fn run_with_min_in(
     Ok(Estimate {
         position,
         reference_distance: d_r,
-        reference_position: positions[reference],
+        reference_position: positions[*reference],
         mean_residual,
         weighted_rms,
         iterations,

@@ -96,19 +96,39 @@ impl PairStrategy {
     /// [`PairStrategy::AllWithMinSeparation`] are allocation-free in
     /// steady state; [`PairStrategy::StructuredScan`] allocates its
     /// per-line index buffers on every call here. The solve pipeline
-    /// pairs through the same code with those buffers kept in the
+    /// pairs through the same two halves with those buffers kept in the
     /// [`crate::Workspace`], which makes every strategy allocation-free
     /// on the adaptive sweep's hot path.
     pub fn pairs_into(&self, positions: &[Point3], out: &mut Vec<(usize, usize)>) {
-        self.pairs_with(positions, &mut LineScratch::default(), out);
+        let mut lines = LineScratch::default();
+        self.classify_into(positions, &mut lines);
+        self.pairs_from(positions, &lines, out);
     }
 
-    /// [`PairStrategy::pairs_into`] with caller-owned scratch for the
-    /// structured scheme's per-line index buffers.
-    pub(crate) fn pairs_with(
+    /// The interval-independent half of pairing: sorts the samples of
+    /// [`PairStrategy::StructuredScan`] onto its scan lines, each line in
+    /// x order. Other strategies need no classification and leave
+    /// `lines` empty. The adaptive sweep runs this once per scanning
+    /// range and [`PairStrategy::pairs_from`] once per interval.
+    pub(crate) fn classify_into(&self, positions: &[Point3], lines: &mut LineScratch) {
+        for line in lines.iter_mut() {
+            line.clear();
+        }
+        if let PairStrategy::StructuredScan {
+            scan, tolerance, ..
+        } = self
+        {
+            classify_lines(positions, scan, *tolerance, lines);
+        }
+    }
+
+    /// The interval-dependent half of pairing, reading the scan lines a
+    /// [`PairStrategy::classify_into`] call with the same scan and
+    /// tolerance left in `lines`.
+    pub(crate) fn pairs_from(
         &self,
         positions: &[Point3],
-        lines: &mut LineScratch,
+        lines: &LineScratch,
         out: &mut Vec<(usize, usize)>,
     ) {
         out.clear();
@@ -119,10 +139,10 @@ impl PairStrategy {
                 max_pairs,
             } => all_pairs_into(positions, *min_separation, *max_pairs, out),
             PairStrategy::StructuredScan {
-                scan,
                 x_interval,
                 tolerance,
-            } => structured_pairs_into(positions, scan, *x_interval, *tolerance, lines, out),
+                ..
+            } => structured_pairs_into(positions, *x_interval, *tolerance, lines, out),
         }
     }
 }
@@ -179,25 +199,21 @@ fn all_pairs_into(
     }
 }
 
-fn structured_pairs_into(
+/// Classifies samples onto the three scan lines by (y, z) proximity and
+/// sorts each line by x. A sample whose x is not finite can never pair
+/// (its x distance to anything is NaN or infinite), so it is left off
+/// every line; that keeps the sort total.
+fn classify_lines(
     positions: &[Point3],
     scan: &ThreeLineScan,
-    x_interval: f64,
     tolerance: f64,
     lines: &mut LineScratch,
-    out: &mut Vec<(usize, usize)>,
 ) {
-    // NaN-safe: comparisons are false for NaN, so NaN parameters bail out.
-    let params_ok = x_interval > 0.0 && x_interval.is_finite() && tolerance > 0.0;
-    if !params_ok {
-        return;
-    }
-    // Classify samples onto the three lines by (y, z) proximity.
     let [l1, l2, l3] = lines;
-    l1.clear();
-    l2.clear();
-    l3.clear();
     for (i, p) in positions.iter().enumerate() {
+        if !p.x.is_finite() {
+            continue;
+        }
         if p.y.abs() <= tolerance && p.z.abs() <= tolerance {
             l1.push(i);
         } else if p.y.abs() <= tolerance && (p.z - scan.z_offset()).abs() <= tolerance {
@@ -208,16 +224,30 @@ fn structured_pairs_into(
     }
     // Each line holds ascending indices, so ordering by (x, index) is the
     // stable x order, reached without the stable sort's scratch buffer.
-    for line in [&mut *l1, &mut *l2, &mut *l3] {
+    for line in lines.iter_mut() {
         line.sort_unstable_by(|&a, &b| {
             positions[a]
                 .x
                 .partial_cmp(&positions[b].x)
-                .expect("finite")
+                .expect("classified x is finite")
                 .then(a.cmp(&b))
         });
     }
+}
 
+fn structured_pairs_into(
+    positions: &[Point3],
+    x_interval: f64,
+    tolerance: f64,
+    lines: &LineScratch,
+    out: &mut Vec<(usize, usize)>,
+) {
+    // NaN-safe: comparisons are false for NaN, so NaN parameters bail out.
+    let params_ok = x_interval > 0.0 && x_interval.is_finite() && tolerance > 0.0;
+    if !params_ok {
+        return;
+    }
+    let [l1, l2, l3] = lines;
     // The queries below rise with x along L1, so each line's partition
     // point only moves forward: one cursor per line pairs in linear time.
     let (mut c1, mut c2, mut c3) = (0, 0, 0);

@@ -48,9 +48,7 @@ use lion_geom::{Point3, Vec3};
 use lion_linalg::{LevenbergMarquardt, Vector};
 
 use crate::error::CoreError;
-use crate::localizer::{
-    analyze_geometry_small, prepare_profile_in, run_with_min_in, Estimate, LocalizerConfig,
-};
+use crate::localizer::{prepare_profile_in, run_with_min_in, Estimate, LocalizerConfig, Prepared};
 use crate::preprocess::PhaseProfile;
 use crate::workspace::{elapsed_ns, Workspace};
 
@@ -760,42 +758,34 @@ fn solve_grid_profile(
     level_scores: Option<&mut Vec<f64>>,
 ) -> Result<Estimate, CoreError> {
     grid.validate()?;
-    let n = profile.len();
-    let min_needed = space.min_samples();
-    if n < min_needed {
-        return Err(CoreError::TooFewMeasurements {
-            got: n,
-            needed: min_needed,
-        });
-    }
-    let reference = match config.reference_index {
-        Some(r) if r < n => r,
-        Some(r) => {
-            return Err(CoreError::InvalidConfig {
-                parameter: "reference_index",
-                found: format!("{r} for {n} samples"),
-            })
-        }
-        None => n / 2,
-    };
-    if !(config.rank_tolerance > 0.0 && config.rank_tolerance < 1.0) {
-        return Err(CoreError::InvalidConfig {
-            parameter: "rank_tolerance",
-            found: format!("{}", config.rank_tolerance),
-        });
-    }
-    let positions = profile.positions();
-    // Same whole-trajectory degeneracy screen as the linear path — a
-    // single straight line still cannot fix a 3D position (the grid
-    // would land on an arbitrary point of the ambiguity ring).
-    let frame = analyze_geometry_small(positions, space, config.rank_tolerance)?;
+    // Same validation, reference and whole-trajectory degeneracy screen
+    // as the linear path — a single straight line still cannot fix a 3D
+    // position (the grid would land on an arbitrary point of the
+    // ambiguity ring).
+    let mut prepared = std::mem::take(&mut ws.prepared);
+    let result = prepared
+        .prepare(profile, config, space, space.min_samples())
+        .and_then(|()| grid_prepared(profile, &prepared, config, space, grid, ws, level_scores));
+    ws.prepared = prepared;
+    result
+}
+
+fn grid_prepared(
+    profile: &PhaseProfile,
+    prepared: &Prepared,
+    config: &LocalizerConfig,
+    space: SolveSpace,
+    grid: &GridConfig,
+    ws: &mut Workspace,
+    level_scores: Option<&mut Vec<f64>>,
+) -> Result<Estimate, CoreError> {
+    let frame = &prepared.frame;
     let _span = lion_obs::span!("lion.solve");
     let t = Instant::now();
-    profile.delta_distances_into(reference, &mut ws.deltas);
     let problem = GridProblem {
-        positions,
-        deltas: &ws.deltas,
-        reference,
+        positions: profile.positions(),
+        deltas: &prepared.deltas,
+        reference: prepared.reference,
         anchor: frame.centroid,
         planar: space == SolveSpace::TwoD,
         side_hint: config.side_hint,
@@ -819,7 +809,7 @@ fn solve_grid_profile(
     });
     ws.metrics.solve_ns += elapsed_ns(t);
     ws.metrics.solves += 1;
-    ws.metrics.equations += n as u64;
+    ws.metrics.equations += problem.sample_count() as u64;
     result
 }
 

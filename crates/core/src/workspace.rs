@@ -17,8 +17,8 @@ use lion_linalg::{Matrix, NormalEq, NormalIrlsScratch, Vector};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
-use crate::adaptive::RangeSlot;
-use crate::pairs::LineScratch;
+use crate::adaptive::{RangeSlot, RangeUnit};
+use crate::localizer::Prepared;
 use crate::preprocess::PhaseProfile;
 
 /// Monotonic per-stage timers (nanoseconds) and counters accumulated
@@ -75,7 +75,7 @@ pub struct StageMetrics {
     pub adaptive_ns: u64,
     /// The sweep-exclusive share of `adaptive_ns`: orchestration time the
     /// sweep spent *outside* the four pipeline stages (grid iteration,
-    /// profile restriction, trial ranking). Disjoint from `unwrap_ns` /
+    /// range restriction and preparation, trial ranking). Disjoint from `unwrap_ns` /
     /// `smooth_ns` / `pairs_ns` / `solve_ns`, so
     /// `pipeline_ns() + adaptive_exclusive_ns` is the total busy time
     /// without double counting.
@@ -188,11 +188,6 @@ impl SampleSoa {
 pub struct Workspace {
     pub(crate) design: Matrix,
     pub(crate) rhs: Vector,
-    /// Frame coordinates of the batch solve path, **axis-major**
-    /// (`coords[c * n + i]` is coordinate `c` of sample `i`): each of the
-    /// `k` frame axes is one contiguous lane, the layout the
-    /// `lion_linalg::simd` row-assembly kernel gathers from.
-    pub(crate) coords: Vec<f64>,
     pub(crate) metrics: StageMetrics,
     /// SoA staging for windowed solves: a [`crate::SlidingWindow`]'s
     /// reads are copied here lane-wise (capacity retained across solves)
@@ -202,12 +197,11 @@ pub struct Workspace {
     /// sweep stage their preprocessing here instead of allocating a fresh
     /// profile per call.
     pub(crate) profile: PhaseProfile,
-    /// Distance deltas against the reference sample (batch solve path).
-    pub(crate) deltas: Vec<f64>,
+    /// The interval-independent half of the current solve: frame,
+    /// reference deltas, frame coordinates and scan lines.
+    pub(crate) prepared: Prepared,
     /// Sample pairs of the batch solve path.
     pub(crate) pairs: Vec<(usize, usize)>,
-    /// Per-scan-line index buffers of the structured pairing.
-    pub(crate) pair_lines: LineScratch,
     /// Pair endpoints as `i32` index lanes — the gather-friendly mirror
     /// of `pairs` the SIMD row-assembly kernel consumes.
     pub(crate) pair_i: Vec<i32>,
@@ -226,9 +220,9 @@ pub struct Workspace {
     pub(crate) smooth_prefix: Vec<f64>,
     /// Moving-average output scratch.
     pub(crate) smooth_tmp: Vec<f64>,
-    /// The current adaptive-sweep cell: `profile` restricted to the
-    /// cell's scanning range.
-    pub(crate) cell_profile: PhaseProfile,
+    /// The adaptive sweep's current scanning range, restricted and
+    /// prepared.
+    pub(crate) sweep_range: RangeUnit,
     /// Per-range bookkeeping of the adaptive sweep.
     pub(crate) range_slots: Vec<RangeSlot>,
 }
@@ -240,13 +234,11 @@ impl Workspace {
         Workspace {
             design: Matrix::zeros(0, 0),
             rhs: Vector::zeros(0),
-            coords: Vec::new(),
             metrics: StageMetrics::default(),
             samples: SampleSoa::default(),
             profile: PhaseProfile::default(),
-            deltas: Vec::new(),
+            prepared: Prepared::default(),
             pairs: Vec::new(),
-            pair_lines: LineScratch::default(),
             pair_i: Vec::new(),
             pair_j: Vec::new(),
             solution: Vec::new(),
@@ -256,7 +248,7 @@ impl Workspace {
             cov_diag: Vec::new(),
             smooth_prefix: Vec::new(),
             smooth_tmp: Vec::new(),
-            cell_profile: PhaseProfile::default(),
+            sweep_range: RangeUnit::default(),
             range_slots: Vec::new(),
         }
     }

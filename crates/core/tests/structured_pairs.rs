@@ -217,3 +217,33 @@ fn invalid_parameters_pair_nothing() {
         assert!(cursor_pairs(&positions, scan, x_interval, tolerance).is_empty());
     }
 }
+
+#[test]
+fn non_finite_x_samples_pair_like_off_line_samples() {
+    // A sample whose x is NaN or infinite sits on a line by (y, z) but
+    // can never match anything: pairing must not panic, and must emit
+    // exactly the pairs it emits with that sample moved off every line.
+    let scan = ThreeLineScan::new(-0.4, 0.4, 0.2, 0.2).expect("valid scan");
+    let xs: Vec<f64> = (0..=80).map(|i| -0.4 + i as f64 * 0.01).collect();
+    let mut positions: Vec<Point3> = xs.iter().map(|&x| scan.positions_at(x).0).collect();
+    positions.extend(xs.iter().rev().map(|&x| scan.positions_at(x).1));
+    positions.extend(xs.iter().map(|&x| scan.positions_at(x).2));
+    let bad = [
+        (3, f64::NAN),
+        (40, f64::INFINITY),
+        (41, f64::NEG_INFINITY),
+        (100, f64::NAN),
+        (200, f64::NAN),
+    ];
+    let mut hostile = positions.clone();
+    let mut off_line = positions.clone();
+    for &(i, x) in &bad {
+        hostile[i].x = x;
+        off_line[i] = Point3::new(0.0, 5.0, 5.0);
+    }
+    for x_interval in [0.1, 0.2, 0.35] {
+        let expected = binary_search_pairs(&off_line, &scan, x_interval, 0.003);
+        assert!(!expected.is_empty());
+        assert_eq!(cursor_pairs(&hostile, scan, x_interval, 0.003), expected);
+    }
+}

@@ -181,10 +181,11 @@ impl Engine {
     /// across the worker pool.
     ///
     /// Preprocessing (unwrap, smooth, the whole-trajectory geometry
-    /// check) happens once on the calling thread; each worker then solves
-    /// cells with its own [`Workspace`] — one cell is the standard locate
-    /// pipeline on the range-restricted profile — and results are reduced
-    /// in submission order. The
+    /// check, and each scanning range's restriction and preparation)
+    /// happens once on the calling thread; each worker then solves cells
+    /// with its own [`Workspace`] — one cell is the interval half of the
+    /// standard locate pipeline on its prepared range — and results are
+    /// reduced in submission order. The
     /// outcome is **bit-identical** for any worker count — including to
     /// the sequential [`Localizer::locate_adaptive`] — see the
     /// [`SweepPlan`] docs for why.

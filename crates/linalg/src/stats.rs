@@ -124,6 +124,78 @@ pub fn circular_diff(a: f64, b: f64) -> f64 {
     }
 }
 
+/// The resultant of a set of angles, `(Σ sin a, Σ cos a)` over `count`
+/// angles, folded in push order: the one pass behind both
+/// [`circular_mean`] and [`circular_std_dev`]. A caller that needs both
+/// statistics, or whose angles are derived on the fly, folds once and
+/// reads both without collecting the angles.
+///
+/// # Example
+///
+/// ```
+/// use lion_linalg::stats::{circular_mean, CircularResultant};
+///
+/// let angles = [0.1, 0.3, 6.2];
+/// let mut r = CircularResultant::default();
+/// for &a in &angles {
+///     r.push(a);
+/// }
+/// assert_eq!(r.mean(), circular_mean(&angles));
+/// ```
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct CircularResultant {
+    sin_sum: f64,
+    cos_sum: f64,
+    count: usize,
+}
+
+impl CircularResultant {
+    /// Folds `angles` in order.
+    pub fn of(angles: &[f64]) -> Self {
+        let mut r = CircularResultant::default();
+        for &a in angles {
+            r.push(a);
+        }
+        r
+    }
+
+    /// Adds one angle (radians).
+    pub fn push(&mut self, angle: f64) {
+        self.sin_sum += angle.sin();
+        self.cos_sum += angle.cos();
+        self.count += 1;
+    }
+
+    /// Mean resultant length `R ∈ [0, 1]` before clamping; `None` when
+    /// no angle was pushed.
+    fn length(&self) -> Option<f64> {
+        if self.count == 0 {
+            return None;
+        }
+        let (s, c) = (self.sin_sum, self.cos_sum);
+        Some((s * s + c * c).sqrt() / self.count as f64)
+    }
+
+    /// The circular mean in `[0, 2π)`; `None` when no angle was pushed or
+    /// the resultant collapses to zero.
+    pub fn mean(&self) -> Option<f64> {
+        if self.length()? < 1e-12 {
+            return None;
+        }
+        Some(wrap_angle(self.sin_sum.atan2(self.cos_sum)))
+    }
+
+    /// The circular standard deviation `√(−2·ln R)`; `None` when no
+    /// angle was pushed, infinite when `R` is zero.
+    pub fn std_dev(&self) -> Option<f64> {
+        let r = self.length()?.clamp(0.0, 1.0);
+        if r == 0.0 {
+            return Some(f64::INFINITY);
+        }
+        Some((-2.0 * r.ln()).sqrt())
+    }
+}
+
 /// Circular mean of angles in radians; `None` for empty input or when the
 /// resultant vector collapses to zero (uniformly spread angles have no
 /// meaningful mean).
@@ -132,33 +204,13 @@ pub fn circular_diff(a: f64, b: f64) -> f64 {
 /// step (paper Eq. 17): offsets near `0` and near `2π` must average to `~0`,
 /// not to `π`.
 pub fn circular_mean(angles: &[f64]) -> Option<f64> {
-    if angles.is_empty() {
-        return None;
-    }
-    let (s, c) = angles
-        .iter()
-        .fold((0.0_f64, 0.0_f64), |(s, c), &a| (s + a.sin(), c + a.cos()));
-    let norm = (s * s + c * c).sqrt() / angles.len() as f64;
-    if norm < 1e-12 {
-        return None;
-    }
-    Some(wrap_angle(s.atan2(c)))
+    CircularResultant::of(angles).mean()
 }
 
 /// Circular standard deviation `√(−2·ln R)` where `R` is the mean resultant
 /// length; `None` for empty input.
 pub fn circular_std_dev(angles: &[f64]) -> Option<f64> {
-    if angles.is_empty() {
-        return None;
-    }
-    let (s, c) = angles
-        .iter()
-        .fold((0.0_f64, 0.0_f64), |(s, c), &a| (s + a.sin(), c + a.cos()));
-    let r = ((s * s + c * c).sqrt() / angles.len() as f64).clamp(0.0, 1.0);
-    if r == 0.0 {
-        return Some(f64::INFINITY);
-    }
-    Some((-2.0 * r.ln()).sqrt())
+    CircularResultant::of(angles).std_dev()
 }
 
 /// Centered moving-average filter with the given window size (the paper's
@@ -337,6 +389,39 @@ mod tests {
         let spread = circular_std_dev(&[0.0, 2.0, 4.0]).unwrap();
         assert!(spread > tight);
         assert_eq!(circular_std_dev(&[]), None);
+    }
+
+    #[test]
+    fn resultant_matches_the_two_pass_fold() {
+        // Reference: each statistic straight from its definition.
+        let reference = |angles: &[f64]| {
+            let (s, c) = angles
+                .iter()
+                .fold((0.0_f64, 0.0_f64), |(s, c), &a| (s + a.sin(), c + a.cos()));
+            let len = (s * s + c * c).sqrt() / angles.len() as f64;
+            let mean = (len >= 1e-12).then(|| wrap_angle(s.atan2(c)));
+            let r = len.clamp(0.0, 1.0);
+            let std = if r == 0.0 {
+                f64::INFINITY
+            } else {
+                (-2.0 * r.ln()).sqrt()
+            };
+            (mean, std)
+        };
+        let mut state = 0x2545_F491_4F6C_DD1D_u64;
+        for n in 1..64 {
+            let angles: Vec<f64> = (0..n)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    (state >> 11) as f64 / (1u64 << 53) as f64 * 8.0 - 1.0
+                })
+                .collect();
+            let (mean, std) = reference(&angles);
+            assert_eq!(circular_mean(&angles), mean);
+            assert_eq!(circular_std_dev(&angles), Some(std));
+        }
     }
 
     #[test]

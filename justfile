@@ -4,9 +4,11 @@
 # CI would run.
 # Tests run with overflow-checks on (see [profile.test] in Cargo.toml);
 # the streaming parity + backpressure suites, the adaptive sweep's
-# reuse oracle, the structured-pairing oracle, the accelerated-IRLS
-# fixed-point oracle and the Doctor's health suite are named explicitly
-# so a test-filter typo can't silently skip a bit-identicality gate.
+# reuse and per-cell oracles, the structured-pairing oracle, the
+# accelerated-IRLS fixed-point oracle and the Doctor's health suite are
+# named explicitly so a test-filter typo can't silently skip a
+# bit-identicality gate. The end-to-end benchmark's own tests run every
+# workload at tiny scale and check the ledger identity.
 verify:
     cargo build --release
     cargo test --workspace -q
@@ -15,7 +17,7 @@ verify:
     cargo test -q -p lion-linalg --test proptests normal_eq
     cargo test -q -p lion-linalg --test irls_fixed_point
     cargo test -q -p lion-core --test zero_alloc --test adaptive_regression
-    cargo test -q -p lion-core --test sweep_reuse --test structured_pairs
+    cargo test -q -p lion-core --test sweep_reuse --test sweep_cells --test structured_pairs
     cargo test -q -p lion-core --test scalar_dispatch
     cargo test -q -p lion-linalg --test simd_parity
     cargo test -q --test solver_parity
@@ -23,6 +25,7 @@ verify:
     cargo test -q --test fleet_health
     cargo test -q --test alerts_history --test doctor
     cargo build --release --offline --manifest-path bench_e2e/Cargo.toml
+    cargo test --release --offline --manifest-path bench_e2e/Cargo.toml
     cargo clippy --workspace --all-targets -- -D warnings
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
     cargo fmt --check
