@@ -1,14 +1,15 @@
-//! Tracked benchmark for the solver backends behind the [`lion_core::Solver`] seam.
+//! Tracked benchmark for the linear localization model's solves and the
+//! observability plane's scrape paths.
 //!
 //! Measures median wall times on the fig16-style workload (indoor
 //! scenario, ±0.75 m track, paper defaults) for:
 //!
-//! - a single full-trace 2D solve through the linear (QR/IRLS) backend,
-//! - the same solve through the coarse-to-fine likelihood grid,
-//! - the 6×6 adaptive sweep with each backend,
+//! - a single 2D solve (pairs → rows → Gram → IRLS → σ̂) on the paper's
+//!   0.8 m scanning range,
+//! - the 6×6 adaptive sweep,
 //!
-//! and records the cross-backend parity (distance between the two
-//! single-solve estimates) as the gate the committed baseline must keep.
+//! plus one `/metrics` render and one history-plane sampler tick on a
+//! bench-shaped registry.
 //!
 //! Usage:
 //!
@@ -17,16 +18,16 @@
 //! - `bench_solvers --check PATH` — run, refuse (exit 0) if the
 //!   committed baseline came from a different machine or toolchain,
 //!   otherwise verify fresh medians are within 3× of the committed
-//!   ones and that both the fresh and committed parity stay inside the
-//!   documented agreement radius (exit code 1 otherwise).
+//!   ones and the render and tick costs stay inside their absolute
+//!   budgets (exit code 1 otherwise).
 //!
 //! Run with `--release`; debug-build numbers are meaningless.
 
 use std::time::Instant;
 
 use lion_core::{
-    AdaptiveConfig, AdaptiveOutcome, GridConfig, Localizer, LocalizerConfig, PhaseProfile,
-    SolveSpace, SolverKind, Workspace,
+    AdaptiveConfig, AdaptiveOutcome, Localizer, LocalizerConfig, PhaseProfile, SolveSpace,
+    Workspace,
 };
 use lion_geom::{LineSegment, Point3};
 
@@ -35,10 +36,6 @@ use lion_bench::rig;
 /// How many times slower/faster than the committed baseline a fresh
 /// median may be before `--check` fails (same scheme as BENCH_8/10).
 const CHECK_RATIO: f64 = 3.0;
-/// The documented cross-backend agreement radius on the fig16 rig
-/// (DESIGN §12): the grid estimate must land within this distance of
-/// the linear estimate, both in the committed baseline and fresh.
-const PARITY_LIMIT_M: f64 = 0.02;
 /// Budget for one `/metrics` scrape render (snapshot + Prometheus text)
 /// of a bench-shaped registry. An **absolute** gate, not
 /// baseline-relative: the committed `BENCH_6.json` needs no regeneration
@@ -90,34 +87,20 @@ fn workload(seed: u64) -> (Vec<(Point3, f64)>, LocalizerConfig) {
     )
 }
 
-const BENCH_NAMES: [&str; 4] = [
-    "linear_solve_ns",
-    "grid_solve_ns",
-    "sweep_linear_ns",
-    "sweep_grid_ns",
-];
+const BENCH_NAMES: [&str; 2] = ["linear_solve_ns", "sweep_linear_ns"];
 
 struct BenchResults {
     linear_solve_ns: u64,
-    grid_solve_ns: u64,
     sweep_linear_ns: u64,
-    sweep_grid_ns: u64,
-    parity_m: f64,
     metrics_render_ns: u64,
     sampler_tick_ns: u64,
 }
 
 impl BenchResults {
-    fn slowdown(&self) -> f64 {
-        self.grid_solve_ns as f64 / self.linear_solve_ns.max(1) as f64
-    }
-
-    fn named(&self) -> [(&'static str, u64); 4] {
+    fn named(&self) -> [(&'static str, u64); 2] {
         [
             (BENCH_NAMES[0], self.linear_solve_ns),
-            (BENCH_NAMES[1], self.grid_solve_ns),
-            (BENCH_NAMES[2], self.sweep_linear_ns),
-            (BENCH_NAMES[3], self.sweep_grid_ns),
+            (BENCH_NAMES[1], self.sweep_linear_ns),
         ]
     }
 
@@ -130,12 +113,9 @@ impl BenchResults {
             .join(",");
         format!(
             "{{\"schema\":\"lion-bench-6\",\"env\":{},\
-             \"benches\":{{{}}},\"grid_vs_linear_slowdown\":{:.2},\"parity_m\":{:.6},\
-             \"metrics_render_ns\":{},\"sampler_tick_ns\":{}}}",
+             \"benches\":{{{}}},\"metrics_render_ns\":{},\"sampler_tick_ns\":{}}}",
             lion_bench::benv::BenchEnv::current().to_json(),
             benches,
-            self.slowdown(),
-            self.parity_m,
             self.metrics_render_ns,
             self.sampler_tick_ns,
         )
@@ -146,18 +126,9 @@ fn run_benches() -> BenchResults {
     let (m, config) = workload(42);
     let adaptive = AdaptiveConfig::default();
     let linear = Localizer::new(config.clone(), SolveSpace::TwoD);
-    let grid = Localizer::new(
-        LocalizerConfig {
-            solver: SolverKind::Grid(GridConfig::default()),
-            ..config
-        },
-        SolveSpace::TwoD,
-    );
 
-    // Single solves run on the paper's 0.8 m scanning range (as the
-    // fig16 experiments do): the range restriction keeps the off-beam
-    // tail out, which the linear backend would down-weight but the
-    // unweighted likelihood would not.
+    // Single solves run on the paper's 0.8 m scanning range, as the
+    // fig16 experiments do.
     let profile = {
         let mut p = PhaseProfile::from_wrapped(&m, config.wavelength).expect("valid trace");
         p.smooth(config.smoothing_window);
@@ -165,23 +136,9 @@ fn run_benches() -> BenchResults {
     };
 
     let mut ws = Workspace::new();
-    let parity_m = {
-        let ls = linear
-            .locate_profile_in(&profile, &mut ws)
-            .expect("solvable trace");
-        let lg = grid
-            .locate_profile_in(&profile, &mut ws)
-            .expect("solvable trace");
-        ls.position.distance(lg.position)
-    };
-
     let linear_solve_ns = bench(51, || {
         linear
             .locate_profile_in(&profile, &mut ws)
-            .expect("solvable trace");
-    });
-    let grid_solve_ns = bench(21, || {
-        grid.locate_profile_in(&profile, &mut ws)
             .expect("solvable trace");
     });
 
@@ -191,17 +148,10 @@ fn run_benches() -> BenchResults {
             .locate_adaptive_into(&m, &adaptive, &mut ws, &mut out)
             .expect("solvable sweep");
     });
-    let sweep_grid_ns = bench(5, || {
-        grid.locate_adaptive_into(&m, &adaptive, &mut ws, &mut out)
-            .expect("solvable sweep");
-    });
 
     BenchResults {
         linear_solve_ns,
-        grid_solve_ns,
         sweep_linear_ns,
-        sweep_grid_ns,
-        parity_m,
         metrics_render_ns: bench_metrics_render(),
         sampler_tick_ns: bench_sampler_tick(),
     }
@@ -213,13 +163,7 @@ fn bench_registry() -> lion_obs::Registry {
     registry.counter_add("engine.jobs", 4096);
     registry.counter_add("engine.failed", 3);
     registry.gauge_set("engine.workers", 8.0);
-    for rule in [
-        "residual_drift",
-        "convergence_stall",
-        "ingress_shed",
-        "solve_latency",
-        "solver_disagreement",
-    ] {
+    for rule in lion_obs::RULES {
         registry.gauge_set(&format!("fleet.rule.{rule}.firing"), 2.0);
     }
     for stage in [
@@ -279,7 +223,7 @@ fn bench_metrics_render() -> u64 {
     ns
 }
 
-fn load_baseline(path: &str) -> Result<(Vec<(String, u64)>, f64), String> {
+fn load_baseline(path: &str) -> Result<Vec<(String, u64)>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
     let doc = lion_obs::json::parse(&text).map_err(|e| format!("parse {path}: {e}"))?;
     let schema = doc.get("schema").and_then(|v| v.as_str()).unwrap_or("");
@@ -296,21 +240,12 @@ fn load_baseline(path: &str) -> Result<(Vec<(String, u64)>, f64), String> {
             .ok_or_else(|| format!("missing bench {name}"))?;
         medians.push((name.to_string(), median));
     }
-    let parity = doc
-        .get("parity_m")
-        .and_then(|v| v.as_f64())
-        .ok_or("missing parity_m")?;
-    Ok((medians, parity))
+    Ok(medians)
 }
 
 fn check(results: &BenchResults, path: &str) -> Result<(), String> {
-    let (baseline, committed_parity) = load_baseline(path)?;
+    let baseline = load_baseline(path)?;
     let mut failures = Vec::new();
-    if committed_parity > PARITY_LIMIT_M {
-        failures.push(format!(
-            "committed parity {committed_parity:.4} m exceeds the {PARITY_LIMIT_M} m radius"
-        ));
-    }
     for (name, fresh) in results.named() {
         let committed = baseline
             .iter()
@@ -327,16 +262,6 @@ fn check(results: &BenchResults, path: &str) -> Result<(), String> {
             "ok"
         };
         eprintln!("check {name}: fresh {fresh} ns, committed {committed} ns [{status}]");
-    }
-    eprintln!(
-        "check parity: fresh {:.4} m, committed {committed_parity:.4} m (limit {PARITY_LIMIT_M} m)",
-        results.parity_m
-    );
-    if results.parity_m > PARITY_LIMIT_M {
-        failures.push(format!(
-            "fresh parity {:.4} m exceeds the {PARITY_LIMIT_M} m radius",
-            results.parity_m
-        ));
     }
     // Absolute gate on the scrape hot path (no committed counterpart —
     // see METRICS_RENDER_BUDGET_NS).

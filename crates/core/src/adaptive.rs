@@ -27,13 +27,9 @@
 //! from the prepared range. Both halves are the ones `locate_in` runs
 //! back to back, so a cell's estimate is bit-identical to solving its
 //! restricted profile alone at its interval; nothing is shared between
-//! ranges. The backend [`LocalizerConfig::solver`] selects does the
-//! solving. A cell that fails (too few samples or pairs, a rank problem,
-//! a failed recovery) is counted as skipped; a range that fails
-//! preparation skips all of its cells. Grid-backend cells ignore the
-//! interval (the grid scores samples directly, no pairing) and solve
-//! from the restricted profile, so only the range axis differentiates
-//! their trials.
+//! ranges. A cell that fails (too few samples or pairs, a rank
+//! problem, a failed recovery) is counted as skipped; a range that fails
+//! preparation skips all of its cells.
 //!
 //! Every scanning range is centered on the same x, so the ranges nest:
 //! two ranges that keep the same number of reads keep the very same
@@ -42,9 +38,10 @@
 //! copies that range's per-interval results (with `range` rewritten)
 //! instead of solving them again — bit-identical to solving them.
 //!
-//! Whole-trajectory problems — an invalid `rank_tolerance`,
-//! [`CoreError::DegenerateGeometry`] — fail the sweep as a whole instead
-//! of silently skipping every cell. `config.reference_index` is ignored.
+//! Whole-trajectory problems — an invalid `rank_tolerance` or
+//! `side_hint`, [`CoreError::DegenerateGeometry`] — fail the sweep as a
+//! whole instead of silently skipping every cell.
+//! `config.reference_index` is ignored.
 //! All buffers, the prepared range included, live in the [`Workspace`],
 //! so the steady-state sweep performs **zero heap allocations**. The
 //! `lion.adaptive.cell_ns` histogram times each cell's interval work;
@@ -65,11 +62,10 @@ use lion_geom::Point3;
 
 use crate::error::CoreError;
 use crate::localizer::{
-    analyze_geometry_small, prepare_profile_in, solve_prepared, Estimate, Localizer,
-    LocalizerConfig, Prepared,
+    analyze_geometry_small, prepare_profile_in, solve_prepared, validate_side_hint, Estimate,
+    Localizer, LocalizerConfig, Prepared, SolveSpace,
 };
 use crate::preprocess::PhaseProfile;
-use crate::solver::{dispatch_profile, SolveSpace, SolverKind};
 use crate::workspace::{elapsed_ns, StageMetrics, Workspace};
 
 /// The parameter grid for the adaptive sweep.
@@ -345,7 +341,7 @@ fn sweep_profile(
         run_cells(adaptive, &mut slots, out, |range, out| {
             unit.prepare(profile, base, space, cx, range);
             for &interval in &adaptive.intervals {
-                push_cell(out, range, interval, unit.solve(base, space, interval, ws));
+                push_cell(out, range, interval, unit.solve(base, interval, ws));
             }
         })
     });
@@ -377,11 +373,11 @@ fn sweep_profile(
 }
 
 /// The whole-trajectory checks every sweep runs once, before any cell:
-/// validates `rank_tolerance` and the trajectory's geometry, and counts
-/// the reads each scanning range keeps into `slots` (one per range) and
-/// the reads it drops into `reads_dropped`. Returns the range center,
-/// the trajectory's x centroid (the paper centers its scanning range at
-/// x = 0 with the antenna at the track middle).
+/// validates `rank_tolerance`, `side_hint` and the trajectory's
+/// geometry, and counts the reads each scanning range keeps into `slots`
+/// (one per range) and the reads it drops into `reads_dropped`. Returns
+/// the range center, the trajectory's x centroid (the paper centers its
+/// scanning range at x = 0 with the antenna at the track middle).
 fn sweep_center(
     profile: &PhaseProfile,
     base: &LocalizerConfig,
@@ -396,6 +392,7 @@ fn sweep_center(
             found: format!("{}", base.rank_tolerance),
         });
     }
+    validate_side_hint(base.side_hint)?;
     let positions = profile.positions();
     analyze_geometry_small(positions, space, base.rank_tolerance)?;
     let cx = positions.iter().map(|p| p.x).sum::<f64>() / positions.len() as f64;
@@ -506,11 +503,9 @@ fn range_config(base: &LocalizerConfig) -> LocalizerConfig {
 
 /// One scanning range of a sweep, prepared — the unit both the
 /// sequential sweep and [`SweepPlan`] solve intervals against. Holds the
-/// profile restricted to the range and, for the linear backend, the
-/// interval-independent half of its solve ([`Prepared`]): frame,
-/// reference, deltas, coordinates and scan lines, computed once for all
-/// of the range's intervals. The grid backend ignores the interval and
-/// solves each cell from the restricted profile.
+/// profile restricted to the range and the interval-independent half of
+/// its solve ([`Prepared`]): frame, reference, deltas, coordinates and
+/// scan lines, computed once for all of the range's intervals.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RangeUnit {
     profile: PhaseProfile,
@@ -533,23 +528,17 @@ impl RangeUnit {
         range: f64,
     ) {
         profile.restrict_x_into(cx - range / 2.0, cx + range / 2.0, &mut self.profile);
-        self.failure = match base.solver {
-            SolverKind::Linear => self
-                .prepared
-                .prepare(&self.profile, base, space, space.min_samples())
-                .err(),
-            SolverKind::Grid(_) => None,
-        };
+        self.failure = self
+            .prepared
+            .prepare(&self.profile, base, space, space.min_samples())
+            .err();
     }
 
     /// Solves the prepared range at `interval`: pairs, rows, Gram, IRLS
-    /// and σ̂ for the linear backend, the whole grid search for the grid
-    /// backend. Records its time in the `lion.adaptive.cell_ns`
-    /// histogram.
+    /// and σ̂. Records its time in the `lion.adaptive.cell_ns` histogram.
     fn solve(
         &self,
         base: &LocalizerConfig,
-        space: SolveSpace,
         interval: f64,
         ws: &mut Workspace,
     ) -> Result<Estimate, CoreError> {
@@ -559,10 +548,7 @@ impl RangeUnit {
         let cell_start = Instant::now();
         let mut config = base.clone();
         config.pair_strategy = base.pair_strategy.with_interval(interval);
-        let solved = match config.solver {
-            SolverKind::Linear => solve_prepared(&self.profile, &self.prepared, &config, ws),
-            SolverKind::Grid(_) => dispatch_profile(&self.profile, &config, space, ws),
-        };
+        let solved = solve_prepared(&self.profile, &self.prepared, &config, ws);
         lion_obs::global().histogram_record("lion.adaptive.cell_ns", elapsed_ns(cell_start));
         solved
     }
@@ -620,7 +606,6 @@ fn reduce_outcome(keep: usize, out: &mut AdaptiveOutcome) {
 pub struct SweepPlan {
     /// The base configuration, from `range_config`.
     config: LocalizerConfig,
-    space: SolveSpace,
     adaptive: AdaptiveConfig,
     /// Reads kept per scanning range.
     slots: Vec<RangeSlot>,
@@ -667,7 +652,6 @@ impl SweepPlan {
                 }
                 SweepPlan {
                     config,
-                    space,
                     adaptive: adaptive.clone(),
                     slots,
                     units,
@@ -714,7 +698,7 @@ impl SweepPlan {
     pub fn solve_cell(&self, index: usize, ws: &mut Workspace) -> Result<AdaptiveTrial, CoreError> {
         let (unit, range, interval) = self.cells[index];
         self.units[unit]
-            .solve(&self.config, self.space, interval, ws)
+            .solve(&self.config, interval, ws)
             .map(|estimate| AdaptiveTrial {
                 range,
                 interval,
@@ -969,6 +953,29 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_side_hint_fails_the_sweep() {
+        let m = linear_scan(Point3::new(0.1, 0.8, 0.0), 0.6, 0.005);
+        let mut c = cfg();
+        c.side_hint = Some(Point3::new(f64::NAN, 0.5, 0.0));
+        let loc = Localizer::new(c, SolveSpace::TwoD);
+        let grid = AdaptiveConfig::default();
+        assert!(matches!(
+            loc.locate_adaptive(&m, &grid),
+            Err(CoreError::InvalidConfig {
+                parameter: "side_hint",
+                ..
+            })
+        ));
+        assert!(matches!(
+            loc.sweep_plan(&m, &grid, &mut Workspace::new()),
+            Err(CoreError::InvalidConfig {
+                parameter: "side_hint",
+                ..
+            })
+        ));
+    }
+
+    #[test]
     fn repeated_sweeps_with_reused_workspace_are_bit_identical() {
         let target = Point3::new(0.1, 0.8, 0.0);
         let m = linear_scan(target, 0.6, 0.005);
@@ -1020,35 +1027,6 @@ mod tests {
         };
         let loc = Localizer::new(c, SolveSpace::ThreeD);
         let sequential = loc.locate_adaptive(&m, &adaptive).unwrap();
-        let mut ws = Workspace::new();
-        let plan = loc.sweep_plan(&m, &adaptive, &mut ws).unwrap();
-        let results: Vec<_> = (0..plan.cell_count())
-            .map(|i| plan.solve_cell(i, &mut ws))
-            .collect();
-        let fanned = plan.finish(results).unwrap();
-        assert_eq!(sequential, fanned);
-    }
-
-    #[test]
-    fn grid_solver_sweep_matches_truth_and_plan_fanout() {
-        let target = Point3::new(0.1, 0.8, 0.0);
-        let m = linear_scan(target, 0.6, 0.005);
-        let mut c = cfg();
-        c.solver = crate::SolverKind::Grid(crate::GridConfig::default());
-        let loc = Localizer::new(c, SolveSpace::TwoD);
-        let adaptive = AdaptiveConfig {
-            scanning_ranges: vec![0.8, 1.0],
-            intervals: vec![0.2],
-            keep: 1,
-        };
-        let sequential = loc.locate_adaptive(&m, &adaptive).unwrap();
-        assert!(
-            sequential.estimate.distance_error(target) < 1e-4,
-            "error {}",
-            sequential.estimate.distance_error(target)
-        );
-        // Grid cells carry no pairing: the whole range subset scores.
-        assert!(sequential.trials[0].estimate.equation_count > 100);
         let mut ws = Workspace::new();
         let plan = loc.sweep_plan(&m, &adaptive, &mut ws).unwrap();
         let results: Vec<_> = (0..plan.cell_count())

@@ -16,9 +16,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::adaptive::AdaptiveConfig;
 use crate::error::CoreError;
-use crate::localizer::{Estimate, Localizer, LocalizerConfig};
+use crate::localizer::{Estimate, Localizer, LocalizerConfig, SolveSpace};
 use crate::preprocess::wrap_phase;
-use crate::solver::SolveSpace;
 use crate::workspace::Workspace;
 
 /// Result of a full phase calibration for one antenna–tag pair.

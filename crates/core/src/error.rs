@@ -45,20 +45,6 @@ pub enum CoreError {
     /// too large for the scanned range, structured scan not matching the
     /// data, ...).
     NoPairs,
-    /// The likelihood-grid backend found no finitely scored candidate
-    /// cell — every evaluated score was NaN/inf, typically from
-    /// non-finite distance deltas.
-    GridExhausted {
-        /// Candidates evaluated before giving up.
-        evaluated: usize,
-    },
-    /// The likelihood surface was (near-)flat on the coarse grid level:
-    /// its score contrast fell below the configured minimum, so
-    /// refinement cannot localize.
-    DegenerateLikelihood {
-        /// The observed max−min score contrast on the coarse level.
-        contrast: f64,
-    },
     /// An underlying linear-algebra failure.
     Linalg(LinalgError),
     /// An underlying geometry failure.
@@ -77,8 +63,6 @@ impl CoreError {
             CoreError::RecoveryFailed { .. } => "recovery_failed",
             CoreError::InvalidConfig { .. } => "invalid_config",
             CoreError::NoPairs => "no_pairs",
-            CoreError::GridExhausted { .. } => "grid_exhausted",
-            CoreError::DegenerateLikelihood { .. } => "degenerate_likelihood",
             CoreError::Linalg(_) => "linalg",
             CoreError::Geometry(_) => "geometry",
         }
@@ -105,14 +89,6 @@ impl fmt::Display for CoreError {
                 write!(f, "invalid configuration {parameter}: {found}")
             }
             CoreError::NoPairs => write!(f, "pair selection produced no equations"),
-            CoreError::GridExhausted { evaluated } => write!(
-                f,
-                "likelihood grid exhausted: no finite score among {evaluated} candidates"
-            ),
-            CoreError::DegenerateLikelihood { contrast } => write!(
-                f,
-                "degenerate likelihood surface (coarse contrast {contrast:.3e})"
-            ),
             CoreError::Linalg(e) => write!(f, "linear algebra failure: {e}"),
             CoreError::Geometry(e) => write!(f, "geometry failure: {e}"),
         }
@@ -159,8 +135,6 @@ mod tests {
                 found: "-1".into(),
             },
             CoreError::NoPairs,
-            CoreError::GridExhausted { evaluated: 1331 },
-            CoreError::DegenerateLikelihood { contrast: 1e-15 },
             CoreError::Linalg(LinalgError::Singular),
             CoreError::Geometry(GeomError::Degenerate { operation: "x" }),
         ];
@@ -177,11 +151,6 @@ mod tests {
                 "too_few_measurements",
             ),
             (CoreError::NoPairs, "no_pairs"),
-            (CoreError::GridExhausted { evaluated: 0 }, "grid_exhausted"),
-            (
-                CoreError::DegenerateLikelihood { contrast: 0.0 },
-                "degenerate_likelihood",
-            ),
             (CoreError::Linalg(LinalgError::Singular), "linalg"),
         ];
         for (e, kind) in pairs {

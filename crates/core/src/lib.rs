@@ -26,7 +26,10 @@
 //! 4. [`Localizer`] — solve with the paper's weighted least squares in a
 //!    [`SolveSpace`] (2D or 3D, a value rather than a type), recovering a
 //!    missing perpendicular coordinate from `d_r` when the trajectory
-//!    spans fewer dimensions than the space,
+//!    spans fewer dimensions than the space. The linear model is the
+//!    only estimator: every entry point (single solves, the adaptive
+//!    sweep, the incremental resolver, the engine's jobs and streams)
+//!    runs this one solve,
 //! 5. [`adaptive`] — sweep scanning range/interval and keep the estimates
 //!    whose mean residual is closest to zero,
 //! 6. [`calibrate`] — convert the located phase center into the antenna's
@@ -72,7 +75,6 @@ pub mod pairs;
 pub mod preprocess;
 pub mod quality;
 pub mod resolve;
-pub mod solver;
 pub mod tracking;
 pub mod window;
 pub mod workspace;
@@ -84,13 +86,14 @@ pub use calibrate::{
     estimate_offset, fuse_calibrations, Calibration, CalibrationSpread, Calibrator,
 };
 pub use error::CoreError;
-pub use localizer::{Estimate, Localizer, LocalizerConfig, LocalizerConfigBuilder, Weighting};
+pub use localizer::{
+    Estimate, Localizer, LocalizerConfig, LocalizerConfigBuilder, SolveSpace, Weighting,
+};
 pub use multistatic::{MultistaticConfig, MultistaticEstimate};
 pub use pairs::PairStrategy;
 pub use preprocess::PhaseProfile;
 pub use quality::{validate_profile, ProfileQuality, StepViolation};
 pub use resolve::{IncrementalState, ResolvePath};
-pub use solver::{GridConfig, GridSolver, LinearSolver, SolveSpace, Solver, SolverKind};
 pub use tracking::{ConveyorTracker, TrackPoint, TrackerConfig, TrackerConfigBuilder};
 pub use window::{PushOutcome, SlidingWindow, WindowDelta, WindowSample};
 pub use workspace::{StageMetrics, Workspace};

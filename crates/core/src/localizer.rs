@@ -21,7 +21,6 @@ use serde::{Deserialize, Serialize};
 use crate::error::CoreError;
 use crate::pairs::{LineScratch, PairStrategy};
 use crate::preprocess::PhaseProfile;
-use crate::solver::SolveSpace;
 use crate::workspace::{elapsed_ns, Workspace};
 
 /// Which estimator solves the stacked linear system.
@@ -66,9 +65,6 @@ pub struct LocalizerConfig {
     /// direction counts as unspanned (triggers the lower-dimension path).
     /// Default 0.05.
     pub rank_tolerance: f64,
-    /// Which estimation backend runs the solve (default: the paper's
-    /// linear model; see [`crate::solver::SolverKind`]).
-    pub solver: crate::solver::SolverKind,
 }
 
 impl Default for LocalizerConfig {
@@ -81,7 +77,6 @@ impl Default for LocalizerConfig {
             reference_index: None,
             side_hint: None,
             rank_tolerance: 0.05,
-            solver: crate::solver::SolverKind::Linear,
         }
     }
 }
@@ -167,8 +162,20 @@ impl LocalizerConfig {
                 }
             }
         }
-        self.solver.validate()?;
-        Ok(())
+        validate_side_hint(self.side_hint)
+    }
+}
+
+/// Rejects a side hint with a NaN or infinite coordinate: the mirror
+/// choice compares distances to it, and a non-finite distance would
+/// silently pick the wrong side.
+pub(crate) fn validate_side_hint(hint: Option<Point3>) -> Result<(), CoreError> {
+    match hint {
+        Some(h) if !h.is_finite() => Err(CoreError::InvalidConfig {
+            parameter: "side_hint",
+            found: format!("{h:?}"),
+        }),
+        _ => Ok(()),
     }
 }
 
@@ -226,20 +233,14 @@ impl LocalizerConfigBuilder {
         self
     }
 
-    /// Selects the estimation backend (linear least squares vs the
-    /// likelihood grid); validated by [`LocalizerConfigBuilder::build`].
-    pub fn solver(mut self, kind: crate::solver::SolverKind) -> Self {
-        self.config.solver = kind;
-        self
-    }
-
     /// Validates and returns the configuration.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] for a non-positive or
     /// non-finite wavelength, a zero smoothing window, a rank tolerance
-    /// outside `(0, 1)`, or a non-positive pair interval.
+    /// outside `(0, 1)`, a non-positive pair interval, or a non-finite
+    /// side hint.
     pub fn build(self) -> Result<LocalizerConfig, CoreError> {
         self.config.validate()?;
         Ok(self.config)
@@ -303,6 +304,31 @@ impl Default for Estimate {
             equation_count: 0,
             lower_dimension: false,
             position_std: Vec3::new(0.0, 0.0, 0.0),
+        }
+    }
+}
+
+/// The target space a solve runs in: the one representation of the
+/// 2D-or-3D choice, carried as a value by [`Localizer`], the stream
+/// configuration and the engine. The paper's linear model is the same in
+/// both; the space only sets how many coordinate columns the
+/// principal-component frame may span. 2D pins the estimate's `z` to the
+/// mean sample height; 3D solves all three coordinates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum SolveSpace {
+    /// Horizontal-plane localization.
+    #[default]
+    TwoD,
+    /// Full 3D localization.
+    ThreeD,
+}
+
+impl SolveSpace {
+    /// The minimum sample count a solve needs in this space.
+    pub fn min_samples(self) -> usize {
+        match self {
+            SolveSpace::TwoD => 4,
+            SolveSpace::ThreeD => 5,
         }
     }
 }
@@ -400,8 +426,7 @@ impl Localizer {
     }
 
     /// Locates from an already prepared (unwrapped/smoothed) profile with
-    /// a reusable [`Workspace`] — the dispatch point where
-    /// [`LocalizerConfig::solver`] selects the backend.
+    /// a reusable [`Workspace`].
     ///
     /// # Errors
     ///
@@ -411,7 +436,13 @@ impl Localizer {
         profile: &PhaseProfile,
         ws: &mut Workspace,
     ) -> Result<Estimate, CoreError> {
-        crate::solver::dispatch_profile(profile, &self.config, self.space, ws)
+        run_with_min_in(
+            profile,
+            &self.config,
+            self.space,
+            self.space.min_samples(),
+            ws,
+        )
     }
 
     /// Locates from the reads held by a [`crate::SlidingWindow`] — the
@@ -668,10 +699,10 @@ pub(crate) struct Prepared {
 }
 
 impl Prepared {
-    /// Validates `profile` against the sample floor, the reference index
-    /// and the rank tolerance, then computes its frame, reference deltas,
-    /// frame coordinates and scan-line classification, reusing this
-    /// state's buffers.
+    /// Validates `profile` against the sample floor, the reference index,
+    /// the rank tolerance and the side hint, then computes its frame,
+    /// reference deltas, frame coordinates and scan-line classification,
+    /// reusing this state's buffers.
     ///
     /// # Errors
     ///
@@ -707,6 +738,7 @@ impl Prepared {
                 found: format!("{}", config.rank_tolerance),
             });
         }
+        validate_side_hint(config.side_hint)?;
         let positions = profile.positions();
         self.frame = analyze_geometry_small(positions, space, config.rank_tolerance)?;
         profile.delta_distances_into(self.reference, &mut self.deltas);
@@ -1064,6 +1096,53 @@ mod tests {
             "error {}",
             est.distance_error(target)
         );
+    }
+
+    #[test]
+    fn validate_rejects_non_finite_side_hint() {
+        for hint in [
+            Point3::new(f64::NAN, 0.5, 0.0),
+            Point3::new(0.0, f64::NEG_INFINITY, 0.0),
+            Point3::new(0.0, 0.5, f64::INFINITY),
+        ] {
+            let cfg = LocalizerConfig {
+                side_hint: Some(hint),
+                ..LocalizerConfig::default()
+            };
+            assert!(matches!(
+                cfg.validate(),
+                Err(CoreError::InvalidConfig {
+                    parameter: "side_hint",
+                    ..
+                })
+            ));
+        }
+        assert!(LocalizerConfig::builder()
+            .side_hint(Point3::new(0.0, 0.5, 0.0))
+            .build()
+            .is_ok());
+    }
+
+    #[test]
+    fn locate_rejects_non_finite_side_hint() {
+        // Without the check the mirror choice's `<=` is false for NaN and
+        // a line solve silently returns the mirror point (y = −0.8).
+        let target = Point3::new(0.1, 0.8, 0.0);
+        let m: Vec<(Point3, f64)> = (0..240)
+            .map(|i| {
+                let p = Point3::new(-0.3 + i as f64 * 0.0025, 0.0, 0.0);
+                (p, phase_of(target, p))
+            })
+            .collect();
+        let mut cfg = clean_config();
+        cfg.side_hint = Some(Point3::new(f64::NAN, 0.5, 0.0));
+        assert!(matches!(
+            Localizer::new(cfg, SolveSpace::TwoD).locate(&m),
+            Err(CoreError::InvalidConfig {
+                parameter: "side_hint",
+                ..
+            })
+        ));
     }
 
     #[test]

@@ -35,10 +35,9 @@ use lion_geom::Point3;
 use serde::{Deserialize, Serialize};
 
 use crate::error::CoreError;
-use crate::localizer::{Estimate, LocalizerConfig};
+use crate::localizer::{Estimate, LocalizerConfig, SolveSpace};
 use crate::pairs::PairStrategy;
 use crate::preprocess::PhaseProfile;
-use crate::solver::SolveSpace;
 
 /// Configuration for the multistatic solver.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,8 +99,8 @@ pub struct MultistaticEstimate {
 ///
 /// - [`CoreError::TooFewMeasurements`] for fewer than 3 antennas,
 /// - [`CoreError::NonFiniteMeasurement`] for NaN/inf readings,
-/// - [`CoreError::InvalidConfig`] for a non-positive wavelength or
-///   negative ambiguity range,
+/// - [`CoreError::InvalidConfig`] for a non-positive wavelength, a
+///   negative ambiguity range or a non-finite side hint,
 /// - [`CoreError::DegenerateGeometry`] when no hypothesis admits a
 ///   feasible solution (all discriminants negative / solves fail).
 pub fn locate_tag(
@@ -129,6 +128,7 @@ pub fn locate_tag(
             found: format!("{}", config.max_ambiguity),
         });
     }
+    crate::localizer::validate_side_hint(config.side_hint)?;
     let positions: Vec<Point3> = readings.iter().map(|(p, _)| *p).collect();
     // Pair every antenna with every other (tiny J).
     let min_spacing = {
@@ -162,7 +162,6 @@ pub fn locate_tag(
         // zero and make *wrong* integer hypotheses fit perfectly — the
         // residual must honestly reflect the misfit to rank hypotheses.
         weighting: crate::localizer::Weighting::LeastSquares,
-        solver: crate::solver::SolverKind::Linear,
     };
     let tau = std::f64::consts::TAU;
     let span = config.max_ambiguity;
@@ -293,6 +292,30 @@ mod tests {
         assert!(est.rms_residual < 1e-6);
         assert_eq!(est.ambiguities.len(), 2);
         assert!((est.reference_distance - readings[0].0.distance(tag)).abs() < 0.002);
+    }
+
+    #[test]
+    fn non_finite_side_hint_is_rejected() {
+        let tag = Point3::new(-0.1, 0.8, 0.0);
+        let readings: Vec<(Point3, f64)> = [-0.3_f64, 0.0, 0.3]
+            .iter()
+            .map(|&x| {
+                let a = Point3::new(x, 0.0, 0.0);
+                (a, phase_of(a, tag))
+            })
+            .collect();
+        for hint in [
+            Point3::new(f64::NAN, 0.5, 0.0),
+            Point3::new(0.0, f64::INFINITY, 0.0),
+        ] {
+            assert!(matches!(
+                locate_tag(&readings, &cfg(hint)),
+                Err(CoreError::InvalidConfig {
+                    parameter: "side_hint",
+                    ..
+                })
+            ));
+        }
     }
 
     #[test]

@@ -60,7 +60,6 @@ use crate::error::CoreError;
 use crate::localizer::{analyze_geometry_small, assemble_position, Estimate, Localizer, Weighting};
 use crate::pairs::PairStrategy;
 use crate::preprocess;
-use crate::solver::SolverKind;
 use crate::window::SlidingWindow;
 use crate::workspace::{elapsed_ns, Workspace};
 
@@ -439,8 +438,8 @@ impl IncrementalState {
     /// mirror so the next tick can go incremental. Leaves the state
     /// invalid — forcing replay on every subsequent tick — when the
     /// configuration or geometry cannot support delta patches (pinned
-    /// reference index, grid solver, non-interval pairing,
-    /// lower-dimension trajectory).
+    /// reference index, non-interval pairing, lower-dimension
+    /// trajectory).
     fn resync(
         &mut self,
         window: &mut SlidingWindow,
@@ -452,7 +451,6 @@ impl IncrementalState {
         self.rebuilds += 1;
         self.ticks_since_resync = 0;
         if config.reference_index.is_some()
-            || !matches!(config.solver, SolverKind::Linear)
             || !matches!(config.pair_strategy, PairStrategy::Interval { .. })
         {
             return Ok(est);
@@ -535,8 +533,7 @@ impl IncrementalState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::localizer::LocalizerConfig;
-    use crate::solver::SolveSpace;
+    use crate::localizer::{LocalizerConfig, SolveSpace};
     use crate::window::SlidingWindow;
     use std::f64::consts::{PI, TAU};
 
@@ -633,32 +630,6 @@ mod tests {
         }
         let (_, path) = state.solve_window(&mut window, &mut ws).unwrap();
         assert_eq!(path, ResolvePath::Incremental);
-    }
-
-    #[test]
-    fn grid_solver_always_replays() {
-        let target = Point3::new(0.9, 0.2, 0.0);
-        let reads = circle_reads(target, 260);
-        let mut window = SlidingWindow::new(128).unwrap();
-        let mut ws = Workspace::new();
-        let cfg = LocalizerConfig {
-            solver: SolverKind::Grid(crate::solver::GridConfig::default()),
-            ..config()
-        };
-        let localizer = Localizer::new(cfg, SolveSpace::TwoD);
-        let mut state = IncrementalState::new(localizer.clone());
-        for r in &reads[..140] {
-            window.push(r.0, r.1, r.2);
-        }
-        for chunk in reads[140..].chunks(20) {
-            for r in chunk {
-                window.push(r.0, r.1, r.2);
-            }
-            let (est, path) = state.solve_window(&mut window, &mut ws).unwrap();
-            assert_eq!(path, ResolvePath::Replayed);
-            let oracle = localizer.locate_window_in(&window, &mut ws).unwrap();
-            assert_eq!(est, oracle);
-        }
     }
 
     #[test]

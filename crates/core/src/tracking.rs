@@ -14,8 +14,7 @@ use lion_geom::{Point3, Vec3};
 use serde::{Deserialize, Serialize};
 
 use crate::error::CoreError;
-use crate::localizer::{Estimate, Localizer, LocalizerConfig};
-use crate::solver::SolveSpace;
+use crate::localizer::{Estimate, Localizer, LocalizerConfig, SolveSpace};
 
 /// One tracking output: where the item was at `time`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

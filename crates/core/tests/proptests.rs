@@ -4,15 +4,36 @@ use proptest::prelude::*;
 use std::f64::consts::{PI, TAU};
 
 use lion_core::preprocess::{unwrap_phases, wrap_phase, PhaseProfile};
-use lion_core::{
-    GridConfig, GridSolver, Localizer, LocalizerConfig, PairStrategy, SolveSpace, Workspace,
-};
+use lion_core::{Localizer, LocalizerConfig, PairStrategy, SolveSpace, Weighting};
 use lion_geom::Point3;
+use lion_linalg::IrlsConfig;
 
 const LAMBDA: f64 = 299_792_458.0 / 920.625e6;
 
 fn phase_of(target: Point3, p: Point3) -> f64 {
     (4.0 * PI * target.distance(p) / LAMBDA).rem_euclid(TAU)
+}
+
+/// Hostile floats: a raw bit pattern (any sign, exponent and payload,
+/// NaNs and infinities included) or a special value a quarter of the
+/// time each, else `sane`, so accepted configurations are drawn often
+/// enough to exercise the solve behind them.
+fn hostile_f64(sane: f64) -> impl Strategy<Value = f64> {
+    const SPECIALS: [f64; 8] = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        0.0,
+        -0.0,
+        f64::MIN_POSITIVE,
+        f64::MAX,
+        1.0,
+    ];
+    (0_u64..u64::MAX, 0_usize..4).prop_map(move |(bits, pick)| match pick {
+        0 => f64::from_bits(bits),
+        1 => SPECIALS[(bits % SPECIALS.len() as u64) as usize],
+        _ => sane,
+    })
 }
 
 fn clean_config() -> LocalizerConfig {
@@ -215,49 +236,40 @@ proptest! {
     }
 
     #[test]
-    fn grid_refinement_never_ranks_below_the_coarse_pass(
-        tx in -0.6_f64..0.6,
-        ty in 0.5_f64..1.4,
-        sigma in 0.0_f64..0.3,
-        seed in 0_u64..1u64 << 32,
+    fn validation_never_panics_and_rejects_non_finite_input(
+        wavelength in hostile_f64(LAMBDA),
+        hint_x in hostile_f64(0.0),
+        hint_y in hostile_f64(0.5),
+        hint_z in hostile_f64(0.0),
+        rank_tolerance in hostile_f64(0.05),
+        interval in hostile_f64(0.15),
+        irls_tolerance in hostile_f64(1e-8),
     ) {
-        // Each refinement level carries its incumbent best forward, so
-        // the traced per-level score sequence must be non-increasing
-        // (up to the deterministic tie band) for any geometry and any
-        // phase-noise level — the coarse pass is never beaten by a
-        // *worse* refined candidate.
-        let target = Point3::new(tx, ty, 0.0);
-        let mut lcg = seed.wrapping_mul(2).wrapping_add(1);
-        let mut noise = move || {
-            lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((lcg >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 2.0
+        let cfg = LocalizerConfig {
+            wavelength,
+            smoothing_window: 1,
+            pair_strategy: PairStrategy::Interval { interval },
+            weighting: Weighting::Weighted(IrlsConfig {
+                tolerance: irls_tolerance,
+                ..IrlsConfig::default()
+            }),
+            side_hint: Some(Point3::new(hint_x, hint_y, hint_z)),
+            rank_tolerance,
+            ..LocalizerConfig::default()
         };
-        let m: Vec<(Point3, f64)> = (0..200)
-            .map(|i| {
-                let a = i as f64 * TAU / 200.0;
-                let p = Point3::new(0.3 * a.cos(), 0.3 * a.sin(), 0.0);
-                (p, wrap_phase(phase_of(target, p) + sigma * noise()))
-            })
-            .collect();
-        let cfg = clean_config();
-        let mut profile = PhaseProfile::from_wrapped(&m, cfg.wavelength).expect("valid");
-        profile.smooth(cfg.smoothing_window);
-        let mut scores = Vec::new();
-        GridSolver::default()
-            .solve_profile_traced(&profile, &cfg, SolveSpace::TwoD, &mut Workspace::new(), &mut scores)
-            .expect("grid solves");
-        prop_assert_eq!(scores.len(), GridConfig::default().levels);
-        for w in scores.windows(2) {
-            prop_assert!(
-                w[1] <= w[0] * (1.0 + 1e-9) + 1e-18,
-                "refinement regressed: {:?}",
-                scores
-            );
+        if cfg.validate().is_ok() {
+            for v in [wavelength, hint_x, hint_y, hint_z, rank_tolerance, interval, irls_tolerance] {
+                prop_assert!(v.is_finite(), "accepted a non-finite value: {cfg:?}");
+            }
+            // A clean 0.6 m line, so the side hint picks the mirror.
+            let target = Point3::new(0.1, 0.8, 0.0);
+            let m: Vec<(Point3, f64)> = (0..240)
+                .map(|i| {
+                    let p = Point3::new(-0.3 + i as f64 * 0.0025, 0.0, 0.0);
+                    (p, phase_of(target, p))
+                })
+                .collect();
+            let _ = Localizer::new(cfg, SolveSpace::TwoD).locate(&m);
         }
-        prop_assert!(
-            *scores.last().expect("levels > 0") <= scores[0] * (1.0 + 1e-9) + 1e-18,
-            "final level ranks below the coarse pass: {:?}",
-            scores
-        );
     }
 }

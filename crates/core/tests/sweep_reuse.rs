@@ -12,8 +12,8 @@
 use std::f64::consts::{PI, TAU};
 
 use lion_core::{
-    AdaptiveConfig, AdaptiveOutcome, AdaptiveTrial, CoreError, GridConfig, Localizer,
-    LocalizerConfig, PairStrategy, SolveSpace, SolverKind, SweepPlan, Workspace,
+    AdaptiveConfig, AdaptiveOutcome, AdaptiveTrial, CoreError, Localizer, LocalizerConfig,
+    PairStrategy, SolveSpace, SweepPlan, Workspace,
 };
 use lion_geom::{Point3, ThreeLineScan, Trajectory};
 
@@ -218,25 +218,5 @@ fn reuse_matches_per_range_oracle_3d_structured_scan() {
         },
         reads: noisy_reads(target, &three_line_scan(&scan), 0.05),
         grid: AdaptiveConfig::default(),
-    });
-}
-
-#[test]
-fn reuse_matches_per_range_oracle_grid_backend() {
-    let target = Point3::new(0.1, 0.8, 0.0);
-    check(&Case {
-        space: SolveSpace::TwoD,
-        config: LocalizerConfig {
-            smoothing_window: 1,
-            side_hint: Some(Point3::new(0.0, 0.5, 0.0)),
-            solver: SolverKind::Grid(GridConfig::default()),
-            ..LocalizerConfig::default()
-        },
-        reads: noisy_reads(target, &short_line(), 0.05),
-        grid: AdaptiveConfig {
-            scanning_ranges: vec![0.6, 0.9, 1.0, 1.1],
-            intervals: vec![0.2, 0.3],
-            keep: 2,
-        },
     });
 }

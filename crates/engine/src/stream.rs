@@ -47,11 +47,6 @@ pub struct StreamJob {
     /// [`Doctor`] observes every solve and the outcome carries its
     /// [`HealthReport`].
     pub doctor: Option<DoctorConfig>,
-    /// Optional cross-check backend: when set, every cadence emission is
-    /// re-solved on the same window through this solver and the distance
-    /// between the two estimates feeds the doctor's
-    /// `solver_disagreement` rule.
-    pub cross_check: Option<lion_core::SolverKind>,
 }
 
 impl StreamJob {
@@ -65,7 +60,6 @@ impl StreamJob {
             queue_capacity: 64,
             flush_at_end: true,
             doctor: None,
-            cross_check: None,
         }
     }
 
@@ -89,22 +83,10 @@ impl StreamJob {
 
     /// Enables calibration-health watchdogs for this stream: a
     /// [`Doctor`] with `config` observes every solve (residual drift,
-    /// convergence stalls, ingress shed rate, solver disagreement,
-    /// resolve fallbacks) and the outcome's [`StreamOutcome::health`]
+    /// convergence stalls, ingress shed rate, resolve fallbacks) and the outcome's [`StreamOutcome::health`]
     /// carries its report — a pure function of the job.
     pub fn with_doctor(mut self, config: DoctorConfig) -> Self {
         self.doctor = Some(config);
-        self
-    }
-
-    /// Enables the solver cross-check: every emission is re-solved on
-    /// the same window with `kind` (e.g.
-    /// `SolverKind::Grid(GridConfig::default())` against a linear
-    /// primary) and the estimate distance feeds the doctor's
-    /// `solver_disagreement` rule. The kind must be valid under
-    /// [`lion_core::SolverKind::validate`].
-    pub fn with_solver_cross_check(mut self, kind: lion_core::SolverKind) -> Self {
-        self.cross_check = Some(kind);
         self
     }
 
@@ -126,9 +108,6 @@ impl StreamJob {
                 parameter: "queue_capacity",
                 found: "0".to_string(),
             });
-        }
-        if let Some(kind) = &self.cross_check {
-            kind.validate()?;
         }
         self.config.validate()
     }
@@ -197,10 +176,7 @@ fn run_stream_job(
     let mut solve_errors = 0u64;
     let mut observed_accepted = 0u64;
     let mut observed_shed = 0u64;
-    let mut observe = |doctor: &mut Option<Doctor>,
-                       estimate: &StreamEstimate,
-                       ingress: &Ingress,
-                       solver_disagreement_m: Option<f64>| {
+    let mut observe = |estimate: &StreamEstimate, ingress: &Ingress| {
         let Some(doctor) = doctor.as_mut() else {
             return;
         };
@@ -218,23 +194,10 @@ fn run_stream_job(
             converged: estimate.converged,
             reads_in: accepted - observed_accepted,
             shed: shed - observed_shed,
-            solver_disagreement_m,
             resolve_fallback,
         });
         observed_accepted = accepted;
         observed_shed = shed;
-    };
-    // The second opinion: re-solve the emission's window through the
-    // cross-check backend and measure how far the two estimators
-    // diverge. A failed cross-check solve yields no data point (the
-    // doctor's rule reports insufficient data rather than guessing).
-    let cross_check = |pipeline: &mut StreamLocalizer, estimate: &StreamEstimate| {
-        job.cross_check.and_then(|kind| {
-            pipeline
-                .cross_check_in(kind)
-                .ok()
-                .map(|alt| alt.position.distance(estimate.position))
-        })
     };
     for burst in job.reads.chunks(job.burst) {
         {
@@ -253,11 +216,7 @@ fn run_stream_job(
                         let solve_ns = lion_obs::saturating_ns_between(t, Instant::now());
                         hub.with_fleet(|fleet| fleet.observe_solve(solve_ns));
                     }
-                    let disagreement = doctor
-                        .is_some()
-                        .then(|| cross_check(&mut pipeline, &estimate))
-                        .flatten();
-                    observe(&mut doctor, &estimate, &ingress, disagreement);
+                    observe(&estimate, &ingress);
                     estimates.push(estimate);
                 }
                 Ok(None) => {}
@@ -280,11 +239,7 @@ fn run_stream_job(
                     let solve_ns = lion_obs::saturating_ns_between(t, Instant::now());
                     hub.with_fleet(|fleet| fleet.observe_solve(solve_ns));
                 }
-                let disagreement = doctor
-                    .is_some()
-                    .then(|| cross_check(&mut pipeline, &estimate))
-                    .flatten();
-                observe(&mut doctor, &estimate, &ingress, disagreement);
+                observe(&estimate, &ingress);
                 estimates.push(estimate);
             }
             Ok(None) => {}

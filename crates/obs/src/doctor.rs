@@ -12,26 +12,22 @@
 //! Operation: feed one [`SolveObservation`] per cadence solve via
 //! [`Doctor::observe`], then ask for a [`HealthReport`]. Every rule is
 //! evaluated over a rolling window of the last `window` observations,
-//! so a fault is flagged within one window of its onset. The five rules
+//! so a fault is flagged within one window of its onset. The four rules
 //! ([`RULES`]):
 //!
 //! - **`residual_drift`** — mean |weighted residual| over the recent
 //!   window vs. a baseline frozen from the *first* full window (floored
 //!   by `residual_floor` so a near-zero clean baseline can't make noise
 //!   look like drift). Fires when the ratio exceeds
-//!   `residual_drift_ratio`.
+//!   `residual_drift_ratio`. This is the one answer to "is the model
+//!   still explaining the data?": systematic phase corruption (a phase
+//!   ramp, multipath growth) shows up in the linear model's own
+//!   residuals, so no second estimator is needed to detect it.
 //! - **`convergence_stall`** — converged→unconverged regressions
 //!   (hysteresis un-latching, see `ConvergenceTracker`) within the
 //!   window reaching `stall_regressions`.
 //! - **`ingress_shed`** — fraction of offered reads shed by the bounded
 //!   ingress over the window exceeding `max_shed_rate`.
-//! - **`solver_disagreement`** — maximum distance between the primary
-//!   solver's estimate and an independent cross-check backend's estimate
-//!   (e.g. linear least squares vs. the likelihood grid) over the
-//!   window exceeding `max_solver_disagreement_m`. Two estimators that
-//!   agree on clean data and diverge under drift turn systematic phase
-//!   corruption into a detectable signal; with no cross-check wired the
-//!   rule reports insufficient data.
 //! - **`resolve_fallback`** — fraction of incremental-mode solves that
 //!   fell back to the full replay path over the window exceeding
 //!   `max_resolve_fallback_rate`. A stream configured for O(delta)
@@ -54,11 +50,10 @@ use crate::json;
 
 /// The Doctor's rule names, in report order. Fleet rollups, gauges and
 /// docs take the rule set from here.
-pub const RULES: [&str; 5] = [
+pub const RULES: [&str; 4] = [
     "residual_drift",
     "convergence_stall",
     "ingress_shed",
-    "solver_disagreement",
     "resolve_fallback",
 ];
 
@@ -81,10 +76,6 @@ pub struct DoctorConfig {
     /// `ingress_shed` fires when shed/offered over the window exceeds
     /// this fraction (default 0.05).
     pub max_shed_rate: f64,
-    /// `solver_disagreement` fires when the largest primary-vs-cross-check
-    /// estimate distance in the window exceeds this radius, meters
-    /// (default 5 cm).
-    pub max_solver_disagreement_m: f64,
     /// `resolve_fallback` fires when the fraction of incremental-mode
     /// solves that fell back to full replay over the window exceeds this
     /// (default 0.5 — the periodic re-anchor alone stays well under it).
@@ -99,7 +90,6 @@ impl Default for DoctorConfig {
             residual_floor: 5e-4,
             stall_regressions: 2,
             max_shed_rate: 0.05,
-            max_solver_disagreement_m: 0.05,
             max_resolve_fallback_rate: 0.5,
         }
     }
@@ -119,10 +109,6 @@ pub struct SolveObservation {
     pub reads_in: u64,
     /// Reads shed by the bounded ingress since the last observation.
     pub shed: u64,
-    /// Distance between the primary estimate and an independent
-    /// cross-check backend's estimate for the same window, meters.
-    /// `None` when no cross-check solve ran for this observation.
-    pub solver_disagreement_m: Option<f64>,
     /// Whether this solve, running in incremental resolve mode, fell
     /// back to the full replay path. `None` for streams in plain replay
     /// mode (replaying is then by design, not a fallback).
@@ -165,7 +151,7 @@ pub struct RuleReport {
     /// [`RuleReport::samples_needed`] this makes an
     /// [`RuleStatus::Insufficient`] verdict machine-readable: `seen = 0`
     /// with the doctor already past `samples_needed` total observations
-    /// means the rule is *data-starved* (e.g. no cross-check wired, no
+    /// means the rule is *data-starved* (e.g. no incremental-mode solves, no
     /// reads offered), while a small `seen` early in the run is an
     /// ordinary cold start.
     pub samples_seen: u64,
@@ -347,11 +333,10 @@ impl Doctor {
 
     /// Evaluates every rule over the current window.
     pub fn report(&self) -> HealthReport {
-        let judges: [fn(&Doctor, &'static str) -> RuleReport; 5] = [
+        let judges: [fn(&Doctor, &'static str) -> RuleReport; 4] = [
             Doctor::residual_drift,
             Doctor::convergence_stall,
             Doctor::ingress_shed,
-            Doctor::solver_disagreement,
             Doctor::resolve_fallback,
         ];
         let rules: Vec<RuleReport> = RULES
@@ -433,19 +418,6 @@ impl Doctor {
         RuleReport::judged(rule, rate, threshold, rate > threshold, seen, 1, detail)
     }
 
-    fn solver_disagreement(&self, rule: &'static str) -> RuleReport {
-        let threshold = self.config.max_solver_disagreement_m;
-        let distances = self.recent.iter().filter_map(|o| o.solver_disagreement_m);
-        let checked = distances.clone().count() as u64;
-        let Some(max) = distances.reduce(f64::max) else {
-            let detail = "no cross-check solves in the window".to_string();
-            return RuleReport::insufficient(rule, threshold, checked, 1, detail);
-        };
-        let detail =
-            format!("max primary-vs-cross-check distance over {checked} checked solves, m");
-        RuleReport::judged(rule, max, threshold, max > threshold, checked, 1, detail)
-    }
-
     fn resolve_fallback(&self, rule: &'static str) -> RuleReport {
         let threshold = self.config.max_resolve_fallback_rate;
         let solves = self.recent.iter().map(|o| o.resolve_fallback);
@@ -472,7 +444,6 @@ mod tests {
             converged,
             reads_in: 25,
             shed: 0,
-            solver_disagreement_m: Some(1e-3),
             resolve_fallback: Some(false),
         }
     }
@@ -568,44 +539,6 @@ mod tests {
     }
 
     #[test]
-    fn solver_disagreement_fires_on_divergence() {
-        let mut doc = doctor_with_window(4);
-        for _ in 0..4 {
-            doc.observe(obs(1e-3, true));
-        }
-        assert!(doc.report().healthy);
-        // The cross-check backend wanders 8 cm away: beyond the 5 cm
-        // default radius, the rule must fire within one window.
-        for _ in 0..4 {
-            doc.observe(SolveObservation {
-                solver_disagreement_m: Some(0.08),
-                ..obs(1e-3, true)
-            });
-        }
-        let report = doc.report();
-        assert_eq!(report.firing(), ["solver_disagreement"]);
-        let rule = report.rule("solver_disagreement").unwrap();
-        assert_eq!(rule.value, 0.08);
-    }
-
-    #[test]
-    fn solver_disagreement_without_cross_check_is_insufficient() {
-        let mut doc = doctor_with_window(4);
-        for _ in 0..6 {
-            doc.observe(SolveObservation {
-                solver_disagreement_m: None,
-                ..obs(1e-3, true)
-            });
-        }
-        let report = doc.report();
-        assert!(report.healthy, "no cross-check data is not a failure");
-        assert_eq!(
-            report.rule("solver_disagreement").unwrap().status,
-            RuleStatus::Insufficient
-        );
-    }
-
-    #[test]
     fn resolve_fallback_fires_when_incremental_mode_keeps_replaying() {
         let mut doc = doctor_with_window(4);
         for _ in 0..4 {
@@ -652,15 +585,14 @@ mod tests {
             assert!(rule.samples_needed >= 1);
         }
 
-        // Starvation: plenty of observations, but none carrying reads or
-        // cross-checks. The affected rules stay Insufficient with
-        // seen = 0 while residual_drift has seen = needed.
+        // Starvation: plenty of observations, but none carrying reads.
+        // The affected rule stays Insufficient with seen = 0 while
+        // residual_drift has seen = needed.
         let mut doc = doctor_with_window(4);
         for _ in 0..6 {
             doc.observe(SolveObservation {
                 reads_in: 0,
                 shed: 0,
-                solver_disagreement_m: None,
                 ..obs(1e-3, true)
             });
         }
@@ -671,9 +603,6 @@ mod tests {
         let shed = report.rule("ingress_shed").unwrap();
         assert_eq!(shed.status, RuleStatus::Insufficient);
         assert_eq!((shed.samples_seen, shed.samples_needed), (0, 1));
-        let cross = report.rule("solver_disagreement").unwrap();
-        assert_eq!(cross.status, RuleStatus::Insufficient);
-        assert_eq!((cross.samples_seen, cross.samples_needed), (0, 1));
 
         // The pair is machine-readable from the JSON rendering.
         let json = report.to_json();

@@ -734,7 +734,6 @@ mod tests {
                 converged: true,
                 reads_in: 25,
                 shed,
-                solver_disagreement_m: Some(1e-3),
                 resolve_fallback: Some(false),
             });
         }

@@ -35,7 +35,7 @@
 //! annotations) behind `GET /query` and `GET /alerts`.
 //!
 //! Each health question has one signal. "Is the calibration still
-//! good?" is the [`Doctor`]'s five rules, rolled up per fleet in
+//! good?" is the [`Doctor`]'s four rules, rolled up per fleet in
 //! [`FleetReport`]. "Are solves slow or failing?" is the fleet SLO burn
 //! rate ([`SloTracker`]) and its default `slo_burn_rate` alert.
 //!

@@ -70,7 +70,6 @@ fn all_five_routes_serve_parseable_bodies_with_correct_types() {
             converged: true,
             reads_in: 30,
             shed: 0,
-            solver_disagreement_m: None,
             resolve_fallback: None,
         });
         fleet.ingest("portal-7", &doctor.report());

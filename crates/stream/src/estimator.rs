@@ -5,7 +5,7 @@ use std::time::Instant;
 use lion_core::calibrate::estimate_offset;
 use lion_core::{
     CoreError, Estimate, IncrementalState, Localizer, PushOutcome, ResolvePath, SlidingWindow,
-    SolverKind, Workspace,
+    Workspace,
 };
 use lion_geom::Point3;
 use lion_obs::HistogramTimer;
@@ -245,24 +245,6 @@ impl StreamLocalizer {
         self.reads_since_solve = 0;
         self.last_solve_time = Some(newest);
         self.solve(newest, None).map(Some)
-    }
-
-    /// Re-solves the *current* window through an alternative backend —
-    /// the independent second opinion behind the engine's
-    /// `solver_disagreement` watchdog. The primary pipeline is untouched:
-    /// no cadence, convergence, or counter state changes, only the shared
-    /// scratch workspace is reused.
-    ///
-    /// # Errors
-    ///
-    /// The backend's [`CoreError`] (window too small, degenerate
-    /// geometry, grid failures, ...).
-    pub fn cross_check_in(&mut self, kind: SolverKind) -> Result<Estimate, CoreError> {
-        let _span = lion_obs::span!("lion.stream.cross_check");
-        let mut config = self.localizer.config().clone();
-        config.solver = kind;
-        Localizer::new(config, self.localizer.space())
-            .locate_window_in(&self.window, &mut self.workspace)
     }
 
     fn solve(

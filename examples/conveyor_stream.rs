@@ -230,7 +230,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     converged: est.converged,
                     reads_in: est.reads_seen - observed_reads,
                     shed: 0,
-                    solver_disagreement_m: None,
                     resolve_fallback: None,
                 });
                 observed_reads = est.reads_seen;

@@ -198,7 +198,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 converged: estimate.is_some(),
                 reads_in: 1,
                 shed: u64::from(result.is_err()),
-                solver_disagreement_m: None,
                 resolve_fallback: None,
             });
         }

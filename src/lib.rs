@@ -95,9 +95,9 @@ pub use lion_stream as stream;
 pub mod prelude {
     pub use crate::Error;
     pub use lion_core::{
-        AdaptiveConfig, Calibration, Calibrator, ConveyorTracker, Estimate, GridConfig, Localizer,
-        LocalizerConfig, PairStrategy, PhaseProfile, ResolvePath, SolveSpace, SolverKind,
-        StageMetrics, TrackerConfig,
+        AdaptiveConfig, Calibration, Calibrator, ConveyorTracker, Estimate, Localizer,
+        LocalizerConfig, PairStrategy, PhaseProfile, ResolvePath, SolveSpace, StageMetrics,
+        TrackerConfig,
     };
     pub use lion_engine::{Engine, Job, MetricsReport, StreamJob};
     pub use lion_geom::{CircularArc, LineSegment, Point3, Trajectory, Vec3};

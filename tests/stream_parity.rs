@@ -9,8 +9,8 @@
 //! **exactly** on every tick that fell back to replay (those ticks run
 //! the replay code path) and within a documented 1e-6 on delta ticks
 //! (frozen frame, continued unwrap chain, normal equations vs QR — see
-//! DESIGN.md §14), under in-order, shuffled, shed, and grid-solver
-//! arrival — with the replay/delta pattern identical on any worker count.
+//! DESIGN.md §14), under in-order, shuffled and shed arrival — with the
+//! replay/delta pattern identical on any worker count.
 
 use lion::prelude::*;
 use lion::stream::Space;
@@ -296,25 +296,6 @@ fn incremental_shuffled_arrival_replays_exactly() {
         .build()
         .expect("valid");
     assert_incremental_parity(&arrival, config);
-}
-
-#[test]
-fn incremental_with_grid_solver_always_replays_exactly() {
-    let antenna = Point3::new(1.2, 0.4, 0.0);
-    let reads = circle_reads(antenna, 300);
-    let localizer = LocalizerConfig {
-        solver: SolverKind::Grid(GridConfig::default()),
-        ..LocalizerConfig::default()
-    };
-    let config = StreamConfig::builder()
-        .window_capacity(256)
-        .min_window_len(24)
-        .cadence(Cadence::EveryReads(16))
-        .localizer(localizer)
-        .build()
-        .expect("valid");
-    let delta_ticks = assert_incremental_parity(&reads, config);
-    assert_eq!(delta_ticks, 0, "grid solver must never take a delta tick");
 }
 
 #[test]
