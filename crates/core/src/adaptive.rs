@@ -47,12 +47,10 @@
 //! `lion.adaptive.cell_ns` histogram times each cell's interval work;
 //! range preparation lands in the sweep's exclusive time.
 //!
-//! The sweep is also available as an owned [`SweepPlan`]. It prepares
-//! each range that needs solving up front and hands out that range's
-//! cells, which can be solved independently (and concurrently) with
-//! per-worker workspaces; [`SweepPlan::finish`] expands the copies and
-//! reduces the results so the outcome is bit-identical to the
-//! sequential sweep for any worker count.
+//! A sweep solves its cells one after another on the calling thread.
+//! Batches parallelise across sweeps instead: the engine runs one job
+//! per antenna or trace on each worker, never one sweep's cells on
+//! several.
 
 use std::time::Instant;
 
@@ -66,7 +64,7 @@ use crate::localizer::{
     Localizer, LocalizerConfig, Prepared, SolveSpace,
 };
 use crate::preprocess::PhaseProfile;
-use crate::workspace::{elapsed_ns, StageMetrics, Workspace};
+use crate::workspace::{elapsed_ns, Workspace};
 
 /// The parameter grid for the adaptive sweep.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -274,22 +272,6 @@ impl Localizer {
     ) -> Result<(), CoreError> {
         sweep(measurements, self.config(), self.space(), adaptive, ws, out)
     }
-
-    /// Builds an owned [`SweepPlan`] whose cells can be solved on any
-    /// worker with any workspace — the engine's fan-out entry point.
-    /// Preprocessing timings and the reads-dropped counter land in `ws`.
-    ///
-    /// # Errors
-    ///
-    /// See [`Localizer::locate_adaptive`].
-    pub fn sweep_plan(
-        &self,
-        measurements: &[(Point3, f64)],
-        adaptive: &AdaptiveConfig,
-        ws: &mut Workspace,
-    ) -> Result<SweepPlan, CoreError> {
-        SweepPlan::build(measurements, self.config(), self.space(), adaptive, ws)
-    }
 }
 
 /// The sequential sweep: preprocesses once into the workspace-owned
@@ -326,28 +308,9 @@ fn sweep_profile(
     // pipeline sum lets the sweep attribute its own work (range
     // restriction and preparation, ranking) exactly.
     let inner_before = ws.metrics.pipeline_ns();
-    let mut slots = std::mem::take(&mut ws.range_slots);
-    let mut unit = std::mem::take(&mut ws.sweep_range);
     let base = &range_config(base);
-    let result = sweep_center(
-        profile,
-        base,
-        space,
-        &adaptive.scanning_ranges,
-        &mut slots,
-        &mut ws.metrics,
-    )
-    .map(|cx| {
-        run_cells(adaptive, &mut slots, out, |range, out| {
-            unit.prepare(profile, base, space, cx, range);
-            for &interval in &adaptive.intervals {
-                push_cell(out, range, interval, unit.solve(base, interval, ws));
-            }
-        })
-    });
-    ws.sweep_range = unit;
-    ws.range_slots = slots;
-    let copied = result?;
+    let cx = sweep_center(profile, base, space, &adaptive.scanning_ranges, ws)?;
+    let copied = run_cells(profile, base, space, cx, adaptive, ws, out);
     let sweep_ns = elapsed_ns(sweep_start);
     let metrics = &mut ws.metrics;
     let inner_ns = metrics.pipeline_ns() - inner_before;
@@ -374,17 +337,17 @@ fn sweep_profile(
 
 /// The whole-trajectory checks every sweep runs once, before any cell:
 /// validates `rank_tolerance`, `side_hint` and the trajectory's
-/// geometry, and counts the reads each scanning range keeps into `slots`
-/// (one per range) and the reads it drops into `reads_dropped`. Returns
-/// the range center, the trajectory's x centroid (the paper centers its
-/// scanning range at x = 0 with the antenna at the track middle).
+/// geometry, and counts the reads each scanning range keeps into the
+/// workspace's range slots (one per range) and the reads it drops into
+/// `reads_dropped`. Returns the range center, the trajectory's x
+/// centroid (the paper centers its scanning range at x = 0 with the
+/// antenna at the track middle).
 fn sweep_center(
     profile: &PhaseProfile,
     base: &LocalizerConfig,
     space: SolveSpace,
     ranges: &[f64],
-    slots: &mut Vec<RangeSlot>,
-    metrics: &mut StageMetrics,
+    ws: &mut Workspace,
 ) -> Result<f64, CoreError> {
     if !(base.rank_tolerance > 0.0 && base.rank_tolerance < 1.0) {
         return Err(CoreError::InvalidConfig {
@@ -396,12 +359,12 @@ fn sweep_center(
     let positions = profile.positions();
     analyze_geometry_small(positions, space, base.rank_tolerance)?;
     let cx = positions.iter().map(|p| p.x).sum::<f64>() / positions.len() as f64;
-    slots.clear();
+    ws.range_slots.clear();
     for &range in ranges {
         let (lo, hi) = (cx - range / 2.0, cx + range / 2.0);
         let kept = positions.iter().filter(|p| p.x >= lo && p.x <= hi).count();
-        metrics.reads_dropped += (positions.len() - kept) as u64;
-        slots.push(RangeSlot {
+        ws.metrics.reads_dropped += (positions.len() - kept) as u64;
+        ws.range_slots.push(RangeSlot {
             kept,
             ..RangeSlot::default()
         });
@@ -432,23 +395,28 @@ fn reuse_source(slots: &[RangeSlot], k: usize) -> Option<usize> {
 }
 
 /// Fills `out` with every grid cell's result, ranges outer and intervals
-/// inner — the one cell loop of the sequential sweep and
-/// [`SweepPlan::finish`]. A range with a [`reuse_source`] copies that
-/// range's trials and skip count; every other range is handed to
-/// `solve_range(range, out)`, which pushes one result per interval, in
-/// interval order, with [`push_cell`]. Returns the number of copied
+/// inner, using the range slots [`sweep_center`] counted. A range with a
+/// [`reuse_source`] copies that range's trials and skip count; every
+/// other range is restricted and prepared once, then solved at each
+/// interval, a failed cell counting as skipped. A range that fails
+/// preparation skips all of its cells. Returns the number of copied
 /// trials.
 fn run_cells(
+    profile: &PhaseProfile,
+    base: &LocalizerConfig,
+    space: SolveSpace,
+    cx: f64,
     adaptive: &AdaptiveConfig,
-    slots: &mut [RangeSlot],
+    ws: &mut Workspace,
     out: &mut AdaptiveOutcome,
-    mut solve_range: impl FnMut(f64, &mut AdaptiveOutcome),
 ) -> u64 {
+    let mut slots = std::mem::take(&mut ws.range_slots);
+    let mut unit = std::mem::take(&mut ws.sweep_range);
     let mut copied = 0;
     for (k, &range) in adaptive.scanning_ranges.iter().enumerate() {
         let first = out.trials.len();
         let skipped_before = out.skipped;
-        if let Some(src) = reuse_source(slots, k) {
+        if let Some(src) = reuse_source(&slots, k) {
             let RangeSlot {
                 first: from,
                 end: to,
@@ -464,32 +432,28 @@ fn run_cells(
             }
             out.skipped += skipped;
             copied += (to - from) as u64;
+        } else if unit.prepare(profile, base, space, cx, range).is_ok() {
+            for &interval in &adaptive.intervals {
+                match unit.solve(base, interval, ws) {
+                    Ok(estimate) => out.trials.push(AdaptiveTrial {
+                        range,
+                        interval,
+                        estimate,
+                    }),
+                    Err(_) => out.skipped += 1,
+                }
+            }
         } else {
-            solve_range(range, out);
+            out.skipped += adaptive.intervals.len();
         }
         let slot = &mut slots[k];
         slot.first = first;
         slot.end = out.trials.len();
         slot.skipped = out.skipped - skipped_before;
     }
+    ws.sweep_range = unit;
+    ws.range_slots = slots;
     copied
-}
-
-/// Records one cell's result in `out`: a trial, or a skip.
-fn push_cell(
-    out: &mut AdaptiveOutcome,
-    range: f64,
-    interval: f64,
-    result: Result<Estimate, CoreError>,
-) {
-    match result {
-        Ok(estimate) => out.trials.push(AdaptiveTrial {
-            range,
-            interval,
-            estimate,
-        }),
-        Err(_) => out.skipped += 1,
-    }
 }
 
 /// The sweep's base configuration: every scanning range takes its own
@@ -501,24 +465,25 @@ fn range_config(base: &LocalizerConfig) -> LocalizerConfig {
     }
 }
 
-/// One scanning range of a sweep, prepared — the unit both the
-/// sequential sweep and [`SweepPlan`] solve intervals against. Holds the
-/// profile restricted to the range and the interval-independent half of
-/// its solve ([`Prepared`]): frame, reference, deltas, coordinates and
-/// scan lines, computed once for all of the range's intervals.
+/// One scanning range of a sweep, prepared. Holds the profile restricted
+/// to the range and the interval-independent half of its solve
+/// ([`Prepared`]): frame, reference, deltas, coordinates and scan lines,
+/// computed once for all of the range's intervals.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RangeUnit {
     profile: PhaseProfile,
     prepared: Prepared,
-    /// Why preparation failed; every interval of the range then fails
-    /// with it.
-    failure: Option<CoreError>,
 }
 
 impl RangeUnit {
     /// Restricts `profile` to the range of width `range` centered on
     /// `cx` and prepares it, reusing this unit's buffers. `base` must
     /// come from [`range_config`].
+    ///
+    /// # Errors
+    ///
+    /// The range's preparation failure (too few samples, a rank
+    /// problem); the unit must not be solved after one.
     fn prepare(
         &mut self,
         profile: &PhaseProfile,
@@ -526,12 +491,10 @@ impl RangeUnit {
         space: SolveSpace,
         cx: f64,
         range: f64,
-    ) {
+    ) -> Result<(), CoreError> {
         profile.restrict_x_into(cx - range / 2.0, cx + range / 2.0, &mut self.profile);
-        self.failure = self
-            .prepared
+        self.prepared
             .prepare(&self.profile, base, space, space.min_samples())
-            .err();
     }
 
     /// Solves the prepared range at `interval`: pairs, rows, Gram, IRLS
@@ -542,9 +505,6 @@ impl RangeUnit {
         interval: f64,
         ws: &mut Workspace,
     ) -> Result<Estimate, CoreError> {
-        if let Some(e) = &self.failure {
-            return Err(e.clone());
-        }
         let cell_start = Instant::now();
         let mut config = base.clone();
         config.pair_strategy = base.pair_strategy.with_interval(interval);
@@ -583,157 +543,6 @@ fn reduce_outcome(keep: usize, out: &mut AdaptiveOutcome) {
     });
     out.estimate = out.trials[0].estimate.clone();
     out.estimate.position = avg;
-}
-
-/// An owned, immutable description of one adaptive sweep: the base
-/// configuration, the grid, each range that needs solving, restricted
-/// and prepared, and the cells that need solving in the sequential
-/// sweep's visit order (ranges outer, intervals inner). A range that
-/// keeps the same reads as an earlier range has no cells here:
-/// [`SweepPlan::finish`] copies the earlier range's results.
-///
-/// Cells are independent — solve them on any worker with any
-/// [`Workspace`] via [`SweepPlan::solve_cell`], then reduce with
-/// [`SweepPlan::finish`]. As long as results are passed to `finish` in
-/// cell-index order, the outcome is bit-identical to the sequential
-/// [`Localizer::locate_adaptive`] for any worker count: each cell runs
-/// the same solve as the sequential sweep on the same prepared range, a
-/// reused workspace never changes a solve's result, `finish` copies
-/// exactly the ranges the sequential sweep copies, and the trial ranking
-/// is a total order over distinct grid cells, so it is visit-order
-/// independent.
-#[derive(Debug, Clone)]
-pub struct SweepPlan {
-    /// The base configuration, from `range_config`.
-    config: LocalizerConfig,
-    adaptive: AdaptiveConfig,
-    /// Reads kept per scanning range.
-    slots: Vec<RangeSlot>,
-    /// One prepared unit per scanning range that has cells.
-    units: Vec<RangeUnit>,
-    /// `(unit, range, interval)` per cell to solve, in sequential visit
-    /// order.
-    cells: Vec<(usize, f64, f64)>,
-}
-
-impl SweepPlan {
-    fn build(
-        measurements: &[(Point3, f64)],
-        base: &LocalizerConfig,
-        space: SolveSpace,
-        adaptive: &AdaptiveConfig,
-        ws: &mut Workspace,
-    ) -> Result<SweepPlan, CoreError> {
-        adaptive.validate()?;
-        let config = range_config(base);
-        let mut profile = std::mem::take(&mut ws.profile);
-        let mut slots = Vec::new();
-        let plan = prepare_profile_in(measurements, &config, &mut profile, ws)
-            .and_then(|()| {
-                sweep_center(
-                    &profile,
-                    &config,
-                    space,
-                    &adaptive.scanning_ranges,
-                    &mut slots,
-                    &mut ws.metrics,
-                )
-            })
-            .map(|cx| {
-                let mut units = Vec::new();
-                let mut cells = Vec::new();
-                for (k, &range) in adaptive.scanning_ranges.iter().enumerate() {
-                    if reuse_source(&slots, k).is_none() {
-                        let mut unit = RangeUnit::default();
-                        unit.prepare(&profile, &config, space, cx, range);
-                        cells.extend(adaptive.intervals.iter().map(|&i| (units.len(), range, i)));
-                        units.push(unit);
-                    }
-                }
-                SweepPlan {
-                    config,
-                    adaptive: adaptive.clone(),
-                    slots,
-                    units,
-                    cells,
-                }
-            });
-        ws.profile = profile;
-        plan
-    }
-
-    /// Number of cells to solve: the grid cells minus those of ranges
-    /// that copy an earlier range.
-    pub fn cell_count(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// The `(range, interval)` of cell `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `index >= cell_count()`.
-    pub fn cell(&self, index: usize) -> (f64, f64) {
-        let (_, range, interval) = self.cells[index];
-        (range, interval)
-    }
-
-    /// How many best trials [`SweepPlan::finish`] averages.
-    pub fn keep(&self) -> usize {
-        self.adaptive.keep
-    }
-
-    /// Solves cell `index` with `ws`'s scratch buffers; pair/solve
-    /// timings and counters land in `ws`.
-    ///
-    /// # Errors
-    ///
-    /// Per-cell failures ([`CoreError::NoPairs`],
-    /// [`CoreError::TooFewMeasurements`], solver errors). Pass them to
-    /// [`SweepPlan::finish`], which counts them as skipped.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `index >= cell_count()`.
-    pub fn solve_cell(&self, index: usize, ws: &mut Workspace) -> Result<AdaptiveTrial, CoreError> {
-        let (unit, range, interval) = self.cells[index];
-        self.units[unit]
-            .solve(&self.config, interval, ws)
-            .map(|estimate| AdaptiveTrial {
-                range,
-                interval,
-                estimate,
-            })
-    }
-
-    /// Reduces per-cell results — one per cell, **in cell-index order** —
-    /// into the sweep outcome: copied ranges are expanded, failures count
-    /// as skipped (as does a missing result), survivors are ranked by
-    /// `|mean residual|`, and the `keep` best positions averaged.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::NoPairs`] when every cell failed.
-    pub fn finish(
-        &self,
-        results: impl IntoIterator<Item = Result<AdaptiveTrial, CoreError>>,
-    ) -> Result<AdaptiveOutcome, CoreError> {
-        let mut results = results.into_iter();
-        let mut out = AdaptiveOutcome::default();
-        let mut slots = self.slots.clone();
-        run_cells(&self.adaptive, &mut slots, &mut out, |range, out| {
-            for &interval in &self.adaptive.intervals {
-                let result = results.next().unwrap_or(Err(CoreError::NoPairs));
-                push_cell(out, range, interval, result.map(|trial| trial.estimate));
-            }
-        });
-        if out.trials.is_empty() {
-            return Err(CoreError::NoPairs);
-        }
-        rank_trials(&mut out.trials);
-        reduce_outcome(self.adaptive.keep, &mut out);
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -930,8 +739,6 @@ mod tests {
         let mut ws = Workspace::new();
         loc.locate_adaptive_in(&m, &adaptive, &mut ws).unwrap();
         assert_eq!(ws.take_metrics().reads_dropped, expected);
-        loc.sweep_plan(&m, &adaptive, &mut ws).unwrap();
-        assert_eq!(ws.take_metrics().reads_dropped, expected);
     }
 
     #[test]
@@ -946,10 +753,6 @@ mod tests {
             loc.locate_adaptive(&m, &grid),
             Err(CoreError::DegenerateGeometry { .. })
         ));
-        assert!(matches!(
-            loc.sweep_plan(&m, &grid, &mut Workspace::new()),
-            Err(CoreError::DegenerateGeometry { .. })
-        ));
     }
 
     #[test]
@@ -961,13 +764,6 @@ mod tests {
         let grid = AdaptiveConfig::default();
         assert!(matches!(
             loc.locate_adaptive(&m, &grid),
-            Err(CoreError::InvalidConfig {
-                parameter: "side_hint",
-                ..
-            })
-        ));
-        assert!(matches!(
-            loc.sweep_plan(&m, &grid, &mut Workspace::new()),
             Err(CoreError::InvalidConfig {
                 parameter: "side_hint",
                 ..
@@ -989,51 +785,6 @@ mod tests {
         loc.locate_adaptive_into(&m, &grid, &mut ws, &mut second)
             .unwrap();
         assert_eq!(first, second);
-    }
-
-    #[test]
-    fn sweep_plan_matches_sequential_sweep() {
-        let target = Point3::new(0.1, 0.8, 0.0);
-        let m = linear_scan(target, 0.6, 0.005);
-        let loc = Localizer::new(cfg(), SolveSpace::TwoD);
-        let grid = AdaptiveConfig::default();
-        let sequential = loc.locate_adaptive(&m, &grid).unwrap();
-        let mut ws = Workspace::new();
-        let plan = loc.sweep_plan(&m, &grid, &mut ws).unwrap();
-        assert_eq!(plan.cell_count(), 36);
-        let results: Vec<_> = (0..plan.cell_count())
-            .map(|i| plan.solve_cell(i, &mut ws))
-            .collect();
-        let fanned = plan.finish(results).unwrap();
-        assert_eq!(sequential, fanned);
-    }
-
-    #[test]
-    fn sweep_plan_3d_matches_sequential_sweep() {
-        let target = Point3::new(0.1, 0.2, 0.7);
-        let m: Vec<(Point3, f64)> = (0..400)
-            .map(|i| {
-                let a = i as f64 * TAU / 400.0;
-                let p = Point3::new(0.35 * a.cos(), 0.35 * a.sin(), 0.0);
-                (p, phase_of(target, p))
-            })
-            .collect();
-        let mut c = cfg();
-        c.side_hint = Some(Point3::new(0.0, 0.0, 0.5));
-        let adaptive = AdaptiveConfig {
-            scanning_ranges: vec![0.7, 0.5],
-            intervals: vec![0.15, 0.25],
-            keep: 2,
-        };
-        let loc = Localizer::new(c, SolveSpace::ThreeD);
-        let sequential = loc.locate_adaptive(&m, &adaptive).unwrap();
-        let mut ws = Workspace::new();
-        let plan = loc.sweep_plan(&m, &adaptive, &mut ws).unwrap();
-        let results: Vec<_> = (0..plan.cell_count())
-            .map(|i| plan.solve_cell(i, &mut ws))
-            .collect();
-        let fanned = plan.finish(results).unwrap();
-        assert_eq!(sequential, fanned);
     }
 
     #[test]

@@ -139,90 +139,6 @@ impl Calibrator {
     }
 }
 
-/// Fuses repeated calibration runs of the *same* antenna into one result.
-///
-/// Production calibration repeats the scan several times and averages:
-/// centers combine by arithmetic mean, offsets by circular mean. The
-/// returned [`CalibrationSpread`] quantifies run-to-run repeatability —
-/// the honest error bar a datasheet would quote.
-///
-/// # Errors
-///
-/// - [`CoreError::TooFewMeasurements`] for an empty slice,
-/// - [`CoreError::DegenerateGeometry`] when the offsets are uniformly
-///   spread (the runs disagree completely).
-pub fn fuse_calibrations(
-    runs: &[Calibration],
-) -> Result<(Calibration, CalibrationSpread), CoreError> {
-    if runs.is_empty() {
-        return Err(CoreError::TooFewMeasurements { got: 0, needed: 1 });
-    }
-    let n = runs.len() as f64;
-    let center = runs.iter().fold(Point3::ORIGIN, |acc, c| {
-        Point3::new(
-            acc.x + c.phase_center.x / n,
-            acc.y + c.phase_center.y / n,
-            acc.z + c.phase_center.z / n,
-        )
-    });
-    let mut offsets = stats::CircularResultant::default();
-    for run in runs {
-        offsets.push(run.phase_offset);
-    }
-    let offset = offsets
-        .mean()
-        .ok_or_else(|| CoreError::DegenerateGeometry {
-            detail: "per-run phase offsets are uniformly spread; the runs disagree".to_string(),
-        })?;
-    let center_spread = runs
-        .iter()
-        .map(|c| c.phase_center.distance(center))
-        .fold(0.0_f64, f64::max);
-    let offset_spread = offsets.std_dev().unwrap_or(f64::INFINITY);
-    // Displacement is re-derived from the fused center; the physical
-    // center is common to all runs by construction.
-    let physical = runs[0].phase_center - runs[0].center_displacement;
-    let fused = Calibration {
-        phase_center: center,
-        center_displacement: center - physical,
-        phase_offset: offset,
-        offset_spread,
-        // Keep the best run's estimate for diagnostics.
-        estimate: runs
-            .iter()
-            .min_by(|a, b| {
-                a.estimate
-                    .mean_residual
-                    .abs()
-                    .partial_cmp(&b.estimate.mean_residual.abs())
-                    .expect("finite residuals")
-            })
-            .expect("non-empty")
-            .estimate
-            .clone(),
-    };
-    Ok((
-        fused,
-        CalibrationSpread {
-            runs: runs.len(),
-            max_center_deviation: center_spread,
-            offset_circular_std: offset_spread,
-        },
-    ))
-}
-
-/// Run-to-run repeatability of a fused calibration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CalibrationSpread {
-    /// Number of runs fused.
-    pub runs: usize,
-    /// Largest distance from any single-run center to the fused center
-    /// (meters).
-    pub max_center_deviation: f64,
-    /// Circular standard deviation of the per-run offsets (radians).
-    pub offset_circular_std: f64,
-}
-
 /// Estimates the combined hardware phase offset given a known phase
 /// center (paper Eq. 17): the circular mean over samples of
 /// `θ_measured − (4π/λ)·d`.
@@ -391,43 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn fusing_runs_tightens_the_estimate() {
-        let physical = Point3::new(0.0, 0.8, 0.0);
-        let truth = Point3::new(0.022, 0.79, 0.015);
-        let true_offset = 2.0;
-        // Three runs with slightly different (noise-free here, so
-        // identical) data; perturb them artificially to emulate run-to-run
-        // variation.
-        let base = calibrator()
-            .calibrate(&scan_measurements(truth, true_offset), physical)
-            .unwrap();
-        let mut runs = Vec::new();
-        for (dx, doff) in [(0.001, 0.02), (-0.0012, -0.015), (0.0005, 0.005)] {
-            let mut c = base.clone();
-            c.phase_center = Point3::new(
-                base.phase_center.x + dx,
-                base.phase_center.y - dx,
-                base.phase_center.z,
-            );
-            c.center_displacement = c.phase_center - physical;
-            c.phase_offset = stats::wrap_angle(base.phase_offset + doff);
-            runs.push(c);
-        }
-        let (fused, spread) = fuse_calibrations(&runs).unwrap();
-        assert_eq!(spread.runs, 3);
-        assert!(spread.max_center_deviation < 0.003);
-        assert!(spread.offset_circular_std < 0.05);
-        // The fused center is at least as close to truth as the worst run.
-        let worst = runs
-            .iter()
-            .map(|c| c.phase_center.distance(truth))
-            .fold(0.0_f64, f64::max);
-        assert!(fused.phase_center.distance(truth) <= worst + 1e-12);
-        // Displacement is consistent with the fused center.
-        assert!((fused.center_displacement - (fused.phase_center - physical)).norm() < 1e-12);
-    }
-
-    #[test]
     fn estimate_offset_equals_the_two_call_form() {
         // Seeded noisy phases around displaced centers: the one-pass fold
         // must give the very offset and spread of collecting the
@@ -459,14 +338,6 @@ mod tests {
             assert_eq!(Some(mean), stats::circular_mean(&diffs));
             assert_eq!(Some(spread), stats::circular_std_dev(&diffs));
         }
-    }
-
-    #[test]
-    fn fuse_rejects_empty_and_degenerate() {
-        assert!(matches!(
-            fuse_calibrations(&[]),
-            Err(CoreError::TooFewMeasurements { .. })
-        ));
     }
 
     #[test]

@@ -79,12 +79,8 @@ pub mod tracking;
 pub mod window;
 pub mod workspace;
 
-pub use adaptive::{
-    AdaptiveConfig, AdaptiveConfigBuilder, AdaptiveOutcome, AdaptiveTrial, SweepPlan,
-};
-pub use calibrate::{
-    estimate_offset, fuse_calibrations, Calibration, CalibrationSpread, Calibrator,
-};
+pub use adaptive::{AdaptiveConfig, AdaptiveConfigBuilder, AdaptiveOutcome, AdaptiveTrial};
+pub use calibrate::{estimate_offset, Calibration, Calibrator};
 pub use error::CoreError;
 pub use localizer::{
     Estimate, Localizer, LocalizerConfig, LocalizerConfigBuilder, SolveSpace, Weighting,

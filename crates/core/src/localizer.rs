@@ -6,7 +6,7 @@
 //! 1. unwrap + smooth the phases ([`crate::preprocess::PhaseProfile`]),
 //! 2. pick sample pairs ([`crate::pairs::PairStrategy`]),
 //! 3. stack one radical-line/plane equation per pair
-//!    ([`crate::model::build_system`]),
+//!    ([`crate::model::build_system_soa`]),
 //! 4. solve by (iteratively reweighted) least squares,
 //! 5. if the trajectory spans fewer dimensions than the target space,
 //!    recover the perpendicular coordinate from the reference distance

@@ -18,13 +18,22 @@ use lion_linalg::{Matrix, Vector};
 
 use crate::error::CoreError;
 
-/// Builds the design matrix and right-hand side from per-sample coordinates
-/// and distance differences.
+/// Builds the design matrix and right-hand side from per-sample
+/// **axis-major** coordinates and distance differences, assembled by the
+/// runtime-dispatched `lion_linalg::simd` row kernel.
 ///
-/// `coords` is row-major `n × k` (`k` solvable coordinates per sample, in
-/// whatever frame the caller chose); `deltas` has length `n`. Each pair
-/// `(i, j)` becomes one row with `k + 1` columns — the coordinates then
-/// `d_r`.
+/// `coords` is `k × n` axis-major (`coords[c * n + i]` is coordinate `c`
+/// of sample `i`; `k` solvable coordinates per sample, in whatever frame
+/// the caller chose) — each frame axis is one contiguous lane, which is
+/// what lets the kernel gather both pair endpoints with vector loads.
+/// `deltas` has length `n`. Each pair `(i, j)` becomes one row with
+/// `k + 1` columns — the coordinates then `d_r`. The caller-owned
+/// `pair_i`/`pair_j` lanes are refilled from `pairs` (after bounds
+/// validation, so the `i32` narrowing is always exact); `design` and
+/// `rhs` are resized in place and fully overwritten, so a workspace that
+/// owns them assembles every solve without allocating. The row
+/// arithmetic is `lion_linalg::simd::radical_rows_scalar`'s on every
+/// backend.
 ///
 /// # Errors
 ///
@@ -33,96 +42,8 @@ use crate::error::CoreError;
 /// - [`CoreError::TooFewMeasurements`] when there are fewer pairs than
 ///   unknowns (`k + 1`),
 /// - [`CoreError::InvalidConfig`] when a pair index is out of bounds.
-pub fn build_system(
-    coords: &[f64],
-    k: usize,
-    deltas: &[f64],
-    pairs: &[(usize, usize)],
-) -> Result<(Matrix, Vector), CoreError> {
-    let mut design = Matrix::zeros(0, 0);
-    let mut rhs = Vector::zeros(0);
-    build_system_into(coords, k, deltas, pairs, &mut design, &mut rhs)?;
-    Ok((design, rhs))
-}
-
-/// [`build_system`] into caller-provided buffers, reusing their
-/// allocations.
 ///
-/// `design` and `rhs` are resized in place and fully overwritten. This is
-/// the entry point the per-worker [`crate::Workspace`] drives: a batch of
-/// solves reuses one design matrix instead of allocating per solve.
-///
-/// # Errors
-///
-/// Same as [`build_system`]; on error the buffer contents are unspecified.
-pub fn build_system_into(
-    coords: &[f64],
-    k: usize,
-    deltas: &[f64],
-    pairs: &[(usize, usize)],
-    design: &mut Matrix,
-    rhs: &mut Vector,
-) -> Result<(), CoreError> {
-    if k == 0 {
-        return Err(CoreError::InvalidConfig {
-            parameter: "k",
-            found: "0".to_string(),
-        });
-    }
-    if !coords.len().is_multiple_of(k) || coords.len() / k != deltas.len() {
-        return Err(CoreError::InvalidConfig {
-            parameter: "coords/deltas",
-            found: format!("{} coords (k={k}) vs {} deltas", coords.len(), deltas.len()),
-        });
-    }
-    if pairs.is_empty() {
-        return Err(CoreError::NoPairs);
-    }
-    let n = deltas.len();
-    if pairs.len() < k + 1 {
-        return Err(CoreError::TooFewMeasurements {
-            got: pairs.len(),
-            needed: k + 1,
-        });
-    }
-    design.reset_zeroed(pairs.len(), k + 1);
-    rhs.reset_zeroed(pairs.len());
-    for (row, &(i, j)) in pairs.iter().enumerate() {
-        if i >= n || j >= n {
-            return Err(CoreError::InvalidConfig {
-                parameter: "pairs",
-                found: format!("pair ({i}, {j}) out of bounds for {n} samples"),
-            });
-        }
-        let mut kappa = 0.0;
-        for c in 0..k {
-            let ci = coords[i * k + c];
-            let cj = coords[j * k + c];
-            design[(row, c)] = 2.0 * (ci - cj);
-            kappa += ci * ci - cj * cj;
-        }
-        design[(row, k)] = 2.0 * (deltas[i] - deltas[j]);
-        kappa -= deltas[i] * deltas[i] - deltas[j] * deltas[j];
-        rhs[row] = kappa;
-    }
-    Ok(())
-}
-
-/// [`build_system_into`] over **axis-major** coordinates, assembled by
-/// the runtime-dispatched `lion_linalg::simd` row kernel.
-///
-/// `coords` is `k × n` axis-major (`coords[c * n + i]` is coordinate `c`
-/// of sample `i`) — each frame axis is one contiguous lane, which is what
-/// lets the kernel gather both pair endpoints with vector loads. The
-/// caller-owned `pair_i`/`pair_j` lanes are refilled from `pairs` (after
-/// bounds validation, so the `i32` narrowing is always exact). Validation
-/// and row arithmetic mirror [`build_system_into`] operation for
-/// operation; for identical inputs the produced system is bit-identical.
-///
-/// # Errors
-///
-/// Same as [`build_system`]; on error the buffer contents are
-/// unspecified.
+/// On error the buffer contents are unspecified.
 #[allow(clippy::too_many_arguments)]
 pub fn build_system_soa(
     coords: &[f64],
@@ -185,24 +106,48 @@ pub fn build_system_soa(
     Ok(())
 }
 
-/// Verifies analytically that the true target satisfies the generated
-/// equations (used by tests and debug assertions): returns the maximum
-/// absolute equation violation at the given solution.
-pub fn max_violation(design: &Matrix, rhs: &Vector, solution: &Vector) -> f64 {
-    match design.mul_vector(solution) {
-        Ok(ax) => ax
-            .as_slice()
-            .iter()
-            .zip(rhs.as_slice())
-            .fold(0.0_f64, |m, (a, b)| m.max((a - b).abs())),
-        Err(_) => f64::INFINITY,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lion_geom::Point3;
+
+    /// Assembles the system into fresh buffers.
+    fn build(
+        coords: &[f64],
+        n: usize,
+        k: usize,
+        deltas: &[f64],
+        pairs: &[(usize, usize)],
+    ) -> Result<(Matrix, Vector), CoreError> {
+        let (mut pair_i, mut pair_j) = (Vec::new(), Vec::new());
+        let mut design = Matrix::zeros(0, 0);
+        let mut rhs = Vector::zeros(0);
+        build_system_soa(
+            coords,
+            n,
+            k,
+            deltas,
+            pairs,
+            &mut pair_i,
+            &mut pair_j,
+            &mut design,
+            &mut rhs,
+        )?;
+        Ok((design, rhs))
+    }
+
+    /// The maximum absolute equation violation at `solution`: near zero
+    /// when the true target satisfies the generated equations.
+    fn max_violation(design: &Matrix, rhs: &Vector, solution: &Vector) -> f64 {
+        match design.mul_vector(solution) {
+            Ok(ax) => ax
+                .as_slice()
+                .iter()
+                .zip(rhs.as_slice())
+                .fold(0.0_f64, |m, (a, b)| m.max((a - b).abs())),
+            Err(_) => f64::INFINITY,
+        }
+    }
 
     /// Builds exact coords/deltas for an antenna at `target` and returns
     /// the system plus the expected solution.
@@ -213,9 +158,13 @@ mod tests {
     ) -> (Matrix, Vector, Vector) {
         let d_ref = target.distance(tags[reference]);
         let deltas: Vec<f64> = tags.iter().map(|t| target.distance(*t) - d_ref).collect();
-        let coords: Vec<f64> = tags.iter().flat_map(|t| [t.x, t.y]).collect();
+        let coords: Vec<f64> = tags
+            .iter()
+            .map(|t| t.x)
+            .chain(tags.iter().map(|t| t.y))
+            .collect();
         let pairs: Vec<(usize, usize)> = (0..tags.len() - 1).map(|i| (i, i + 1)).collect();
-        let (a, k) = build_system(&coords, 2, &deltas, &pairs).unwrap();
+        let (a, k) = build(&coords, tags.len(), 2, &deltas, &pairs).unwrap();
         let expect = Vector::from_slice(&[target.x, target.y, d_ref]);
         (a, k, expect)
     }
@@ -261,9 +210,14 @@ mod tests {
         let reference = 3;
         let d_ref = target.distance(tags[reference]);
         let deltas: Vec<f64> = tags.iter().map(|t| target.distance(*t) - d_ref).collect();
-        let coords: Vec<f64> = tags.iter().flat_map(|t| [t.x, t.y, t.z]).collect();
+        let coords: Vec<f64> = tags
+            .iter()
+            .map(|t| t.x)
+            .chain(tags.iter().map(|t| t.y))
+            .chain(tags.iter().map(|t| t.z))
+            .collect();
         let pairs: Vec<(usize, usize)> = (0..tags.len() - 1).map(|i| (i, i + 1)).collect();
-        let (a, k) = build_system(&coords, 3, &deltas, &pairs).unwrap();
+        let (a, k) = build(&coords, tags.len(), 3, &deltas, &pairs).unwrap();
         let sol = lion_linalg::lstsq::solve(&a, &k).unwrap();
         let expect = [target.x, target.y, target.z, d_ref];
         for (s, e) in sol.as_slice().iter().zip(expect) {
@@ -281,7 +235,7 @@ mod tests {
         let d_ref = target.distance(tags[reference]);
         let deltas: Vec<f64> = tags.iter().map(|t| target.distance(*t) - d_ref).collect();
         let pairs: Vec<(usize, usize)> = (0..20).map(|i| (i, i + 10)).collect();
-        let (a, k) = build_system(&us, 1, &deltas, &pairs).unwrap();
+        let (a, k) = build(&us, us.len(), 1, &deltas, &pairs).unwrap();
         let sol = lion_linalg::lstsq::solve(&a, &k).unwrap();
         assert!((sol[0] - 0.2).abs() < 1e-9, "u {}", sol[0]);
         assert!((sol[1] - d_ref).abs() < 1e-9, "d_r {}", sol[1]);
@@ -293,23 +247,23 @@ mod tests {
     #[test]
     fn validation_errors() {
         assert!(matches!(
-            build_system(&[], 0, &[], &[(0, 1)]),
+            build(&[], 0, 0, &[], &[(0, 1)]),
             Err(CoreError::InvalidConfig { parameter: "k", .. })
         ));
         assert!(matches!(
-            build_system(&[1.0, 2.0, 3.0], 2, &[0.0], &[(0, 1)]),
+            build(&[1.0, 2.0, 3.0], 1, 2, &[0.0], &[(0, 1)]),
             Err(CoreError::InvalidConfig { .. })
         ));
         assert!(matches!(
-            build_system(&[1.0, 2.0], 1, &[0.0, 0.1], &[]),
+            build(&[1.0, 2.0], 2, 1, &[0.0, 0.1], &[]),
             Err(CoreError::NoPairs)
         ));
         assert!(matches!(
-            build_system(&[1.0, 2.0], 1, &[0.0, 0.1], &[(0, 1)]),
+            build(&[1.0, 2.0], 2, 1, &[0.0, 0.1], &[(0, 1)]),
             Err(CoreError::TooFewMeasurements { needed: 2, .. })
         ));
         assert!(matches!(
-            build_system(&[1.0, 2.0], 1, &[0.0, 0.1], &[(0, 5), (0, 1)]),
+            build(&[1.0, 2.0], 2, 1, &[0.0, 0.1], &[(0, 5), (0, 1)]),
             Err(CoreError::InvalidConfig {
                 parameter: "pairs",
                 ..

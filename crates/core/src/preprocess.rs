@@ -46,21 +46,32 @@ pub fn wrap_phase(theta: f64) -> f64 {
 /// the previous sample's wrapped and unwrapped values.
 ///
 /// This is how [`crate::IncrementalState`] extends an existing chain when
-/// the window slides, instead of re-running [`unwrap_phases`] from the
-/// front. The jump normalization is the same while-loop arithmetic, so the
-/// recovered integer number of wraps is identical; the *accumulation*
-/// differs (`prev_unwrapped + jump` here vs the batch path's running
-/// `theta + offset`), which makes the continued chain equal to the batch
-/// chain only up to floating-point association — one source of the
-/// documented 1e-6 incremental-vs-replay tolerance (DESIGN.md §14).
+/// the window slides, and how [`crate::SlidingWindow`] maintains its
+/// incrementally unwrapped phases, instead of re-running
+/// [`unwrap_phases`] from the front. The jump is normalized into
+/// `[-π, π)` by adding or subtracting `2π`, so for wrapped phases in
+/// `[0, 2π)` the recovered integer number of wraps is the batch path's;
+/// the *accumulation* differs (`prev_unwrapped + jump` here vs the batch
+/// path's running `theta + offset`), which makes the continued chain
+/// equal to the batch chain only up to floating-point association — one
+/// source of the documented 1e-6 incremental-vs-replay tolerance
+/// (DESIGN.md §14).
+///
+/// A jump of `3π` or more, which only a phase outside `[0, 2π)` can
+/// cause, is first reduced modulo `2π` in one step, so the normalization
+/// ends for every finite input: at magnitudes like `1e300`, subtracting
+/// `2π` changes nothing and a turn-by-turn loop would never end.
 pub fn unwrap_step(prev_wrapped: f64, prev_unwrapped: f64, wrapped: f64) -> f64 {
-    let tau = std::f64::consts::TAU;
+    use std::f64::consts::{PI, TAU};
     let mut jump = wrapped - prev_wrapped;
-    while jump >= std::f64::consts::PI {
-        jump -= tau;
+    if jump.abs() >= TAU + PI {
+        jump = (jump + PI).rem_euclid(TAU) - PI;
     }
-    while jump < -std::f64::consts::PI {
-        jump += tau;
+    while jump >= PI {
+        jump -= TAU;
+    }
+    while jump < -PI {
+        jump += TAU;
     }
     prev_unwrapped + jump
 }

@@ -278,14 +278,7 @@ impl SlidingWindow {
             }
             let prev = self.samples[i - 1];
             let s = &mut self.samples[i];
-            let mut jump = s.wrapped - prev.wrapped;
-            while jump >= std::f64::consts::PI {
-                jump -= std::f64::consts::TAU;
-            }
-            while jump < -std::f64::consts::PI {
-                jump += std::f64::consts::TAU;
-            }
-            s.unwrapped = prev.unwrapped + jump;
+            s.unwrapped = preprocess::unwrap_step(prev.wrapped, prev.unwrapped, s.wrapped);
         }
     }
 
@@ -347,6 +340,39 @@ mod tests {
 
     fn p(x: f64) -> Point3 {
         Point3::new(x, 0.0, 0.0)
+    }
+
+    /// Runs `f` on its own thread and returns its result, failing the
+    /// test instead of hanging it when `f` has not returned in 10 s (the
+    /// stalled thread is then left behind; it cannot be joined).
+    fn returns_within_10s<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (done, finished) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let out = f();
+            let _ = done.send(());
+            out
+        });
+        let waited = finished.recv_timeout(std::time::Duration::from_secs(10));
+        if let Err(std::sync::mpsc::RecvTimeoutError::Timeout) = waited {
+            panic!("did not return within 10 s");
+        }
+        worker.join().expect("worker panicked")
+    }
+
+    #[test]
+    fn huge_finite_phase_does_not_stall_the_unwrap() {
+        // At 1e300, subtracting 2π changes nothing: a turn-by-turn
+        // normalization would never end.
+        let step = returns_within_10s(|| preprocess::unwrap_step(0.0, 0.0, 1e300));
+        assert!((-std::f64::consts::PI..std::f64::consts::PI).contains(&step));
+        let samples = returns_within_10s(|| {
+            let mut w = SlidingWindow::new(4).unwrap();
+            w.push(0.0, p(0.0), 0.5);
+            assert_eq!(w.push(1.0, p(1.0), 1e300), PushOutcome::Inserted);
+            assert_eq!(w.push(2.0, p(2.0), -1e300), PushOutcome::Inserted);
+            w.samples().copied().collect::<Vec<_>>()
+        });
+        assert!(samples.iter().all(|s| s.unwrapped.is_finite()));
     }
 
     #[test]

@@ -6,14 +6,14 @@
 //! `(range, interval)` cell it restricts the preprocessed profile with
 //! `restrict_x(cx ± range/2)` and runs `Localizer::locate_profile_in`
 //! with that cell's interval and a fresh workspace. The pooled results,
-//! ranked and reduced by the documented rule, must equal the sequential
-//! sweep and `SweepPlan` + `finish` with `==`, skip counts included.
+//! ranked and reduced by the documented rule, must equal the sweep with
+//! `==`, skip counts included.
 
 use std::f64::consts::{PI, TAU};
 
 use lion_core::{
-    AdaptiveConfig, AdaptiveOutcome, AdaptiveTrial, CoreError, Localizer, LocalizerConfig,
-    PairStrategy, PhaseProfile, SolveSpace, Workspace,
+    AdaptiveConfig, AdaptiveOutcome, AdaptiveTrial, Localizer, LocalizerConfig, PairStrategy,
+    PhaseProfile, SolveSpace, Workspace,
 };
 use lion_geom::{Point3, ThreeLineScan, Trajectory};
 
@@ -113,7 +113,7 @@ fn rank_and_reduce(keep: usize, out: &mut AdaptiveOutcome) {
     out.estimate.position = avg;
 }
 
-/// Checks both sweep routes against the per-cell oracle; returns it.
+/// Checks the sweep against the per-cell oracle; returns it.
 fn check(case: &Case) -> AdaptiveOutcome {
     let oracle = case.oracle();
     let localizer = Localizer::new(case.config.clone(), case.space);
@@ -122,24 +122,11 @@ fn check(case: &Case) -> AdaptiveOutcome {
     // the buffers the first left behind.
     let mut ws = Workspace::new();
     for _ in 0..2 {
-        let sequential = localizer
+        let swept = localizer
             .locate_adaptive_in(&case.reads, &case.grid, &mut ws)
             .expect("sweep succeeds");
-        assert_eq!(sequential, oracle);
+        assert_eq!(swept, oracle);
     }
-
-    // Plan + finish, with cells solved in reverse order on one reused
-    // workspace, so no cell sees its own range's state left behind.
-    let plan = localizer
-        .sweep_plan(&case.reads, &case.grid, &mut Workspace::new())
-        .expect("plan builds");
-    let mut ws = Workspace::new();
-    let mut results: Vec<Result<AdaptiveTrial, CoreError>> = (0..plan.cell_count())
-        .rev()
-        .map(|i| plan.solve_cell(i, &mut ws))
-        .collect();
-    results.reverse();
-    assert_eq!(plan.finish(results).expect("plan succeeds"), oracle);
     oracle
 }
 

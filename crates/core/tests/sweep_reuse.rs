@@ -5,15 +5,14 @@
 //! The oracle runs every range as its own single-range sweep — which has
 //! no earlier range to copy from — then ranks and reduces the pooled
 //! trials by the documented rule. On a track shorter than the widest
-//! range, the full sweep (sequential, and `SweepPlan` + `finish`) must
-//! equal that oracle with `==`, and `adaptive_cells_reused` must count
-//! exactly the copied trials.
+//! range, the full sweep must equal that oracle with `==`, and
+//! `adaptive_cells_reused` must count exactly the copied trials.
 
 use std::f64::consts::{PI, TAU};
 
 use lion_core::{
-    AdaptiveConfig, AdaptiveOutcome, AdaptiveTrial, CoreError, Localizer, LocalizerConfig,
-    PairStrategy, SolveSpace, SweepPlan, Workspace,
+    AdaptiveConfig, AdaptiveOutcome, CoreError, Localizer, LocalizerConfig, PairStrategy,
+    SolveSpace, Workspace,
 };
 use lion_geom::{Point3, ThreeLineScan, Trajectory};
 
@@ -77,13 +76,6 @@ impl Case {
         ws: &mut Workspace,
     ) -> Result<AdaptiveOutcome, CoreError> {
         Localizer::new(self.config.clone(), self.space).locate_adaptive_in(&self.reads, grid, ws)
-    }
-
-    fn plan(&self) -> SweepPlan {
-        let ws = &mut Workspace::new();
-        Localizer::new(self.config.clone(), self.space)
-            .sweep_plan(&self.reads, &self.grid, ws)
-            .expect("plan builds")
     }
 
     /// Reads kept by each range, centered on the track's x centroid.
@@ -160,24 +152,11 @@ fn check(case: &Case) {
     assert!(copies > 0, "the case must exercise reuse");
 
     let mut ws = Workspace::new();
-    let sequential = case.sweep(&case.grid, &mut ws).expect("sweep succeeds");
-    assert_eq!(sequential, oracle);
+    let swept = case.sweep(&case.grid, &mut ws).expect("sweep succeeds");
+    assert_eq!(swept, oracle);
     let metrics = ws.take_metrics();
     assert_eq!(metrics.adaptive_cells_reused, copies);
-    assert_eq!(metrics.adaptive_trials, sequential.trials.len() as u64);
-
-    // The plan hands out only the cells of ranges with new reads.
-    let kept = case.kept_per_range();
-    let distinct = (0..kept.len())
-        .filter(|&k| !kept[..k].contains(&kept[k]))
-        .count();
-    let plan = case.plan();
-    assert_eq!(plan.cell_count(), distinct * case.grid.intervals.len());
-    let mut ws = Workspace::new();
-    let results: Vec<Result<AdaptiveTrial, CoreError>> = (0..plan.cell_count())
-        .map(|i| plan.solve_cell(i, &mut ws))
-        .collect();
-    assert_eq!(plan.finish(results).expect("plan succeeds"), sequential);
+    assert_eq!(metrics.adaptive_trials, swept.trials.len() as u64);
 }
 
 #[test]

@@ -3,11 +3,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use lion_core::{
-    AdaptiveConfig, AdaptiveOutcome, AdaptiveTrial, CoreError, Localizer, LocalizerConfig,
-    SolveSpace, StageMetrics, SweepPlan, Workspace,
-};
-use lion_geom::Point3;
+use lion_core::{CoreError, StageMetrics, Workspace};
 
 use crate::job::{Job, JobOutput};
 use crate::metrics::{JobTiming, MetricsReport};
@@ -66,6 +62,54 @@ pub(crate) fn job_contexts(jobs: usize) -> Vec<Option<lion_obs::TraceContext>> {
     }
 }
 
+/// The engine's one worker pool: runs `f(state, index, item)` on every
+/// item across `workers` scoped threads that drain a shared atomic
+/// cursor, each thread with its own `init_state()`, and returns the
+/// results in submission order. One worker runs inline on the calling
+/// thread without spawning. Callers clamp `workers` to the item count.
+pub(crate) fn fan_out<T, S, R>(
+    workers: usize,
+    items: &[T],
+    init_state: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, usize, &T) -> R + Sync,
+) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+{
+    if workers <= 1 {
+        let mut state = init_state();
+        return items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| f(&mut state, i, item))
+            .collect();
+    }
+    let cursor = AtomicUsize::new(0);
+    let mut indexed = Vec::with_capacity(items.len());
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut state = init_state();
+                    let mut local = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else { break };
+                        local.push((i, f(&mut state, i, item)));
+                    }
+                    local
+                })
+            })
+            .collect();
+        for handle in handles {
+            indexed.extend(handle.join().expect("engine worker panicked"));
+        }
+    });
+    indexed.sort_unstable_by_key(|(i, _)| *i);
+    indexed.into_iter().map(|(_, result)| result).collect()
+}
+
 /// Parallel batch executor for [`Job`]s.
 ///
 /// Workers pull jobs from a shared atomic cursor — no locks, no channels
@@ -114,48 +158,14 @@ impl Engine {
         // Root trace contexts, minted in submission order so trace ids
         // ascend with job index no matter which worker runs what.
         let contexts = job_contexts(jobs.len());
-        type Slot = (usize, Result<JobOutput, CoreError>, StageMetrics, JobTiming);
-        let mut indexed: Vec<Slot> = if workers == 1 {
-            let mut ws = Workspace::new();
-            jobs.iter()
-                .enumerate()
-                .map(|(i, job)| {
-                    let (result, metrics, timing) = run_job(job, &mut ws, started, i, contexts[i]);
-                    (i, result, metrics, timing)
-                })
-                .collect()
-        } else {
-            let cursor = AtomicUsize::new(0);
-            let mut collected = Vec::with_capacity(jobs.len());
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut ws = Workspace::new();
-                            let mut local = Vec::new();
-                            loop {
-                                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                                let Some(job) = jobs.get(i) else { break };
-                                let (result, metrics, timing) =
-                                    run_job(job, &mut ws, started, i, contexts[i]);
-                                local.push((i, result, metrics, timing));
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    collected.extend(handle.join().expect("engine worker panicked"));
-                }
-            });
-            collected.sort_unstable_by_key(|(i, ..)| *i);
-            collected
-        };
+        let outcomes = fan_out(workers, jobs, Workspace::new, |ws, i, job| {
+            run_job(job, ws, started, i, contexts[i])
+        });
         let wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let mut results = Vec::with_capacity(indexed.len());
-        let mut job_metrics = Vec::with_capacity(indexed.len());
-        let mut timings = Vec::with_capacity(indexed.len());
-        for (_, result, metrics, timing) in indexed.drain(..) {
+        let mut results = Vec::with_capacity(outcomes.len());
+        let mut job_metrics = Vec::with_capacity(outcomes.len());
+        let mut timings = Vec::with_capacity(outcomes.len());
+        for (result, metrics, timing) in outcomes {
             results.push(result);
             job_metrics.push(metrics);
             timings.push(timing);
@@ -175,84 +185,6 @@ impl Engine {
             timings,
             report,
         }
-    }
-
-    /// Runs the adaptive sweep in `space` with the grid cells fanned out
-    /// across the worker pool.
-    ///
-    /// Preprocessing (unwrap, smooth, the whole-trajectory geometry
-    /// check, and each scanning range's restriction and preparation)
-    /// happens once on the calling thread; each worker then solves cells
-    /// with its own [`Workspace`] — one cell is the interval half of the
-    /// standard locate pipeline on its prepared range — and results are
-    /// reduced in submission order. The
-    /// outcome is **bit-identical** for any worker count — including to
-    /// the sequential [`Localizer::locate_adaptive`] — see the
-    /// [`SweepPlan`] docs for why.
-    ///
-    /// # Errors
-    ///
-    /// See [`Localizer::locate_adaptive`].
-    pub fn locate_adaptive(
-        &self,
-        measurements: &[(Point3, f64)],
-        config: &LocalizerConfig,
-        space: SolveSpace,
-        adaptive: &AdaptiveConfig,
-    ) -> Result<AdaptiveOutcome, CoreError> {
-        let mut ws = Workspace::new();
-        let plan =
-            Localizer::new(config.clone(), space).sweep_plan(measurements, adaptive, &mut ws)?;
-        self.run_plan(&plan, ws)
-    }
-
-    /// Fans a [`SweepPlan`]'s cells across the workers (atomic cursor,
-    /// per-worker workspaces) and reduces in submission order.
-    fn run_plan(&self, plan: &SweepPlan, mut ws: Workspace) -> Result<AdaptiveOutcome, CoreError> {
-        let started = Instant::now();
-        let cells = plan.cell_count();
-        let workers = self.workers.min(cells).max(1);
-        let outcome = if workers <= 1 {
-            let results: Vec<_> = (0..cells).map(|i| plan.solve_cell(i, &mut ws)).collect();
-            plan.finish(results)
-        } else {
-            let cursor = AtomicUsize::new(0);
-            let mut collected: Vec<(usize, Result<AdaptiveTrial, CoreError>)> =
-                Vec::with_capacity(cells);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut ws = Workspace::new();
-                            let mut local = Vec::new();
-                            loop {
-                                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                                if i >= cells {
-                                    break;
-                                }
-                                local.push((i, plan.solve_cell(i, &mut ws)));
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    collected.extend(handle.join().expect("engine worker panicked"));
-                }
-            });
-            collected.sort_unstable_by_key(|(i, _)| *i);
-            plan.finish(collected.into_iter().map(|(_, r)| r))
-        };
-        let wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        lion_obs::event!(
-            lion_obs::Level::Info,
-            "engine.adaptive.done",
-            "cells" => cells as u64,
-            "workers" => workers as u64,
-            "ok" => outcome.is_ok(),
-            "wall_ns" => wall_ns,
-        );
-        outcome
     }
 }
 

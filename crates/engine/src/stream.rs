@@ -14,7 +14,6 @@
 //! the job description, so outcomes are bit-identical across worker
 //! counts and runs — see `tests/stream_backpressure.rs`.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use lion_core::{CoreError, ResolvePath};
@@ -23,7 +22,7 @@ use lion_stream::{
     Ingress, ResolveMode, StreamConfig, StreamEstimate, StreamLocalizer, StreamRead,
 };
 
-use crate::engine::{job_contexts, Engine};
+use crate::engine::{fan_out, job_contexts, Engine};
 
 /// One tag's read feed plus the pipeline and backpressure settings to
 /// run it under.
@@ -309,41 +308,13 @@ impl Engine {
         }
         // Root trace contexts in submission order (see `job_contexts`).
         let contexts = job_contexts(jobs.len());
-        if workers == 1 {
-            return ingest_fleet_health(
-                jobs,
-                jobs.iter()
-                    .zip(&contexts)
-                    .map(|(job, ctx)| run_stream_job(job, *ctx))
-                    .collect(),
-            );
-        }
-        let cursor = AtomicUsize::new(0);
-        let mut collected: Vec<(usize, Result<StreamOutcome, CoreError>)> =
-            Vec::with_capacity(jobs.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(job) = jobs.get(i) else { break };
-                            local.push((i, run_stream_job(job, contexts[i])));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for handle in handles {
-                collected.extend(handle.join().expect("stream worker panicked"));
-            }
-        });
-        collected.sort_unstable_by_key(|(i, _)| *i);
-        ingest_fleet_health(
+        let outcomes = fan_out(
+            workers,
             jobs,
-            collected.into_iter().map(|(_, outcome)| outcome).collect(),
-        )
+            || (),
+            |_, i, job| run_stream_job(job, contexts[i]),
+        );
+        ingest_fleet_health(jobs, outcomes)
     }
 }
 

@@ -341,8 +341,8 @@ fn sliding_mean_interior(n: usize, window: usize) -> (usize, usize) {
 /// `design` (row-major, `k + 1` columns): `2(cᵢ − cⱼ)` per axis, then
 /// `2(Δdᵢ − Δdⱼ)`, with `rhs = Σ_c (cᵢ² − cⱼ²) − (Δdᵢ² − Δdⱼ²)`. The
 /// arithmetic (including the accumulation order of the right-hand side)
-/// is identical to the row-major AoS assembly in `lion-core`'s
-/// `build_system`, so both produce bit-identical systems.
+/// is [`radical_rows_scalar`]'s on every backend, so all of them produce
+/// bit-identical systems.
 ///
 /// Callers validate; this kernel only debug-asserts. Indices are `i32`
 /// so the x86 path can feed them straight into vector gathers.

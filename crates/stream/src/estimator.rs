@@ -458,6 +458,41 @@ mod tests {
     }
 
     #[test]
+    fn huge_finite_phase_does_not_stall_the_stream() {
+        // One hostile read between clean ones: every push must return
+        // (the read may fail its solve) in both resolve modes. The pushes
+        // run on their own thread so a stall fails the test instead of
+        // hanging it (the stalled thread is left behind).
+        for mode in [ResolveMode::Replay, ResolveMode::Incremental] {
+            let (done, finished) = std::sync::mpsc::channel();
+            let worker = std::thread::spawn(move || {
+                let config = StreamConfig::builder()
+                    .resolve_mode(mode)
+                    .cadence(Cadence::EveryReads(1))
+                    .build()
+                    .unwrap();
+                let antenna = Point3::new(1.2, 0.4, 0.0);
+                let lambda = config.localizer.wavelength;
+                let mut stream = StreamLocalizer::new(config).expect("valid config");
+                for i in 0..300 {
+                    let mut read = clean_read(antenna, i, lambda);
+                    if i == 150 {
+                        read.phase = 1e300;
+                    }
+                    let _ = stream.push(read);
+                }
+                let _ = done.send(());
+                stream.reads_seen()
+            });
+            let waited = finished.recv_timeout(std::time::Duration::from_secs(10));
+            if let Err(std::sync::mpsc::RecvTimeoutError::Timeout) = waited {
+                panic!("{mode:?}: a push did not return within 10 s");
+            }
+            assert_eq!(worker.join().expect("worker panicked"), 300, "{mode:?}");
+        }
+    }
+
+    #[test]
     fn cadence_every_reads_emits_on_schedule() {
         let config = StreamConfig::builder()
             .min_window_len(24)

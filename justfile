@@ -5,7 +5,8 @@
 # Tests run with overflow-checks on (see [profile.test] in Cargo.toml);
 # the streaming parity + backpressure suites, the adaptive sweep's
 # reuse and per-cell oracles, the structured-pairing oracle, the
-# accelerated-IRLS fixed-point oracle and the Doctor's health suite are
+# accelerated-IRLS fixed-point oracle, the engine's serial-vs-N-workers
+# gate for batch and calibration jobs and the Doctor's health suite are
 # named explicitly so a test-filter typo can't silently skip a
 # bit-identicality gate. The end-to-end benchmark's own tests run every
 # workload at tiny scale and check the ledger identity.
@@ -13,6 +14,7 @@ verify:
     cargo build --release
     cargo test --workspace -q
     cargo test -q --test stream_parity --test stream_backpressure
+    cargo test -q --test engine_determinism
     cargo test -q --test tracing_causality
     cargo test -q -p lion-linalg --test proptests normal_eq
     cargo test -q -p lion-linalg --test irls_fixed_point

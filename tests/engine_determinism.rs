@@ -1,7 +1,11 @@
 //! Engine determinism and metrics consistency, end to end through the
 //! facade: a 64-job batch must produce bit-identical estimates for any
 //! worker count, and the aggregated metrics must equal the per-job sums.
+//! Calibration jobs through the adaptive sweep, the shape of the
+//! `calib_sweep` benchmark workload, must produce `==` calibrations for
+//! any worker count as well.
 
+use lion::geom::ThreeLineScan;
 use lion::prelude::*;
 
 /// 64 independent localization jobs on serially-simulated noisy traces.
@@ -116,4 +120,83 @@ fn aggregate_metrics_equal_per_job_sums_and_counters_are_live() {
     assert_eq!(outcome.report.jobs, 64);
     assert_eq!(outcome.report.failed, 0);
     assert_eq!(outcome.report.workers, 2);
+}
+
+/// Six antenna calibrations on the paper's three-line scan (Fig. 11):
+/// 3D `StructuredScan` pairing through the default 6 × 6 adaptive sweep.
+/// The lines are 0.8 m long, so the 1.0 m and 1.1 m ranges keep the
+/// same reads as the 0.9 m one and copy its cells: 12 of every job's 36
+/// cells are copies.
+fn calibration_batch() -> Vec<Job> {
+    let scan = ThreeLineScan::new(-0.4, 0.4, 0.2, 0.2).expect("valid scan");
+    let physical = Point3::new(0.0, 0.8, 0.05);
+    (0..6u32)
+        .map(|i| {
+            let antenna = Antenna::builder(physical)
+                .phase_center_displacement(0.02 - 0.004 * f64::from(i), -0.012, 0.015)
+                .phase_offset(0.5 * f64::from(i))
+                .build();
+            let mut scenario = ScenarioBuilder::new()
+                .antenna(antenna)
+                .tag(Tag::new("E51-calibration"))
+                .noise(NoiseModel::paper_default())
+                .seed(4_242 + u64::from(i))
+                .build()
+                .expect("antenna and tag are set");
+            let m = scenario
+                .scan(&scan.to_path(), 0.1, 100.0)
+                .expect("valid scan")
+                .to_measurements();
+            let config = LocalizerConfig {
+                pair_strategy: PairStrategy::StructuredScan {
+                    scan,
+                    x_interval: 0.2,
+                    tolerance: 0.003,
+                },
+                side_hint: Some(physical),
+                ..LocalizerConfig::default()
+            };
+            Job::calibrate(m, config, physical)
+        })
+        .collect()
+}
+
+#[test]
+fn calibrations_are_identical_across_worker_counts() {
+    let jobs = calibration_batch();
+    let reference = Engine::serial().run(&jobs);
+    let calibrations = |outcome: &lion::engine::BatchOutcome| -> Vec<Calibration> {
+        outcome
+            .results
+            .iter()
+            .map(|r| {
+                r.as_ref()
+                    .expect("calibration succeeds")
+                    .calibration()
+                    .expect("calibration job")
+                    .clone()
+            })
+            .collect()
+    };
+    let want = calibrations(&reference);
+    let total = &reference.report.total;
+    assert_eq!(total.adaptive_trials, 36 * jobs.len() as u64);
+    assert_eq!(total.adaptive_cells_reused, 12 * jobs.len() as u64);
+    for workers in [1usize, 2, 7] {
+        let outcome = Engine::builder()
+            .workers(workers)
+            .build()
+            .expect("valid")
+            .run(&jobs);
+        assert_eq!(
+            calibrations(&outcome),
+            want,
+            "calibrations diverged at {workers} workers"
+        );
+        assert_eq!(outcome.report.total.adaptive_trials, total.adaptive_trials);
+        assert_eq!(
+            outcome.report.total.adaptive_cells_reused,
+            total.adaptive_cells_reused
+        );
+    }
 }
