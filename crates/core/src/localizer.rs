@@ -15,7 +15,7 @@
 use std::time::Instant;
 
 use lion_geom::{Point3, Vec3};
-use lion_linalg::{lstsq, IrlsConfig, Matrix, NormalEq, NormalIrlsScratch, WeightFunction};
+use lion_linalg::{IrlsConfig, NormalEq, NormalIrlsScratch, WeightFunction};
 use serde::{Deserialize, Serialize};
 
 use crate::error::CoreError;
@@ -24,10 +24,14 @@ use crate::preprocess::PhaseProfile;
 use crate::workspace::{elapsed_ns, Workspace};
 
 /// Which estimator solves the stacked linear system.
+///
+/// Both solve the normal equations `X* = (AᵀWA)⁻¹AᵀWK` (paper Eq. 16)
+/// through one IRLS loop; ordinary least squares is the case `W = I`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum Weighting {
-    /// Ordinary least squares (paper Eq. 13).
+    /// Ordinary least squares (paper Eq. 13): IRLS with
+    /// [`WeightFunction::Uniform`], which stops after the first solve.
     LeastSquares,
     /// Iteratively reweighted least squares with the Gaussian-of-residual
     /// weight (paper Eqs. 14–16) — the paper's WLS.
@@ -37,6 +41,19 @@ pub enum Weighting {
 impl Default for Weighting {
     fn default() -> Self {
         Weighting::Weighted(IrlsConfig::default())
+    }
+}
+
+impl Weighting {
+    /// The IRLS configuration every solve path runs this estimator with.
+    pub(crate) fn irls(&self) -> IrlsConfig {
+        match self {
+            Weighting::Weighted(cfg) => *cfg,
+            Weighting::LeastSquares => IrlsConfig {
+                weight_fn: WeightFunction::Uniform,
+                ..IrlsConfig::default()
+            },
+        }
     }
 }
 
@@ -463,13 +480,10 @@ impl Localizer {
         window: &crate::SlidingWindow,
         ws: &mut Workspace,
     ) -> Result<Estimate, CoreError> {
-        let mut staged = std::mem::take(&mut ws.samples);
-        window.write_soa_into(&mut staged);
-        let mut profile = std::mem::take(&mut ws.profile);
-        let result = prepare_profile_lanes_in(&staged, &self.config, &mut profile, ws)
-            .and_then(|()| self.locate_profile_in(&profile, ws));
-        ws.profile = profile;
-        ws.samples = staged;
+        let mut staged = std::mem::take(&mut ws.measurements);
+        window.write_measurements_into(&mut staged);
+        let result = self.locate_in(&staged, ws);
+        ws.measurements = staged;
         result
     }
 }
@@ -488,40 +502,6 @@ pub(crate) fn prepare_profile_in(
     let span = lion_obs::span!("lion.unwrap");
     let t = Instant::now();
     let rebuilt = profile.rebuild_from_wrapped(measurements, config.wavelength);
-    ws.metrics.unwrap_ns += elapsed_ns(t);
-    drop(span);
-    rebuilt?;
-    let _span = lion_obs::span!("lion.smooth");
-    let t = Instant::now();
-    profile.smooth_with_scratch(
-        config.smoothing_window,
-        &mut ws.smooth_prefix,
-        &mut ws.smooth_tmp,
-    );
-    ws.metrics.smooth_ns += elapsed_ns(t);
-    Ok(())
-}
-
-/// [`prepare_profile_in`] from SoA staging lanes: the streaming entry
-/// point's preprocessing, rebuilding the profile straight from the
-/// [`crate::SlidingWindow`]'s lane-wise snapshot. Same validation, unwrap
-/// kernel, and smoothing scratch as the tuple-staged route, so the two
-/// produce bit-identical profiles.
-pub(crate) fn prepare_profile_lanes_in(
-    samples: &crate::workspace::SampleSoa,
-    config: &LocalizerConfig,
-    profile: &mut PhaseProfile,
-    ws: &mut Workspace,
-) -> Result<(), CoreError> {
-    let span = lion_obs::span!("lion.unwrap");
-    let t = Instant::now();
-    let rebuilt = profile.rebuild_from_lanes(
-        &samples.xs,
-        &samples.ys,
-        &samples.zs,
-        &samples.phases,
-        config.wavelength,
-    );
     ws.metrics.unwrap_ns += elapsed_ns(t);
     drop(span);
     rebuilt?;
@@ -810,46 +790,15 @@ pub(crate) fn solve_prepared(
     } = ws;
     crate::model::build_system_soa(coords, n, k, deltas, pairs, pair_i, pair_j, design, rhs)?;
     let m = design.rows();
-    let (mean_residual, weighted_rms, iterations, converged) = match &config.weighting {
-        Weighting::Weighted(cfg) => {
-            // The weighted hot path solves on the normal equations: the
-            // Gram accumulation and Gaussian reweighting run through the
-            // `lion_linalg::simd` kernels and the IRLS loop is
-            // allocation-free in steady state. It agrees with a QR IRLS
-            // route to within the shared stopping tolerance (the Gram
-            // conditioning term κ(A)²·ε is far below it for the paper's
-            // well-scaled 3–4 column systems).
-            ne.set_system(k + 1, design.as_slice(), rhs.as_slice());
-            let outcome = lion_linalg::solve_irls_normal(ne, cfg, ne_irls)?;
-            normal_param_std(ne, ne_irls, param_std, cov_diag);
-            solution.clear();
-            solution.extend_from_slice(ne.solution());
-            (
-                outcome.mean_residual,
-                outcome.weighted_rms,
-                outcome.iterations,
-                outcome.converged,
-            )
-        }
-        Weighting::LeastSquares => {
-            // Plain least squares keeps the QR route: better conditioned,
-            // and cold enough that its per-solve allocations don't matter.
-            let x = lstsq::solve(design, rhs)?;
-            let res = lstsq::residuals(design, rhs, &x)?;
-            let mean = lion_linalg::stats::mean(&res).unwrap_or(0.0);
-            let rms = lion_linalg::stats::rms(&res).unwrap_or(0.0);
-            let uniform = vec![1.0; res.len()];
-            param_std.clear();
-            param_std.extend(parameter_std(design, &res, &uniform));
-            solution.clear();
-            solution.extend_from_slice(x.as_slice());
-            (mean, rms, 0, true)
-        }
-    };
+    ne.set_system(k + 1, design.as_slice(), rhs.as_slice());
+    let outcome = lion_linalg::solve_irls_normal(ne, &config.weighting.irls(), ne_irls)?;
+    normal_param_std(ne, ne_irls, param_std, cov_diag);
+    solution.clear();
+    solution.extend_from_slice(ne.solution());
     metrics.solve_ns += elapsed_ns(t);
     metrics.solves += 1;
-    metrics.irls_iterations += iterations as u64;
-    metrics.irls_unconverged += u64::from(!converged);
+    metrics.irls_iterations += outcome.iterations as u64;
+    metrics.irls_unconverged += u64::from(!outcome.converged);
     metrics.equations += m as u64;
     drop(_solve_span);
 
@@ -869,9 +818,9 @@ pub(crate) fn solve_prepared(
         position,
         reference_distance: d_r,
         reference_position: positions[*reference],
-        mean_residual,
-        weighted_rms,
-        iterations,
+        mean_residual: outcome.mean_residual,
+        weighted_rms: outcome.weighted_rms,
+        iterations: outcome.iterations,
         equation_count: m,
         lower_dimension,
         position_std,
@@ -890,7 +839,7 @@ pub(crate) fn assemble_position(
     axes: &[Vec3],
     k: usize,
     solution: &[f64],
-    parameter_std: &[f64],
+    param_std: &[f64],
     reference_position: Point3,
     lower_dimension: bool,
     side_hint: Option<Point3>,
@@ -902,10 +851,10 @@ pub(crate) fn assemble_position(
     let d_r = solution[k];
     // Map per-parameter standard errors from frame axes to world axes:
     // var(world_component) = Σ_c (axis_c · e)²·σ_c².
-    let position_std = if parameter_std.len() >= k {
+    let position_std = if param_std.len() >= k {
         let mut var = [0.0_f64; 3];
         for (c, axis) in axes.iter().take(k).enumerate() {
-            let s2 = parameter_std[c] * parameter_std[c];
+            let s2 = param_std[c] * param_std[c];
             var[0] += axis.x * axis.x * s2;
             var[1] += axis.y * axis.y * s2;
             var[2] += axis.z * axis.z * s2;
@@ -949,13 +898,12 @@ pub(crate) fn assemble_position(
     Ok((position, position_std))
 }
 
-/// Per-parameter standard errors from a solved normal-equation system
-/// and its IRLS scratch — the normal-equation analog of the QR pipeline's
-/// [`parameter_std`], shared by the batch weighted path and the
-/// incremental delta ticks. Writes the 1σ errors
-/// (coordinates then `d_r`) into `param_std`, leaving it empty when the
-/// covariance is unavailable (no spare degrees of freedom, degenerate
-/// weights, or a singular Gram matrix).
+/// Per-parameter standard errors `√diag(σ̂²·(AᵀWA)⁻¹)` from a solved
+/// normal-equation system and its IRLS scratch — the one σ̂ routine,
+/// shared by every batch solve and the incremental delta ticks. Writes
+/// the 1σ errors (coordinates then `d_r`) into `param_std`, leaving it
+/// empty when the covariance is unavailable (no spare degrees of
+/// freedom, degenerate weights, or a singular Gram matrix).
 pub(crate) fn normal_param_std(
     ne: &mut NormalEq,
     irls: &NormalIrlsScratch,
@@ -986,38 +934,6 @@ pub(crate) fn normal_param_std(
     if ne.set_weights(irls.weights()).is_ok() && ne.covariance_diag_into(cov_diag).is_ok() {
         param_std.extend(cov_diag.iter().map(|d| (sigma2 * d).max(0.0).sqrt()));
     }
-}
-
-/// Diagonal of `σ̂²·(AᵀWA)⁻¹` → per-parameter standard errors.
-fn parameter_std(design: &Matrix, residuals: &[f64], weights: &[f64]) -> Vec<f64> {
-    let (m, n) = design.shape();
-    if m <= n {
-        return Vec::new();
-    }
-    let wsum: f64 = weights.iter().sum();
-    // NaN-safe: `>` is false for NaN, so NaN weight sums bail out too.
-    let wsum_ok = wsum > 0.0;
-    if !wsum_ok {
-        return Vec::new();
-    }
-    // Weighted residual variance with n fitted parameters.
-    let dof = (m - n) as f64;
-    let sigma2 = residuals
-        .iter()
-        .zip(weights)
-        .map(|(r, w)| w * r * r)
-        .sum::<f64>()
-        / dof.max(1.0)
-        / (wsum / m as f64).max(f64::MIN_POSITIVE);
-    let Ok(gram) = design.weighted_gram(weights) else {
-        return Vec::new();
-    };
-    let Ok(inv) = lion_linalg::Lu::decompose(&gram).and_then(|lu| lu.inverse()) else {
-        return Vec::new();
-    };
-    (0..n)
-        .map(|i| (sigma2 * inv[(i, i)]).max(0.0).sqrt())
-        .collect()
 }
 
 #[cfg(test)]
@@ -1431,11 +1347,9 @@ mod tests {
         assert!(est.distance_error(target) < 1e-6);
     }
 
-    #[test]
-    fn position_std_reflects_noise_level() {
-        // Deterministic pseudo-Gaussian noise via a simple LCG.
-        let mut state: u64 = 0x12345678;
-        let mut gauss = move || {
+    /// Deterministic pseudo-Gaussian noise via a simple LCG.
+    fn gauss_noise(mut state: u64) -> impl FnMut() -> f64 {
+        move || {
             let mut s = 0.0;
             for _ in 0..12 {
                 state = state
@@ -1444,7 +1358,46 @@ mod tests {
                 s += (state >> 11) as f64 / (1u64 << 53) as f64;
             }
             s - 6.0 // Irwin-Hall ≈ N(0, 1)
-        };
+        }
+    }
+
+    #[test]
+    fn least_squares_is_uniform_irls() {
+        // Plain LS is the `W = I` case of the one IRLS route: on a noisy
+        // line (lower-dimension recovery included) it must equal an
+        // explicit uniform-weight IRLS bit for bit.
+        let mut gauss = gauss_noise(0x5eed);
+        let target = Point3::new(0.1, 0.8, 0.0);
+        let m: Vec<(Point3, f64)> = (0..240)
+            .map(|i| {
+                let p = Point3::new(-0.3 + i as f64 * 0.0025, 0.0, 0.0);
+                (p, (phase_of(target, p) + 0.1 * gauss()).rem_euclid(TAU))
+            })
+            .collect();
+        let mut cfg = clean_config();
+        cfg.side_hint = Some(Point3::new(0.0, 0.5, 0.0));
+        cfg.weighting = Weighting::LeastSquares;
+        let ls = Localizer::new(cfg.clone(), SolveSpace::TwoD)
+            .locate(&m)
+            .unwrap();
+        cfg.weighting = Weighting::Weighted(IrlsConfig {
+            weight_fn: WeightFunction::Uniform,
+            ..IrlsConfig::default()
+        });
+        let uniform = Localizer::new(cfg, SolveSpace::TwoD).locate(&m).unwrap();
+        assert_eq!(ls, uniform);
+        assert!(ls.lower_dimension);
+        assert_eq!(ls.iterations, 0);
+        assert!(
+            ls.distance_error(target) < 0.05,
+            "error {}",
+            ls.distance_error(target)
+        );
+    }
+
+    #[test]
+    fn position_std_reflects_noise_level() {
+        let mut gauss = gauss_noise(0x12345678);
         let target = Point3::new(0.4, 0.9, 0.0);
         let clean = circle_measurements(target, 300, 0.3);
         let noisy: Vec<(Point3, f64)> = clean

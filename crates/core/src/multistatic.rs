@@ -100,7 +100,8 @@ pub struct MultistaticEstimate {
 /// - [`CoreError::TooFewMeasurements`] for fewer than 3 antennas,
 /// - [`CoreError::NonFiniteMeasurement`] for NaN/inf readings,
 /// - [`CoreError::InvalidConfig`] for a non-positive wavelength, a
-///   negative ambiguity range or a non-finite side hint,
+///   negative ambiguity range, a hypothesis count `(2·max_ambiguity +
+///   1)^(J−1)` that overflows `usize`, or a non-finite side hint,
 /// - [`CoreError::DegenerateGeometry`] when no hypothesis admits a
 ///   feasible solution (all discriminants negative / solves fail).
 pub fn locate_tag(
@@ -128,6 +129,20 @@ pub fn locate_tag(
             found: format!("{}", config.max_ambiguity),
         });
     }
+    let span = config.max_ambiguity;
+    // `(2·span + 1)^(J−1)` hypotheses; a count that overflows could never
+    // be searched anyway.
+    let width = span
+        .checked_mul(2)
+        .and_then(|w| w.checked_add(1))
+        .map(|w| w as usize);
+    let combos = width.and_then(|w| w.checked_pow(u32::try_from(j - 1).ok()?));
+    let (Some(width), Some(combos)) = (width, combos) else {
+        return Err(CoreError::InvalidConfig {
+            parameter: "max_ambiguity",
+            found: format!("{span} over {j} antennas"),
+        });
+    };
     crate::localizer::validate_side_hint(config.side_hint)?;
     let positions: Vec<Point3> = readings.iter().map(|(p, _)| *p).collect();
     // Pair every antenna with every other (tiny J).
@@ -164,9 +179,6 @@ pub fn locate_tag(
         weighting: crate::localizer::Weighting::LeastSquares,
     };
     let tau = std::f64::consts::TAU;
-    let span = config.max_ambiguity;
-    let width = (2 * span + 1) as usize;
-    let combos = width.pow((j - 1) as u32);
     let mut candidates: Vec<MultistaticEstimate> = Vec::new();
     let mut hypothesis_phases = vec![0.0_f64; j];
     hypothesis_phases[0] = readings[0].1;
@@ -456,6 +468,36 @@ mod tests {
             ..MultistaticConfig::default()
         };
         assert!(locate_tag(&readings, &bad).is_err());
+    }
+
+    #[test]
+    fn overflowing_hypothesis_count_is_rejected() {
+        let tag = Point3::new(-0.1, 0.8, 0.0);
+        let array = |n: usize| -> Vec<(Point3, f64)> {
+            (0..n)
+                .map(|i| {
+                    let a = Point3::new(0.3 * i as f64, 0.0, 0.0);
+                    (a, phase_of(a, tag))
+                })
+                .collect()
+        };
+        let widest = MultistaticConfig {
+            max_ambiguity: i32::MAX,
+            ..MultistaticConfig::default()
+        };
+        // 2·span + 1 overflows, and 13^39 does at the default range.
+        for (readings, config) in [
+            (array(3), widest),
+            (array(40), MultistaticConfig::default()),
+        ] {
+            assert!(matches!(
+                locate_tag(&readings, &config),
+                Err(CoreError::InvalidConfig {
+                    parameter: "max_ambiguity",
+                    ..
+                })
+            ));
+        }
     }
 
     #[test]

@@ -214,55 +214,6 @@ impl PhaseProfile {
         Ok(())
     }
 
-    /// Rebuilds this profile from SoA staging lanes (`xs`/`ys`/`zs` plus
-    /// wrapped phases) — the [`crate::SlidingWindow`] streaming path,
-    /// which stages its reads column-wise so no `(Point3, f64)` tuple
-    /// array is materialized. Validation order and unwrap arithmetic
-    /// match [`PhaseProfile::rebuild_from_wrapped`] exactly, so the two
-    /// staging routes produce bit-identical profiles.
-    ///
-    /// On error the profile is left empty.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PhaseProfile::from_wrapped`].
-    pub(crate) fn rebuild_from_lanes(
-        &mut self,
-        xs: &[f64],
-        ys: &[f64],
-        zs: &[f64],
-        wrapped: &[f64],
-        wavelength: f64,
-    ) -> Result<(), CoreError> {
-        debug_assert!(xs.len() == wrapped.len() && ys.len() == wrapped.len());
-        debug_assert!(zs.len() == wrapped.len());
-        self.clear_samples();
-        if wrapped.len() < 2 {
-            return Err(CoreError::TooFewMeasurements {
-                got: wrapped.len(),
-                needed: 2,
-            });
-        }
-        if !(wavelength > 0.0 && wavelength.is_finite()) {
-            return Err(CoreError::InvalidConfig {
-                parameter: "wavelength",
-                found: format!("{wavelength}"),
-            });
-        }
-        for i in 0..wrapped.len() {
-            let finite_pos = xs[i].is_finite() && ys[i].is_finite() && zs[i].is_finite();
-            if !finite_pos || !wrapped[i].is_finite() {
-                return Err(CoreError::NonFiniteMeasurement { index: i });
-            }
-        }
-        self.wavelength = wavelength;
-        for i in 0..wrapped.len() {
-            self.push_sample(Point3::new(xs[i], ys[i], zs[i]), wrapped[i]);
-        }
-        lion_linalg::simd::phase_unwrap_in_place(&mut self.phases, &mut self.unwrap_scratch);
-        Ok(())
-    }
-
     /// Empties the sample buffers while keeping their capacity.
     fn clear_samples(&mut self) {
         self.positions.clear();

@@ -37,9 +37,11 @@
 //! bit-identical (`==`) to the oracle. A **delta tick** agrees with the
 //! oracle to a documented 1e-6: the continued unwrap chain and the
 //! direct-summation re-smoothing differ from the batch arithmetic at
-//! floating-point association order, the normal-equation solve differs
-//! from the replay QR at `κ(A)²·ε`, and the frozen frame / pinned
-//! reference add further fp-order (but not model-order) deviations.
+//! floating-point association order, the Gram matrix is patched by
+//! rank-1 row edits instead of re-accumulated from fresh rows, and the
+//! frozen frame / pinned reference add further fp-order (but not
+//! model-order) deviations. Both paths solve the same normal equations
+//! with the same IRLS loop, for every [`crate::Weighting`].
 //! DESIGN.md §14 documents each term.
 //!
 //! # Deterministic fallback
@@ -52,12 +54,10 @@
 use std::time::Instant;
 
 use lion_geom::{Point3, Vec3};
-use lion_linalg::{
-    solve_irls_normal, stats, IrlsConfig, NormalEq, NormalIrlsScratch, WeightFunction,
-};
+use lion_linalg::{solve_irls_normal, stats, NormalEq, NormalIrlsScratch};
 
 use crate::error::CoreError;
-use crate::localizer::{analyze_geometry_small, assemble_position, Estimate, Localizer, Weighting};
+use crate::localizer::{analyze_geometry_small, assemble_position, Estimate, Localizer};
 use crate::pairs::PairStrategy;
 use crate::preprocess;
 use crate::window::SlidingWindow;
@@ -85,10 +85,11 @@ pub enum ResolvePath {
 /// [`Localizer`], and fed the stream's [`SlidingWindow`] on every
 /// cadence tick via [`IncrementalState::solve_window`]. The state
 /// decides per tick whether the slide since the last call is patchable;
-/// when it is not — splice, too-large delta, evicted reference,
-/// non-linear solver, structural pair change, or the periodic
-/// [`RESYNC_EVERY`] re-anchor — it runs the localizer's replay path and
-/// rebuilds itself from the window.
+/// when it is not — splice, too-large delta, evicted reference, pinned
+/// reference index or non-interval pairing, lower-dimension geometry,
+/// structural pair change, or the periodic [`RESYNC_EVERY`] re-anchor —
+/// it runs the localizer's replay path and rebuilds itself from the
+/// window.
 #[derive(Debug, Clone)]
 pub struct IncrementalState {
     /// The localizer every tick solves with; its replay path
@@ -141,18 +142,6 @@ fn build_row(coords: &[f64], deltas: &[f64], k: usize, i: usize, j: usize, row: 
     }
     row[k] = 2.0 * (deltas[i] - deltas[j]);
     rhs - deltas[i] * deltas[i] + deltas[j] * deltas[j]
-}
-
-/// The IRLS configuration the normal-equation solve runs: plain least
-/// squares becomes uniform weights (identical to `adaptive`'s mapping).
-fn resolve_irls(weighting: &Weighting) -> IrlsConfig {
-    match weighting {
-        Weighting::Weighted(cfg) => *cfg,
-        _ => IrlsConfig {
-            weight_fn: WeightFunction::Uniform,
-            ..IrlsConfig::default()
-        },
-    }
 }
 
 impl IncrementalState {
@@ -389,14 +378,14 @@ impl IncrementalState {
         }
         std::mem::swap(&mut self.pairs_abs, &mut self.pairs_next);
         self.rows_delta += touched;
-        // Solve and assemble exactly like the adaptive sweep's cells.
-        // Deliberately cold-started ([`solve_irls_normal`], not the
-        // warm-start variant): when IRLS hits its iteration cap without
-        // converging, the stopping point is trajectory-dependent, and
-        // only the cold start tracks the replay oracle's trajectory
+        // Solve and assemble exactly like the batch path, with the same
+        // IRLS configuration. Cold-started from uniform weights like the
+        // replay oracle, not from the previous tick's: when IRLS hits its
+        // iteration cap without converging, the stopping point is
+        // trajectory-dependent, and only the oracle's own start tracks it
         // closely enough for the documented 1e-6 delta-tick parity.
-        let irls = resolve_irls(&config.weighting);
-        let outcome = solve_irls_normal(&mut self.ne, &irls, &mut self.irls).ok()?;
+        let outcome =
+            solve_irls_normal(&mut self.ne, &config.weighting.irls(), &mut self.irls).ok()?;
         let m = self.ne.rows();
         crate::localizer::normal_param_std(
             &mut self.ne,

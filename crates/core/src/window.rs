@@ -292,23 +292,6 @@ impl SlidingWindow {
         out.extend(self.samples.iter().map(|s| (s.position, s.wrapped)));
     }
 
-    /// Writes the window's reads — oldest first — into SoA staging lanes
-    /// (cleared first): timestamps, the three position axes, and wrapped
-    /// phases each contiguous. The lane-wise counterpart of
-    /// [`SlidingWindow::write_measurements_into`], feeding the SIMD
-    /// preprocessing kernels; both stage the same samples in the same
-    /// order, so the two routes solve bit-identically.
-    pub(crate) fn write_soa_into(&self, out: &mut crate::workspace::SampleSoa) {
-        out.clear();
-        for s in &self.samples {
-            out.ts.push(s.time);
-            out.xs.push(s.position.x);
-            out.ys.push(s.position.y);
-            out.zs.push(s.position.z);
-            out.phases.push(s.wrapped);
-        }
-    }
-
     /// Builds a [`preprocess::PhaseProfile`] from the window's
     /// incrementally unwrapped phases (diagnostics; solves go through
     /// [`SlidingWindow::write_measurements_into`] instead).

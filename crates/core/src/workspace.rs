@@ -13,6 +13,7 @@
 //! by each solve, so `locate_in` with a reused workspace is bit-identical
 //! to `locate` with a fresh one.
 
+use lion_geom::Point3;
 use lion_linalg::{Matrix, NormalEq, NormalIrlsScratch, Vector};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -147,36 +148,6 @@ pub(crate) fn elapsed_ns(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Structure-of-arrays staging for windowed reads: timestamps, the three
-/// position axes, and wrapped phases each in their own contiguous lane.
-/// [`crate::SlidingWindow::write_soa_into`] fills it column-wise so the
-/// preprocessing kernels (`lion_linalg::simd`) stream each lane without
-/// gathering from an array-of-structs tuple buffer.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct SampleSoa {
-    /// Read timestamps (seconds), oldest first.
-    pub(crate) ts: Vec<f64>,
-    /// Position x-coordinates.
-    pub(crate) xs: Vec<f64>,
-    /// Position y-coordinates.
-    pub(crate) ys: Vec<f64>,
-    /// Position z-coordinates.
-    pub(crate) zs: Vec<f64>,
-    /// Wrapped phases (radians).
-    pub(crate) phases: Vec<f64>,
-}
-
-impl SampleSoa {
-    /// Empties every lane, keeping capacity.
-    pub(crate) fn clear(&mut self) {
-        self.ts.clear();
-        self.xs.clear();
-        self.ys.clear();
-        self.zs.clear();
-        self.phases.clear();
-    }
-}
-
 /// Reusable solver state for the LION pipeline.
 ///
 /// Holds the design matrix, right-hand side, frame-coordinate buffer, and
@@ -189,10 +160,10 @@ pub struct Workspace {
     pub(crate) design: Matrix,
     pub(crate) rhs: Vector,
     pub(crate) metrics: StageMetrics,
-    /// SoA staging for windowed solves: a [`crate::SlidingWindow`]'s
-    /// reads are copied here lane-wise (capacity retained across solves)
-    /// before running the standard pipeline.
-    pub(crate) samples: SampleSoa,
+    /// Staging for windowed solves: a [`crate::SlidingWindow`]'s
+    /// `(position, wrapped phase)` reads are copied here (capacity
+    /// retained across solves) and run through the batch pipeline.
+    pub(crate) measurements: Vec<(Point3, f64)>,
     /// Reusable unwrapped/smoothed profile; `locate_in` and the adaptive
     /// sweep stage their preprocessing here instead of allocating a fresh
     /// profile per call.
@@ -235,7 +206,7 @@ impl Workspace {
             design: Matrix::zeros(0, 0),
             rhs: Vector::zeros(0),
             metrics: StageMetrics::default(),
-            samples: SampleSoa::default(),
+            measurements: Vec::new(),
             profile: PhaseProfile::default(),
             prepared: Prepared::default(),
             pairs: Vec::new(),

@@ -82,7 +82,7 @@ fn forced_scalar_pipeline_is_bit_identical() {
     // runs agreeing on garbage.
     assert!(auto.distance_error(target) < 5e-2);
 
-    // Windowed (SoA-staged) path.
+    // Windowed path.
     let mut window = SlidingWindow::new(128).expect("valid capacity");
     for (i, &(p, phase)) in m.iter().take(128).enumerate() {
         window.push(i as f64 * 0.01, p, phase);

@@ -90,10 +90,10 @@ fn steady_state_sweep_allocates_nothing() {
     // Window-9 smoothing biases clean data slightly; only sanity here.
     assert!(out.estimate.distance_error(target) < 5e-2);
 
-    // The SoA-staged windowed path: in steady state, pushing one read
-    // into a full sliding window and re-running the windowed locate
-    // (which stages the window into the workspace's SoA sample lanes,
-    // unwraps, smooths, and solves) must also leave the heap untouched.
+    // The windowed path: in steady state, pushing one read into a full
+    // sliding window and re-running the windowed locate (which stages
+    // the window into the workspace's measurement buffer, unwraps,
+    // smooths, and solves) must also leave the heap untouched.
     let mut window = SlidingWindow::new(128).expect("valid capacity");
     let mut feed = m.iter().cycle();
     let mut tick = 0.0_f64;

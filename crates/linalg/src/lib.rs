@@ -5,21 +5,28 @@
 //!
 //! The LION localization model reduces RFID phase localization to solving an
 //! overdetermined linear system `A·x = k` with (iteratively re-)weighted
-//! least squares. This crate provides everything that pipeline needs, built
-//! from scratch on `std` only:
+//! least squares. Every LION solve runs one route: the normal equations
+//! `(AᵀWA)·x = AᵀWk` (paper Eq. 16) accumulated in a [`NormalEq`] and
+//! iterated by [`solve_irls_normal`], with ordinary least squares (Eq. 13)
+//! as the uniform-weight case `W = I`. This crate provides everything
+//! that pipeline needs, built from scratch on `std` only:
 //!
 //! - [`Matrix`] / [`Vector`]: dense row-major matrices and vectors,
 //! - [`Lu`]: LU decomposition with partial pivoting (solve / det / inverse),
 //! - [`Qr`]: Householder QR (least-squares solve, rank detection),
 //! - [`Cholesky`]: for symmetric positive-definite systems,
-//! - [`NormalEq`]: incrementally maintained normal equations (rank-1 IRLS
-//!   reweights, front drains and in-place row replacement) for families
-//!   of related solves,
+//! - [`NormalEq`] and [`solve_irls_normal`]: incrementally maintained
+//!   normal equations (rank-1 IRLS reweights, front drains and in-place
+//!   row replacement) and the Anderson-accelerated IRLS loop over them —
+//!   the solver behind every batch, sweep and streaming solve,
 //! - [`sym_eigen3`]: stack-only symmetric 3×3 eigensolver for geometry
 //!   frames,
 //! - [`Svd`]: one-sided Jacobi SVD (condition numbers, pseudo-inverse),
-//! - [`lstsq`]: plain, weighted, and iteratively-reweighted least squares
-//!   with the paper's Gaussian-of-residual weight (Eq. 15),
+//! - [`lstsq`]: the weight functions and [`IrlsConfig`] the IRLS loop
+//!   runs with (the paper's Gaussian-of-residual weight, Eq. 15), plus
+//!   QR-based plain, weighted and iteratively-reweighted least squares —
+//!   the better-conditioned reference the normal-equation route is
+//!   tested against, and the solver of the baseline methods,
 //! - [`lm`]: Levenberg–Marquardt for the non-linear hyperbola baseline,
 //! - [`stats`]: summary statistics, circular (phase) statistics, filters,
 //! - [`poly`]: polynomial fitting for the parabola baseline,
@@ -68,12 +75,10 @@ pub use cholesky::Cholesky;
 pub use eigen::sym_eigen3;
 pub use error::LinalgError;
 pub use lm::{LevenbergMarquardt, LmOutcome, LmReport};
-pub use lstsq::{IrlsConfig, IrlsReport, LstsqScratch, WeightFunction};
+pub use lstsq::{IrlsConfig, IrlsReport, WeightFunction};
 pub use lu::{solve_square, Lu};
 pub use matrix::Matrix;
-pub use normal::{
-    solve_irls_normal, solve_irls_normal_warm, NormalEq, NormalIrlsOutcome, NormalIrlsScratch,
-};
+pub use normal::{solve_irls_normal, NormalEq, NormalIrlsOutcome, NormalIrlsScratch};
 pub use qr::Qr;
 pub use svd::Svd;
 pub use vector::Vector;

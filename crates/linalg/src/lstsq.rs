@@ -5,14 +5,19 @@
 //! `X* = (AᵀWA)⁻¹AᵀWK` (paper Eq. 16), with the weight of each equation
 //! derived from its residual as `wᵢ = exp(−(rᵢ−μ)²/(2σ²))` (paper Eq. 15),
 //! iterated until the estimate stabilizes.
+//!
+//! The LION pipeline runs that loop on the normal equations
+//! ([`crate::solve_irls_normal`]) with the [`WeightFunction`] and
+//! [`IrlsConfig`] defined here. The QR routes in this module
+//! ([`solve`], [`solve_weighted`], [`solve_irls`]) are its
+//! better-conditioned reference in tests and the solver of the baseline
+//! methods.
 
 use crate::anderson::Anderson;
-use crate::cholesky::Cholesky;
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
 use crate::qr::Qr;
 use crate::stats;
-use crate::svd::Svd;
 use crate::vector::Vector;
 
 /// Weighting scheme applied to equation residuals between IRLS iterations.
@@ -140,58 +145,6 @@ impl Default for IrlsConfig {
     }
 }
 
-/// Reusable scratch buffers for the (weighted) least-squares hot loop.
-///
-/// [`solve_irls`] clones the design matrix and right-hand side once per
-/// reweighting iteration; on a batch of hundreds of solves those clones
-/// dominate the allocator profile. A `LstsqScratch` keeps one scaled-system
-/// copy plus weight/residual buffers alive across solves so steady-state
-/// iterations allocate nothing. The batch engine gives each worker its own
-/// scratch.
-///
-/// # Example
-///
-/// ```
-/// use lion_linalg::{lstsq, IrlsConfig, LstsqScratch, Matrix, Vector};
-///
-/// # fn main() -> Result<(), lion_linalg::LinalgError> {
-/// let a = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0]])?;
-/// let k = Vector::from_slice(&[1.0, 2.0, 3.0]);
-/// let mut scratch = LstsqScratch::new();
-/// let report = lstsq::solve_irls_with(&a, &k, &IrlsConfig::default(), &mut scratch)?;
-/// assert!((report.solution[0] - 1.0).abs() < 1e-9);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct LstsqScratch {
-    scaled: Matrix,
-    rhs: Vector,
-    weights: Vec<f64>,
-    residuals: Vec<f64>,
-    anderson: Anderson,
-}
-
-impl LstsqScratch {
-    /// Creates an empty scratch; buffers grow on first use and are then
-    /// reused.
-    pub fn new() -> Self {
-        LstsqScratch {
-            scaled: Matrix::zeros(0, 0),
-            rhs: Vector::zeros(0),
-            weights: Vec::new(),
-            residuals: Vec::new(),
-            anderson: Anderson::default(),
-        }
-    }
-}
-
-impl Default for LstsqScratch {
-    fn default() -> Self {
-        LstsqScratch::new()
-    }
-}
-
 /// Result of an iteratively-reweighted least-squares run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IrlsReport {
@@ -225,16 +178,6 @@ pub fn solve(a: &Matrix, k: &Vector) -> Result<Vector, LinalgError> {
     Qr::decompose(a)?.solve_least_squares(k)
 }
 
-/// Solves the rank-deficient-tolerant least squares via the SVD
-/// pseudo-inverse (minimum-norm solution).
-///
-/// # Errors
-///
-/// Propagates [`Svd::decompose`] errors.
-pub fn solve_min_norm(a: &Matrix, k: &Vector) -> Result<Vector, LinalgError> {
-    Svd::decompose(a)?.solve_min_norm(k, 1e-12)
-}
-
 /// Solves `min Σ wᵢ·(Aᵢ·x − kᵢ)²` (paper Eq. 14/16).
 ///
 /// Internally scales each row by `√wᵢ` and solves by QR, which is
@@ -253,9 +196,8 @@ pub fn solve_weighted(a: &Matrix, k: &Vector, weights: &[f64]) -> Result<Vector,
 
 /// [`solve_weighted`] with caller-provided buffers for the scaled system.
 ///
-/// `scaled`/`rhs` are overwritten; reusing them across calls (as
-/// [`solve_irls_with`] does through a [`LstsqScratch`]) removes the
-/// per-iteration clone of the design matrix.
+/// `scaled`/`rhs` are overwritten; [`solve_irls`] reuses them across its
+/// reweights instead of cloning the design matrix each time.
 fn solve_weighted_into(
     a: &Matrix,
     k: &Vector,
@@ -285,25 +227,6 @@ fn solve_weighted_into(
         rhs[r] *= s;
     }
     Qr::decompose(scaled)?.solve_least_squares(rhs)
-}
-
-/// Solves the weighted problem through the normal equations
-/// `(AᵀWA)·x = AᵀWk` with a Cholesky factorization — the literal form of
-/// paper Eq. 16. Faster than the QR route for tall-thin systems; used by the
-/// benchmarks to compare both.
-///
-/// # Errors
-///
-/// Same as [`solve_weighted`], plus [`LinalgError::NotPositiveDefinite`]
-/// when the weighted Gram matrix is singular.
-pub fn solve_weighted_normal_equations(
-    a: &Matrix,
-    k: &Vector,
-    weights: &[f64],
-) -> Result<Vector, LinalgError> {
-    let gram = a.weighted_gram(weights)?;
-    let rhs = a.weighted_transpose_mul_vector(weights, k)?;
-    Cholesky::decompose(&gram)?.solve(&rhs)
 }
 
 /// Computes the per-row residuals `rᵢ = Aᵢ·x − kᵢ`.
@@ -384,42 +307,18 @@ pub fn residuals_into(
 /// # }
 /// ```
 pub fn solve_irls(a: &Matrix, k: &Vector, config: &IrlsConfig) -> Result<IrlsReport, LinalgError> {
-    solve_irls_with(a, k, config, &mut LstsqScratch::new())
-}
-
-/// [`solve_irls`] with a caller-provided [`LstsqScratch`].
-///
-/// Bit-identical to [`solve_irls`] (same operations in the same order), but
-/// the per-iteration scaled-system copy, weight vector, and residual vector
-/// live in `scratch` and are reused across calls. This is the entry point
-/// the batch engine's per-worker solver workspaces drive.
-///
-/// # Errors
-///
-/// Same as [`solve_irls`].
-pub fn solve_irls_with(
-    a: &Matrix,
-    k: &Vector,
-    config: &IrlsConfig,
-    scratch: &mut LstsqScratch,
-) -> Result<IrlsReport, LinalgError> {
-    let LstsqScratch {
-        scaled,
-        rhs,
-        weights,
-        residuals: res,
-        anderson,
-    } = scratch;
+    let (mut scaled, mut rhs) = (Matrix::zeros(0, 0), Vector::zeros(0));
+    let (mut weights, mut res) = (Vec::new(), Vec::new());
+    let mut anderson = Anderson::default();
     let mut x = solve(a, k)?;
-    residuals_into(a, k, &x, res)?;
-    config.weight_fn.weights_into(res, weights);
-    anderson.reset();
+    residuals_into(a, k, &x, &mut res)?;
+    config.weight_fn.weights_into(&res, &mut weights);
     let mut iterations = 0;
     let mut converged = matches!(config.weight_fn, WeightFunction::Uniform);
     if !converged {
         for _ in 0..config.max_iterations {
             iterations += 1;
-            let g = solve_weighted_into(a, k, weights, scaled, rhs)?;
+            let g = solve_weighted_into(a, k, &weights, &mut scaled, &mut rhs)?;
             let step = g
                 .as_slice()
                 .iter()
@@ -431,14 +330,14 @@ pub fn solve_irls_with(
             } else {
                 anderson.step(x.as_mut_slice(), g.as_slice());
             }
-            residuals_into(a, k, &x, res)?;
-            config.weight_fn.weights_into(res, weights);
+            residuals_into(a, k, &x, &mut res)?;
+            config.weight_fn.weights_into(&res, &mut weights);
             if converged {
                 break;
             }
         }
     }
-    let mean_residual = stats::mean(res).unwrap_or(0.0);
+    let mean_residual = stats::mean(&res).unwrap_or(0.0);
     let wsum: f64 = weights.iter().sum();
     let weighted_rms = if wsum > 0.0 {
         (res.iter()
@@ -452,8 +351,8 @@ pub fn solve_irls_with(
     };
     Ok(IrlsReport {
         solution: x,
-        weights: weights.clone(),
-        residuals: res.clone(),
+        weights,
+        residuals: res,
         iterations,
         mean_residual,
         weighted_rms,
@@ -494,17 +393,6 @@ mod tests {
         let x = solve_weighted(&a, &k, &w).unwrap();
         assert!((x[0] - 2.0).abs() < 1e-10);
         assert!((x[1] - 1.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn weighted_routes_agree() {
-        let (a, k) = line_system();
-        let w = [1.0, 0.5, 2.0, 1.0, 0.1, 1.0, 3.0, 0.7];
-        let x_qr = solve_weighted(&a, &k, &w).unwrap();
-        let x_ne = solve_weighted_normal_equations(&a, &k, &w).unwrap();
-        for (p, q) in x_qr.as_slice().iter().zip(x_ne.as_slice()) {
-            assert!((p - q).abs() < 1e-9);
-        }
     }
 
     #[test]
@@ -651,18 +539,5 @@ mod tests {
             let z2 = (r - mu) * (r - mu) / sigma2;
             assert!((got - (-0.5 * z2).exp()).abs() < 1e-9, "weight for r={r}");
         }
-    }
-
-    #[test]
-    fn min_norm_handles_rank_deficiency() {
-        let a = Matrix::from_rows(&[&[1.0, 1.0], &[2.0, 2.0], &[3.0, 3.0]]).unwrap();
-        let k = Vector::from_slice(&[2.0, 4.0, 6.0]);
-        assert!(matches!(
-            solve(&a, &k),
-            Err(LinalgError::RankDeficient { .. })
-        ));
-        let x = solve_min_norm(&a, &k).unwrap();
-        assert!((x[0] - 1.0).abs() < 1e-9);
-        assert!((x[1] - 1.0).abs() < 1e-9);
     }
 }

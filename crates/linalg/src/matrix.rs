@@ -369,42 +369,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// `Aᵀ·diag(w)·v`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] when lengths disagree
-    /// with the row count.
-    pub fn weighted_transpose_mul_vector(
-        &self,
-        weights: &[f64],
-        v: &Vector,
-    ) -> Result<Vector, LinalgError> {
-        if v.len() != self.rows || weights.len() != self.rows {
-            return Err(LinalgError::DimensionMismatch {
-                operation: "weighted transpose-vector multiply",
-                found: format!(
-                    "{}x{} with vector {} and {} weights",
-                    self.rows,
-                    self.cols,
-                    v.len(),
-                    weights.len()
-                ),
-            });
-        }
-        let mut out = Vector::zeros(self.cols);
-        for r in 0..self.rows {
-            let x = v[r] * weights[r];
-            if x == 0.0 {
-                continue;
-            }
-            for c in 0..self.cols {
-                out[c] += self[(r, c)] * x;
-            }
-        }
-        Ok(out)
-    }
-
     /// Returns a new matrix keeping only the given columns, in order.
     ///
     /// # Errors
@@ -665,20 +629,6 @@ mod tests {
         let got = m.transpose_mul_vector(&v).unwrap();
         let expect = m.transpose().mul_vector(&v).unwrap();
         assert_eq!(got, expect);
-        let w = [3.0, 0.25];
-        let got = m.weighted_transpose_mul_vector(&w, &v).unwrap();
-        let dw = Matrix::from_diagonal(&w);
-        let expect = m
-            .transpose()
-            .mul_matrix(&dw)
-            .unwrap()
-            .mul_vector(&v)
-            .unwrap();
-        assert!(got
-            .as_slice()
-            .iter()
-            .zip(expect.as_slice())
-            .all(|(a, b)| (a - b).abs() < 1e-12));
     }
 
     #[test]

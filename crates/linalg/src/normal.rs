@@ -664,15 +664,6 @@ impl NormalIrlsScratch {
     pub fn residuals(&self) -> &[f64] {
         &self.residuals
     }
-
-    /// Realigns the stored warm-start weights with a system that dropped
-    /// `dropped_front` rows from the front and now has `rows` rows:
-    /// surviving rows keep their weights, new tail rows start at 1.0.
-    /// Call before [`solve_irls_normal_warm`] when the row set shifted.
-    pub fn align_weights(&mut self, dropped_front: usize, rows: usize) {
-        self.weights.drain(..dropped_front.min(self.weights.len()));
-        self.weights.resize(rows, 1.0);
-    }
 }
 
 /// Summary of a [`solve_irls_normal`] run; the solution itself stays in
@@ -713,8 +704,8 @@ pub struct NormalIrlsOutcome {
 ///
 /// Depth 2 because the LION systems (2–4 unknowns) converge slowly along
 /// one or two directions only; a deeper history adds nearly parallel
-/// columns, not speed. [`crate::lstsq::solve_irls_with`] takes the same
-/// steps on a QR solve. The loop is allocation-free in steady state.
+/// columns, not speed. [`crate::lstsq::solve_irls`] takes the same steps
+/// on a QR solve. The loop is allocation-free in steady state.
 ///
 /// # Errors
 ///
@@ -725,52 +716,6 @@ pub fn solve_irls_normal(
     scratch: &mut NormalIrlsScratch,
 ) -> Result<NormalIrlsOutcome, LinalgError> {
     ne.reset_weights_uniform();
-    solve_irls_from_current(ne, config, scratch)
-}
-
-/// [`solve_irls_normal`] warm-started from the weights left in `scratch`
-/// by the previous run, instead of restarting from uniform.
-///
-/// When consecutive systems differ by only a few rows — the streaming
-/// delta-tick case — the previous weights are already near the fixed
-/// point and the iteration converges in one or two reweights instead of
-/// replaying the whole cold-start trajectory. Both starts stop at the
-/// same `‖G(x) − x‖∞ < tolerance` criterion, so the solutions agree to
-/// within the configured tolerance; call [`NormalIrlsScratch::align_weights`]
-/// first if rows were dropped or appended since the weights were
-/// recorded. Falls back to the cold start when the stored weights do not
-/// match the system's row count.
-///
-/// # Errors
-///
-/// Propagates [`NormalEq::solve`]/[`NormalEq::set_weights`] errors.
-pub fn solve_irls_normal_warm(
-    ne: &mut NormalEq,
-    config: &IrlsConfig,
-    scratch: &mut NormalIrlsScratch,
-) -> Result<NormalIrlsOutcome, LinalgError> {
-    let warm = scratch.weights.len() == ne.rows()
-        && !matches!(config.weight_fn, WeightFunction::Uniform)
-        && scratch
-            .weights
-            .iter()
-            .all(|w| w.is_finite() && (0.0..=1.0).contains(w));
-    if warm {
-        ne.set_weights_trusted(&mut scratch.weights);
-    } else {
-        ne.reset_weights_uniform();
-    }
-    solve_irls_from_current(ne, config, scratch)
-}
-
-/// The shared IRLS loop: solve with whatever weights `ne` currently
-/// carries, then run the Anderson-accelerated reweighting iteration
-/// until `‖G(x) − x‖∞ < tolerance` (see [`solve_irls_normal`]).
-fn solve_irls_from_current(
-    ne: &mut NormalEq,
-    config: &IrlsConfig,
-    scratch: &mut NormalIrlsScratch,
-) -> Result<NormalIrlsOutcome, LinalgError> {
     let x0 = ne.solve()?;
     scratch.x.clear();
     scratch.x.extend_from_slice(x0);
@@ -1070,51 +1015,6 @@ mod tests {
         // data keeps every rank-1 edit exact).
         let mut fresh = build(&rows[3..]);
         assert_eq!(ne.solve().unwrap(), fresh.solve().unwrap());
-    }
-
-    #[test]
-    fn warm_start_matches_cold_start_with_fewer_iterations() {
-        let rows = line_rows();
-        let cfg = IrlsConfig::default();
-        // Cold reference run on the full system.
-        let mut cold_ne = build(&rows);
-        let mut cold = NormalIrlsScratch::new();
-        solve_irls_normal(&mut cold_ne, &cfg, &mut cold).unwrap();
-        let cold_sol = cold_ne.solution().to_vec();
-        // Warm run: converge once, slide the system by one row, realign
-        // the weights, and re-solve from them.
-        let mut ne = build(&rows);
-        let mut scratch = NormalIrlsScratch::new();
-        solve_irls_normal(&mut ne, &cfg, &mut scratch).unwrap();
-        ne.remove_rows_front(1);
-        ne.push_row(&[8.0, 1.0], 17.0);
-        scratch.align_weights(1, ne.rows());
-        let warm = solve_irls_normal_warm(&mut ne, &cfg, &mut scratch).unwrap();
-        assert!(warm.converged);
-        // Oracle: cold start on the slid system.
-        let slid: Vec<([f64; 2], f64)> = rows[1..]
-            .iter()
-            .copied()
-            .chain([([8.0, 1.0], 17.0)])
-            .collect();
-        let mut oracle_ne = build(&slid);
-        let mut oracle = NormalIrlsScratch::new();
-        let cold_out = solve_irls_normal(&mut oracle_ne, &cfg, &mut oracle).unwrap();
-        for (p, q) in ne.solution().iter().zip(oracle_ne.solution()) {
-            assert!((p - q).abs() < 1e-6, "warm vs cold: {p} vs {q}");
-        }
-        assert!(
-            warm.iterations <= cold_out.iterations,
-            "warm {} > cold {}",
-            warm.iterations,
-            cold_out.iterations
-        );
-        // Mismatched weight length falls back to the cold start exactly.
-        let mut fb_ne = build(&rows);
-        let mut fb = NormalIrlsScratch::new();
-        fb.weights = vec![0.5; 3]; // wrong length
-        solve_irls_normal_warm(&mut fb_ne, &cfg, &mut fb).unwrap();
-        assert_eq!(fb_ne.solution(), cold_sol.as_slice());
     }
 
     #[test]

@@ -166,7 +166,7 @@ const SHIFT: f64 = 6_755_399_441_055_744.0;
 /// Elementwise `x → exp(x)` for non-positive `x`, in place.
 ///
 /// This is the Gaussian-weight hot path shared by the QR
-/// ([`crate::lstsq::solve_irls_with`]) and normal-equation
+/// ([`crate::lstsq::solve_irls`]) and normal-equation
 /// ([`crate::solve_irls_normal`]) IRLS loops: one `exp` per equation per
 /// iteration, so a libm call each would dominate the whole reweight.
 /// Instead: Cody–Waite reduction `x = n·ln2 + r` (`|r| ≤ ln2/2`), a

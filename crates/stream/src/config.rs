@@ -125,7 +125,7 @@ pub enum ResolveMode {
     /// the last tick ([`lion_core::IncrementalState`]) — O(delta) per
     /// solve, within a documented 1e-6 of replay, falling back to a
     /// bit-exact replay deterministically (splices, evicted reference,
-    /// non-linear solver, periodic re-anchor).
+    /// lower-dimension geometry, periodic re-anchor).
     Incremental,
 }
 

@@ -9,7 +9,8 @@
 # gate for batch and calibration jobs and the Doctor's health suite are
 # named explicitly so a test-filter typo can't silently skip a
 # bit-identicality gate. The end-to-end benchmark's own tests run every
-# workload at tiny scale and check the ledger identity.
+# workload at tiny scale and check the ledger identity; it sits outside
+# the workspace, so it gets its own clippy step.
 verify:
     cargo build --release
     cargo test --workspace -q
@@ -28,6 +29,7 @@ verify:
     cargo build --release --offline --manifest-path bench_e2e/Cargo.toml
     cargo test --release --offline --manifest-path bench_e2e/Cargo.toml
     cargo clippy --workspace --all-targets -- -D warnings
+    cargo clippy --offline --manifest-path bench_e2e/Cargo.toml --all-targets -- -D warnings
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
     cargo fmt --check
 

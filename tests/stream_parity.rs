@@ -8,9 +8,10 @@
 //! [`ResolveMode::Incremental`] must agree with the replay pipeline
 //! **exactly** on every tick that fell back to replay (those ticks run
 //! the replay code path) and within a documented 1e-6 on delta ticks
-//! (frozen frame, continued unwrap chain, normal equations vs QR — see
+//! (frozen frame, continued unwrap chain, rank-1 Gram edits — see
 //! DESIGN.md §14), under in-order, shuffled and shed arrival — with the
-//! replay/delta pattern identical on any worker count.
+//! replay/delta pattern identical on any worker count. Both parity tiers
+//! hold for the paper's weighted estimator and for plain least squares.
 
 use lion::prelude::*;
 use lion::stream::Space;
@@ -146,6 +147,19 @@ fn sample_source_shuffle_preserves_parity() {
     assert_eq!(streamed.d_r, batch.reference_distance);
 }
 
+/// The estimators every parity test below runs: the paper's weighted
+/// least squares and plain least squares, which solve through the same
+/// route (uniform-weight IRLS on the normal equations).
+fn weightings() -> [LocalizerConfig; 2] {
+    [
+        LocalizerConfig::default(),
+        LocalizerConfig {
+            weighting: lion::core::Weighting::LeastSquares,
+            ..LocalizerConfig::default()
+        },
+    ]
+}
+
 #[test]
 fn windowed_streaming_matches_batch_on_each_window() {
     // Mid-stream (window full and sliding): every cadence solve must
@@ -153,28 +167,30 @@ fn windowed_streaming_matches_batch_on_each_window() {
     let antenna = Point3::new(1.2, 0.4, 0.0);
     let reads = circle_reads(antenna, 400);
     let window = 128;
-    let config = StreamConfig::builder()
-        .window_capacity(window)
-        .min_window_len(window)
-        .cadence(Cadence::EveryReads(64))
-        .build()
-        .expect("valid");
-    let localizer = config.localizer.clone();
-    let mut stream = StreamLocalizer::new(config).expect("valid");
-    let mut solves = 0;
-    for (i, &read) in reads.iter().enumerate() {
-        if let Some(est) = stream.push(read).expect("solves") {
-            let window_reads = &reads[i + 1 - window..=i];
-            let batch = batch_reference(window_reads, &localizer);
-            assert_eq!(est.position, batch.position, "solve at read {i}");
-            assert_eq!(est.d_r, batch.reference_distance);
-            solves += 1;
+    for localizer in weightings() {
+        let config = StreamConfig::builder()
+            .window_capacity(window)
+            .min_window_len(window)
+            .cadence(Cadence::EveryReads(64))
+            .localizer(localizer.clone())
+            .build()
+            .expect("valid");
+        let mut stream = StreamLocalizer::new(config).expect("valid");
+        let mut solves = 0;
+        for (i, &read) in reads.iter().enumerate() {
+            if let Some(est) = stream.push(read).expect("solves") {
+                let window_reads = &reads[i + 1 - window..=i];
+                let batch = batch_reference(window_reads, &localizer);
+                assert_eq!(est.position, batch.position, "solve at read {i}");
+                assert_eq!(est.d_r, batch.reference_distance);
+                solves += 1;
+            }
         }
+        assert!(
+            solves >= 4,
+            "expected several mid-stream solves, got {solves}"
+        );
     }
-    assert!(
-        solves >= 4,
-        "expected several mid-stream solves, got {solves}"
-    );
 }
 
 #[test]
@@ -269,17 +285,20 @@ fn assert_incremental_parity(reads: &[StreamRead], config: StreamConfig) -> usiz
 fn incremental_in_order_tracks_replay_within_1e6() {
     let antenna = Point3::new(1.2, 0.4, 0.0);
     let reads = circle_reads(antenna, 600);
-    let config = StreamConfig::builder()
-        .window_capacity(256)
-        .min_window_len(24)
-        .cadence(Cadence::EveryReads(16))
-        .build()
-        .expect("valid");
-    let delta_ticks = assert_incremental_parity(&reads, config);
-    assert!(
-        delta_ticks >= 10,
-        "in-order feed must mostly take delta ticks, got {delta_ticks}"
-    );
+    for localizer in weightings() {
+        let config = StreamConfig::builder()
+            .window_capacity(256)
+            .min_window_len(24)
+            .cadence(Cadence::EveryReads(16))
+            .localizer(localizer)
+            .build()
+            .expect("valid");
+        let delta_ticks = assert_incremental_parity(&reads, config);
+        assert!(
+            delta_ticks >= 10,
+            "in-order feed must mostly take delta ticks, got {delta_ticks}"
+        );
+    }
 }
 
 #[test]
