@@ -46,9 +46,8 @@ pub fn wrap_phase(theta: f64) -> f64 {
 /// the previous sample's wrapped and unwrapped values.
 ///
 /// This is how [`crate::IncrementalState`] extends an existing chain when
-/// the window slides, and how [`crate::SlidingWindow`] maintains its
-/// incrementally unwrapped phases, instead of re-running
-/// [`unwrap_phases`] from the front. The jump is normalized into
+/// the window slides, instead of re-running [`unwrap_phases`] from the
+/// front. The jump is normalized into
 /// `[-π, π)` by adding or subtracting `2π`, so for wrapped phases in
 /// `[0, 2π)` the recovered integer number of wraps is the batch path's;
 /// the *accumulation* differs (`prev_unwrapped + jump` here vs the batch
@@ -627,6 +626,31 @@ mod tests {
         for (c, b) in chain.iter().zip(&batch) {
             assert!((c - b).abs() < 1e-9, "{c} vs {b}");
         }
+    }
+
+    /// Runs `f` on its own thread and returns its result, failing the
+    /// test instead of hanging it when `f` has not returned in 10 s (the
+    /// stalled thread is then left behind; it cannot be joined).
+    fn returns_within_10s<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (done, finished) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let out = f();
+            let _ = done.send(());
+            out
+        });
+        let waited = finished.recv_timeout(std::time::Duration::from_secs(10));
+        if let Err(std::sync::mpsc::RecvTimeoutError::Timeout) = waited {
+            panic!("did not return within 10 s");
+        }
+        worker.join().expect("worker panicked")
+    }
+
+    #[test]
+    fn huge_finite_phase_does_not_stall_the_unwrap() {
+        // At 1e300, subtracting 2π changes nothing: a turn-by-turn
+        // normalization would never end.
+        let step = returns_within_10s(|| unwrap_step(0.0, 0.0, 1e300));
+        assert!((-PI..PI).contains(&step));
     }
 
     #[test]

@@ -37,12 +37,19 @@
 //! bit-identical (`==`) to the oracle. A **delta tick** agrees with the
 //! oracle to a documented 1e-6: the continued unwrap chain and the
 //! direct-summation re-smoothing differ from the batch arithmetic at
-//! floating-point association order, the Gram matrix is patched by
-//! rank-1 row edits instead of re-accumulated from fresh rows, and the
-//! frozen frame / pinned reference add further fp-order (but not
-//! model-order) deviations. Both paths solve the same normal equations
-//! with the same IRLS loop, for every [`crate::Weighting`].
-//! DESIGN.md §14 documents each term.
+//! floating-point association order, and the frozen frame / pinned
+//! reference add further fp-order (but not model-order) deviations.
+//! Both paths solve the same normal equations with the same IRLS loop,
+//! for every [`crate::Weighting`].
+//!
+//! The row edits patch the Gram matrix by rank-1 updates, but under the
+//! default Gaussian weighting no such patch reaches a solve: the
+//! previous tick's σ̂ step left the system at its non-uniform IRLS
+//! weights, so the IRLS restart (`NormalEq::reset_weights_uniform`)
+//! re-accumulates the Gram matrix from the stored rows, as replay does.
+//! Only under [`crate::Weighting::LeastSquares`], whose weights stay
+//! uniform, do the rank-1 edits carry into the solve, as one more
+//! fp-order term. DESIGN.md §14 documents each term.
 //!
 //! # Deterministic fallback
 //!

@@ -6,9 +6,10 @@
 //! a [`SlidingWindow`]: a time-ordered ring buffer with a hard capacity,
 //! so an arbitrary-length trace runs in O(window) memory.
 //!
-//! The window stores each sample's **wrapped** phase (exactly as the
-//! reader reported it) alongside an incrementally maintained unwrapped
-//! phase. Solves use the wrapped phases:
+//! The window stores each sample's **wrapped** phase exactly as the
+//! reader reported it and nothing derived from it, so an in-order push
+//! onto a full window is O(1): pop the front, push the back, bump the
+//! counters. Unwrapping belongs to the solves:
 //! [`crate::Localizer::locate_window_in`] replays the window through the
 //! exact same unwrap → smooth → pairs → solve path as the batch
 //! `locate`, so a streaming solve on a static window is
@@ -21,16 +22,16 @@
 //!
 //! Out-of-order arrival is handled by timestamp-sorted insertion: a late
 //! read is spliced into its time slot (so the window always equals the
-//! re-sorted trace), and a read older than everything a full window
-//! retains is rejected as too late. A read with a non-finite time,
-//! position or phase is rejected on its own count.
+//! re-sorted trace) at the cost of one `VecDeque::insert` shift, and a
+//! read older than everything a full window retains is rejected as too
+//! late. A read with a non-finite time, position or phase is rejected on
+//! its own count.
 
 use std::collections::VecDeque;
 
 use lion_geom::Point3;
 
 use crate::error::CoreError;
-use crate::preprocess;
 
 /// One read held by a [`SlidingWindow`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,9 +42,6 @@ pub struct WindowSample {
     pub position: Point3,
     /// The phase exactly as reported, in `[0, 2π)` — what solves consume.
     pub wrapped: f64,
-    /// Incrementally unwrapped phase (relative to the window's oldest
-    /// sample); a cheap continuity diagnostic, not used by the solver.
-    pub unwrapped: f64,
 }
 
 /// What [`SlidingWindow::push`] did with a read.
@@ -82,6 +80,10 @@ pub struct WindowDelta {
 }
 
 /// A bounded, time-ordered ring buffer of phase reads.
+///
+/// It holds the reads as reported, the eviction and rejection counters
+/// and the pending [`WindowDelta`]. It derives nothing per read, so a
+/// push costs the same at any capacity.
 ///
 /// # Example
 ///
@@ -221,7 +223,7 @@ impl SlidingWindow {
             self.rejected_non_finite += 1;
             return PushOutcome::NonFinite;
         }
-        let mut evicted_now = false;
+        let mut outcome = PushOutcome::Inserted;
         if self.is_full() {
             if let Some(front) = self.samples.front() {
                 if time < front.time {
@@ -234,7 +236,7 @@ impl SlidingWindow {
             self.samples.pop_front();
             self.evicted += 1;
             self.pending.evicted += 1;
-            evicted_now = true;
+            outcome = PushOutcome::Evicted;
         }
         // Insertion index: after every sample with time <= new time.
         // Streams are overwhelmingly in-order, so scan from the back.
@@ -252,34 +254,9 @@ impl SlidingWindow {
                 time,
                 position,
                 wrapped,
-                unwrapped: wrapped, // fixed up below
             },
         );
-        // An eviction re-anchors the whole unwrap chain; an in-window
-        // insert only invalidates the tail from the insertion point.
-        self.reunwrap_from(if evicted_now { 0 } else { idx });
-        if evicted_now {
-            PushOutcome::Evicted
-        } else {
-            PushOutcome::Inserted
-        }
-    }
-
-    /// Recomputes the incremental unwrapped phases from `start` to the
-    /// newest sample. In-order pushes hit this with `start = len − 1`
-    /// (O(1)); an out-of-order splice or an eviction re-anchors the tail.
-    fn reunwrap_from(&mut self, start: usize) {
-        let n = self.samples.len();
-        for i in start..n {
-            if i == 0 {
-                let s = &mut self.samples[0];
-                s.unwrapped = s.wrapped;
-                continue;
-            }
-            let prev = self.samples[i - 1];
-            let s = &mut self.samples[i];
-            s.unwrapped = preprocess::unwrap_step(prev.wrapped, prev.unwrapped, s.wrapped);
-        }
+        outcome
     }
 
     /// Writes the window's `(position, wrapped phase)` measurements —
@@ -290,21 +267,6 @@ impl SlidingWindow {
     pub fn write_measurements_into(&self, out: &mut Vec<(Point3, f64)>) {
         out.clear();
         out.extend(self.samples.iter().map(|s| (s.position, s.wrapped)));
-    }
-
-    /// Builds a [`preprocess::PhaseProfile`] from the window's
-    /// incrementally unwrapped phases (diagnostics; solves go through
-    /// [`SlidingWindow::write_measurements_into`] instead).
-    ///
-    /// # Errors
-    ///
-    /// See [`preprocess::PhaseProfile::from_unwrapped`].
-    pub fn to_profile(&self, wavelength: f64) -> Result<preprocess::PhaseProfile, CoreError> {
-        preprocess::PhaseProfile::from_unwrapped(
-            self.samples.iter().map(|s| s.position).collect(),
-            self.samples.iter().map(|s| s.unwrapped).collect(),
-            wavelength,
-        )
     }
 
     /// Drops every held read (counters are kept). The pending
@@ -323,39 +285,6 @@ mod tests {
 
     fn p(x: f64) -> Point3 {
         Point3::new(x, 0.0, 0.0)
-    }
-
-    /// Runs `f` on its own thread and returns its result, failing the
-    /// test instead of hanging it when `f` has not returned in 10 s (the
-    /// stalled thread is then left behind; it cannot be joined).
-    fn returns_within_10s<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
-        let (done, finished) = std::sync::mpsc::channel();
-        let worker = std::thread::spawn(move || {
-            let out = f();
-            let _ = done.send(());
-            out
-        });
-        let waited = finished.recv_timeout(std::time::Duration::from_secs(10));
-        if let Err(std::sync::mpsc::RecvTimeoutError::Timeout) = waited {
-            panic!("did not return within 10 s");
-        }
-        worker.join().expect("worker panicked")
-    }
-
-    #[test]
-    fn huge_finite_phase_does_not_stall_the_unwrap() {
-        // At 1e300, subtracting 2π changes nothing: a turn-by-turn
-        // normalization would never end.
-        let step = returns_within_10s(|| preprocess::unwrap_step(0.0, 0.0, 1e300));
-        assert!((-std::f64::consts::PI..std::f64::consts::PI).contains(&step));
-        let samples = returns_within_10s(|| {
-            let mut w = SlidingWindow::new(4).unwrap();
-            w.push(0.0, p(0.0), 0.5);
-            assert_eq!(w.push(1.0, p(1.0), 1e300), PushOutcome::Inserted);
-            assert_eq!(w.push(2.0, p(2.0), -1e300), PushOutcome::Inserted);
-            w.samples().copied().collect::<Vec<_>>()
-        });
-        assert!(samples.iter().all(|s| s.unwrapped.is_finite()));
     }
 
     #[test]
@@ -431,39 +360,6 @@ mod tests {
         assert_eq!(w.rejected_late(), 0);
         assert_eq!(w.samples().copied().collect::<Vec<_>>(), before);
         assert_eq!(w.take_slide_delta(), WindowDelta::default());
-    }
-
-    #[test]
-    fn incremental_unwrap_matches_batch_unwrap() {
-        // A ramp that wraps several times.
-        let truth: Vec<f64> = (0..50).map(|i| 0.4 * i as f64).collect();
-        let wrapped: Vec<f64> = truth.iter().map(|t| t.rem_euclid(TAU)).collect();
-        let mut w = SlidingWindow::new(64).unwrap();
-        for (i, &theta) in wrapped.iter().enumerate() {
-            w.push(i as f64, p(i as f64 * 0.01), theta);
-        }
-        let batch = preprocess::unwrap_phases(&wrapped);
-        for (s, b) in w.samples().zip(&batch) {
-            assert!((s.unwrapped - b).abs() < 1e-12, "{} vs {}", s.unwrapped, b);
-        }
-    }
-
-    #[test]
-    fn unwrap_consistent_after_out_of_order_splice() {
-        let truth: Vec<f64> = (0..20).map(|i| 0.5 * i as f64).collect();
-        let wrapped: Vec<f64> = truth.iter().map(|t| t.rem_euclid(TAU)).collect();
-        let mut w = SlidingWindow::new(32).unwrap();
-        // Deliver with index 7 held back until the end.
-        for (i, &theta) in wrapped.iter().enumerate() {
-            if i != 7 {
-                w.push(i as f64, p(i as f64 * 0.01), theta);
-            }
-        }
-        w.push(7.0, p(0.07), wrapped[7]);
-        let batch = preprocess::unwrap_phases(&wrapped);
-        for (s, b) in w.samples().zip(&batch) {
-            assert!((s.unwrapped - b).abs() < 1e-12);
-        }
     }
 
     #[test]

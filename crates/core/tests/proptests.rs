@@ -4,6 +4,7 @@ use proptest::prelude::*;
 use std::f64::consts::{PI, TAU};
 
 use lion_core::preprocess::{unwrap_phases, wrap_phase, PhaseProfile};
+use lion_core::window::{PushOutcome, SlidingWindow, WindowDelta};
 use lion_core::{Localizer, LocalizerConfig, PairStrategy, SolveSpace, Weighting};
 use lion_geom::Point3;
 use lion_linalg::IrlsConfig;
@@ -271,5 +272,115 @@ proptest! {
                 .collect();
             let _ = Localizer::new(cfg, SolveSpace::TwoD).locate(&m);
         }
+    }
+}
+
+/// Reference model of [`SlidingWindow`]: a sorted `Vec` with the same
+/// admission rules, written the obvious way (binary-search insertion
+/// instead of the window's back-to-front scan, `Vec::remove` instead of
+/// a ring buffer).
+#[derive(Default)]
+struct WindowModel {
+    reads: Vec<(f64, Point3, f64)>,
+    capacity: usize,
+    evicted: u64,
+    rejected_late: u64,
+    rejected_non_finite: u64,
+    pending: WindowDelta,
+}
+
+impl WindowModel {
+    fn push(&mut self, time: f64, position: Point3, phase: f64) -> PushOutcome {
+        if !(time.is_finite() && position.is_finite() && phase.is_finite()) {
+            self.rejected_non_finite += 1;
+            return PushOutcome::NonFinite;
+        }
+        let mut outcome = PushOutcome::Inserted;
+        if self.reads.len() == self.capacity {
+            if time < self.reads[0].0 {
+                self.rejected_late += 1;
+                return PushOutcome::TooLate;
+            }
+            self.reads.remove(0);
+            self.evicted += 1;
+            self.pending.evicted += 1;
+            outcome = PushOutcome::Evicted;
+        }
+        // Ties go after equal timestamps.
+        let at = self.reads.partition_point(|r| r.0 <= time);
+        self.pending.appended += 1;
+        self.pending.spliced |= at < self.reads.len();
+        self.reads.insert(at, (time, position, phase));
+        outcome
+    }
+
+    fn clear(&mut self) {
+        self.reads.clear();
+        self.pending.spliced = true;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn window_matches_sorted_vec_model(
+        capacity in 1_usize..12,
+        ops in proptest::collection::vec((0_usize..32, 0_u64..u64::MAX, 0.0_f64..TAU), 0..300),
+    ) {
+        let mut window = SlidingWindow::new(capacity).expect("nonzero capacity");
+        let mut model = WindowModel { capacity, ..WindowModel::default() };
+        // `clock` is the newest in-order timestamp so far; every other
+        // kind of read is placed relative to it.
+        let mut clock = 0.0_f64;
+        let mut staged = Vec::new();
+        for (seq, &(kind, r, phase)) in ops.iter().enumerate() {
+            // A unique x per read, so equal timestamps stay distinguishable
+            // and their order is checked too.
+            let mut position = Point3::new(seq as f64, 0.5, 0.0);
+            let mut phase = phase;
+            let time = match kind {
+                0..=13 => {
+                    clock += 0.5 * (1 + r % 3) as f64;
+                    clock
+                }
+                // A duplicate of the newest in-order timestamp.
+                14..=18 => clock,
+                // A little backward: usually spliced, sometimes too late.
+                19..=23 => clock - 0.5 * (1 + r % 8) as f64,
+                // Anywhere in the stream's history.
+                24..=28 => 0.5 * (r % (2 * clock as u64 + 1)) as f64,
+                // One non-finite field.
+                29 | 30 => {
+                    let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][(r / 5 % 3) as usize];
+                    let mut time = clock;
+                    match r % 5 {
+                        0 => time = bad,
+                        1 => position.x = bad,
+                        2 => position.y = bad,
+                        3 => position.z = bad,
+                        _ => phase = bad,
+                    }
+                    time
+                }
+                _ => {
+                    window.clear();
+                    model.clear();
+                    continue;
+                }
+            };
+            prop_assert_eq!(window.push(time, position, phase), model.push(time, position, phase));
+            prop_assert_eq!(window.len(), model.reads.len());
+            prop_assert_eq!(window.evicted(), model.evicted);
+            prop_assert_eq!(window.rejected_late(), model.rejected_late);
+            prop_assert_eq!(window.rejected_non_finite(), model.rejected_non_finite);
+            window.write_measurements_into(&mut staged);
+            let expected: Vec<(Point3, f64)> = model.reads.iter().map(|r| (r.1, r.2)).collect();
+            prop_assert_eq!(&staged, &expected);
+            if (r >> 40) % 4 == 0 {
+                prop_assert_eq!(window.take_slide_delta(), std::mem::take(&mut model.pending));
+            }
+        }
+        prop_assert_eq!(window.take_slide_delta(), std::mem::take(&mut model.pending));
     }
 }

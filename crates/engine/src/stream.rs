@@ -140,6 +140,10 @@ pub struct StreamOutcome {
     /// Emitted solves that fell back to the replay path while in
     /// incremental mode; zero in replay mode.
     pub resolve_fallbacks: u64,
+    /// Solves whose IRLS hit its iteration cap without converging (a
+    /// count, with no timing, so outcomes stay `==` across worker
+    /// counts).
+    pub irls_unconverged: u64,
     /// The watchdog report, when the job ran with
     /// [`StreamJob::with_doctor`].
     pub health: Option<HealthReport>,
@@ -268,6 +272,7 @@ fn run_stream_job(
         resolve_rows_delta: pipeline.resolve_rows_delta(),
         resolve_rebuilds: pipeline.resolve_rebuilds(),
         resolve_fallbacks: pipeline.resolve_fallbacks(),
+        irls_unconverged: pipeline.irls_unconverged(),
         health: doctor.map(|d| d.report()),
         estimates,
     })
@@ -390,7 +395,9 @@ fn record_stream_series(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lion_core::Weighting;
     use lion_geom::Point3;
+    use lion_linalg::IrlsConfig;
     use lion_stream::Cadence;
     use std::f64::consts::{PI, TAU};
 
@@ -541,6 +548,45 @@ mod tests {
         assert_eq!(outcome.resolve_rows_delta, 0);
         assert_eq!(outcome.resolve_rebuilds, 0);
         assert_eq!(outcome.resolve_fallbacks, 0);
+    }
+
+    #[test]
+    fn capped_irls_solves_are_counted_identically_across_worker_counts() {
+        let jobs: Vec<StreamJob> = [ResolveMode::Replay, ResolveMode::Incremental]
+            .into_iter()
+            .enumerate()
+            .map(|(i, mode)| {
+                let mut reads = clean_reads(Point3::new(1.1 + 0.1 * i as f64, 0.4, 0.0), 300);
+                // Noise the single reweight cannot settle.
+                for (k, read) in reads.iter_mut().enumerate() {
+                    read.phase = (read.phase + 0.3 * (k as f64 * 1.7).sin()).rem_euclid(TAU);
+                }
+                let mut config = StreamConfig::builder().resolve_mode(mode).build().unwrap();
+                config.localizer.weighting = Weighting::Weighted(IrlsConfig {
+                    max_iterations: 1,
+                    ..IrlsConfig::default()
+                });
+                StreamJob::new(reads, config).with_burst(40)
+            })
+            .collect();
+        let serial = Engine::serial().run_streams(&jobs);
+        let parallel = Engine::builder()
+            .workers(2)
+            .build()
+            .expect("valid")
+            .run_streams(&jobs);
+        for (s, p) in serial.iter().zip(&parallel) {
+            let (s, p) = (s.as_ref().unwrap(), p.as_ref().unwrap());
+            assert!(s.irls_unconverged > 0);
+            assert_eq!(s.irls_unconverged, p.irls_unconverged);
+        }
+        // The default cap converges on the clean feed.
+        let clean = StreamJob::new(
+            clean_reads(Point3::new(1.2, 0.4, 0.0), 300),
+            StreamConfig::default(),
+        );
+        let outcome = Engine::serial().run_streams(&[clean]).pop().unwrap();
+        assert_eq!(outcome.unwrap().irls_unconverged, 0);
     }
 
     #[test]

@@ -1018,6 +1018,46 @@ mod tests {
     }
 
     #[test]
+    fn row_edits_after_a_reweight_are_rebuilt_away() {
+        // The streaming delta tick's shape: the previous tick's σ̂ step
+        // left non-uniform weights, then the slide edits rows. The IRLS
+        // restart (`reset_weights_uniform`) must rebuild from the stored
+        // rows, so the rank-1 edits leave no trace: the solve equals a
+        // fresh bulk load of the same rows bit for bit. Fractional data,
+        // so a surviving rank-1 edit would show in the last bits.
+        let row = |i: usize| {
+            let t = i as f64 * 0.37;
+            ([t.sin(), t.cos() * 1.3, 1.0], (t * 1.7).sin() + 0.1 * t)
+        };
+        let mut ne = NormalEq::new();
+        ne.begin(3);
+        let mut held: Vec<([f64; 3], f64)> = (0..12).map(row).collect();
+        for (a, k) in &held {
+            ne.push_row(a, *k);
+        }
+        ne.solve().unwrap();
+        let w: Vec<f64> = (0..12).map(|i| 0.2 + 0.07 * i as f64).collect();
+        ne.set_weights(&w).unwrap();
+        ne.remove_rows_front(2);
+        held.drain(..2);
+        let fresh_row = row(40);
+        ne.replace_row(4, &fresh_row.0, fresh_row.1);
+        held[4] = fresh_row;
+        for i in 12..15 {
+            let (a, k) = row(i);
+            ne.push_row(&a, k);
+            held.push((a, k));
+        }
+        ne.reset_weights_uniform();
+        let edited = ne.solve().unwrap().to_vec();
+        let flat: Vec<f64> = held.iter().flat_map(|(a, _)| *a).collect();
+        let rhs: Vec<f64> = held.iter().map(|(_, k)| *k).collect();
+        let mut fresh = NormalEq::new();
+        fresh.set_system(3, &flat, &rhs);
+        assert_eq!(edited, fresh.solve().unwrap());
+    }
+
+    #[test]
     fn weight_validation_matches_weighted_ls() {
         let mut ne = build(&line_rows());
         assert!(matches!(

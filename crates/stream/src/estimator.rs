@@ -406,6 +406,13 @@ impl StreamLocalizer {
         self.resolve_fallbacks
     }
 
+    /// Solves whose IRLS stopped at its iteration cap without meeting
+    /// its tolerance (their estimate is the last iterate), replay and
+    /// delta ticks alike.
+    pub fn irls_unconverged(&self) -> u64 {
+        self.workspace.metrics().irls_unconverged
+    }
+
     /// Current convergence verdict.
     pub fn is_converged(&self) -> bool {
         self.tracker.is_converged()

@@ -5,10 +5,10 @@
 # Tests run with overflow-checks on (see [profile.test] in Cargo.toml);
 # the streaming parity + backpressure suites, the adaptive sweep's
 # reuse and per-cell oracles, the structured-pairing oracle, the
-# accelerated-IRLS fixed-point oracle, the engine's serial-vs-N-workers
-# gate for batch and calibration jobs and the Doctor's health suite are
-# named explicitly so a test-filter typo can't silently skip a
-# bit-identicality gate. The end-to-end benchmark's own tests run every
+# accelerated-IRLS fixed-point oracle, the sliding window's sorted-Vec
+# model proptest, the engine's serial-vs-N-workers gate for batch and
+# calibration jobs and the Doctor's health suite are named explicitly
+# so a test-filter typo can't silently skip a bit-identicality gate. The end-to-end benchmark's own tests run every
 # workload at tiny scale and check the ledger identity; it sits outside
 # the workspace, so it gets its own clippy step.
 verify:
@@ -22,6 +22,7 @@ verify:
     cargo test -q -p lion-core --test zero_alloc --test adaptive_regression
     cargo test -q -p lion-core --test sweep_reuse --test sweep_cells --test structured_pairs
     cargo test -q -p lion-core --test scalar_dispatch
+    cargo test -q -p lion-core --test proptests window
     cargo test -q -p lion-linalg --test simd_parity
     cargo test -q -p lion-obs --test http_plane
     cargo test -q --test fleet_health
@@ -69,7 +70,9 @@ microbench:
     cargo bench --workspace
 
 # Streaming pipeline benchmarks only: throughput across window sizes,
-# window-maintenance cost per read, and single windowed re-solve latency.
+# window-maintenance cost per read at capacities 256, 512 and 4096 (a
+# push is O(1), so it should not grow with the window), and single
+# windowed re-solve latency. Print-only; no committed baseline.
 stream-bench:
     cargo bench -p lion-bench --bench stream
 
