@@ -42,14 +42,11 @@
 //! Both paths solve the same normal equations with the same IRLS loop,
 //! for every [`crate::Weighting`].
 //!
-//! The row edits patch the Gram matrix by rank-1 updates, but under the
-//! default Gaussian weighting no such patch reaches a solve: the
-//! previous tick's σ̂ step left the system at its non-uniform IRLS
-//! weights, so the IRLS restart (`NormalEq::reset_weights_uniform`)
-//! re-accumulates the Gram matrix from the stored rows, as replay does.
-//! Only under [`crate::Weighting::LeastSquares`], whose weights stay
-//! uniform, do the rank-1 edits carry into the solve, as one more
-//! fp-order term. DESIGN.md §14 documents each term.
+//! The row edits only rewrite the stored rows: `NormalEq` recomputes its
+//! Gram matrix from them on the next solve, so a delta tick's solve is
+//! the same function of its rows, right-hand side and weights as
+//! replay's, and the Gram matrix adds no term of its own, under every
+//! weighting. DESIGN.md §14 documents each term.
 //!
 //! # Deterministic fallback
 //!
@@ -70,9 +67,9 @@ use crate::preprocess;
 use crate::window::SlidingWindow;
 use crate::workspace::{elapsed_ns, Workspace};
 
-/// Delta ticks between forced resyncs. Bounds how far the frozen frame,
-/// the continued unwrap chain, and rank-1 Gram drift can wander from the
-/// replay oracle before the state is re-anchored bit-exactly.
+/// Delta ticks between forced resyncs. Bounds how far the frozen frame
+/// and the continued unwrap chain can wander from the replay oracle
+/// before the state is re-anchored bit-exactly.
 pub const RESYNC_EVERY: u32 = 64;
 
 /// Which path produced a streaming estimate.

@@ -182,7 +182,7 @@ mod tests {
         let a = Matrix::from_rows(&[&[6.0, 2.0], &[2.0, 5.0]]).unwrap();
         let b = Vector::from_slice(&[4.0, 3.0]);
         let x_ch = Cholesky::decompose(&a).unwrap().solve(&b).unwrap();
-        let x_lu = crate::lu::solve_square(&a, &b).unwrap();
+        let x_lu = crate::Lu::decompose(&a).unwrap().solve(&b).unwrap();
         for (p, q) in x_ch.as_slice().iter().zip(x_lu.as_slice()) {
             assert!((p - q).abs() < 1e-12);
         }

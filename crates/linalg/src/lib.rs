@@ -15,10 +15,11 @@
 //! - [`Lu`]: LU decomposition with partial pivoting (solve / det / inverse),
 //! - [`Qr`]: Householder QR (least-squares solve, rank detection),
 //! - [`Cholesky`]: for symmetric positive-definite systems,
-//! - [`NormalEq`] and [`solve_irls_normal`]: incrementally maintained
-//!   normal equations (rank-1 IRLS reweights, front drains and in-place
-//!   row replacement) and the Anderson-accelerated IRLS loop over them —
-//!   the solver behind every batch, sweep and streaming solve,
+//! - [`NormalEq`] and [`solve_irls_normal`]: weighted normal equations
+//!   over stored rows (bulk loads, reweights, front drains and in-place
+//!   row replacement; the Gram matrix is recomputed from the rows on the
+//!   next solve) and the Anderson-accelerated IRLS loop over them — the
+//!   solver behind every batch, sweep and streaming solve,
 //! - [`sym_eigen3`]: stack-only symmetric 3×3 eigensolver for geometry
 //!   frames,
 //! - [`Svd`]: one-sided Jacobi SVD (condition numbers, pseudo-inverse),
@@ -76,7 +77,7 @@ pub use eigen::sym_eigen3;
 pub use error::LinalgError;
 pub use lm::{LevenbergMarquardt, LmOutcome, LmReport};
 pub use lstsq::{IrlsConfig, IrlsReport, WeightFunction};
-pub use lu::{solve_square, Lu};
+pub use lu::Lu;
 pub use matrix::Matrix;
 pub use normal::{solve_irls_normal, NormalEq, NormalIrlsOutcome, NormalIrlsScratch};
 pub use qr::Qr;

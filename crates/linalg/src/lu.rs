@@ -4,9 +4,8 @@ use crate::vector::Vector;
 
 /// LU decomposition with partial (row) pivoting: `P·A = L·U`.
 ///
-/// Used for solving the square normal-equation systems produced by the LION
-/// weighted-least-squares step, and for determinants/inverses in tests and
-/// diagnostics.
+/// Solves the damped Gauss–Newton steps of [`crate::LevenbergMarquardt`],
+/// and gives determinants/inverses in tests and diagnostics.
 ///
 /// # Example
 ///
@@ -163,28 +162,6 @@ impl Lu {
     }
 }
 
-/// Solves the square system `A·x = b` in one call.
-///
-/// # Errors
-///
-/// See [`Lu::decompose`] and [`Lu::solve`].
-///
-/// # Example
-///
-/// ```
-/// use lion_linalg::{Matrix, Vector};
-///
-/// # fn main() -> Result<(), lion_linalg::LinalgError> {
-/// let a = Matrix::identity(2);
-/// let x = lion_linalg::solve_square(&a, &Vector::from_slice(&[7.0, 8.0]))?;
-/// assert_eq!(x.as_slice(), &[7.0, 8.0]);
-/// # Ok(())
-/// # }
-/// ```
-pub fn solve_square(a: &Matrix, b: &Vector) -> Result<Vector, LinalgError> {
-    Lu::decompose(a)?.solve(b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,7 +171,7 @@ mod tests {
         let a =
             Matrix::from_rows(&[&[2.0, 1.0, -1.0], &[-3.0, -1.0, 2.0], &[-2.0, 1.0, 2.0]]).unwrap();
         let b = Vector::from_slice(&[8.0, -11.0, -3.0]);
-        let x = solve_square(&a, &b).unwrap();
+        let x = Lu::decompose(&a).unwrap().solve(&b).unwrap();
         let expect = [2.0, 3.0, -1.0];
         for (g, e) in x.as_slice().iter().zip(expect) {
             assert!((g - e).abs() < 1e-12, "got {g}, want {e}");
@@ -216,7 +193,7 @@ mod tests {
         let a = &noise + &(&Matrix::identity(n) * 4.0); // diagonally dominant-ish
         let x_true = Vector::from_fn(n, |i| (i as f64) - 3.5);
         let b = a.mul_vector(&x_true).unwrap();
-        let x = solve_square(&a, &b).unwrap();
+        let x = Lu::decompose(&a).unwrap().solve(&b).unwrap();
         for (g, e) in x.as_slice().iter().zip(x_true.as_slice()) {
             assert!((g - e).abs() < 1e-9);
         }
@@ -275,7 +252,10 @@ mod tests {
     #[test]
     fn pivoting_handles_zero_leading_entry() {
         let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]).unwrap();
-        let x = solve_square(&a, &Vector::from_slice(&[2.0, 3.0])).unwrap();
+        let x = Lu::decompose(&a)
+            .unwrap()
+            .solve(&Vector::from_slice(&[2.0, 3.0]))
+            .unwrap();
         assert_eq!(x.as_slice(), &[3.0, 2.0]);
     }
 }

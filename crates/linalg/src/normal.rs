@@ -1,21 +1,23 @@
-//! Incremental normal-equation solver for families of related
+//! Weighted normal-equation solver for families of related
 //! least-squares problems.
 //!
 //! IRLS (paper Eq. 16) solves a sequence of weighted least-squares
 //! problems that differ only in their weights, and a sliding streaming
 //! window re-solves a system that differs from the previous one by a few
-//! rows at each end. [`NormalEq`] exploits both by maintaining the normal
-//! equations `AᵀWA · x = AᵀWk` incrementally:
+//! rows at each end. [`NormalEq`] stores the rows, right-hand side and
+//! weights of `AᵀWA · x = AᵀWk` and lets callers edit them in place:
 //!
-//! - **Row accumulation** — `push_row` folds `wᵢ·aᵢaᵢᵀ` / `wᵢ·aᵢkᵢ` into
-//!   the Gram matrix as rows arrive, so building costs `O(m·n²)` with no
-//!   intermediate `m×n` factorization.
-//! - **Rank-1 reweighting** — an IRLS weight change `wᵢ → wᵢ + Δwᵢ`
-//!   shifts the Gram matrix by `Δwᵢ·aᵢaᵢᵀ`, an `O(n²)` update per changed
-//!   row instead of an `O(m·n²)` rebuild. A full rebuild every
-//!   `rebuild_every`-th reweight bounds floating-point drift.
-//! - **Row edits** — `remove_rows_front` and `replace_row` downdate the
-//!   rows a window slide retires or changes instead of starting over.
+//! - **Loading** — `push_row` appends a row, `set_system` bulk-loads a
+//!   pre-assembled system;
+//! - **Reweighting** — `set_weights` replaces the weight diagonal;
+//! - **Row edits** — `remove_rows_front` and `replace_row` retire or
+//!   change the rows a window slide touches, without starting over.
+//!
+//! The Gram matrix `AᵀWA` and `AᵀWk` are derived state: every edit only
+//! writes storage and marks them stale, and the next solve recomputes
+//! them from the stored rows in storage order, in `O(m·n²)` with no
+//! intermediate `m×n` factorization. IRLS changes every weight on every
+//! reweight, so patching the sums would cost the same pass over the rows.
 //!
 //! Solves go through the same Cholesky kernel as [`crate::Cholesky`]
 //! (literally the same function), so the two routes cannot drift.
@@ -29,11 +31,11 @@
 //! fixed point in ~6. The stopping rule is unchanged: stop once
 //! `‖G(xₖ) − xₖ‖∞ < tolerance` and return `G(xₖ)`.
 //!
-//! **Determinism contract:** `push_row` accumulates the Gram matrix in
-//! push order, and [`NormalEq::rebuild`] re-accumulates in storage order
-//! with identical arithmetic. A system built by pushing rows 0..m with
-//! unit weights and a system rebuilt from the same stored rows therefore
-//! produce *bit-identical* Gram matrices, factors, and solutions.
+//! **Determinism contract:** a solve is a pure function of the stored
+//! `(rows, rhs, weights)`. Two systems holding the same rows, right-hand
+//! side and weights produce *bit-identical* Gram matrices, factors,
+//! solutions and covariances, whatever sequence of pushes, bulk loads,
+//! edits and reweights led there.
 //!
 //! Accuracy: solving via the normal equations squares the condition
 //! number relative to the QR route ([`crate::lstsq::solve_weighted`]),
@@ -47,19 +49,14 @@ use crate::cholesky;
 use crate::error::LinalgError;
 use crate::lstsq::{IrlsConfig, WeightFunction};
 
-/// Default reweight count between full Gram rebuilds.
-const DEFAULT_REBUILD_EVERY: usize = 8;
-
 /// Accumulates the lower triangle of `w·a·aᵀ` into `gram` and `w·a·k`
 /// into `atk`.
 ///
 /// Only the lower triangle is maintained: the Cholesky routines read
 /// nothing above the diagonal, so the mirrored upper entries would be
-/// dead work (upper storage stays at the zeros `begin` wrote). This is
-/// the single accumulation kernel used by `push_row`, `rebuild`, rank-1
-/// reweights (with `w = Δw`), and row removals (with `w = −wᵢ`) —
-/// identical per-entry addition order everywhere is what makes fresh
-/// builds and rebuilds bit-identical.
+/// dead work (upper storage stays at the zeros the rebuild wrote). This
+/// is the rebuild kernel for more than 4 columns; it adds each entry's
+/// terms in row order, as [`crate::simd::gram_fixed`] does for 2–4.
 fn accumulate(gram: &mut [f64], atk: &mut [f64], cols: usize, a: &[f64], k: f64, w: f64) {
     for r in 0..cols {
         let wa = w * a[r];
@@ -69,26 +66,6 @@ fn accumulate(gram: &mut [f64], atk: &mut [f64], cols: usize, a: &[f64], k: f64,
         }
         atk[r] += wa * k;
     }
-}
-
-/// Bulk counterpart of [`accumulate`]: sums `Σ wᵢ·aᵢaᵢᵀ` (lower
-/// triangle) and `Σ wᵢ·aᵢ·kᵢ` over every row with the accumulators held
-/// in registers for the whole sweep, instead of a read-modify-write of
-/// the Gram storage per row. `weights[i]` supplies the per-row factor —
-/// the stored weight for rebuilds, the weight *delta* for reweights.
-///
-/// Each Gram entry sees the same terms added in the same (row) order as
-/// repeated [`accumulate`] calls, so a bulk rebuild stays bit-identical
-/// to an incremental row-at-a-time build of the same system. The actual
-/// accumulation dispatches through [`crate::simd::gram_fixed`], whose
-/// SIMD twins uphold the same per-entry order (one Gram entry per lane).
-#[inline]
-fn bulk_accumulate<const N: usize>(
-    rows: &[f64],
-    rhs: &[f64],
-    weights: &[f64],
-) -> ([[f64; N]; N], [f64; N]) {
-    crate::simd::gram_fixed::<N>(rows, rhs, weights)
 }
 
 /// Fixed-width residual kernel `rᵢ = aᵢ·x − kᵢ` with fused `(Σr, Σr²)`
@@ -118,7 +95,7 @@ fn residuals_fixed<const N: usize>(
     (sum, sumsq)
 }
 
-/// Incrementally maintained weighted normal equations `AᵀWA · x = AᵀWk`.
+/// Weighted normal equations `AᵀWA · x = AᵀWk` over stored rows.
 ///
 /// All buffers are reused across [`NormalEq::begin`] calls, so a
 /// workspace-owned instance performs zero heap allocations in steady
@@ -141,7 +118,7 @@ fn residuals_fixed<const N: usize>(
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct NormalEq {
     cols: usize,
     /// Flat row-major `m × cols` copy of the design rows.
@@ -151,7 +128,7 @@ pub struct NormalEq {
     /// Current per-row weights (the `W` diagonal).
     weights: Vec<f64>,
     /// Flat row-major `cols × cols` Gram matrix `AᵀWA`; only the lower
-    /// triangle is maintained (the upper entries stay zero), matching
+    /// triangle is computed (the upper entries stay zero), matching
     /// what the Cholesky factorization reads.
     gram: Vec<f64>,
     /// `AᵀWk`.
@@ -162,44 +139,15 @@ pub struct NormalEq {
     solution: Vec<f64>,
     /// Unit-vector scratch for covariance extraction.
     unit: Vec<f64>,
-    /// Weight-delta scratch for bulk reweights.
-    wdelta: Vec<f64>,
-    /// When set, `gram`/`atk` do not reflect `rows` (a bulk load, or the
-    /// drift budget ran out).
-    dirty: bool,
-    rebuild_every: usize,
-    /// Rank-1 Gram edits (reweights, row removals/replacements) since the
-    /// last full rebuild — the drift budget. `push_row` does not count:
-    /// appending accumulates in storage order, so it is bit-identical to
-    /// what a rebuild would produce and introduces no drift.
-    updates_since_rebuild: usize,
+    /// When set, `gram`/`atk` do not reflect the stored rows, rhs and
+    /// weights; the next solve rebuilds them.
+    stale: bool,
 }
 
 impl NormalEq {
-    /// An empty system with the default rebuild cadence.
+    /// An empty system.
     pub fn new() -> Self {
-        Self::with_rebuild_every(DEFAULT_REBUILD_EVERY)
-    }
-
-    /// An empty system that fully rebuilds the Gram matrix on every
-    /// `rebuild_every`-th reweight (clamped to at least 1; a value of 1
-    /// rebuilds on every reweight, disabling rank-1 updates entirely).
-    pub fn with_rebuild_every(rebuild_every: usize) -> Self {
-        NormalEq {
-            cols: 0,
-            rows: Vec::new(),
-            rhs: Vec::new(),
-            weights: Vec::new(),
-            gram: Vec::new(),
-            atk: Vec::new(),
-            chol: Vec::new(),
-            solution: Vec::new(),
-            unit: Vec::new(),
-            wdelta: Vec::new(),
-            dirty: false,
-            rebuild_every: rebuild_every.max(1),
-            updates_since_rebuild: 0,
-        }
+        Self::default()
     }
 
     /// Starts a fresh system with `cols` unknowns, reusing all buffers.
@@ -208,25 +156,17 @@ impl NormalEq {
         self.rows.clear();
         self.rhs.clear();
         self.weights.clear();
-        self.gram.clear();
-        self.gram.resize(cols * cols, 0.0);
-        self.atk.clear();
-        self.atk.resize(cols, 0.0);
-        self.dirty = false;
-        self.updates_since_rebuild = 0;
+        self.stale = true;
     }
 
     /// Loads a whole pre-assembled system in one call: `begin(cols)`,
     /// then every row of the flat row-major `rows` (length a multiple of
-    /// `cols`) with its `rhs` entry at unit weight. The Gram matrix is
-    /// left dirty and rebuilt on the next solve — in storage order, which
-    /// equals push order, so the result is bit-identical to pushing the
-    /// rows one at a time (the determinism contract above).
+    /// `cols`) with its `rhs` entry at unit weight. Equivalent to
+    /// pushing the rows one at a time (the determinism contract above).
     ///
     /// This is the batch entry point: the localizer assembles the
     /// radical-line system into its workspace matrix and bulk-loads it
-    /// here instead of paying a per-row `push_row` accumulation that the
-    /// first IRLS rebuild would redo anyway.
+    /// here.
     ///
     /// # Panics
     ///
@@ -241,19 +181,6 @@ impl NormalEq {
         self.rows.extend_from_slice(rows);
         self.rhs.extend_from_slice(rhs);
         self.weights.resize(rhs.len(), 1.0);
-        self.dirty = true;
-    }
-
-    /// Counts `count` rank-1 Gram edits against the drift budget; once
-    /// the budget is spent, marks the system dirty so the next solve (or
-    /// reweight) performs a full rebuild. This is what bounds
-    /// floating-point drift for callers that edit rows without ever
-    /// reweighting (e.g. a uniform-weight streaming window).
-    fn note_updates(&mut self, count: usize) {
-        self.updates_since_rebuild = self.updates_since_rebuild.saturating_add(count);
-        if self.updates_since_rebuild >= self.rebuild_every {
-            self.dirty = true;
-        }
     }
 
     /// Number of rows currently in the system.
@@ -290,7 +217,7 @@ impl NormalEq {
         &self.solution
     }
 
-    /// Appends a row with unit weight, folding it into the Gram matrix.
+    /// Appends a row with unit weight.
     ///
     /// # Panics
     ///
@@ -301,16 +228,13 @@ impl NormalEq {
         self.rows.extend_from_slice(a);
         self.rhs.push(k);
         self.weights.push(1.0);
-        if !self.dirty {
-            accumulate(&mut self.gram, &mut self.atk, self.cols, a, k, 1.0);
-        }
+        self.stale = true;
     }
 
     /// Removes the first `count` rows in one batched front drain — the
     /// sliding-window case, where evicted reads retire the oldest
-    /// equations. Each dropped row is rank-1 downdated (when in sync) and
-    /// counted against the drift budget; the surviving rows then shift
-    /// down with a single `memmove` instead of `count` of them.
+    /// equations. The surviving rows shift down with a single `memmove`
+    /// instead of `count` of them.
     ///
     /// # Panics
     ///
@@ -320,33 +244,19 @@ impl NormalEq {
         if count == 0 {
             return;
         }
-        if !self.dirty {
-            for at in 0..count {
-                let start = at * self.cols;
-                accumulate(
-                    &mut self.gram,
-                    &mut self.atk,
-                    self.cols,
-                    &self.rows[start..start + self.cols],
-                    self.rhs[at],
-                    -self.weights[at],
-                );
-            }
-        }
         let old = self.rows.len();
         self.rows.copy_within(count * self.cols.., 0);
         self.rows.truncate(old - count * self.cols);
         self.rhs.drain(..count);
         self.weights.drain(..count);
-        self.note_updates(count);
+        self.stale = true;
     }
 
-    /// Replaces the row at `at` in place (resetting its weight to 1): a
-    /// rank-1 downdate of the old equation plus a rank-1 update of the
-    /// new one, with no row shuffling. This is the refresh primitive for
+    /// Replaces the row at `at` in place (resetting its weight to 1),
+    /// with no row shuffling. This is the refresh primitive for
     /// equations whose underlying data changed (e.g. a smoothed phase
     /// near a window boundary) while their position in the system did
-    /// not. Counts one edit against the drift budget.
+    /// not.
     ///
     /// # Panics
     ///
@@ -356,29 +266,13 @@ impl NormalEq {
         assert_eq!(a.len(), self.cols, "row length must equal column count");
         assert!(at < self.rhs.len(), "replace position out of bounds");
         let start = at * self.cols;
-        if !self.dirty {
-            accumulate(
-                &mut self.gram,
-                &mut self.atk,
-                self.cols,
-                &self.rows[start..start + self.cols],
-                self.rhs[at],
-                -self.weights[at],
-            );
-            accumulate(&mut self.gram, &mut self.atk, self.cols, a, k, 1.0);
-        }
         self.rows[start..start + self.cols].copy_from_slice(a);
         self.rhs[at] = k;
         self.weights[at] = 1.0;
-        self.note_updates(1);
+        self.stale = true;
     }
 
     /// Replaces the weight diagonal.
-    ///
-    /// In-sync systems receive per-row rank-1 updates `Δwᵢ·aᵢaᵢᵀ`
-    /// (skipping unchanged rows); every `rebuild_every`-th call — or any
-    /// call on a dirty system — triggers a full rebuild instead, which
-    /// bounds the accumulated floating-point drift of the updates.
     ///
     /// # Errors
     ///
@@ -399,7 +293,9 @@ impl NormalEq {
                 operation: "normal-equation reweight (weights)",
             });
         }
-        self.apply_weights(w);
+        self.weights.clear();
+        self.weights.extend_from_slice(w);
+        self.stale = true;
         Ok(())
     }
 
@@ -412,108 +308,27 @@ impl NormalEq {
     pub(crate) fn set_weights_trusted(&mut self, w: &mut Vec<f64>) {
         debug_assert_eq!(w.len(), self.rhs.len());
         debug_assert!(w.iter().all(|x| x.is_finite() && *x >= 0.0));
-        if self.dirty || self.updates_since_rebuild + 1 >= self.rebuild_every {
-            std::mem::swap(&mut self.weights, w);
-            self.rebuild();
-            return;
-        }
-        self.updates_since_rebuild += 1;
-        match self.cols {
-            2 => self.reweight_fixed::<2>(w),
-            3 => self.reweight_fixed::<3>(w),
-            4 => self.reweight_fixed::<4>(w),
-            _ => {
-                self.reweight_generic(w);
-                return;
-            }
-        }
         std::mem::swap(&mut self.weights, w);
+        self.stale = true;
     }
 
-    fn apply_weights(&mut self, w: &[f64]) {
-        if self.dirty || self.updates_since_rebuild + 1 >= self.rebuild_every {
-            self.weights.clear();
-            self.weights.extend_from_slice(w);
-            self.rebuild();
-            return;
-        }
-        self.updates_since_rebuild += 1;
-        match self.cols {
-            2 => {
-                self.reweight_fixed::<2>(w);
-                self.weights.clear();
-                self.weights.extend_from_slice(w);
-            }
-            3 => {
-                self.reweight_fixed::<3>(w);
-                self.weights.clear();
-                self.weights.extend_from_slice(w);
-            }
-            4 => {
-                self.reweight_fixed::<4>(w);
-                self.weights.clear();
-                self.weights.extend_from_slice(w);
-            }
-            _ => self.reweight_generic(w),
-        }
-    }
-
-    /// Per-row rank-1 reweight for arbitrary column counts, skipping
-    /// unchanged rows; stores the new weights as it goes.
-    fn reweight_generic(&mut self, w: &[f64]) {
-        for (i, &wi) in w.iter().enumerate() {
-            let dw = wi - self.weights[i];
-            if dw != 0.0 {
-                let start = i * self.cols;
-                accumulate(
-                    &mut self.gram,
-                    &mut self.atk,
-                    self.cols,
-                    &self.rows[start..start + self.cols],
-                    self.rhs[i],
-                    dw,
-                );
-                self.weights[i] = wi;
-            }
-        }
-    }
-
-    /// Rank-1 reweight via [`bulk_accumulate`] over the weight deltas:
-    /// one register-resident pass over the rows, then a single update of
-    /// the Gram storage. IRLS changes every weight every iteration, so
-    /// the per-row skip of the generic path buys nothing there. The
-    /// caller stores the new weights afterwards (by copy or swap).
-    fn reweight_fixed<const N: usize>(&mut self, w: &[f64]) {
-        self.wdelta.clear();
-        self.wdelta
-            .extend(w.iter().zip(&self.weights).map(|(new, old)| new - old));
-        let (dg, datk) = bulk_accumulate::<N>(&self.rows, &self.rhs, &self.wdelta);
-        for r in 0..N {
-            for (c, d) in dg[r][..=r].iter().enumerate() {
-                self.gram[r * N + c] += d;
-            }
-            self.atk[r] += datk[r];
-        }
-    }
-
-    /// Resets all weights to 1 (the IRLS starting point). A no-op when
-    /// the weights are already uniform and the Gram matrix is in sync;
-    /// otherwise rebuilds, so the resulting Gram matrix is bit-identical
-    /// to a fresh unit-weight build of the same rows.
+    /// Resets all weights to 1 (the IRLS starting point). Leaves the
+    /// Gram matrix in sync when the weights were already uniform.
     pub fn reset_weights_uniform(&mut self) {
-        if !self.dirty && self.weights.iter().all(|w| *w == 1.0) {
-            return;
+        for w in &mut self.weights {
+            if *w != 1.0 {
+                *w = 1.0;
+                self.stale = true;
+            }
         }
-        self.weights.iter_mut().for_each(|w| *w = 1.0);
-        self.rebuild();
     }
 
-    /// Recomputes `AᵀWA` / `AᵀWk` from the stored rows in storage order,
-    /// clearing any drift from rank-1 updates and syncing after a bulk
-    /// load.
-    pub fn rebuild(&mut self) {
-        self.gram.iter_mut().for_each(|g| *g = 0.0);
-        self.atk.iter_mut().for_each(|g| *g = 0.0);
+    /// Recomputes `AᵀWA` / `AᵀWk` from the stored rows in storage order.
+    fn rebuild(&mut self) {
+        self.gram.clear();
+        self.gram.resize(self.cols * self.cols, 0.0);
+        self.atk.clear();
+        self.atk.resize(self.cols, 0.0);
         match self.cols {
             2 => self.rebuild_fixed::<2>(),
             3 => self.rebuild_fixed::<3>(),
@@ -532,26 +347,35 @@ impl NormalEq {
                 }
             }
         }
-        self.dirty = false;
-        self.updates_since_rebuild = 0;
+        self.stale = false;
     }
 
-    /// [`bulk_accumulate`]-backed rebuild for the column counts the
-    /// localizers actually use (2 for a collinear radical-line system,
-    /// 3 for 2D, 4 for 3D). Bit-identical to the generic row-at-a-time
-    /// path.
+    /// Rebuild for the column counts the localizers actually use (2 for
+    /// a collinear radical-line system, 3 for 2D, 4 for 3D): one pass of
+    /// [`crate::simd::gram_fixed`] with the sums held in registers, then
+    /// a single store. `gram_fixed` adds each entry's terms in row order,
+    /// so this is bit-identical to the generic [`accumulate`] loop.
     fn rebuild_fixed<const N: usize>(&mut self) {
-        let (gram, atk) = bulk_accumulate::<N>(&self.rows, &self.rhs, &self.weights);
+        let (gram, atk) = crate::simd::gram_fixed::<N>(&self.rows, &self.rhs, &self.weights);
         for r in 0..N {
-            for (c, &g) in gram[r][..=r].iter().enumerate() {
-                self.gram[r * N + c] = g;
-            }
+            self.gram[r * N..r * N + r + 1].copy_from_slice(&gram[r][..=r]);
             self.atk[r] = atk[r];
         }
     }
 
-    /// Solves the current system, rebuilding first if the Gram matrix is
-    /// out of sync with the stored rows. The returned slice aliases
+    /// Rebuilds the Gram matrix when stale and Cholesky-factors it into
+    /// `chol`.
+    fn factor(&mut self) -> Result<(), LinalgError> {
+        if self.stale {
+            self.rebuild();
+        }
+        self.chol.clear();
+        self.chol.extend_from_slice(&self.gram);
+        cholesky::factor_in_place(&mut self.chol, self.cols)
+    }
+
+    /// Solves the current system, rebuilding the Gram matrix first if an
+    /// edit left it stale. The returned slice aliases
     /// [`NormalEq::solution`].
     ///
     /// # Errors
@@ -560,12 +384,7 @@ impl NormalEq {
     /// is singular (fewer independent rows than unknowns, or all weights
     /// collapsed to zero).
     pub fn solve(&mut self) -> Result<&[f64], LinalgError> {
-        if self.dirty {
-            self.rebuild();
-        }
-        self.chol.clear();
-        self.chol.extend_from_slice(&self.gram);
-        cholesky::factor_in_place(&mut self.chol, self.cols)?;
+        self.factor()?;
         self.solution.clear();
         self.solution.extend_from_slice(&self.atk);
         cholesky::solve_in_place(&self.chol, self.cols, &mut self.solution);
@@ -615,12 +434,7 @@ impl NormalEq {
     ///
     /// Same as [`NormalEq::solve`].
     pub fn covariance_diag_into(&mut self, out: &mut Vec<f64>) -> Result<(), LinalgError> {
-        if self.dirty {
-            self.rebuild();
-        }
-        self.chol.clear();
-        self.chol.extend_from_slice(&self.gram);
-        cholesky::factor_in_place(&mut self.chol, self.cols)?;
+        self.factor()?;
         out.clear();
         for j in 0..self.cols {
             self.unit.clear();
@@ -630,12 +444,6 @@ impl NormalEq {
             out.push(self.unit[j]);
         }
         Ok(())
-    }
-}
-
-impl Default for NormalEq {
-    fn default() -> Self {
-        NormalEq::new()
     }
 }
 
@@ -684,11 +492,11 @@ pub struct NormalIrlsOutcome {
     pub weighted_rms: f64,
 }
 
-/// IRLS over an incrementally maintained [`NormalEq`] system.
+/// IRLS over a [`NormalEq`] system.
 ///
 /// Solves once with uniform weights for `x₀`, then iterates the reweighting
-/// map `G(x)`: residuals at `x` → weights → rank-1 (or rebuilt) Gram update
-/// → Cholesky solve. Each reweight `k`:
+/// map `G(x)`: residuals at `x` → weights → Gram rebuild from the stored
+/// rows → Cholesky solve. Each reweight `k`:
 ///
 /// - computes `gₖ = G(xₖ)` and `fₖ = gₖ − xₖ`;
 /// - stops when `‖fₖ‖∞ < tolerance` (the paper's "difference between the
@@ -846,37 +654,6 @@ mod tests {
     }
 
     #[test]
-    fn rank_one_updates_match_rebuild() {
-        let rows = line_rows();
-        // High cadence: every reweight below stays rank-1.
-        let mut incremental = NormalEq::with_rebuild_every(100);
-        incremental.begin(2);
-        for (a, k) in &rows {
-            incremental.push_row(a, *k);
-        }
-        // Cadence 1: every reweight is a full rebuild.
-        let mut rebuilt = NormalEq::with_rebuild_every(1);
-        rebuilt.begin(2);
-        for (a, k) in &rows {
-            rebuilt.push_row(a, *k);
-        }
-        let seqs: [[f64; 8]; 3] = [
-            [1.0, 0.5, 2.0, 1.0, 0.1, 1.0, 3.0, 0.7],
-            [0.2, 0.2, 0.2, 5.0, 1.0, 1.0, 1.0, 1.0],
-            [1.0; 8],
-        ];
-        for w in &seqs {
-            incremental.set_weights(w).unwrap();
-            rebuilt.set_weights(w).unwrap();
-            let a = incremental.solve().unwrap().to_vec();
-            let b = rebuilt.solve().unwrap().to_vec();
-            for (p, q) in a.iter().zip(&b) {
-                assert!((p - q).abs() < 1e-9, "{a:?} vs {b:?}");
-            }
-        }
-    }
-
-    #[test]
     fn irls_matches_qr_irls() {
         let rows = line_rows();
         let refs: Vec<&[f64]> = rows.iter().map(|(a, _)| a.as_slice()).collect();
@@ -978,83 +755,6 @@ mod tests {
         assert_eq!(ne.row(7), clean.0.as_slice());
         // The clean line is recovered.
         assert!((sol[0] - 2.0).abs() < 1e-9 && (sol[1] - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn row_edits_count_toward_rebuild_cadence() {
-        // Every row edit ticks the drift budget, so a caller that only
-        // edits rows (uniform weights, sliding window) cannot accumulate
-        // unbounded rank-1 drift: crossing the budget forces a full
-        // rebuild on the next solve.
-        let rows = line_rows();
-        let mut ne = NormalEq::with_rebuild_every(4);
-        ne.begin(2);
-        for (a, k) in &rows {
-            ne.push_row(a, *k);
-        }
-        ne.solve().unwrap();
-        // Three edits: under budget, still rank-1 (no rebuild yet).
-        ne.replace_row(7, &rows[7].0, rows[7].1);
-        ne.replace_row(0, &rows[0].0, rows[0].1);
-        ne.remove_rows_front(1);
-        assert!(!ne.dirty);
-        ne.solve().unwrap();
-        assert_eq!(ne.updates_since_rebuild, 3);
-        // One more edit crosses the budget of 4: the next solve rebuilds.
-        ne.remove_rows_front(1);
-        assert!(ne.dirty);
-        ne.solve().unwrap();
-        assert_eq!(ne.updates_since_rebuild, 0);
-        // The rebuild resets the budget: further under-budget edits stay
-        // rank-1 again.
-        ne.remove_rows_front(1);
-        ne.solve().unwrap();
-        assert!(!ne.dirty);
-        assert_eq!(ne.updates_since_rebuild, 1);
-        // And the answer matches a fresh build exactly (the integer line
-        // data keeps every rank-1 edit exact).
-        let mut fresh = build(&rows[3..]);
-        assert_eq!(ne.solve().unwrap(), fresh.solve().unwrap());
-    }
-
-    #[test]
-    fn row_edits_after_a_reweight_are_rebuilt_away() {
-        // The streaming delta tick's shape: the previous tick's σ̂ step
-        // left non-uniform weights, then the slide edits rows. The IRLS
-        // restart (`reset_weights_uniform`) must rebuild from the stored
-        // rows, so the rank-1 edits leave no trace: the solve equals a
-        // fresh bulk load of the same rows bit for bit. Fractional data,
-        // so a surviving rank-1 edit would show in the last bits.
-        let row = |i: usize| {
-            let t = i as f64 * 0.37;
-            ([t.sin(), t.cos() * 1.3, 1.0], (t * 1.7).sin() + 0.1 * t)
-        };
-        let mut ne = NormalEq::new();
-        ne.begin(3);
-        let mut held: Vec<([f64; 3], f64)> = (0..12).map(row).collect();
-        for (a, k) in &held {
-            ne.push_row(a, *k);
-        }
-        ne.solve().unwrap();
-        let w: Vec<f64> = (0..12).map(|i| 0.2 + 0.07 * i as f64).collect();
-        ne.set_weights(&w).unwrap();
-        ne.remove_rows_front(2);
-        held.drain(..2);
-        let fresh_row = row(40);
-        ne.replace_row(4, &fresh_row.0, fresh_row.1);
-        held[4] = fresh_row;
-        for i in 12..15 {
-            let (a, k) = row(i);
-            ne.push_row(&a, k);
-            held.push((a, k));
-        }
-        ne.reset_weights_uniform();
-        let edited = ne.solve().unwrap().to_vec();
-        let flat: Vec<f64> = held.iter().flat_map(|(a, _)| *a).collect();
-        let rhs: Vec<f64> = held.iter().map(|(_, k)| *k).collect();
-        let mut fresh = NormalEq::new();
-        fresh.set_system(3, &flat, &rhs);
-        assert_eq!(edited, fresh.solve().unwrap());
     }
 
     #[test]

@@ -438,13 +438,12 @@ fn radical_rows_range(
 }
 
 // ---------------------------------------------------------------------------
-// Kernel 5: fixed-width weighted Gram accumulation (NormalEq bulk path).
+// Kernel 5: fixed-width weighted Gram accumulation (NormalEq rebuild).
 // ---------------------------------------------------------------------------
 
 /// Sums `Σ wᵢ·aᵢaᵢᵀ` (lower triangle; upper entries stay 0) and
 /// `Σ wᵢ·aᵢ·kᵢ` over every stored row, accumulators held in registers.
-/// `weights[i]` supplies the per-row factor — the stored weight for
-/// rebuilds, the weight *delta* for reweights.
+/// `weights[i]` is the stored weight of row `i`.
 ///
 /// Each Gram entry sees the same terms added in the same (row) order as
 /// repeated single-row accumulation, so a bulk rebuild stays

@@ -263,16 +263,11 @@ proptest! {
         b in vector_strategy(10),
         seq in proptest::collection::vec(
             proptest::collection::vec(0.1_f64..5.0, 10), 1..6),
-        cadence in 1_usize..10,
     ) {
         if !well_conditioned(&m) { return Ok(()); }
-        // Random rank-1-update/rebuild interleavings must stay in parity
-        // with a from-scratch weighted QR solve of the *final* weights.
-        let mut ne = NormalEq::with_rebuild_every(cadence);
-        ne.begin(m.cols());
-        for r in 0..m.rows() {
-            ne.push_row(m.row(r), b[r]);
-        }
+        // A sequence of reweights and solves must stay in parity with a
+        // from-scratch weighted QR solve of the *final* weights.
+        let mut ne = normal_eq_from(&m, &b);
         for w in &seq {
             ne.set_weights(w).unwrap();
             ne.solve().unwrap();
@@ -293,19 +288,13 @@ proptest! {
         fresh_b in vector_strategy(10),
         drain in 0_usize..6,
         replace in proptest::collection::vec((0_usize..2).prop_map(|v| v == 1), 10),
-        cadence in 1_usize..10,
     ) {
-        // A sliding-window edit sequence on a synced system: drain rows
+        // A sliding-window edit sequence on a solved system: drain rows
         // off the front, replace some survivors in place, push fresh rows
-        // at the back. Rank-1 downdates/updates and budget-forced
-        // rebuilds must stay in parity with a from-scratch QR solve of
-        // the edited rows.
-        let mut ne = NormalEq::with_rebuild_every(cadence);
-        ne.begin(m.cols());
-        for r in 0..m.rows() {
-            ne.push_row(m.row(r), b[r]);
-        }
-        ne.solve().ok(); // sync so the edits exercise the downdate path
+        // at the back. The solve must stay in parity with a from-scratch
+        // QR solve of the edited rows.
+        let mut ne = normal_eq_from(&m, &b);
+        ne.solve().ok();
         ne.remove_rows_front(drain);
         let mut rows: Vec<&[f64]> = Vec::new();
         let mut rhs = Vec::new();
@@ -330,6 +319,73 @@ proptest! {
         let x_ne = ne.solve().unwrap();
         for (p, q) in x_ne.iter().zip(x_qr.as_slice()) {
             prop_assert!((p - q).abs() < 1e-6 * (1.0 + q.abs()), "{p} vs {q}");
+        }
+    }
+
+    // The NormalEq bit-identity gate: a solve is a pure function of the
+    // stored rows, rhs and weights, so no interleaving of pushes, front
+    // drains, in-place replacements, reweights, uniform resets and solves
+    // may leave a trace. After every step, `solve` and
+    // `covariance_diag_into` must be `==` a fresh bulk load of what the
+    // system holds. Fractional data, so a Gram matrix patched by weight
+    // deltas or row downdates instead of rebuilt would differ in the last
+    // bits. Covers the streaming delta tick's shape (a reweight, then row
+    // edits, then the IRLS restart) and, with 5 columns, the generic
+    // accumulate path next to the fixed-width kernels.
+    #[test]
+    fn normal_eq_edits_equal_a_fresh_load(
+        cols in 2_usize..6,
+        pool in proptest::collection::vec(-10.0_f64..10.0, 16 * 5),
+        pool_k in proptest::collection::vec(-10.0_f64..10.0, 16),
+        ops in proptest::collection::vec((0_usize..6, 0_usize..16, 0.0_f64..1.0), 1..40),
+    ) {
+        let pool_row = |i: usize| &pool[i * cols..(i + 1) * cols];
+        let mut ne = NormalEq::new();
+        ne.begin(cols);
+        let mut rhs = pool_k[..cols + 2].to_vec();
+        for (i, &k) in rhs.iter().enumerate() {
+            ne.push_row(pool_row(i), k);
+        }
+        let mut fresh = NormalEq::new();
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for &(kind, i, f) in &ops {
+            let m = ne.rows();
+            match kind {
+                0 | 1 => {
+                    ne.push_row(pool_row(i), pool_k[i]);
+                    rhs.push(pool_k[i]);
+                }
+                2 => {
+                    let count = (i % 4).min(m);
+                    ne.remove_rows_front(count);
+                    rhs.drain(..count);
+                }
+                3 if m > 0 => {
+                    let at = ((f * m as f64) as usize).min(m - 1);
+                    ne.replace_row(at, pool_row(i), pool_k[i]);
+                    rhs[at] = pool_k[i];
+                    prop_assert_eq!(ne.weights()[at], 1.0);
+                }
+                4 => {
+                    let w: Vec<f64> = (0..m)
+                        .map(|r| 0.1 + (r as f64 * 0.618 + f).fract() * 4.9)
+                        .collect();
+                    ne.set_weights(&w).unwrap();
+                }
+                _ => ne.reset_weights_uniform(),
+            }
+            let flat: Vec<f64> = (0..ne.rows()).flat_map(|r| ne.row(r).to_vec()).collect();
+            fresh.set_system(cols, &flat, &rhs);
+            fresh.set_weights(ne.weights()).unwrap();
+            prop_assert_eq!(
+                ne.solve().map(<[f64]>::to_vec),
+                fresh.solve().map(<[f64]>::to_vec)
+            );
+            prop_assert_eq!(
+                ne.covariance_diag_into(&mut got),
+                fresh.covariance_diag_into(&mut want)
+            );
+            prop_assert_eq!(&got, &want);
         }
     }
 

@@ -5,6 +5,8 @@
 # Tests run with overflow-checks on (see [profile.test] in Cargo.toml);
 # the streaming parity + backpressure suites, the adaptive sweep's
 # reuse and per-cell oracles, the structured-pairing oracle, the
+# NormalEq bit-identity proptest (`normal_eq_edits_equal_a_fresh_load`,
+# under the `normal_eq` filter) and its QR oracles, the
 # accelerated-IRLS fixed-point oracle, the sliding window's sorted-Vec
 # model proptest, the engine's serial-vs-N-workers gate for batch and
 # calibration jobs and the Doctor's health suite are named explicitly

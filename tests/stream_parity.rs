@@ -8,10 +8,10 @@
 //! [`ResolveMode::Incremental`] must agree with the replay pipeline
 //! **exactly** on every tick that fell back to replay (those ticks run
 //! the replay code path) and within a documented 1e-6 on delta ticks
-//! (frozen frame, continued unwrap chain, rank-1 Gram edits — see
-//! DESIGN.md §14), under in-order, shuffled and shed arrival — with the
-//! replay/delta pattern identical on any worker count. Both parity tiers
-//! hold for the paper's weighted estimator and for plain least squares.
+//! (frozen frame, continued unwrap chain — see DESIGN.md §14), under
+//! in-order, shuffled and shed arrival — with the replay/delta pattern
+//! identical on any worker count. Both parity tiers hold for the paper's
+//! weighted estimator and for plain least squares.
 
 use lion::prelude::*;
 use lion::stream::Space;
