@@ -24,7 +24,8 @@
 //!   (the `failures_by_kind` taxonomy), and the **burn rate** — failure
 //!   rate divided by budget, so `> 1` means the budget is being spent
 //!   faster than it accrues. It is the one answer to "are solves slow
-//!   or failing?": `fleet.slo.burn_rate` and the `slo_burn_rate` alert.
+//!   or failing?": the `fleet.slo.burn_rate` gauge, which the shipped
+//!   Prometheus rule (`deploy/prometheus/lion-rules.yml`) alerts on.
 //!
 //! A process-wide [`TelemetryHub`] carries one `FleetDoctor` for the
 //! scrape server ([`crate::http`]) and the engine to share. Like the
@@ -42,7 +43,6 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-use crate::alert::{AlertEngine, AlertExpr, AlertRule};
 use crate::doctor::{HealthReport, RuleStatus, RULES};
 use crate::hist::Histogram;
 use crate::json;
@@ -474,14 +474,12 @@ impl FleetDoctor {
     }
 }
 
-/// Configuration for the hub's metrics-history plane: the store sizing,
-/// the sampling cadence and clock, and the alert rules evaluated on
-/// every sample.
+/// Configuration for the hub's metrics-history plane: the store sizing
+/// and the sampling cadence and clock.
 ///
-/// The default enables a [`WallClock`]-driven 1 s cadence with one
-/// alert, `slo_burn_rate`: `fleet.slo.burn_rate` above 1, clearing at
-/// 0.5. Doctor verdicts are not re-alerted; they reach the store as the
-/// `fleet.rule.<rule>.firing` gauges. Tests inject a
+/// The default enables a [`WallClock`]-driven 1 s cadence. Doctor
+/// verdicts reach the store as the `fleet.rule.<rule>.firing` gauges and
+/// the SLO as `fleet.slo.burn_rate`. Tests inject a
 /// [`ManualClock`](crate::ManualClock) for deterministic timestamps.
 #[derive(Debug)]
 pub struct HistoryConfig {
@@ -491,8 +489,6 @@ pub struct HistoryConfig {
     pub sample_period_ns: u64,
     /// The sampler's time source.
     pub clock: Arc<dyn SampleClock>,
-    /// Alert rules evaluated on every sample.
-    pub alert_rules: Vec<AlertRule>,
 }
 
 impl Default for HistoryConfig {
@@ -501,30 +497,21 @@ impl Default for HistoryConfig {
             tsdb: TsdbConfig::default(),
             sample_period_ns: 1_000_000_000,
             clock: Arc::new(WallClock),
-            alert_rules: vec![AlertRule::above(
-                "slo_burn_rate",
-                AlertExpr::GaugeLast {
-                    series: "fleet.slo.burn_rate".to_string(),
-                },
-                1.0,
-            )
-            .clear_at(0.5)],
         }
     }
 }
 
-/// The hub's optional history plane: store, sampler, and alert engine.
+/// The hub's optional history plane: store and sampler.
 #[derive(Debug)]
 struct HistoryPlane {
     tsdb: Arc<Tsdb>,
     sampler: Mutex<Sampler>,
-    alerts: Mutex<AlertEngine>,
 }
 
 /// Shared live-telemetry state: one fleet rollup the engine writes and
 /// the scrape server ([`crate::http::TelemetryServer`]) reads, plus an
 /// optional history plane ([`TelemetryHub::enable_history`]) backing
-/// `/query` and `/alerts`.
+/// `/query`.
 #[derive(Debug)]
 pub struct TelemetryHub {
     fleet: Mutex<FleetDoctor>,
@@ -550,18 +537,16 @@ impl TelemetryHub {
         self.with_fleet(|fleet| fleet.report())
     }
 
-    /// Attaches a history plane (store + sampler + alert engine),
+    /// Attaches a history plane (store + sampler),
     /// replacing any previous one, and returns the store handle. Call
     /// [`TelemetryHub::sample_tick`] — or spawn a
     /// [`TelemetryHub::start_background_sampler`] — to feed it.
     pub fn enable_history(&self, config: HistoryConfig) -> Arc<Tsdb> {
         let tsdb = Arc::new(Tsdb::new(config.tsdb));
         let sampler = Sampler::new(tsdb.clone(), config.sample_period_ns, config.clock);
-        let alerts = AlertEngine::new(config.alert_rules);
         let plane = HistoryPlane {
             tsdb: tsdb.clone(),
             sampler: Mutex::new(sampler),
-            alerts: Mutex::new(alerts),
         };
         *self.history.write().expect("history lock poisoned") = Some(plane);
         tsdb
@@ -585,44 +570,20 @@ impl TelemetryHub {
     }
 
     /// One sampling step: refreshes the fleet gauges into the global
-    /// registry, snapshots the registry into the store if the sampler's
-    /// clock says a sample is due, and — on a sample — runs the alert
-    /// rules at the sample timestamp. Returns the sample timestamp when
-    /// a sample was taken; no-ops (cheaply) without a history plane.
+    /// registry, then snapshots the registry into the store if the
+    /// sampler's clock says a sample is due. Returns the sample
+    /// timestamp when a sample was taken; no-ops (cheaply) without a
+    /// history plane.
     ///
     /// Deterministic by construction: the engine calls this at fixed
     /// lifecycle points and the timestamps come from the injected clock,
-    /// so alert transitions are bit-identical across worker counts.
+    /// so the stored series are bit-identical across worker counts.
     pub fn sample_tick(&self) -> Option<u64> {
         let history = self.history.read().expect("history lock poisoned");
         let plane = history.as_ref()?;
         self.fleet_report().record_into(crate::global());
-        let t_ns = plane
-            .sampler
-            .lock()
-            .expect("sampler poisoned")
-            .tick(crate::global())?;
-        plane
-            .alerts
-            .lock()
-            .expect("alert engine poisoned")
-            .evaluate(&plane.tsdb, t_ns);
-        Some(t_ns)
-    }
-
-    /// Runs `f` against the alert engine, when a history plane is
-    /// enabled.
-    pub fn with_alerts<R>(&self, f: impl FnOnce(&AlertEngine) -> R) -> Option<R> {
-        let history = self.history.read().expect("history lock poisoned");
-        let plane = history.as_ref()?;
-        let alerts = plane.alerts.lock().expect("alert engine poisoned");
-        Some(f(&alerts))
-    }
-
-    /// The alert engine's `/alerts` JSON, when a history plane is
-    /// enabled.
-    pub fn alerts_json(&self) -> Option<String> {
-        self.with_alerts(|alerts| alerts.to_json())
+        let mut sampler = plane.sampler.lock().expect("sampler poisoned");
+        sampler.tick(crate::global())
     }
 
     /// Spawns a thread that calls [`TelemetryHub::sample_tick`] every
@@ -943,16 +904,8 @@ mod tests {
     }
 
     #[test]
-    fn hub_history_plane_samples_and_alerts_deterministically() {
-        use crate::tsdb::ManualClock;
-        // The default rule set is the single SLO verdict.
-        let defaults: Vec<String> = HistoryConfig::default()
-            .alert_rules
-            .into_iter()
-            .map(|rule| rule.name)
-            .collect();
-        assert_eq!(defaults, ["slo_burn_rate"]);
-
+    fn hub_history_plane_samples_deterministically() {
+        use crate::tsdb::{ManualClock, SeriesPoints, Tier};
         let hub = TelemetryHub::new(SloConfig::default());
         assert!(!hub.history_enabled());
         assert!(hub.sample_tick().is_none());
@@ -961,31 +914,28 @@ mod tests {
         let tsdb = hub.enable_history(HistoryConfig {
             sample_period_ns: 1_000_000_000,
             clock: clock.clone(),
-            alert_rules: vec![AlertRule::above(
-                "shed",
-                AlertExpr::GaugeLast {
-                    series: "fleet.rule.ingress_shed.firing".to_string(),
-                },
-                0.0,
-            )],
             ..HistoryConfig::default()
         });
         assert!(hub.history_enabled());
 
+        let shed = || match tsdb.query("fleet.rule.ingress_shed.firing", Tier::Raw, 0, u64::MAX) {
+            Some(SeriesPoints::Gauge(points)) => {
+                points.iter().map(|p| (p.t_ns, p.last)).collect::<Vec<_>>()
+            }
+            other => panic!("gauge series, got {other:?}"),
+        };
+
         // First tick samples at t=0; the fleet gauges land in the store.
         assert_eq!(hub.sample_tick(), Some(0));
-        assert_eq!(tsdb.gauge_last("fleet.rule.ingress_shed.firing"), Some(0.0));
+        assert_eq!(shed(), [(0, 0.0)]);
         // Not due again until the clock advances a full period.
         assert_eq!(hub.sample_tick(), None);
 
-        // A shedding stream flips the gauge; the alert fires on the
-        // next due sample, at exactly the manual-clock timestamp.
+        // A shedding stream flips the gauge; the next due sample stores
+        // it at exactly the manual-clock timestamp.
         hub.with_fleet(|fleet| fleet.ingest("s9", &health(1e-3, 20)));
         clock.set(1_000_000_000);
         assert_eq!(hub.sample_tick(), Some(1_000_000_000));
-        let firing = hub.with_alerts(|a| a.firing().join(",")).unwrap();
-        assert_eq!(firing, "shed");
-        let json = hub.alerts_json().unwrap();
-        assert!(json.contains("\"state\":\"firing\""), "{json}");
+        assert_eq!(shed(), [(0, 0.0), (1_000_000_000, 1.0)]);
     }
 }

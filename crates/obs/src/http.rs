@@ -14,7 +14,6 @@
 //! | `/trace`    | Chrome-trace JSON of the flight recorder's rings    | `application/json` |
 //! | `/profile`  | Collapsed-stack flamegraph of the same rings        | `text/plain; charset=utf-8` |
 //! | `/query`    | Range query over the hub's time-series store (ndjson; `?series=&tier=&from=&to=`, no `series` lists all series) | `application/x-ndjson` |
-//! | `/alerts`   | Alert engine state: every rule + recently resolved  | `application/json` |
 //!
 //! `HEAD` is answered on every route with the same status, headers, and
 //! `Content-Length` as the `GET`, minus the body. A request head larger
@@ -60,14 +59,13 @@ const SOCKET_TIMEOUT: Duration = Duration::from_secs(2);
 const MAX_HEAD_BYTES: usize = 8 * 1024;
 
 /// The routes, fixed order — also the `/` index listing.
-const ROUTES: [&str; 7] = [
+const ROUTES: [&str; 6] = [
     "/metrics",
     "/health",
     "/snapshot",
     "/trace",
     "/profile",
     "/query",
-    "/alerts",
 ];
 
 /// A running telemetry scrape server. See the module docs for routes.
@@ -228,7 +226,6 @@ fn handle_connection(mut stream: TcpStream) -> io::Result<()> {
         "/trace" => ("200 OK", "application/json", render_trace()),
         "/profile" => ("200 OK", "text/plain; charset=utf-8", render_profile()),
         "/query" => render_query(&query),
-        "/alerts" => ("200 OK", "application/json", render_alerts()),
         _ => return not_found(&mut stream, head_only),
     };
     write_response(
@@ -246,7 +243,7 @@ fn not_found(stream: &mut TcpStream, head_only: bool) -> io::Result<()> {
         stream,
         "404 Not Found",
         "text/plain; charset=utf-8",
-        b"no such route; try /metrics /health /snapshot /trace /profile /query /alerts\n",
+        b"no such route; try /metrics /health /snapshot /trace /profile /query\n",
         &[],
         head_only,
     )
@@ -544,15 +541,6 @@ fn render_query(query: &str) -> (&'static str, &'static str, String) {
         body.push('\n');
     }
     ("200 OK", NDJSON, body)
-}
-
-/// `/alerts`: the hub's alert engine state (rules, firing/pending
-/// status, recently resolved) or an explicit not-installed envelope.
-fn render_alerts() -> String {
-    match telemetry_hub().and_then(|hub| hub.alerts_json()) {
-        Some(json) => format!("{{\"alerts_installed\":true,\"alerts\":{json}}}\n"),
-        None => "{\"alerts_installed\":false,\"alerts\":null}\n".to_string(),
-    }
 }
 
 #[cfg(test)]

@@ -30,14 +30,14 @@
 //! HTTP scrape endpoint ([`TelemetryServer`]) while the pipeline runs.
 //! The **history plane** extends the hub with an embedded time-series
 //! store ([`tsdb`]: raw/10s/1m tiers under a hard memory cap, sampled on
-//! an injectable clock) and a deterministic alerting engine ([`alert`]:
-//! threshold + `for`-duration + hysteresis alerts with trace-exemplar
-//! annotations) behind `GET /query` and `GET /alerts`.
+//! an injectable clock) behind `GET /query`. Alerting belongs to the
+//! scraper: the one rule ships as a Prometheus rule file
+//! (`deploy/prometheus/lion-rules.yml`).
 //!
 //! Each health question has one signal. "Is the calibration still
 //! good?" is the [`Doctor`]'s four rules, rolled up per fleet in
 //! [`FleetReport`]. "Are solves slow or failing?" is the fleet SLO burn
-//! rate ([`SloTracker`]) and its default `slo_burn_rate` alert.
+//! rate ([`SloTracker`]), exported as the `fleet.slo.burn_rate` gauge.
 //!
 //! # Example
 //!
@@ -59,7 +59,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod alert;
 pub mod doctor;
 pub mod export;
 pub mod fleet;
@@ -74,7 +73,6 @@ mod timer;
 pub mod trace;
 pub mod tsdb;
 
-pub use alert::{AlertEngine, AlertExpr, AlertRule, AlertState, AlertTransition, ResolvedAlert};
 pub use doctor::{
     Doctor, DoctorConfig, HealthReport, RuleReport, RuleStatus, SolveObservation, RULES,
 };

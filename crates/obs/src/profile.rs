@@ -20,8 +20,6 @@
 //! twice on a quiet system and diff cleanly.
 
 use std::collections::BTreeMap;
-use std::io::{self, Write as _};
-use std::path::Path;
 
 use crate::recorder::FlightSnapshot;
 use crate::subscriber::SpanClose;
@@ -92,14 +90,6 @@ pub fn to_collapsed_stacks(snapshot: &FlightSnapshot) -> String {
 /// Sanitizes one frame name for collapsed-stack output.
 fn clean_frame(name: &str) -> String {
     name.replace([';', ' ', '\n'], "_")
-}
-
-/// Writes [`to_collapsed_stacks`] output to `path`, for handing to
-/// `inferno-flamegraph` or dropping into speedscope.
-pub fn write_collapsed_stacks(path: &Path, snapshot: &FlightSnapshot) -> io::Result<()> {
-    let mut file = std::fs::File::create(path)?;
-    file.write_all(to_collapsed_stacks(snapshot).as_bytes())?;
-    file.flush()
 }
 
 #[cfg(test)]

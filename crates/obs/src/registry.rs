@@ -117,8 +117,8 @@ impl Registry {
 
     /// Records `value` into the histogram `name` with a trace-id
     /// exemplar attached (see [`Histogram::record_with_exemplar`]), so
-    /// alerting on the histogram can link back to the span tree that
-    /// produced its slowest values.
+    /// a slow interval of the histogram can link back to the span tree
+    /// that produced its slowest values.
     pub fn histogram_record_with_exemplar(&self, name: &str, value: u64, trace_id: u64) {
         let mut map = self.inner.lock().expect("registry poisoned");
         match map.get_mut(name) {

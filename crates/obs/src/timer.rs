@@ -56,8 +56,8 @@ impl<'a> HistogramTimer<'a> {
     /// Like [`HistogramTimer::stop`], but when an ambient trace context
     /// exists (a span is open or a [`crate::TraceContext`] is attached)
     /// the elapsed value lands with that trace id as a histogram
-    /// exemplar, so a latency alert on the histogram links back to the
-    /// span tree of its slowest observation. Without tracing this is
+    /// exemplar, so a slow interval on `/query` links back to the span
+    /// tree of its slowest observation. Without tracing this is
     /// exactly `stop()`.
     pub fn stop_traced(mut self) -> u64 {
         let elapsed = self.elapsed_ns();

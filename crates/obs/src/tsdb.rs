@@ -44,7 +44,7 @@
 //! driven by an injectable [`SampleClock`]. Production uses
 //! [`WallClock`]; tests (and the worker-count parity gate) use
 //! [`ManualClock`], which makes every sample timestamp — and therefore
-//! every downstream alert transition — deterministic.
+//! every stored series — deterministic.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -561,7 +561,7 @@ impl TsdbInner {
 }
 
 /// The embedded time-series store. Thread-safe; shared as `Arc<Tsdb>`
-/// between the sampler, the alert engine, and the HTTP plane.
+/// between the sampler and the HTTP plane.
 #[derive(Debug)]
 pub struct Tsdb {
     inner: Mutex<TsdbInner>,
@@ -717,56 +717,6 @@ impl Tsdb {
         })
     }
 
-    /// The window's histogram, rebuilt by summing the raw-tier bucket
-    /// deltas in `[now - window, now]`. `None` when the series is
-    /// missing or not a histogram; the result may be empty.
-    pub fn window_histogram(&self, name: &str, window_ns: u64, now_ns: u64) -> Option<Histogram> {
-        let from = now_ns.saturating_sub(window_ns);
-        let points = match self.query(name, Tier::Raw, from, now_ns)? {
-            SeriesPoints::Histogram(v) => v,
-            _ => return None,
-        };
-        let mut total: Vec<(u32, u64)> = Vec::new();
-        for p in &points {
-            merge_sparse(&mut total, &p.buckets);
-        }
-        Some(Histogram::from_sparse(&total))
-    }
-
-    /// The `q`-quantile of the values recorded in `[now - window, now]`,
-    /// reconstructed from stored histogram deltas. `None` when the
-    /// window holds no observations.
-    pub fn window_quantile(&self, name: &str, q: f64, window_ns: u64, now_ns: u64) -> Option<f64> {
-        let h = self.window_histogram(name, window_ns, now_ns)?;
-        if h.is_empty() {
-            return None;
-        }
-        Some(h.quantile(q) as f64)
-    }
-
-    /// Exemplars carried by the histogram points in `[now - window,
-    /// now]`, merged deterministically (largest values retained).
-    pub fn window_exemplars(&self, name: &str, window_ns: u64, now_ns: u64) -> Vec<Exemplar> {
-        let from = now_ns.saturating_sub(window_ns);
-        let Some(SeriesPoints::Histogram(points)) = self.query(name, Tier::Raw, from, now_ns)
-        else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for p in &points {
-            merge_exemplars(&mut out, &p.exemplars);
-        }
-        out
-    }
-
-    /// The most recent raw gauge value of `name`.
-    pub fn gauge_last(&self, name: &str) -> Option<f64> {
-        match self.query(name, Tier::Raw, 0, u64::MAX)? {
-            SeriesPoints::Gauge(v) => v.last().map(|p| p.last),
-            _ => None,
-        }
-    }
-
     /// Current accounting: series/byte totals plus the deterministic
     /// insertion and eviction counters.
     pub fn stats(&self) -> TsdbStats {
@@ -872,7 +822,7 @@ impl Sampler {
             }
         }
         self.sample_at(registry, now);
-        self.next_due_ns = Some(now + self.period_ns);
+        self.next_due_ns = Some(now.saturating_add(self.period_ns));
         Some(now)
     }
 
@@ -1003,29 +953,6 @@ mod tests {
         assert_eq!(b.sum, 9.0);
         // Raw keeps everything (capacity 8).
         assert_eq!(db.query("g", Tier::Raw, 0, u64::MAX).unwrap().len(), 4);
-    }
-
-    #[test]
-    fn histogram_deltas_rebuild_window_quantiles() {
-        let db = Tsdb::new(small_config());
-        let mut h = Histogram::new();
-        h.record(1_000);
-        let (b, c, s) = h.sparse_delta(None);
-        db.push_histogram_delta("h", 1_000_000_000, c, s, b, vec![]);
-        let prev = h.clone();
-        h.record(50_000);
-        h.record(60_000);
-        let (b, c, s) = h.sparse_delta(Some(&prev));
-        db.push_histogram_delta("h", 2_000_000_000, c, s, b, vec![]);
-        // Whole window: all three values.
-        let full = db.window_histogram("h", u64::MAX, 2_000_000_000).unwrap();
-        assert_eq!(full.count(), 3);
-        // Window covering only the second increment: two values, and the
-        // p99 reflects them (within bucket error).
-        let q = db
-            .window_quantile("h", 0.99, 1_500_000_000, 2_000_000_000)
-            .unwrap();
-        assert!((60_000.0..=60_000.0 * 1.0625).contains(&q), "p99 {q}");
     }
 
     #[test]
@@ -1164,7 +1091,10 @@ mod tests {
         assert_eq!(h[0].sum, 1_000);
         assert_eq!(h[1].count, 1);
         assert_eq!(h[1].sum, 2_000);
-        assert_eq!(db.gauge_last("g"), Some(1.5));
+        let SeriesPoints::Gauge(g) = db.query("g", Tier::Raw, 0, u64::MAX).unwrap() else {
+            panic!("gauge series");
+        };
+        assert_eq!(g.iter().map(|p| p.last).collect::<Vec<_>>(), [1.5, 1.5]);
     }
 
     #[test]
@@ -1190,37 +1120,21 @@ mod tests {
     }
 
     #[test]
-    fn window_exemplars_merge_across_points() {
-        let db = Tsdb::new(small_config());
-        db.push_histogram_delta(
-            "h",
-            1_000_000_000,
-            1,
-            100,
-            vec![(10, 1)],
-            vec![Exemplar {
-                value: 100,
-                trace_id: 1,
-            }],
-        );
-        db.push_histogram_delta(
-            "h",
-            2_000_000_000,
-            1,
-            900,
-            vec![(40, 1)],
-            vec![Exemplar {
-                value: 900,
-                trace_id: 2,
-            }],
-        );
-        let ex = db.window_exemplars("h", u64::MAX, 2_000_000_000);
-        assert_eq!(ex.len(), 2);
-        assert_eq!(ex.last().unwrap().trace_id, 2);
+    fn sampler_deadline_saturates_near_the_end_of_the_clock() {
+        let registry = Registry::new();
+        registry.gauge_set("g", 1.0);
+        let clock = ManualClock::new(u64::MAX - 5);
+        let db = Arc::new(Tsdb::new(TsdbConfig::default()));
+        let mut sampler = Sampler::new(db, 10, clock);
+        assert_eq!(sampler.tick(&registry), Some(u64::MAX - 5));
+        // The next deadline saturates at u64::MAX instead of wrapping
+        // to 4, so the same instant is not due again.
+        assert_eq!(sampler.tick(&registry), None);
+        assert_eq!(sampler.ticks(), 1);
     }
 
     #[test]
-    fn window_exemplars_exclude_traces_recorded_before_the_window() {
+    fn stored_exemplars_exclude_traces_recorded_before_the_point() {
         let sec = 1_000_000_000u64;
         let registry = Registry::new();
         let clock = ManualClock::new(0);
@@ -1234,9 +1148,18 @@ mod tests {
             clock.set(t * 10 * sec);
             sampler.tick(&registry);
         }
-        assert_eq!(db.window_exemplars("h", u64::MAX, 60 * sec).len(), 1);
-        let p99 = db.window_quantile("h", 0.99, 10 * sec, 60 * sec).unwrap();
-        assert!(p99 < 2_000.0, "window p99 {p99}");
-        assert!(db.window_exemplars("h", 10 * sec, 60 * sec).is_empty());
+        let SeriesPoints::Histogram(points) = db.query("h", Tier::Raw, 0, u64::MAX).unwrap() else {
+            panic!("histogram series");
+        };
+        assert_eq!(points.len(), 7);
+        // Only the t = 0 point carries the slow solve's trace; every
+        // later point holds one fast, untraced solve and no exemplar.
+        assert_eq!(points[0].t_ns, 0);
+        assert_eq!(points[0].exemplars.len(), 1);
+        assert_eq!(points[0].exemplars[0].trace_id, 0xabc);
+        for p in &points[1..] {
+            assert_eq!((p.count, p.sum), (1, 1_000), "point at {}", p.t_ns);
+            assert!(p.exemplars.is_empty(), "stale exemplar at {}", p.t_ns);
+        }
     }
 }

@@ -180,6 +180,12 @@ fn unknown_routes_404_and_non_get_405_with_allow() {
     let (head, _) = get(&server, "/nope");
     assert!(head.starts_with("HTTP/1.1 404 Not Found"), "{head}");
 
+    // Alerting lives in the scraper's rule file; the plane serves no
+    // `/alerts`, and the 404 body no longer suggests it.
+    let (head, body) = get(&server, "/alerts");
+    assert!(head.starts_with("HTTP/1.1 404 Not Found"), "{head}");
+    assert!(!String::from_utf8(body).expect("utf8").contains("/alerts"));
+
     let (head, _) = exchange(
         &server,
         "POST /metrics HTTP/1.1\r\nHost: test\r\nContent-Length: 0\r\n\r\n",
@@ -216,7 +222,6 @@ fn unknown_routes_404_and_non_get_405_with_allow() {
         "/trace",
         "/profile",
         "/query",
-        "/alerts",
     ] {
         assert!(index.contains(route), "index missing {route}");
     }
@@ -266,7 +271,6 @@ fn head_answers_every_route_with_headers_and_no_body() {
         "/trace",
         "/profile",
         "/query",
-        "/alerts",
     ] {
         let (head, body) = exchange(
             &server,
@@ -294,23 +298,18 @@ fn head_answers_every_route_with_headers_and_no_body() {
 }
 
 #[test]
-fn query_and_alerts_serve_the_history_plane() {
+fn query_serves_the_history_plane() {
     let _serial = global_state_lock();
     lion_obs::global().clear();
     let server = TelemetryServer::bind("127.0.0.1:0").expect("bind");
 
-    // Without a hub the routes answer with explicit not-installed
-    // envelopes rather than errors.
+    // Without a hub the route answers with an explicit not-installed
+    // envelope rather than an error.
     let (head, body) = get(&server, "/query");
     assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
     assert!(String::from_utf8(body)
         .expect("utf8")
         .contains("\"history_installed\":false"));
-    let (head, body) = get(&server, "/alerts");
-    assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
-    assert!(String::from_utf8(body)
-        .expect("utf8")
-        .contains("\"alerts_installed\":false"));
 
     // Install the hub with history and feed it deterministic samples on
     // a manual clock.
@@ -318,14 +317,6 @@ fn query_and_alerts_serve_the_history_plane() {
     let clock = lion_obs::ManualClock::new(0);
     let tsdb = hub.enable_history(lion_obs::fleet::HistoryConfig {
         clock: clock.clone(),
-        alert_rules: vec![lion_obs::AlertRule::above(
-            "hot_gauge",
-            lion_obs::AlertExpr::GaugeLast {
-                series: "plane.load".to_string(),
-            },
-            0.5,
-        )
-        .clear_at(0.25)],
         ..Default::default()
     });
     tsdb.push_gauge("plane.load", 1_000_000_000, 0.9);
@@ -369,26 +360,6 @@ fn query_and_alerts_serve_the_history_plane() {
     assert!(head.starts_with("HTTP/1.1 400 Bad Request"), "{head}");
     let (head, _) = get(&server, "/query?series=no.such.series");
     assert!(head.starts_with("HTTP/1.1 404 Not Found"), "{head}");
-
-    // /alerts: the engine saw the breaching gauge on the first tick.
-    let (head, body) = get(&server, "/alerts");
-    assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
-    assert_eq!(
-        header_value(&head, "Content-Type"),
-        Some("application/json")
-    );
-    let alerts = String::from_utf8(body).expect("utf8 alerts");
-    let doc = lion_obs::json::parse(alerts.trim()).expect("alerts parse");
-    assert_eq!(
-        doc.get("alerts_installed").and_then(|v| v.as_bool()),
-        Some(true)
-    );
-    let rules = doc
-        .get("alerts")
-        .and_then(|a| a.get("rules"))
-        .and_then(|v| v.as_array())
-        .expect("rules array");
-    assert!(!rules.is_empty());
 
     server.shutdown();
     lion_obs::uninstall_telemetry_hub();

@@ -25,11 +25,10 @@
 //!
 //! With `--serve <addr>` the run switches to **fleet mode**: it installs
 //! the telemetry hub + flight recorder, enables the metrics history
-//! plane (embedded time-series store + alert rules + background
-//! sampler), starts the HTTP scrape server, and drives twelve doctored
-//! portal streams through [`Engine::run_streams`] while `/metrics`,
-//! `/health`, `/snapshot`, `/trace`, `/profile`, `/query`, and `/alerts`
-//! answer live. Add `--hold` to keep the server up after the fleet
+//! plane (embedded time-series store + background sampler), starts the
+//! HTTP scrape server, and drives twelve doctored portal streams through
+//! [`Engine::run_streams`] while `/metrics`, `/health`, `/snapshot`,
+//! `/trace`, `/profile`, and `/query` answer live. Add `--hold` to keep the server up after the fleet
 //! drains (press Enter to stop) — port `0` picks an ephemeral port and
 //! prints it.
 
@@ -89,15 +88,15 @@ fn serve_fleet(addr: &str) -> Result<(), Box<dyn std::error::Error>> {
     let hold = std::env::args().any(|a| a == "--hold");
     lion::obs::install_flight_recorder(1 << 14);
     let hub = install_telemetry_hub(SloConfig::default());
-    // History plane: the embedded time-series store (raw/10s/1m tiers),
-    // the default SLO burn-rate alert, and a background sampler that
-    // snapshots the registry once a second while held.
+    // History plane: the embedded time-series store (raw/10s/1m tiers)
+    // and a background sampler that snapshots the registry once a second
+    // while held.
     hub.enable_history(HistoryConfig::default());
     let sampler = hub.start_background_sampler(std::time::Duration::from_millis(250));
     let server = TelemetryServer::bind(addr)?;
     println!("== conveyor fleet: live telemetry ==");
     println!("scrape  http://{}/metrics", server.local_addr());
-    for route in ["health", "snapshot", "trace", "profile", "query", "alerts"] {
+    for route in ["health", "snapshot", "trace", "profile", "query"] {
         println!("        http://{}/{route}", server.local_addr());
     }
     println!();
@@ -126,9 +125,6 @@ fn serve_fleet(addr: &str) -> Result<(), Box<dyn std::error::Error>> {
     let report = hub.fleet_report();
     report.record_into(lion::obs::global());
     print!("{report}");
-    if let Some(summary) = hub.with_alerts(|alerts| alerts.summary()) {
-        println!("{summary}");
-    }
     if let Some(tsdb) = hub.tsdb() {
         let stats = tsdb.stats();
         println!(

@@ -23,8 +23,8 @@
 //! With `--serve <addr>` the run starts the HTTP scrape server before
 //! the batch, installs the telemetry hub with the metrics history plane
 //! enabled, and publishes the batch report into the global registry, so
-//! `/metrics`, `/snapshot`, `/trace`, `/profile`, `/query`, and
-//! `/alerts` all carry the run. Add `--hold` to keep serving after the
+//! `/metrics`, `/snapshot`, `/trace`, `/profile`, and `/query` all
+//! carry the run. Add `--hold` to keep serving after the
 //! table renders (Enter stops).
 
 use lion::obs::export::{append_json_line, parse_json_line, to_json_line, write_chrome_trace};
@@ -68,8 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|_| install_flight_recorder(1 << 16))
         .or_else(|| server.as_ref().map(|_| install_flight_recorder(1 << 14)));
     // Serving also installs the telemetry hub with the history plane
-    // enabled, so `/query` has stored samples to range over and
-    // `/alerts` has a live (if rule-less) engine to render.
+    // enabled, so `/query` has stored samples to range over.
     let hub = server.as_ref().map(|_| {
         let hub = install_telemetry_hub(SloConfig::default());
         hub.enable_history(HistoryConfig::default());
@@ -77,7 +76,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
     if let Some(server) = &server {
         println!(
-            "serving http://{}/metrics (and /health /snapshot /trace /profile /query /alerts)",
+            "serving http://{}/metrics (and /health /snapshot /trace /profile /query)",
             server.local_addr()
         );
     }
@@ -124,9 +123,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // One history sample of the just-published report, so `/query`
         // serves the run's counters and stage histograms as points.
         hub.sample_tick();
-        if let Some(summary) = hub.with_alerts(|alerts| alerts.summary()) {
-            println!("alerts: {summary}");
-        }
     }
 
     println!("== telemetry dashboard: {label} ==");

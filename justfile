@@ -28,7 +28,7 @@ verify:
     cargo test -q -p lion-linalg --test simd_parity
     cargo test -q -p lion-obs --test http_plane
     cargo test -q --test fleet_health
-    cargo test -q --test alerts_history --test doctor
+    cargo test -q --test history_determinism --test doctor
     cargo build --release --offline --manifest-path bench_e2e/Cargo.toml
     cargo test --release --offline --manifest-path bench_e2e/Cargo.toml
     cargo clippy --workspace --all-targets -- -D warnings
@@ -90,15 +90,10 @@ trace:
     cargo run --release --example conveyor_stream -- --trace target/trace
 
 # Live telemetry plane for manual poking: run the twelve-portal fleet
-# under the HTTP scrape server and hold until Enter. Scrape
-# /metrics /health /snapshot /trace /profile /query /alerts on the
-# printed port.
+# under the HTTP scrape server, with the embedded TSDB sampling in the
+# background, and hold until Enter. Scrape /metrics /health /snapshot
+# /trace /profile /query on the printed port; range-query stored series
+# with `curl 'http://127.0.0.1:9184/query?series=<name>&tier=raw'`.
+# Alert rules for a Prometheus scraper: deploy/prometheus/lion-rules.yml.
 serve:
-    cargo run --release --example conveyor_stream -- --serve 127.0.0.1:9184 --hold
-
-# Metrics-history & alerting demo: same fleet as `just serve` with the
-# embedded TSDB sampling in the background; range-query stored series
-# with `curl 'http://127.0.0.1:9184/query?series=<name>&tier=raw'` and
-# watch alert states at /alerts while it holds.
-alerts:
     cargo run --release --example conveyor_stream -- --serve 127.0.0.1:9184 --hold

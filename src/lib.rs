@@ -29,10 +29,9 @@
 //!   fleet-wide rollups and SLO budgets, log-linear latency histograms,
 //!   a telemetry registry with JSON-lines, Prometheus, and Chrome-trace
 //!   (Perfetto) exporters, an embedded metrics time-series store with
-//!   multi-resolution downsampling and a deterministic alerting engine
-//!   ([`obs::tsdb`], [`obs::alert`]), and a live HTTP scrape plane
-//!   ([`obs::http::TelemetryServer`]: `/metrics`, `/health`,
-//!   `/snapshot`, `/trace`, `/profile`, `/query`, `/alerts`),
+//!   multi-resolution downsampling ([`obs::tsdb`]), and a live HTTP
+//!   scrape plane ([`obs::http::TelemetryServer`]: `/metrics`,
+//!   `/health`, `/snapshot`, `/trace`, `/profile`, `/query`),
 //!
 //! and bundles the types most programs touch into [`prelude`], plus the
 //! workspace-wide [`Error`] that every per-crate error converts into.
@@ -102,9 +101,9 @@ pub mod prelude {
     pub use lion_engine::{Engine, Job, MetricsReport, StreamJob};
     pub use lion_geom::{CircularArc, LineSegment, Point3, Trajectory, Vec3};
     pub use lion_obs::{
-        install_flight_recorder, install_telemetry_hub, uninstall_telemetry_hub, AlertExpr,
-        AlertRule, Doctor, DoctorConfig, FlightSnapshot, HealthReport, Histogram, HistoryConfig,
-        ManualClock, Registry, SloConfig, TelemetryServer, Tier, TraceContext,
+        install_flight_recorder, install_telemetry_hub, uninstall_telemetry_hub, Doctor,
+        DoctorConfig, FlightSnapshot, HealthReport, Histogram, HistoryConfig, ManualClock,
+        Registry, SloConfig, TelemetryServer, Tier, TraceContext,
     };
     pub use lion_sim::{
         Antenna, Environment, NoiseModel, PhaseTrace, SampleSource, ScenarioBuilder, Tag,

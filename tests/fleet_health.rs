@@ -6,7 +6,9 @@
 //! asserts `/health` carries the full rollup — per-rule firing counts,
 //! healthy/degraded totals, SLO budget burn — and that the engine's
 //! outcomes are bit-identical to a hub-less run of the same jobs (the
-//! telemetry plane observes; it must not perturb).
+//! telemetry plane observes; it must not perturb). It also checks the
+//! shipped Prometheus rule file against the `/metrics` scrape, so an
+//! alert cannot name a metric the exporter does not serve.
 //!
 //! The hub, registry, and recorder are process globals, so this file
 //! holds exactly one test.
@@ -55,6 +57,56 @@ fn fleet_jobs() -> Vec<StreamJob> {
             job
         })
         .collect()
+}
+
+/// The Prometheus rule file shipped for deployments.
+const RULES: &str = include_str!("../deploy/prometheus/lion-rules.yml");
+
+/// Metric names in a PromQL expression: the identifiers that are not
+/// numbers, keywords, function calls or aggregations (followed by `(`,
+/// `by` or `without`), `{...}` label matchers or `by (...)`-style
+/// grouping labels.
+fn metric_names(expr: &str) -> Vec<&str> {
+    const GROUPING: [&str; 6] = [
+        "by",
+        "without",
+        "on",
+        "ignoring",
+        "group_left",
+        "group_right",
+    ];
+    const KEYWORDS: [&str; 5] = ["and", "or", "unless", "bool", "offset"];
+    let is_ident = |c: char| c.is_ascii_alphanumeric() || c == '_' || c == ':';
+    let mut names = Vec::new();
+    let (mut start, mut last, mut skip_until) = (0, "", None);
+    for (i, c) in expr.char_indices().chain([(expr.len(), ' ')]) {
+        if is_ident(c) {
+            continue;
+        }
+        let ident = &expr[start..i];
+        start = i + c.len_utf8();
+        if !ident.is_empty() {
+            last = ident;
+        }
+        let next = expr[i..].trim_start();
+        let next_word = next.split(|c: char| !is_ident(c)).next().unwrap_or("");
+        let is_operator = next.starts_with('(') || ["by", "without"].contains(&next_word);
+        if skip_until.is_none()
+            && !is_operator
+            && ident.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_')
+            && !GROUPING.contains(&ident)
+            && !KEYWORDS.contains(&ident)
+        {
+            names.push(ident);
+        }
+        match c {
+            '{' => skip_until = Some('}'),
+            '(' if GROUPING.contains(&last) => skip_until = Some(')'),
+            c if Some(c) == skip_until => skip_until = None,
+            _ => {}
+        }
+    }
+    names
 }
 
 fn scrape(addr: std::net::SocketAddr, path: &str) -> String {
@@ -142,6 +194,28 @@ fn fleet_rollup_is_scrapeable_and_does_not_perturb_outcomes() {
     );
     assert!(metrics.contains("fleet_rule_ingress_shed_firing 2"));
     assert!(metrics.contains("# TYPE fleet_slo_burn_rate gauge"));
+
+    // The shipped Prometheus rule file alerts on names this exporter
+    // really serves: every metric in an `expr:` line is a gauge here.
+    assert_eq!(
+        metric_names(r#"sum by (job) (rate(a_total{job="x"}[5m])) > 0.5 and on (i) b"#),
+        ["a_total", "b"]
+    );
+    let exprs: Vec<&str> = RULES
+        .lines()
+        .filter_map(|line| line.trim().strip_prefix("expr:"))
+        .collect();
+    assert!(!exprs.is_empty(), "no expr: lines in the rule file");
+    for expr in exprs {
+        let names = metric_names(expr);
+        assert!(!names.is_empty(), "no metric in `{expr}`");
+        for name in names {
+            assert!(
+                metrics.contains(&format!("# TYPE {name} gauge")),
+                "rule metric {name} is not a gauge on /metrics"
+            );
+        }
+    }
 
     // And the rollup is submission-order deterministic: the worst shed
     // offender is one of the two starved slots, by stream id.
