@@ -15,7 +15,7 @@
 use std::time::Instant;
 
 use lion_geom::{Point3, Vec3};
-use lion_linalg::{IrlsConfig, NormalEq, NormalIrlsScratch, WeightFunction};
+use lion_linalg::{IrlsConfig, NormalEq, NormalIrlsOutcome, NormalIrlsScratch, WeightFunction};
 use serde::{Deserialize, Serialize};
 
 use crate::error::CoreError;
@@ -792,7 +792,7 @@ pub(crate) fn solve_prepared(
     let m = design.rows();
     ne.set_system(k + 1, design.as_slice(), rhs.as_slice());
     let outcome = lion_linalg::solve_irls_normal(ne, &config.weighting.irls(), ne_irls)?;
-    normal_param_std(ne, ne_irls, param_std, cov_diag);
+    normal_param_std(ne, &outcome, ne_irls, param_std, cov_diag);
     solution.clear();
     solution.extend_from_slice(ne.solution());
     metrics.solve_ns += elapsed_ns(t);
@@ -899,14 +899,17 @@ pub(crate) fn assemble_position(
 }
 
 /// Per-parameter standard errors `√diag(σ̂²·(AᵀWA)⁻¹)` from a solved
-/// normal-equation system and its IRLS scratch — the one σ̂ routine,
-/// shared by every batch solve and the incremental delta ticks. Writes
-/// the 1σ errors (coordinates then `d_r`) into `param_std`, leaving it
-/// empty when the covariance is unavailable (no spare degrees of
-/// freedom, degenerate weights, or a singular Gram matrix).
+/// normal-equation system, the IRLS run that solved it and that run's
+/// scratch — the one σ̂ routine, shared by every batch solve and the
+/// incremental delta ticks. σ̂² comes from the run's own `Σw` and `Σw·r²`,
+/// and the final weights move into `ne` by swap for the covariance.
+/// Writes the 1σ errors (coordinates then `d_r`) into `param_std`,
+/// leaving it empty when the covariance is unavailable (no spare degrees
+/// of freedom, degenerate weights, or a singular Gram matrix).
 pub(crate) fn normal_param_std(
     ne: &mut NormalEq,
-    irls: &NormalIrlsScratch,
+    outcome: &NormalIrlsOutcome,
+    irls: &mut NormalIrlsScratch,
     param_std: &mut Vec<f64>,
     cov_diag: &mut Vec<f64>,
 ) {
@@ -916,22 +919,15 @@ pub(crate) fn normal_param_std(
     if m <= cols {
         return;
     }
-    let wsum: f64 = irls.weights().iter().sum();
+    let wsum = outcome.weight_sum;
     // NaN-safe: `>` is false for NaN, so NaN weight sums bail out too.
     let wsum_ok = wsum > 0.0;
     if !wsum_ok {
         return;
     }
     let dof = (m - cols) as f64;
-    let sigma2 = irls
-        .residuals()
-        .iter()
-        .zip(irls.weights())
-        .map(|(r, w)| w * r * r)
-        .sum::<f64>()
-        / dof.max(1.0)
-        / (wsum / m as f64).max(f64::MIN_POSITIVE);
-    if ne.set_weights(irls.weights()).is_ok() && ne.covariance_diag_into(cov_diag).is_ok() {
+    let sigma2 = outcome.weighted_sq_sum / dof.max(1.0) / (wsum / m as f64).max(f64::MIN_POSITIVE);
+    if ne.adopt_irls_weights(irls).is_ok() && ne.covariance_diag_into(cov_diag).is_ok() {
         param_std.extend(cov_diag.iter().map(|d| (sigma2 * d).max(0.0).sqrt()));
     }
 }

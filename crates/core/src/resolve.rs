@@ -393,7 +393,8 @@ impl IncrementalState {
         let m = self.ne.rows();
         crate::localizer::normal_param_std(
             &mut self.ne,
-            &self.irls,
+            &outcome,
+            &mut self.irls,
             &mut self.param_std,
             &mut self.cov_diag,
         );

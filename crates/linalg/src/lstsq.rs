@@ -17,7 +17,6 @@ use crate::anderson::Anderson;
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
 use crate::qr::Qr;
-use crate::stats;
 use crate::vector::Vector;
 
 /// Weighting scheme applied to equation residuals between IRLS iterations.
@@ -53,16 +52,15 @@ impl WeightFunction {
     /// `out` has grown to the batch size — the IRLS loop calls this once per
     /// iteration.
     pub fn weights_into(&self, residuals: &[f64], out: &mut Vec<f64>) {
-        let (sum, sumsq) = residuals
-            .iter()
-            .fold((0.0_f64, 0.0_f64), |(s, q), &r| (s + r, q + r * r));
+        let (sum, sumsq) = crate::simd::sum_sumsq(residuals);
         self.weights_into_with_stats(residuals, sum, sumsq, out);
     }
 
     /// [`WeightFunction::weights_into`] for callers that already hold
-    /// `Σr` and `Σr²` accumulated left-to-right over `residuals` (e.g.
-    /// fused into the residual computation itself) — the results are
-    /// identical, one pass cheaper.
+    /// `Σr` and `Σr²` over `residuals`, summed in
+    /// [`crate::simd::sum_sumsq`]'s order (e.g. fused into the residual
+    /// computation itself, as [`crate::NormalEq::residuals_stats_into`]
+    /// does) — the results are identical, one pass cheaper.
     pub fn weights_into_with_stats(
         &self,
         residuals: &[f64],
@@ -70,17 +68,22 @@ impl WeightFunction {
         sumsq: f64,
         out: &mut Vec<f64>,
     ) {
-        out.clear();
         match *self {
-            WeightFunction::Uniform => out.resize(residuals.len(), 1.0),
-            WeightFunction::Huber { delta } => out.extend(residuals.iter().map(|r| {
-                let a = r.abs();
-                if a <= delta || a == 0.0 {
-                    1.0
-                } else {
-                    delta / a
-                }
-            })),
+            WeightFunction::Uniform => {
+                out.clear();
+                out.resize(residuals.len(), 1.0);
+            }
+            WeightFunction::Huber { delta } => {
+                out.clear();
+                out.extend(residuals.iter().map(|r| {
+                    let a = r.abs();
+                    if a <= delta || a == 0.0 {
+                        1.0
+                    } else {
+                        delta / a
+                    }
+                }));
+            }
             WeightFunction::GaussianResidual => {
                 // σ² = E[r²] − μ² from the fused sums, with a
                 // non-negativity guard against cancellation.
@@ -94,24 +97,21 @@ impl WeightFunction {
                 if sigma2 < MIN_SIGMA * MIN_SIGMA {
                     // Residuals are (numerically) identical: equations are
                     // equally reliable, weight them uniformly.
+                    out.clear();
                     out.resize(n, 1.0);
                     return;
                 }
-                // Hoist the division out of the row loop: z²/2 becomes a
-                // multiply by 1/(2σ²) per equation. The exponentiation
-                // runs as a second branch-free pass over the slice so it
-                // can vectorize.
-                let inv_two_sigma2 = 0.5 / sigma2;
-                out.extend(residuals.iter().map(|r| {
-                    let d = r - mu;
-                    -(d * d) * inv_two_sigma2
-                }));
+                // Every entry is overwritten; in the IRLS loops `out`
+                // already holds one weight per row, so this writes nothing.
+                out.resize(n, 0.0);
                 // One weight kernel, one tolerance: every IRLS path (QR
                 // and normal-equation) derives its Gaussian weights
-                // through `simd::exp_non_positive`, whose accuracy
-                // contract (relative error below 7e-12 on the reduced
-                // range) is documented once, there.
-                crate::simd::exp_non_positive(out);
+                // through `simd::gaussian_weights`, whose exponential's
+                // accuracy contract (relative error below 7e-12 on the
+                // reduced range) is documented once, at
+                // `simd::exp_non_positive`. The division is hoisted out
+                // of the row loop: z²/2 becomes a multiply by 1/(2σ²).
+                crate::simd::gaussian_weights(residuals, mu, 0.5 / sigma2, out);
             }
         }
     }
@@ -337,7 +337,13 @@ pub fn solve_irls(a: &Matrix, k: &Vector, config: &IrlsConfig) -> Result<IrlsRep
             }
         }
     }
-    let mean_residual = stats::mean(&res).unwrap_or(0.0);
+    // Σr in `simd::sum_sumsq` order, like the normal-equation route's
+    // mean residual.
+    let mean_residual = if res.is_empty() {
+        0.0
+    } else {
+        crate::simd::sum_sumsq(&res).0 / res.len() as f64
+    };
     let wsum: f64 = weights.iter().sum();
     let weighted_rms = if wsum > 0.0 {
         (res.iter()

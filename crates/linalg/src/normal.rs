@@ -48,6 +48,7 @@ use crate::anderson::Anderson;
 use crate::cholesky;
 use crate::error::LinalgError;
 use crate::lstsq::{IrlsConfig, WeightFunction};
+use crate::simd;
 
 /// Accumulates the lower triangle of `w·a·aᵀ` into `gram` and `w·a·k`
 /// into `atk`.
@@ -68,31 +69,10 @@ fn accumulate(gram: &mut [f64], atk: &mut [f64], cols: usize, a: &[f64], k: f64,
     }
 }
 
-/// Fixed-width residual kernel `rᵢ = aᵢ·x − kᵢ` with fused `(Σr, Σr²)`
-/// accumulation; same ascending-column summation (from 0) as the generic
-/// path, so the values are bit-identical — the constant width just lets
-/// the dot product unroll.
-#[inline]
-fn residuals_fixed<const N: usize>(
-    rows: &[f64],
-    rhs: &[f64],
-    x: &[f64],
-    out: &mut Vec<f64>,
-) -> (f64, f64) {
-    let x: &[f64; N] = x[..N].try_into().expect("solution length equals N");
-    let mut sum = 0.0;
-    let mut sumsq = 0.0;
-    out.extend(rows.chunks_exact(N).zip(rhs).map(|(a, &k)| {
-        let mut dot = 0.0;
-        for c in 0..N {
-            dot += a[c] * x[c];
-        }
-        let r = dot - k;
-        sum += r;
-        sumsq += r * r;
-        r
-    }));
-    (sum, sumsq)
+/// The first `N` entries of a solution vector, as the fixed-width
+/// kernels take them.
+fn fixed<const N: usize>(x: &[f64]) -> &[f64; N] {
+    x[..N].try_into().expect("solution length equals N")
 }
 
 /// Weighted normal equations `AᵀWA · x = AᵀWk` over stored rows.
@@ -397,34 +377,60 @@ impl NormalEq {
         self.residuals_stats_into(x, out);
     }
 
-    /// [`NormalEq::residuals_into`] fused with a left-to-right `(Σr, Σr²)`
-    /// accumulation — exactly what the Gaussian weight function consumes
-    /// via [`WeightFunction::weights_into_with_stats`], one pass cheaper
-    /// than computing the sums separately.
+    /// [`NormalEq::residuals_into`] fused with the `(Σr, Σr²)` that the
+    /// Gaussian weight function consumes via
+    /// [`WeightFunction::weights_into_with_stats`], summed in
+    /// [`crate::simd::sum_sumsq`]'s interleaved order — one pass cheaper
+    /// than computing the sums separately. The 2–4 column systems the
+    /// localizers build run [`crate::simd::residuals_fixed`].
     pub fn residuals_stats_into(&self, x: &[f64], out: &mut Vec<f64>) -> (f64, f64) {
-        out.clear();
+        // Every entry is overwritten below; in the IRLS loop `out` already
+        // has this length, so the resize writes nothing.
+        out.resize(self.rhs.len(), 0.0);
         match self.cols {
-            2 => residuals_fixed::<2>(&self.rows, &self.rhs, x, out),
-            3 => residuals_fixed::<3>(&self.rows, &self.rhs, x, out),
-            4 => residuals_fixed::<4>(&self.rows, &self.rhs, x, out),
+            2 => simd::residuals_fixed::<2>(&self.rows, &self.rhs, fixed(x), out),
+            3 => simd::residuals_fixed::<3>(&self.rows, &self.rhs, fixed(x), out),
+            4 => simd::residuals_fixed::<4>(&self.rows, &self.rhs, fixed(x), out),
             _ => {
-                let mut sum = 0.0;
-                let mut sumsq = 0.0;
-                for i in 0..self.rhs.len() {
-                    let start = i * self.cols;
-                    let dot: f64 = self.rows[start..start + self.cols]
-                        .iter()
-                        .zip(x)
-                        .map(|(p, q)| p * q)
-                        .sum();
-                    let r = dot - self.rhs[i];
-                    sum += r;
-                    sumsq += r * r;
-                    out.push(r);
+                for ((a, &k), o) in self
+                    .rows
+                    .chunks_exact(self.cols)
+                    .zip(&self.rhs)
+                    .zip(out.iter_mut())
+                {
+                    let dot: f64 = a.iter().zip(x).map(|(p, q)| p * q).sum();
+                    *o = dot - k;
                 }
-                (sum, sumsq)
+                simd::sum_sumsq(out)
             }
         }
+    }
+
+    /// Installs the final weights of the [`solve_irls_normal`] run that
+    /// `scratch` served — the weights at the returned solution, which no
+    /// solve has used yet — by swapping buffers instead of copying and
+    /// re-validating them: they came out of a weight function, so they
+    /// are finite and non-negative by construction. Afterwards
+    /// [`NormalIrlsScratch::weights`] holds the weights of the run's last
+    /// solve, and [`NormalEq::weights`] the final ones.
+    ///
+    /// # Errors
+    ///
+    /// [`LinalgError::DimensionMismatch`] when `scratch` holds a weight
+    /// per row of some other system.
+    pub fn adopt_irls_weights(
+        &mut self,
+        scratch: &mut NormalIrlsScratch,
+    ) -> Result<(), LinalgError> {
+        let m = self.rhs.len();
+        if scratch.weights.len() != m {
+            return Err(LinalgError::DimensionMismatch {
+                operation: "normal-equation reweight",
+                found: format!("{} weights for {m} rows", scratch.weights.len()),
+            });
+        }
+        self.set_weights_trusted(&mut scratch.weights);
+        Ok(())
     }
 
     /// Diagonal of `(AᵀWA)⁻¹` — the parameter covariance up to the
@@ -463,7 +469,8 @@ impl NormalIrlsScratch {
     }
 
     /// The final per-row weights of the last run (what
-    /// [`crate::IrlsReport::weights`] would hold).
+    /// [`crate::IrlsReport::weights`] would hold), until
+    /// [`NormalEq::adopt_irls_weights`] swaps them into the system.
     pub fn weights(&self) -> &[f64] {
         &self.weights
     }
@@ -488,8 +495,16 @@ pub struct NormalIrlsOutcome {
     pub converged: bool,
     /// Plain mean of the final residuals (taken at the returned solution).
     pub mean_residual: f64,
-    /// Weighted root-mean-square residual (same residuals, final weights).
+    /// Weighted root-mean-square residual (same residuals, final weights):
+    /// `√(weighted_sq_sum / weight_sum)`, or 0 when `weight_sum` is not
+    /// positive.
     pub weighted_rms: f64,
+    /// `Σw` over the final weights, added left to right.
+    pub weight_sum: f64,
+    /// `Σw·r²` over the final weights and residuals, added left to right.
+    /// With `weight_sum` this is what the σ̂ of a parameter covariance
+    /// needs, so callers need not sum the rows again.
+    pub weighted_sq_sum: f64,
 }
 
 /// IRLS over a [`NormalEq`] system.
@@ -570,23 +585,22 @@ pub fn solve_irls_normal(
             }
         }
     }
-    // `sum` was accumulated left-to-right over the final residuals, so
-    // this is bit-identical to `stats::mean(&scratch.residuals)`.
+    // `sum` is the final residuals' Σr in `simd::sum_sumsq` order, the
+    // same order `WeightFunction::weights_into` sums them in.
     let mean_residual = if scratch.residuals.is_empty() {
         0.0
     } else {
         sum / scratch.residuals.len() as f64
     };
-    let wsum: f64 = scratch.weights.iter().sum();
-    let weighted_rms = if wsum > 0.0 {
-        (scratch
-            .residuals
-            .iter()
-            .zip(scratch.weights.iter())
-            .map(|(r, w)| w * r * r)
-            .sum::<f64>()
-            / wsum)
-            .sqrt()
+    let weight_sum: f64 = scratch.weights.iter().sum();
+    let weighted_sq_sum: f64 = scratch
+        .residuals
+        .iter()
+        .zip(scratch.weights.iter())
+        .map(|(r, w)| w * r * r)
+        .sum();
+    let weighted_rms = if weight_sum > 0.0 {
+        (weighted_sq_sum / weight_sum).sqrt()
     } else {
         0.0
     };
@@ -595,6 +609,8 @@ pub fn solve_irls_normal(
         converged,
         mean_residual,
         weighted_rms,
+        weight_sum,
+        weighted_sq_sum,
     })
 }
 
@@ -676,6 +692,24 @@ mod tests {
         }
         assert!((outcome.mean_residual - report.mean_residual).abs() < 1e-7);
         assert!((outcome.weighted_rms - report.weighted_rms).abs() < 1e-7);
+    }
+
+    #[test]
+    fn adopting_weights_moves_the_final_weights_and_checks_the_row_count() {
+        let rows = line_rows();
+        let mut ne = build(&rows);
+        let mut scratch = NormalIrlsScratch::new();
+        solve_irls_normal(&mut ne, &IrlsConfig::default(), &mut scratch).unwrap();
+        let final_weights = scratch.weights().to_vec();
+        ne.adopt_irls_weights(&mut scratch).unwrap();
+        assert_eq!(ne.weights(), final_weights.as_slice());
+
+        let mut shorter = build(&rows[..5]);
+        assert!(matches!(
+            shorter.adopt_irls_weights(&mut scratch),
+            Err(LinalgError::DimensionMismatch { .. })
+        ));
+        assert_eq!(shorter.weights(), [1.0; 5].as_slice());
     }
 
     #[test]

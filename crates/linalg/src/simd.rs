@@ -1,12 +1,17 @@
 //! Runtime-dispatched SIMD kernels for the solve pipeline's hot stages.
 //!
-//! Five kernels cover the stages that dominate a LION solve — phase
+//! Seven kernels cover the stages that dominate a LION solve — phase
 //! unwrap, moving-average (Savitzky–Golay degree-0) smoothing,
 //! radical-line row assembly, the fixed-width Gram accumulation behind
-//! [`crate::NormalEq`], and the IRLS Gaussian-weight exponential. Each
-//! kernel exists twice: a portable scalar reference (`*_scalar`) and an
-//! explicit-width `core::arch` twin (AVX2 on x86_64, NEON on aarch64)
-//! selected once at runtime by [`active`].
+//! [`crate::NormalEq`], and the IRLS reweight: the fixed-width residual
+//! pass with its fused `(Σr, Σr²)` ([`residuals_fixed`]), the Gaussian
+//! weights with exponent and exponential in one pass
+//! ([`gaussian_weights`]), and the bare exponential
+//! ([`exp_non_positive`]). Each kernel exists twice: a portable scalar
+//! reference (`*_scalar`) and an explicit-width `core::arch` twin (AVX2
+//! on x86_64, NEON on aarch64) selected once at runtime by [`active`].
+//! Where a kernel has no twin for a backend, that backend runs the scalar
+//! reference.
 //!
 //! # Bit-identical contract
 //!
@@ -17,11 +22,17 @@
 //! only works if a replayed window reproduces the original solve exactly.
 //! The twins therefore restrict themselves to operations that are
 //! correctly rounded per IEEE 754 and identical per lane — add, sub, mul,
-//! div, sqrt, floor, max — applied in the same order as the scalar loop.
-//! In particular **no FMA is ever used** (a fused multiply-add rounds
-//! once where the scalar code rounds twice) and no summation order is
-//! changed (reductions keep their per-accumulator order; lanes only ever
-//! hold *independent* accumulators).
+//! div, sqrt, floor, max, sign flips — applied in the same order as the
+//! scalar loop. In particular **no FMA is ever used** (a fused
+//! multiply-add rounds once where the scalar code rounds twice), and a
+//! reduction's summation order is whatever its scalar twin does: lanes
+//! hold *independent* accumulators, or interleaved partial sums of one
+//! reduction only where the scalar twin interleaves the same way. The
+//! one interleaved reduction is [`sum_sumsq`]'s: row `i` of every whole
+//! block of four adds into partial sum `i mod 4`, the partials combine
+//! as `(l0 + l1) + (l2 + l3)`, and the tail rows are added after that.
+//! [`residuals_fixed`] and [`crate::lstsq::WeightFunction::weights_into`]
+//! both sum `Σr` and `Σr²` in that order.
 //!
 //! # Dispatch
 //!
@@ -165,15 +176,16 @@ const SHIFT: f64 = 6_755_399_441_055_744.0;
 
 /// Elementwise `x → exp(x)` for non-positive `x`, in place.
 ///
-/// This is the Gaussian-weight hot path shared by the QR
+/// This is the exponential of the Gaussian weights that the QR
 /// ([`crate::lstsq::solve_irls`]) and normal-equation
-/// ([`crate::solve_irls_normal`]) IRLS loops: one `exp` per equation per
-/// iteration, so a libm call each would dominate the whole reweight.
-/// Instead: Cody–Waite reduction `x = n·ln2 + r` (`|r| ≤ ln2/2`), a
-/// degree-9 Taylor polynomial for `exp(r)` (remainder below 7e-12 on the
-/// reduced range — noise at the scale of a reliability weight), and an
-/// exact power-of-two scale assembled from the shift trick's mantissa
-/// bits. One tolerance, one kernel: every IRLS path funnels here.
+/// ([`crate::solve_irls_normal`]) IRLS loops share through
+/// [`gaussian_weights`]: one `exp` per equation per iteration, so a libm
+/// call each would dominate the whole reweight. Instead: Cody–Waite
+/// reduction `x = n·ln2 + r` (`|r| ≤ ln2/2`), a degree-9 Taylor
+/// polynomial for `exp(r)` (remainder below 7e-12 on the reduced range —
+/// noise at the scale of a reliability weight), and an exact power-of-two
+/// scale assembled from the shift trick's mantissa bits. One tolerance,
+/// one arithmetic: [`gaussian_weights`] evaluates exactly this per lane.
 pub fn exp_non_positive(xs: &mut [f64]) {
     match active() {
         #[cfg(target_arch = "x86_64")]
@@ -190,27 +202,72 @@ pub fn exp_non_positive(xs: &mut [f64]) {
 /// arithmetic with no branches, calls, or float→int conversions.
 pub fn exp_non_positive_scalar(xs: &mut [f64]) {
     for x in xs {
-        debug_assert!(*x <= 0.0);
-        // exp(-690) ≈ 1e-300 — an effectively zero weight — and the
-        // clamp keeps the 2ⁿ scale inside normal-number range.
-        let v = x.max(-690.0);
-        let t = v * std::f64::consts::LOG2_E + SHIFT;
-        let n = t - SHIFT;
-        let r = (v - n * LN2_HI) - n * LN2_LO;
-        let p = 1.0 / 362_880.0;
-        let p = 1.0 / 40_320.0 + r * p;
-        let p = 1.0 / 5_040.0 + r * p;
-        let p = 1.0 / 720.0 + r * p;
-        let p = 1.0 / 120.0 + r * p;
-        let p = 1.0 / 24.0 + r * p;
-        let p = 1.0 / 6.0 + r * p;
-        let p = 0.5 + r * p;
-        let p = 1.0 + r * p;
-        let p = 1.0 + r * p;
-        // n ∈ [-996, 0] lives in t's low mantissa bits (mod 2¹²), so the
-        // biased exponent (n + 1023) << 52 comes straight from them.
-        let scale = f64::from_bits(t.to_bits().wrapping_add(1023) << 52);
-        *x = p * scale;
+        *x = exp_one(*x);
+    }
+}
+
+/// `exp(x)` for one non-positive `x`: the scalar body every exp kernel
+/// shares.
+#[inline]
+fn exp_one(x: f64) -> f64 {
+    debug_assert!(x <= 0.0);
+    // exp(-690) ≈ 1e-300 — an effectively zero weight — and the
+    // clamp keeps the 2ⁿ scale inside normal-number range.
+    let v = x.max(-690.0);
+    let t = v * std::f64::consts::LOG2_E + SHIFT;
+    let n = t - SHIFT;
+    let r = (v - n * LN2_HI) - n * LN2_LO;
+    let p = 1.0 / 362_880.0;
+    let p = 1.0 / 40_320.0 + r * p;
+    let p = 1.0 / 5_040.0 + r * p;
+    let p = 1.0 / 720.0 + r * p;
+    let p = 1.0 / 120.0 + r * p;
+    let p = 1.0 / 24.0 + r * p;
+    let p = 1.0 / 6.0 + r * p;
+    let p = 0.5 + r * p;
+    let p = 1.0 + r * p;
+    let p = 1.0 + r * p;
+    // n ∈ [-996, 0] lives in t's low mantissa bits (mod 2¹²), so the
+    // biased exponent (n + 1023) << 52 comes straight from them.
+    let scale = f64::from_bits(t.to_bits().wrapping_add(1023) << 52);
+    p * scale
+}
+
+/// The paper's Gaussian reliability weights (Eq. 15),
+/// `out[i] = exp(−(rᵢ − μ)²·inv_two_sigma2)`, exponent and exponential in
+/// one pass. `inv_two_sigma2 = 1/(2σ²)` must be non-negative, and
+/// `out.len() == residuals.len()`.
+///
+/// Each weight is [`exp_non_positive`] of `−(d·d)·inv_two_sigma2` with
+/// `d = rᵢ − μ`, so the result is bit-identical to writing the exponents
+/// out and exponentiating them in a second pass.
+pub fn gaussian_weights(residuals: &[f64], mu: f64, inv_two_sigma2: f64, out: &mut [f64]) {
+    // The vector twins read `residuals` at every index of `out`.
+    assert_eq!(residuals.len(), out.len(), "one weight per residual");
+    debug_assert!(inv_two_sigma2 >= 0.0);
+    match active() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `active()` only returns Avx2 when the CPU supports it.
+        Backend::Avx2 => unsafe { avx2::gaussian_weights(residuals, mu, inv_two_sigma2, out) },
+        #[cfg(target_arch = "aarch64")]
+        // NEON keeps two passes: exponents, then its exp twin.
+        Backend::Neon => {
+            for (w, &r) in out.iter_mut().zip(residuals) {
+                let d = r - mu;
+                *w = -(d * d) * inv_two_sigma2;
+            }
+            // SAFETY: NEON is baseline on aarch64.
+            unsafe { neon::exp_non_positive(out) }
+        }
+        _ => gaussian_weights_scalar(residuals, mu, inv_two_sigma2, out),
+    }
+}
+
+/// Scalar reference for [`gaussian_weights`].
+pub fn gaussian_weights_scalar(residuals: &[f64], mu: f64, inv_two_sigma2: f64, out: &mut [f64]) {
+    for (w, &r) in out.iter_mut().zip(residuals) {
+        let d = r - mu;
+        *w = exp_one(-(d * d) * inv_two_sigma2);
     }
 }
 
@@ -455,11 +512,17 @@ pub fn gram_fixed<const N: usize>(
     rhs: &[f64],
     weights: &[f64],
 ) -> ([[f64; N]; N], [f64; N]) {
-    debug_assert_eq!(rows.len(), rhs.len() * N);
+    // The vector twins read row `i` unchecked for every `rhs[i]`.
+    assert_eq!(
+        rows.len(),
+        rhs.len() * N,
+        "flat row storage is rhs.len() * N"
+    );
     debug_assert_eq!(weights.len(), rhs.len());
     match active() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `active()` only returns Avx2 when the CPU supports it.
+        // SAFETY: `active()` only returns Avx2 when the CPU supports it,
+        // and the row storage length is asserted above.
         Backend::Avx2 if N >= 2 && N <= 4 => unsafe { avx2::gram_fixed::<N>(rows, rhs, weights) },
         #[cfg(target_arch = "aarch64")]
         // SAFETY: NEON is baseline on aarch64.
@@ -490,6 +553,144 @@ pub fn gram_fixed_scalar<const N: usize>(
 }
 
 // ---------------------------------------------------------------------------
+// Kernel 6: IRLS residual pass with fused (Σr, Σr²).
+// ---------------------------------------------------------------------------
+
+/// Partial sums in the interleaved reduction of [`sum_sumsq`].
+const LANES: usize = 4;
+
+/// Four interleaved partial sums of `r` and `r²`: lane `l` holds the
+/// rows `i ≡ l (mod 4)` of the whole blocks seen so far.
+#[derive(Default)]
+struct LaneSums {
+    sum: [f64; LANES],
+    sumsq: [f64; LANES],
+}
+
+impl LaneSums {
+    #[inline]
+    fn add_block(&mut self, block: &[f64; LANES]) {
+        for (l, &r) in block.iter().enumerate() {
+            self.sum[l] += r;
+            self.sumsq[l] += r * r;
+        }
+    }
+
+    /// Combines the lanes as `(l0 + l1) + (l2 + l3)`, then adds the
+    /// `tail` rows one at a time.
+    #[inline]
+    fn finish(&self, tail: &[f64]) -> (f64, f64) {
+        let [s0, s1, s2, s3] = self.sum;
+        let [q0, q1, q2, q3] = self.sumsq;
+        let mut sum = (s0 + s1) + (s2 + s3);
+        let mut sumsq = (q0 + q1) + (q2 + q3);
+        for &r in tail {
+            sum += r;
+            sumsq += r * r;
+        }
+        (sum, sumsq)
+    }
+}
+
+/// `(Σr, Σr²)` over `rs` in the one summation order every IRLS residual
+/// statistic uses: row `i` of every whole block of four adds into
+/// partial sum `i mod 4`, the partials combine as `(l0 + l1) + (l2 + l3)`,
+/// and the tail rows are added after that. Four independent add chains
+/// instead of one, and exactly what [`residuals_fixed`] fuses into its
+/// residual pass on every backend.
+pub fn sum_sumsq(rs: &[f64]) -> (f64, f64) {
+    let mut lanes = LaneSums::default();
+    let blocks = rs.chunks_exact(LANES);
+    let tail = blocks.remainder();
+    for block in blocks {
+        lanes.add_block(block.try_into().expect("chunk length equals LANES"));
+    }
+    lanes.finish(tail)
+}
+
+/// Residuals `rᵢ = aᵢ·x − kᵢ` of every row into `out`
+/// (`out.len() == rhs.len()`), returning `(Σr, Σr²)` over them in
+/// [`sum_sumsq`]'s order. Each dot product adds its columns left to right,
+/// `((a₀x₀ + a₁x₁) + a₂x₂) + a₃x₃`.
+///
+/// The AVX2 twin computes four rows per vector (row `i` in lane
+/// `i mod 4`, columns transposed out of the row-major block by
+/// shuffles) and keeps the four partial sums in one register each for
+/// `Σr` and `Σr²`, so the scalar twin's interleaved order is its natural
+/// one. `1 ≤ N`; the vector path covers `2 ≤ N ≤ 4`.
+pub fn residuals_fixed<const N: usize>(
+    rows: &[f64],
+    rhs: &[f64],
+    x: &[f64; N],
+    out: &mut [f64],
+) -> (f64, f64) {
+    // The vector twin reads and writes by these lengths unchecked.
+    assert_eq!(
+        rows.len(),
+        rhs.len() * N,
+        "flat row storage is rhs.len() * N"
+    );
+    assert_eq!(out.len(), rhs.len(), "one residual per row");
+    match active() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `active()` only returns Avx2 when the CPU supports it,
+        // and the lengths the twin relies on are asserted above.
+        Backend::Avx2 if N >= 2 && N <= 4 => unsafe {
+            avx2::residuals_fixed::<N>(rows, rhs, x, out)
+        },
+        _ => residuals_fixed_scalar::<N>(rows, rhs, x, out),
+    }
+}
+
+/// Scalar reference for [`residuals_fixed`].
+pub fn residuals_fixed_scalar<const N: usize>(
+    rows: &[f64],
+    rhs: &[f64],
+    x: &[f64; N],
+    out: &mut [f64],
+) -> (f64, f64) {
+    let whole = rhs.len() - rhs.len() % LANES;
+    let mut lanes = LaneSums::default();
+    for ((block, ks), outs) in rows[..whole * N]
+        .chunks_exact(LANES * N)
+        .zip(rhs.chunks_exact(LANES))
+        .zip(out.chunks_exact_mut(LANES))
+    {
+        let mut r = [0.0; LANES];
+        for (l, v) in r.iter_mut().enumerate() {
+            *v = residual::<N>(&block[l * N..(l + 1) * N], x, ks[l]);
+        }
+        outs.copy_from_slice(&r);
+        lanes.add_block(&r);
+    }
+    residual_tail::<N>(rows, rhs, x, out, whole);
+    lanes.finish(&out[whole..])
+}
+
+/// `a·x − k` for one row, columns added left to right.
+#[inline]
+fn residual<const N: usize>(a: &[f64], x: &[f64; N], k: f64) -> f64 {
+    let mut dot = a[0] * x[0];
+    for c in 1..N {
+        dot += a[c] * x[c];
+    }
+    dot - k
+}
+
+/// The residuals of rows `from..`, one at a time; every backend's tail.
+fn residual_tail<const N: usize>(
+    rows: &[f64],
+    rhs: &[f64],
+    x: &[f64; N],
+    out: &mut [f64],
+    from: usize,
+) {
+    for (i, o) in out.iter_mut().enumerate().skip(from) {
+        *o = residual::<N>(&rows[i * N..(i + 1) * N], x, rhs[i]);
+    }
+}
+
+// ---------------------------------------------------------------------------
 // AVX2 twins (x86_64).
 // ---------------------------------------------------------------------------
 
@@ -498,45 +699,157 @@ mod avx2 {
     use super::*;
     use core::arch::x86_64::*;
 
+    /// Four lanes of [`super::exp_one`].
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn exp4(x: __m256d) -> __m256d {
+        let v = _mm256_max_pd(x, _mm256_set1_pd(-690.0));
+        let shift = _mm256_set1_pd(SHIFT);
+        let t = _mm256_add_pd(
+            _mm256_mul_pd(v, _mm256_set1_pd(std::f64::consts::LOG2_E)),
+            shift,
+        );
+        let nv = _mm256_sub_pd(t, shift);
+        let r = _mm256_sub_pd(
+            _mm256_sub_pd(v, _mm256_mul_pd(nv, _mm256_set1_pd(LN2_HI))),
+            _mm256_mul_pd(nv, _mm256_set1_pd(LN2_LO)),
+        );
+        let mut p = _mm256_set1_pd(1.0 / 362_880.0);
+        p = _mm256_add_pd(_mm256_set1_pd(1.0 / 40_320.0), _mm256_mul_pd(r, p));
+        p = _mm256_add_pd(_mm256_set1_pd(1.0 / 5_040.0), _mm256_mul_pd(r, p));
+        p = _mm256_add_pd(_mm256_set1_pd(1.0 / 720.0), _mm256_mul_pd(r, p));
+        p = _mm256_add_pd(_mm256_set1_pd(1.0 / 120.0), _mm256_mul_pd(r, p));
+        p = _mm256_add_pd(_mm256_set1_pd(1.0 / 24.0), _mm256_mul_pd(r, p));
+        p = _mm256_add_pd(_mm256_set1_pd(1.0 / 6.0), _mm256_mul_pd(r, p));
+        p = _mm256_add_pd(_mm256_set1_pd(0.5), _mm256_mul_pd(r, p));
+        p = _mm256_add_pd(_mm256_set1_pd(1.0), _mm256_mul_pd(r, p));
+        p = _mm256_add_pd(_mm256_set1_pd(1.0), _mm256_mul_pd(r, p));
+        let scale = _mm256_castsi256_pd(_mm256_slli_epi64(
+            _mm256_add_epi64(_mm256_castpd_si256(t), _mm256_set1_epi64x(1023)),
+            52,
+        ));
+        _mm256_mul_pd(p, scale)
+    }
+
     /// # Safety
     /// Caller must have verified AVX2 support.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn exp_non_positive(xs: &mut [f64]) {
         let n = xs.len();
-        let clamp = _mm256_set1_pd(-690.0);
-        let log2e = _mm256_set1_pd(std::f64::consts::LOG2_E);
-        let shift = _mm256_set1_pd(SHIFT);
-        let ln2hi = _mm256_set1_pd(LN2_HI);
-        let ln2lo = _mm256_set1_pd(LN2_LO);
-        let bias = _mm256_set1_epi64x(1023);
         let mut i = 0;
         while i + 4 <= n {
             let x = _mm256_loadu_pd(xs.as_ptr().add(i));
-            let v = _mm256_max_pd(x, clamp);
-            let t = _mm256_add_pd(_mm256_mul_pd(v, log2e), shift);
-            let nv = _mm256_sub_pd(t, shift);
-            let r = _mm256_sub_pd(
-                _mm256_sub_pd(v, _mm256_mul_pd(nv, ln2hi)),
-                _mm256_mul_pd(nv, ln2lo),
-            );
-            let mut p = _mm256_set1_pd(1.0 / 362_880.0);
-            p = _mm256_add_pd(_mm256_set1_pd(1.0 / 40_320.0), _mm256_mul_pd(r, p));
-            p = _mm256_add_pd(_mm256_set1_pd(1.0 / 5_040.0), _mm256_mul_pd(r, p));
-            p = _mm256_add_pd(_mm256_set1_pd(1.0 / 720.0), _mm256_mul_pd(r, p));
-            p = _mm256_add_pd(_mm256_set1_pd(1.0 / 120.0), _mm256_mul_pd(r, p));
-            p = _mm256_add_pd(_mm256_set1_pd(1.0 / 24.0), _mm256_mul_pd(r, p));
-            p = _mm256_add_pd(_mm256_set1_pd(1.0 / 6.0), _mm256_mul_pd(r, p));
-            p = _mm256_add_pd(_mm256_set1_pd(0.5), _mm256_mul_pd(r, p));
-            p = _mm256_add_pd(_mm256_set1_pd(1.0), _mm256_mul_pd(r, p));
-            p = _mm256_add_pd(_mm256_set1_pd(1.0), _mm256_mul_pd(r, p));
-            let scale = _mm256_castsi256_pd(_mm256_slli_epi64(
-                _mm256_add_epi64(_mm256_castpd_si256(t), bias),
-                52,
-            ));
-            _mm256_storeu_pd(xs.as_mut_ptr().add(i), _mm256_mul_pd(p, scale));
+            _mm256_storeu_pd(xs.as_mut_ptr().add(i), exp4(x));
             i += 4;
         }
         super::exp_non_positive_scalar(&mut xs[i..]);
+    }
+
+    /// # Safety
+    /// Caller must have verified AVX2 support and
+    /// `out.len() == residuals.len()`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn gaussian_weights(
+        residuals: &[f64],
+        mu: f64,
+        inv_two_sigma2: f64,
+        out: &mut [f64],
+    ) {
+        let n = out.len();
+        let muv = _mm256_set1_pd(mu);
+        let inv = _mm256_set1_pd(inv_two_sigma2);
+        // XOR with −0.0 flips the sign bit: the scalar `-(d * d)`.
+        let sign = _mm256_set1_pd(-0.0);
+        let mut i = 0;
+        while i + 4 <= n {
+            let d = _mm256_sub_pd(_mm256_loadu_pd(residuals.as_ptr().add(i)), muv);
+            let x = _mm256_mul_pd(_mm256_xor_pd(_mm256_mul_pd(d, d), sign), inv);
+            _mm256_storeu_pd(out.as_mut_ptr().add(i), exp4(x));
+            i += 4;
+        }
+        super::gaussian_weights_scalar(&residuals[i..], mu, inv_two_sigma2, &mut out[i..]);
+    }
+
+    /// The dot products `aᵢ·x` of the four rows stored from `base`
+    /// (row-major, `N` columns), row `i` in lane `i`. The columns are
+    /// transposed out of the block first, so each lane adds its terms
+    /// left to right like [`super::residual`].
+    ///
+    /// # Safety
+    /// AVX2; `2 ≤ N ≤ 4`; `4·N` readable values from `base`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn dot4<const N: usize>(base: *const f64, x: &[__m256d; N]) -> __m256d {
+        let m = |c: __m256d, j: usize| _mm256_mul_pd(c, x[j]);
+        match N {
+            2 => {
+                let u0 = _mm256_loadu2_m128d(base.add(4), base); // a00 a01 | a20 a21
+                let u1 = _mm256_loadu2_m128d(base.add(6), base.add(2)); // a10 a11 | a30 a31
+                let c0 = _mm256_unpacklo_pd(u0, u1); // a00 a10 a20 a30
+                let c1 = _mm256_unpackhi_pd(u0, u1); // a01 a11 a21 a31
+                _mm256_add_pd(m(c0, 0), m(c1, 1))
+            }
+            3 => {
+                let v0 = _mm256_loadu_pd(base); // a00 a01 a02 a10
+                let v1 = _mm256_loadu_pd(base.add(4)); // a11 a12 a20 a21
+                let v2 = _mm256_loadu_pd(base.add(8)); // a22 a30 a31 a32
+                let ad = _mm256_blend_pd::<0b1100>(v0, v1); // a00 a01 | a20 a21
+                let be = _mm256_permute2f128_pd::<0x21>(v0, v2); // a02 a10 | a22 a30
+                let cf = _mm256_blend_pd::<0b1100>(v1, v2); // a11 a12 | a31 a32
+                let c0 = _mm256_shuffle_pd::<0b1010>(ad, be); // a00 a10 a20 a30
+                let c1 = _mm256_shuffle_pd::<0b0101>(ad, cf); // a01 a11 a21 a31
+                let c2 = _mm256_shuffle_pd::<0b1010>(be, cf); // a02 a12 a22 a32
+                _mm256_add_pd(_mm256_add_pd(m(c0, 0), m(c1, 1)), m(c2, 2))
+            }
+            _ => {
+                let u0 = _mm256_loadu2_m128d(base.add(8), base); // a00 a01 | a20 a21
+                let u1 = _mm256_loadu2_m128d(base.add(12), base.add(4)); // a10 a11 | a30 a31
+                let u2 = _mm256_loadu2_m128d(base.add(10), base.add(2)); // a02 a03 | a22 a23
+                let u3 = _mm256_loadu2_m128d(base.add(14), base.add(6)); // a12 a13 | a32 a33
+                let c0 = _mm256_unpacklo_pd(u0, u1); // a00 a10 a20 a30
+                let c1 = _mm256_unpackhi_pd(u0, u1); // a01 a11 a21 a31
+                let c2 = _mm256_unpacklo_pd(u2, u3); // a02 a12 a22 a32
+                let c3 = _mm256_unpackhi_pd(u2, u3); // a03 a13 a23 a33
+                _mm256_add_pd(
+                    _mm256_add_pd(_mm256_add_pd(m(c0, 0), m(c1, 1)), m(c2, 2)),
+                    m(c3, 3),
+                )
+            }
+        }
+    }
+
+    /// # Safety
+    /// Caller must have verified AVX2 support; `2 ≤ N ≤ 4`,
+    /// `rows.len() == rhs.len()·N` and `out.len() == rhs.len()`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn residuals_fixed<const N: usize>(
+        rows: &[f64],
+        rhs: &[f64],
+        x: &[f64; N],
+        out: &mut [f64],
+    ) -> (f64, f64) {
+        let whole = rhs.len() - rhs.len() % LANES;
+        let mut xv = [_mm256_setzero_pd(); N];
+        for (v, &c) in xv.iter_mut().zip(x) {
+            *v = _mm256_set1_pd(c);
+        }
+        // Lane l of `sum`/`sumsq` is the scalar twin's partial sum l.
+        let mut sum = _mm256_setzero_pd();
+        let mut sumsq = _mm256_setzero_pd();
+        let mut i = 0;
+        while i < whole {
+            let dot = dot4::<N>(rows.as_ptr().add(i * N), &xv);
+            let r = _mm256_sub_pd(dot, _mm256_loadu_pd(rhs.as_ptr().add(i)));
+            _mm256_storeu_pd(out.as_mut_ptr().add(i), r);
+            sum = _mm256_add_pd(sum, r);
+            sumsq = _mm256_add_pd(sumsq, _mm256_mul_pd(r, r));
+            i += LANES;
+        }
+        let mut lanes = LaneSums::default();
+        _mm256_storeu_pd(lanes.sum.as_mut_ptr(), sum);
+        _mm256_storeu_pd(lanes.sumsq.as_mut_ptr(), sumsq);
+        super::residual_tail::<N>(rows, rhs, x, out, whole);
+        lanes.finish(&out[whole..])
     }
 
     /// # Safety

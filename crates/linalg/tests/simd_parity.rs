@@ -292,3 +292,184 @@ fn kernels_match_scalar_at_misaligned_starts_and_short_lengths() {
         gram_parity::<4>(&flat[offset..offset + 4 * len], rhs, weights);
     });
 }
+
+/// Largest whole-block count the IRLS-reweight proptests draw lengths
+/// over: `0..=4·BLOCKS+3` rows hit every tail length at several block
+/// counts.
+const BLOCKS: usize = 5;
+
+/// Shared body for the residual-kernel parity check at one width: the
+/// residuals and `(Σr, Σr²)` of the dispatched kernel equal the scalar
+/// twin's, and the sums equal [`simd::sum_sumsq`] over the residuals (the
+/// reduction the QR IRLS path uses).
+fn residual_parity<const N: usize>(flat: &[f64], rhs: &[f64], x: &[f64]) {
+    let x: &[f64; N] = x[..N].try_into().unwrap();
+    let mut out_s = vec![f64::NAN; rhs.len()];
+    let mut out_d = vec![f64::NAN; rhs.len()];
+    let sums_s = simd::residuals_fixed_scalar::<N>(flat, rhs, x, &mut out_s);
+    let sums_d = simd::residuals_fixed::<N>(flat, rhs, x, &mut out_d);
+    assert_eq!(bits(&out_s), bits(&out_d), "residuals N={N}");
+    assert_eq!(sums_s.0.to_bits(), sums_d.0.to_bits(), "Σr N={N}");
+    assert_eq!(sums_s.1.to_bits(), sums_d.1.to_bits(), "Σr² N={N}");
+    let reduced = simd::sum_sumsq(&out_s);
+    assert_eq!(sums_s.0.to_bits(), reduced.0.to_bits(), "Σr order N={N}");
+    assert_eq!(sums_s.1.to_bits(), reduced.1.to_bits(), "Σr² order N={N}");
+}
+
+proptest! {
+    #[test]
+    fn residuals_kernel_bit_parity(
+        m in 0_usize..4 * BLOCKS + 4,
+        n_sel in 0_usize..3,
+        data in proptest::collection::vec(-5.0_f64..5.0, (4 * BLOCKS + 3) * 5),
+        x in proptest::collection::vec(-3.0_f64..3.0, 4),
+    ) {
+        let n = [2, 3, 4][n_sel];
+        let flat = &data[..m * n];
+        let rhs = &data[(4 * BLOCKS + 3) * 4..(4 * BLOCKS + 3) * 4 + m];
+        match n {
+            2 => residual_parity::<2>(flat, rhs, &x),
+            3 => residual_parity::<3>(flat, rhs, &x),
+            _ => residual_parity::<4>(flat, rhs, &x),
+        }
+    }
+
+    #[test]
+    fn gaussian_weights_kernel_bit_parity(
+        residuals in proptest::collection::vec(-2.0_f64..2.0, 0..4 * BLOCKS + 4),
+        mu in -0.5_f64..0.5,
+        sigma in 1e-3_f64..2.0,
+    ) {
+        let inv_two_sigma2 = 0.5 / (sigma * sigma);
+        let mut scalar = vec![f64::NAN; residuals.len()];
+        let mut dispatched = vec![f64::NAN; residuals.len()];
+        simd::gaussian_weights_scalar(&residuals, mu, inv_two_sigma2, &mut scalar);
+        simd::gaussian_weights(&residuals, mu, inv_two_sigma2, &mut dispatched);
+        prop_assert_eq!(bits(&scalar), bits(&dispatched));
+        // One pass equals the exponents written out, then exponentiated.
+        let mut two_pass: Vec<f64> = residuals
+            .iter()
+            .map(|r| {
+                let d = r - mu;
+                -(d * d) * inv_two_sigma2
+            })
+            .collect();
+        simd::exp_non_positive_scalar(&mut two_pass);
+        prop_assert_eq!(bits(&scalar), bits(&two_pass));
+    }
+}
+
+/// The documented reduction order, written out by hand for eleven rows:
+/// rows 0–7 fill lanes `i mod 4` over two whole blocks, the lanes combine
+/// as `(l0 + l1) + (l2 + l3)`, and rows 8–10 are added after that. The
+/// values are chosen so that each nearby order rounds differently.
+#[test]
+fn residual_sums_follow_the_documented_lane_order() {
+    let _serial = dispatch_lock();
+    let r = [-2.5, 0.7, 2.5, -3.0, -1e16, 3.0, 1e16, 0.1, -0.7, 2.5, -0.1];
+    let l = [r[0] + r[4], r[1] + r[5], r[2] + r[6], r[3] + r[7]];
+    let sq = |v: f64| v * v;
+    let q = [
+        sq(r[0]) + sq(r[4]),
+        sq(r[1]) + sq(r[5]),
+        sq(r[2]) + sq(r[6]),
+        sq(r[3]) + sq(r[7]),
+    ];
+    let tail = |head: f64, f: fn(f64) -> f64| head + f(r[8]) + f(r[9]) + f(r[10]);
+    let want_sum = tail((l[0] + l[1]) + (l[2] + l[3]), |v| v);
+    let want_sumsq = tail((q[0] + q[1]) + (q[2] + q[3]), |v| v * v);
+    let others = [
+        ("left to right", r.iter().fold(0.0, |s, v| s + v)),
+        (
+            "lanes in sequence",
+            tail(((l[0] + l[1]) + l[2]) + l[3], |v| v),
+        ),
+        (
+            "lanes paired 0+2",
+            tail((l[0] + l[2]) + (l[1] + l[3]), |v| v),
+        ),
+        (
+            "tail first",
+            (r[8] + r[9] + r[10]) + ((l[0] + l[1]) + (l[2] + l[3])),
+        ),
+    ];
+    for (name, other) in others {
+        assert_ne!(
+            want_sum.to_bits(),
+            other.to_bits(),
+            "the inputs must tell the documented order from {name}"
+        );
+    }
+    let sums = simd::sum_sumsq(&r);
+    assert_eq!(sums.0.to_bits(), want_sum.to_bits());
+    assert_eq!(sums.1.to_bits(), want_sumsq.to_bits());
+
+    // The residual kernel at every width, on every backend, sums its
+    // residuals in the same order: rows `aᵢ = [rᵢ, 0, …]`, `x = [1, …]`,
+    // `kᵢ = 0` make the residuals exactly `r`.
+    fn check<const N: usize>(r: &[f64], want: (f64, f64)) {
+        let mut flat = vec![0.0; r.len() * N];
+        for (row, &v) in flat.chunks_exact_mut(N).zip(r) {
+            row[0] = v;
+        }
+        let mut x = [0.0; N];
+        x[0] = 1.0;
+        let rhs = vec![0.0; r.len()];
+        let mut out = vec![0.0; r.len()];
+        for forced in [None, Some(simd::Backend::Scalar)] {
+            simd::force(forced);
+            let sums = simd::residuals_fixed::<N>(&flat, &rhs, &x, &mut out);
+            assert_eq!(bits(&out), bits(r), "N={N} residuals");
+            assert_eq!(sums.0.to_bits(), want.0.to_bits(), "N={N} Σr");
+            assert_eq!(sums.1.to_bits(), want.1.to_bits(), "N={N} Σr²");
+        }
+        simd::force(None);
+    }
+    check::<2>(&r, (want_sum, want_sumsq));
+    check::<3>(&r, (want_sum, want_sumsq));
+    check::<4>(&r, (want_sum, want_sumsq));
+}
+
+/// σ̂² from the `Σw` and `Σw·r²` that `solve_irls_normal` returns equals
+/// σ̂² recomputed from the scratch's final weights and residuals, so the
+/// covariance needs no second pass over the rows.
+#[test]
+fn sigma_hat_from_the_outcome_sums_equals_a_recomputation() {
+    use lion_linalg::{solve_irls_normal, IrlsConfig, NormalEq, NormalIrlsScratch};
+    for cols in [2_usize, 3, 4] {
+        let m = 4 * BLOCKS + 3;
+        let flat = fill(20 + cols as u64, m * cols, -1.0, 1.0);
+        let mut rhs = fill(30 + cols as u64, m, -0.05, 0.05);
+        rhs[m / 2] += 3.0; // an outlier, so the weights leave uniform
+        let mut ne = NormalEq::new();
+        ne.set_system(cols, &flat, &rhs);
+        let mut scratch = NormalIrlsScratch::new();
+        let outcome = solve_irls_normal(&mut ne, &IrlsConfig::default(), &mut scratch).unwrap();
+        assert!(outcome.iterations > 0, "cols={cols}");
+        let wsum: f64 = scratch.weights().iter().sum();
+        let wsq: f64 = scratch
+            .residuals()
+            .iter()
+            .zip(scratch.weights())
+            .map(|(r, w)| w * r * r)
+            .sum();
+        let sigma2 = |wsq: f64, wsum: f64| {
+            let dof = (m - cols) as f64;
+            wsq / dof.max(1.0) / (wsum / m as f64).max(f64::MIN_POSITIVE)
+        };
+        assert_eq!(
+            sigma2(outcome.weighted_sq_sum, outcome.weight_sum).to_bits(),
+            sigma2(wsq, wsum).to_bits(),
+            "cols={cols}"
+        );
+        assert_eq!(
+            outcome.weighted_rms.to_bits(),
+            (wsq / wsum).sqrt().to_bits(),
+            "cols={cols}"
+        );
+        // Handing the final weights over leaves them in the system.
+        let final_weights = scratch.weights().to_vec();
+        ne.adopt_irls_weights(&mut scratch).unwrap();
+        assert_eq!(bits(ne.weights()), bits(&final_weights), "cols={cols}");
+    }
+}

@@ -569,11 +569,12 @@ impl TelemetryHub {
             .is_some()
     }
 
-    /// One sampling step: refreshes the fleet gauges into the global
-    /// registry, then snapshots the registry into the store if the
-    /// sampler's clock says a sample is due. Returns the sample
-    /// timestamp when a sample was taken; no-ops (cheaply) without a
-    /// history plane.
+    /// One sampling step: when the sampler's clock says a sample is due,
+    /// refreshes the fleet gauges into the global registry and snapshots
+    /// the registry into the store. Returns the sample timestamp when a
+    /// sample was taken. A tick that is not due reads the clock once and
+    /// touches neither the fleet rollup nor the registry; without a
+    /// history plane it no-ops.
     ///
     /// Deterministic by construction: the engine calls this at fixed
     /// lifecycle points and the timestamps come from the injected clock,
@@ -581,9 +582,13 @@ impl TelemetryHub {
     pub fn sample_tick(&self) -> Option<u64> {
         let history = self.history.read().expect("history lock poisoned");
         let plane = history.as_ref()?;
+        // The sampler lock is not held across the rollup, which takes the
+        // fleet lock. A concurrent tick that samples in between moves the
+        // due time past `now`, and `sample_if_due` then declines.
+        let now = plane.sampler.lock().expect("sampler poisoned").due()?;
         self.fleet_report().record_into(crate::global());
         let mut sampler = plane.sampler.lock().expect("sampler poisoned");
-        sampler.tick(crate::global())
+        sampler.sample_if_due(crate::global(), now)
     }
 
     /// Spawns a thread that calls [`TelemetryHub::sample_tick`] every
@@ -903,9 +908,17 @@ mod tests {
         assert_eq!(last, 0.0);
     }
 
+    /// Serializes the tests that write the fleet gauges into the global
+    /// registry, so one cannot overwrite a gauge another is reading.
+    fn global_fleet_gauges() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn hub_history_plane_samples_deterministically() {
         use crate::tsdb::{ManualClock, SeriesPoints, Tier};
+        let _serial = global_fleet_gauges();
         let hub = TelemetryHub::new(SloConfig::default());
         assert!(!hub.history_enabled());
         assert!(hub.sample_tick().is_none());
@@ -937,5 +950,33 @@ mod tests {
         clock.set(1_000_000_000);
         assert_eq!(hub.sample_tick(), Some(1_000_000_000));
         assert_eq!(shed(), [(0, 0.0), (1_000_000_000, 1.0)]);
+    }
+
+    #[test]
+    fn a_tick_that_is_not_due_leaves_the_fleet_gauges_alone() {
+        use crate::tsdb::ManualClock;
+        let _serial = global_fleet_gauges();
+        let hub = TelemetryHub::new(SloConfig::default());
+        let clock = ManualClock::new(0);
+        hub.enable_history(HistoryConfig {
+            sample_period_ns: 1_000,
+            clock: clock.clone(),
+            ..HistoryConfig::default()
+        });
+        let streams = || crate::global().snapshot().gauge("fleet.streams");
+        hub.with_fleet(|fleet| fleet.ingest("a", &health(1e-3, 0)));
+        assert_eq!(hub.sample_tick(), Some(0));
+        assert_eq!(streams(), Some(1.0));
+
+        // The fleet grows before the period ends: the tick is not due,
+        // so the registry keeps the last sampled rollup.
+        hub.with_fleet(|fleet| fleet.ingest("b", &health(1e-3, 0)));
+        clock.set(999);
+        assert_eq!(hub.sample_tick(), None);
+        assert_eq!(streams(), Some(1.0));
+
+        clock.set(1_000);
+        assert_eq!(hub.sample_tick(), Some(1_000));
+        assert_eq!(streams(), Some(2.0));
     }
 }

@@ -815,15 +815,34 @@ impl Sampler {
     /// (the first call is always due). Returns the sample timestamp when
     /// a sample was taken.
     pub fn tick(&mut self, registry: &Registry) -> Option<u64> {
+        let now = self.due()?;
+        self.sample_if_due(registry, now)
+    }
+
+    /// Reads the clock once and returns the reading if a sample is due
+    /// at it, without sampling. Callers that must refresh the registry
+    /// before a sample ask here first, refresh, and then call
+    /// [`Sampler::sample_if_due`] with the same reading.
+    pub(crate) fn due(&self) -> Option<u64> {
         let now = self.clock.now_ns();
-        if let Some(due) = self.next_due_ns {
-            if now < due {
-                return None;
-            }
+        self.is_due(now).then_some(now)
+    }
+
+    /// Samples `registry` at `now`, a reading taken by [`Sampler::due`],
+    /// unless a sample taken since that reading has moved the next due
+    /// time past it. Returns the sample timestamp when a sample was
+    /// taken. Reads no clock.
+    pub(crate) fn sample_if_due(&mut self, registry: &Registry, now: u64) -> Option<u64> {
+        if !self.is_due(now) {
+            return None;
         }
         self.sample_at(registry, now);
         self.next_due_ns = Some(now.saturating_add(self.period_ns));
         Some(now)
+    }
+
+    fn is_due(&self, now: u64) -> bool {
+        self.next_due_ns.is_none_or(|due| now >= due)
     }
 
     /// Number of samples taken.

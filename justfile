@@ -10,7 +10,11 @@
 # accelerated-IRLS fixed-point oracle, the sliding window's sorted-Vec
 # model proptest, the engine's serial-vs-N-workers gate for batch and
 # calibration jobs and the Doctor's health suite are named explicitly
-# so a test-filter typo can't silently skip a bit-identicality gate. The end-to-end benchmark's own tests run every
+# so a test-filter typo can't silently skip a bit-identicality gate.
+# The scalar-fallback step reruns stream_parity, engine_determinism,
+# sweep_cells and the lion-linalg proptests with LION_SIMD=scalar, so
+# the fallback kernels pass the same gates from process start, not only
+# under `simd::force`. The end-to-end benchmark's own tests run every
 # workload at tiny scale and check the ledger identity; it sits outside
 # the workspace, so it gets its own clippy step.
 verify:
@@ -26,6 +30,7 @@ verify:
     cargo test -q -p lion-core --test scalar_dispatch
     cargo test -q -p lion-core --test proptests window
     cargo test -q -p lion-linalg --test simd_parity
+    LION_SIMD=scalar sh -c 'cargo test -q --test stream_parity --test engine_determinism && cargo test -q -p lion-core --test sweep_cells && cargo test -q -p lion-linalg --test proptests'
     cargo test -q -p lion-obs --test http_plane
     cargo test -q --test fleet_health
     cargo test -q --test history_determinism --test doctor
