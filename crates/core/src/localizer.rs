@@ -775,8 +775,6 @@ pub(crate) fn solve_prepared(
     let _solve_span = lion_obs::span!("lion.solve");
     let t = Instant::now();
     let Workspace {
-        design,
-        rhs,
         metrics,
         pairs,
         pair_i,
@@ -788,9 +786,8 @@ pub(crate) fn solve_prepared(
         cov_diag,
         ..
     } = ws;
-    crate::model::build_system_soa(coords, n, k, deltas, pairs, pair_i, pair_j, design, rhs)?;
-    let m = design.rows();
-    ne.set_system(k + 1, design.as_slice(), rhs.as_slice());
+    crate::model::load_system(coords, n, k, deltas, pairs, pair_i, pair_j, ne)?;
+    let m = ne.rows();
     let outcome = lion_linalg::solve_irls_normal(ne, &config.weighting.irls(), ne_irls)?;
     normal_param_std(ne, &outcome, ne_irls, param_std, cov_diag);
     solution.clear();

@@ -14,7 +14,7 @@
 //! over the coordinates `c` (x, y in 2D; x, y, z in 3D) plus the unknown
 //! reference distance `d_r`.
 
-use lion_linalg::{Matrix, Vector};
+use lion_linalg::{Matrix, NormalEq, Vector};
 
 use crate::error::CoreError;
 
@@ -32,8 +32,11 @@ use crate::error::CoreError;
 /// validation, so the `i32` narrowing is always exact); `design` and
 /// `rhs` are resized in place and fully overwritten, so a workspace that
 /// owns them assembles every solve without allocating. The row
-/// arithmetic is `lion_linalg::simd::radical_rows_scalar`'s on every
-/// backend.
+/// arithmetic is `lion_linalg::simd::radical_row`'s on every backend.
+///
+/// The localizer itself writes the same rows straight into its
+/// [`NormalEq`] instead (`load_system`); this is that assembly with
+/// [`Matrix`]/[`Vector`] outputs.
 ///
 /// # Errors
 ///
@@ -56,6 +59,58 @@ pub fn build_system_soa(
     design: &mut Matrix,
     rhs: &mut Vector,
 ) -> Result<(), CoreError> {
+    pair_lanes(coords, n, k, deltas, pairs, pair_i, pair_j)?;
+    design.reset_zeroed(pairs.len(), k + 1);
+    rhs.reset_zeroed(pairs.len());
+    lion_linalg::simd::radical_rows(
+        coords,
+        n,
+        k,
+        deltas,
+        pair_i,
+        pair_j,
+        design.as_mut_slice(),
+        rhs.as_mut_slice(),
+    );
+    Ok(())
+}
+
+/// [`build_system_soa`] with the rows written straight into `ne`'s
+/// storage (`k + 1` unknowns, unit weights): the same validation, the
+/// same rows, no staging copy.
+///
+/// # Errors
+///
+/// As [`build_system_soa`]; on error `ne` is left as it was.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn load_system(
+    coords: &[f64],
+    n: usize,
+    k: usize,
+    deltas: &[f64],
+    pairs: &[(usize, usize)],
+    pair_i: &mut Vec<i32>,
+    pair_j: &mut Vec<i32>,
+    ne: &mut NormalEq,
+) -> Result<(), CoreError> {
+    pair_lanes(coords, n, k, deltas, pairs, pair_i, pair_j)?;
+    ne.load_with(k + 1, pairs.len(), |design, rhs| {
+        lion_linalg::simd::radical_rows(coords, n, k, deltas, pair_i, pair_j, design, rhs)
+    });
+    Ok(())
+}
+
+/// Validates a system's inputs and refills the `i32` index lanes from
+/// `pairs` in one pass.
+fn pair_lanes(
+    coords: &[f64],
+    n: usize,
+    k: usize,
+    deltas: &[f64],
+    pairs: &[(usize, usize)],
+    pair_i: &mut Vec<i32>,
+    pair_j: &mut Vec<i32>,
+) -> Result<(), CoreError> {
     if k == 0 {
         return Err(CoreError::InvalidConfig {
             parameter: "k",
@@ -77,32 +132,27 @@ pub fn build_system_soa(
             needed: k + 1,
         });
     }
-    pair_i.clear();
-    pair_j.clear();
-    pair_i.reserve(pairs.len());
-    pair_j.reserve(pairs.len());
-    for &(i, j) in pairs {
-        if i >= n || j >= n {
-            return Err(CoreError::InvalidConfig {
-                parameter: "pairs",
-                found: format!("pair ({i}, {j}) out of bounds for {n} samples"),
-            });
-        }
-        pair_i.push(i as i32);
-        pair_j.push(j as i32);
+    pair_i.resize(pairs.len(), 0);
+    pair_j.resize(pairs.len(), 0);
+    // Narrow first, check once: an index below `limit` is in bounds and
+    // narrows exactly, so the largest one decides.
+    let limit = n.min(i32::MAX as usize + 1);
+    let mut largest = 0;
+    for ((&(i, j), pi), pj) in pairs.iter().zip(pair_i.iter_mut()).zip(pair_j.iter_mut()) {
+        *pi = i as i32;
+        *pj = j as i32;
+        largest = largest.max(i.max(j));
     }
-    design.reset_zeroed(pairs.len(), k + 1);
-    rhs.reset_zeroed(pairs.len());
-    lion_linalg::simd::radical_rows(
-        coords,
-        n,
-        k,
-        deltas,
-        pair_i,
-        pair_j,
-        design.as_mut_slice(),
-        rhs.as_mut_slice(),
-    );
+    if largest >= limit {
+        let &(i, j) = pairs
+            .iter()
+            .find(|&&(i, j)| i.max(j) >= limit)
+            .expect("the largest index belongs to a pair");
+        return Err(CoreError::InvalidConfig {
+            parameter: "pairs",
+            found: format!("pair ({i}, {j}) out of bounds for {n} samples"),
+        });
+    }
     Ok(())
 }
 

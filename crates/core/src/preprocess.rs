@@ -187,28 +187,46 @@ impl PhaseProfile {
         measurements: &[(Point3, f64)],
         wavelength: f64,
     ) -> Result<(), CoreError> {
-        self.clear_samples();
-        if measurements.len() < 2 {
-            return Err(CoreError::TooFewMeasurements {
-                got: measurements.len(),
-                needed: 2,
-            });
+        let n = measurements.len();
+        if n < 2 {
+            self.clear_samples();
+            return Err(CoreError::TooFewMeasurements { got: n, needed: 2 });
         }
         if !(wavelength > 0.0 && wavelength.is_finite()) {
+            self.clear_samples();
             return Err(CoreError::InvalidConfig {
                 parameter: "wavelength",
                 found: format!("{wavelength}"),
             });
         }
-        for (i, (p, theta)) in measurements.iter().enumerate() {
-            if !p.is_finite() || !theta.is_finite() {
-                return Err(CoreError::NonFiniteMeasurement { index: i });
-            }
+        // Stage every lane in one pass; a resize to the length a buffer
+        // already has writes nothing, and the loop overwrites every entry.
+        self.positions.resize(n, Point3::ORIGIN);
+        self.xs.resize(n, 0.0);
+        self.ys.resize(n, 0.0);
+        self.zs.resize(n, 0.0);
+        self.phases.resize(n, 0.0);
+        let mut finite = true;
+        let lanes = self
+            .positions
+            .iter_mut()
+            .zip(&mut self.xs)
+            .zip(&mut self.ys)
+            .zip(&mut self.zs)
+            .zip(&mut self.phases);
+        for (((((pos, x), y), z), phase), &(p, theta)) in lanes.zip(measurements) {
+            (*pos, *x, *y, *z, *phase) = (p, p.x, p.y, p.z, theta);
+            finite &= p.is_finite() & theta.is_finite();
+        }
+        if !finite {
+            self.clear_samples();
+            let index = measurements
+                .iter()
+                .position(|(p, theta)| !p.is_finite() || !theta.is_finite())
+                .expect("a sample is not finite");
+            return Err(CoreError::NonFiniteMeasurement { index });
         }
         self.wavelength = wavelength;
-        for &(p, theta) in measurements {
-            self.push_sample(p, theta);
-        }
         lion_linalg::simd::phase_unwrap_in_place(&mut self.phases, &mut self.unwrap_scratch);
         Ok(())
     }

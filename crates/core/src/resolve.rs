@@ -58,7 +58,7 @@
 use std::time::Instant;
 
 use lion_geom::{Point3, Vec3};
-use lion_linalg::{solve_irls_normal, stats, NormalEq, NormalIrlsScratch};
+use lion_linalg::{simd, solve_irls_normal, stats, NormalEq, NormalIrlsScratch};
 
 use crate::error::CoreError;
 use crate::localizer::{analyze_geometry_small, assemble_position, Estimate, Localizer};
@@ -133,19 +133,15 @@ pub struct IncrementalState {
     delta_solves: u64,
 }
 
-/// Radical-line/plane row for the pair `(i, j)` in the frozen frame —
-/// the same arithmetic as the adaptive sweep's row builder (paper
-/// Eq. 12); returns the right-hand side.
+/// Radical-line/plane row for the pair `(i, j)` in the frozen frame
+/// (sample-major `coords`, `k` per sample), built by the batch kernel's
+/// own single-row function; returns the right-hand side.
 fn build_row(coords: &[f64], deltas: &[f64], k: usize, i: usize, j: usize, row: &mut [f64]) -> f64 {
-    let ci = &coords[i * k..(i + 1) * k];
-    let cj = &coords[j * k..(j + 1) * k];
-    let mut rhs = 0.0;
-    for c in 0..k {
-        row[c] = 2.0 * (ci[c] - cj[c]);
-        rhs += ci[c] * ci[c] - cj[c] * cj[c];
-    }
-    row[k] = 2.0 * (deltas[i] - deltas[j]);
-    rhs - deltas[i] * deltas[i] + deltas[j] * deltas[j]
+    let ends = coords[i * k..(i + 1) * k]
+        .iter()
+        .copied()
+        .zip(coords[j * k..(j + 1) * k].iter().copied());
+    simd::radical_row(ends, deltas[i], deltas[j], &mut row[..=k])
 }
 
 impl IncrementalState {

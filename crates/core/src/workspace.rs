@@ -1,8 +1,8 @@
 //! Reusable solver workspaces and per-stage instrumentation.
 //!
 //! A [`Workspace`] owns the buffers the LION pipeline fills on every solve
-//! — the radical-line design matrix, its right-hand side, the frame
-//! coordinates, and the IRLS scratch — so a hot loop (the batch engine's
+//! — the normal equations the radical-line rows are written into, the
+//! frame coordinates, and the IRLS scratch — so a hot loop (the batch engine's
 //! workers, the conveyor tracker, the adaptive sweep) reuses one set of
 //! allocations instead of allocating per solve. It also carries
 //! [`StageMetrics`]: monotonic per-stage timers and counters that every
@@ -14,7 +14,7 @@
 //! to `locate` with a fresh one.
 
 use lion_geom::Point3;
-use lion_linalg::{Matrix, NormalEq, NormalIrlsScratch, Vector};
+use lion_linalg::{NormalEq, NormalIrlsScratch};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -150,15 +150,13 @@ pub(crate) fn elapsed_ns(start: Instant) -> u64 {
 
 /// Reusable solver state for the LION pipeline.
 ///
-/// Holds the design matrix, right-hand side, frame-coordinate buffer, and
+/// Holds the normal equations, frame-coordinate buffer, and
 /// least-squares scratch that [`crate::Localizer::locate_in`] and
 /// friends fill on every run, plus the [`StageMetrics`] they record into.
 /// Create one per worker/thread and reuse it across solves; see the
 /// module docs for the reuse guarantee.
 #[derive(Debug, Clone)]
 pub struct Workspace {
-    pub(crate) design: Matrix,
-    pub(crate) rhs: Vector,
     pub(crate) metrics: StageMetrics,
     /// Staging for windowed solves: a [`crate::SlidingWindow`]'s
     /// `(position, wrapped phase)` reads are copied here (capacity
@@ -181,7 +179,8 @@ pub struct Workspace {
     pub(crate) solution: Vec<f64>,
     /// Per-parameter standard errors of the last batch solve.
     pub(crate) param_std: Vec<f64>,
-    /// Normal equations of the batch weighted solve path.
+    /// Normal equations of the batch solve path; the radical-line rows
+    /// are assembled straight into its storage.
     pub(crate) ne: NormalEq,
     /// IRLS scratch of the batch weighted solve path.
     pub(crate) ne_irls: NormalIrlsScratch,
@@ -203,8 +202,6 @@ impl Workspace {
     /// reused.
     pub fn new() -> Self {
         Workspace {
-            design: Matrix::zeros(0, 0),
-            rhs: Vector::zeros(0),
             metrics: StageMetrics::default(),
             measurements: Vec::new(),
             profile: PhaseProfile::default(),

@@ -5,11 +5,13 @@
 //! keys, a third sweep over the same workload must perform **zero**
 //! allocations. Covered: the 2D `Interval` sweep, the windowed locate,
 //! and the 3D `StructuredScan` calibration sweep on a scan shorter than
-//! the widest range (so ranges are copied, not only solved). Runs
-//! single-threaded by construction (one test in this binary), so the
-//! counter observes only the code under test.
+//! the widest range (so ranges are copied, not only solved). Only
+//! allocations made on the thread that runs a measured call are counted:
+//! the test harness allocates on its own threads while a test runs, and
+//! those allocations say nothing about the code under test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::f64::consts::{PI, TAU};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -23,9 +25,25 @@ struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set on the thread under test while a measured call runs. A
+    /// `const` initializer needs no lazy setup, so reading it from the
+    /// allocator never allocates.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Counts one allocation if this thread is being measured. During
+/// thread teardown the flag may be gone; such allocations are not the
+/// test's.
+fn count() {
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -34,13 +52,23 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Runs `f` on this thread and returns its result with the number of
+/// heap allocations this thread made meanwhile.
+fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    COUNTING.set(true);
+    let out = f();
+    COUNTING.set(false);
+    (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
+}
 
 const LAMBDA: f64 = 299_792_458.0 / 920.625e6;
 
@@ -78,11 +106,9 @@ fn steady_state_sweep_allocates_nothing() {
     }
     assert_eq!(out.trials.len(), 36, "every grid cell must solve");
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    localizer
-        .locate_adaptive_into(&m, &grid, &mut ws, &mut out)
-        .expect("clean sweep succeeds");
-    let during = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let (result, during) =
+        allocations_during(|| localizer.locate_adaptive_into(&m, &grid, &mut ws, &mut out));
+    result.expect("clean sweep succeeds");
     assert_eq!(
         during, 0,
         "steady-state adaptive sweep performed {during} heap allocations"
@@ -110,12 +136,11 @@ fn steady_state_sweep_allocates_nothing() {
             .locate_window_in(&window, &mut ws)
             .expect("clean window solves");
     }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    push_one(&mut window);
-    let est = localizer
-        .locate_window_in(&window, &mut ws)
-        .expect("clean window solves");
-    let during = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let (est, during) = allocations_during(|| {
+        push_one(&mut window);
+        localizer.locate_window_in(&window, &mut ws)
+    });
+    let est = est.expect("clean window solves");
     assert_eq!(
         during, 0,
         "steady-state windowed locate performed {during} heap allocations"
@@ -152,11 +177,9 @@ fn steady_state_sweep_allocates_nothing() {
             .expect("clean 3D sweep succeeds");
     }
     ws.take_metrics();
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    localizer
-        .locate_adaptive_into(&m, &grid, &mut ws, &mut out)
-        .expect("clean 3D sweep succeeds");
-    let during = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let (result, during) =
+        allocations_during(|| localizer.locate_adaptive_into(&m, &grid, &mut ws, &mut out));
+    result.expect("clean 3D sweep succeeds");
     assert_eq!(
         during, 0,
         "steady-state 3D StructuredScan sweep performed {during} heap allocations"

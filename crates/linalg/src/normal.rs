@@ -7,17 +7,20 @@
 //! rows at each end. [`NormalEq`] stores the rows, right-hand side and
 //! weights of `AᵀWA · x = AᵀWk` and lets callers edit them in place:
 //!
-//! - **Loading** — `push_row` appends a row, `set_system` bulk-loads a
-//!   pre-assembled system;
+//! - **Loading** — `push_row` appends a row, `load_with` lets a caller
+//!   write a whole system straight into the row storage, and
+//!   `set_system` bulk-loads a pre-assembled one;
 //! - **Reweighting** — `set_weights` replaces the weight diagonal;
 //! - **Row edits** — `remove_rows_front` and `replace_row` retire or
 //!   change the rows a window slide touches, without starting over.
 //!
 //! The Gram matrix `AᵀWA` and `AᵀWk` are derived state: every edit only
 //! writes storage and marks them stale, and the next solve recomputes
-//! them from the stored rows in storage order, in `O(m·n²)` with no
-//! intermediate `m×n` factorization. IRLS changes every weight on every
-//! reweight, so patching the sums would cost the same pass over the rows.
+//! them from the stored rows in one fixed summation order
+//! ([`crate::simd::gram_fixed`]'s four interleaved partial sums), in
+//! `O(m·n²)` with no intermediate `m×n` factorization. IRLS changes
+//! every weight on every reweight, so patching the sums would cost the
+//! same pass over the rows.
 //!
 //! Solves go through the same Cholesky kernel as [`crate::Cholesky`]
 //! (literally the same function), so the two routes cannot drift.
@@ -49,25 +52,6 @@ use crate::cholesky;
 use crate::error::LinalgError;
 use crate::lstsq::{IrlsConfig, WeightFunction};
 use crate::simd;
-
-/// Accumulates the lower triangle of `w·a·aᵀ` into `gram` and `w·a·k`
-/// into `atk`.
-///
-/// Only the lower triangle is maintained: the Cholesky routines read
-/// nothing above the diagonal, so the mirrored upper entries would be
-/// dead work (upper storage stays at the zeros the rebuild wrote). This
-/// is the rebuild kernel for more than 4 columns; it adds each entry's
-/// terms in row order, as [`crate::simd::gram_fixed`] does for 2–4.
-fn accumulate(gram: &mut [f64], atk: &mut [f64], cols: usize, a: &[f64], k: f64, w: f64) {
-    for r in 0..cols {
-        let wa = w * a[r];
-        let row = &mut gram[r * cols..r * cols + r + 1];
-        for (g, &ac) in row.iter_mut().zip(a) {
-            *g += wa * ac;
-        }
-        atk[r] += wa * k;
-    }
-}
 
 /// The first `N` entries of a solution vector, as the fixed-width
 /// kernels take them.
@@ -119,6 +103,8 @@ pub struct NormalEq {
     solution: Vec<f64>,
     /// Unit-vector scratch for covariance extraction.
     unit: Vec<f64>,
+    /// Partial-sum scratch of the Gram rebuild beyond 4 columns.
+    gram_lanes: Vec<f64>,
     /// When set, `gram`/`atk` do not reflect the stored rows, rhs and
     /// weights; the next solve rebuilds them.
     stale: bool,
@@ -142,11 +128,8 @@ impl NormalEq {
     /// Loads a whole pre-assembled system in one call: `begin(cols)`,
     /// then every row of the flat row-major `rows` (length a multiple of
     /// `cols`) with its `rhs` entry at unit weight. Equivalent to
-    /// pushing the rows one at a time (the determinism contract above).
-    ///
-    /// This is the batch entry point: the localizer assembles the
-    /// radical-line system into its workspace matrix and bulk-loads it
-    /// here.
+    /// pushing the rows one at a time (the determinism contract above);
+    /// a copy into [`NormalEq::load_with`].
     ///
     /// # Panics
     ///
@@ -157,10 +140,29 @@ impl NormalEq {
             rhs.len() * cols,
             "flat row storage must be rhs.len() * cols"
         );
-        self.begin(cols);
-        self.rows.extend_from_slice(rows);
-        self.rhs.extend_from_slice(rhs);
-        self.weights.resize(rhs.len(), 1.0);
+        self.load_with(cols, rhs.len(), |r, k| {
+            r.copy_from_slice(rows);
+            k.copy_from_slice(rhs);
+        });
+    }
+
+    /// Starts a fresh system of `m` rows and `cols` unknowns at unit
+    /// weight, and hands `fill` its row storage (flat row-major,
+    /// `m × cols`) and right-hand side (`m`) to write in place. `fill`
+    /// must write every entry: the buffers hold whatever an earlier
+    /// system left there. This is the batch entry point: the localizer
+    /// assembles the radical-line rows straight into this storage, with
+    /// no staging copy.
+    pub fn load_with(&mut self, cols: usize, m: usize, fill: impl FnOnce(&mut [f64], &mut [f64])) {
+        self.cols = cols;
+        // No `clear` first: a resize to a length the buffer already has
+        // writes nothing, and `fill` overwrites every entry.
+        self.rows.resize(m * cols, 0.0);
+        self.rhs.resize(m, 0.0);
+        self.weights.clear();
+        self.weights.resize(m, 1.0);
+        self.stale = true;
+        fill(&mut self.rows, &mut self.rhs);
     }
 
     /// Number of rows currently in the system.
@@ -303,7 +305,7 @@ impl NormalEq {
         }
     }
 
-    /// Recomputes `AᵀWA` / `AᵀWk` from the stored rows in storage order.
+    /// Recomputes `AᵀWA` / `AᵀWk` from the stored rows.
     fn rebuild(&mut self) {
         self.gram.clear();
         self.gram.resize(self.cols * self.cols, 0.0);
@@ -313,19 +315,15 @@ impl NormalEq {
             2 => self.rebuild_fixed::<2>(),
             3 => self.rebuild_fixed::<3>(),
             4 => self.rebuild_fixed::<4>(),
-            _ => {
-                for i in 0..self.rhs.len() {
-                    let start = i * self.cols;
-                    accumulate(
-                        &mut self.gram,
-                        &mut self.atk,
-                        self.cols,
-                        &self.rows[start..start + self.cols],
-                        self.rhs[i],
-                        self.weights[i],
-                    );
-                }
-            }
+            _ => simd::gram_into(
+                &self.rows,
+                &self.rhs,
+                &self.weights,
+                self.cols,
+                &mut self.gram_lanes,
+                &mut self.gram,
+                &mut self.atk,
+            ),
         }
         self.stale = false;
     }
@@ -333,8 +331,8 @@ impl NormalEq {
     /// Rebuild for the column counts the localizers actually use (2 for
     /// a collinear radical-line system, 3 for 2D, 4 for 3D): one pass of
     /// [`crate::simd::gram_fixed`] with the sums held in registers, then
-    /// a single store. `gram_fixed` adds each entry's terms in row order,
-    /// so this is bit-identical to the generic [`accumulate`] loop.
+    /// a single store. [`crate::simd::gram_into`] sums in the same order
+    /// at the other widths.
     fn rebuild_fixed<const N: usize>(&mut self) {
         let (gram, atk) = crate::simd::gram_fixed::<N>(&self.rows, &self.rhs, &self.weights);
         for r in 0..N {
@@ -499,9 +497,11 @@ pub struct NormalIrlsOutcome {
     /// `√(weighted_sq_sum / weight_sum)`, or 0 when `weight_sum` is not
     /// positive.
     pub weighted_rms: f64,
-    /// `Σw` over the final weights, added left to right.
+    /// `Σw` over the final weights, summed in
+    /// [`crate::simd::sum_sumsq`]'s lane order (together with
+    /// `weighted_sq_sum`, by [`crate::simd::weighted_sums`]).
     pub weight_sum: f64,
-    /// `Σw·r²` over the final weights and residuals, added left to right.
+    /// `Σw·r²` over the final weights and residuals, in the same order.
     /// With `weight_sum` this is what the σ̂ of a parameter covariance
     /// needs, so callers need not sum the rows again.
     pub weighted_sq_sum: f64,
@@ -592,13 +592,7 @@ pub fn solve_irls_normal(
     } else {
         sum / scratch.residuals.len() as f64
     };
-    let weight_sum: f64 = scratch.weights.iter().sum();
-    let weighted_sq_sum: f64 = scratch
-        .residuals
-        .iter()
-        .zip(scratch.weights.iter())
-        .map(|(r, w)| w * r * r)
-        .sum();
+    let (weight_sum, weighted_sq_sum) = simd::weighted_sums(&scratch.weights, &scratch.residuals);
     let weighted_rms = if weight_sum > 0.0 {
         (weighted_sq_sum / weight_sum).sqrt()
     } else {

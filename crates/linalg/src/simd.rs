@@ -27,12 +27,14 @@
 //! multiply-add rounds once where the scalar code rounds twice), and a
 //! reduction's summation order is whatever its scalar twin does: lanes
 //! hold *independent* accumulators, or interleaved partial sums of one
-//! reduction only where the scalar twin interleaves the same way. The
-//! one interleaved reduction is [`sum_sumsq`]'s: row `i` of every whole
-//! block of four adds into partial sum `i mod 4`, the partials combine
-//! as `(l0 + l1) + (l2 + l3)`, and the tail rows are added after that.
-//! [`residuals_fixed`] and [`crate::lstsq::WeightFunction::weights_into`]
-//! both sum `Σr` and `Σr²` in that order.
+//! reduction only where the scalar twin interleaves the same way. Every
+//! sum over rows uses one interleaved order, [`sum_sumsq`]'s: row `i` of
+//! every whole block of four adds into partial sum `i mod 4`, the
+//! partials combine as `(l0 + l1) + (l2 + l3)`, and the tail rows are
+//! added after that. [`residuals_fixed`] and
+//! [`crate::lstsq::WeightFunction::weights_into`] sum `Σr` and `Σr²` in
+//! that order, [`gram_fixed`] and [`gram_into`] every Gram and `AᵀWk`
+//! entry, and [`weighted_sums`] the σ̂ inputs `Σw` and `Σw·r²`.
 //!
 //! # Dispatch
 //!
@@ -395,14 +397,20 @@ fn sliding_mean_interior(n: usize, window: usize) -> (usize, usize) {
 /// `coords` holds `k` contiguous axis slices of length `n` (axis `c` at
 /// `coords[c·n .. (c+1)·n]`); `deltas` has length `n`. Pair `(i, j)` from
 /// the parallel `pair_i`/`pair_j` index slices becomes one row of
-/// `design` (row-major, `k + 1` columns): `2(cᵢ − cⱼ)` per axis, then
-/// `2(Δdᵢ − Δdⱼ)`, with `rhs = Σ_c (cᵢ² − cⱼ²) − (Δdᵢ² − Δdⱼ²)`. The
-/// arithmetic (including the accumulation order of the right-hand side)
-/// is [`radical_rows_scalar`]'s on every backend, so all of them produce
-/// bit-identical systems.
+/// `design` (row-major, `k + 1` columns), exactly [`radical_row`]'s. The
+/// AVX2 twin assembles four rows per step for `k = 1, 2, 3` (gathers,
+/// then a transpose back to row-major that writes whole rows and never
+/// past `rhs.len()·(k + 1)`), so every backend produces bit-identical
+/// systems.
 ///
-/// Callers validate; this kernel only debug-asserts. Indices are `i32`
-/// so the x86 path can feed them straight into vector gathers.
+/// Indices are `i32` so the x86 path can feed them straight into vector
+/// gathers.
+///
+/// # Panics
+///
+/// Panics when a slice length disagrees with `n`, `k` and `rhs.len()`,
+/// or a pair index is outside `0..n`: the vector twin gathers and stores
+/// by them unchecked. Callers that need a typed error validate first.
 #[allow(clippy::too_many_arguments)]
 pub fn radical_rows(
     coords: &[f64],
@@ -414,16 +422,16 @@ pub fn radical_rows(
     design: &mut [f64],
     rhs: &mut [f64],
 ) {
-    debug_assert_eq!(coords.len(), n * k);
-    debug_assert_eq!(deltas.len(), n);
-    debug_assert_eq!(pair_i.len(), rhs.len());
-    debug_assert_eq!(pair_j.len(), rhs.len());
-    debug_assert_eq!(design.len(), rhs.len() * (k + 1));
-    debug_assert!(pair_i.iter().chain(pair_j).all(|&x| (x as usize) < n));
+    assert_eq!(coords.len(), n * k, "k axis lanes of n samples");
+    assert_eq!(deltas.len(), n, "one delta per sample");
+    assert_eq!(pair_i.len(), rhs.len(), "one pair per row");
+    assert_eq!(pair_j.len(), rhs.len(), "one pair per row");
+    assert_eq!(design.len(), rhs.len() * (k + 1), "k + 1 columns per row");
     match active() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `active()` only returns Avx2 when the CPU supports it;
-        // index bounds are the caller's (debug-asserted) contract.
+        // SAFETY: `active()` only returns Avx2 when the CPU supports it,
+        // the lengths are asserted above, and the twin gathers only by
+        // indices clamped into `0..n`.
         Backend::Avx2 => unsafe {
             avx2::radical_rows(coords, n, k, deltas, pair_i, pair_j, design, rhs)
         },
@@ -459,8 +467,8 @@ pub fn radical_rows_scalar(
     );
 }
 
-/// The general scalar row loop over rows `[from, to)`; SIMD backends use
-/// it for `k ≠ 1` and tails.
+/// The scalar row loop over rows `[from, to)`; SIMD backends use it for
+/// `k > 3` and tails.
 #[allow(clippy::too_many_arguments)]
 fn radical_rows_range(
     coords: &[f64],
@@ -478,20 +486,36 @@ fn radical_rows_range(
     for row in from..to {
         let i = pair_i[row] as usize;
         let j = pair_j[row] as usize;
+        let ends = (0..k).map(|c| (coords[c * n + i], coords[c * n + j]));
         let out = &mut design[row * stride..row * stride + stride];
-        let mut kappa = 0.0;
-        for (c, o) in out[..k].iter_mut().enumerate() {
-            let ci = coords[c * n + i];
-            let cj = coords[c * n + j];
-            *o = 2.0 * (ci - cj);
-            kappa += ci * ci - cj * cj;
-        }
-        let di = deltas[i];
-        let dj = deltas[j];
-        out[k] = 2.0 * (di - dj);
-        kappa -= di * di - dj * dj;
-        rhs[row] = kappa;
+        rhs[row] = radical_row(ends, deltas[i], deltas[j], out);
     }
+}
+
+/// One radical-line row (paper Eqs. 7, 9, 12) for the pair `(i, j)`:
+/// `ends` yields the endpoints' coordinates `(cᵢ, cⱼ)` axis by axis, and
+/// `out` (`k + 1` entries for `k` axes) receives `2(cᵢ − cⱼ)` per axis,
+/// then `2(Δdᵢ − Δdⱼ)`. Returns the right-hand side
+/// `κ − (Δdᵢ² − Δdⱼ²)` with `κ = Σ_c (cᵢ² − cⱼ²)` added axis by axis.
+///
+/// This is the arithmetic of every row the program builds: the batch
+/// kernel [`radical_rows`] (whose SIMD twin repeats it per lane) and the
+/// streaming resolver's row edits.
+#[inline]
+pub fn radical_row(
+    ends: impl IntoIterator<Item = (f64, f64)>,
+    di: f64,
+    dj: f64,
+    out: &mut [f64],
+) -> f64 {
+    let (d_col, axes) = out.split_last_mut().expect("a row ends in its d_r column");
+    let mut kappa = 0.0;
+    for (o, (ci, cj)) in axes.iter_mut().zip(ends) {
+        *o = 2.0 * (ci - cj);
+        kappa += ci * ci - cj * cj;
+    }
+    *d_col = 2.0 * (di - dj);
+    kappa - (di * di - dj * dj)
 }
 
 // ---------------------------------------------------------------------------
@@ -499,34 +523,34 @@ fn radical_rows_range(
 // ---------------------------------------------------------------------------
 
 /// Sums `Σ wᵢ·aᵢaᵢᵀ` (lower triangle; upper entries stay 0) and
-/// `Σ wᵢ·aᵢ·kᵢ` over every stored row, accumulators held in registers.
-/// `weights[i]` is the stored weight of row `i`.
+/// `Σ wᵢ·aᵢ·kᵢ` over every stored row.
+/// `weights[i]` is the stored weight of row `i`; each term is
+/// `(wᵢ·aᵢ[r])·aᵢ[c]` or `(wᵢ·aᵢ[r])·kᵢ`.
 ///
-/// Each Gram entry sees the same terms added in the same (row) order as
-/// repeated single-row accumulation, so a bulk rebuild stays
-/// bit-identical to an incremental row-at-a-time build of the same
-/// system; the SIMD twins keep that order by giving each Gram entry its
-/// own lane (lanes never share an accumulator).
+/// Every entry is summed in [`sum_sumsq`]'s lane order: row `i` of every
+/// whole block of four adds into partial sum `i mod 4`, the partials
+/// combine as `(l0 + l1) + (l2 + l3)`, and the tail rows are added after
+/// that. The AVX2 twin transposes each block of four rows into columns
+/// (row `i` in lane `i mod 4`), so its one accumulator per entry holds
+/// exactly the scalar twin's four partial sums; [`gram_into`] sums the
+/// same terms in the same order at any width.
 pub fn gram_fixed<const N: usize>(
     rows: &[f64],
     rhs: &[f64],
     weights: &[f64],
 ) -> ([[f64; N]; N], [f64; N]) {
-    // The vector twins read row `i` unchecked for every `rhs[i]`.
+    // The vector twin reads row `i` unchecked for every `rhs[i]`.
     assert_eq!(
         rows.len(),
         rhs.len() * N,
         "flat row storage is rhs.len() * N"
     );
-    debug_assert_eq!(weights.len(), rhs.len());
+    assert_eq!(weights.len(), rhs.len(), "one weight per row");
     match active() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `active()` only returns Avx2 when the CPU supports it,
-        // and the row storage length is asserted above.
+        // and the slice lengths are asserted above.
         Backend::Avx2 if N >= 2 && N <= 4 => unsafe { avx2::gram_fixed::<N>(rows, rhs, weights) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is baseline on aarch64.
-        Backend::Neon if N == 2 || N == 4 => unsafe { neon::gram_fixed::<N>(rows, rhs, weights) },
         _ => gram_fixed_scalar::<N>(rows, rhs, weights),
     }
 }
@@ -537,19 +561,112 @@ pub fn gram_fixed_scalar<const N: usize>(
     rhs: &[f64],
     weights: &[f64],
 ) -> ([[f64; N]; N], [f64; N]) {
-    let mut gram = [[0.0; N]; N];
-    let mut atk = [0.0; N];
-    for ((chunk, &k), &w) in rows.chunks_exact(N).zip(rhs).zip(weights) {
-        let a: &[f64; N] = chunk.try_into().expect("chunk length equals N");
-        for r in 0..N {
-            let wa = w * a[r];
-            for c in 0..=r {
-                gram[r][c] += wa * a[c];
-            }
-            atk[r] += wa * k;
-        }
-    }
+    let mut lane_gram = [[[0.0; N]; N]; LANES];
+    let mut lane_atk = [[0.0; N]; LANES];
+    let (mut gram, mut atk) = ([[0.0; N]; N], [0.0; N]);
+    gram_lanes(
+        rows,
+        rhs,
+        weights,
+        N,
+        [
+            lane_gram.as_flattened_mut().as_flattened_mut(),
+            lane_atk.as_flattened_mut(),
+        ],
+        gram.as_flattened_mut(),
+        &mut atk,
+    );
     (gram, atk)
+}
+
+/// [`gram_fixed`]'s sums at a runtime width `cols`, in the same order,
+/// written into `gram` (`cols × cols` row-major, lower triangle; the rest
+/// is zeroed) and `atk` (`cols`). `lanes` is scratch for the partial
+/// sums.
+///
+/// # Panics
+///
+/// Panics when the slice lengths disagree with `cols` and `rhs.len()`.
+pub fn gram_into(
+    rows: &[f64],
+    rhs: &[f64],
+    weights: &[f64],
+    cols: usize,
+    lanes: &mut Vec<f64>,
+    gram: &mut [f64],
+    atk: &mut [f64],
+) {
+    assert_eq!(
+        rows.len(),
+        rhs.len() * cols,
+        "flat row storage is rhs.len() * cols"
+    );
+    assert_eq!(gram.len(), cols * cols, "gram is cols × cols");
+    assert_eq!(atk.len(), cols, "atk has cols entries");
+    lanes.clear();
+    lanes.resize(LANES * (cols * cols + cols), 0.0);
+    let (lane_gram, lane_atk) = lanes.split_at_mut(LANES * cols * cols);
+    gram_lanes(rows, rhs, weights, cols, [lane_gram, lane_atk], gram, atk);
+}
+
+/// The scalar Gram sums at width `cols`: the whole blocks' rows into the
+/// zeroed partial sums `lanes` (`[gram, atk]`, four consecutive copies
+/// of each), combined into `gram`/`atk`, then the tail rows.
+#[inline]
+fn gram_lanes(
+    rows: &[f64],
+    rhs: &[f64],
+    weights: &[f64],
+    cols: usize,
+    lanes: [&mut [f64]; 2],
+    gram: &mut [f64],
+    atk: &mut [f64],
+) {
+    assert_eq!(weights.len(), rhs.len(), "one weight per row");
+    let [lane_gram, lane_atk] = lanes;
+    let whole = rhs.len() - rhs.len() % LANES;
+    let rows_k_w = rows.chunks_exact(cols).zip(rhs).zip(weights);
+    for (i, ((a, &k), &w)) in rows_k_w.clone().take(whole).enumerate() {
+        let l = i % LANES;
+        let g = &mut lane_gram[l * cols * cols..(l + 1) * cols * cols];
+        gram_add_row(g, &mut lane_atk[l * cols..(l + 1) * cols], a, k, w);
+    }
+    combine_lanes(lane_gram, gram);
+    combine_lanes(lane_atk, atk);
+    for ((a, &k), &w) in rows_k_w.skip(whole) {
+        gram_add_row(gram, atk, a, k, w);
+    }
+}
+
+/// Adds one row's terms into a set of sums: the lower triangle of
+/// `w·a·aᵀ` into `gram` (`a.len()` square, row-major) and `w·a·k` into
+/// `atk`.
+#[inline]
+fn gram_add_row(gram: &mut [f64], atk: &mut [f64], a: &[f64], k: f64, w: f64) {
+    let cols = a.len();
+    for (r, (&ar, t)) in a.iter().zip(atk.iter_mut()).enumerate() {
+        let wa = w * ar;
+        for (g, &ac) in gram[r * cols..=r * cols + r].iter_mut().zip(a) {
+            *g += wa * ac;
+        }
+        *t += wa * k;
+    }
+}
+
+/// Combines four partial sums as `(l0 + l1) + (l2 + l3)`.
+#[inline]
+fn combine4([l0, l1, l2, l3]: [f64; LANES]) -> f64 {
+    (l0 + l1) + (l2 + l3)
+}
+
+/// [`combine4`] entry by entry: `parts` holds four consecutive copies of
+/// `out`'s entries, and `out[e]` combines entry `e` of each.
+#[inline]
+fn combine_lanes(parts: &[f64], out: &mut [f64]) {
+    let len = out.len();
+    for (e, o) in out.iter_mut().enumerate() {
+        *o = combine4([0, 1, 2, 3].map(|l| parts[l * len + e]));
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -559,36 +676,34 @@ pub fn gram_fixed_scalar<const N: usize>(
 /// Partial sums in the interleaved reduction of [`sum_sumsq`].
 const LANES: usize = 4;
 
-/// Four interleaved partial sums of `r` and `r²`: lane `l` holds the
-/// rows `i ≡ l (mod 4)` of the whole blocks seen so far.
+/// Two reductions side by side, each as four interleaved partial sums:
+/// lane `l` holds the rows `i ≡ l (mod 4)` of the whole blocks seen so
+/// far.
 #[derive(Default)]
 struct LaneSums {
-    sum: [f64; LANES],
-    sumsq: [f64; LANES],
+    a: [f64; LANES],
+    b: [f64; LANES],
 }
 
 impl LaneSums {
+    /// Adds row `i`'s two terms into partial sum `i mod 4`.
     #[inline]
-    fn add_block(&mut self, block: &[f64; LANES]) {
-        for (l, &r) in block.iter().enumerate() {
-            self.sum[l] += r;
-            self.sumsq[l] += r * r;
-        }
+    fn add(&mut self, i: usize, a: f64, b: f64) {
+        self.a[i % LANES] += a;
+        self.b[i % LANES] += b;
     }
 
     /// Combines the lanes as `(l0 + l1) + (l2 + l3)`, then adds the
-    /// `tail` rows one at a time.
+    /// `tail` rows' terms one at a time.
     #[inline]
-    fn finish(&self, tail: &[f64]) -> (f64, f64) {
-        let [s0, s1, s2, s3] = self.sum;
-        let [q0, q1, q2, q3] = self.sumsq;
-        let mut sum = (s0 + s1) + (s2 + s3);
-        let mut sumsq = (q0 + q1) + (q2 + q3);
-        for &r in tail {
-            sum += r;
-            sumsq += r * r;
+    fn finish(&self, tail: impl IntoIterator<Item = (f64, f64)>) -> (f64, f64) {
+        let mut a = combine4(self.a);
+        let mut b = combine4(self.b);
+        for (ta, tb) in tail {
+            a += ta;
+            b += tb;
         }
-        (sum, sumsq)
+        (a, b)
     }
 }
 
@@ -599,13 +714,30 @@ impl LaneSums {
 /// instead of one, and exactly what [`residuals_fixed`] fuses into its
 /// residual pass on every backend.
 pub fn sum_sumsq(rs: &[f64]) -> (f64, f64) {
+    let whole = rs.len() - rs.len() % LANES;
     let mut lanes = LaneSums::default();
-    let blocks = rs.chunks_exact(LANES);
-    let tail = blocks.remainder();
-    for block in blocks {
-        lanes.add_block(block.try_into().expect("chunk length equals LANES"));
+    for (i, &r) in rs[..whole].iter().enumerate() {
+        lanes.add(i, r, r * r);
     }
-    lanes.finish(tail)
+    lanes.finish(rs[whole..].iter().map(|&r| (r, r * r)))
+}
+
+/// `(Σw, Σw·r²)` over paired weights and residuals (`(w·r)·r` per row),
+/// in [`sum_sumsq`]'s lane order: the σ̂ inputs of an IRLS run, summed in
+/// one pass with four independent add chains per sum.
+///
+/// # Panics
+///
+/// Panics when the lengths differ.
+pub fn weighted_sums(weights: &[f64], residuals: &[f64]) -> (f64, f64) {
+    assert_eq!(weights.len(), residuals.len(), "one weight per residual");
+    let whole = weights.len() - weights.len() % LANES;
+    let pairs = weights.iter().zip(residuals).map(|(&w, &r)| (w, w * r * r));
+    let mut lanes = LaneSums::default();
+    for (i, (w, wrr)) in pairs.clone().take(whole).enumerate() {
+        lanes.add(i, w, wrr);
+    }
+    lanes.finish(pairs.skip(whole))
 }
 
 /// Residuals `rᵢ = aᵢ·x − kᵢ` of every row into `out`
@@ -651,20 +783,13 @@ pub fn residuals_fixed_scalar<const N: usize>(
 ) -> (f64, f64) {
     let whole = rhs.len() - rhs.len() % LANES;
     let mut lanes = LaneSums::default();
-    for ((block, ks), outs) in rows[..whole * N]
-        .chunks_exact(LANES * N)
-        .zip(rhs.chunks_exact(LANES))
-        .zip(out.chunks_exact_mut(LANES))
-    {
-        let mut r = [0.0; LANES];
-        for (l, v) in r.iter_mut().enumerate() {
-            *v = residual::<N>(&block[l * N..(l + 1) * N], x, ks[l]);
-        }
-        outs.copy_from_slice(&r);
-        lanes.add_block(&r);
+    for (i, o) in out[..whole].iter_mut().enumerate() {
+        let r = residual::<N>(&rows[i * N..(i + 1) * N], x, rhs[i]);
+        *o = r;
+        lanes.add(i, r, r * r);
     }
     residual_tail::<N>(rows, rhs, x, out, whole);
-    lanes.finish(&out[whole..])
+    lanes.finish(out[whole..].iter().map(|&r| (r, r * r)))
 }
 
 /// `a·x − k` for one row, columns added left to right.
@@ -770,6 +895,87 @@ mod avx2 {
         super::gaussian_weights_scalar(&residuals[i..], mu, inv_two_sigma2, &mut out[i..]);
     }
 
+    /// The `N` columns of the four rows stored from `base` (row-major,
+    /// `N` columns): entry `c` holds column `c`, row `i` in lane `i`.
+    ///
+    /// # Safety
+    /// AVX2; `2 ≤ N ≤ 4`; `4·N` readable values from `base`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn columns<const N: usize>(base: *const f64) -> [__m256d; N] {
+        let mut out = [_mm256_setzero_pd(); N];
+        match N {
+            2 => {
+                let u0 = _mm256_loadu2_m128d(base.add(4), base); // a00 a01 | a20 a21
+                let u1 = _mm256_loadu2_m128d(base.add(6), base.add(2)); // a10 a11 | a30 a31
+                out[0] = _mm256_unpacklo_pd(u0, u1); // a00 a10 a20 a30
+                out[1] = _mm256_unpackhi_pd(u0, u1); // a01 a11 a21 a31
+            }
+            3 => {
+                let v0 = _mm256_loadu_pd(base); // a00 a01 a02 a10
+                let v1 = _mm256_loadu_pd(base.add(4)); // a11 a12 a20 a21
+                let v2 = _mm256_loadu_pd(base.add(8)); // a22 a30 a31 a32
+                let ad = _mm256_blend_pd::<0b1100>(v0, v1); // a00 a01 | a20 a21
+                let be = _mm256_permute2f128_pd::<0x21>(v0, v2); // a02 a10 | a22 a30
+                let cf = _mm256_blend_pd::<0b1100>(v1, v2); // a11 a12 | a31 a32
+                out[0] = _mm256_shuffle_pd::<0b1010>(ad, be); // a00 a10 a20 a30
+                out[1] = _mm256_shuffle_pd::<0b0101>(ad, cf); // a01 a11 a21 a31
+                out[2] = _mm256_shuffle_pd::<0b1010>(be, cf); // a02 a12 a22 a32
+            }
+            _ => {
+                let u0 = _mm256_loadu2_m128d(base.add(8), base); // a00 a01 | a20 a21
+                let u1 = _mm256_loadu2_m128d(base.add(12), base.add(4)); // a10 a11 | a30 a31
+                let u2 = _mm256_loadu2_m128d(base.add(10), base.add(2)); // a02 a03 | a22 a23
+                let u3 = _mm256_loadu2_m128d(base.add(14), base.add(6)); // a12 a13 | a32 a33
+                out[0] = _mm256_unpacklo_pd(u0, u1); // a00 a10 a20 a30
+                out[1] = _mm256_unpackhi_pd(u0, u1); // a01 a11 a21 a31
+                out[2] = _mm256_unpacklo_pd(u2, u3); // a02 a12 a22 a32
+                out[3] = _mm256_unpackhi_pd(u2, u3); // a03 a13 a23 a33
+            }
+        }
+        out
+    }
+
+    /// The inverse of [`columns`]: stores four rows of `N` columns
+    /// (column `c` in `cols[c]`, row `i` in lane `i`) row-major from
+    /// `base`, writing exactly `4·N` values.
+    ///
+    /// # Safety
+    /// AVX2; `2 ≤ N ≤ 4`; `4·N` writable values from `base`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn store_rows<const N: usize>(base: *mut f64, cols: &[__m256d; N]) {
+        match N {
+            2 => {
+                let lo = _mm256_unpacklo_pd(cols[0], cols[1]); // a00 a01 | a20 a21
+                let hi = _mm256_unpackhi_pd(cols[0], cols[1]); // a10 a11 | a30 a31
+                _mm256_storeu2_m128d(base.add(4), base, lo);
+                _mm256_storeu2_m128d(base.add(6), base.add(2), hi);
+            }
+            3 => {
+                let ad = _mm256_unpacklo_pd(cols[0], cols[1]); // a00 a01 | a20 a21
+                let cf = _mm256_unpackhi_pd(cols[1], cols[2]); // a11 a12 | a31 a32
+                let be = _mm256_shuffle_pd::<0b1010>(cols[2], cols[0]); // a02 a10 | a22 a30
+                let v0 = _mm256_permute2f128_pd::<0x20>(ad, be); // a00 a01 a02 a10
+                let v1 = _mm256_blend_pd::<0b1100>(cf, ad); // a11 a12 a20 a21
+                let v2 = _mm256_permute2f128_pd::<0x31>(be, cf); // a22 a30 a31 a32
+                _mm256_storeu_pd(base, v0);
+                _mm256_storeu_pd(base.add(4), v1);
+                _mm256_storeu_pd(base.add(8), v2);
+            }
+            _ => {
+                let t0 = _mm256_unpacklo_pd(cols[0], cols[1]); // a00 a01 | a20 a21
+                let t1 = _mm256_unpackhi_pd(cols[0], cols[1]); // a10 a11 | a30 a31
+                let t2 = _mm256_unpacklo_pd(cols[2], cols[3]); // a02 a03 | a22 a23
+                let t3 = _mm256_unpackhi_pd(cols[2], cols[3]); // a12 a13 | a32 a33
+                _mm256_storeu2_m128d(base.add(8), base, t0);
+                _mm256_storeu2_m128d(base.add(12), base.add(4), t1);
+                _mm256_storeu2_m128d(base.add(10), base.add(2), t2);
+                _mm256_storeu2_m128d(base.add(14), base.add(6), t3);
+            }
+        }
+    }
+
     /// The dot products `aᵢ·x` of the four rows stored from `base`
     /// (row-major, `N` columns), row `i` in lane `i`. The columns are
     /// transposed out of the block first, so each lane adds its terms
@@ -780,42 +986,12 @@ mod avx2 {
     #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn dot4<const N: usize>(base: *const f64, x: &[__m256d; N]) -> __m256d {
-        let m = |c: __m256d, j: usize| _mm256_mul_pd(c, x[j]);
-        match N {
-            2 => {
-                let u0 = _mm256_loadu2_m128d(base.add(4), base); // a00 a01 | a20 a21
-                let u1 = _mm256_loadu2_m128d(base.add(6), base.add(2)); // a10 a11 | a30 a31
-                let c0 = _mm256_unpacklo_pd(u0, u1); // a00 a10 a20 a30
-                let c1 = _mm256_unpackhi_pd(u0, u1); // a01 a11 a21 a31
-                _mm256_add_pd(m(c0, 0), m(c1, 1))
-            }
-            3 => {
-                let v0 = _mm256_loadu_pd(base); // a00 a01 a02 a10
-                let v1 = _mm256_loadu_pd(base.add(4)); // a11 a12 a20 a21
-                let v2 = _mm256_loadu_pd(base.add(8)); // a22 a30 a31 a32
-                let ad = _mm256_blend_pd::<0b1100>(v0, v1); // a00 a01 | a20 a21
-                let be = _mm256_permute2f128_pd::<0x21>(v0, v2); // a02 a10 | a22 a30
-                let cf = _mm256_blend_pd::<0b1100>(v1, v2); // a11 a12 | a31 a32
-                let c0 = _mm256_shuffle_pd::<0b1010>(ad, be); // a00 a10 a20 a30
-                let c1 = _mm256_shuffle_pd::<0b0101>(ad, cf); // a01 a11 a21 a31
-                let c2 = _mm256_shuffle_pd::<0b1010>(be, cf); // a02 a12 a22 a32
-                _mm256_add_pd(_mm256_add_pd(m(c0, 0), m(c1, 1)), m(c2, 2))
-            }
-            _ => {
-                let u0 = _mm256_loadu2_m128d(base.add(8), base); // a00 a01 | a20 a21
-                let u1 = _mm256_loadu2_m128d(base.add(12), base.add(4)); // a10 a11 | a30 a31
-                let u2 = _mm256_loadu2_m128d(base.add(10), base.add(2)); // a02 a03 | a22 a23
-                let u3 = _mm256_loadu2_m128d(base.add(14), base.add(6)); // a12 a13 | a32 a33
-                let c0 = _mm256_unpacklo_pd(u0, u1); // a00 a10 a20 a30
-                let c1 = _mm256_unpackhi_pd(u0, u1); // a01 a11 a21 a31
-                let c2 = _mm256_unpacklo_pd(u2, u3); // a02 a12 a22 a32
-                let c3 = _mm256_unpackhi_pd(u2, u3); // a03 a13 a23 a33
-                _mm256_add_pd(
-                    _mm256_add_pd(_mm256_add_pd(m(c0, 0), m(c1, 1)), m(c2, 2)),
-                    m(c3, 3),
-                )
-            }
+        let a = columns::<N>(base);
+        let mut dot = _mm256_mul_pd(a[0], x[0]);
+        for c in 1..N {
+            dot = _mm256_add_pd(dot, _mm256_mul_pd(a[c], x[c]));
         }
+        dot
     }
 
     /// # Safety
@@ -846,10 +1022,10 @@ mod avx2 {
             i += LANES;
         }
         let mut lanes = LaneSums::default();
-        _mm256_storeu_pd(lanes.sum.as_mut_ptr(), sum);
-        _mm256_storeu_pd(lanes.sumsq.as_mut_ptr(), sumsq);
+        _mm256_storeu_pd(lanes.a.as_mut_ptr(), sum);
+        _mm256_storeu_pd(lanes.b.as_mut_ptr(), sumsq);
         super::residual_tail::<N>(rows, rhs, x, out, whole);
-        lanes.finish(&out[whole..])
+        lanes.finish(out[whole..].iter().map(|&r| (r, r * r)))
     }
 
     /// # Safety
@@ -906,8 +1082,8 @@ mod avx2 {
     }
 
     /// # Safety
-    /// Caller must have verified AVX2 support and that every pair index
-    /// is in `0..n`.
+    /// Caller must have verified AVX2 support and the slice lengths
+    /// [`super::radical_rows`] asserts.
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
     pub(super) unsafe fn radical_rows(
@@ -920,99 +1096,130 @@ mod avx2 {
         design: &mut [f64],
         rhs: &mut [f64],
     ) {
+        let whole = match k {
+            1 => radical_blocks::<1, 2>(coords, n, deltas, pair_i, pair_j, design, rhs),
+            2 => radical_blocks::<2, 3>(coords, n, deltas, pair_i, pair_j, design, rhs),
+            3 => radical_blocks::<3, 4>(coords, n, deltas, pair_i, pair_j, design, rhs),
+            _ => 0,
+        };
         let m = rhs.len();
-        if k != 1 {
-            // Multi-axis frames are the cold shape (non-collinear scans);
-            // the strided column writes don't pay for gathers there.
-            super::radical_rows_range(coords, n, k, deltas, pair_i, pair_j, design, rhs, 0, m);
-            return;
-        }
-        let two = _mm256_set1_pd(2.0);
-        let mut row = 0;
-        while row + 4 <= m {
-            let ii = _mm_loadu_si128(pair_i.as_ptr().add(row).cast());
-            let jj = _mm_loadu_si128(pair_j.as_ptr().add(row).cast());
-            let ci = _mm256_i32gather_pd::<8>(coords.as_ptr(), ii);
-            let cj = _mm256_i32gather_pd::<8>(coords.as_ptr(), jj);
-            let di = _mm256_i32gather_pd::<8>(deltas.as_ptr(), ii);
-            let dj = _mm256_i32gather_pd::<8>(deltas.as_ptr(), jj);
-            let a = _mm256_mul_pd(two, _mm256_sub_pd(ci, cj));
-            let b = _mm256_mul_pd(two, _mm256_sub_pd(di, dj));
-            // rhs: (cᵢ² − cⱼ²) − (Δdᵢ² − Δdⱼ²), same two-step order as
-            // the scalar loop (`kappa += …; kappa -= …`).
-            let csq = _mm256_sub_pd(_mm256_mul_pd(ci, ci), _mm256_mul_pd(cj, cj));
-            let dsq = _mm256_sub_pd(_mm256_mul_pd(di, di), _mm256_mul_pd(dj, dj));
-            let kappa = _mm256_sub_pd(csq, dsq);
-            // Interleave [a, b] into the row-major 2-column design block.
-            let lo = _mm256_unpacklo_pd(a, b); // a0 b0 a2 b2
-            let hi = _mm256_unpackhi_pd(a, b); // a1 b1 a3 b3
-            let r01 = _mm256_permute2f128_pd::<0x20>(lo, hi); // a0 b0 a1 b1
-            let r23 = _mm256_permute2f128_pd::<0x31>(lo, hi); // a2 b2 a3 b3
-            _mm256_storeu_pd(design.as_mut_ptr().add(row * 2), r01);
-            _mm256_storeu_pd(design.as_mut_ptr().add(row * 2 + 4), r23);
-            _mm256_storeu_pd(rhs.as_mut_ptr().add(row), kappa);
-            row += 4;
-        }
-        super::radical_rows_range(coords, n, k, deltas, pair_i, pair_j, design, rhs, row, m);
+        super::radical_rows_range(coords, n, k, deltas, pair_i, pair_j, design, rhs, whole, m);
     }
 
-    /// Broadcast lane `r` of a 4-lane vector (compile-time unrolled).
+    /// The whole blocks of four rows of [`radical_rows`] for `K` axes
+    /// (`C = K + 1` columns), each lane repeating [`super::radical_row`];
+    /// returns the number of rows written.
+    ///
+    /// # Safety
+    /// AVX2, the slice lengths [`super::radical_rows`] asserts, `1 ≤ K ≤ 3`
+    /// and `C = K + 1`. Pair indices need not be in bounds: the gathers
+    /// read only clamped ones, and any out-of-bounds index panics.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn bcast(v: __m256d, r: usize) -> __m256d {
-        match r {
-            0 => _mm256_permute4x64_pd::<0x00>(v),
-            1 => _mm256_permute4x64_pd::<0x55>(v),
-            2 => _mm256_permute4x64_pd::<0xAA>(v),
-            _ => _mm256_permute4x64_pd::<0xFF>(v),
+    unsafe fn radical_blocks<const K: usize, const C: usize>(
+        coords: &[f64],
+        n: usize,
+        deltas: &[f64],
+        pair_i: &[i32],
+        pair_j: &[i32],
+        design: &mut [f64],
+        rhs: &mut [f64],
+    ) -> usize {
+        let whole = rhs.len() - rhs.len() % LANES;
+        if whole == 0 {
+            return 0;
         }
+        assert!(n > 0, "pair index out of bounds");
+        // The gathers use each index clamped to `last` (read as u32, so a
+        // negative one clamps too) and never leave the slices; a clamp
+        // that changed an index fails the check after the loop.
+        let last = _mm_set1_epi32(n.saturating_sub(1).min(i32::MAX as usize) as i32);
+        let mut in_bounds = _mm_set1_epi32(-1);
+        let two = _mm256_set1_pd(2.0);
+        let mut row = 0;
+        while row < whole {
+            let ii_raw = _mm_loadu_si128(pair_i.as_ptr().add(row).cast());
+            let jj_raw = _mm_loadu_si128(pair_j.as_ptr().add(row).cast());
+            let ii = _mm_min_epu32(ii_raw, last);
+            let jj = _mm_min_epu32(jj_raw, last);
+            let same = _mm_and_si128(_mm_cmpeq_epi32(ii, ii_raw), _mm_cmpeq_epi32(jj, jj_raw));
+            in_bounds = _mm_and_si128(in_bounds, same);
+            let mut cols = [_mm256_setzero_pd(); C];
+            let mut kappa = _mm256_setzero_pd();
+            for (c, col) in cols[..K].iter_mut().enumerate() {
+                let axis = coords.as_ptr().add(c * n);
+                let ci = _mm256_i32gather_pd::<8>(axis, ii);
+                let cj = _mm256_i32gather_pd::<8>(axis, jj);
+                *col = _mm256_mul_pd(two, _mm256_sub_pd(ci, cj));
+                let sq = _mm256_sub_pd(_mm256_mul_pd(ci, ci), _mm256_mul_pd(cj, cj));
+                kappa = _mm256_add_pd(kappa, sq);
+            }
+            let di = _mm256_i32gather_pd::<8>(deltas.as_ptr(), ii);
+            let dj = _mm256_i32gather_pd::<8>(deltas.as_ptr(), jj);
+            cols[K] = _mm256_mul_pd(two, _mm256_sub_pd(di, dj));
+            let dsq = _mm256_sub_pd(_mm256_mul_pd(di, di), _mm256_mul_pd(dj, dj));
+            store_rows::<C>(design.as_mut_ptr().add(row * C), &cols);
+            _mm256_storeu_pd(rhs.as_mut_ptr().add(row), _mm256_sub_pd(kappa, dsq));
+            row += LANES;
+        }
+        assert!(
+            _mm_movemask_epi8(in_bounds) == 0xFFFF,
+            "pair index out of bounds"
+        );
+        whole
     }
 
     /// # Safety
-    /// Caller must have verified AVX2 support; `2 ≤ N ≤ 4`.
+    /// Caller must have verified AVX2 support; `2 ≤ N ≤ 4`,
+    /// `rows.len() == rhs.len()·N` and `weights.len() == rhs.len()`.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn gram_fixed<const N: usize>(
         rows: &[f64],
         rhs: &[f64],
         weights: &[f64],
     ) -> ([[f64; N]; N], [f64; N]) {
-        // Lane mask for partial row loads when N < 4 (maskload never
-        // touches the masked-off lanes, so the last row cannot read past
-        // the buffer).
-        let mask = _mm256_setr_epi64x(
-            -1,
-            -1,
-            if N >= 3 { -1 } else { 0 },
-            if N >= 4 { -1 } else { 0 },
-        );
-        let mut acc = [_mm256_setzero_pd(); N];
-        let mut acc_atk = _mm256_setzero_pd();
-        for (row, (&k, &w)) in rhs.iter().zip(weights).enumerate() {
-            let p = rows.as_ptr().add(row * N);
-            let a = if N == 4 {
-                _mm256_loadu_pd(p)
-            } else {
-                _mm256_maskload_pd(p, mask)
-            };
-            // wa[c] = w·a[c] — each lane is exactly the scalar loop's
-            // `wa` for the matching Gram row.
-            let wa = _mm256_mul_pd(_mm256_set1_pd(w), a);
-            for (r, acc_r) in acc.iter_mut().enumerate() {
-                *acc_r = _mm256_add_pd(*acc_r, _mm256_mul_pd(bcast(wa, r), a));
+        let m = rhs.len();
+        let whole = m - m % LANES;
+        // One accumulator per lower-triangle entry and per `atk` entry;
+        // lane l of each is the scalar twin's partial sum l. For N = 4
+        // those are 14 registers, so with the block's four columns some
+        // live on the stack. Splitting the Gram rows over two passes
+        // keeps every accumulator in a register but measured slower: the
+        // second pass reloads and re-transposes every block, and those
+        // shuffles compete with the arithmetic, while a spilled
+        // accumulator costs only a load and a store per block.
+        let mut acc = [[_mm256_setzero_pd(); N]; N];
+        let mut acc_atk = [_mm256_setzero_pd(); N];
+        let mut i = 0;
+        while i < whole {
+            let a = columns::<N>(rows.as_ptr().add(i * N));
+            let w = _mm256_loadu_pd(weights.as_ptr().add(i));
+            let k = _mm256_loadu_pd(rhs.as_ptr().add(i));
+            for r in 0..N {
+                let wa = _mm256_mul_pd(w, a[r]);
+                for c in 0..=r {
+                    acc[r][c] = _mm256_add_pd(acc[r][c], _mm256_mul_pd(wa, a[c]));
+                }
+                acc_atk[r] = _mm256_add_pd(acc_atk[r], _mm256_mul_pd(wa, k));
             }
-            acc_atk = _mm256_add_pd(acc_atk, _mm256_mul_pd(wa, _mm256_set1_pd(k)));
+            i += LANES;
         }
         let mut gram = [[0.0; N]; N];
         let mut atk = [0.0; N];
-        let mut lanes = [0.0_f64; 4];
-        for (r, acc_r) in acc.iter().enumerate() {
-            _mm256_storeu_pd(lanes.as_mut_ptr(), *acc_r);
-            // Keep only the lower triangle, matching the scalar kernel
-            // (upper entries stay 0 and are never read downstream).
-            gram[r][..=r].copy_from_slice(&lanes[..=r]);
+        let finish = |v: __m256d| {
+            let mut lanes = [0.0; LANES];
+            _mm256_storeu_pd(lanes.as_mut_ptr(), v);
+            super::combine4(lanes)
+        };
+        for r in 0..N {
+            for c in 0..=r {
+                gram[r][c] = finish(acc[r][c]);
+            }
+            atk[r] = finish(acc_atk[r]);
         }
-        _mm256_storeu_pd(lanes.as_mut_ptr(), acc_atk);
-        atk.copy_from_slice(&lanes[..N]);
+        for ((a, &k), &w) in rows.chunks_exact(N).zip(rhs).zip(weights).skip(whole) {
+            super::gram_add_row(gram.as_flattened_mut(), &mut atk, a, k, w);
+        }
         (gram, atk)
     }
 }
@@ -1105,65 +1312,6 @@ mod neon {
             i += 2;
         }
         super::sliding_mean_edges(prefix, window, out, i, n);
-    }
-
-    /// # Safety
-    /// NEON is baseline on aarch64; `N` must be 2 or 4.
-    pub(super) unsafe fn gram_fixed<const N: usize>(
-        rows: &[f64],
-        rhs: &[f64],
-        weights: &[f64],
-    ) -> ([[f64; N]; N], [f64; N]) {
-        let mut gram = [[0.0; N]; N];
-        let mut atk = [0.0; N];
-        // Per Gram row: ⌈N/2⌉ two-lane accumulators; lanes are distinct
-        // Gram entries, so per-entry addition order matches the scalar
-        // row-at-a-time loop exactly.
-        let mut acc = [[vdupq_n_f64(0.0); 2]; N];
-        let mut acc_atk = [vdupq_n_f64(0.0); 2];
-        for (row, (&k, &w)) in rhs.iter().zip(weights).enumerate() {
-            let p = rows.as_ptr().add(row * N);
-            let a0 = vld1q_f64(p);
-            let a1 = if N == 4 {
-                vld1q_f64(p.add(2))
-            } else {
-                vdupq_n_f64(0.0)
-            };
-            let wv = vdupq_n_f64(w);
-            let wa0 = vmulq_f64(wv, a0);
-            let wa1 = vmulq_f64(wv, a1);
-            for r in 0..N {
-                let war = match r {
-                    0 => vdupq_laneq_f64::<0>(wa0),
-                    1 => vdupq_laneq_f64::<1>(wa0),
-                    2 => vdupq_laneq_f64::<0>(wa1),
-                    _ => vdupq_laneq_f64::<1>(wa1),
-                };
-                acc[r][0] = vaddq_f64(acc[r][0], vmulq_f64(war, a0));
-                if N == 4 {
-                    acc[r][1] = vaddq_f64(acc[r][1], vmulq_f64(war, a1));
-                }
-            }
-            let kv = vdupq_n_f64(k);
-            acc_atk[0] = vaddq_f64(acc_atk[0], vmulq_f64(wa0, kv));
-            if N == 4 {
-                acc_atk[1] = vaddq_f64(acc_atk[1], vmulq_f64(wa1, kv));
-            }
-        }
-        let mut lanes = [0.0_f64; 4];
-        for r in 0..N {
-            vst1q_f64(lanes.as_mut_ptr(), acc[r][0]);
-            if N == 4 {
-                vst1q_f64(lanes.as_mut_ptr().add(2), acc[r][1]);
-            }
-            gram[r][..=r].copy_from_slice(&lanes[..=r]);
-        }
-        vst1q_f64(lanes.as_mut_ptr(), acc_atk[0]);
-        if N == 4 {
-            vst1q_f64(lanes.as_mut_ptr().add(2), acc_atk[1]);
-        }
-        atk.copy_from_slice(&lanes[..N]);
-        (gram, atk)
     }
 }
 

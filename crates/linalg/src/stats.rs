@@ -243,17 +243,20 @@ pub fn moving_average_into(
     prefix: &mut Vec<f64>,
     out: &mut Vec<f64>,
 ) {
-    out.clear();
     if window <= 1 || values.len() <= 1 {
+        out.clear();
         out.extend_from_slice(values);
         return;
     }
     let n = values.len();
-    // Prefix sums for O(n) averaging.
-    prefix.clear();
-    prefix.push(0.0);
-    for &v in values {
-        prefix.push(prefix.last().expect("seeded with 0.0") + v);
+    // Prefix sums for O(n) averaging, written over whatever the buffer
+    // held (a resize to the length it already has writes nothing).
+    prefix.resize(n + 1, 0.0);
+    prefix[0] = 0.0;
+    let mut running = 0.0;
+    for (p, &v) in prefix[1..].iter_mut().zip(values) {
+        running += v;
+        *p = running;
     }
     out.resize(n, 0.0);
     crate::simd::sliding_mean_from_prefix(prefix, window, out);

@@ -330,8 +330,8 @@ proptest! {
     // system holds. Fractional data, so a Gram matrix patched by weight
     // deltas or row downdates instead of rebuilt would differ in the last
     // bits. Covers the streaming delta tick's shape (a reweight, then row
-    // edits, then the IRLS restart) and, with 5 columns, the generic
-    // accumulate path next to the fixed-width kernels.
+    // edits, then the IRLS restart) and, with 5 columns, the
+    // runtime-width `simd::gram_into` next to the fixed-width kernels.
     #[test]
     fn normal_eq_edits_equal_a_fresh_load(
         cols in 2_usize..6,

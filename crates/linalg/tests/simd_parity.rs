@@ -359,6 +359,18 @@ proptest! {
     }
 }
 
+/// Eleven values whose sum in the documented lane order differs from
+/// every nearby order (see [`residual_sums_follow_the_documented_lane_order`]).
+const ORDER_PROBE: [f64; 11] = [-2.5, 0.7, 2.5, -3.0, -1e16, 3.0, 1e16, 0.1, -0.7, 2.5, -0.1];
+
+/// The documented reduction order, written out by hand for eleven rows:
+/// rows 0–7 fill lanes `i mod 4` over two whole blocks, the lanes combine
+/// as `(l0 + l1) + (l2 + l3)`, and rows 8–10 are added after that.
+fn lane_order_sum(r: &[f64; 11]) -> f64 {
+    let l = [r[0] + r[4], r[1] + r[5], r[2] + r[6], r[3] + r[7]];
+    (l[0] + l[1]) + (l[2] + l[3]) + r[8] + r[9] + r[10]
+}
+
 /// The documented reduction order, written out by hand for eleven rows:
 /// rows 0–7 fill lanes `i mod 4` over two whole blocks, the lanes combine
 /// as `(l0 + l1) + (l2 + l3)`, and rows 8–10 are added after that. The
@@ -366,7 +378,7 @@ proptest! {
 #[test]
 fn residual_sums_follow_the_documented_lane_order() {
     let _serial = dispatch_lock();
-    let r = [-2.5, 0.7, 2.5, -3.0, -1e16, 3.0, 1e16, 0.1, -0.7, 2.5, -0.1];
+    let r = ORDER_PROBE;
     let l = [r[0] + r[4], r[1] + r[5], r[2] + r[6], r[3] + r[7]];
     let sq = |v: f64| v * v;
     let q = [
@@ -376,7 +388,7 @@ fn residual_sums_follow_the_documented_lane_order() {
         sq(r[3]) + sq(r[7]),
     ];
     let tail = |head: f64, f: fn(f64) -> f64| head + f(r[8]) + f(r[9]) + f(r[10]);
-    let want_sum = tail((l[0] + l[1]) + (l[2] + l[3]), |v| v);
+    let want_sum = lane_order_sum(&r);
     let want_sumsq = tail((q[0] + q[1]) + (q[2] + q[3]), |v| v * v);
     let others = [
         ("left to right", r.iter().fold(0.0, |s, v| s + v)),
@@ -431,8 +443,9 @@ fn residual_sums_follow_the_documented_lane_order() {
 }
 
 /// σ̂² from the `Σw` and `Σw·r²` that `solve_irls_normal` returns equals
-/// σ̂² recomputed from the scratch's final weights and residuals, so the
-/// covariance needs no second pass over the rows.
+/// σ̂² recomputed from the scratch's final weights and residuals (summed
+/// in the documented lane order), so the covariance needs no second pass
+/// over the rows.
 #[test]
 fn sigma_hat_from_the_outcome_sums_equals_a_recomputation() {
     use lion_linalg::{solve_irls_normal, IrlsConfig, NormalEq, NormalIrlsScratch};
@@ -446,13 +459,26 @@ fn sigma_hat_from_the_outcome_sums_equals_a_recomputation() {
         let mut scratch = NormalIrlsScratch::new();
         let outcome = solve_irls_normal(&mut ne, &IrlsConfig::default(), &mut scratch).unwrap();
         assert!(outcome.iterations > 0, "cols={cols}");
-        let wsum: f64 = scratch.weights().iter().sum();
-        let wsq: f64 = scratch
-            .residuals()
-            .iter()
-            .zip(scratch.weights())
-            .map(|(r, w)| w * r * r)
-            .sum();
+        // Both sums in the documented lane order, written out.
+        let lane_sum = |terms: Vec<f64>| {
+            let whole = terms.len() - terms.len() % 4;
+            let mut l = [0.0; 4];
+            for (i, t) in terms[..whole].iter().enumerate() {
+                l[i % 4] += t;
+            }
+            terms[whole..]
+                .iter()
+                .fold((l[0] + l[1]) + (l[2] + l[3]), |s, t| s + t)
+        };
+        let wsum = lane_sum(scratch.weights().to_vec());
+        let wsq = lane_sum(
+            scratch
+                .residuals()
+                .iter()
+                .zip(scratch.weights())
+                .map(|(r, w)| w * r * r)
+                .collect(),
+        );
         let sigma2 = |wsq: f64, wsum: f64| {
             let dof = (m - cols) as f64;
             wsq / dof.max(1.0) / (wsum / m as f64).max(f64::MIN_POSITIVE)
@@ -472,4 +498,232 @@ fn sigma_hat_from_the_outcome_sums_equals_a_recomputation() {
         ne.adopt_irls_weights(&mut scratch).unwrap();
         assert_eq!(bits(ne.weights()), bits(&final_weights), "cols={cols}");
     }
+}
+
+/// Runs `check` under automatic dispatch, then with the scalar backend
+/// forced.
+fn on_both_backends(mut check: impl FnMut()) {
+    let _serial = dispatch_lock();
+    for forced in [None, Some(simd::Backend::Scalar)] {
+        simd::force(forced);
+        check();
+    }
+    simd::force(None);
+}
+
+/// The Gram sums of `m` pseudo-random rows at width `N`: the dispatched
+/// kernel (AVX2 where the CPU has it) and the runtime-width
+/// [`simd::gram_into`] both equal the scalar twin bit for bit.
+fn gram_matches_scalar<const N: usize>(seed: u64, m: usize) {
+    let flat = fill(seed, m * N, -5.0, 5.0);
+    let rhs = fill(seed + 1, m, -5.0, 5.0);
+    let weights = fill(seed + 2, m, 0.0, 1.0);
+    let (g_s, atk_s) = simd::gram_fixed_scalar::<N>(&flat, &rhs, &weights);
+    let (g_d, atk_d) = simd::gram_fixed::<N>(&flat, &rhs, &weights);
+    assert_eq!(
+        bits(g_s.as_flattened()),
+        bits(g_d.as_flattened()),
+        "N={N} m={m}"
+    );
+    assert_eq!(bits(&atk_s), bits(&atk_d), "N={N} m={m} atk");
+    let (mut gram, mut atk, mut lanes) = (vec![f64::NAN; N * N], vec![f64::NAN; N], Vec::new());
+    simd::gram_into(&flat, &rhs, &weights, N, &mut lanes, &mut gram, &mut atk);
+    assert_eq!(
+        bits(g_s.as_flattened()),
+        bits(&gram),
+        "N={N} m={m} gram_into"
+    );
+    assert_eq!(bits(&atk_s), bits(&atk), "N={N} m={m} gram_into atk");
+}
+
+#[test]
+fn gram_kernel_matches_scalar_at_every_short_length_and_random_sizes() {
+    let _serial = dispatch_lock();
+    let sizes = (0..=9).chain(fill(40, 6, 10.0, 3000.0).into_iter().map(|x| x as usize));
+    for (seed, m) in sizes.enumerate() {
+        let seed = 100 + 3 * seed as u64;
+        gram_matches_scalar::<2>(seed, m);
+        gram_matches_scalar::<3>(seed, m);
+        gram_matches_scalar::<4>(seed, m);
+    }
+}
+
+/// Every Gram and `AᵀWk` entry is summed in the documented lane order.
+/// Rows `[rᵢ, 0, …, 0, 1]` at unit weight and `kᵢ = 1` make the entry
+/// below the diagonal in the last row, and `atk[0]`, exactly `Σ rᵢ`;
+/// [`lane_order_sum`] writes that sum out by hand, and
+/// [`residual_sums_follow_the_documented_lane_order`] shows that these
+/// values tell it from every nearby order. The σ̂ sums of
+/// `simd::weighted_sums` follow the same order.
+#[test]
+fn gram_sums_follow_the_documented_lane_order() {
+    let want = lane_order_sum(&ORDER_PROBE).to_bits();
+    fn check<const N: usize>(want: u64) {
+        let mut flat = vec![0.0; ORDER_PROBE.len() * N];
+        for (row, &v) in flat.chunks_exact_mut(N).zip(&ORDER_PROBE) {
+            row[0] = v;
+            row[N - 1] = 1.0;
+        }
+        let ones = vec![1.0; ORDER_PROBE.len()];
+        let (gram, atk) = simd::gram_fixed::<N>(&flat, &ones, &ones);
+        assert_eq!(gram[N - 1][0].to_bits(), want, "N={N} gram");
+        assert_eq!(atk[0].to_bits(), want, "N={N} atk");
+        let (mut g, mut t, mut lanes) = (vec![0.0; N * N], vec![0.0; N], Vec::new());
+        simd::gram_into(&flat, &ones, &ones, N, &mut lanes, &mut g, &mut t);
+        assert_eq!(g[(N - 1) * N].to_bits(), want, "N={N} gram_into");
+        assert_eq!(t[0].to_bits(), want, "N={N} gram_into atk");
+    }
+    on_both_backends(|| {
+        check::<2>(want);
+        check::<3>(want);
+        check::<4>(want);
+        check::<6>(want);
+        // Weights `rᵢ` at residual 1: each row adds `rᵢ` to both sums.
+        let ones = vec![1.0; ORDER_PROBE.len()];
+        let (wsum, wsq) = simd::weighted_sums(&ORDER_PROBE, &ones);
+        assert_eq!(wsum.to_bits(), want, "Σw");
+        assert_eq!(wsq.to_bits(), want, "Σw·r²");
+    });
+}
+
+/// `m` rows over `n` samples with `k` axes, pseudo-random from `seed`:
+/// `(coords, deltas, pair_i, pair_j)`.
+fn radical_inputs(
+    seed: u64,
+    n: usize,
+    k: usize,
+    m: usize,
+) -> (Vec<f64>, Vec<f64>, Vec<i32>, Vec<i32>) {
+    let coords = fill(seed, n * k, -2.0, 2.0);
+    let deltas = fill(seed + 1, n, -2.0, 2.0);
+    let index = |x: f64| (x as usize).min(n - 1) as i32;
+    let pair_i = fill(seed + 2, m, 0.0, n as f64)
+        .into_iter()
+        .map(index)
+        .collect();
+    let pair_j = fill(seed + 3, m, 0.0, n as f64)
+        .into_iter()
+        .map(index)
+        .collect();
+    (coords, deltas, pair_i, pair_j)
+}
+
+/// The dispatched row kernel (AVX2's four-row blocks where the CPU has
+/// them) equals the scalar twin, and each row equals
+/// `simd::radical_row` on its own, for every frame width and every tail
+/// length over several whole blocks.
+#[test]
+fn radical_rows_match_scalar_for_every_frame_width_and_tail() {
+    let _serial = dispatch_lock();
+    let n = 13;
+    for k in 1..=3 {
+        for m in 0..=4 * BLOCKS + 3 {
+            let seed = 200 + (k * 100 + m) as u64;
+            let (coords, deltas, pair_i, pair_j) = radical_inputs(seed, n, k, m);
+            let (mut design_s, mut rhs_s) = (vec![f64::NAN; m * (k + 1)], vec![f64::NAN; m]);
+            let (mut design_d, mut rhs_d) = (design_s.clone(), rhs_s.clone());
+            simd::radical_rows_scalar(
+                &coords,
+                n,
+                k,
+                &deltas,
+                &pair_i,
+                &pair_j,
+                &mut design_s,
+                &mut rhs_s,
+            );
+            simd::radical_rows(
+                &coords,
+                n,
+                k,
+                &deltas,
+                &pair_i,
+                &pair_j,
+                &mut design_d,
+                &mut rhs_d,
+            );
+            assert_eq!(bits(&design_s), bits(&design_d), "k={k} m={m} rows");
+            assert_eq!(bits(&rhs_s), bits(&rhs_d), "k={k} m={m} rhs");
+            for (row, (&i, &j)) in pair_i.iter().zip(&pair_j).enumerate() {
+                let (i, j) = (i as usize, j as usize);
+                let mut one = vec![0.0; k + 1];
+                let ends = (0..k).map(|c| (coords[c * n + i], coords[c * n + j]));
+                let rhs = simd::radical_row(ends, deltas[i], deltas[j], &mut one);
+                let stored = &design_s[row * (k + 1)..(row + 1) * (k + 1)];
+                assert_eq!(bits(&one), bits(stored), "k={k} m={m} row {row}");
+                assert_eq!(rhs.to_bits(), rhs_s[row].to_bits(), "k={k} m={m} rhs {row}");
+            }
+        }
+    }
+}
+
+/// The row kernel writes exactly `m·(k + 1)` design entries and `m`
+/// right-hand sides: sentinels placed right after both stay untouched on
+/// every backend, at every frame width and tail length.
+#[test]
+fn radical_rows_never_write_past_the_last_row() {
+    const SENTINEL: f64 = -1234.5;
+    on_both_backends(|| {
+        let n = 11;
+        for k in 1..=3 {
+            for m in 0..=4 * BLOCKS + 3 {
+                let (coords, deltas, pair_i, pair_j) = radical_inputs(300 + m as u64, n, k, m);
+                let mut design = vec![SENTINEL; m * (k + 1) + 2 * WIDTH * (k + 1)];
+                let mut rhs = vec![SENTINEL; m + 2 * WIDTH];
+                simd::radical_rows(
+                    &coords,
+                    n,
+                    k,
+                    &deltas,
+                    &pair_i,
+                    &pair_j,
+                    &mut design[..m * (k + 1)],
+                    &mut rhs[..m],
+                );
+                assert!(
+                    design[m * (k + 1)..].iter().all(|&v| v == SENTINEL),
+                    "k={k} m={m}: a design store ran past the last row"
+                );
+                assert!(
+                    rhs[m..].iter().all(|&v| v == SENTINEL),
+                    "k={k} m={m}: a right-hand side store ran past the last row"
+                );
+                assert!(
+                    design[..m * (k + 1)].iter().all(|&v| v != SENTINEL),
+                    "k={k} m={m}: a row was left unwritten"
+                );
+            }
+        }
+    });
+}
+
+/// An out-of-bounds or negative pair index panics on every backend,
+/// whether it sits in a whole block of four rows or in the tail, instead
+/// of gathering from outside the coordinate slices.
+#[test]
+fn radical_rows_reject_out_of_bounds_indices() {
+    on_both_backends(|| {
+        let (n, m) = (6, 7);
+        for (k, bad) in (1..=3).flat_map(|k| [n as i32, -1, i32::MAX].map(|bad| (k, bad))) {
+            let (coords, deltas, pair_i, pair_j) = radical_inputs(400, n, k, m);
+            for row in [1, m - 1] {
+                let mut pair_j = pair_j.clone();
+                pair_j[row] = bad;
+                let (mut design, mut rhs) = (vec![0.0; m * (k + 1)], vec![0.0; m]);
+                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    simd::radical_rows(
+                        &coords,
+                        n,
+                        k,
+                        &deltas,
+                        &pair_i,
+                        &pair_j,
+                        &mut design,
+                        &mut rhs,
+                    )
+                }));
+                assert!(run.is_err(), "k={k}: index {bad} at row {row} was accepted");
+            }
+        }
+    });
 }

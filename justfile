@@ -11,6 +11,11 @@
 # model proptest, the engine's serial-vs-N-workers gate for batch and
 # calibration jobs and the Doctor's health suite are named explicitly
 # so a test-filter typo can't silently skip a bit-identicality gate.
+# The SIMD parity binary runs unfiltered, so its kernel-vs-scalar-twin
+# gates always run, among them gram_kernel_matches_scalar_at_every_short_length_and_random_sizes,
+# gram_sums_follow_the_documented_lane_order,
+# radical_rows_match_scalar_for_every_frame_width_and_tail and
+# radical_rows_never_write_past_the_last_row.
 # The scalar-fallback step reruns stream_parity, engine_determinism,
 # sweep_cells and the lion-linalg proptests with LION_SIMD=scalar, so
 # the fallback kernels pass the same gates from process start, not only
