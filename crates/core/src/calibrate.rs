@@ -143,14 +143,18 @@ impl Calibrator {
 /// center (paper Eq. 17): the circular mean over samples of
 /// `θ_measured − (4π/λ)·d`.
 ///
-/// Returns `(offset in [0, 2π), circular standard deviation)`.
+/// Returns `(offset in [0, 2π), circular standard deviation)`. The
+/// per-sample offsets are folded in one pass by the
+/// [`lion_linalg::simd::phase_offset_sums`] kernel, with no buffer.
 ///
 /// # Errors
 ///
 /// - [`CoreError::TooFewMeasurements`] for empty input,
 /// - [`CoreError::NonFiniteMeasurement`] for NaN/inf samples,
 /// - [`CoreError::DegenerateGeometry`] when the offsets are uniformly
-///   spread (no meaningful mean — the center estimate must be wrong).
+///   spread (no meaningful mean — the center estimate must be wrong), or
+///   when an offset is not finite although every sample is (a non-finite
+///   center or wavelength, or a squared distance that overflows).
 pub fn estimate_offset(
     measurements: &[(Point3, f64)],
     phase_center: Point3,
@@ -159,16 +163,11 @@ pub fn estimate_offset(
     if measurements.is_empty() {
         return Err(CoreError::TooFewMeasurements { got: 0, needed: 1 });
     }
-    // One pass over the measurements folds the resultant both statistics
-    // read; no per-sample buffer.
-    let mut diffs = stats::CircularResultant::default();
-    for (i, (p, theta)) in measurements.iter().enumerate() {
-        if !p.is_finite() || !theta.is_finite() {
-            return Err(CoreError::NonFiniteMeasurement { index: i });
-        }
-        let d = phase_center.distance(*p);
-        let theta_d = 4.0 * std::f64::consts::PI * d / wavelength;
-        diffs.push(theta - theta_d);
+    let center = [phase_center.x, phase_center.y, phase_center.z];
+    let read = |&(p, theta): &(Point3, f64)| ([p.x, p.y, p.z], theta);
+    let diffs = stats::CircularResultant::of_phase_offsets(measurements, read, center, wavelength);
+    if !diffs.is_finite() {
+        return Err(non_finite_offset(measurements, phase_center, wavelength));
     }
     let mean = diffs.mean().ok_or_else(|| CoreError::DegenerateGeometry {
         detail: "per-sample phase offsets are uniformly spread; the phase \
@@ -177,6 +176,28 @@ pub fn estimate_offset(
     })?;
     let spread = diffs.std_dev().unwrap_or(f64::INFINITY);
     Ok((mean, spread))
+}
+
+/// The error for a fold whose sums are not finite: the first NaN/inf
+/// sample, else a degenerate fit (every sample is finite, so an offset
+/// overflowed or the center or wavelength is not finite).
+fn non_finite_offset(
+    measurements: &[(Point3, f64)],
+    phase_center: Point3,
+    wavelength: f64,
+) -> CoreError {
+    match measurements
+        .iter()
+        .position(|(p, theta)| !p.is_finite() || !theta.is_finite())
+    {
+        Some(index) => CoreError::NonFiniteMeasurement { index },
+        None => CoreError::DegenerateGeometry {
+            detail: format!(
+                "phase offsets against center {phase_center:?} at wavelength \
+                 {wavelength} are not finite"
+            ),
+        },
+    }
 }
 
 #[cfg(test)]
@@ -302,6 +323,39 @@ mod tests {
         // All at the same position: θ_d identical, diffs uniformly spread.
         assert!(matches!(
             estimate_offset(&m, Point3::ORIGIN, LAMBDA),
+            Err(CoreError::DegenerateGeometry { .. })
+        ));
+    }
+
+    /// Offsets beyond the sin/cos reduction's exact range fold through
+    /// libm, so a far but finite read still gives a finite offset; an
+    /// offset that overflows is a typed error, never `Ok(NaN)`.
+    #[test]
+    fn hostile_magnitudes_never_return_a_nan_offset() {
+        let center = Point3::new(0.0, 0.8, 0.0);
+        let mut m = scan_measurements(center, 1.0);
+        m[3].0 = Point3::new(2.0e5, 0.0, 0.0);
+        let diffs: Vec<f64> = m
+            .iter()
+            .map(|(p, t)| t - 4.0 * PI * center.distance(*p) / LAMBDA)
+            .collect();
+        assert!(diffs[3].abs() > lion_linalg::simd::SIN_COS_MAX);
+        let (mean, spread) = estimate_offset(&m, center, LAMBDA).unwrap();
+        assert!(mean.is_finite() && spread.is_finite());
+        assert_eq!(Some(mean), stats::circular_mean(&diffs));
+        m[5].0 = Point3::new(1e200, 0.0, 0.0);
+        assert!(matches!(
+            estimate_offset(&m, center, LAMBDA),
+            Err(CoreError::DegenerateGeometry { .. })
+        ));
+        m[7].1 = f64::NAN;
+        assert_eq!(
+            estimate_offset(&m, center, LAMBDA),
+            Err(CoreError::NonFiniteMeasurement { index: 7 })
+        );
+        let far = Point3::new(f64::INFINITY, 0.8, 0.0);
+        assert!(matches!(
+            estimate_offset(&m[..3], far, LAMBDA),
             Err(CoreError::DegenerateGeometry { .. })
         ));
     }

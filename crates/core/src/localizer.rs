@@ -724,15 +724,13 @@ impl Prepared {
         profile.delta_distances_into(self.reference, &mut self.deltas);
         let frame = &self.frame;
         let (xs, ys, zs) = (profile.xs(), profile.ys(), profile.zs());
+        let c = frame.centroid;
         self.coords.clear();
-        self.coords.reserve(n * frame.spanned);
-        for axis in frame.axes.iter().take(frame.spanned) {
-            for i in 0..n {
-                self.coords.push(
-                    (xs[i] - frame.centroid.x) * axis.x
-                        + (ys[i] - frame.centroid.y) * axis.y
-                        + (zs[i] - frame.centroid.z) * axis.z,
-                );
+        self.coords.resize(n * frame.spanned, 0.0);
+        // One axis lane at a time, zipped so the loop vectorizes.
+        for (lane, axis) in self.coords.chunks_exact_mut(n).zip(&frame.axes) {
+            for (((out, &x), &y), &z) in lane.iter_mut().zip(xs).zip(ys).zip(zs) {
+                *out = (x - c.x) * axis.x + (y - c.y) * axis.y + (z - c.z) * axis.z;
             }
         }
         config

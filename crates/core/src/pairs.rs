@@ -155,18 +155,36 @@ fn interval_pairs_into(positions: &[Point3], interval: f64, out: &mut Vec<(usize
     if !(interval > 0.0 && interval.is_finite()) {
         return;
     }
+    // `distance < interval` without the square root: sqrt is correctly
+    // rounded and monotone, so `sqrt(s) < interval` exactly when
+    // `s < reach`.
+    let reach = squared_reach(interval);
     let mut j = 0;
     for i in 0..positions.len() {
         if j <= i {
             j = i + 1;
         }
-        while j < positions.len() && positions[i].distance(positions[j]) < interval {
+        while j < positions.len() && positions[i].distance_squared(positions[j]) < reach {
             j += 1;
         }
         if j < positions.len() {
             out.push((i, j));
         }
     }
+}
+
+/// The smallest `s` with `sqrt(s) ≥ interval` (`+∞` when no finite `s`
+/// reaches it), for a positive finite `interval`: `interval²` moved by
+/// the few ULPs its rounding can be off.
+fn squared_reach(interval: f64) -> f64 {
+    let mut s = interval * interval;
+    while s > 0.0 && s.next_down().sqrt() >= interval {
+        s = s.next_down();
+    }
+    while s.sqrt() < interval {
+        s = s.next_up();
+    }
+    s
 }
 
 fn all_pairs_into(
@@ -320,6 +338,30 @@ mod tests {
         // Samples near the end have no partner and are skipped (exact
         // count wiggles by one with float rounding of the 0.2 m cutoff).
         assert!((80..=81).contains(&pairs.len()), "{}", pairs.len());
+    }
+
+    /// The squared comparison admits exactly the pairs `distance <
+    /// interval` does: at the reach and one ULP below it, over intervals
+    /// from subnormal squares to overflowing ones.
+    #[test]
+    fn squared_reach_is_the_exact_threshold() {
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut intervals = vec![f64::MIN_POSITIVE, 1e-160, 0.2, 0.25, 1.0, 1.3e154, 1e200];
+        intervals.extend((0..2000).map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64 * 2.0
+        }));
+        for interval in intervals.into_iter().filter(|&v| v > 0.0) {
+            let reach = squared_reach(interval);
+            assert!(reach.sqrt() >= interval, "{interval}");
+            let below = reach.next_down();
+            assert!(below < 0.0 || below.sqrt() < interval, "{interval}");
+            for s in [below, reach, reach.next_up(), interval * interval] {
+                assert_eq!(s.sqrt() < interval, s < reach, "{interval} at {s}");
+            }
+        }
     }
 
     #[test]

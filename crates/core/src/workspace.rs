@@ -221,6 +221,16 @@ impl Workspace {
         }
     }
 
+    /// The `(position, wrapped phase)` reads the last
+    /// [`crate::Localizer::locate_window_in`] call staged: the window's
+    /// contents at that solve, which a caller fits against the solved
+    /// position without copying the window again. An O(delta)
+    /// [`crate::IncrementalState`] tick stages nothing, so after one this
+    /// holds an older window.
+    pub fn staged_window(&self) -> &[(Point3, f64)] {
+        &self.measurements
+    }
+
     /// The metrics accumulated so far.
     pub fn metrics(&self) -> &StageMetrics {
         &self.metrics

@@ -16,8 +16,8 @@ use std::f64::consts::{PI, TAU};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use lion_core::{
-    AdaptiveConfig, AdaptiveOutcome, Localizer, LocalizerConfig, PairStrategy, SlidingWindow,
-    SolveSpace, Workspace,
+    estimate_offset, AdaptiveConfig, AdaptiveOutcome, Localizer, LocalizerConfig, PairStrategy,
+    SlidingWindow, SolveSpace, Workspace,
 };
 use lion_geom::{Point3, ThreeLineScan, Trajectory};
 
@@ -117,9 +117,10 @@ fn steady_state_sweep_allocates_nothing() {
     assert!(out.estimate.distance_error(target) < 5e-2);
 
     // The windowed path: in steady state, pushing one read into a full
-    // sliding window and re-running the windowed locate (which stages
-    // the window into the workspace's measurement buffer, unwraps,
-    // smooths, and solves) must also leave the heap untouched.
+    // sliding window, re-running the windowed locate (which stages the
+    // window into the workspace's measurement buffer, unwraps, smooths,
+    // and solves) and fitting the phase offset on the staged reads, as a
+    // stream's replayed tick does, must also leave the heap untouched.
     let mut window = SlidingWindow::new(128).expect("valid capacity");
     let mut feed = m.iter().cycle();
     let mut tick = 0.0_f64;
@@ -136,15 +137,19 @@ fn steady_state_sweep_allocates_nothing() {
             .locate_window_in(&window, &mut ws)
             .expect("clean window solves");
     }
-    let (est, during) = allocations_during(|| {
+    let ((est, offset), during) = allocations_during(|| {
         push_one(&mut window);
-        localizer.locate_window_in(&window, &mut ws)
+        let est = localizer
+            .locate_window_in(&window, &mut ws)
+            .expect("clean window solves");
+        let offset = estimate_offset(ws.staged_window(), est.position, LAMBDA);
+        (est, offset)
     });
-    let est = est.expect("clean window solves");
     assert_eq!(
         during, 0,
-        "steady-state windowed locate performed {during} heap allocations"
+        "steady-state windowed locate and offset fit performed {during} heap allocations"
     );
+    offset.expect("clean window fits an offset");
     assert!(est.distance_error(target) < 1e-1);
 
     // The calibration sweep: 3D, `StructuredScan` pairs on the paper's

@@ -1,17 +1,20 @@
 //! Runtime-dispatched SIMD kernels for the solve pipeline's hot stages.
 //!
-//! Seven kernels cover the stages that dominate a LION solve — phase
-//! unwrap, moving-average (Savitzky–Golay degree-0) smoothing,
-//! radical-line row assembly, the fixed-width Gram accumulation behind
-//! [`crate::NormalEq`], and the IRLS reweight: the fixed-width residual
-//! pass with its fused `(Σr, Σr²)` ([`residuals_fixed`]), the Gaussian
-//! weights with exponent and exponential in one pass
-//! ([`gaussian_weights`]), and the bare exponential
-//! ([`exp_non_positive`]). Each kernel exists twice: a portable scalar
-//! reference (`*_scalar`) and an explicit-width `core::arch` twin (AVX2
-//! on x86_64, NEON on aarch64) selected once at runtime by [`active`].
-//! Where a kernel has no twin for a backend, that backend runs the scalar
-//! reference.
+//! Eight kernels cover the stages that dominate a LION solve and its
+//! calibration — phase unwrap, moving-average (Savitzky–Golay degree-0)
+//! smoothing, radical-line row assembly, the fixed-width Gram
+//! accumulation behind [`crate::NormalEq`], the IRLS reweight (the
+//! fixed-width residual pass with its fused `(Σr, Σr²)`
+//! ([`residuals_fixed`]), the Gaussian weights with exponent and
+//! exponential in one pass ([`gaussian_weights`]), and the bare
+//! exponential ([`exp_non_positive`])), and the circular resultant
+//! `(Σ sin α, Σ cos α)` behind every circular mean and the phase-offset
+//! fit of paper Eq. 17 ([`sin_cos_sums`], and [`phase_offset_sums`],
+//! which derives each `α` from a read on the fly). Each kernel exists
+//! twice: a portable scalar reference (`*_scalar`) and an explicit-width
+//! `core::arch` twin (AVX2 on x86_64, NEON on aarch64) selected once at
+//! runtime by [`active`]. Where a kernel has no twin for a backend, that
+//! backend runs the scalar reference.
 //!
 //! # Bit-identical contract
 //!
@@ -34,7 +37,19 @@
 //! added after that. [`residuals_fixed`] and
 //! [`crate::lstsq::WeightFunction::weights_into`] sum `Σr` and `Σr²` in
 //! that order, [`gram_fixed`] and [`gram_into`] every Gram and `AᵀWk`
-//! entry, and [`weighted_sums`] the σ̂ inputs `Σw` and `Σw·r²`.
+//! entry, [`weighted_sums`] the σ̂ inputs `Σw` and `Σw·r²`, and
+//! [`sin_cos_sums`] and [`phase_offset_sums`] the resultant's `Σ sin` and
+//! `Σ cos`.
+//!
+//! The resultant meets the contract without libm on its hot path: its
+//! sine and cosine ([`sin_cos`]) are a Cody–Waite reduction by π/2 and
+//! two fixed polynomials in add, sub and mul only, the quadrant select
+//! is a blend and a sign-bit XOR on the integer `n mod 4` read out of the
+//! reduction's shift trick, and the offset's distance and `4π·d/λ` are
+//! one sqrt and one div per lane. An angle outside the reduction's exact
+//! range (`|α| >` [`SIN_COS_MAX`], NaN, ±∞) sends its whole block of four
+//! to the scalar body lane by lane, which calls libm for that angle on
+//! every backend, so the twins agree there too.
 //!
 //! # Dispatch
 //!
@@ -816,6 +831,169 @@ fn residual_tail<const N: usize>(
 }
 
 // ---------------------------------------------------------------------------
+// Kernel 8: the circular resultant (Σ sin α, Σ cos α) (paper Eq. 17).
+// ---------------------------------------------------------------------------
+
+/// π/2 in three parts, fdlibm's `pio2_1`, `pio2_2` and `pio2_2t`: the
+/// first two carry at most 32 significant bits, so `n·PIO2_1` and
+/// `n·PIO2_2` are exact for `|n| < 2²⁰`.
+const PIO2_1: f64 = f64::from_bits(0x3FF9_21FB_5440_0000);
+const PIO2_2: f64 = f64::from_bits(0x3DD0_B461_1A60_0000);
+const PIO2_2T: f64 = f64::from_bits(0x3BA3_198A_2E03_7073);
+/// fdlibm's `__kernel_sin` (S) and `__kernel_cos` (C) minimax
+/// coefficients on `|r| ≤ π/4`.
+#[allow(clippy::excessive_precision)]
+const SIN_C: [f64; 6] = [
+    -1.666_666_666_666_663_243_48e-1,
+    8.333_333_333_322_489_461_24e-3,
+    -1.984_126_982_985_794_931_34e-4,
+    2.755_731_370_707_006_767_89e-6,
+    -2.505_076_025_340_686_341_95e-8,
+    1.589_690_995_211_550_102_21e-10,
+];
+#[allow(clippy::excessive_precision)]
+const COS_C: [f64; 6] = [
+    4.166_666_666_666_660_190_37e-2,
+    -1.388_888_888_887_410_957_49e-3,
+    2.480_158_728_947_672_941_78e-5,
+    -2.755_731_435_139_066_330_35e-7,
+    2.087_572_321_298_174_827_90e-9,
+    -1.135_964_755_778_819_482_65e-11,
+];
+/// The largest `|α|` the polynomial path reduces; `|n| ≤ 2²⁰·2/π < 2²⁰`
+/// keeps the reduction's products exact. Larger (and non-finite) angles
+/// go to libm on every backend.
+pub const SIN_COS_MAX: f64 = 1_048_576.0;
+/// 4π, the factor of the round-trip phase `4π·d/λ`.
+const FOUR_PI: f64 = 4.0 * std::f64::consts::PI;
+
+/// `(sin x, cos x)` as the circular-resultant kernel evaluates them:
+/// the scalar body both twins share lane for lane.
+///
+/// For `|x| ≤` [`SIN_COS_MAX`]: a Cody–Waite reduction
+/// `x = n·π/2 + r` (`|r| ≲ π/4`, the shift trick rounds `x·2/π` to `n`,
+/// like [`exp_non_positive`] reduces by ln 2), fdlibm's sin and cos
+/// polynomials both evaluated on `r`, and a quadrant select on `n mod 4`
+/// (swap on odd `n`, sign flips as bit XORs). Beyond it, or for NaN and
+/// ±∞, libm's `sin`/`cos`. No FMA. Within the polynomial domain each
+/// value is within 2 ULP of libm's (the accuracy test in
+/// `simd_parity.rs`; the largest absolute difference it sees is 2⁻⁵³).
+#[inline]
+pub fn sin_cos(x: f64) -> (f64, f64) {
+    if x.is_nan() || x.abs() > SIN_COS_MAX {
+        return (x.sin(), x.cos());
+    }
+    let t = x * std::f64::consts::FRAC_2_PI + SHIFT;
+    let n = t - SHIFT;
+    let r = ((x - n * PIO2_1) - n * PIO2_2) - n * PIO2_2T;
+    let z = r * r;
+    let [s1, s2, s3, s4, s5, s6] = SIN_C;
+    let ps = s2 + z * (s3 + z * (s4 + z * (s5 + z * s6)));
+    let sin_r = r + (z * r) * (s1 + z * ps);
+    let [c1, c2, c3, c4, c5, c6] = COS_C;
+    let pc = z * (c1 + z * (c2 + z * (c3 + z * (c4 + z * (c5 + z * c6)))));
+    let hz = 0.5 * z;
+    let w = 1.0 - hz;
+    let cos_r = w + (((1.0 - w) - hz) + z * pc);
+    // n mod 4 sits in t's low mantissa bits (two's complement).
+    let q = t.to_bits();
+    let (s, c) = if q & 1 == 0 {
+        (sin_r, cos_r)
+    } else {
+        (cos_r, sin_r)
+    };
+    (
+        f64::from_bits(s.to_bits() ^ ((q & 2) << 62)),
+        f64::from_bits(c.to_bits() ^ ((q.wrapping_add(1) & 2) << 62)),
+    )
+}
+
+/// The phase offset `θ − 4π·d/λ` of one read at `p` against `center`,
+/// with `d` computed as `Point3::distance` does:
+/// `sqrt(x·x + y·y + z·z)` of `center − p`.
+#[inline]
+pub fn phase_offset(p: [f64; 3], theta: f64, center: [f64; 3], wavelength: f64) -> f64 {
+    let (x, y, z) = (center[0] - p[0], center[1] - p[1], center[2] - p[2]);
+    let d = (x * x + y * y + z * z).sqrt();
+    theta - FOUR_PI * d / wavelength
+}
+
+/// The resultant `(Σ sin aᵢ, Σ cos aᵢ)` of `angles`, each pair from
+/// [`sin_cos`], summed in [`sum_sumsq`]'s lane order: row `i` of every
+/// whole block of four into partial sum `i mod 4`, the partials combined
+/// as `(l0 + l1) + (l2 + l3)`, the tail rows added after that. The AVX2
+/// twin evaluates four angles per vector, row `i` in lane `i mod 4`, so
+/// its two accumulators hold exactly the scalar twin's partial sums;
+/// NEON runs the scalar twin.
+pub fn sin_cos_sums(angles: &[f64]) -> (f64, f64) {
+    match active() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `active()` only returns Avx2 when the CPU supports it.
+        Backend::Avx2 => unsafe { avx2::sin_cos_sums(angles) },
+        _ => sin_cos_sums_scalar(angles),
+    }
+}
+
+/// Scalar reference for [`sin_cos_sums`].
+pub fn sin_cos_sums_scalar(angles: &[f64]) -> (f64, f64) {
+    resultant_from(angles.len(), 0, LaneSums::default(), |i| angles[i])
+}
+
+/// [`sin_cos_sums`] of the phase offsets
+/// `αᵢ = θᵢ − 4π·|center − pᵢ|/λ` of `reads` ([`phase_offset`]'s
+/// arithmetic), where `read` yields each read's position `pᵢ` and phase
+/// `θᵢ`: the one pass of the paper's Eq. 17 offset fit, with no buffer
+/// of offsets. The AVX2 twin gathers four reads' fields into lanes and
+/// computes the distance, the offset and both sums per lane, in the
+/// same order; NEON runs the scalar twin.
+pub fn phase_offset_sums<T>(
+    reads: &[T],
+    read: impl Fn(&T) -> ([f64; 3], f64),
+    center: [f64; 3],
+    wavelength: f64,
+) -> (f64, f64) {
+    match active() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `active()` only returns Avx2 when the CPU supports it.
+        Backend::Avx2 => unsafe { avx2::phase_offset_sums(reads, read, center, wavelength) },
+        _ => phase_offset_sums_scalar(reads, read, center, wavelength),
+    }
+}
+
+/// Scalar reference for [`phase_offset_sums`].
+pub fn phase_offset_sums_scalar<T>(
+    reads: &[T],
+    read: impl Fn(&T) -> ([f64; 3], f64),
+    center: [f64; 3],
+    wavelength: f64,
+) -> (f64, f64) {
+    let alpha = |i: usize| {
+        let (p, theta) = read(&reads[i]);
+        phase_offset(p, theta, center, wavelength)
+    };
+    resultant_from(reads.len(), 0, LaneSums::default(), alpha)
+}
+
+/// Folds the angles `alpha(i)` for `i` in `from..len` into `lanes`
+/// (rows of whole blocks into partial sum `i mod 4`, `from` a multiple
+/// of four), then finishes with the tail rows: the lane order every
+/// backend of [`sin_cos_sums`] and [`phase_offset_sums`] ends on.
+#[inline]
+fn resultant_from(
+    len: usize,
+    from: usize,
+    mut lanes: LaneSums,
+    alpha: impl Fn(usize) -> f64,
+) -> (f64, f64) {
+    let whole = len - len % LANES;
+    for i in from..whole {
+        let (s, c) = sin_cos(alpha(i));
+        lanes.add(i, s, c);
+    }
+    lanes.finish((whole..len).map(|i| sin_cos(alpha(i))))
+}
+
+// ---------------------------------------------------------------------------
 // AVX2 twins (x86_64).
 // ---------------------------------------------------------------------------
 
@@ -1221,6 +1399,148 @@ mod avx2 {
             super::gram_add_row(gram.as_flattened_mut(), &mut atk, a, k, w);
         }
         (gram, atk)
+    }
+
+    /// Four lanes of [`super::sin_cos`]'s polynomial path (no domain
+    /// guard).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn sin_cos4(x: __m256d) -> (__m256d, __m256d) {
+        let set = _mm256_set1_pd;
+        let shift = set(SHIFT);
+        let t = _mm256_add_pd(_mm256_mul_pd(x, set(std::f64::consts::FRAC_2_PI)), shift);
+        let n = _mm256_sub_pd(t, shift);
+        let r = _mm256_sub_pd(
+            _mm256_sub_pd(
+                _mm256_sub_pd(x, _mm256_mul_pd(n, set(PIO2_1))),
+                _mm256_mul_pd(n, set(PIO2_2)),
+            ),
+            _mm256_mul_pd(n, set(PIO2_2T)),
+        );
+        let z = _mm256_mul_pd(r, r);
+        let mut ps = set(SIN_C[5]);
+        for &s in SIN_C[1..5].iter().rev() {
+            ps = _mm256_add_pd(set(s), _mm256_mul_pd(z, ps));
+        }
+        let sin_r = _mm256_add_pd(
+            r,
+            _mm256_mul_pd(
+                _mm256_mul_pd(z, r),
+                _mm256_add_pd(set(SIN_C[0]), _mm256_mul_pd(z, ps)),
+            ),
+        );
+        let mut pc = set(COS_C[5]);
+        for &c in COS_C[..5].iter().rev() {
+            pc = _mm256_add_pd(set(c), _mm256_mul_pd(z, pc));
+        }
+        let pc = _mm256_mul_pd(z, pc);
+        let hz = _mm256_mul_pd(set(0.5), z);
+        let one = set(1.0);
+        let w = _mm256_sub_pd(one, hz);
+        let cos_r = _mm256_add_pd(
+            w,
+            _mm256_add_pd(
+                _mm256_sub_pd(_mm256_sub_pd(one, w), hz),
+                _mm256_mul_pd(z, pc),
+            ),
+        );
+        let q = _mm256_castpd_si256(t);
+        let bit = |b: i64| _mm256_set1_epi64x(b);
+        let odd = _mm256_castsi256_pd(_mm256_cmpeq_epi64(_mm256_and_si256(q, bit(1)), bit(1)));
+        let s = _mm256_blendv_pd(sin_r, cos_r, odd);
+        let c = _mm256_blendv_pd(cos_r, sin_r, odd);
+        let sign_s = _mm256_slli_epi64::<62>(_mm256_and_si256(q, bit(2)));
+        let sign_c = _mm256_slli_epi64::<62>(_mm256_and_si256(_mm256_add_epi64(q, bit(1)), bit(2)));
+        (
+            _mm256_xor_pd(s, _mm256_castsi256_pd(sign_s)),
+            _mm256_xor_pd(c, _mm256_castsi256_pd(sign_c)),
+        )
+    }
+
+    /// [`super::sin_cos`] on four lanes: the polynomial path, or the
+    /// scalar body lane by lane when any lane is outside its domain.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn sin_cos_block(x: __m256d) -> (__m256d, __m256d) {
+        let abs = _mm256_andnot_pd(_mm256_set1_pd(-0.0), x);
+        let inside = _mm256_cmp_pd::<_CMP_LE_OQ>(abs, _mm256_set1_pd(SIN_COS_MAX));
+        if _mm256_movemask_pd(inside) == 0b1111 {
+            return sin_cos4(x);
+        }
+        let mut a = [0.0; LANES];
+        _mm256_storeu_pd(a.as_mut_ptr(), x);
+        let [p0, p1, p2, p3] = a.map(super::sin_cos);
+        (
+            _mm256_setr_pd(p0.0, p1.0, p2.0, p3.0),
+            _mm256_setr_pd(p0.1, p1.1, p2.1, p3.1),
+        )
+    }
+
+    /// The lane partial sums `(s, c)` of the whole blocks, finished with
+    /// the tail rows `alpha(whole..len)` exactly as the scalar twin does.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn finish_resultant(
+        s: __m256d,
+        c: __m256d,
+        len: usize,
+        alpha: impl Fn(usize) -> f64,
+    ) -> (f64, f64) {
+        let mut lanes = LaneSums::default();
+        _mm256_storeu_pd(lanes.a.as_mut_ptr(), s);
+        _mm256_storeu_pd(lanes.b.as_mut_ptr(), c);
+        super::resultant_from(len, len - len % LANES, lanes, alpha)
+    }
+
+    /// # Safety
+    /// Caller must have verified AVX2 support.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn sin_cos_sums(angles: &[f64]) -> (f64, f64) {
+        let (mut s, mut c) = (_mm256_setzero_pd(), _mm256_setzero_pd());
+        for block in angles.chunks_exact(LANES) {
+            let (bs, bc) = sin_cos_block(_mm256_loadu_pd(block.as_ptr()));
+            s = _mm256_add_pd(s, bs);
+            c = _mm256_add_pd(c, bc);
+        }
+        finish_resultant(s, c, angles.len(), |i| angles[i])
+    }
+
+    /// # Safety
+    /// Caller must have verified AVX2 support.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn phase_offset_sums<T>(
+        reads: &[T],
+        read: impl Fn(&T) -> ([f64; 3], f64),
+        center: [f64; 3],
+        wavelength: f64,
+    ) -> (f64, f64) {
+        let [cx, cy, cz] = center.map(|v| _mm256_set1_pd(v));
+        let (four_pi, lambda) = (_mm256_set1_pd(FOUR_PI), _mm256_set1_pd(wavelength));
+        let (mut s, mut c) = (_mm256_setzero_pd(), _mm256_setzero_pd());
+        for block in reads.chunks_exact(LANES) {
+            // Gather the four reads' fields into lanes: row `i` in lane
+            // `i mod 4`.
+            let [r0, r1, r2, r3] = [0, 1, 2, 3].map(|l| read(&block[l]));
+            let axis = |a: usize| _mm256_setr_pd(r0.0[a], r1.0[a], r2.0[a], r3.0[a]);
+            let (x, y, z) = (
+                _mm256_sub_pd(cx, axis(0)),
+                _mm256_sub_pd(cy, axis(1)),
+                _mm256_sub_pd(cz, axis(2)),
+            );
+            let d = _mm256_sqrt_pd(_mm256_add_pd(
+                _mm256_add_pd(_mm256_mul_pd(x, x), _mm256_mul_pd(y, y)),
+                _mm256_mul_pd(z, z),
+            ));
+            let theta = _mm256_setr_pd(r0.1, r1.1, r2.1, r3.1);
+            let alpha = _mm256_sub_pd(theta, _mm256_div_pd(_mm256_mul_pd(four_pi, d), lambda));
+            let (bs, bc) = sin_cos_block(alpha);
+            s = _mm256_add_pd(s, bs);
+            c = _mm256_add_pd(c, bc);
+        }
+        finish_resultant(s, c, reads.len(), |i| {
+            let (p, theta) = read(&reads[i]);
+            super::phase_offset(p, theta, center, wavelength)
+        })
     }
 }
 

@@ -125,22 +125,33 @@ pub fn circular_diff(a: f64, b: f64) -> f64 {
 }
 
 /// The resultant of a set of angles, `(Σ sin a, Σ cos a)` over `count`
-/// angles, folded in push order: the one pass behind both
-/// [`circular_mean`] and [`circular_std_dev`]. A caller that needs both
-/// statistics, or whose angles are derived on the fly, folds once and
-/// reads both without collecting the angles.
+/// angles: the one pass behind both [`circular_mean`] and
+/// [`circular_std_dev`], folded by the [`crate::simd::sin_cos_sums`]
+/// kernel in its documented four-lane order. A caller that needs both
+/// statistics, or whose angles are derived on the fly (the phase offsets
+/// of [`CircularResultant::of_phase_offsets`]), folds once and reads
+/// both without collecting the angles.
 ///
 /// # Example
 ///
 /// ```
 /// use lion_linalg::stats::{circular_mean, CircularResultant};
+/// use std::f64::consts::PI;
 ///
-/// let angles = [0.1, 0.3, 6.2];
-/// let mut r = CircularResultant::default();
-/// for &a in &angles {
-///     r.push(a);
-/// }
-/// assert_eq!(r.mean(), circular_mean(&angles));
+/// // Reads `(position, phase)` against a center 0.8 m away at λ = 0.33 m:
+/// // the fused offset fit equals collecting the offsets first.
+/// let (center, wavelength) = ([0.0, 0.8, 0.0], 0.33);
+/// let reads: [([f64; 3], f64); 3] =
+///     [([-0.2, 0.0, 0.0], 0.4), ([0.0, 0.0, 0.0], 2.9), ([0.2, 0.0, 0.1], 6.1)];
+/// let offsets: Vec<f64> = reads
+///     .iter()
+///     .map(|&(p, theta)| {
+///         let (x, y, z) = (center[0] - p[0], center[1] - p[1], center[2] - p[2]);
+///         theta - 4.0 * PI * (x * x + y * y + z * z).sqrt() / wavelength
+///     })
+///     .collect();
+/// let r = CircularResultant::of_phase_offsets(&reads, |&r| r, center, wavelength);
+/// assert_eq!(r.mean(), circular_mean(&offsets));
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CircularResultant {
@@ -150,20 +161,38 @@ pub struct CircularResultant {
 }
 
 impl CircularResultant {
-    /// Folds `angles` in order.
+    /// Folds `angles`.
     pub fn of(angles: &[f64]) -> Self {
-        let mut r = CircularResultant::default();
-        for &a in angles {
-            r.push(a);
+        let (sin_sum, cos_sum) = crate::simd::sin_cos_sums(angles);
+        CircularResultant {
+            sin_sum,
+            cos_sum,
+            count: angles.len(),
         }
-        r
     }
 
-    /// Adds one angle (radians).
-    pub fn push(&mut self, angle: f64) {
-        self.sin_sum += angle.sin();
-        self.cos_sum += angle.cos();
-        self.count += 1;
+    /// Folds the phase offsets `θᵢ − 4π·|center − pᵢ|/λ` of `reads`, where
+    /// `read` yields each read's position `pᵢ` and phase `θᵢ` (paper
+    /// Eq. 17), in one pass with no buffer of offsets: the resultant of
+    /// [`CircularResultant::of`] over the collected offsets, bit for bit.
+    pub fn of_phase_offsets<T>(
+        reads: &[T],
+        read: impl Fn(&T) -> ([f64; 3], f64),
+        center: [f64; 3],
+        wavelength: f64,
+    ) -> Self {
+        let (sin_sum, cos_sum) = crate::simd::phase_offset_sums(reads, read, center, wavelength);
+        CircularResultant {
+            sin_sum,
+            cos_sum,
+            count: reads.len(),
+        }
+    }
+
+    /// Whether both sums are finite: false once any angle was NaN or
+    /// infinite.
+    pub fn is_finite(&self) -> bool {
+        self.sin_sum.is_finite() && self.cos_sum.is_finite()
     }
 
     /// Mean resultant length `R ∈ [0, 1]` before clamping; `None` when
@@ -395,8 +424,10 @@ mod tests {
     }
 
     #[test]
-    fn resultant_matches_the_two_pass_fold() {
-        // Reference: each statistic straight from its definition.
+    fn resultant_matches_the_libm_fold() {
+        // Reference: each statistic straight from its definition, with
+        // libm's sin and cos summed left to right. The kernel's values
+        // and lane order move the statistics by rounding only.
         let reference = |angles: &[f64]| {
             let (s, c) = angles
                 .iter()
@@ -422,8 +453,13 @@ mod tests {
                 })
                 .collect();
             let (mean, std) = reference(&angles);
-            assert_eq!(circular_mean(&angles), mean);
-            assert_eq!(circular_std_dev(&angles), Some(std));
+            let got = circular_mean(&angles);
+            assert_eq!(got.is_some(), mean.is_some());
+            if let (Some(got), Some(mean)) = (got, mean) {
+                assert!(circular_diff(got, mean).abs() < 1e-13, "n={n} mean");
+            }
+            let got = circular_std_dev(&angles).unwrap();
+            assert!((got - std).abs() < 1e-12 * (1.0 + std), "n={n} std");
         }
     }
 

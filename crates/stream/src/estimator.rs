@@ -127,8 +127,6 @@ pub struct StreamLocalizer {
     resolve: Option<IncrementalState>,
     window: SlidingWindow,
     workspace: Workspace,
-    /// Scratch for the phase-offset fit; reused across solves.
-    measurements: Vec<(Point3, f64)>,
     tracker: ConvergenceTracker,
     reads_seen: u64,
     accepted: u64,
@@ -156,7 +154,6 @@ impl StreamLocalizer {
         let window = SlidingWindow::new(config.window_capacity)?;
         Ok(StreamLocalizer {
             tracker: ConvergenceTracker::new(config.convergence),
-            measurements: Vec::with_capacity(config.window_capacity),
             config,
             localizer,
             resolve,
@@ -291,15 +288,15 @@ impl StreamLocalizer {
         };
         lion_obs::global().counter_add(mode_counter, 1);
         // Diversity-phase offset against the solved phase center, on the
-        // very same wrapped reads the solve consumed — skipped on delta
-        // ticks: the fit walks the whole window, which would erase the
-        // O(delta) budget. Every resync/fallback tick refreshes it.
+        // very same wrapped reads the replay staged in the workspace —
+        // skipped on delta ticks: the fit walks the whole window, which
+        // would erase the O(delta) budget. Every resync/fallback tick
+        // refreshes it.
         let offset = if resolve_path == ResolvePath::Incremental {
             None
         } else {
-            self.window.write_measurements_into(&mut self.measurements);
             estimate_offset(
-                &self.measurements,
+                self.workspace.staged_window(),
                 batch.position,
                 self.config.localizer.wavelength,
             )
@@ -628,6 +625,53 @@ mod tests {
         assert!(est.offset_spread.expect("spread") < 1e-3);
     }
 
+    /// Every replayed tick's offset is [`estimate_offset`] over exactly
+    /// the reads in the window at that tick (the staged copy the solve
+    /// consumed), in both resolve modes, and within 1e-12 rad of a libm
+    /// fold of the same offsets summed left to right.
+    #[test]
+    fn replayed_ticks_fit_the_offset_over_the_window_reads() {
+        let antenna = Point3::new(1.2, 0.4, 0.0);
+        for mode in [ResolveMode::Replay, ResolveMode::Incremental] {
+            let config = StreamConfig::builder()
+                .resolve_mode(mode)
+                .cadence(Cadence::EveryReads(7))
+                .build()
+                .unwrap();
+            let lambda = config.localizer.wavelength;
+            let mut stream = StreamLocalizer::new(config).unwrap();
+            let mut window_reads = Vec::new();
+            let mut replayed = 0;
+            for i in 0..1200 {
+                let mut read = clean_read(antenna, i, lambda);
+                let noise = 0.2 * ((i * 7919) % 101) as f64 / 101.0 - 0.1;
+                read.phase = (read.phase + 2.3 + noise).rem_euclid(TAU);
+                let Some(est) = stream.push(read).expect("solves") else {
+                    continue;
+                };
+                if est.resolve_path != ResolvePath::Replayed {
+                    continue;
+                }
+                replayed += 1;
+                stream.window().write_measurements_into(&mut window_reads);
+                let (offset, spread) =
+                    estimate_offset(&window_reads, est.position, lambda).expect("offset fits");
+                assert_eq!(est.phase_offset, Some(offset), "{mode:?} seq {}", est.seq);
+                assert_eq!(est.offset_spread, Some(spread), "{mode:?} seq {}", est.seq);
+                let (s, c) = window_reads
+                    .iter()
+                    .fold((0.0_f64, 0.0_f64), |(s, c), (p, t)| {
+                        let a = t - 4.0 * PI * est.position.distance(*p) / lambda;
+                        (s + a.sin(), c + a.cos())
+                    });
+                let libm = s.atan2(c).rem_euclid(TAU);
+                let diff = (offset - libm + PI).rem_euclid(TAU) - PI;
+                assert!(diff.abs() < 1e-12, "{mode:?}: {offset} vs libm {libm}");
+            }
+            assert!(replayed >= 5, "{mode:?}: {replayed} replayed ticks");
+        }
+    }
+
     #[test]
     fn flush_solves_pending_tail() {
         let config = StreamConfig::builder()
@@ -691,12 +735,11 @@ mod tests {
             let _ = stream.push(clean_read(antenna, i, lambda));
         }
         let warm_window = stream.window.backing_capacity();
-        let warm_scratch = stream.measurements.capacity();
         for i in 2_000..30_000 {
             let _ = stream.push(clean_read(antenna, i, lambda));
         }
         assert_eq!(stream.window.backing_capacity(), warm_window);
-        assert_eq!(stream.measurements.capacity(), warm_scratch);
+        assert!(stream.workspace.staged_window().len() <= 64);
         assert_eq!(stream.reads_seen(), 30_000);
     }
 }

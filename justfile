@@ -14,10 +14,15 @@
 # The SIMD parity binary runs unfiltered, so its kernel-vs-scalar-twin
 # gates always run, among them gram_kernel_matches_scalar_at_every_short_length_and_random_sizes,
 # gram_sums_follow_the_documented_lane_order,
-# radical_rows_match_scalar_for_every_frame_width_and_tail and
-# radical_rows_never_write_past_the_last_row.
+# radical_rows_match_scalar_for_every_frame_width_and_tail,
+# radical_rows_never_write_past_the_last_row and the circular-resultant
+# gates resultant_kernel_matches_scalar_at_every_tail_and_random_sizes,
+# resultant_sums_follow_the_documented_lane_order,
+# sin_cos_stays_within_two_ulp_of_libm_over_the_domain and
+# hostile_magnitudes_fold_through_libm.
 # The scalar-fallback step reruns stream_parity, engine_determinism,
-# sweep_cells and the lion-linalg proptests with LION_SIMD=scalar, so
+# sweep_cells, the lion-linalg proptests, the lion-stream estimator
+# tests and the lion-core calibrate tests with LION_SIMD=scalar, so
 # the fallback kernels pass the same gates from process start, not only
 # under `simd::force`. The end-to-end benchmark's own tests run every
 # workload at tiny scale and check the ledger identity; it sits outside
@@ -35,7 +40,7 @@ verify:
     cargo test -q -p lion-core --test scalar_dispatch
     cargo test -q -p lion-core --test proptests window
     cargo test -q -p lion-linalg --test simd_parity
-    LION_SIMD=scalar sh -c 'cargo test -q --test stream_parity --test engine_determinism && cargo test -q -p lion-core --test sweep_cells && cargo test -q -p lion-linalg --test proptests'
+    LION_SIMD=scalar sh -c 'cargo test -q --test stream_parity --test engine_determinism && cargo test -q -p lion-core --test sweep_cells && cargo test -q -p lion-linalg --test proptests && cargo test -q -p lion-stream --lib estimator && cargo test -q -p lion-core --lib calibrate'
     cargo test -q -p lion-obs --test http_plane
     cargo test -q --test fleet_health
     cargo test -q --test history_determinism --test doctor
