@@ -43,16 +43,15 @@
 //! whole instead of silently skipping every cell.
 //! `config.reference_index` is ignored.
 //! All buffers, the prepared range included, live in the [`Workspace`],
-//! so the steady-state sweep performs **zero heap allocations**. The
-//! `lion.adaptive.cell_ns` histogram times each cell's interval work;
-//! range preparation lands in the sweep's exclusive time.
+//! so the steady-state sweep performs **zero heap allocations**. A
+//! cell's interval work lands in its `lion.pairs` and `lion.solve`
+//! spans; range preparation lands in the `lion.adaptive` span's
+//! exclusive time.
 //!
 //! A sweep solves its cells one after another on the calling thread.
 //! Batches parallelise across sweeps instead: the engine runs one job
 //! per antenna or trace on each worker, never one sweep's cells on
 //! several.
-
-use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
@@ -64,7 +63,7 @@ use crate::localizer::{
     Localizer, LocalizerConfig, Prepared, SolveSpace,
 };
 use crate::preprocess::PhaseProfile;
-use crate::workspace::{elapsed_ns, Workspace};
+use crate::workspace::Workspace;
 
 /// The parameter grid for the adaptive sweep.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -301,21 +300,12 @@ fn sweep_profile(
     out: &mut AdaptiveOutcome,
 ) -> Result<(), CoreError> {
     let _sweep_span = lion_obs::span!("lion.adaptive");
-    let sweep_start = Instant::now();
     out.trials.clear();
     out.skipped = 0;
-    // Cells accrue pairs/solve time below; snapshotting the disjoint
-    // pipeline sum lets the sweep attribute its own work (range
-    // restriction and preparation, ranking) exactly.
-    let inner_before = ws.metrics.pipeline_ns();
     let base = &range_config(base);
     let cx = sweep_center(profile, base, space, &adaptive.scanning_ranges, ws)?;
     let copied = run_cells(profile, base, space, cx, adaptive, ws, out);
-    let sweep_ns = elapsed_ns(sweep_start);
     let metrics = &mut ws.metrics;
-    let inner_ns = metrics.pipeline_ns() - inner_before;
-    metrics.adaptive_ns += sweep_ns;
-    metrics.adaptive_exclusive_ns += sweep_ns.saturating_sub(inner_ns);
     metrics.adaptive_trials += out.trials.len() as u64;
     metrics.adaptive_skipped += out.skipped as u64;
     metrics.adaptive_cells_reused += copied;
@@ -325,7 +315,6 @@ fn sweep_profile(
         "trials" => out.trials.len(),
         "skipped" => out.skipped,
         "reused" => copied,
-        "sweep_ns" => sweep_ns,
     );
     if out.trials.is_empty() {
         return Err(CoreError::NoPairs);
@@ -498,19 +487,16 @@ impl RangeUnit {
     }
 
     /// Solves the prepared range at `interval`: pairs, rows, Gram, IRLS
-    /// and σ̂. Records its time in the `lion.adaptive.cell_ns` histogram.
+    /// and σ̂.
     fn solve(
         &self,
         base: &LocalizerConfig,
         interval: f64,
         ws: &mut Workspace,
     ) -> Result<Estimate, CoreError> {
-        let cell_start = Instant::now();
         let mut config = base.clone();
         config.pair_strategy = base.pair_strategy.with_interval(interval);
-        let solved = solve_prepared(&self.profile, &self.prepared, &config, ws);
-        lion_obs::global().histogram_record("lion.adaptive.cell_ns", elapsed_ns(cell_start));
-        solved
+        solve_prepared(&self.profile, &self.prepared, &config, ws)
     }
 }
 
@@ -693,28 +679,6 @@ mod tests {
             .locate_adaptive(&m, &adaptive)
             .unwrap();
         assert!(outcome.estimate.distance_error(target) < 1e-5);
-    }
-
-    #[test]
-    fn sweep_records_exclusive_time_disjoint_from_pipeline_stages() {
-        let target = Point3::new(0.1, 0.8, 0.0);
-        let m = linear_scan(target, 0.6, 0.005);
-        let mut ws = Workspace::new();
-        Localizer::new(cfg(), SolveSpace::TwoD)
-            .locate_adaptive_in(&m, &AdaptiveConfig::default(), &mut ws)
-            .unwrap();
-        let metrics = ws.take_metrics();
-        // The exclusive share can never exceed the inclusive sweep time,
-        // and busy time is the exact sum of the disjoint components.
-        assert!(metrics.adaptive_exclusive_ns <= metrics.adaptive_ns);
-        assert_eq!(
-            metrics.busy_ns(),
-            metrics.pipeline_ns() + metrics.adaptive_exclusive_ns
-        );
-        // The sweep ran inner solves, so some pipeline time was recorded
-        // inside it; the inclusive timer must cover that too.
-        assert!(metrics.solve_ns > 0);
-        assert!(metrics.adaptive_ns >= metrics.adaptive_exclusive_ns);
     }
 
     #[test]

@@ -145,7 +145,8 @@ impl Calibrator {
 ///
 /// Returns `(offset in [0, 2π), circular standard deviation)`. The
 /// per-sample offsets are folded in one pass by the
-/// [`lion_linalg::simd::phase_offset_sums`] kernel, with no buffer.
+/// [`lion_linalg::simd::phase_offset_sums`] kernel, with no buffer,
+/// inside a `lion.offset` span.
 ///
 /// # Errors
 ///
@@ -160,6 +161,7 @@ pub fn estimate_offset(
     phase_center: Point3,
     wavelength: f64,
 ) -> Result<(f64, f64), CoreError> {
+    let _span = lion_obs::span!("lion.offset");
     if measurements.is_empty() {
         return Err(CoreError::TooFewMeasurements { got: 0, needed: 1 });
     }

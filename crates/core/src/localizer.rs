@@ -12,8 +12,6 @@
 //!    recover the perpendicular coordinate from the reference distance
 //!    `d_r` (paper Sec. III-C, Observation 2).
 
-use std::time::Instant;
-
 use lion_geom::{Point3, Vec3};
 use lion_linalg::{IrlsConfig, NormalEq, NormalIrlsOutcome, NormalIrlsScratch, WeightFunction};
 use serde::{Deserialize, Serialize};
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 use crate::error::CoreError;
 use crate::pairs::{LineScratch, PairStrategy};
 use crate::preprocess::PhaseProfile;
-use crate::workspace::{elapsed_ns, Workspace};
+use crate::workspace::Workspace;
 
 /// Which estimator solves the stacked linear system.
 ///
@@ -491,28 +489,24 @@ impl Localizer {
 /// Builds and preprocesses the phase profile for a localizer config into
 /// a caller-owned profile: rebuilds `profile` from the wrapped
 /// measurements and smooths it using the workspace's scratch buffers, so
-/// the steady-state prepare stage performs no heap allocations. Records
-/// unwrap/smooth timings into the workspace.
+/// the steady-state prepare stage performs no heap allocations. The
+/// `lion.unwrap` and `lion.smooth` spans time the two stages.
 pub(crate) fn prepare_profile_in(
     measurements: &[(Point3, f64)],
     config: &LocalizerConfig,
     profile: &mut PhaseProfile,
     ws: &mut Workspace,
 ) -> Result<(), CoreError> {
-    let span = lion_obs::span!("lion.unwrap");
-    let t = Instant::now();
-    let rebuilt = profile.rebuild_from_wrapped(measurements, config.wavelength);
-    ws.metrics.unwrap_ns += elapsed_ns(t);
-    drop(span);
-    rebuilt?;
+    {
+        let _span = lion_obs::span!("lion.unwrap");
+        profile.rebuild_from_wrapped(measurements, config.wavelength)?;
+    }
     let _span = lion_obs::span!("lion.smooth");
-    let t = Instant::now();
     profile.smooth_with_scratch(
         config.smoothing_window,
         &mut ws.smooth_prefix,
         &mut ws.smooth_tmp,
     );
-    ws.metrics.smooth_ns += elapsed_ns(t);
     Ok(())
 }
 
@@ -764,14 +758,11 @@ pub(crate) fn solve_prepared(
     let lower_dimension = frame.spanned < frame.dims;
     let k = frame.spanned;
     let pairs_span = lion_obs::span!("lion.pairs");
-    let t = Instant::now();
     config
         .pair_strategy
         .pairs_from(positions, lines, &mut ws.pairs);
-    ws.metrics.pairs_ns += elapsed_ns(t);
     drop(pairs_span);
     let _solve_span = lion_obs::span!("lion.solve");
-    let t = Instant::now();
     let Workspace {
         metrics,
         pairs,
@@ -790,7 +781,6 @@ pub(crate) fn solve_prepared(
     normal_param_std(ne, &outcome, ne_irls, param_std, cov_diag);
     solution.clear();
     solution.extend_from_slice(ne.solution());
-    metrics.solve_ns += elapsed_ns(t);
     metrics.solves += 1;
     metrics.irls_iterations += outcome.iterations as u64;
     metrics.irls_unconverged += u64::from(!outcome.converged);

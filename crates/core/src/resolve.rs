@@ -55,8 +55,6 @@
 //! wall-clock timing — so a stream re-solved on any worker count takes
 //! replay and delta ticks at exactly the same points.
 
-use std::time::Instant;
-
 use lion_geom::{Point3, Vec3};
 use lion_linalg::{simd, solve_irls_normal, stats, NormalEq, NormalIrlsScratch};
 
@@ -65,7 +63,7 @@ use crate::localizer::{analyze_geometry_small, assemble_position, Estimate, Loca
 use crate::pairs::PairStrategy;
 use crate::preprocess;
 use crate::window::SlidingWindow;
-use crate::workspace::{elapsed_ns, Workspace};
+use crate::workspace::Workspace;
 
 /// Delta ticks between forced resyncs. Bounds how far the frozen frame
 /// and the continued unwrap chain can wander from the replay oracle
@@ -324,11 +322,9 @@ impl IncrementalState {
         }
         // Fresh exact pair scan, then diff against the rows in the system.
         let pairs_span = lion_obs::span!("lion.pairs");
-        let t = Instant::now();
         config
             .pair_strategy
             .pairs_into(&self.positions, &mut self.pairs_scratch);
-        ws.metrics.pairs_ns += elapsed_ns(t);
         drop(pairs_span);
         let cols = k + 1;
         if self.pairs_scratch.len() < cols {
@@ -342,7 +338,6 @@ impl IncrementalState {
                 .map(|&(i, j)| (front_abs + i as u64, front_abs + j as u64)),
         );
         let _solve_span = lion_obs::span!("lion.solve");
-        let t = Instant::now();
         // Rows whose first endpoint was evicted form a prefix (the
         // interval scan emits pairs in ascending i with ascending j).
         let drop_front = self.pairs_abs.partition_point(|&(i, _)| i < front_abs);
@@ -406,7 +401,6 @@ impl IncrementalState {
             config.side_hint,
         )
         .ok()?;
-        ws.metrics.solve_ns += elapsed_ns(t);
         ws.metrics.solves += 1;
         ws.metrics.irls_iterations += outcome.iterations as u64;
         ws.metrics.irls_unconverged += u64::from(!outcome.converged);

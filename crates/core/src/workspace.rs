@@ -1,13 +1,13 @@
-//! Reusable solver workspaces and per-stage instrumentation.
+//! Reusable solver workspaces and per-stage counters.
 //!
 //! A [`Workspace`] owns the buffers the LION pipeline fills on every solve
 //! — the normal equations the radical-line rows are written into, the
 //! frame coordinates, and the IRLS scratch — so a hot loop (the batch engine's
 //! workers, the conveyor tracker, the adaptive sweep) reuses one set of
 //! allocations instead of allocating per solve. It also carries
-//! [`StageMetrics`]: monotonic per-stage timers and counters that every
-//! workspace-threaded entry point (`locate_in`, `locate_adaptive_in`,
-//! `calibrate_in`) records into.
+//! [`StageMetrics`]: the counters that every workspace-threaded entry
+//! point (`locate_in`, `locate_adaptive_in`, `calibrate_in`) records
+//! into. Stage time is measured by the `lion.*` spans, not here.
 //!
 //! Workspace reuse never changes results: every buffer is fully rewritten
 //! by each solve, so `locate_in` with a reused workspace is bit-identical
@@ -16,24 +16,19 @@
 use lion_geom::Point3;
 use lion_linalg::{NormalEq, NormalIrlsScratch};
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 use crate::adaptive::{RangeSlot, RangeUnit};
 use crate::localizer::Prepared;
 use crate::preprocess::PhaseProfile;
 
-/// Monotonic per-stage timers (nanoseconds) and counters accumulated
-/// across the localization runs recorded into one [`Workspace`].
+/// Exact counters accumulated across the localization runs recorded
+/// into one [`Workspace`].
 ///
-/// Timers are measured with [`std::time::Instant`] and therefore
-/// monotonic; counters are exact. The adaptive timer covers the whole
-/// sweep and therefore *includes* the pair-generation and solve time of
-/// its inner trials — the four pipeline timers (`unwrap_ns`, `smooth_ns`,
-/// `pairs_ns`, `solve_ns`) are mutually disjoint, `adaptive_ns` is not
-/// disjoint from them. The sweep additionally records
-/// `adaptive_exclusive_ns`, the share of `adaptive_ns` spent outside
-/// those four stages, so [`StageMetrics::busy_ns`] can sum disjoint
-/// components exactly.
+/// Every field is a pure function of the inputs solved, so the metrics
+/// of a job are the same on every run and every worker count. Per-stage
+/// time is not recorded here: the `lion.unwrap`, `lion.smooth`,
+/// `lion.pairs`, `lion.solve`, `lion.adaptive` and `lion.offset` spans
+/// measure it.
 ///
 /// # Example
 ///
@@ -62,25 +57,6 @@ use crate::preprocess::PhaseProfile;
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StageMetrics {
-    /// Time spent unwrapping the modulo-2π phases.
-    pub unwrap_ns: u64,
-    /// Time spent in the moving-average smoother.
-    pub smooth_ns: u64,
-    /// Time spent generating sample pairs.
-    pub pairs_ns: u64,
-    /// Time spent in the least-squares / IRLS solver (includes building
-    /// the stacked system).
-    pub solve_ns: u64,
-    /// Wall time of adaptive parameter sweeps (includes the nested pair
-    /// generation and solves of the sweep's trials).
-    pub adaptive_ns: u64,
-    /// The sweep-exclusive share of `adaptive_ns`: orchestration time the
-    /// sweep spent *outside* the four pipeline stages (grid iteration,
-    /// range restriction and preparation, trial ranking). Disjoint from `unwrap_ns` /
-    /// `smooth_ns` / `pairs_ns` / `solve_ns`, so
-    /// `pipeline_ns() + adaptive_exclusive_ns` is the total busy time
-    /// without double counting.
-    pub adaptive_exclusive_ns: u64,
     /// Number of linear-system solves performed.
     pub solves: u64,
     /// Total IRLS reweighting iterations across all solves.
@@ -106,14 +82,8 @@ pub struct StageMetrics {
 }
 
 impl StageMetrics {
-    /// Adds every timer and counter of `other` into `self`.
+    /// Adds every counter of `other` into `self`.
     pub fn merge(&mut self, other: &StageMetrics) {
-        self.unwrap_ns += other.unwrap_ns;
-        self.smooth_ns += other.smooth_ns;
-        self.pairs_ns += other.pairs_ns;
-        self.solve_ns += other.solve_ns;
-        self.adaptive_ns += other.adaptive_ns;
-        self.adaptive_exclusive_ns += other.adaptive_exclusive_ns;
         self.solves += other.solves;
         self.irls_iterations += other.irls_iterations;
         self.irls_unconverged += other.irls_unconverged;
@@ -124,28 +94,10 @@ impl StageMetrics {
         self.adaptive_cells_reused += other.adaptive_cells_reused;
     }
 
-    /// Sum of the four disjoint pipeline timers (unwrap + smooth + pairs +
-    /// solve), excluding the overlapping adaptive timer.
-    pub fn pipeline_ns(&self) -> u64 {
-        self.unwrap_ns + self.smooth_ns + self.pairs_ns + self.solve_ns
-    }
-
-    /// Total busy time as a sum of disjoint components: the four pipeline
-    /// stages plus the sweep-exclusive adaptive overhead. No clamping
-    /// heuristics — every nanosecond is counted exactly once.
-    pub fn busy_ns(&self) -> u64 {
-        self.pipeline_ns() + self.adaptive_exclusive_ns
-    }
-
-    /// Resets every timer and counter to zero.
+    /// Resets every counter to zero.
     pub fn reset(&mut self) {
         *self = StageMetrics::default();
     }
-}
-
-/// Elapsed nanoseconds since `start`, saturating at `u64::MAX`.
-pub(crate) fn elapsed_ns(start: Instant) -> u64 {
-    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Reusable solver state for the LION pipeline.
@@ -257,27 +209,20 @@ mod tests {
     #[test]
     fn merge_adds_fields() {
         let mut a = StageMetrics {
-            unwrap_ns: 1,
-            solve_ns: 2,
             solves: 3,
             irls_unconverged: 1,
             ..StageMetrics::default()
         };
         let b = StageMetrics {
-            unwrap_ns: 10,
-            solve_ns: 20,
             solves: 30,
             equations: 7,
             irls_unconverged: 2,
             ..StageMetrics::default()
         };
         a.merge(&b);
-        assert_eq!(a.unwrap_ns, 11);
-        assert_eq!(a.solve_ns, 22);
         assert_eq!(a.solves, 33);
         assert_eq!(a.equations, 7);
         assert_eq!(a.irls_unconverged, 3);
-        assert_eq!(a.pipeline_ns(), 11 + 22);
     }
 
     #[test]

@@ -116,8 +116,9 @@ where
 /// — and each keeps one reusable [`Workspace`] for every solve it runs.
 /// Results are returned in submission order, and because every job is a
 /// pure function of its own inputs, the estimates are **bit-identical**
-/// for any worker count (including a serial run). Only the stage *timers*
-/// vary run to run; the stage *counters* are deterministic too.
+/// for any worker count (including a serial run), and so are the
+/// per-job [`StageMetrics`]. Only the queue-wait and execute timings
+/// vary run to run.
 #[derive(Debug, Clone)]
 pub struct Engine {
     workers: usize,

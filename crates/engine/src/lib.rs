@@ -14,9 +14,10 @@
 //!   serial run regardless of the worker count.
 //! - **Allocation-free steady state**: each worker reuses one workspace
 //!   (design matrix, RHS, IRLS scratch) across all the jobs it drains.
-//! - **Instrumented**: the per-stage timers and counters the workspace
-//!   records ([`lion_core::StageMetrics`]) are collected per job and
-//!   aggregated into a [`MetricsReport`].
+//! - **Instrumented**: the counters the workspace records
+//!   ([`lion_core::StageMetrics`]) are collected per job and aggregated
+//!   into a [`MetricsReport`], with the engine's queue-wait and execute
+//!   distributions. Per-stage time is measured by the `lion.*` spans.
 //!
 //! # Example
 //!
@@ -58,5 +59,5 @@ mod stream;
 
 pub use engine::{BatchOutcome, Engine, EngineBuilder};
 pub use job::{Job, JobKind, JobOutput};
-pub use metrics::{JobTiming, MetricsReport, StageDistributions};
+pub use metrics::{JobTiming, MetricsReport};
 pub use stream::{StreamJob, StreamOutcome};

@@ -1,12 +1,11 @@
 //! Flamegraph export: exclusive-time attribution over flight-recorder
 //! span rings, emitted as collapsed-stack text.
 //!
-//! The pipeline's stage accounting (`StageMetrics`) already keeps its
-//! sums **disjoint**: `adaptive_exclusive_ns` is the sweep's inclusive
-//! time minus the inner stages it drove, so totals never double-count a
-//! nanosecond. This module applies the same discipline to arbitrary
-//! span trees from the [`crate::recorder::FlightRecorder`]: each span's
-//! **exclusive** time is its `elapsed_ns` minus the elapsed time of its
+//! The pipeline's stages are timed by their `lion.*` spans alone, and
+//! nested spans overlap: the `lion.adaptive` sweep span contains the
+//! `lion.pairs` and `lion.solve` spans of the cells it drives. This
+//! module keeps totals **disjoint** over span trees from the
+//! [`crate::recorder::FlightRecorder`]: each span's **exclusive** time is its `elapsed_ns` minus the elapsed time of its
 //! *direct* children (saturating at zero when rings evicted a parent's
 //! tail), so summing every line of the output reproduces total traced
 //! busy time exactly once.

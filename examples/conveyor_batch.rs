@@ -4,7 +4,7 @@
 //! trace is an independent localization problem — exactly the shape the
 //! [`Engine`] is built for: one [`Job`] per case, fanned across worker
 //! threads, results back in submission order, bit-identical to a serial
-//! run, with per-stage instrumentation aggregated into a
+//! run, with the stage counters and job timings aggregated into a
 //! [`MetricsReport`].
 //!
 //! With an output directory argument the run also exports its telemetry
@@ -101,7 +101,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         / parallel.results.len() as f64;
     println!("mean phase-center error: {:.2} mm", mean_error * 1e3);
 
-    println!("\n== per-stage instrumentation ==\n{}", parallel.report);
+    println!("\n== engine metrics ==\n{}", parallel.report);
 
     // The sweep's trial counters: grid cells solved and skipped.
     let totals = &parallel.report.total;

@@ -2,9 +2,10 @@
 //!
 //! Runs the conveyor workload, exports the telemetry registry snapshot
 //! to a JSON line, parses it back (exactly what an external collector
-//! would do with `target/telemetry/snapshot.jsonl`), and renders a
-//! per-stage percentile table from the round-tripped data — proving the
-//! export is lossless enough to drive a dashboard.
+//! would do with `target/telemetry/snapshot.jsonl`), and renders the
+//! engine's queue-wait and execute percentiles from the round-tripped
+//! data — proving the export is lossless enough to drive a dashboard —
+//! then the per-stage span durations the subscriber collected live.
 //!
 //! ```bash
 //! cargo run --release --example telemetry_dashboard
@@ -117,11 +118,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let line = to_json_line("telemetry_dashboard", &registry.snapshot());
     let (label, snapshot) = parse_json_line(&line)?;
     // Publish the batch report to the global registry too, so a scraper
-    // hitting /metrics or /snapshot sees the same stage histograms.
+    // hitting /metrics or /snapshot sees the same job histograms.
     outcome.report.record_into(lion::obs::global());
     if let Some(hub) = &hub {
         // One history sample of the just-published report, so `/query`
-        // serves the run's counters and stage histograms as points.
+        // serves the run's counters and job histograms as points.
         hub.sample_tick();
     }
 
@@ -133,25 +134,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         snapshot.gauge("engine.workers").unwrap_or(0.0),
     );
     println!(
-        "adaptive: {} trials | {} skipped",
+        "adaptive: {} trials | {} skipped | {} reused",
         snapshot.counter("engine.adaptive_trials").unwrap_or(0),
         snapshot.counter("engine.adaptive_skipped").unwrap_or(0),
+        snapshot
+            .counter("engine.adaptive_cells_reused")
+            .unwrap_or(0),
     );
     println!();
     println!(
         "{:<12} {:>8} {:>10} {:>10} {:>10} {:>10}",
-        "stage", "jobs", "p50 µs", "p90 µs", "p99 µs", "max µs"
+        "job", "jobs", "p50 µs", "p90 µs", "p99 µs", "max µs"
     );
-    for stage in [
-        "unwrap",
-        "smooth",
-        "pairs",
-        "solve",
-        "adaptive",
-        "job_busy",
-        "queue_wait",
-        "execute",
-    ] {
+    for stage in ["queue_wait", "execute"] {
         let Some(hist) = snapshot.histogram(&format!("engine.stage.{stage}_ns")) else {
             continue;
         };

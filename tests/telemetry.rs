@@ -79,7 +79,7 @@ fn spans_reach_a_global_subscriber_from_worker_threads() {
 
     // The report's distributions agree with the subscriber's view on
     // cardinality, and the failure taxonomy names the injected error.
-    assert_eq!(outcome.report.stages.solve.count(), 13);
+    assert_eq!(outcome.report.execute.count(), 13);
     assert_eq!(outcome.report.failed, 1);
     assert_eq!(outcome.report.failures_by_kind.len(), 1);
     assert_eq!(outcome.report.failures_by_kind[0].1, 1);
@@ -95,16 +95,15 @@ fn report_distributions_cover_every_job_and_round_trip() {
     let jobs = batch_jobs(8);
     let outcome = Engine::serial().run(&jobs);
     let report = &outcome.report;
-    for (name, hist) in report.stages.named() {
-        assert_eq!(hist.count(), 8, "stage {name}");
-    }
+    assert_eq!(report.queue_wait.count(), 8);
+    assert_eq!(report.execute.count(), 8);
     // Queue-wait and execute come from the engine's own clocks.
-    assert!(report.stages.execute.sum() > 0);
+    assert!(report.execute.sum() > 0);
     assert_eq!(outcome.timings.len(), 8);
     // Serde round trip (via the hand-rolled JSON codec) is lossless.
     let back = MetricsReport::from_json_str(&report.to_json_string()).expect("well-formed");
     assert_eq!(*report, back);
-    assert_eq!(back.stages.solve.p99(), report.stages.solve.p99());
+    assert_eq!(back.execute.p99(), report.execute.p99());
 }
 
 #[test]
@@ -120,15 +119,17 @@ fn registry_snapshot_exports_to_both_formats() {
     assert_eq!(label, "batch");
     assert_eq!(parsed.counter("engine.jobs"), Some(4));
     assert_eq!(
-        parsed.histogram("engine.stage.solve_ns").map(|h| h.count()),
+        parsed
+            .histogram("engine.stage.execute_ns")
+            .map(|h| h.count()),
         snapshot
-            .histogram("engine.stage.solve_ns")
+            .histogram("engine.stage.execute_ns")
             .map(|h| h.count()),
     );
 
     let prom = to_prometheus(&snapshot);
     assert!(prom.contains("# TYPE engine_jobs_total counter"), "{prom}");
     assert!(prom.contains("engine_jobs_total 4"), "{prom}");
-    assert!(prom.contains("engine_stage_solve_ns_bucket"), "{prom}");
+    assert!(prom.contains("engine_stage_execute_ns_bucket"), "{prom}");
     assert!(prom.contains("le=\"+Inf\""), "{prom}");
 }

@@ -138,7 +138,7 @@ fn every_stage_span_roots_in_one_job_span() {
     assert_eq!(trees.len(), jobs.len(), "one trace per stream job");
     for tree in &trees {
         // The full pipeline shows up nested under the job root:
-        // job → solve → unwrap/smooth/pairs/solve (three levels).
+        // job → solve → unwrap/smooth/pairs/solve/offset (three levels).
         assert!(tree.starts_with("lion.stream.job("), "tree: {tree}");
         assert!(tree.contains("lion.stream.ingress"), "tree: {tree}");
         assert!(tree.contains("lion.stream.window"), "tree: {tree}");
@@ -147,6 +147,14 @@ fn every_stage_span_roots_in_one_job_span() {
             "solve must nest the core stages: {tree}"
         );
         assert!(tree.contains("lion.pairs"), "tree: {tree}");
+        // A replay tick fits the phase offset against the center it just
+        // solved, in its own span under the tick's solve span.
+        assert!(
+            tree.contains(
+                "lion.stream.solve(lion.unwrap(),lion.smooth(),lion.pairs(),lion.solve(),lion.offset())"
+            ),
+            "a replay tick must nest lion.offset: {tree}"
+        );
     }
 }
 
