@@ -528,6 +528,36 @@ pub(crate) struct FrameSmall {
     pub(crate) dims: usize,
 }
 
+/// Unnormalized sample covariance `Σ d·dᵀ` of `positions` about
+/// `centroid`; its eigenvalues are the squared singular values of the
+/// centered sample matrix. Only the six distinct entries of the symmetric
+/// matrix are summed, and the upper triangle mirrors them. 2D mode keeps
+/// the z row and column exactly +0, which `sym_eigen3` preserves.
+fn covariance(positions: &[Point3], centroid: Point3, space: SolveSpace) -> [[f64; 3]; 3] {
+    let [mut xx, mut xy, mut xz, mut yy, mut yz, mut zz] = [0.0_f64; 6];
+    let deltas = positions.iter().map(|p| *p - centroid);
+    match space {
+        SolveSpace::TwoD => {
+            for d in deltas {
+                xx += d.x * d.x;
+                xy += d.x * d.y;
+                yy += d.y * d.y;
+            }
+        }
+        SolveSpace::ThreeD => {
+            for d in deltas {
+                xx += d.x * d.x;
+                xy += d.x * d.y;
+                xz += d.x * d.z;
+                yy += d.y * d.y;
+                yz += d.y * d.z;
+                zz += d.z * d.z;
+            }
+        }
+    }
+    [[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]]
+}
+
 pub(crate) fn analyze_geometry_small(
     positions: &[Point3],
     space: SolveSpace,
@@ -542,22 +572,7 @@ pub(crate) fn analyze_geometry_small(
         SolveSpace::TwoD => 2,
         SolveSpace::ThreeD => 3,
     };
-    // Unnormalized sample covariance Σ d·dᵀ; its eigenvalues are the
-    // squared singular values of the centered sample matrix. 2D mode
-    // keeps the z row/column exactly zero, which `sym_eigen3` preserves.
-    let mut cov = [[0.0_f64; 3]; 3];
-    for p in positions {
-        let d = *p - centroid;
-        let v = match space {
-            SolveSpace::TwoD => [d.x, d.y, 0.0],
-            SolveSpace::ThreeD => [d.x, d.y, d.z],
-        };
-        for r in 0..3 {
-            for c in 0..3 {
-                cov[r][c] += v[r] * v[c];
-            }
-        }
-    }
+    let cov = covariance(positions, centroid, space);
     let (vals, vecs) = lion_linalg::sym_eigen3(&cov);
     let s1 = vals[0].max(0.0).sqrt();
     if s1 <= 1e-12 {
@@ -1425,5 +1440,42 @@ mod tests {
             canonicalize(Vec3::new(0.5, 0.5, 0.5)),
             Vec3::new(0.5, 0.5, 0.5)
         );
+    }
+
+    /// The six distinct covariance sums, mirrored, are bit-identical to
+    /// all nine entries summed in the per-read loop (in 2D with the z
+    /// entries `d·0.0` summed too), and so is the frame built on them.
+    #[test]
+    fn covariance_equals_the_full_nine_entry_sum() {
+        let mut state = 0x2545_F491_4F6C_DD1D_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1_u64 << 53) as f64 - 0.5
+        };
+        let positions: Vec<Point3> = (0..37)
+            .map(|_| Point3::new(next(), 0.3 * next(), 0.1 * next()))
+            .collect();
+        for space in [SolveSpace::TwoD, SolveSpace::ThreeD] {
+            let frame = analyze_geometry_small(&positions, space, 1e-6).unwrap();
+            let mut full = [[0.0_f64; 3]; 3];
+            for p in &positions {
+                let d = *p - frame.centroid;
+                let z = if space == SolveSpace::TwoD { 0.0 } else { d.z };
+                let v = [d.x, d.y, z];
+                for r in 0..3 {
+                    for c in 0..3 {
+                        full[r][c] += v[r] * v[c];
+                    }
+                }
+            }
+            let bits = |m: [[f64; 3]; 3]| m.map(|row| row.map(f64::to_bits));
+            let cov = covariance(&positions, frame.centroid, space);
+            assert_eq!(bits(cov), bits(full), "{space:?}");
+            let (_, vecs) = lion_linalg::sym_eigen3(&full);
+            let axes = frame.axes.map(|a| [a.x, a.y, a.z]);
+            assert_eq!(bits(axes), bits(vecs), "{space:?}");
+        }
     }
 }

@@ -12,9 +12,9 @@
 //! fit of paper Eq. 17 ([`sin_cos_sums`], and [`phase_offset_sums`],
 //! which derives each `α` from a read on the fly). Each kernel exists
 //! twice: a portable scalar reference (`*_scalar`) and an explicit-width
-//! `core::arch` twin (AVX2 on x86_64, NEON on aarch64) selected once at
-//! runtime by [`active`]. Where a kernel has no twin for a backend, that
-//! backend runs the scalar reference.
+//! `core::arch` twin (AVX2 with FMA on x86_64, NEON on aarch64) selected
+//! once at runtime by [`active`]. Where a kernel has no twin for a
+//! backend, that backend runs the scalar reference.
 //!
 //! # Bit-identical contract
 //!
@@ -25,10 +25,23 @@
 //! only works if a replayed window reproduces the original solve exactly.
 //! The twins therefore restrict themselves to operations that are
 //! correctly rounded per IEEE 754 and identical per lane — add, sub, mul,
-//! div, sqrt, floor, max, sign flips — applied in the same order as the
-//! scalar loop. In particular **no FMA is ever used** (a fused
-//! multiply-add rounds once where the scalar code rounds twice), and a
-//! reduction's summation order is whatever its scalar twin does: lanes
+//! div, sqrt, floor, max, sign flips and fused multiply-add — applied in
+//! the same order as the scalar loop. **The twins fuse exactly where the
+//! scalar reference calls [`f64::mul_add`]; no other contraction.** A
+//! fused multiply-add rounds once, and `mul_add` is that one correctly
+//! rounded operation on every target (an `fmadd` instruction on aarch64
+//! and inside an FMA-enabled x86_64 function, a call to libm's `fma`
+//! elsewhere), so an AVX2 `_mm256_fmadd_pd` lane and the scalar `mul_add`
+//! agree bit for bit. The fused steps are the Gram accumulation
+//! ([`gram_fixed`], [`gram_into`]), the residual dot products
+//! ([`residuals_fixed`]), the shared exponential's rounding to `n` and
+//! polynomial ([`exp_non_positive`], [`gaussian_weights`]), and the
+//! resultant's rounding to `n` and sine and cosine polynomials
+//! ([`sin_cos`]); every other product is rounded before it is added.
+//! The price falls on the scalar fallback on x86_64 (`LION_SIMD=scalar`,
+//! or a CPU without FMA), where each `mul_add` is a libm call.
+//!
+//! A reduction's summation order is whatever its scalar twin does: lanes
 //! hold *independent* accumulators, or interleaved partial sums of one
 //! reduction only where the scalar twin interleaves the same way. Every
 //! sum over rows uses one interleaved order, [`sum_sumsq`]'s: row `i` of
@@ -43,13 +56,13 @@
 //!
 //! The resultant meets the contract without libm on its hot path: its
 //! sine and cosine ([`sin_cos`]) are a Cody–Waite reduction by π/2 and
-//! two fixed polynomials in add, sub and mul only, the quadrant select
-//! is a blend and a sign-bit XOR on the integer `n mod 4` read out of the
-//! reduction's shift trick, and the offset's distance and `4π·d/λ` are
-//! one sqrt and one div per lane. An angle outside the reduction's exact
-//! range (`|α| >` [`SIN_COS_MAX`], NaN, ±∞) sends its whole block of four
-//! to the scalar body lane by lane, which calls libm for that angle on
-//! every backend, so the twins agree there too.
+//! two fixed polynomials in add, sub, mul and fused multiply-add, the
+//! quadrant select is a blend and a sign-bit XOR on the integer `n mod 4`
+//! read out of the reduction's shift trick, and the offset's distance and
+//! `4π·d/λ` are one sqrt and one div per lane. An angle outside the
+//! reduction's exact range (`|α| >` [`SIN_COS_MAX`], NaN, ±∞) sends its
+//! whole block of four to the scalar body lane by lane, which calls libm
+//! for that angle on every backend, so the twins agree there too.
 //!
 //! # Dispatch
 //!
@@ -70,7 +83,8 @@ pub enum Backend {
     /// Portable reference implementation; always available and always the
     /// semantics the SIMD twins must reproduce bit-for-bit.
     Scalar,
-    /// 256-bit AVX2 kernels (x86_64, runtime-detected).
+    /// 256-bit AVX2 kernels with FMA (x86_64, both features
+    /// runtime-detected: Haswell, Zen or later).
     Avx2,
     /// 128-bit NEON kernels (aarch64 baseline).
     Neon,
@@ -108,12 +122,16 @@ fn decode(v: u8) -> Backend {
     }
 }
 
-/// Whether this process can actually execute `b`'s instructions.
+/// Whether this process can actually execute `b`'s instructions. The
+/// AVX2 twins fuse multiply-adds, so they need FMA as well as AVX2.
 fn available(b: Backend) -> bool {
     match b {
         Backend::Scalar => true,
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+        Backend::Avx2 => {
+            std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
+        }
         #[cfg(not(target_arch = "x86_64"))]
         Backend::Avx2 => false,
         Backend::Neon => cfg!(target_arch = "aarch64"),
@@ -191,6 +209,31 @@ const LN2_LO: f64 = 1.908_214_929_270_587_7e-10;
 /// leaves that integer in the sum's low mantissa bits.
 const SHIFT: f64 = 6_755_399_441_055_744.0;
 
+/// The degree-9 Taylor polynomial of `exp(r)`, `Σ rᵏ/k!`, lowest degree
+/// first.
+const EXP_C: [f64; 10] = [
+    1.0,
+    1.0,
+    1.0 / 2.0,
+    1.0 / 6.0,
+    1.0 / 24.0,
+    1.0 / 120.0,
+    1.0 / 720.0,
+    1.0 / 5_040.0,
+    1.0 / 40_320.0,
+    1.0 / 362_880.0,
+];
+
+/// `c[0] + x·(c[1] + x·(c[2] + …))` by Horner's rule from the highest
+/// coefficient down, each step one [`f64::mul_add`]: the polynomial
+/// arithmetic of the exp and sin/cos kernels, which their vector twins
+/// repeat lane for lane.
+#[inline]
+fn horner(x: f64, c: &[f64]) -> f64 {
+    let (&top, rest) = c.split_last().expect("a polynomial has a coefficient");
+    rest.iter().rev().fold(top, |p, &k| x.mul_add(p, k))
+}
+
 /// Elementwise `x → exp(x)` for non-positive `x`, in place.
 ///
 /// This is the exponential of the Gaussian weights that the QR
@@ -201,22 +244,27 @@ const SHIFT: f64 = 6_755_399_441_055_744.0;
 /// reduction `x = n·ln2 + r` (`|r| ≤ ln2/2`), a degree-9 Taylor
 /// polynomial for `exp(r)` (remainder below 7e-12 on the reduced range —
 /// noise at the scale of a reliability weight), and an exact power-of-two
-/// scale assembled from the shift trick's mantissa bits. One tolerance,
-/// one arithmetic: [`gaussian_weights`] evaluates exactly this per lane.
+/// scale assembled from the shift trick's mantissa bits. The rounding to
+/// `n` and every Horner step are fused multiply-adds ([`f64::mul_add`],
+/// one rounding each), which only tightens the evaluation error; the
+/// 7e-12 remainder is the bound. The reduction stays unfused: `n·LN2_HI`
+/// is exact, and fusing `n·LN2_LO` moves `r` by at most an ulp that the
+/// result's rounding absorbs (no difference in 2·10⁸ random arguments),
+/// so it would only add two libm calls per value to the scalar fallback.
+/// One tolerance, one arithmetic: [`gaussian_weights`] evaluates exactly
+/// this per lane.
 pub fn exp_non_positive(xs: &mut [f64]) {
     match active() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `active()` only returns Avx2 when the CPU supports it.
         Backend::Avx2 => unsafe { avx2::exp_non_positive(xs) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is baseline on aarch64.
-        Backend::Neon => unsafe { neon::exp_non_positive(xs) },
+        // aarch64 runs the scalar twin, whose `mul_add` is one `fmadd`.
         _ => exp_non_positive_scalar(xs),
     }
 }
 
 /// Scalar reference for [`exp_non_positive`]; the body is straight-line
-/// arithmetic with no branches, calls, or float→int conversions.
+/// arithmetic with no branches or float→int conversions.
 pub fn exp_non_positive_scalar(xs: &mut [f64]) {
     for x in xs {
         *x = exp_one(*x);
@@ -231,19 +279,10 @@ fn exp_one(x: f64) -> f64 {
     // exp(-690) ≈ 1e-300 — an effectively zero weight — and the
     // clamp keeps the 2ⁿ scale inside normal-number range.
     let v = x.max(-690.0);
-    let t = v * std::f64::consts::LOG2_E + SHIFT;
+    let t = v.mul_add(std::f64::consts::LOG2_E, SHIFT);
     let n = t - SHIFT;
     let r = (v - n * LN2_HI) - n * LN2_LO;
-    let p = 1.0 / 362_880.0;
-    let p = 1.0 / 40_320.0 + r * p;
-    let p = 1.0 / 5_040.0 + r * p;
-    let p = 1.0 / 720.0 + r * p;
-    let p = 1.0 / 120.0 + r * p;
-    let p = 1.0 / 24.0 + r * p;
-    let p = 1.0 / 6.0 + r * p;
-    let p = 0.5 + r * p;
-    let p = 1.0 + r * p;
-    let p = 1.0 + r * p;
+    let p = horner(r, &EXP_C);
     // n ∈ [-996, 0] lives in t's low mantissa bits (mod 2¹²), so the
     // biased exponent (n + 1023) << 52 comes straight from them.
     let scale = f64::from_bits(t.to_bits().wrapping_add(1023) << 52);
@@ -266,16 +305,6 @@ pub fn gaussian_weights(residuals: &[f64], mu: f64, inv_two_sigma2: f64, out: &m
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `active()` only returns Avx2 when the CPU supports it.
         Backend::Avx2 => unsafe { avx2::gaussian_weights(residuals, mu, inv_two_sigma2, out) },
-        #[cfg(target_arch = "aarch64")]
-        // NEON keeps two passes: exponents, then its exp twin.
-        Backend::Neon => {
-            for (w, &r) in out.iter_mut().zip(residuals) {
-                let d = r - mu;
-                *w = -(d * d) * inv_two_sigma2;
-            }
-            // SAFETY: NEON is baseline on aarch64.
-            unsafe { neon::exp_non_positive(out) }
-        }
         _ => gaussian_weights_scalar(residuals, mu, inv_two_sigma2, out),
     }
 }
@@ -540,7 +569,9 @@ pub fn radical_row(
 /// Sums `Σ wᵢ·aᵢaᵢᵀ` (lower triangle; upper entries stay 0) and
 /// `Σ wᵢ·aᵢ·kᵢ` over every stored row.
 /// `weights[i]` is the stored weight of row `i`; each term is
-/// `(wᵢ·aᵢ[r])·aᵢ[c]` or `(wᵢ·aᵢ[r])·kᵢ`.
+/// `(wᵢ·aᵢ[r])·aᵢ[c]` or `(wᵢ·aᵢ[r])·kᵢ`, with `wᵢ·aᵢ[r]` rounded and
+/// the second product fused into its partial sum
+/// (`wa.mul_add(aᵢ[c], sum)`).
 ///
 /// Every entry is summed in [`sum_sumsq`]'s lane order: row `i` of every
 /// whole block of four adds into partial sum `i mod 4`, the partials
@@ -655,16 +686,16 @@ fn gram_lanes(
 
 /// Adds one row's terms into a set of sums: the lower triangle of
 /// `w·a·aᵀ` into `gram` (`a.len()` square, row-major) and `w·a·k` into
-/// `atk`.
+/// `atk`, each product fused into its sum.
 #[inline]
 fn gram_add_row(gram: &mut [f64], atk: &mut [f64], a: &[f64], k: f64, w: f64) {
     let cols = a.len();
     for (r, (&ar, t)) in a.iter().zip(atk.iter_mut()).enumerate() {
         let wa = w * ar;
         for (g, &ac) in gram[r * cols..=r * cols + r].iter_mut().zip(a) {
-            *g += wa * ac;
+            *g = wa.mul_add(ac, *g);
         }
-        *t += wa * k;
+        *t = wa.mul_add(k, *t);
     }
 }
 
@@ -758,7 +789,9 @@ pub fn weighted_sums(weights: &[f64], residuals: &[f64]) -> (f64, f64) {
 /// Residuals `rᵢ = aᵢ·x − kᵢ` of every row into `out`
 /// (`out.len() == rhs.len()`), returning `(Σr, Σr²)` over them in
 /// [`sum_sumsq`]'s order. Each dot product adds its columns left to right,
-/// `((a₀x₀ + a₁x₁) + a₂x₂) + a₃x₃`.
+/// every column after the first fused into the running sum:
+/// `fma(a₃, x₃, fma(a₂, x₂, fma(a₁, x₁, a₀x₀)))`, then `− kᵢ`. `Σr²`
+/// squares each residual before adding it, as [`sum_sumsq`] does.
 ///
 /// The AVX2 twin computes four rows per vector (row `i` in lane
 /// `i mod 4`, columns transposed out of the row-major block by
@@ -807,12 +840,12 @@ pub fn residuals_fixed_scalar<const N: usize>(
     lanes.finish(out[whole..].iter().map(|&r| (r, r * r)))
 }
 
-/// `a·x − k` for one row, columns added left to right.
+/// `a·x − k` for one row, columns fused into the sum left to right.
 #[inline]
 fn residual<const N: usize>(a: &[f64], x: &[f64; N], k: f64) -> f64 {
     let mut dot = a[0] * x[0];
     for c in 1..N {
-        dot += a[c] * x[c];
+        dot = a[c].mul_add(x[c], dot);
     }
     dot - k
 }
@@ -875,23 +908,26 @@ const FOUR_PI: f64 = 4.0 * std::f64::consts::PI;
 /// like [`exp_non_positive`] reduces by ln 2), fdlibm's sin and cos
 /// polynomials both evaluated on `r`, and a quadrant select on `n mod 4`
 /// (swap on odd `n`, sign flips as bit XORs). Beyond it, or for NaN and
-/// ±∞, libm's `sin`/`cos`. No FMA. Within the polynomial domain each
-/// value is within 2 ULP of libm's (the accuracy test in
-/// `simd_parity.rs`; the largest absolute difference it sees is 2⁻⁵³).
+/// ±∞, libm's `sin`/`cos`. The rounding to `n` and the polynomials'
+/// multiply-adds are fused ([`f64::mul_add`]). The three-part reduction
+/// (its first two products are exact, the third is below an ulp of `r`)
+/// and the cosine's final `w + ((1 − w − hz) + z·pc)` correction round
+/// step by step: fusing the correction moved no value in 2·10⁷ random
+/// angles. Within the
+/// polynomial domain each value is within 2 ULP of libm's (the accuracy
+/// test in `simd_parity.rs`; the largest absolute difference it sees is
+/// 2⁻⁵³).
 #[inline]
 pub fn sin_cos(x: f64) -> (f64, f64) {
     if x.is_nan() || x.abs() > SIN_COS_MAX {
         return (x.sin(), x.cos());
     }
-    let t = x * std::f64::consts::FRAC_2_PI + SHIFT;
+    let t = x.mul_add(std::f64::consts::FRAC_2_PI, SHIFT);
     let n = t - SHIFT;
     let r = ((x - n * PIO2_1) - n * PIO2_2) - n * PIO2_2T;
     let z = r * r;
-    let [s1, s2, s3, s4, s5, s6] = SIN_C;
-    let ps = s2 + z * (s3 + z * (s4 + z * (s5 + z * s6)));
-    let sin_r = r + (z * r) * (s1 + z * ps);
-    let [c1, c2, c3, c4, c5, c6] = COS_C;
-    let pc = z * (c1 + z * (c2 + z * (c3 + z * (c4 + z * (c5 + z * c6)))));
+    let sin_r = (z * r).mul_add(horner(z, &SIN_C), r);
+    let pc = z * horner(z, &COS_C);
     let hz = 0.5 * z;
     let w = 1.0 - hz;
     let cos_r = w + (((1.0 - w) - hz) + z * pc);
@@ -1002,31 +1038,36 @@ mod avx2 {
     use super::*;
     use core::arch::x86_64::*;
 
-    /// Four lanes of [`super::exp_one`].
+    /// Four lanes of [`super::horner`]: one `fmadd` per step.
+    ///
+    /// # Safety
+    /// AVX2 and FMA.
     #[inline]
-    #[target_feature(enable = "avx2")]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn horner4(x: __m256d, c: &[f64]) -> __m256d {
+        let (&top, rest) = c.split_last().expect("a polynomial has a coefficient");
+        let mut p = _mm256_set1_pd(top);
+        for &k in rest.iter().rev() {
+            p = _mm256_fmadd_pd(x, p, _mm256_set1_pd(k));
+        }
+        p
+    }
+
+    /// Four lanes of [`super::exp_one`], with `fmadd` where it calls
+    /// `mul_add`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
     unsafe fn exp4(x: __m256d) -> __m256d {
-        let v = _mm256_max_pd(x, _mm256_set1_pd(-690.0));
-        let shift = _mm256_set1_pd(SHIFT);
-        let t = _mm256_add_pd(
-            _mm256_mul_pd(v, _mm256_set1_pd(std::f64::consts::LOG2_E)),
-            shift,
-        );
+        let set = _mm256_set1_pd;
+        let v = _mm256_max_pd(x, set(-690.0));
+        let shift = set(SHIFT);
+        let t = _mm256_fmadd_pd(v, set(std::f64::consts::LOG2_E), shift);
         let nv = _mm256_sub_pd(t, shift);
         let r = _mm256_sub_pd(
-            _mm256_sub_pd(v, _mm256_mul_pd(nv, _mm256_set1_pd(LN2_HI))),
-            _mm256_mul_pd(nv, _mm256_set1_pd(LN2_LO)),
+            _mm256_sub_pd(v, _mm256_mul_pd(nv, set(LN2_HI))),
+            _mm256_mul_pd(nv, set(LN2_LO)),
         );
-        let mut p = _mm256_set1_pd(1.0 / 362_880.0);
-        p = _mm256_add_pd(_mm256_set1_pd(1.0 / 40_320.0), _mm256_mul_pd(r, p));
-        p = _mm256_add_pd(_mm256_set1_pd(1.0 / 5_040.0), _mm256_mul_pd(r, p));
-        p = _mm256_add_pd(_mm256_set1_pd(1.0 / 720.0), _mm256_mul_pd(r, p));
-        p = _mm256_add_pd(_mm256_set1_pd(1.0 / 120.0), _mm256_mul_pd(r, p));
-        p = _mm256_add_pd(_mm256_set1_pd(1.0 / 24.0), _mm256_mul_pd(r, p));
-        p = _mm256_add_pd(_mm256_set1_pd(1.0 / 6.0), _mm256_mul_pd(r, p));
-        p = _mm256_add_pd(_mm256_set1_pd(0.5), _mm256_mul_pd(r, p));
-        p = _mm256_add_pd(_mm256_set1_pd(1.0), _mm256_mul_pd(r, p));
-        p = _mm256_add_pd(_mm256_set1_pd(1.0), _mm256_mul_pd(r, p));
+        let p = horner4(r, &EXP_C);
         let scale = _mm256_castsi256_pd(_mm256_slli_epi64(
             _mm256_add_epi64(_mm256_castpd_si256(t), _mm256_set1_epi64x(1023)),
             52,
@@ -1035,8 +1076,8 @@ mod avx2 {
     }
 
     /// # Safety
-    /// Caller must have verified AVX2 support.
-    #[target_feature(enable = "avx2")]
+    /// Caller must have verified AVX2 and FMA support.
+    #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn exp_non_positive(xs: &mut [f64]) {
         let n = xs.len();
         let mut i = 0;
@@ -1049,9 +1090,9 @@ mod avx2 {
     }
 
     /// # Safety
-    /// Caller must have verified AVX2 support and
+    /// Caller must have verified AVX2 and FMA support and
     /// `out.len() == residuals.len()`.
-    #[target_feature(enable = "avx2")]
+    #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn gaussian_weights(
         residuals: &[f64],
         mu: f64,
@@ -1077,9 +1118,9 @@ mod avx2 {
     /// `N` columns): entry `c` holds column `c`, row `i` in lane `i`.
     ///
     /// # Safety
-    /// AVX2; `2 ≤ N ≤ 4`; `4·N` readable values from `base`.
+    /// AVX2 and FMA; `2 ≤ N ≤ 4`; `4·N` readable values from `base`.
     #[inline]
-    #[target_feature(enable = "avx2")]
+    #[target_feature(enable = "avx2,fma")]
     unsafe fn columns<const N: usize>(base: *const f64) -> [__m256d; N] {
         let mut out = [_mm256_setzero_pd(); N];
         match N {
@@ -1119,9 +1160,9 @@ mod avx2 {
     /// `base`, writing exactly `4·N` values.
     ///
     /// # Safety
-    /// AVX2; `2 ≤ N ≤ 4`; `4·N` writable values from `base`.
+    /// AVX2 and FMA; `2 ≤ N ≤ 4`; `4·N` writable values from `base`.
     #[inline]
-    #[target_feature(enable = "avx2")]
+    #[target_feature(enable = "avx2,fma")]
     unsafe fn store_rows<const N: usize>(base: *mut f64, cols: &[__m256d; N]) {
         match N {
             2 => {
@@ -1156,26 +1197,26 @@ mod avx2 {
 
     /// The dot products `aᵢ·x` of the four rows stored from `base`
     /// (row-major, `N` columns), row `i` in lane `i`. The columns are
-    /// transposed out of the block first, so each lane adds its terms
-    /// left to right like [`super::residual`].
+    /// transposed out of the block first, so each lane fuses its terms
+    /// into the sum left to right like [`super::residual`].
     ///
     /// # Safety
-    /// AVX2; `2 ≤ N ≤ 4`; `4·N` readable values from `base`.
+    /// AVX2 and FMA; `2 ≤ N ≤ 4`; `4·N` readable values from `base`.
     #[inline]
-    #[target_feature(enable = "avx2")]
+    #[target_feature(enable = "avx2,fma")]
     unsafe fn dot4<const N: usize>(base: *const f64, x: &[__m256d; N]) -> __m256d {
         let a = columns::<N>(base);
         let mut dot = _mm256_mul_pd(a[0], x[0]);
         for c in 1..N {
-            dot = _mm256_add_pd(dot, _mm256_mul_pd(a[c], x[c]));
+            dot = _mm256_fmadd_pd(a[c], x[c], dot);
         }
         dot
     }
 
     /// # Safety
-    /// Caller must have verified AVX2 support; `2 ≤ N ≤ 4`,
+    /// Caller must have verified AVX2 and FMA support; `2 ≤ N ≤ 4`,
     /// `rows.len() == rhs.len()·N` and `out.len() == rhs.len()`.
-    #[target_feature(enable = "avx2")]
+    #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn residuals_fixed<const N: usize>(
         rows: &[f64],
         rhs: &[f64],
@@ -1207,8 +1248,8 @@ mod avx2 {
     }
 
     /// # Safety
-    /// Caller must have verified AVX2 support.
-    #[target_feature(enable = "avx2")]
+    /// Caller must have verified AVX2 and FMA support.
+    #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn phase_unwrap_in_place(phases: &mut [f64], revs: &mut Vec<f64>) {
         let n = phases.len();
         revs.clear();
@@ -1239,8 +1280,8 @@ mod avx2 {
     }
 
     /// # Safety
-    /// Caller must have verified AVX2 support.
-    #[target_feature(enable = "avx2")]
+    /// Caller must have verified AVX2 and FMA support.
+    #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn sliding_mean_from_prefix(prefix: &[f64], window: usize, out: &mut [f64]) {
         let n = out.len();
         let (start, end) = super::sliding_mean_interior(n, window);
@@ -1260,9 +1301,9 @@ mod avx2 {
     }
 
     /// # Safety
-    /// Caller must have verified AVX2 support and the slice lengths
-    /// [`super::radical_rows`] asserts.
-    #[target_feature(enable = "avx2")]
+    /// Caller must have verified AVX2 and FMA support and the slice
+    /// lengths [`super::radical_rows`] asserts.
+    #[target_feature(enable = "avx2,fma")]
     #[allow(clippy::too_many_arguments)]
     pub(super) unsafe fn radical_rows(
         coords: &[f64],
@@ -1289,11 +1330,12 @@ mod avx2 {
     /// returns the number of rows written.
     ///
     /// # Safety
-    /// AVX2, the slice lengths [`super::radical_rows`] asserts, `1 ≤ K ≤ 3`
-    /// and `C = K + 1`. Pair indices need not be in bounds: the gathers
-    /// read only clamped ones, and any out-of-bounds index panics.
+    /// AVX2 and FMA, the slice lengths [`super::radical_rows`] asserts,
+    /// `1 ≤ K ≤ 3` and `C = K + 1`. Pair indices need not be in bounds:
+    /// the gathers read only clamped ones, and any out-of-bounds index
+    /// panics.
     #[inline]
-    #[target_feature(enable = "avx2")]
+    #[target_feature(enable = "avx2,fma")]
     unsafe fn radical_blocks<const K: usize, const C: usize>(
         coords: &[f64],
         n: usize,
@@ -1348,9 +1390,9 @@ mod avx2 {
     }
 
     /// # Safety
-    /// Caller must have verified AVX2 support; `2 ≤ N ≤ 4`,
+    /// Caller must have verified AVX2 and FMA support; `2 ≤ N ≤ 4`,
     /// `rows.len() == rhs.len()·N` and `weights.len() == rhs.len()`.
-    #[target_feature(enable = "avx2")]
+    #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn gram_fixed<const N: usize>(
         rows: &[f64],
         rhs: &[f64],
@@ -1359,13 +1401,15 @@ mod avx2 {
         let m = rhs.len();
         let whole = m - m % LANES;
         // One accumulator per lower-triangle entry and per `atk` entry;
-        // lane l of each is the scalar twin's partial sum l. For N = 4
-        // those are 14 registers, so with the block's four columns some
-        // live on the stack. Splitting the Gram rows over two passes
-        // keeps every accumulator in a register but measured slower: the
-        // second pass reloads and re-transposes every block, and those
-        // shuffles compete with the arithmetic, while a spilled
-        // accumulator costs only a load and a store per block.
+        // lane l of each is the scalar twin's partial sum l. Each term is
+        // one `fmadd` into its accumulator, so a block needs no product
+        // temporaries, only its four columns, `w`, `k` and the current
+        // `wa`. For N = 4 that is still 7 + 14 values for 16 registers,
+        // and the release build keeps 6 of the 14 accumulators on the
+        // stack, a load and a store each per block. Splitting the Gram
+        // rows over two passes keeps every accumulator in a register but
+        // measured slower: the second pass reloads and re-transposes
+        // every block, and those shuffles compete with the arithmetic.
         let mut acc = [[_mm256_setzero_pd(); N]; N];
         let mut acc_atk = [_mm256_setzero_pd(); N];
         let mut i = 0;
@@ -1376,9 +1420,9 @@ mod avx2 {
             for r in 0..N {
                 let wa = _mm256_mul_pd(w, a[r]);
                 for c in 0..=r {
-                    acc[r][c] = _mm256_add_pd(acc[r][c], _mm256_mul_pd(wa, a[c]));
+                    acc[r][c] = _mm256_fmadd_pd(wa, a[c], acc[r][c]);
                 }
-                acc_atk[r] = _mm256_add_pd(acc_atk[r], _mm256_mul_pd(wa, k));
+                acc_atk[r] = _mm256_fmadd_pd(wa, k, acc_atk[r]);
             }
             i += LANES;
         }
@@ -1404,11 +1448,11 @@ mod avx2 {
     /// Four lanes of [`super::sin_cos`]'s polynomial path (no domain
     /// guard).
     #[inline]
-    #[target_feature(enable = "avx2")]
+    #[target_feature(enable = "avx2,fma")]
     unsafe fn sin_cos4(x: __m256d) -> (__m256d, __m256d) {
         let set = _mm256_set1_pd;
         let shift = set(SHIFT);
-        let t = _mm256_add_pd(_mm256_mul_pd(x, set(std::f64::consts::FRAC_2_PI)), shift);
+        let t = _mm256_fmadd_pd(x, set(std::f64::consts::FRAC_2_PI), shift);
         let n = _mm256_sub_pd(t, shift);
         let r = _mm256_sub_pd(
             _mm256_sub_pd(
@@ -1418,22 +1462,8 @@ mod avx2 {
             _mm256_mul_pd(n, set(PIO2_2T)),
         );
         let z = _mm256_mul_pd(r, r);
-        let mut ps = set(SIN_C[5]);
-        for &s in SIN_C[1..5].iter().rev() {
-            ps = _mm256_add_pd(set(s), _mm256_mul_pd(z, ps));
-        }
-        let sin_r = _mm256_add_pd(
-            r,
-            _mm256_mul_pd(
-                _mm256_mul_pd(z, r),
-                _mm256_add_pd(set(SIN_C[0]), _mm256_mul_pd(z, ps)),
-            ),
-        );
-        let mut pc = set(COS_C[5]);
-        for &c in COS_C[..5].iter().rev() {
-            pc = _mm256_add_pd(set(c), _mm256_mul_pd(z, pc));
-        }
-        let pc = _mm256_mul_pd(z, pc);
+        let sin_r = _mm256_fmadd_pd(_mm256_mul_pd(z, r), horner4(z, &SIN_C), r);
+        let pc = _mm256_mul_pd(z, horner4(z, &COS_C));
         let hz = _mm256_mul_pd(set(0.5), z);
         let one = set(1.0);
         let w = _mm256_sub_pd(one, hz);
@@ -1460,7 +1490,7 @@ mod avx2 {
     /// [`super::sin_cos`] on four lanes: the polynomial path, or the
     /// scalar body lane by lane when any lane is outside its domain.
     #[inline]
-    #[target_feature(enable = "avx2")]
+    #[target_feature(enable = "avx2,fma")]
     unsafe fn sin_cos_block(x: __m256d) -> (__m256d, __m256d) {
         let abs = _mm256_andnot_pd(_mm256_set1_pd(-0.0), x);
         let inside = _mm256_cmp_pd::<_CMP_LE_OQ>(abs, _mm256_set1_pd(SIN_COS_MAX));
@@ -1479,7 +1509,7 @@ mod avx2 {
     /// The lane partial sums `(s, c)` of the whole blocks, finished with
     /// the tail rows `alpha(whole..len)` exactly as the scalar twin does.
     #[inline]
-    #[target_feature(enable = "avx2")]
+    #[target_feature(enable = "avx2,fma")]
     unsafe fn finish_resultant(
         s: __m256d,
         c: __m256d,
@@ -1493,8 +1523,8 @@ mod avx2 {
     }
 
     /// # Safety
-    /// Caller must have verified AVX2 support.
-    #[target_feature(enable = "avx2")]
+    /// Caller must have verified AVX2 and FMA support.
+    #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn sin_cos_sums(angles: &[f64]) -> (f64, f64) {
         let (mut s, mut c) = (_mm256_setzero_pd(), _mm256_setzero_pd());
         for block in angles.chunks_exact(LANES) {
@@ -1506,8 +1536,8 @@ mod avx2 {
     }
 
     /// # Safety
-    /// Caller must have verified AVX2 support.
-    #[target_feature(enable = "avx2")]
+    /// Caller must have verified AVX2 and FMA support.
+    #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn phase_offset_sums<T>(
         reads: &[T],
         read: impl Fn(&T) -> ([f64; 3], f64),
@@ -1553,41 +1583,6 @@ mod avx2 {
 mod neon {
     use super::*;
     use core::arch::aarch64::*;
-
-    /// # Safety
-    /// NEON is baseline on aarch64; kept `unsafe` for dispatch symmetry.
-    pub(super) unsafe fn exp_non_positive(xs: &mut [f64]) {
-        let n = xs.len();
-        let clamp = vdupq_n_f64(-690.0);
-        let log2e = vdupq_n_f64(std::f64::consts::LOG2_E);
-        let shift = vdupq_n_f64(SHIFT);
-        let ln2hi = vdupq_n_f64(LN2_HI);
-        let ln2lo = vdupq_n_f64(LN2_LO);
-        let bias = vdupq_n_u64(1023);
-        let mut i = 0;
-        while i + 2 <= n {
-            let x = vld1q_f64(xs.as_ptr().add(i));
-            let v = vmaxq_f64(x, clamp);
-            let t = vaddq_f64(vmulq_f64(v, log2e), shift);
-            let nv = vsubq_f64(t, shift);
-            let r = vsubq_f64(vsubq_f64(v, vmulq_f64(nv, ln2hi)), vmulq_f64(nv, ln2lo));
-            let mut p = vdupq_n_f64(1.0 / 362_880.0);
-            p = vaddq_f64(vdupq_n_f64(1.0 / 40_320.0), vmulq_f64(r, p));
-            p = vaddq_f64(vdupq_n_f64(1.0 / 5_040.0), vmulq_f64(r, p));
-            p = vaddq_f64(vdupq_n_f64(1.0 / 720.0), vmulq_f64(r, p));
-            p = vaddq_f64(vdupq_n_f64(1.0 / 120.0), vmulq_f64(r, p));
-            p = vaddq_f64(vdupq_n_f64(1.0 / 24.0), vmulq_f64(r, p));
-            p = vaddq_f64(vdupq_n_f64(1.0 / 6.0), vmulq_f64(r, p));
-            p = vaddq_f64(vdupq_n_f64(0.5), vmulq_f64(r, p));
-            p = vaddq_f64(vdupq_n_f64(1.0), vmulq_f64(r, p));
-            p = vaddq_f64(vdupq_n_f64(1.0), vmulq_f64(r, p));
-            let scale =
-                vreinterpretq_f64_u64(vshlq_n_u64::<52>(vaddq_u64(vreinterpretq_u64_f64(t), bias)));
-            vst1q_f64(xs.as_mut_ptr().add(i), vmulq_f64(p, scale));
-            i += 2;
-        }
-        super::exp_non_positive_scalar(&mut xs[i..]);
-    }
 
     /// # Safety
     /// NEON is baseline on aarch64; kept `unsafe` for dispatch symmetry.
@@ -1646,6 +1641,18 @@ mod tests {
             assert!(!b.name().is_empty());
         }
         assert!(available(Backend::Scalar));
+    }
+
+    #[test]
+    fn avx2_backend_requires_fma() {
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(
+            available(Backend::Avx2),
+            std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
+        );
+        #[cfg(not(target_arch = "x86_64"))]
+        assert!(!available(Backend::Avx2));
     }
 
     #[test]

@@ -586,6 +586,174 @@ fn gram_sums_follow_the_documented_lane_order() {
     });
 }
 
+/// `a·b + c` with one rounding (`mul_add`) when `fused`, else with the
+/// product rounded first. The fusion probes below evaluate each
+/// hand-written reference both ways and check that their inputs tell the
+/// two apart, so a kernel that stopped fusing (on both twins alike, which
+/// the scalar-twin parity checks cannot see) fails them.
+fn madd(fused: bool, a: f64, b: f64, c: f64) -> f64 {
+    if fused {
+        a.mul_add(b, c)
+    } else {
+        a * b + c
+    }
+}
+
+/// Rows in a fusion probe: two whole blocks, so every lane's partial sum
+/// adds a product into a non-zero sum, and one tail row.
+const FUSION_ROWS: usize = 9;
+
+/// `Σ pᵢ·qᵢ` over [`FUSION_ROWS`] rows in the documented lane order, each
+/// product added into its sum with [`madd`]: rows 0–7 into lane `i mod 4`
+/// (from +0), the lanes combined as `(l0 + l1) + (l2 + l3)`, row 8 last.
+fn lane_order_dot(fused: bool, p: &[f64], q: &[f64]) -> f64 {
+    let l = [0, 1, 2, 3].map(|l| madd(fused, p[l + 4], q[l + 4], madd(fused, p[l], q[l], 0.0)));
+    madd(fused, p[8], q[8], (l[0] + l[1]) + (l[2] + l[3]))
+}
+
+/// Every Gram and `AᵀWk` term `(wᵢ·aᵢ[r])·aᵢ[c]` (or `·kᵢ`) is fused into
+/// its partial sum exactly like `mul_add`, at non-unit weights: each entry
+/// of `simd::gram_fixed` and `simd::gram_into` equals [`lane_order_dot`]
+/// of `wᵢ·aᵢ[r]` against `aᵢ[c]` (or `kᵢ`). At every width some Gram
+/// entry and some `AᵀWk` entry differ from the same sum with the products
+/// rounded first (the seeds are picked for that).
+#[test]
+fn gram_products_are_fused_like_mul_add() {
+    fn check<const N: usize>() {
+        let seed = 8 + 10 * N as u64;
+        let flat = fill(seed, FUSION_ROWS * N, -3.0, 3.0);
+        let rhs = fill(seed + 1, FUSION_ROWS, -3.0, 3.0);
+        let weights = fill(seed + 2, FUSION_ROWS, 0.1, 2.0);
+        let col = |c: usize| -> Vec<f64> { flat.chunks_exact(N).map(|a| a[c]).collect() };
+        let (gram, atk) = simd::gram_fixed::<N>(&flat, &rhs, &weights);
+        let (mut g, mut t, mut lanes) = (vec![0.0; N * N], vec![0.0; N], Vec::new());
+        simd::gram_into(&flat, &rhs, &weights, N, &mut lanes, &mut g, &mut t);
+        // How many Gram and `AᵀWk` entries tell fused from unfused.
+        let mut told_apart = [0, 0];
+        for r in 0..N {
+            let wa: Vec<f64> = weights.iter().zip(col(r)).map(|(w, a)| w * a).collect();
+            let entries = (0..=r)
+                .map(|c| (format!("gram[{r}][{c}]"), col(c), gram[r][c], g[r * N + c]))
+                .chain([(format!("atk[{r}]"), rhs.clone(), atk[r], t[r])]);
+            for (name, q, fixed, into) in entries {
+                let want = lane_order_dot(true, &wa, &q);
+                if want.to_bits() != lane_order_dot(false, &wa, &q).to_bits() {
+                    told_apart[usize::from(name.starts_with("atk"))] += 1;
+                }
+                assert_eq!(fixed.to_bits(), want.to_bits(), "N={N} {name}");
+                assert_eq!(into.to_bits(), want.to_bits(), "N={N} {name} gram_into");
+            }
+        }
+        assert!(
+            told_apart.iter().all(|&n| n > 0),
+            "N={N}: the inputs must tell fused from unfused ({told_apart:?})"
+        );
+    }
+    on_both_backends(|| {
+        check::<2>();
+        check::<3>();
+        check::<4>();
+        check::<6>();
+    });
+}
+
+/// Each residual's dot product fuses the columns after the first into its
+/// running sum, left to right, exactly like `mul_add`:
+/// `fma(a₂, x₂, fma(a₁, x₁, a₀·x₀)) − k` at `N = 3`. The inputs make the
+/// fused and unfused references differ in a whole-block row and in the
+/// tail row.
+#[test]
+fn residual_dots_are_fused_like_mul_add() {
+    fn check<const N: usize>() {
+        let seed = 53 + 10 * N as u64;
+        let flat = fill(seed, FUSION_ROWS * N, -3.0, 3.0);
+        let rhs = fill(seed + 1, FUSION_ROWS, -3.0, 3.0);
+        let x: [f64; N] = fill(seed + 2, N, -2.0, 2.0).try_into().unwrap();
+        let reference = |fused: bool| -> Vec<f64> {
+            let rows = flat.chunks_exact(N).zip(&rhs);
+            let dot = |a: &[f64]| (1..N).fold(a[0] * x[0], |s, c| madd(fused, a[c], x[c], s));
+            rows.map(|(a, &k)| dot(a) - k).collect()
+        };
+        let (want, unfused) = (reference(true), reference(false));
+        let differs = |i: usize| want[i].to_bits() != unfused[i].to_bits();
+        assert!(
+            (0..8).any(differs),
+            "N={N}: no whole-block row tells fused from unfused"
+        );
+        assert!(
+            differs(8),
+            "N={N}: the tail row must tell fused from unfused"
+        );
+        let mut out = vec![f64::NAN; FUSION_ROWS];
+        let sums = simd::residuals_fixed::<N>(&flat, &rhs, &x, &mut out);
+        assert_eq!(bits(&out), bits(&want), "N={N}");
+        let reduced = simd::sum_sumsq(&want);
+        assert_eq!(sums.0.to_bits(), reduced.0.to_bits(), "N={N} Σr");
+        assert_eq!(sums.1.to_bits(), reduced.1.to_bits(), "N={N} Σr²");
+    }
+    on_both_backends(|| {
+        check::<2>();
+        check::<3>();
+        check::<4>();
+    });
+}
+
+/// The exponential written out by hand with [`madd`] for the two steps
+/// the kernel fuses, `fuse = [shift, horner]`: the shift trick's rounding
+/// of `x·log₂e` to `n`, and the nine Horner steps. The Cody–Waite
+/// reduction and the exact `2ⁿ` scale are rounded step by step.
+#[allow(clippy::excessive_precision)]
+fn exp_reference([shift, horner]: [bool; 2], x: f64) -> f64 {
+    const LN2_HI: f64 = 6.931_471_803_691_238_2e-1;
+    const LN2_LO: f64 = 1.908_214_929_270_587_7e-10;
+    const SHIFT: f64 = 6_755_399_441_055_744.0;
+    let v = x.max(-690.0);
+    let t = madd(shift, v, std::f64::consts::LOG2_E, SHIFT);
+    let n = t - SHIFT;
+    let r = (v - n * LN2_HI) - n * LN2_LO;
+    let factorials = [40_320.0, 5_040.0, 720.0, 120.0, 24.0, 6.0, 2.0, 1.0, 1.0];
+    let p = factorials
+        .iter()
+        .fold(1.0 / 362_880.0, |p, &f| madd(horner, r, p, 1.0 / f));
+    p * f64::from_bits(t.to_bits().wrapping_add(1023) << 52)
+}
+
+/// `simd::exp_non_positive` and the exponential inside
+/// `simd::gaussian_weights` fuse exactly like `mul_add`: every value
+/// equals [`exp_reference`] with both steps fused. Unfusing either step
+/// alone changes a value in the whole blocks, and unfusing both changes a
+/// value in the tail.
+#[test]
+fn exp_is_fused_like_mul_add() {
+    let len = 4 * BLOCKS + 3;
+    let mut xs = fill(4, len, -30.0, 0.0);
+    // `x·log₂e` lies within an ulp of −5.5, where rounding the product
+    // first and rounding it fused pick different `n`.
+    xs[0] = f64::from_bits(0xC00E_7F9C_1E98_0FA9);
+    let want: Vec<f64> = xs.iter().map(|&x| exp_reference([true; 2], x)).collect();
+    let differs = |fuse: [bool; 2], i: usize| want[i] != exp_reference(fuse, xs[i]);
+    for fuse in [[false, true], [true, false]] {
+        let told_apart = (0..len - 3).any(|i| differs(fuse, i));
+        assert!(told_apart, "no whole-block value tells {fuse:?} from fused");
+    }
+    let told_apart = (len - 3..len).any(|i| differs([false; 2], i));
+    assert!(told_apart, "no tail value tells fused from unfused");
+    let (mu, inv_two_sigma2) = (0.25, 0.5 / 0.3_f64.powi(2));
+    let residuals = fill(201, len, -1.5, 2.0);
+    let want_weights: Vec<f64> = residuals
+        .iter()
+        .map(|&r| exp_reference([true; 2], -((r - mu) * (r - mu)) * inv_two_sigma2))
+        .collect();
+    on_both_backends(|| {
+        let mut got = xs.clone();
+        simd::exp_non_positive(&mut got);
+        assert_eq!(bits(&got), bits(&want), "exp_non_positive");
+        let mut weights = vec![f64::NAN; len];
+        simd::gaussian_weights(&residuals, mu, inv_two_sigma2, &mut weights);
+        assert_eq!(bits(&weights), bits(&want_weights), "gaussian_weights");
+    });
+}
+
 /// `m` rows over `n` samples with `k` axes, pseudo-random from `seed`:
 /// `(coords, deltas, pair_i, pair_j)`.
 fn radical_inputs(
@@ -915,5 +1083,101 @@ fn resultant_sums_follow_the_documented_lane_order() {
         assert_eq!(bits(&[sums.0, sums.1]), bits(&[want.0, want.1]), "angles");
         let sums = simd::phase_offset_sums(&reads, |&r| r, CENTER, LAMBDA);
         assert_eq!(bits(&[sums.0, sums.1]), bits(&[want.0, want.1]), "offsets");
+    });
+}
+
+/// `simd::sin_cos` written out by hand with [`madd`] for the steps the
+/// kernel fuses, `fuse = [shift, polynomials]`: the shift trick's
+/// rounding of `x·2/π` to `n`, and the multiply-adds of the sine and
+/// cosine polynomials (the sine's `r + (z·r)·(…)` included). The
+/// three-part reduction, the cosine's final `w + ((1 − w − hz) + z·pc)`
+/// and the quadrant select are the kernel's, step by step.
+#[allow(clippy::excessive_precision)]
+fn sin_cos_reference([shift, poly]: [bool; 2], x: f64) -> (f64, f64) {
+    const PIO2_1: f64 = f64::from_bits(0x3FF9_21FB_5440_0000);
+    const PIO2_2: f64 = f64::from_bits(0x3DD0_B461_1A60_0000);
+    const PIO2_2T: f64 = f64::from_bits(0x3BA3_198A_2E03_7073);
+    const SIN_C: [f64; 6] = [
+        -1.666_666_666_666_663_243_48e-1,
+        8.333_333_333_322_489_461_24e-3,
+        -1.984_126_982_985_794_931_34e-4,
+        2.755_731_370_707_006_767_89e-6,
+        -2.505_076_025_340_686_341_95e-8,
+        1.589_690_995_211_550_102_21e-10,
+    ];
+    const COS_C: [f64; 6] = [
+        4.166_666_666_666_660_190_37e-2,
+        -1.388_888_888_887_410_957_49e-3,
+        2.480_158_728_947_672_941_78e-5,
+        -2.755_731_435_139_066_330_35e-7,
+        2.087_572_321_298_174_827_90e-9,
+        -1.135_964_755_778_819_482_65e-11,
+    ];
+    const SHIFT: f64 = 6_755_399_441_055_744.0;
+    let t = madd(shift, x, std::f64::consts::FRAC_2_PI, SHIFT);
+    let n = t - SHIFT;
+    let r = ((x - n * PIO2_1) - n * PIO2_2) - n * PIO2_2T;
+    let z = r * r;
+    // Horner from the highest coefficient down: c[0] + z·(c[1] + z·(…)).
+    let horner = |c: &[f64]| {
+        let (&top, rest) = c.split_last().unwrap();
+        rest.iter().rev().fold(top, |p, &k| madd(poly, z, p, k))
+    };
+    let sin_r = madd(poly, z * r, madd(poly, z, horner(&SIN_C[1..]), SIN_C[0]), r);
+    let pc = z * horner(&COS_C);
+    let hz = 0.5 * z;
+    let w = 1.0 - hz;
+    let cos_r = w + (((1.0 - w) - hz) + z * pc);
+    let q = t.to_bits();
+    let (s, c) = if q & 1 == 0 {
+        (sin_r, cos_r)
+    } else {
+        (cos_r, sin_r)
+    };
+    (
+        f64::from_bits(s.to_bits() ^ ((q & 2) << 62)),
+        f64::from_bits(c.to_bits() ^ ((q.wrapping_add(1) & 2) << 62)),
+    )
+}
+
+/// The resultant's sine and cosine fuse exactly like `mul_add`: every
+/// value of `simd::sin_cos` equals [`sin_cos_reference`], and
+/// `simd::sin_cos_sums` and `simd::phase_offset_sums` equal the
+/// reference values summed in the documented lane order, on both
+/// backends. The eight whole-block angles make the sums differ when
+/// either fused step alone is unfused; the three tail angles are 0, whose
+/// sine and cosine are exact either way, so the vector twin's blocks
+/// carry the whole difference.
+#[test]
+fn sin_cos_is_fused_like_mul_add() {
+    let mut angles = [0.0; 11];
+    angles[..8].copy_from_slice(&fill(245, 8, -100.0, 100.0));
+    // 5π/4: `x·2/π` lies within an ulp of 2.5, where rounding the product
+    // first and rounding it fused pick different quadrants.
+    angles[0] = f64::from_bits(0x400F_6A7A_2955_385E);
+    let sums = |fuse: [bool; 2]| {
+        let values = angles.map(|a| sin_cos_reference(fuse, a));
+        let sum = |f: fn(&(f64, f64)) -> f64| lane_order_sum(&values.each_ref().map(f));
+        [sum(|v| v.0), sum(|v| v.1)].map(f64::to_bits)
+    };
+    let want = sums([true; 2]);
+    for fuse in [[false, true], [true, false]] {
+        assert_ne!(sums(fuse), want, "the sums must tell {fuse:?} from fused");
+    }
+    let reads = angles.map(|a| (CENTER, a));
+    on_both_backends(|| {
+        for &a in &angles {
+            let (s, c) = simd::sin_cos(a);
+            let (ws, wc) = sin_cos_reference([true; 2], a);
+            assert_eq!(
+                [s, c].map(f64::to_bits),
+                [ws, wc].map(f64::to_bits),
+                "{a:e}"
+            );
+        }
+        let (s, c) = simd::sin_cos_sums(&angles);
+        assert_eq!([s, c].map(f64::to_bits), want, "angles");
+        let (s, c) = simd::phase_offset_sums(&reads, |&r| r, CENTER, LAMBDA);
+        assert_eq!([s, c].map(f64::to_bits), want, "offsets");
     });
 }

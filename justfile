@@ -18,13 +18,20 @@
 # radical_rows_never_write_past_the_last_row and the circular-resultant
 # gates resultant_kernel_matches_scalar_at_every_tail_and_random_sizes,
 # resultant_sums_follow_the_documented_lane_order,
-# sin_cos_stays_within_two_ulp_of_libm_over_the_domain and
-# hostile_magnitudes_fold_through_libm.
+# sin_cos_stays_within_two_ulp_of_libm_over_the_domain,
+# hostile_magnitudes_fold_through_libm and the fusion probes
+# gram_products_are_fused_like_mul_add,
+# residual_dots_are_fused_like_mul_add, exp_is_fused_like_mul_add and
+# sin_cos_is_fused_like_mul_add,
+# which tell a kernel that fuses its multiply-adds like `f64::mul_add`
+# from one that rounds the products first, on both backends.
 # The scalar-fallback step reruns stream_parity, engine_determinism,
-# sweep_cells, the lion-linalg proptests, the lion-stream estimator
-# tests and the lion-core calibrate tests with LION_SIMD=scalar, so
-# the fallback kernels pass the same gates from process start, not only
-# under `simd::force`. The end-to-end benchmark's own tests run every
+# sweep_cells, the lion-linalg proptests, the accelerated-IRLS
+# fixed-point oracle, the lion-stream estimator tests and the lion-core
+# calibrate tests with LION_SIMD=scalar, so the fallback kernels (whose
+# `mul_add` is a libm `fma` call on x86_64) pass the same gates from
+# process start, not only under `simd::force`. The end-to-end
+# benchmark's own tests run every
 # workload at tiny scale and check the ledger identity; it sits outside
 # the workspace, so it gets its own clippy step.
 verify:
@@ -40,7 +47,7 @@ verify:
     cargo test -q -p lion-core --test scalar_dispatch
     cargo test -q -p lion-core --test proptests window
     cargo test -q -p lion-linalg --test simd_parity
-    LION_SIMD=scalar sh -c 'cargo test -q --test stream_parity --test engine_determinism && cargo test -q -p lion-core --test sweep_cells && cargo test -q -p lion-linalg --test proptests && cargo test -q -p lion-stream --lib estimator && cargo test -q -p lion-core --lib calibrate'
+    LION_SIMD=scalar sh -c 'cargo test -q --test stream_parity --test engine_determinism && cargo test -q -p lion-core --test sweep_cells && cargo test -q -p lion-linalg --test proptests && cargo test -q -p lion-linalg --test irls_fixed_point && cargo test -q -p lion-stream --lib estimator && cargo test -q -p lion-core --lib calibrate'
     cargo test -q -p lion-obs --test http_plane
     cargo test -q --test fleet_health
     cargo test -q --test history_determinism --test doctor
