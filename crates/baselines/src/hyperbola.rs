@@ -75,10 +75,11 @@ pub fn locate(
 ) -> Result<HyperbolaEstimate, BaselineError> {
     let mut profile = PhaseProfile::from_wrapped(measurements, config.wavelength)?;
     profile.smooth(config.smoothing_window);
-    let positions = profile.positions().to_vec();
+    let positions: Vec<Point3> = profile.points().collect();
     let reference = positions.len() / 2;
     let deltas = profile.delta_distances(reference);
-    let pairs = config.pair_strategy.pairs(&positions);
+    let mut pairs = Vec::new();
+    config.pair_strategy.pairs_into(profile.lanes(), &mut pairs);
     let unknowns = if config.three_dimensional { 3 } else { 2 };
     if pairs.len() < unknowns {
         return Err(BaselineError::TooFewMeasurements {

@@ -79,21 +79,20 @@ pub fn locate(
 ) -> Result<ParabolaEstimate, BaselineError> {
     let mut profile = PhaseProfile::from_wrapped(measurements, config.wavelength)?;
     profile.smooth(config.smoothing_window);
-    let positions = profile.positions();
     // The scan must be an x-axis-parallel line.
-    let y0_line = positions[0].y;
-    let z0_line = positions[0].z;
-    for p in positions {
-        if (p.y - y0_line).abs() > config.linearity_tolerance
-            || (p.z - z0_line).abs() > config.linearity_tolerance
+    let (ys, zs) = (profile.ys(), profile.zs());
+    let (y0_line, z0_line) = (ys[0], zs[0]);
+    for (y, z) in ys.iter().zip(zs) {
+        if (y - y0_line).abs() > config.linearity_tolerance
+            || (z - z0_line).abs() > config.linearity_tolerance
         {
             return Err(BaselineError::UnsupportedGeometry {
                 detail: "parabola fit requires a straight scan parallel to the x-axis".to_string(),
             });
         }
     }
-    let xs: Vec<f64> = positions.iter().map(|p| p.x).collect();
-    let poly = Polynomial::fit(&xs, profile.phases(), 2)?;
+    let xs = profile.xs();
+    let poly = Polynomial::fit(xs, profile.phases(), 2)?;
     let Some((vertex_x, _)) = poly.vertex() else {
         return Err(BaselineError::UnsupportedGeometry {
             detail: "fitted phase profile has no parabolic vertex".to_string(),

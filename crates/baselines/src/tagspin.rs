@@ -77,7 +77,7 @@ pub fn locate(
 ) -> Result<TagspinEstimate, BaselineError> {
     let mut profile = PhaseProfile::from_wrapped(measurements, config.wavelength)?;
     profile.smooth(config.smoothing_window);
-    let positions = profile.positions();
+    let positions: Vec<Point3> = profile.points().collect();
     if positions.len() < 8 {
         return Err(BaselineError::TooFewMeasurements {
             got: positions.len(),

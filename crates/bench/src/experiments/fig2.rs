@@ -59,7 +59,7 @@ fn valley_along(
     // The valley is shallow relative to the phase noise (the paper's own
     // Fig. 2 curves are visibly wobbly), so a raw argmin is unstable; a
     // quadratic fit of the central profile pins the vertex robustly.
-    let coords: Vec<f64> = profile.positions().iter().map(|p| coord(*p)).collect();
+    let coords: Vec<f64> = profile.points().map(&coord).collect();
     let poly =
         lion_linalg::poly::Polynomial::fit(&coords, profile.phases(), 2).expect("well-posed fit");
     let valley = poly.vertex().map(|(x, _)| x).unwrap_or_else(|| {

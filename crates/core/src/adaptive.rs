@@ -345,14 +345,18 @@ fn sweep_center(
         });
     }
     validate_side_hint(base.side_hint)?;
-    let positions = profile.positions();
-    analyze_geometry_small(positions, space, base.rank_tolerance)?;
-    let cx = positions.iter().map(|p| p.x).sum::<f64>() / positions.len() as f64;
+    analyze_geometry_small(profile.lanes(), space, base.rank_tolerance)?;
+    // A serial sum, not the frame's lane-order centroid: the range
+    // bounds `cx ± r/2` can fall exactly on a read (grid-spaced scans
+    // put them there), so the center's rounding decides which reads a
+    // range keeps.
+    let xs = profile.xs();
+    let cx = xs.iter().sum::<f64>() / xs.len() as f64;
     ws.range_slots.clear();
     for &range in ranges {
         let (lo, hi) = (cx - range / 2.0, cx + range / 2.0);
-        let kept = positions.iter().filter(|p| p.x >= lo && p.x <= hi).count();
-        ws.metrics.reads_dropped += (positions.len() - kept) as u64;
+        let kept = xs.iter().filter(|&&x| x >= lo && x <= hi).count();
+        ws.metrics.reads_dropped += (xs.len() - kept) as u64;
         ws.range_slots.push(RangeSlot {
             kept,
             ..RangeSlot::default()

@@ -87,7 +87,7 @@ pub use localizer::{
 };
 pub use multistatic::{MultistaticConfig, MultistaticEstimate};
 pub use pairs::PairStrategy;
-pub use preprocess::PhaseProfile;
+pub use preprocess::{PhaseProfile, PositionLanes};
 pub use quality::{validate_profile, ProfileQuality, StepViolation};
 pub use resolve::{IncrementalState, ResolvePath};
 pub use tracking::{ConveyorTracker, TrackPoint, TrackerConfig, TrackerConfigBuilder};

@@ -17,8 +17,8 @@ use lion_linalg::{IrlsConfig, NormalEq, NormalIrlsOutcome, NormalIrlsScratch, We
 use serde::{Deserialize, Serialize};
 
 use crate::error::CoreError;
-use crate::pairs::{LineScratch, PairStrategy};
-use crate::preprocess::PhaseProfile;
+use crate::pairs::{LineScratch, PairLanes, PairStrategy};
+use crate::preprocess::{PhaseProfile, PositionLanes};
 use crate::workspace::Workspace;
 
 /// Which estimator solves the stacked linear system.
@@ -528,51 +528,95 @@ pub(crate) struct FrameSmall {
     pub(crate) dims: usize,
 }
 
-/// Unnormalized sample covariance `Σ d·dᵀ` of `positions` about
-/// `centroid`; its eigenvalues are the squared singular values of the
-/// centered sample matrix. Only the six distinct entries of the symmetric
-/// matrix are summed, and the upper triangle mirrors them. 2D mode keeps
-/// the z row and column exactly +0, which `sym_eigen3` preserves.
-fn covariance(positions: &[Point3], centroid: Point3, space: SolveSpace) -> [[f64; 3]; 3] {
-    let [mut xx, mut xy, mut xz, mut yy, mut yz, mut zz] = [0.0_f64; 6];
-    let deltas = positions.iter().map(|p| *p - centroid);
-    match space {
-        SolveSpace::TwoD => {
-            for d in deltas {
-                xx += d.x * d.x;
-                xy += d.x * d.y;
-                yy += d.y * d.y;
-            }
-        }
-        SolveSpace::ThreeD => {
-            for d in deltas {
-                xx += d.x * d.x;
-                xy += d.x * d.y;
-                xz += d.x * d.z;
-                yy += d.y * d.y;
-                yz += d.y * d.z;
-                zz += d.z * d.z;
+/// Sums `term(x, y, z)` over the positions of `lanes`, `S` sums side
+/// by side, in the lane order every row sum of the solve pipeline uses
+/// (`lion_linalg::simd::sum_sumsq`'s): position `i` of every whole block
+/// of four adds into partial sum `i mod 4`, the partials combine as
+/// `(l0 + l1) + (l2 + l3)`, and the tail positions are added after that.
+/// Four explicit accumulators per sum over `chunks_exact(4)`, so the
+/// adds form four independent chains instead of one.
+#[inline]
+fn lane_sums<const S: usize>(
+    lanes: PositionLanes<'_>,
+    term: impl Fn(f64, f64, f64) -> [f64; S],
+) -> [f64; S] {
+    let (xs, ys, zs) = (
+        lanes.xs().chunks_exact(LANES),
+        lanes.ys().chunks_exact(LANES),
+        lanes.zs().chunks_exact(LANES),
+    );
+    let tail = (xs.remainder(), ys.remainder(), zs.remainder());
+    // `partial[s][l]` is partial sum `l` of sum `s`.
+    let mut partial = [[0.0; LANES]; S];
+    for ((x, y), z) in xs.zip(ys).zip(zs) {
+        let block = |c: &[f64]| -> [f64; LANES] { c.try_into().expect("a whole block") };
+        let (x, y, z) = (block(x), block(y), block(z));
+        for l in 0..LANES {
+            let t = term(x[l], y[l], z[l]);
+            for s in 0..S {
+                partial[s][l] += t[s];
             }
         }
     }
+    let mut sums = partial.map(|[l0, l1, l2, l3]| (l0 + l1) + (l2 + l3));
+    for ((&x, &y), &z) in tail.0.iter().zip(tail.1).zip(tail.2) {
+        for (sum, t) in sums.iter_mut().zip(term(x, y, z)) {
+            *sum += t;
+        }
+    }
+    sums
+}
+
+/// Partial sums per [`lane_sums`] reduction.
+const LANES: usize = 4;
+
+/// The centroid of `lanes`: each coordinate's [`lane_sums`] divided by
+/// the count.
+fn centroid(lanes: PositionLanes<'_>) -> Point3 {
+    let n = lanes.len() as f64;
+    let [x, y, z] = lane_sums(lanes, |x, y, z| [x, y, z]);
+    Point3::new(x / n, y / n, z / n)
+}
+
+/// Unnormalized sample covariance `Σ d·dᵀ` of `lanes` about `centroid`;
+/// its eigenvalues are the squared singular values of the centered
+/// sample matrix. Only the six distinct entries of the symmetric matrix
+/// are summed, each in [`lane_sums`]' lane order, and the upper triangle
+/// mirrors them. That order differs from a serial per-read loop's, so a
+/// frame (and the estimate built on it) moves at rounding level against
+/// one; the pair choice does not depend on it. 2D mode keeps the z row
+/// and column exactly +0, which `sym_eigen3` preserves.
+fn covariance(lanes: PositionLanes<'_>, centroid: Point3, space: SolveSpace) -> [[f64; 3]; 3] {
+    let c = centroid;
+    let [xx, xy, xz, yy, yz, zz] = match space {
+        SolveSpace::TwoD => {
+            let [xx, xy, yy] = lane_sums(lanes, |x, y, _| {
+                let (dx, dy) = (x - c.x, y - c.y);
+                [dx * dx, dx * dy, dy * dy]
+            });
+            [xx, xy, 0.0, yy, 0.0, 0.0]
+        }
+        SolveSpace::ThreeD => lane_sums(lanes, |x, y, z| {
+            let (dx, dy, dz) = (x - c.x, y - c.y, z - c.z);
+            [dx * dx, dx * dy, dx * dz, dy * dy, dy * dz, dz * dz]
+        }),
+    };
     [[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]]
 }
 
+/// The principal-component frame of `lanes` in `space`, rejecting
+/// geometries the linear model cannot solve at `rank_tolerance`.
 pub(crate) fn analyze_geometry_small(
-    positions: &[Point3],
+    lanes: PositionLanes<'_>,
     space: SolveSpace,
     rank_tolerance: f64,
 ) -> Result<FrameSmall, CoreError> {
-    let n = positions.len();
-    let inv = 1.0 / n as f64;
-    let centroid = positions.iter().fold(Point3::ORIGIN, |acc, p| {
-        Point3::new(acc.x + p.x * inv, acc.y + p.y * inv, acc.z + p.z * inv)
-    });
+    let centroid = centroid(lanes);
     let dims = match space {
         SolveSpace::TwoD => 2,
         SolveSpace::ThreeD => 3,
     };
-    let cov = covariance(positions, centroid, space);
+    let cov = covariance(lanes, centroid, space);
     let (vals, vecs) = lion_linalg::sym_eigen3(&cov);
     let s1 = vals[0].max(0.0).sqrt();
     if s1 <= 1e-12 {
@@ -691,7 +735,7 @@ impl Prepared {
     /// Validates `profile` against the sample floor, the reference index,
     /// the rank tolerance and the side hint, then computes its frame,
     /// reference deltas, frame coordinates and scan-line classification,
-    /// reusing this state's buffers.
+    /// reusing this state's buffers. The `lion.prepare` span times it.
     ///
     /// # Errors
     ///
@@ -704,6 +748,7 @@ impl Prepared {
         space: SolveSpace,
         min_needed: usize,
     ) -> Result<(), CoreError> {
+        let _span = lion_obs::span!("lion.prepare");
         let n = profile.len();
         if n < min_needed {
             return Err(CoreError::TooFewMeasurements {
@@ -728,11 +773,11 @@ impl Prepared {
             });
         }
         validate_side_hint(config.side_hint)?;
-        let positions = profile.positions();
-        self.frame = analyze_geometry_small(positions, space, config.rank_tolerance)?;
+        let lanes = profile.lanes();
+        self.frame = analyze_geometry_small(lanes, space, config.rank_tolerance)?;
         profile.delta_distances_into(self.reference, &mut self.deltas);
         let frame = &self.frame;
-        let (xs, ys, zs) = (profile.xs(), profile.ys(), profile.zs());
+        let (xs, ys, zs) = (lanes.xs(), lanes.ys(), lanes.zs());
         let c = frame.centroid;
         self.coords.clear();
         self.coords.resize(n * frame.spanned, 0.0);
@@ -742,9 +787,7 @@ impl Prepared {
                 *out = (x - c.x) * axis.x + (y - c.y) * axis.y + (z - c.z) * axis.z;
             }
         }
-        config
-            .pair_strategy
-            .classify_into(positions, &mut self.lines);
+        config.pair_strategy.classify_into(lanes, &mut self.lines);
         Ok(())
     }
 }
@@ -762,7 +805,7 @@ pub(crate) fn solve_prepared(
 ) -> Result<Estimate, CoreError> {
     let n = profile.len();
     debug_assert_eq!(prepared.deltas.len(), n, "prepared for another profile");
-    let positions = profile.positions();
+    let lanes = profile.lanes();
     let Prepared {
         frame,
         reference,
@@ -773,14 +816,17 @@ pub(crate) fn solve_prepared(
     let lower_dimension = frame.spanned < frame.dims;
     let k = frame.spanned;
     let pairs_span = lion_obs::span!("lion.pairs");
+    let mut pair_lanes = PairLanes {
+        i: &mut ws.pair_i,
+        j: &mut ws.pair_j,
+    };
     config
         .pair_strategy
-        .pairs_from(positions, lines, &mut ws.pairs);
+        .pairs_from(lanes, lines, &mut pair_lanes);
     drop(pairs_span);
     let _solve_span = lion_obs::span!("lion.solve");
     let Workspace {
         metrics,
-        pairs,
         pair_i,
         pair_j,
         solution,
@@ -790,7 +836,7 @@ pub(crate) fn solve_prepared(
         cov_diag,
         ..
     } = ws;
-    crate::model::load_system(coords, n, k, deltas, pairs, pair_i, pair_j, ne)?;
+    crate::model::load_system(coords, n, k, deltas, pair_i, pair_j, ne)?;
     let m = ne.rows();
     let outcome = lion_linalg::solve_irls_normal(ne, &config.weighting.irls(), ne_irls)?;
     normal_param_std(ne, &outcome, ne_irls, param_std, cov_diag);
@@ -802,13 +848,14 @@ pub(crate) fn solve_prepared(
     metrics.equations += m as u64;
     drop(_solve_span);
 
+    let reference_position = lanes.point(*reference);
     let (position, position_std) = assemble_position(
         frame.centroid,
         &frame.axes,
         k,
         solution,
         param_std,
-        positions[*reference],
+        reference_position,
         lower_dimension,
         config.side_hint,
     )?;
@@ -817,7 +864,7 @@ pub(crate) fn solve_prepared(
     Ok(Estimate {
         position,
         reference_distance: d_r,
-        reference_position: positions[*reference],
+        reference_position,
         mean_residual: outcome.mean_residual,
         weighted_rms: outcome.weighted_rms,
         iterations: outcome.iterations,
@@ -1442,11 +1489,36 @@ mod tests {
         );
     }
 
-    /// The six distinct covariance sums, mirrored, are bit-identical to
-    /// all nine entries summed in the per-read loop (in 2D with the z
-    /// entries `d·0.0` summed too), and so is the frame built on them.
+    /// `terms` summed the way the frame documents it, written out with
+    /// one array of four partial sums: term `i` of every whole block of
+    /// four into partial `i mod 4`, the partials combined as
+    /// `(l0 + l1) + (l2 + l3)`, the tail terms added after that.
+    fn lane_order_reference<const S: usize>(terms: &[[f64; S]]) -> [f64; S] {
+        let whole = terms.len() - terms.len() % 4;
+        let mut partial = [[0.0_f64; S]; 4];
+        for (i, t) in terms[..whole].iter().enumerate() {
+            for s in 0..S {
+                partial[i % 4][s] += t[s];
+            }
+        }
+        let mut sums: [f64; S] = std::array::from_fn(|s| {
+            (partial[0][s] + partial[1][s]) + (partial[2][s] + partial[3][s])
+        });
+        for t in &terms[whole..] {
+            for s in 0..S {
+                sums[s] += t[s];
+            }
+        }
+        sums
+    }
+
+    /// The centroid and the six distinct covariance sums, mirrored, are
+    /// bit-identical to a scalar reference in the documented lane order
+    /// that sums all nine entries (in 2D with the z entries `d·0.0`
+    /// summed too), at every tail length and at larger sizes, and so is
+    /// the frame built on them.
     #[test]
-    fn covariance_equals_the_full_nine_entry_sum() {
+    fn frame_sums_follow_the_documented_lane_order() {
         let mut state = 0x2545_F491_4F6C_DD1D_u64;
         let mut next = move || {
             state ^= state << 13;
@@ -1454,28 +1526,44 @@ mod tests {
             state ^= state << 17;
             (state >> 11) as f64 / (1_u64 << 53) as f64 - 0.5
         };
-        let positions: Vec<Point3> = (0..37)
-            .map(|_| Point3::new(next(), 0.3 * next(), 0.1 * next()))
-            .collect();
-        for space in [SolveSpace::TwoD, SolveSpace::ThreeD] {
-            let frame = analyze_geometry_small(&positions, space, 1e-6).unwrap();
-            let mut full = [[0.0_f64; 3]; 3];
-            for p in &positions {
-                let d = *p - frame.centroid;
-                let z = if space == SolveSpace::TwoD { 0.0 } else { d.z };
-                let v = [d.x, d.y, z];
-                for r in 0..3 {
-                    for c in 0..3 {
-                        full[r][c] += v[r] * v[c];
-                    }
-                }
+        let bits = |m: [[f64; 3]; 3]| m.map(|row| row.map(f64::to_bits));
+        for n in (4..=13).chain([37, 101]) {
+            let positions: Vec<Point3> = (0..n)
+                .map(|_| Point3::new(next(), 0.3 * next(), 0.1 * next()))
+                .collect();
+            let xs: Vec<f64> = positions.iter().map(|p| p.x).collect();
+            let ys: Vec<f64> = positions.iter().map(|p| p.y).collect();
+            let zs: Vec<f64> = positions.iter().map(|p| p.z).collect();
+            let lanes = PositionLanes::new(&xs, &ys, &zs);
+            let coords: Vec<[f64; 3]> = positions.iter().map(|p| [p.x, p.y, p.z]).collect();
+            let [sx, sy, sz] = lane_order_reference(&coords);
+            let c = Point3::new(sx / n as f64, sy / n as f64, sz / n as f64);
+            let frame_centroid = centroid(lanes);
+            assert_eq!(
+                [frame_centroid.x, frame_centroid.y, frame_centroid.z].map(f64::to_bits),
+                [c.x, c.y, c.z].map(f64::to_bits),
+                "centroid at n = {n}"
+            );
+            for space in [SolveSpace::TwoD, SolveSpace::ThreeD] {
+                let frame = analyze_geometry_small(lanes, space, 1e-6).unwrap();
+                let terms: Vec<[f64; 9]> = positions
+                    .iter()
+                    .map(|p| {
+                        let d = *p - c;
+                        let z = if space == SolveSpace::TwoD { 0.0 } else { d.z };
+                        let v = [d.x, d.y, z];
+                        std::array::from_fn(|e| v[e / 3] * v[e % 3])
+                    })
+                    .collect();
+                let sums = lane_order_reference(&terms);
+                let full: [[f64; 3]; 3] =
+                    std::array::from_fn(|r| [0, 1, 2].map(|c| sums[3 * r + c]));
+                let cov = covariance(lanes, frame.centroid, space);
+                assert_eq!(bits(cov), bits(full), "{space:?} at n = {n}");
+                let (_, vecs) = lion_linalg::sym_eigen3(&full);
+                let axes = frame.axes.map(|a| [a.x, a.y, a.z]);
+                assert_eq!(bits(axes), bits(vecs), "{space:?} at n = {n}");
             }
-            let bits = |m: [[f64; 3]; 3]| m.map(|row| row.map(f64::to_bits));
-            let cov = covariance(&positions, frame.centroid, space);
-            assert_eq!(bits(cov), bits(full), "{space:?}");
-            let (_, vecs) = lion_linalg::sym_eigen3(&full);
-            let axes = frame.axes.map(|a| [a.x, a.y, a.z]);
-            assert_eq!(bits(axes), bits(vecs), "{space:?}");
         }
     }
 }

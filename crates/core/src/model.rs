@@ -34,9 +34,10 @@ use crate::error::CoreError;
 /// owns them assembles every solve without allocating. The row
 /// arithmetic is `lion_linalg::simd::radical_row`'s on every backend.
 ///
-/// The localizer itself writes the same rows straight into its
-/// [`NormalEq`] instead (`load_system`); this is that assembly with
-/// [`Matrix`]/[`Vector`] outputs.
+/// The localizer itself pairs straight into the index lanes and writes
+/// the same rows straight into its [`NormalEq`] (`load_system`); this
+/// is that assembly from a pair list, with [`Matrix`]/[`Vector`]
+/// outputs.
 ///
 /// # Errors
 ///
@@ -75,28 +76,71 @@ pub fn build_system_soa(
     Ok(())
 }
 
-/// [`build_system_soa`] with the rows written straight into `ne`'s
-/// storage (`k + 1` unknowns, unit weights): the same validation, the
-/// same rows, no staging copy.
+/// [`build_system_soa`]'s rows written straight into `ne`'s storage
+/// (`k + 1` unknowns, unit weights), from pairs already in the `i32`
+/// index lanes the row kernel gathers by: what the pair strategies
+/// write on the batch path, so there is no `(usize, usize)` list and no
+/// narrowing pass. The same validation as [`build_system_soa`]; an index
+/// is in bounds by construction (the pair strategies emit indices below
+/// `n`), once `n` itself fits an `i32` index.
 ///
 /// # Errors
 ///
-/// As [`build_system_soa`]; on error `ne` is left as it was.
-#[allow(clippy::too_many_arguments)]
+/// As [`build_system_soa`], plus [`CoreError::InvalidConfig`] when `n`
+/// exceeds 2³¹ samples; on error `ne` is left as it was.
 pub(crate) fn load_system(
     coords: &[f64],
     n: usize,
     k: usize,
     deltas: &[f64],
-    pairs: &[(usize, usize)],
-    pair_i: &mut Vec<i32>,
-    pair_j: &mut Vec<i32>,
+    pair_i: &[i32],
+    pair_j: &[i32],
     ne: &mut NormalEq,
 ) -> Result<(), CoreError> {
-    pair_lanes(coords, n, k, deltas, pairs, pair_i, pair_j)?;
-    ne.load_with(k + 1, pairs.len(), |design, rhs| {
+    validate(coords, n, k, deltas, pair_i.len())?;
+    if n > i32::MAX as usize + 1 {
+        return Err(CoreError::InvalidConfig {
+            parameter: "pairs",
+            found: format!("{n} samples exceed the i32 pair index range"),
+        });
+    }
+    ne.load_with(k + 1, pair_i.len(), |design, rhs| {
         lion_linalg::simd::radical_rows(coords, n, k, deltas, pair_i, pair_j, design, rhs)
     });
+    Ok(())
+}
+
+/// The checks every system assembly runs before its rows: `k > 0`,
+/// buffer sizes that agree with `n` and `k`, and a pair count `pairs` of
+/// at least `k + 1`.
+fn validate(
+    coords: &[f64],
+    n: usize,
+    k: usize,
+    deltas: &[f64],
+    pairs: usize,
+) -> Result<(), CoreError> {
+    if k == 0 {
+        return Err(CoreError::InvalidConfig {
+            parameter: "k",
+            found: "0".to_string(),
+        });
+    }
+    if coords.len() != n * k || deltas.len() != n {
+        return Err(CoreError::InvalidConfig {
+            parameter: "coords/deltas",
+            found: format!("{} coords (k={k}) vs {} deltas", coords.len(), deltas.len()),
+        });
+    }
+    if pairs == 0 {
+        return Err(CoreError::NoPairs);
+    }
+    if pairs < k + 1 {
+        return Err(CoreError::TooFewMeasurements {
+            got: pairs,
+            needed: k + 1,
+        });
+    }
     Ok(())
 }
 
@@ -111,27 +155,7 @@ fn pair_lanes(
     pair_i: &mut Vec<i32>,
     pair_j: &mut Vec<i32>,
 ) -> Result<(), CoreError> {
-    if k == 0 {
-        return Err(CoreError::InvalidConfig {
-            parameter: "k",
-            found: "0".to_string(),
-        });
-    }
-    if coords.len() != n * k || deltas.len() != n {
-        return Err(CoreError::InvalidConfig {
-            parameter: "coords/deltas",
-            found: format!("{} coords (k={k}) vs {} deltas", coords.len(), deltas.len()),
-        });
-    }
-    if pairs.is_empty() {
-        return Err(CoreError::NoPairs);
-    }
-    if pairs.len() < k + 1 {
-        return Err(CoreError::TooFewMeasurements {
-            got: pairs.len(),
-            needed: k + 1,
-        });
-    }
+    validate(coords, n, k, deltas, pairs.len())?;
     pair_i.resize(pairs.len(), 0);
     pair_j.resize(pairs.len(), 0);
     // Narrow first, check once: an index below `limit` is in bounds and

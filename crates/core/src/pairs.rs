@@ -11,6 +11,8 @@ use serde::{Deserialize, Serialize};
 
 use lion_geom::{Point3, ThreeLineScan};
 
+use crate::preprocess::PositionLanes;
+
 /// A strategy for turning a sample sequence into equation pairs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[non_exhaustive]
@@ -81,28 +83,33 @@ impl PairStrategy {
         }
     }
 
-    /// Generates sample-index pairs for the given positions.
+    /// Generates sample-index pairs for the given positions: transposes
+    /// them into coordinate lanes and runs [`PairStrategy::pairs_into`].
     ///
     /// Invalid parameters (non-positive intervals) yield an empty list,
     /// which the caller reports as [`crate::CoreError::NoPairs`].
     pub fn pairs(&self, positions: &[Point3]) -> Vec<(usize, usize)> {
+        let xs: Vec<f64> = positions.iter().map(|p| p.x).collect();
+        let ys: Vec<f64> = positions.iter().map(|p| p.y).collect();
+        let zs: Vec<f64> = positions.iter().map(|p| p.z).collect();
         let mut out = Vec::new();
-        self.pairs_into(positions, &mut out);
+        self.pairs_into(PositionLanes::new(&xs, &ys, &zs), &mut out);
         out
     }
 
-    /// [`PairStrategy::pairs`] into a caller-provided buffer, reusing its
-    /// allocation. [`PairStrategy::Interval`] and
+    /// [`PairStrategy::pairs`] over positions already in lanes, into a
+    /// caller-provided buffer, reusing its allocation.
+    /// [`PairStrategy::Interval`] and
     /// [`PairStrategy::AllWithMinSeparation`] are allocation-free in
     /// steady state; [`PairStrategy::StructuredScan`] allocates its
-    /// per-line index buffers on every call here. The solve pipeline
-    /// pairs through the same two halves with those buffers kept in the
+    /// per-line buffers on every call here. The solve pipeline pairs
+    /// through the same two halves with those buffers kept in the
     /// [`crate::Workspace`], which makes every strategy allocation-free
     /// on the adaptive sweep's hot path.
-    pub fn pairs_into(&self, positions: &[Point3], out: &mut Vec<(usize, usize)>) {
+    pub fn pairs_into(&self, lanes: PositionLanes<'_>, out: &mut Vec<(usize, usize)>) {
         let mut lines = LineScratch::default();
-        self.classify_into(positions, &mut lines);
-        self.pairs_from(positions, &lines, out);
+        self.classify_into(lanes, &mut lines);
+        self.pairs_from(lanes, &lines, out);
     }
 
     /// The interval-independent half of pairing: sorts the samples of
@@ -110,48 +117,111 @@ impl PairStrategy {
     /// x order. Other strategies need no classification and leave
     /// `lines` empty. The adaptive sweep runs this once per scanning
     /// range and [`PairStrategy::pairs_from`] once per interval.
-    pub(crate) fn classify_into(&self, positions: &[Point3], lines: &mut LineScratch) {
+    pub(crate) fn classify_into(&self, lanes: PositionLanes<'_>, lines: &mut LineScratch) {
         for line in lines.iter_mut() {
-            line.clear();
+            line.samples.clear();
+            line.x.clear();
         }
         if let PairStrategy::StructuredScan {
             scan, tolerance, ..
         } = self
         {
-            classify_lines(positions, scan, *tolerance, lines);
+            classify_lines(lanes, scan, *tolerance, lines);
         }
     }
 
     /// The interval-dependent half of pairing, reading the scan lines a
     /// [`PairStrategy::classify_into`] call with the same scan and
-    /// tolerance left in `lines`.
+    /// tolerance left in `lines`. `out` is emptied first.
     pub(crate) fn pairs_from(
         &self,
-        positions: &[Point3],
+        lanes: PositionLanes<'_>,
         lines: &LineScratch,
-        out: &mut Vec<(usize, usize)>,
+        out: &mut impl PairSink,
     ) {
-        out.clear();
+        out.clear_pairs();
         match self {
-            PairStrategy::Interval { interval } => interval_pairs_into(positions, *interval, out),
+            PairStrategy::Interval { interval } => interval_pairs_into(lanes, *interval, out),
             PairStrategy::AllWithMinSeparation {
                 min_separation,
                 max_pairs,
-            } => all_pairs_into(positions, *min_separation, *max_pairs, out),
+            } => all_pairs_into(lanes, *min_separation, *max_pairs, out),
             PairStrategy::StructuredScan {
                 x_interval,
                 tolerance,
                 ..
-            } => structured_pairs_into(positions, *x_interval, *tolerance, lines, out),
+            } => structured_pairs_into(*x_interval, *tolerance, lines, out),
         }
     }
 }
 
-/// The sample indices [`PairStrategy::StructuredScan`] classifies onto
-/// each scan line (`L1`, `L2`, `L3`), sorted by x.
-pub(crate) type LineScratch = [Vec<usize>; 3];
+/// Where a pair strategy writes its pairs: a `(usize, usize)` list, or
+/// the `i32` index lanes the row kernel gathers by ([`PairLanes`]).
+pub(crate) trait PairSink {
+    /// Removes every pair.
+    fn clear_pairs(&mut self);
+    /// Appends the pair `(i, j)`.
+    fn push_pair(&mut self, i: usize, j: usize);
+    /// Number of pairs held.
+    fn pair_count(&self) -> usize;
+}
 
-fn interval_pairs_into(positions: &[Point3], interval: f64, out: &mut Vec<(usize, usize)>) {
+impl PairSink for Vec<(usize, usize)> {
+    fn clear_pairs(&mut self) {
+        self.clear();
+    }
+
+    fn push_pair(&mut self, i: usize, j: usize) {
+        self.push((i, j));
+    }
+
+    fn pair_count(&self) -> usize {
+        self.len()
+    }
+}
+
+/// Pair endpoints written straight into the `i32` index lanes
+/// `lion_linalg::simd::radical_rows` gathers by, with no `(usize, usize)`
+/// list in between. An index narrows with `as`: the row loader
+/// (`model::load_system`) rejects profiles of more than 2³¹ samples, the
+/// only ones whose indices would not fit.
+pub(crate) struct PairLanes<'a> {
+    pub(crate) i: &'a mut Vec<i32>,
+    pub(crate) j: &'a mut Vec<i32>,
+}
+
+impl PairSink for PairLanes<'_> {
+    fn clear_pairs(&mut self) {
+        self.i.clear();
+        self.j.clear();
+    }
+
+    fn push_pair(&mut self, i: usize, j: usize) {
+        self.i.push(i as i32);
+        self.j.push(j as i32);
+    }
+
+    fn pair_count(&self) -> usize {
+        self.i.len()
+    }
+}
+
+/// One scan line of [`PairStrategy::StructuredScan`]: its sample indices
+/// sorted by x, and their x values in that order, so the pairing cursor
+/// scans a dense `f64` lane instead of reading through the indices.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ScanLine {
+    samples: Vec<usize>,
+    x: Vec<f64>,
+}
+
+/// The scan lines `L1`, `L2`, `L3` of [`PairStrategy::StructuredScan`].
+pub(crate) type LineScratch = [ScanLine; 3];
+
+/// Pairs each sample `i` with the first later sample `j` at least
+/// `interval` away. The cursor `j` never moves back, and each distance is
+/// `Point3::distance_squared`'s unfused `dx·dx + dy·dy + dz·dz`.
+fn interval_pairs_into(lanes: PositionLanes<'_>, interval: f64, out: &mut impl PairSink) {
     if !(interval > 0.0 && interval.is_finite()) {
         return;
     }
@@ -159,16 +229,22 @@ fn interval_pairs_into(positions: &[Point3], interval: f64, out: &mut Vec<(usize
     // rounded and monotone, so `sqrt(s) < interval` exactly when
     // `s < reach`.
     let reach = squared_reach(interval);
+    let n = lanes.len();
+    let (xs, ys, zs) = (&lanes.xs()[..n], &lanes.ys()[..n], &lanes.zs()[..n]);
     let mut j = 0;
-    for i in 0..positions.len() {
+    for i in 0..n {
         if j <= i {
             j = i + 1;
         }
-        while j < positions.len() && positions[i].distance_squared(positions[j]) < reach {
+        let (xi, yi, zi) = (xs[i], ys[i], zs[i]);
+        while j < n && {
+            let (dx, dy, dz) = (xi - xs[j], yi - ys[j], zi - zs[j]);
+            dx * dx + dy * dy + dz * dz < reach
+        } {
             j += 1;
         }
-        if j < positions.len() {
-            out.push((i, j));
+        if j < n {
+            out.push_pair(i, j);
         }
     }
 }
@@ -188,30 +264,31 @@ fn squared_reach(interval: f64) -> f64 {
 }
 
 fn all_pairs_into(
-    positions: &[Point3],
+    lanes: PositionLanes<'_>,
     min_separation: f64,
     max_pairs: usize,
-    out: &mut Vec<(usize, usize)>,
+    out: &mut impl PairSink,
 ) {
     if !(min_separation > 0.0 && min_separation.is_finite()) || max_pairs == 0 {
         return;
     }
-    let n = positions.len();
+    let n = lanes.len();
     // Estimate the count and choose strides to stay near the cap without an
     // O(n²) materialization first.
     let total_candidates = n.saturating_mul(n.saturating_sub(1)) / 2;
     let stride = (total_candidates / max_pairs.max(1)).max(1);
     let mut counter = 0usize;
     for i in 0..n {
+        let p = lanes.point(i);
         for j in (i + 1)..n {
-            if positions[i].distance(positions[j]) >= min_separation {
-                if counter.is_multiple_of(stride) && out.len() < max_pairs {
-                    out.push((i, j));
+            if p.distance(lanes.point(j)) >= min_separation {
+                if counter.is_multiple_of(stride) && out.pair_count() < max_pairs {
+                    out.push_pair(i, j);
                 }
                 counter += 1;
             }
         }
-        if out.len() >= max_pairs {
+        if out.pair_count() >= max_pairs {
             break;
         }
     }
@@ -222,43 +299,43 @@ fn all_pairs_into(
 /// (its x distance to anything is NaN or infinite), so it is left off
 /// every line; that keeps the sort total.
 fn classify_lines(
-    positions: &[Point3],
+    lanes: PositionLanes<'_>,
     scan: &ThreeLineScan,
     tolerance: f64,
     lines: &mut LineScratch,
 ) {
+    let (xs, ys, zs) = (lanes.xs(), lanes.ys(), lanes.zs());
     let [l1, l2, l3] = lines;
-    for (i, p) in positions.iter().enumerate() {
-        if !p.x.is_finite() {
+    for (i, ((&x, &y), &z)) in xs.iter().zip(ys).zip(zs).enumerate() {
+        if !x.is_finite() {
             continue;
         }
-        if p.y.abs() <= tolerance && p.z.abs() <= tolerance {
-            l1.push(i);
-        } else if p.y.abs() <= tolerance && (p.z - scan.z_offset()).abs() <= tolerance {
-            l2.push(i);
-        } else if (p.y + scan.y_offset()).abs() <= tolerance && p.z.abs() <= tolerance {
-            l3.push(i);
+        if y.abs() <= tolerance && z.abs() <= tolerance {
+            l1.samples.push(i);
+        } else if y.abs() <= tolerance && (z - scan.z_offset()).abs() <= tolerance {
+            l2.samples.push(i);
+        } else if (y + scan.y_offset()).abs() <= tolerance && z.abs() <= tolerance {
+            l3.samples.push(i);
         }
     }
     // Each line holds ascending indices, so ordering by (x, index) is the
     // stable x order, reached without the stable sort's scratch buffer.
     for line in lines.iter_mut() {
-        line.sort_unstable_by(|&a, &b| {
-            positions[a]
-                .x
-                .partial_cmp(&positions[b].x)
+        line.samples.sort_unstable_by(|&a, &b| {
+            xs[a]
+                .partial_cmp(&xs[b])
                 .expect("classified x is finite")
                 .then(a.cmp(&b))
         });
+        line.x.extend(line.samples.iter().map(|&i| xs[i]));
     }
 }
 
 fn structured_pairs_into(
-    positions: &[Point3],
     x_interval: f64,
     tolerance: f64,
     lines: &LineScratch,
-    out: &mut Vec<(usize, usize)>,
+    out: &mut impl PairSink,
 ) {
     // NaN-safe: comparisons are false for NaN, so NaN parameters bail out.
     let params_ok = x_interval > 0.0 && x_interval.is_finite() && tolerance > 0.0;
@@ -269,49 +346,42 @@ fn structured_pairs_into(
     // The queries below rise with x along L1, so each line's partition
     // point only moves forward: one cursor per line pairs in linear time.
     let (mut c1, mut c2, mut c3) = (0, 0, 0);
-    for &i in l1.iter() {
-        let x = positions[i].x;
+    for (&i, &x) in l1.samples.iter().zip(&l1.x) {
         // x-pair along L1 (observes the x coordinate).
-        if let Some(j) = nearest_from(positions, l1, &mut c1, x + x_interval, tolerance) {
+        if let Some(j) = nearest_from(l1, &mut c1, x + x_interval, tolerance) {
             if j != i {
-                out.push((i, j));
+                out.push_pair(i, j);
             }
         }
         // Cross pair to L3 at the same x (observes y).
-        if let Some(j) = nearest_from(positions, l3, &mut c3, x, tolerance) {
-            out.push((i, j));
+        if let Some(j) = nearest_from(l3, &mut c3, x, tolerance) {
+            out.push_pair(i, j);
         }
         // Cross pair to L2 at the same x (observes z).
-        if let Some(j) = nearest_from(positions, l2, &mut c2, x, tolerance) {
-            out.push((i, j));
+        if let Some(j) = nearest_from(l2, &mut c2, x, tolerance) {
+            out.push_pair(i, j);
         }
     }
 }
 
-/// The sample on x-sorted `line` nearest `x`, if within `tolerance`.
-/// `pos` is the partition point of the previous query (the first sample
-/// with x ≥ it); queries must not decrease between calls.
-fn nearest_from(
-    positions: &[Point3],
-    line: &[usize],
-    pos: &mut usize,
-    x: f64,
-    tolerance: f64,
-) -> Option<usize> {
-    while *pos < line.len() && positions[line[*pos]].x < x {
+/// The sample on `line` nearest `x`, if within `tolerance`. `pos` is the
+/// partition point of the previous query (the first sample with x ≥ it);
+/// queries must not decrease between calls.
+fn nearest_from(line: &ScanLine, pos: &mut usize, x: f64, tolerance: f64) -> Option<usize> {
+    let xs = &line.x[..];
+    while *pos < xs.len() && xs[*pos] < x {
         *pos += 1;
     }
-    let mut best: Option<usize> = None;
+    let mut best: Option<(usize, f64)> = None;
     for c in [pos.checked_sub(1), Some(*pos)].into_iter().flatten() {
-        if c < line.len() {
-            let idx = line[c];
-            let err = (positions[idx].x - x).abs();
-            if err <= tolerance && best.is_none_or(|b| (positions[b].x - x).abs() > err) {
-                best = Some(idx);
+        if c < xs.len() {
+            let err = (xs[c] - x).abs();
+            if err <= tolerance && best.is_none_or(|(_, b)| b > err) {
+                best = Some((c, err));
             }
         }
     }
-    best
+    best.map(|(c, _)| line.samples[c])
 }
 
 #[cfg(test)]
@@ -474,6 +544,52 @@ mod tests {
         }
         .with_interval(0.25);
         assert_eq!(s.interval(), 0.25);
+    }
+
+    /// The batch path's `i32` index lanes hold exactly the pair list,
+    /// for every strategy: both sinks run the one implementation.
+    #[test]
+    fn pair_lanes_match_the_pair_list() {
+        let scan = ThreeLineScan::new(-0.4, 0.4, 0.2, 0.2).unwrap();
+        let mut positions = Vec::new();
+        for i in 0..=80 {
+            let x = -0.4 + i as f64 * 0.01;
+            let (p1, p2, p3) = scan.positions_at(x);
+            positions.extend([p1, p2, p3]);
+        }
+        let xs: Vec<f64> = positions.iter().map(|p| p.x).collect();
+        let ys: Vec<f64> = positions.iter().map(|p| p.y).collect();
+        let zs: Vec<f64> = positions.iter().map(|p| p.z).collect();
+        let lanes = PositionLanes::new(&xs, &ys, &zs);
+        let strategies = [
+            PairStrategy::Interval { interval: 0.2 },
+            PairStrategy::AllWithMinSeparation {
+                min_separation: 0.1,
+                max_pairs: 500,
+            },
+            PairStrategy::StructuredScan {
+                scan,
+                x_interval: 0.2,
+                tolerance: 0.005,
+            },
+        ];
+        for strategy in strategies {
+            let list = strategy.pairs(&positions);
+            assert!(!list.is_empty(), "{strategy:?}");
+            let mut lines = LineScratch::default();
+            strategy.classify_into(lanes, &mut lines);
+            // Stale entries must be cleared first.
+            let (mut pair_i, mut pair_j) = (vec![7; 3], vec![9; 5]);
+            let mut sink = PairLanes {
+                i: &mut pair_i,
+                j: &mut pair_j,
+            };
+            strategy.pairs_from(lanes, &lines, &mut sink);
+            let narrowed: Vec<(i32, i32)> =
+                list.iter().map(|&(i, j)| (i as i32, j as i32)).collect();
+            let from_lanes: Vec<(i32, i32)> = pair_i.into_iter().zip(pair_j).collect();
+            assert_eq!(from_lanes, narrowed, "{strategy:?}");
+        }
     }
 
     #[test]

@@ -99,8 +99,86 @@ pub fn smoothed_at(values: &[f64], window: usize, i: usize) -> f64 {
     sum / (hi - lo) as f64
 }
 
+/// The positions of a read sequence as three coordinate lanes: sample `i`
+/// sits at `(xs[i], ys[i], zs[i])`.
+///
+/// This is the one layout every stage after staging reads positions in:
+/// the principal-component frame, the frame coordinates, the pair
+/// strategies and the streaming resolver's mirrors. A
+/// [`PhaseProfile`] hands out its own lanes through
+/// [`PhaseProfile::lanes`].
+#[derive(Debug, Clone, Copy)]
+pub struct PositionLanes<'a> {
+    xs: &'a [f64],
+    ys: &'a [f64],
+    zs: &'a [f64],
+}
+
+impl<'a> PositionLanes<'a> {
+    /// Views three equally long coordinate lanes as positions.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the lanes differ in length.
+    pub fn new(xs: &'a [f64], ys: &'a [f64], zs: &'a [f64]) -> Self {
+        assert!(
+            xs.len() == ys.len() && xs.len() == zs.len(),
+            "coordinate lanes differ in length"
+        );
+        PositionLanes { xs, ys, zs }
+    }
+
+    /// Number of positions.
+    pub fn len(&self) -> usize {
+        self.xs.len()
+    }
+
+    /// Returns `true` when there are no positions.
+    pub fn is_empty(&self) -> bool {
+        self.xs.is_empty()
+    }
+
+    /// The x lane.
+    pub fn xs(&self) -> &'a [f64] {
+        self.xs
+    }
+
+    /// The y lane.
+    pub fn ys(&self) -> &'a [f64] {
+        self.ys
+    }
+
+    /// The z lane.
+    pub fn zs(&self) -> &'a [f64] {
+        self.zs
+    }
+
+    /// Position `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i` is out of bounds.
+    pub fn point(&self, i: usize) -> Point3 {
+        Point3::new(self.xs[i], self.ys[i], self.zs[i])
+    }
+
+    /// The positions in order.
+    pub fn points(&self) -> impl ExactSizeIterator<Item = Point3> + 'a {
+        let (ys, zs) = (self.ys, self.zs);
+        self.xs
+            .iter()
+            .enumerate()
+            .map(move |(i, &x)| Point3::new(x, ys[i], zs[i]))
+    }
+}
+
 /// A preprocessed phase profile: tag positions with **unwrapped** (and
 /// optionally smoothed) phases, ready for the linear model.
+///
+/// Positions are stored as three coordinate lanes next to the phase lane
+/// ([`PhaseProfile::lanes`]); there is no `Point3` copy.
+/// [`PhaseProfile::position`] and [`PhaseProfile::points`] rebuild points
+/// from the lanes.
 ///
 /// Construct with [`PhaseProfile::from_wrapped`], then optionally
 /// [`PhaseProfile::smooth`]. Subsets for the adaptive parameter sweep are
@@ -109,11 +187,6 @@ pub fn smoothed_at(values: &[f64], window: usize, i: usize) -> f64 {
 /// filtering.
 #[derive(Debug, Clone)]
 pub struct PhaseProfile {
-    positions: Vec<Point3>,
-    /// Structure-of-arrays mirrors of `positions`: one contiguous lane
-    /// per axis, kept in sync by every constructor so the solve pipeline
-    /// can stream coordinates through the `lion_linalg::simd` kernels
-    /// without gathering from the `Point3` array-of-structs view.
     xs: Vec<f64>,
     ys: Vec<f64>,
     zs: Vec<f64>,
@@ -124,11 +197,13 @@ pub struct PhaseProfile {
     unwrap_scratch: Vec<f64>,
 }
 
-/// The SoA axis lanes and unwrap scratch are derived state — two
-/// profiles are equal when their samples and wavelength are.
+/// The unwrap scratch is derived state: two profiles are equal when their
+/// samples and wavelength are.
 impl PartialEq for PhaseProfile {
     fn eq(&self, other: &Self) -> bool {
-        self.positions == other.positions
+        self.xs == other.xs
+            && self.ys == other.ys
+            && self.zs == other.zs
             && self.phases == other.phases
             && self.wavelength == other.wavelength
     }
@@ -141,7 +216,6 @@ impl Default for PhaseProfile {
     /// through [`PhaseProfile::rebuild_from_wrapped`] before solving.
     fn default() -> Self {
         PhaseProfile {
-            positions: Vec::new(),
             xs: Vec::new(),
             ys: Vec::new(),
             zs: Vec::new(),
@@ -181,7 +255,8 @@ impl PhaseProfile {
     ///
     /// # Errors
     ///
-    /// Same as [`PhaseProfile::from_wrapped`].
+    /// Same as [`PhaseProfile::from_wrapped`]; a non-finite read reports
+    /// the index of the first one.
     pub fn rebuild_from_wrapped(
         &mut self,
         measurements: &[(Point3, f64)],
@@ -199,26 +274,31 @@ impl PhaseProfile {
                 found: format!("{wavelength}"),
             });
         }
-        // Stage every lane in one pass; a resize to the length a buffer
-        // already has writes nothing, and the loop overwrites every entry.
-        self.positions.resize(n, Point3::ORIGIN);
+        // Stage the four lanes in one pass; a resize to the length a
+        // buffer already has writes nothing, and the loop overwrites
+        // every entry.
         self.xs.resize(n, 0.0);
         self.ys.resize(n, 0.0);
         self.zs.resize(n, 0.0);
         self.phases.resize(n, 0.0);
-        let mut finite = true;
-        let lanes = self
-            .positions
-            .iter_mut()
-            .zip(&mut self.xs)
-            .zip(&mut self.ys)
-            .zip(&mut self.zs)
-            .zip(&mut self.phases);
-        for (((((pos, x), y), z), phase), &(p, theta)) in lanes.zip(measurements) {
-            (*pos, *x, *y, *z, *phase) = (p, p.x, p.y, p.z, theta);
-            finite &= p.is_finite() & theta.is_finite();
+        let (xs, ys, zs, phases) = (
+            &mut self.xs[..n],
+            &mut self.ys[..n],
+            &mut self.zs[..n],
+            &mut self.phases[..n],
+        );
+        // `v·0` is ±0 for a finite `v` and NaN for NaN or ±∞, so each
+        // lane's sum of them stays zero exactly while its values are
+        // finite: no compare or branch per read.
+        let mut nan = [0.0_f64; 4];
+        for (i, &(p, theta)) in measurements.iter().enumerate() {
+            (xs[i], ys[i], zs[i], phases[i]) = (p.x, p.y, p.z, theta);
+            nan[0] += p.x * 0.0;
+            nan[1] += p.y * 0.0;
+            nan[2] += p.z * 0.0;
+            nan[3] += theta * 0.0;
         }
-        if !finite {
+        if nan != [0.0; 4] {
             self.clear_samples();
             let index = measurements
                 .iter()
@@ -233,39 +313,32 @@ impl PhaseProfile {
 
     /// Empties the sample buffers while keeping their capacity.
     fn clear_samples(&mut self) {
-        self.positions.clear();
         self.xs.clear();
         self.ys.clear();
         self.zs.clear();
         self.phases.clear();
     }
 
-    /// Appends one sample to both the AoS and SoA views.
-    fn push_sample(&mut self, p: Point3, phase: f64) {
-        self.positions.push(p);
-        self.xs.push(p.x);
-        self.ys.push(p.y);
-        self.zs.push(p.z);
+    /// Appends one sample to the lanes.
+    fn push_sample(&mut self, x: f64, y: f64, z: f64, phase: f64) {
+        self.xs.push(x);
+        self.ys.push(y);
+        self.zs.push(z);
         self.phases.push(phase);
     }
 
-    /// Builds a profile whose SoA lanes are derived from already-owned
-    /// positions/phases — the internal constructor behind
-    /// [`PhaseProfile::from_unwrapped`] and the filtering subset makers.
-    fn from_parts(positions: Vec<Point3>, phases: Vec<f64>, wavelength: f64) -> PhaseProfile {
-        let mut profile = PhaseProfile {
-            positions,
-            xs: Vec::new(),
-            ys: Vec::new(),
-            zs: Vec::new(),
-            phases,
-            wavelength,
-            unwrap_scratch: Vec::new(),
+    /// A profile of this one's samples at `indices`, in that order, with
+    /// this wavelength — the subset maker behind
+    /// [`PhaseProfile::decimate`] and [`PhaseProfile::filter_positions`].
+    fn subset(&self, indices: impl Iterator<Item = usize>) -> PhaseProfile {
+        let mut out = PhaseProfile {
+            wavelength: self.wavelength,
+            ..PhaseProfile::default()
         };
-        profile.xs.extend(profile.positions.iter().map(|p| p.x));
-        profile.ys.extend(profile.positions.iter().map(|p| p.y));
-        profile.zs.extend(profile.positions.iter().map(|p| p.z));
-        profile
+        for i in indices {
+            out.push_sample(self.xs[i], self.ys[i], self.zs[i], self.phases[i]);
+        }
+        out
     }
 
     /// Builds a profile from positions and **already unwrapped** phases.
@@ -302,37 +375,58 @@ impl PhaseProfile {
                 return Err(CoreError::NonFiniteMeasurement { index: i });
             }
         }
-        Ok(PhaseProfile::from_parts(positions, phases, wavelength))
+        Ok(PhaseProfile {
+            xs: positions.iter().map(|p| p.x).collect(),
+            ys: positions.iter().map(|p| p.y).collect(),
+            zs: positions.iter().map(|p| p.z).collect(),
+            phases,
+            wavelength,
+            unwrap_scratch: Vec::new(),
+        })
     }
 
     /// Number of samples.
     pub fn len(&self) -> usize {
-        self.positions.len()
+        self.xs.len()
     }
 
     /// Returns `true` when the profile has no samples (unreachable through
     /// the validating constructors, but kept for API completeness).
     pub fn is_empty(&self) -> bool {
-        self.positions.is_empty()
+        self.xs.is_empty()
     }
 
-    /// The tag positions.
-    pub fn positions(&self) -> &[Point3] {
-        &self.positions
+    /// The tag positions as coordinate lanes.
+    pub fn lanes(&self) -> PositionLanes<'_> {
+        PositionLanes::new(&self.xs, &self.ys, &self.zs)
     }
 
-    /// SoA view of the position x-coordinates.
-    pub(crate) fn xs(&self) -> &[f64] {
+    /// The tag position of sample `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i` is out of bounds.
+    pub fn position(&self, i: usize) -> Point3 {
+        self.lanes().point(i)
+    }
+
+    /// The tag positions in sample order.
+    pub fn points(&self) -> impl ExactSizeIterator<Item = Point3> + '_ {
+        self.lanes().points()
+    }
+
+    /// The x-coordinates of the tag positions.
+    pub fn xs(&self) -> &[f64] {
         &self.xs
     }
 
-    /// SoA view of the position y-coordinates.
-    pub(crate) fn ys(&self) -> &[f64] {
+    /// The y-coordinates of the tag positions.
+    pub fn ys(&self) -> &[f64] {
         &self.ys
     }
 
-    /// SoA view of the position z-coordinates.
-    pub(crate) fn zs(&self) -> &[f64] {
+    /// The z-coordinates of the tag positions.
+    pub fn zs(&self) -> &[f64] {
         &self.zs
     }
 
@@ -408,33 +502,22 @@ impl PhaseProfile {
     pub fn restrict_x_into(&self, min_x: f64, max_x: f64, out: &mut PhaseProfile) {
         out.clear_samples();
         out.wavelength = self.wavelength;
-        for (&p, &phase) in self.positions.iter().zip(&self.phases) {
-            if p.x >= min_x && p.x <= max_x {
-                out.push_sample(p, phase);
+        for (i, &x) in self.xs.iter().enumerate() {
+            if x >= min_x && x <= max_x {
+                out.push_sample(x, self.ys[i], self.zs[i], self.phases[i]);
             }
         }
     }
 
     /// Keeps every `step`-th sample (step 0 behaves like 1).
     pub fn decimate(&self, step: usize) -> PhaseProfile {
-        let step = step.max(1);
-        PhaseProfile::from_parts(
-            self.positions.iter().copied().step_by(step).collect(),
-            self.phases.iter().copied().step_by(step).collect(),
-            self.wavelength,
-        )
+        self.subset((0..self.len()).step_by(step.max(1)))
     }
 
     /// Keeps samples satisfying a position predicate.
     pub fn filter_positions(&self, mut keep: impl FnMut(Point3) -> bool) -> PhaseProfile {
-        let idx: Vec<usize> = (0..self.len())
-            .filter(|&i| keep(self.positions[i]))
-            .collect();
-        PhaseProfile::from_parts(
-            idx.iter().map(|&i| self.positions[i]).collect(),
-            idx.iter().map(|&i| self.phases[i]).collect(),
-            self.wavelength,
-        )
+        let lanes = self.lanes();
+        self.subset((0..self.len()).filter(|&i| keep(lanes.point(i))))
     }
 }
 
@@ -590,7 +673,7 @@ mod tests {
         let p = PhaseProfile::from_unwrapped(positions, phases, 0.3256).unwrap();
         let r = p.restrict_x(-0.2, 0.2);
         assert_eq!(r.len(), 5);
-        assert!(r.positions().iter().all(|q| q.x.abs() <= 0.2 + 1e-12));
+        assert!(r.xs().iter().all(|x| x.abs() <= 0.2 + 1e-12));
         // Refilling a used profile gives the same subset, lanes included.
         let mut reused = p.clone();
         p.restrict_x_into(-0.2, 0.2, &mut reused);
@@ -598,7 +681,7 @@ mod tests {
         assert_eq!(reused.xs(), r.xs());
         let d = p.decimate(2);
         assert_eq!(d.len(), 6);
-        assert_eq!(d.positions()[1].x, p.positions()[2].x);
+        assert_eq!(d.position(1), p.position(2));
         assert_eq!(p.decimate(0).len(), p.len());
         let f = p.filter_positions(|q| q.x > 0.0);
         assert_eq!(f.len(), 5);

@@ -105,15 +105,15 @@ impl ProfileQuality {
 /// ```
 pub fn validate_profile(profile: &PhaseProfile, slack: f64) -> ProfileQuality {
     let scale = profile.wavelength() / (4.0 * std::f64::consts::PI);
-    let positions = profile.positions();
+    let lanes = profile.lanes();
     let phases = profile.phases();
     let mut violations = Vec::new();
     let mut max_excess = 0.0_f64;
     let mut sq_sum = 0.0_f64;
-    let steps = positions.len().saturating_sub(1);
+    let steps = lanes.len().saturating_sub(1);
     for i in 0..steps {
         let implied = scale * (phases[i + 1] - phases[i]).abs();
-        let moved = positions[i].distance(positions[i + 1]);
+        let moved = lanes.point(i).distance(lanes.point(i + 1));
         let excess = implied - moved;
         if excess > slack.max(0.0) {
             violations.push(StepViolation {
@@ -177,7 +177,7 @@ mod tests {
         for p in phases.iter_mut().skip(100) {
             *p += 2.0 * PI; // everything after index 99 slipped by 2π
         }
-        let slipped = PhaseProfile::from_unwrapped(profile.positions().to_vec(), phases, LAMBDA)
+        let slipped = PhaseProfile::from_unwrapped(profile.points().collect(), phases, LAMBDA)
             .expect("valid");
         let q = validate_profile(&slipped, 1e-3);
         assert_eq!(q.violations.len(), 1);
@@ -201,7 +201,7 @@ mod tests {
         for (i, p) in phases.iter_mut().enumerate() {
             *p += if i % 2 == 0 { 0.05 } else { -0.05 }; // ±0.05 rad ripple
         }
-        let noisy = PhaseProfile::from_unwrapped(profile.positions().to_vec(), phases, LAMBDA)
+        let noisy = PhaseProfile::from_unwrapped(profile.points().collect(), phases, LAMBDA)
             .expect("valid");
         // 0.1 rad of jump ↔ 2.6 mm implied; slack of 5 mm absorbs it.
         let q = validate_profile(&noisy, 0.005);

@@ -61,7 +61,7 @@ use lion_linalg::{simd, solve_irls_normal, stats, NormalEq, NormalIrlsScratch};
 use crate::error::CoreError;
 use crate::localizer::{analyze_geometry_small, assemble_position, Estimate, Localizer};
 use crate::pairs::PairStrategy;
-use crate::preprocess;
+use crate::preprocess::{self, PositionLanes};
 use crate::window::SlidingWindow;
 use crate::workspace::Workspace;
 
@@ -100,7 +100,7 @@ pub struct IncrementalState {
     /// Whether the mirrors below describe the window as of the last tick.
     valid: bool,
     ticks_since_resync: u32,
-    /// Absolute stream index of `positions[0]` (advances by the evicted
+    /// Absolute stream index of the front sample (advances by the evicted
     /// count every tick; the labels are arbitrary but tick-consistent).
     front_abs: u64,
     /// Absolute index of the pinned reference sample.
@@ -109,8 +109,11 @@ pub struct IncrementalState {
     centroid: Point3,
     axes: [Vec3; 3],
     k: usize,
-    // Window mirrors, index-aligned with the window's samples.
-    positions: Vec<Point3>,
+    // Window mirrors, index-aligned with the window's samples: the
+    // positions as coordinate lanes, then the phase stages.
+    xs: Vec<f64>,
+    ys: Vec<f64>,
+    zs: Vec<f64>,
     wrapped: Vec<f64>,
     unwrapped: Vec<f64>,
     smoothed: Vec<f64>,
@@ -155,7 +158,9 @@ impl IncrementalState {
             centroid: Point3::ORIGIN,
             axes: [Vec3::new(0.0, 0.0, 0.0); 3],
             k: 0,
-            positions: Vec::new(),
+            xs: Vec::new(),
+            ys: Vec::new(),
+            zs: Vec::new(),
             wrapped: Vec::new(),
             unwrapped: Vec::new(),
             smoothed: Vec::new(),
@@ -173,6 +178,11 @@ impl IncrementalState {
             rebuilds: 0,
             delta_solves: 0,
         }
+    }
+
+    /// The mirrored window positions.
+    fn lanes(&self) -> PositionLanes<'_> {
+        PositionLanes::new(&self.xs, &self.ys, &self.zs)
     }
 
     /// Forces the next tick to replay and rebuild (e.g. after the caller
@@ -241,7 +251,7 @@ impl IncrementalState {
         ws: &mut Workspace,
     ) -> Option<Estimate> {
         let config = self.localizer.config();
-        let old_len = self.positions.len();
+        let old_len = self.xs.len();
         let n_new = window.len();
         // Slide-model consistency: the window must equal the mirror with
         // `evicted` reads dropped at the front and `appended` at the back.
@@ -280,7 +290,9 @@ impl IncrementalState {
         }
         let k = self.k;
         // Slide the mirrors.
-        self.positions.drain(..evicted);
+        self.xs.drain(..evicted);
+        self.ys.drain(..evicted);
+        self.zs.drain(..evicted);
         self.wrapped.drain(..evicted);
         self.unwrapped.drain(..evicted);
         self.smoothed.drain(..evicted);
@@ -290,14 +302,16 @@ impl IncrementalState {
         // window's front (the splice flag covers reorderings; this guards
         // the bookkeeping itself).
         let front = window.sample(0)?;
-        if front.position != self.positions[0] || front.wrapped != self.wrapped[0] {
+        if front.position != self.lanes().point(0) || front.wrapped != self.wrapped[0] {
             return None;
         }
         // Append the new tail, continuing the unwrap chain.
         for s in window.samples().skip(survivors) {
             let prev_w = *self.wrapped.last()?;
             let prev_u = *self.unwrapped.last()?;
-            self.positions.push(s.position);
+            self.xs.push(s.position.x);
+            self.ys.push(s.position.y);
+            self.zs.push(s.position.z);
             self.wrapped.push(s.wrapped);
             self.unwrapped
                 .push(preprocess::unwrap_step(prev_w, prev_u, s.wrapped));
@@ -306,7 +320,7 @@ impl IncrementalState {
                 self.coords.push(d.dot(*axis));
             }
         }
-        if self.positions.len() != n_new {
+        if self.xs.len() != n_new {
             return None;
         }
         // Re-smooth only the changed spans.
@@ -322,9 +336,10 @@ impl IncrementalState {
         }
         // Fresh exact pair scan, then diff against the rows in the system.
         let pairs_span = lion_obs::span!("lion.pairs");
+        let lanes = PositionLanes::new(&self.xs, &self.ys, &self.zs);
         config
             .pair_strategy
-            .pairs_into(&self.positions, &mut self.pairs_scratch);
+            .pairs_into(lanes, &mut self.pairs_scratch);
         drop(pairs_span);
         let cols = k + 1;
         if self.pairs_scratch.len() < cols {
@@ -389,7 +404,7 @@ impl IncrementalState {
             &mut self.param_std,
             &mut self.cov_diag,
         );
-        let reference_position = self.positions[ref_rel];
+        let reference_position = self.lanes().point(ref_rel);
         let (position, position_std) = assemble_position(
             self.centroid,
             &self.axes,
@@ -440,11 +455,15 @@ impl IncrementalState {
             return Ok(est);
         }
         let n = window.len();
-        self.positions.clear();
+        self.xs.clear();
+        self.ys.clear();
+        self.zs.clear();
         self.wrapped.clear();
         self.unwrapped.clear();
         for s in window.samples() {
-            self.positions.push(s.position);
+            self.xs.push(s.position.x);
+            self.ys.push(s.position.y);
+            self.zs.push(s.position.z);
             self.wrapped.push(s.wrapped);
             let u = match self.unwrapped.last() {
                 Some(&prev_u) => {
@@ -455,8 +474,7 @@ impl IncrementalState {
             };
             self.unwrapped.push(u);
         }
-        let Ok(frame) = analyze_geometry_small(&self.positions, space, config.rank_tolerance)
-        else {
+        let Ok(frame) = analyze_geometry_small(self.lanes(), space, config.rank_tolerance) else {
             return Ok(est);
         };
         if frame.spanned < frame.dims {
@@ -483,15 +501,16 @@ impl IncrementalState {
             .extend(self.smoothed.iter().map(|t| scale * (t - theta_r)));
         self.coords.clear();
         self.coords.reserve(n * k);
-        for p in &self.positions {
-            let d = *p - frame.centroid;
+        let lanes = PositionLanes::new(&self.xs, &self.ys, &self.zs);
+        for p in lanes.points() {
+            let d = p - frame.centroid;
             for axis in frame.axes.iter().take(k) {
                 self.coords.push(d.dot(*axis));
             }
         }
         config
             .pair_strategy
-            .pairs_into(&self.positions, &mut self.pairs_scratch);
+            .pairs_into(lanes, &mut self.pairs_scratch);
         let cols = k + 1;
         if self.pairs_scratch.len() < cols {
             return Ok(est);

@@ -27,8 +27,8 @@ use crate::preprocess::PhaseProfile;
 /// Every field is a pure function of the inputs solved, so the metrics
 /// of a job are the same on every run and every worker count. Per-stage
 /// time is not recorded here: the `lion.unwrap`, `lion.smooth`,
-/// `lion.pairs`, `lion.solve`, `lion.adaptive` and `lion.offset` spans
-/// measure it.
+/// `lion.prepare`, `lion.pairs`, `lion.solve`, `lion.adaptive` and
+/// `lion.offset` spans measure it.
 ///
 /// # Example
 ///
@@ -121,10 +121,9 @@ pub struct Workspace {
     /// The interval-independent half of the current solve: frame,
     /// reference deltas, frame coordinates and scan lines.
     pub(crate) prepared: Prepared,
-    /// Sample pairs of the batch solve path.
-    pub(crate) pairs: Vec<(usize, usize)>,
-    /// Pair endpoints as `i32` index lanes — the gather-friendly mirror
-    /// of `pairs` the SIMD row-assembly kernel consumes.
+    /// Sample pairs of the batch solve path as `i32` endpoint index
+    /// lanes, written by the pair strategy and gathered by the SIMD
+    /// row-assembly kernel.
     pub(crate) pair_i: Vec<i32>,
     pub(crate) pair_j: Vec<i32>,
     /// Solution of the last batch solve (coordinates then `d_r`).
@@ -158,7 +157,6 @@ impl Workspace {
             measurements: Vec::new(),
             profile: PhaseProfile::default(),
             prepared: Prepared::default(),
-            pairs: Vec::new(),
             pair_i: Vec::new(),
             pair_j: Vec::new(),
             solution: Vec::new(),

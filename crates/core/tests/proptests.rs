@@ -186,11 +186,11 @@ proptest! {
         let profile = PhaseProfile::from_wrapped(&m, LAMBDA).expect("valid");
         let r = profile.restrict_x(min_x, max_x);
         prop_assert!(r.len() <= profile.len());
-        for w in r.positions().windows(2) {
-            prop_assert!(w[0].x <= w[1].x);
+        for w in r.xs().windows(2) {
+            prop_assert!(w[0] <= w[1]);
         }
-        for p in r.positions() {
-            prop_assert!(p.x >= min_x - 1e-12 && p.x <= max_x + 1e-12);
+        for &x in r.xs() {
+            prop_assert!(x >= min_x - 1e-12 && x <= max_x + 1e-12);
         }
     }
 

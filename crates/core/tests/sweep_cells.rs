@@ -60,8 +60,7 @@ impl Case {
         let mut profile =
             PhaseProfile::from_wrapped(&self.reads, self.config.wavelength).expect("valid reads");
         profile.smooth(self.config.smoothing_window);
-        let xs = profile.positions().iter().map(|p| p.x);
-        let cx = xs.sum::<f64>() / profile.len() as f64;
+        let cx = profile.xs().iter().sum::<f64>() / profile.len() as f64;
         let mut out = AdaptiveOutcome::default();
         for &range in &self.grid.scanning_ranges {
             let cell = profile.restrict_x(cx - range / 2.0, cx + range / 2.0);

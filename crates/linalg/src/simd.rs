@@ -628,7 +628,10 @@ pub fn gram_fixed_scalar<const N: usize>(
 /// [`gram_fixed`]'s sums at a runtime width `cols`, in the same order,
 /// written into `gram` (`cols × cols` row-major, lower triangle; the rest
 /// is zeroed) and `atk` (`cols`). `lanes` is scratch for the partial
-/// sums.
+/// sums. The AVX2 backend runs the scalar body compiled with FMA enabled,
+/// so each `mul_add` is one `vfmadd` instruction instead of a libm
+/// `fma` call; the arithmetic is the same, so the results are
+/// bit-identical.
 ///
 /// # Panics
 ///
@@ -652,13 +655,22 @@ pub fn gram_into(
     lanes.clear();
     lanes.resize(LANES * (cols * cols + cols), 0.0);
     let (lane_gram, lane_atk) = lanes.split_at_mut(LANES * cols * cols);
-    gram_lanes(rows, rhs, weights, cols, [lane_gram, lane_atk], gram, atk);
+    let lanes = [lane_gram, lane_atk];
+    match active() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `active()` only returns Avx2 when the CPU supports AVX2
+        // and FMA; the twin runs the same safe body.
+        Backend::Avx2 => unsafe { avx2::gram_into(rows, rhs, weights, cols, lanes, gram, atk) },
+        _ => gram_lanes(rows, rhs, weights, cols, lanes, gram, atk),
+    }
 }
 
 /// The scalar Gram sums at width `cols`: the whole blocks' rows into the
 /// zeroed partial sums `lanes` (`[gram, atk]`, four consecutive copies
-/// of each), combined into `gram`/`atk`, then the tail rows.
-#[inline]
+/// of each), combined into `gram`/`atk`, then the tail rows. Always
+/// inlined, so the FMA-enabled AVX2 twin of [`gram_into`] compiles its
+/// own copy with `vfmadd` instructions.
+#[inline(always)]
 fn gram_lanes(
     rows: &[f64],
     rhs: &[f64],
@@ -687,7 +699,7 @@ fn gram_lanes(
 /// Adds one row's terms into a set of sums: the lower triangle of
 /// `w·a·aᵀ` into `gram` (`a.len()` square, row-major) and `w·a·k` into
 /// `atk`, each product fused into its sum.
-#[inline]
+#[inline(always)]
 fn gram_add_row(gram: &mut [f64], atk: &mut [f64], a: &[f64], k: f64, w: f64) {
     let cols = a.len();
     for (r, (&ar, t)) in a.iter().zip(atk.iter_mut()).enumerate() {
@@ -724,7 +736,8 @@ const LANES: usize = 4;
 
 /// Two reductions side by side, each as four interleaved partial sums:
 /// lane `l` holds the rows `i ≡ l (mod 4)` of the whole blocks seen so
-/// far.
+/// far. Blocks are added whole, so every partial sum is addressed by a
+/// constant lane and stays in a register.
 #[derive(Default)]
 struct LaneSums {
     a: [f64; LANES],
@@ -732,11 +745,14 @@ struct LaneSums {
 }
 
 impl LaneSums {
-    /// Adds row `i`'s two terms into partial sum `i mod 4`.
+    /// Adds one whole block's two terms: row `l` of the block into
+    /// partial sum `l`.
     #[inline]
-    fn add(&mut self, i: usize, a: f64, b: f64) {
-        self.a[i % LANES] += a;
-        self.b[i % LANES] += b;
+    fn add_block(&mut self, a: [f64; LANES], b: [f64; LANES]) {
+        for l in 0..LANES {
+            self.a[l] += a[l];
+            self.b[l] += b[l];
+        }
     }
 
     /// Combines the lanes as `(l0 + l1) + (l2 + l3)`, then adds the
@@ -760,12 +776,19 @@ impl LaneSums {
 /// instead of one, and exactly what [`residuals_fixed`] fuses into its
 /// residual pass on every backend.
 pub fn sum_sumsq(rs: &[f64]) -> (f64, f64) {
-    let whole = rs.len() - rs.len() % LANES;
+    let blocks = rs.chunks_exact(LANES);
+    let tail = blocks.remainder();
     let mut lanes = LaneSums::default();
-    for (i, &r) in rs[..whole].iter().enumerate() {
-        lanes.add(i, r, r * r);
+    for r in blocks.map(block) {
+        lanes.add_block(r, r.map(|r| r * r));
     }
-    lanes.finish(rs[whole..].iter().map(|&r| (r, r * r)))
+    lanes.finish(tail.iter().map(|&r| (r, r * r)))
+}
+
+/// A whole block of [`LANES`] values as an array.
+#[inline]
+fn block(values: &[f64]) -> [f64; LANES] {
+    values.try_into().expect("a whole block")
 }
 
 /// `(Σw, Σw·r²)` over paired weights and residuals (`(w·r)·r` per row),
@@ -777,13 +800,13 @@ pub fn sum_sumsq(rs: &[f64]) -> (f64, f64) {
 /// Panics when the lengths differ.
 pub fn weighted_sums(weights: &[f64], residuals: &[f64]) -> (f64, f64) {
     assert_eq!(weights.len(), residuals.len(), "one weight per residual");
-    let whole = weights.len() - weights.len() % LANES;
-    let pairs = weights.iter().zip(residuals).map(|(&w, &r)| (w, w * r * r));
+    let (wb, rb) = (weights.chunks_exact(LANES), residuals.chunks_exact(LANES));
+    let tail = wb.remainder().iter().zip(rb.remainder());
     let mut lanes = LaneSums::default();
-    for (i, (w, wrr)) in pairs.clone().take(whole).enumerate() {
-        lanes.add(i, w, wrr);
+    for (w, r) in wb.map(block).zip(rb.map(block)) {
+        lanes.add_block(w, std::array::from_fn(|l| w[l] * r[l] * r[l]));
     }
-    lanes.finish(pairs.skip(whole))
+    lanes.finish(tail.map(|(&w, &r)| (w, w * r * r)))
 }
 
 /// Residuals `rᵢ = aᵢ·x − kᵢ` of every row into `out`
@@ -831,10 +854,15 @@ pub fn residuals_fixed_scalar<const N: usize>(
 ) -> (f64, f64) {
     let whole = rhs.len() - rhs.len() % LANES;
     let mut lanes = LaneSums::default();
-    for (i, o) in out[..whole].iter_mut().enumerate() {
-        let r = residual::<N>(&rows[i * N..(i + 1) * N], x, rhs[i]);
-        *o = r;
-        lanes.add(i, r, r * r);
+    let blocks = out[..whole]
+        .chunks_exact_mut(LANES)
+        .zip(rows.chunks_exact(LANES * N))
+        .zip(rhs.chunks_exact(LANES));
+    for ((o, a), k) in blocks {
+        let r: [f64; LANES] =
+            std::array::from_fn(|l| residual::<N>(&a[l * N..(l + 1) * N], x, k[l]));
+        o.copy_from_slice(&r);
+        lanes.add_block(r, r.map(|r| r * r));
     }
     residual_tail::<N>(rows, rhs, x, out, whole);
     lanes.finish(out[whole..].iter().map(|&r| (r, r * r)))
@@ -1022,9 +1050,9 @@ fn resultant_from(
     alpha: impl Fn(usize) -> f64,
 ) -> (f64, f64) {
     let whole = len - len % LANES;
-    for i in from..whole {
-        let (s, c) = sin_cos(alpha(i));
-        lanes.add(i, s, c);
+    for i in (from..whole).step_by(LANES) {
+        let t: [(f64, f64); LANES] = std::array::from_fn(|l| sin_cos(alpha(i + l)));
+        lanes.add_block(t.map(|t| t.0), t.map(|t| t.1));
     }
     lanes.finish((whole..len).map(|i| sin_cos(alpha(i))))
 }
@@ -1389,6 +1417,25 @@ mod avx2 {
         whole
     }
 
+    /// [`super::gram_lanes`], the body of [`super::gram_into`], compiled
+    /// with FMA enabled: each `mul_add` becomes one `vfmadd` instead of a
+    /// libm `fma` call, with the same rounding.
+    ///
+    /// # Safety
+    /// Caller must have verified AVX2 and FMA support.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn gram_into(
+        rows: &[f64],
+        rhs: &[f64],
+        weights: &[f64],
+        cols: usize,
+        lanes: [&mut [f64]; 2],
+        gram: &mut [f64],
+        atk: &mut [f64],
+    ) {
+        super::gram_lanes(rows, rhs, weights, cols, lanes, gram, atk);
+    }
+
     /// # Safety
     /// Caller must have verified AVX2 and FMA support; `2 ≤ N ≤ 4`,
     /// `rows.len() == rhs.len()·N` and `weights.len() == rhs.len()`.
@@ -1703,6 +1750,100 @@ mod tests {
         phase_unwrap_in_place_scalar(&mut phases, &mut revs);
         for (a, b) in phases.iter().zip(reference(&wrapped)) {
             assert!((a - b).abs() < 1e-9, "{a} vs {b}");
+        }
+    }
+
+    /// The partial-sum idiom the lane sums replaced, kept as their
+    /// oracle: row `i` of the whole blocks into `partial[i % 4]`, the
+    /// partials combined as `(l0 + l1) + (l2 + l3)`, the tail rows added
+    /// after that.
+    fn indexed_lane_sums(len: usize, term: impl Fn(usize) -> (f64, f64)) -> (f64, f64) {
+        let whole = len - len % LANES;
+        let (mut a, mut b) = ([0.0_f64; LANES], [0.0_f64; LANES]);
+        for i in 0..whole {
+            let (ta, tb) = term(i);
+            a[i % LANES] += ta;
+            b[i % LANES] += tb;
+        }
+        let (mut sa, mut sb) = (combine4(a), combine4(b));
+        for i in whole..len {
+            let (ta, tb) = term(i);
+            sa += ta;
+            sb += tb;
+        }
+        (sa, sb)
+    }
+
+    /// A seeded xorshift stream of values in `[-scale, scale)`.
+    fn values(seed: u64, len: usize, scale: f64) -> Vec<f64> {
+        let mut state = seed;
+        (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                ((state >> 11) as f64 / (1_u64 << 53) as f64 - 0.5) * 2.0 * scale
+            })
+            .collect()
+    }
+
+    fn bits((a, b): (f64, f64)) -> (u64, u64) {
+        (a.to_bits(), b.to_bits())
+    }
+
+    /// The block-wise lane sums of `sum_sumsq`, `weighted_sums` and the
+    /// residual and resultant scalar twins are bit-identical to the
+    /// indexed oracle at every tail length and at random sizes.
+    #[test]
+    fn lane_sums_match_the_indexed_oracle() {
+        let random = values(7, 6, 1.0);
+        let sizes = (0..=9).chain(random.iter().map(|v| 10 + (v.abs() * 2000.0) as usize));
+        for (case, len) in sizes.enumerate() {
+            let seed = 0x9E37_79B9_7F4A_7C15 ^ case as u64;
+            let rs = values(seed, len, 3.0);
+            let ws: Vec<f64> = values(seed ^ 1, len, 1.0).iter().map(|w| w.abs()).collect();
+            assert_eq!(
+                bits(sum_sumsq(&rs)),
+                bits(indexed_lane_sums(len, |i| (rs[i], rs[i] * rs[i]))),
+                "sum_sumsq at {len}"
+            );
+            assert_eq!(
+                bits(weighted_sums(&ws, &rs)),
+                bits(indexed_lane_sums(len, |i| (ws[i], ws[i] * rs[i] * rs[i]))),
+                "weighted_sums at {len}"
+            );
+            fn residual_case<const N: usize>(seed: u64, rhs: &[f64]) {
+                let len = rhs.len();
+                let rows = values(seed ^ 2, len * N, 2.0);
+                let x: [f64; N] = std::array::from_fn(|c| 0.5 + c as f64 * 0.25);
+                let mut out = vec![0.0; len];
+                let got = residuals_fixed_scalar::<N>(&rows, rhs, &x, &mut out);
+                let r = |i: usize| residual::<N>(&rows[i * N..(i + 1) * N], &x, rhs[i]);
+                let want = indexed_lane_sums(len, |i| (r(i), r(i) * r(i)));
+                assert_eq!(bits(got), bits(want), "residuals::<{N}> at {len}");
+                for (i, o) in out.iter().enumerate() {
+                    assert_eq!(o.to_bits(), r(i).to_bits(), "residual {i} of {len}");
+                }
+            }
+            residual_case::<2>(seed, &rs);
+            residual_case::<3>(seed, &rs);
+            residual_case::<4>(seed, &rs);
+            let angles: Vec<f64> = rs.iter().map(|r| r * 40.0).collect();
+            assert_eq!(
+                bits(sin_cos_sums_scalar(&angles)),
+                bits(indexed_lane_sums(len, |i| sin_cos(angles[i]))),
+                "sin_cos_sums at {len}"
+            );
+            let reads: Vec<([f64; 3], f64)> =
+                (0..len).map(|i| ([rs[i], ws[i], 0.1], angles[i])).collect();
+            let center = [0.2, 0.8, 0.0];
+            assert_eq!(
+                bits(phase_offset_sums_scalar(&reads, |r| *r, center, 0.3256)),
+                bits(indexed_lane_sums(len, |i| {
+                    sin_cos(phase_offset(reads[i].0, reads[i].1, center, 0.3256))
+                })),
+                "phase_offset_sums at {len}"
+            );
         }
     }
 

@@ -9,8 +9,14 @@
 # under the `normal_eq` filter) and its QR oracles, the
 # accelerated-IRLS fixed-point oracle, the sliding window's sorted-Vec
 # model proptest, the engine's serial-vs-N-workers gate for batch and
-# calibration jobs and the Doctor's health suite are named explicitly
-# so a test-filter typo can't silently skip a bit-identicality gate.
+# calibration jobs, the staged-layout gates (stage_layout: staged lanes
+# equal the input, a non-finite read reports its own index, the lane
+# interval scan picks the point loop's pairs; the lion-core unit gates
+# frame_sums_follow_the_documented_lane_order and
+# pair_lanes_match_the_pair_list; the lion-linalg unit gate
+# lane_sums_match_the_indexed_oracle) and the Doctor's health suite are
+# named explicitly so a test-filter typo can't silently skip a
+# bit-identicality gate.
 # The SIMD parity binary runs unfiltered, so its kernel-vs-scalar-twin
 # gates always run, among them gram_kernel_matches_scalar_at_every_short_length_and_random_sizes,
 # gram_sums_follow_the_documented_lane_order,
@@ -26,9 +32,10 @@
 # which tell a kernel that fuses its multiply-adds like `f64::mul_add`
 # from one that rounds the products first, on both backends.
 # The scalar-fallback step reruns stream_parity, engine_determinism,
-# sweep_cells, the lion-linalg proptests, the accelerated-IRLS
-# fixed-point oracle, the lion-stream estimator tests and the lion-core
-# calibrate tests with LION_SIMD=scalar, so the fallback kernels (whose
+# sweep_cells, the staged-layout gates, the lion-linalg proptests and
+# lane-sum oracle, the accelerated-IRLS fixed-point oracle, the
+# lion-stream estimator tests and the lion-core calibrate tests with
+# LION_SIMD=scalar, so the fallback kernels (whose
 # `mul_add` is a libm `fma` call on x86_64) pass the same gates from
 # process start, not only under `simd::force`. The end-to-end
 # benchmark's own tests run every
@@ -44,10 +51,13 @@ verify:
     cargo test -q -p lion-linalg --test irls_fixed_point
     cargo test -q -p lion-core --test zero_alloc --test adaptive_regression
     cargo test -q -p lion-core --test sweep_reuse --test sweep_cells --test structured_pairs
+    cargo test -q -p lion-core --test stage_layout
+    cargo test -q -p lion-core --lib -- frame_sums_follow_the_documented_lane_order pair_lanes_match_the_pair_list
+    cargo test -q -p lion-linalg --lib lane_sums_match_the_indexed_oracle
     cargo test -q -p lion-core --test scalar_dispatch
     cargo test -q -p lion-core --test proptests window
     cargo test -q -p lion-linalg --test simd_parity
-    LION_SIMD=scalar sh -c 'cargo test -q --test stream_parity --test engine_determinism && cargo test -q -p lion-core --test sweep_cells && cargo test -q -p lion-linalg --test proptests && cargo test -q -p lion-linalg --test irls_fixed_point && cargo test -q -p lion-stream --lib estimator && cargo test -q -p lion-core --lib calibrate'
+    LION_SIMD=scalar sh -c 'cargo test -q --test stream_parity --test engine_determinism && cargo test -q -p lion-core --test sweep_cells --test stage_layout && cargo test -q -p lion-core --lib -- frame_sums_follow_the_documented_lane_order pair_lanes_match_the_pair_list && cargo test -q -p lion-linalg --test proptests && cargo test -q -p lion-linalg --lib lane_sums_match_the_indexed_oracle && cargo test -q -p lion-linalg --test irls_fixed_point && cargo test -q -p lion-stream --lib estimator && cargo test -q -p lion-core --lib calibrate'
     cargo test -q -p lion-obs --test http_plane
     cargo test -q --test fleet_health
     cargo test -q --test history_determinism --test doctor

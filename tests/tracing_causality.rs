@@ -138,7 +138,8 @@ fn every_stage_span_roots_in_one_job_span() {
     assert_eq!(trees.len(), jobs.len(), "one trace per stream job");
     for tree in &trees {
         // The full pipeline shows up nested under the job root:
-        // job → solve → unwrap/smooth/pairs/solve/offset (three levels).
+        // job → solve → unwrap/smooth/prepare/pairs/solve/offset (three
+        // levels).
         assert!(tree.starts_with("lion.stream.job("), "tree: {tree}");
         assert!(tree.contains("lion.stream.ingress"), "tree: {tree}");
         assert!(tree.contains("lion.stream.window"), "tree: {tree}");
@@ -151,7 +152,7 @@ fn every_stage_span_roots_in_one_job_span() {
         // solved, in its own span under the tick's solve span.
         assert!(
             tree.contains(
-                "lion.stream.solve(lion.unwrap(),lion.smooth(),lion.pairs(),lion.solve(),lion.offset())"
+                "lion.stream.solve(lion.unwrap(),lion.smooth(),lion.prepare(),lion.pairs(),lion.solve(),lion.offset())"
             ),
             "a replay tick must nest lion.offset: {tree}"
         );
