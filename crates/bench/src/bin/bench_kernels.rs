@@ -8,7 +8,8 @@
 //! - `sliding_mean_ns` — [`lion_linalg::simd::sliding_mean_from_prefix`],
 //! - `radical_rows_ns` — [`lion_linalg::simd::radical_rows`] (k = 2),
 //! - `gram_accumulate_ns` — [`lion_linalg::simd::gram_fixed`] (N = 3),
-//! - `exp_weights_ns` — [`lion_linalg::simd::exp_non_positive`],
+//! - `exp_weights_ns` — [`lion_linalg::simd::gaussian_weights`], the
+//!   IRLS reweight's exponent and exp, on residual-shaped input,
 //!
 //! plus two end-to-end medians (the second measured exactly like
 //! `bench_stream_resolve`):
@@ -245,13 +246,21 @@ fn bench_kernels() -> (u64, u64, u64, u64, u64) {
         black_box(gram[2][2] + grhs[0]);
     });
 
-    // IRLS weight kernel on non-positive exponents of residual scale.
-    let exponents: Vec<f64> = (0..n).map(|i| -(i as f64 * 0.017) % 30.0).collect();
-    let mut xs = exponents.clone();
+    // The IRLS weight kernel every reweight calls: Gaussian weights of
+    // residuals spread about their mean like a solve's, with one outlier
+    // in 64 far enough out to hit the exponent clamp.
+    let residuals: Vec<f64> = (0..n)
+        .map(|i| match i % 64 {
+            0 => 2.5,
+            _ => (i as f64 * 0.37).sin() * 0.02,
+        })
+        .collect();
+    let mu = residuals.iter().sum::<f64>() / n as f64;
+    let var = residuals.iter().map(|r| (r - mu).powi(2)).sum::<f64>() / n as f64;
+    let mut weights_out = vec![0.0_f64; n];
     let exp_weights_ns = bench(201, || {
-        xs.copy_from_slice(&exponents);
-        simd::exp_non_positive(&mut xs);
-        black_box(xs[n - 1]);
+        simd::gaussian_weights(&residuals, mu, 0.5 / var, &mut weights_out);
+        black_box(weights_out[n - 1]);
     });
 
     (

@@ -32,7 +32,9 @@ use crate::error::CoreError;
 /// validation, so the `i32` narrowing is always exact); `design` and
 /// `rhs` are resized in place and fully overwritten, so a workspace that
 /// owns them assembles every solve without allocating. The row
-/// arithmetic is `lion_linalg::simd::radical_row`'s on every backend.
+/// arithmetic is `lion_linalg::simd::radical_row`'s on every backend;
+/// the kernel writes the blocked layout [`NormalEq`] stores, and `design`
+/// gets it back row-major (`lion_linalg::simd::unblock_rows`).
 ///
 /// The localizer itself pairs straight into the index lanes and writes
 /// the same rows straight into its [`NormalEq`] (`load_system`); this
@@ -73,6 +75,7 @@ pub fn build_system_soa(
         design.as_mut_slice(),
         rhs.as_mut_slice(),
     );
+    lion_linalg::simd::unblock_rows(design.as_mut_slice(), k + 1);
     Ok(())
 }
 

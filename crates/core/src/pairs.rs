@@ -114,19 +114,23 @@ impl PairStrategy {
 
     /// The interval-independent half of pairing: sorts the samples of
     /// [`PairStrategy::StructuredScan`] onto its scan lines, each line in
-    /// x order. Other strategies need no classification and leave
-    /// `lines` empty. The adaptive sweep runs this once per scanning
-    /// range and [`PairStrategy::pairs_from`] once per interval.
+    /// x order, and finds each `L1` sample's cross partners on `L3` and
+    /// `L2`, which depend on the tolerance but not on the interval. Other
+    /// strategies need no classification and leave `lines` empty. The
+    /// adaptive sweep runs this once per scanning range and
+    /// [`PairStrategy::pairs_from`] once per interval.
     pub(crate) fn classify_into(&self, lanes: PositionLanes<'_>, lines: &mut LineScratch) {
-        for line in lines.iter_mut() {
+        for line in lines.lines.iter_mut() {
             line.samples.clear();
             line.x.clear();
         }
+        lines.cross.clear();
         if let PairStrategy::StructuredScan {
             scan, tolerance, ..
         } = self
         {
-            classify_lines(lanes, scan, *tolerance, lines);
+            classify_lines(lanes, scan, *tolerance, &mut lines.lines);
+            cross_partners(*tolerance, lines);
         }
     }
 
@@ -215,8 +219,16 @@ pub(crate) struct ScanLine {
     x: Vec<f64>,
 }
 
-/// The scan lines `L1`, `L2`, `L3` of [`PairStrategy::StructuredScan`].
-pub(crate) type LineScratch = [ScanLine; 3];
+/// The interval-independent state of [`PairStrategy::StructuredScan`]:
+/// its scan lines `L1`, `L2`, `L3`, and the cross partners of every `L1`
+/// sample.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LineScratch {
+    lines: [ScanLine; 3],
+    /// For each `L1` sample in x order, the `L3` and `L2` samples nearest
+    /// its x within the tolerance: the ends of its two cross pairs.
+    cross: Vec<[Option<usize>; 2]>,
+}
 
 /// Pairs each sample `i` with the first later sample `j` at least
 /// `interval` away. The cursor `j` never moves back, and each distance is
@@ -302,7 +314,7 @@ fn classify_lines(
     lanes: PositionLanes<'_>,
     scan: &ThreeLineScan,
     tolerance: f64,
-    lines: &mut LineScratch,
+    lines: &mut [ScanLine; 3],
 ) {
     let (xs, ys, zs) = (lanes.xs(), lanes.ys(), lanes.zs());
     let [l1, l2, l3] = lines;
@@ -331,10 +343,28 @@ fn classify_lines(
     }
 }
 
+/// Finds each `L1` sample's nearest `L3` and `L2` samples at the same x
+/// into `scratch.cross`. The queries rise with x along `L1`, so each
+/// line's partition point only moves forward: one cursor per line pairs
+/// in linear time.
+fn cross_partners(tolerance: f64, scratch: &mut LineScratch) {
+    let [l1, l2, l3] = &scratch.lines;
+    let (mut c2, mut c3) = (0, 0);
+    scratch.cross.extend(l1.x.iter().map(|&x| {
+        [
+            nearest_from(l3, &mut c3, x, tolerance),
+            nearest_from(l2, &mut c2, x, tolerance),
+        ]
+    }));
+}
+
+/// Per `L1` sample in x order: its x-pair along `L1` at `x_interval`
+/// (observes x), then its cross pairs to `L3` (observes y) and to `L2`
+/// (observes z), which [`cross_partners`] found once per range.
 fn structured_pairs_into(
     x_interval: f64,
     tolerance: f64,
-    lines: &LineScratch,
+    scratch: &LineScratch,
     out: &mut impl PairSink,
 ) {
     // NaN-safe: comparisons are false for NaN, so NaN parameters bail out.
@@ -342,23 +372,15 @@ fn structured_pairs_into(
     if !params_ok {
         return;
     }
-    let [l1, l2, l3] = lines;
-    // The queries below rise with x along L1, so each line's partition
-    // point only moves forward: one cursor per line pairs in linear time.
-    let (mut c1, mut c2, mut c3) = (0, 0, 0);
-    for (&i, &x) in l1.samples.iter().zip(&l1.x) {
-        // x-pair along L1 (observes the x coordinate).
+    let l1 = &scratch.lines[0];
+    let mut c1 = 0;
+    for ((&i, &x), cross) in l1.samples.iter().zip(&l1.x).zip(&scratch.cross) {
         if let Some(j) = nearest_from(l1, &mut c1, x + x_interval, tolerance) {
             if j != i {
                 out.push_pair(i, j);
             }
         }
-        // Cross pair to L3 at the same x (observes y).
-        if let Some(j) = nearest_from(l3, &mut c3, x, tolerance) {
-            out.push_pair(i, j);
-        }
-        // Cross pair to L2 at the same x (observes z).
-        if let Some(j) = nearest_from(l2, &mut c2, x, tolerance) {
+        for &j in cross.iter().flatten() {
             out.push_pair(i, j);
         }
     }
@@ -589,6 +611,41 @@ mod tests {
                 list.iter().map(|&(i, j)| (i as i32, j as i32)).collect();
             let from_lanes: Vec<(i32, i32)> = pair_i.into_iter().zip(pair_j).collect();
             assert_eq!(from_lanes, narrowed, "{strategy:?}");
+        }
+    }
+
+    /// One classification serves every interval: the cross partners
+    /// found once per range give, at each interval, exactly the pairs of
+    /// a fresh classification at that interval.
+    #[test]
+    fn one_classification_pairs_every_interval() {
+        let scan = ThreeLineScan::new(-0.4, 0.4, 0.2, 0.2).unwrap();
+        let mut positions = Vec::new();
+        for i in 0..=80 {
+            let x = -0.4 + i as f64 * 0.01;
+            let (p1, p2, p3) = scan.positions_at(x);
+            // L3 misses a stretch, so some L1 samples have one partner.
+            positions.extend([p1, p2]);
+            if !(20..35).contains(&i) {
+                positions.push(p3);
+            }
+        }
+        let xs: Vec<f64> = positions.iter().map(|p| p.x).collect();
+        let ys: Vec<f64> = positions.iter().map(|p| p.y).collect();
+        let zs: Vec<f64> = positions.iter().map(|p| p.z).collect();
+        let lanes = PositionLanes::new(&xs, &ys, &zs);
+        let strategy = PairStrategy::StructuredScan {
+            scan,
+            x_interval: 0.1,
+            tolerance: 0.005,
+        };
+        let mut lines = LineScratch::default();
+        strategy.classify_into(lanes, &mut lines);
+        let mut out = Vec::new();
+        for interval in [0.05, 0.2, 0.1, 0.35, f64::NAN, 0.3] {
+            let at = strategy.with_interval(interval);
+            at.pairs_from(lanes, &lines, &mut out);
+            assert_eq!(out, at.pairs(&positions), "{interval}");
         }
     }
 

@@ -14,6 +14,16 @@
 //! - **Row edits** — `remove_rows_front` and `replace_row` retire or
 //!   change the rows a window slide touches, without starting over.
 //!
+//! The rows are stored in blocks of four ([`crate::simd::blocked_index`]):
+//! in each whole block, column 0 of its four rows comes first, then
+//! column 1, and so on, and the `m mod 4` tail rows stay row-major. One
+//! vector load is one column of four rows, row `i` in lane `i mod 4`,
+//! which is the lane order of every row sum, so the Gram and residual
+//! kernels read the storage as it lies, with no transposes. The edits
+//! keep that layout: a push that completes four tail rows turns them
+//! into a block, and a front drain by a count that is not a multiple of
+//! four re-blocks the survivors.
+//!
 //! The Gram matrix `AᵀWA` and `AᵀWk` are derived state: every edit only
 //! writes storage and marks them stale, and the next solve recomputes
 //! them from the stored rows in one fixed summation order
@@ -85,7 +95,8 @@ fn fixed<const N: usize>(x: &[f64]) -> &[f64; N] {
 #[derive(Debug, Clone, Default)]
 pub struct NormalEq {
     cols: usize,
-    /// Flat row-major `m × cols` copy of the design rows.
+    /// The `m × cols` design rows, in the blocked layout of
+    /// [`crate::simd::blocked_index`].
     rows: Vec<f64>,
     /// Right-hand side, one entry per row.
     rhs: Vec<f64>,
@@ -129,7 +140,7 @@ impl NormalEq {
     /// then every row of the flat row-major `rows` (length a multiple of
     /// `cols`) with its `rhs` entry at unit weight. Equivalent to
     /// pushing the rows one at a time (the determinism contract above);
-    /// a copy into [`NormalEq::load_with`].
+    /// a copy into [`NormalEq::load_with`], blocked in place as it lands.
     ///
     /// # Panics
     ///
@@ -142,17 +153,19 @@ impl NormalEq {
         );
         self.load_with(cols, rhs.len(), |r, k| {
             r.copy_from_slice(rows);
+            simd::block_rows(r, cols);
             k.copy_from_slice(rhs);
         });
     }
 
     /// Starts a fresh system of `m` rows and `cols` unknowns at unit
-    /// weight, and hands `fill` its row storage (flat row-major,
-    /// `m × cols`) and right-hand side (`m`) to write in place. `fill`
-    /// must write every entry: the buffers hold whatever an earlier
-    /// system left there. This is the batch entry point: the localizer
-    /// assembles the radical-line rows straight into this storage, with
-    /// no staging copy.
+    /// weight, and hands `fill` its row storage (`m × cols`, in the
+    /// blocked layout of [`crate::simd::blocked_index`], which
+    /// [`crate::simd::radical_rows`] writes) and right-hand side (`m`) to
+    /// write in place. `fill` must write every entry: the buffers hold
+    /// whatever an earlier system left there. This is the batch entry
+    /// point: the localizer assembles the radical-line rows straight into
+    /// this storage, with no staging copy.
     pub fn load_with(&mut self, cols: usize, m: usize, fill: impl FnOnce(&mut [f64], &mut [f64])) {
         self.cols = cols;
         // No `clear` first: a resize to a length the buffer already has
@@ -180,13 +193,19 @@ impl NormalEq {
         self.rhs.is_empty()
     }
 
-    /// Borrows design row `i`.
+    /// Gathers design row `i` out of the blocked storage into `out`.
     ///
     /// # Panics
     ///
-    /// Panics when `i` is out of bounds.
-    pub fn row(&self, i: usize) -> &[f64] {
-        &self.rows[i * self.cols..(i + 1) * self.cols]
+    /// Panics when `i` is out of bounds or `out.len()` differs from the
+    /// column count.
+    pub fn row_into(&self, i: usize, out: &mut [f64]) {
+        let m = self.rhs.len();
+        assert!(i < m, "row {i} out of bounds for {m} rows");
+        assert_eq!(out.len(), self.cols, "row length must equal column count");
+        for (c, o) in out.iter_mut().enumerate() {
+            *o = self.rows[simd::blocked_index(i, c, self.cols, m)];
+        }
     }
 
     /// Current per-row weights.
@@ -199,7 +218,8 @@ impl NormalEq {
         &self.solution
     }
 
-    /// Appends a row with unit weight.
+    /// Appends a row with unit weight, as a tail row; the fourth tail
+    /// row turns the four into a block.
     ///
     /// # Panics
     ///
@@ -210,13 +230,20 @@ impl NormalEq {
         self.rows.extend_from_slice(a);
         self.rhs.push(k);
         self.weights.push(1.0);
+        if self.rhs.len().is_multiple_of(4) {
+            let start = self.rows.len() - 4 * self.cols;
+            simd::block_rows(&mut self.rows[start..], self.cols);
+        }
         self.stale = true;
     }
 
     /// Removes the first `count` rows in one batched front drain — the
     /// sliding-window case, where evicted reads retire the oldest
     /// equations. The surviving rows shift down with a single `memmove`
-    /// instead of `count` of them.
+    /// instead of `count` of them. When `count` is not a multiple of
+    /// four, the survivors no longer sit in their blocks' lanes, so the
+    /// drain unblocks the rows, shifts them and blocks them again: O(m),
+    /// as the `memmove` is.
     ///
     /// # Panics
     ///
@@ -226,19 +253,26 @@ impl NormalEq {
         if count == 0 {
             return;
         }
+        let realign = !count.is_multiple_of(4);
+        if realign {
+            simd::unblock_rows(&mut self.rows, self.cols);
+        }
         let old = self.rows.len();
         self.rows.copy_within(count * self.cols.., 0);
         self.rows.truncate(old - count * self.cols);
+        if realign {
+            simd::block_rows(&mut self.rows, self.cols);
+        }
         self.rhs.drain(..count);
         self.weights.drain(..count);
         self.stale = true;
     }
 
     /// Replaces the row at `at` in place (resetting its weight to 1),
-    /// with no row shuffling. This is the refresh primitive for
-    /// equations whose underlying data changed (e.g. a smoothed phase
-    /// near a window boundary) while their position in the system did
-    /// not.
+    /// with no row shuffling: a scatter into the row's block, or a copy
+    /// into its tail row. This is the refresh primitive for equations
+    /// whose underlying data changed (e.g. a smoothed phase near a window
+    /// boundary) while their position in the system did not.
     ///
     /// # Panics
     ///
@@ -246,9 +280,11 @@ impl NormalEq {
     /// of bounds.
     pub fn replace_row(&mut self, at: usize, a: &[f64], k: f64) {
         assert_eq!(a.len(), self.cols, "row length must equal column count");
-        assert!(at < self.rhs.len(), "replace position out of bounds");
-        let start = at * self.cols;
-        self.rows[start..start + self.cols].copy_from_slice(a);
+        let m = self.rhs.len();
+        assert!(at < m, "replace position out of bounds");
+        for (c, &v) in a.iter().enumerate() {
+            self.rows[simd::blocked_index(at, c, self.cols, m)] = v;
+        }
         self.rhs[at] = k;
         self.weights[at] = 1.0;
         self.stale = true;
@@ -329,10 +365,11 @@ impl NormalEq {
     }
 
     /// Rebuild for the column counts the localizers actually use (2 for
-    /// a collinear radical-line system, 3 for 2D, 4 for 3D): one pass of
-    /// [`crate::simd::gram_fixed`] with the sums held in registers, then
-    /// a single store. [`crate::simd::gram_into`] sums in the same order
-    /// at the other widths.
+    /// a collinear radical-line system, 3 for 2D, 4 for 3D):
+    /// [`crate::simd::gram_fixed`] over the blocked rows with the sums
+    /// held in registers, then a single store.
+    /// [`crate::simd::gram_into`] sums in the same order at the other
+    /// widths.
     fn rebuild_fixed<const N: usize>(&mut self) {
         let (gram, atk) = crate::simd::gram_fixed::<N>(&self.rows, &self.rhs, &self.weights);
         for r in 0..N {
@@ -390,13 +427,10 @@ impl NormalEq {
             3 => simd::residuals_fixed::<3>(&self.rows, &self.rhs, fixed(x), out),
             4 => simd::residuals_fixed::<4>(&self.rows, &self.rhs, fixed(x), out),
             _ => {
-                for ((a, &k), o) in self
-                    .rows
-                    .chunks_exact(self.cols)
-                    .zip(&self.rhs)
-                    .zip(out.iter_mut())
-                {
-                    let dot: f64 = a.iter().zip(x).map(|(p, q)| p * q).sum();
+                let (cols, m) = (self.cols, self.rhs.len());
+                for (i, (&k, o)) in self.rhs.iter().zip(out.iter_mut()).enumerate() {
+                    let a = |c: usize| self.rows[simd::blocked_index(i, c, cols, m)];
+                    let dot: f64 = x[..cols].iter().enumerate().map(|(c, q)| a(c) * q).sum();
                     *o = dot - k;
                 }
                 simd::sum_sumsq(out)
@@ -751,8 +785,10 @@ mod tests {
         ne.solve().unwrap();
         ne.remove_rows_front(3);
         assert_eq!(ne.rows(), 5);
+        let mut row = [0.0; 2];
         for (i, (a, _)) in rows[3..].iter().enumerate() {
-            assert_eq!(ne.row(i), a.as_slice());
+            ne.row_into(i, &mut row);
+            assert_eq!(&row, a);
         }
         let sol = ne.solve().unwrap().to_vec();
         let qr = qr_weighted(&rows[3..], &[1.0; 5]);
@@ -780,7 +816,9 @@ mod tests {
         for (p, q) in sol.iter().zip(&qr) {
             assert!((p - q).abs() < 1e-9, "{sol:?} vs {qr:?}");
         }
-        assert_eq!(ne.row(7), clean.0.as_slice());
+        let mut row = [0.0; 2];
+        ne.row_into(7, &mut row);
+        assert_eq!(row, clean.0);
         // The clean line is recovered.
         assert!((sol[0] - 2.0).abs() < 1e-9 && (sol[1] - 1.0).abs() < 1e-9);
     }

@@ -5,9 +5,9 @@
 //! smoothing, radical-line row assembly, the fixed-width Gram
 //! accumulation behind [`crate::NormalEq`], the IRLS reweight (the
 //! fixed-width residual pass with its fused `(Σr, Σr²)`
-//! ([`residuals_fixed`]), the Gaussian weights with exponent and
-//! exponential in one pass ([`gaussian_weights`]), and the bare
-//! exponential ([`exp_non_positive`])), and the circular resultant
+//! ([`residuals_fixed`]), the Gaussian weights with their exponent and
+//! exponential ([`gaussian_weights`]), and the bare exponential
+//! ([`exp_non_positive`])), and the circular resultant
 //! `(Σ sin α, Σ cos α)` behind every circular mean and the phase-offset
 //! fit of paper Eq. 17 ([`sin_cos_sums`], and [`phase_offset_sums`],
 //! which derives each `α` from a read on the fly). Each kernel exists
@@ -53,6 +53,18 @@
 //! entry, [`weighted_sums`] the σ̂ inputs `Σw` and `Σw·r²`, and
 //! [`sin_cos_sums`] and [`phase_offset_sums`] the resultant's `Σ sin` and
 //! `Σ cos`.
+//!
+//! # Row storage
+//!
+//! The row, Gram and residual kernels share one layout for a system's
+//! rows, [`blocked_index`]'s, which [`crate::NormalEq`] stores: in each
+//! whole block of four rows, column 0 of the four rows comes first, then
+//! column 1, and so on, and the `m mod 4` tail rows stay row-major. A
+//! vector load or store is then one column of four rows, row `i` in lane
+//! `i mod 4`, which is exactly the interleaved lane order above, so the
+//! vector twins move whole columns with no transposes. [`block_rows`]
+//! and [`unblock_rows`] convert between this layout and row-major in
+//! place.
 //!
 //! The resultant meets the contract without libm on its hot path: its
 //! sine and cosine ([`sin_cos`]) are a Cody–Waite reduction by π/2 and
@@ -290,13 +302,17 @@ fn exp_one(x: f64) -> f64 {
 }
 
 /// The paper's Gaussian reliability weights (Eq. 15),
-/// `out[i] = exp(−(rᵢ − μ)²·inv_two_sigma2)`, exponent and exponential in
-/// one pass. `inv_two_sigma2 = 1/(2σ²)` must be non-negative, and
-/// `out.len() == residuals.len()`.
+/// `out[i] = exp(−(rᵢ − μ)²·inv_two_sigma2)`. `inv_two_sigma2 = 1/(2σ²)`
+/// must be non-negative, and `out.len() == residuals.len()`.
 ///
 /// Each weight is [`exp_non_positive`] of `−(d·d)·inv_two_sigma2` with
 /// `d = rᵢ − μ`, so the result is bit-identical to writing the exponents
-/// out and exponentiating them in a second pass.
+/// out and exponentiating them in a second pass. The AVX2 twin works in
+/// chunks of 64 weights, two passes each: the exponent and the
+/// Cody–Waite reduction into two stack buffers, then the polynomial and
+/// the `2ⁿ` scale. One weight's exp is a long dependency chain, and the
+/// split lets each pass overlap independent lanes; the arithmetic per
+/// lane is unchanged.
 pub fn gaussian_weights(residuals: &[f64], mu: f64, inv_two_sigma2: f64, out: &mut [f64]) {
     // The vector twins read `residuals` at every index of `out`.
     assert_eq!(residuals.len(), out.len(), "one weight per residual");
@@ -433,19 +449,108 @@ fn sliding_mean_interior(n: usize, window: usize) -> (usize, usize) {
 }
 
 // ---------------------------------------------------------------------------
+// Row storage: blocks of four rows, columns inside each block.
+// ---------------------------------------------------------------------------
+
+/// Where entry `c` of row `i` sits in the blocked storage of `m` rows of
+/// `cols` columns, the layout the row ([`radical_rows`]), Gram
+/// ([`gram_fixed`], [`gram_into`]) and residual ([`residuals_fixed`])
+/// kernels share. In each whole block of four rows, column 0 of the four
+/// rows comes first, then column 1, and so on: one vector load is one
+/// column of four rows, row `i` in lane `i mod 4`, which is the lane
+/// order every row sum uses. The `m mod 4` tail rows after the last whole
+/// block stay row-major.
+#[inline]
+pub fn blocked_index(i: usize, c: usize, cols: usize, m: usize) -> usize {
+    if i < m - m % LANES {
+        (i - i % LANES) * cols + c * LANES + i % LANES
+    } else {
+        i * cols + c
+    }
+}
+
+/// Rewrites `rows` (row-major, `cols` columns) into the blocked layout of
+/// [`blocked_index`], in place: each whole block of four rows is
+/// transposed, and the tail rows stay as they are.
+pub fn block_rows(rows: &mut [f64], cols: usize) {
+    transpose_blocks(rows, LANES, cols);
+}
+
+/// The inverse of [`block_rows`]: rewrites blocked `rows` as row-major,
+/// in place.
+pub fn unblock_rows(rows: &mut [f64], cols: usize) {
+    transpose_blocks(rows, cols, LANES);
+}
+
+/// Transposes each whole `r·c`-value block of `rows` from a row-major
+/// `r × c` matrix into the row-major `c × r` one, in place. The widths
+/// the localizers solve (2–4 columns) run a copy of each block in
+/// registers; other widths rotate each cycle of the permutation.
+fn transpose_blocks(rows: &mut [f64], r: usize, c: usize) {
+    match (r, c) {
+        (LANES, 2) => transpose_fixed::<LANES, 2>(rows),
+        (LANES, 3) => transpose_fixed::<LANES, 3>(rows),
+        (LANES, 4) => transpose_fixed::<LANES, 4>(rows),
+        (2, LANES) => transpose_fixed::<2, LANES>(rows),
+        (3, LANES) => transpose_fixed::<3, LANES>(rows),
+        _ if r * c > 0 => rows
+            .chunks_exact_mut(r * c)
+            .for_each(|b| transpose_cycles(b, r, c)),
+        _ => {}
+    }
+}
+
+/// [`transpose_blocks`] at a fixed shape: each block is read into a
+/// `R × C` array and written back column by column.
+fn transpose_fixed<const R: usize, const C: usize>(rows: &mut [f64]) {
+    for b in rows.chunks_exact_mut(R * C) {
+        let copy: [[f64; C]; R] = std::array::from_fn(|i| std::array::from_fn(|j| b[i * C + j]));
+        for (j, out) in b.chunks_exact_mut(R).enumerate() {
+            for (i, o) in out.iter_mut().enumerate() {
+                *o = copy[i][j];
+            }
+        }
+    }
+}
+
+/// Transposes one row-major `r × c` block in place with no scratch, by
+/// rotating each cycle of the permutation once, from its smallest index.
+fn transpose_cycles(b: &mut [f64], r: usize, c: usize) {
+    let dest = |p: usize| (p % c) * r + p / c;
+    for start in 1..b.len() {
+        let mut p = dest(start);
+        while p > start {
+            p = dest(p);
+        }
+        if p < start {
+            continue; // an earlier start already rotated this cycle
+        }
+        let mut carry = b[start];
+        let mut p = dest(start);
+        while p != start {
+            std::mem::swap(&mut b[p], &mut carry);
+            p = dest(p);
+        }
+        b[start] = carry;
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Kernel 4: radical-line row assembly (paper Eqs. 7, 9, 12).
 // ---------------------------------------------------------------------------
 
 /// Assembles the stacked radical-line system from axis-major coordinates.
 ///
 /// `coords` holds `k` contiguous axis slices of length `n` (axis `c` at
-/// `coords[c·n .. (c+1)·n]`); `deltas` has length `n`. Pair `(i, j)` from
-/// the parallel `pair_i`/`pair_j` index slices becomes one row of
-/// `design` (row-major, `k + 1` columns), exactly [`radical_row`]'s. The
-/// AVX2 twin assembles four rows per step for `k = 1, 2, 3` (gathers,
-/// then a transpose back to row-major that writes whole rows and never
-/// past `rhs.len()·(k + 1)`), so every backend produces bit-identical
-/// systems.
+/// `coords[c·n .. (c+1)·n]`); `deltas` has length `n`. Pair `r`,
+/// `(pair_i[r], pair_j[r])`, becomes row `r` of `design` (`k + 1`
+/// columns, in the blocked layout of
+/// [`blocked_index`]), exactly [`radical_row`]'s. The AVX2 twin assembles
+/// four rows per step for `k = 1, 2, 3`: its gathers yield one column of
+/// four rows per vector, which it stores whole into the block, never past
+/// `rhs.len()·(k + 1)`. The scalar twin writes rows row-major and blocks
+/// them in place ([`block_rows`]), so every backend produces
+/// bit-identical systems.
 ///
 /// Indices are `i32` so the x86 path can feed them straight into vector
 /// gathers.
@@ -497,24 +602,15 @@ pub fn radical_rows_scalar(
     design: &mut [f64],
     rhs: &mut [f64],
 ) {
-    radical_rows_range(
-        coords,
-        n,
-        k,
-        deltas,
-        pair_i,
-        pair_j,
-        design,
-        rhs,
-        0,
-        rhs.len(),
-    );
+    radical_rows_from(coords, n, k, deltas, pair_i, pair_j, design, rhs, 0);
 }
 
-/// The scalar row loop over rows `[from, to)`; SIMD backends use it for
-/// `k > 3` and tails.
+/// The scalar rows `from..` (`from` a multiple of four): written
+/// row-major, then their whole blocks transposed in place into the
+/// blocked layout. SIMD backends use it for `k > 3` and the tail, which
+/// stays row-major.
 #[allow(clippy::too_many_arguments)]
-fn radical_rows_range(
+fn radical_rows_from(
     coords: &[f64],
     n: usize,
     k: usize,
@@ -524,16 +620,17 @@ fn radical_rows_range(
     design: &mut [f64],
     rhs: &mut [f64],
     from: usize,
-    to: usize,
 ) {
+    debug_assert_eq!(from % LANES, 0);
     let stride = k + 1;
-    for row in from..to {
+    for row in from..rhs.len() {
         let i = pair_i[row] as usize;
         let j = pair_j[row] as usize;
         let ends = (0..k).map(|c| (coords[c * n + i], coords[c * n + j]));
         let out = &mut design[row * stride..row * stride + stride];
         rhs[row] = radical_row(ends, deltas[i], deltas[j], out);
     }
+    block_rows(&mut design[from * stride..], stride);
 }
 
 /// One radical-line row (paper Eqs. 7, 9, 12) for the pair `(i, j)`:
@@ -567,7 +664,8 @@ pub fn radical_row(
 // ---------------------------------------------------------------------------
 
 /// Sums `Σ wᵢ·aᵢaᵢᵀ` (lower triangle; upper entries stay 0) and
-/// `Σ wᵢ·aᵢ·kᵢ` over every stored row.
+/// `Σ wᵢ·aᵢ·kᵢ` over every stored row; `rows` is in the blocked layout
+/// of [`blocked_index`].
 /// `weights[i]` is the stored weight of row `i`; each term is
 /// `(wᵢ·aᵢ[r])·aᵢ[c]` or `(wᵢ·aᵢ[r])·kᵢ`, with `wᵢ·aᵢ[r]` rounded and
 /// the second product fused into its partial sum
@@ -576,10 +674,10 @@ pub fn radical_row(
 /// Every entry is summed in [`sum_sumsq`]'s lane order: row `i` of every
 /// whole block of four adds into partial sum `i mod 4`, the partials
 /// combine as `(l0 + l1) + (l2 + l3)`, and the tail rows are added after
-/// that. The AVX2 twin transposes each block of four rows into columns
-/// (row `i` in lane `i mod 4`), so its one accumulator per entry holds
-/// exactly the scalar twin's four partial sums; [`gram_into`] sums the
-/// same terms in the same order at any width.
+/// that. The AVX2 twin loads each column of a block as one vector (row
+/// `i` in lane `i mod 4`), so its one accumulator per entry holds exactly
+/// the scalar twin's four partial sums; [`gram_into`] sums the same terms
+/// in the same order at any width.
 pub fn gram_fixed<const N: usize>(
     rows: &[f64],
     rhs: &[f64],
@@ -625,13 +723,13 @@ pub fn gram_fixed_scalar<const N: usize>(
     (gram, atk)
 }
 
-/// [`gram_fixed`]'s sums at a runtime width `cols`, in the same order,
-/// written into `gram` (`cols × cols` row-major, lower triangle; the rest
-/// is zeroed) and `atk` (`cols`). `lanes` is scratch for the partial
-/// sums. The AVX2 backend runs the scalar body compiled with FMA enabled,
-/// so each `mul_add` is one `vfmadd` instruction instead of a libm
-/// `fma` call; the arithmetic is the same, so the results are
-/// bit-identical.
+/// [`gram_fixed`]'s sums at a runtime width `cols` over the same blocked
+/// rows, in the same order, written into `gram` (`cols × cols`
+/// row-major, lower triangle; the rest is zeroed) and `atk` (`cols`).
+/// `lanes` is scratch for the partial sums. The AVX2 backend runs the
+/// scalar body compiled with FMA enabled, so each `mul_add` is one
+/// `vfmadd` instruction instead of a libm `fma` call; the arithmetic is
+/// the same, so the results are bit-identical.
 ///
 /// # Panics
 ///
@@ -665,11 +763,12 @@ pub fn gram_into(
     }
 }
 
-/// The scalar Gram sums at width `cols`: the whole blocks' rows into the
-/// zeroed partial sums `lanes` (`[gram, atk]`, four consecutive copies
-/// of each), combined into `gram`/`atk`, then the tail rows. Always
-/// inlined, so the FMA-enabled AVX2 twin of [`gram_into`] compiles its
-/// own copy with `vfmadd` instructions.
+/// The scalar Gram sums at width `cols` over blocked `rows`: row `l` of
+/// every whole block into the zeroed partial sums `l` of `lanes`
+/// (`[gram, atk]`, four consecutive copies of each), combined into
+/// `gram`/`atk`, then the row-major tail rows. Always inlined, so the
+/// FMA-enabled AVX2 twin of [`gram_into`] compiles its own copy with
+/// `vfmadd` instructions.
 #[inline(always)]
 fn gram_lanes(
     rows: &[f64],
@@ -683,29 +782,35 @@ fn gram_lanes(
     assert_eq!(weights.len(), rhs.len(), "one weight per row");
     let [lane_gram, lane_atk] = lanes;
     let whole = rhs.len() - rhs.len() % LANES;
-    let rows_k_w = rows.chunks_exact(cols).zip(rhs).zip(weights);
-    for (i, ((a, &k), &w)) in rows_k_w.clone().take(whole).enumerate() {
-        let l = i % LANES;
-        let g = &mut lane_gram[l * cols * cols..(l + 1) * cols * cols];
-        gram_add_row(g, &mut lane_atk[l * cols..(l + 1) * cols], a, k, w);
+    let blocks = rows[..whole * cols]
+        .chunks_exact(LANES * cols)
+        .zip(rhs.chunks_exact(LANES))
+        .zip(weights.chunks_exact(LANES));
+    for ((b, k), w) in blocks {
+        let parts = lane_gram.chunks_exact_mut(cols * cols);
+        for (l, (g, t)) in parts.zip(lane_atk.chunks_exact_mut(cols)).enumerate() {
+            gram_add_row(g, t, |c| b[c * LANES + l], k[l], w[l]);
+        }
     }
     combine_lanes(lane_gram, gram);
     combine_lanes(lane_atk, atk);
-    for ((a, &k), &w) in rows_k_w.skip(whole) {
-        gram_add_row(gram, atk, a, k, w);
+    let tail = rows[whole * cols..].chunks_exact(cols).zip(&rhs[whole..]);
+    for ((a, &k), &w) in tail.zip(&weights[whole..]) {
+        gram_add_row(gram, atk, |c| a[c], k, w);
     }
 }
 
 /// Adds one row's terms into a set of sums: the lower triangle of
-/// `w·a·aᵀ` into `gram` (`a.len()` square, row-major) and `w·a·k` into
-/// `atk`, each product fused into its sum.
+/// `w·a·aᵀ` into `gram` (`atk.len()` square, row-major) and `w·a·k` into
+/// `atk`, each product fused into its sum. `a(c)` is the row's entry in
+/// column `c`.
 #[inline(always)]
-fn gram_add_row(gram: &mut [f64], atk: &mut [f64], a: &[f64], k: f64, w: f64) {
-    let cols = a.len();
-    for (r, (&ar, t)) in a.iter().zip(atk.iter_mut()).enumerate() {
-        let wa = w * ar;
-        for (g, &ac) in gram[r * cols..=r * cols + r].iter_mut().zip(a) {
-            *g = wa.mul_add(ac, *g);
+fn gram_add_row(gram: &mut [f64], atk: &mut [f64], a: impl Fn(usize) -> f64, k: f64, w: f64) {
+    let cols = atk.len();
+    for (r, t) in atk.iter_mut().enumerate() {
+        let wa = w * a(r);
+        for (c, g) in gram[r * cols..=r * cols + r].iter_mut().enumerate() {
+            *g = wa.mul_add(a(c), *g);
         }
         *t = wa.mul_add(k, *t);
     }
@@ -809,18 +914,19 @@ pub fn weighted_sums(weights: &[f64], residuals: &[f64]) -> (f64, f64) {
     lanes.finish(tail.map(|(&w, &r)| (w, w * r * r)))
 }
 
-/// Residuals `rᵢ = aᵢ·x − kᵢ` of every row into `out`
-/// (`out.len() == rhs.len()`), returning `(Σr, Σr²)` over them in
-/// [`sum_sumsq`]'s order. Each dot product adds its columns left to right,
-/// every column after the first fused into the running sum:
-/// `fma(a₃, x₃, fma(a₂, x₂, fma(a₁, x₁, a₀x₀)))`, then `− kᵢ`. `Σr²`
-/// squares each residual before adding it, as [`sum_sumsq`] does.
+/// Residuals `rᵢ = aᵢ·x − kᵢ` of every row of the blocked `rows`
+/// ([`blocked_index`]) into `out` (`out.len() == rhs.len()`), returning
+/// `(Σr, Σr²)` over them in [`sum_sumsq`]'s order. Each dot product adds
+/// its columns left to right, every column after the first fused into
+/// the running sum: `fma(a₃, x₃, fma(a₂, x₂, fma(a₁, x₁, a₀x₀)))`, then
+/// `− kᵢ`. `Σr²` squares each residual before adding it, as
+/// [`sum_sumsq`] does.
 ///
 /// The AVX2 twin computes four rows per vector (row `i` in lane
-/// `i mod 4`, columns transposed out of the row-major block by
-/// shuffles) and keeps the four partial sums in one register each for
-/// `Σr` and `Σr²`, so the scalar twin's interleaved order is its natural
-/// one. `1 ≤ N`; the vector path covers `2 ≤ N ≤ 4`.
+/// `i mod 4`, each column one load from the block) and keeps the four
+/// partial sums in one register each for `Σr` and `Σr²`, so the scalar
+/// twin's interleaved order is its natural one. `1 ≤ N`; the vector path
+/// covers `2 ≤ N ≤ 4`.
 pub fn residuals_fixed<const N: usize>(
     rows: &[f64],
     rhs: &[f64],
@@ -858,9 +964,11 @@ pub fn residuals_fixed_scalar<const N: usize>(
         .chunks_exact_mut(LANES)
         .zip(rows.chunks_exact(LANES * N))
         .zip(rhs.chunks_exact(LANES));
-    for ((o, a), k) in blocks {
-        let r: [f64; LANES] =
-            std::array::from_fn(|l| residual::<N>(&a[l * N..(l + 1) * N], x, k[l]));
+    for ((o, b), k) in blocks {
+        let r: [f64; LANES] = std::array::from_fn(|l| {
+            let a: [f64; N] = std::array::from_fn(|c| b[c * LANES + l]);
+            residual::<N>(&a, x, k[l])
+        });
         o.copy_from_slice(&r);
         lanes.add_block(r, r.map(|r| r * r));
     }
@@ -878,7 +986,8 @@ fn residual<const N: usize>(a: &[f64], x: &[f64; N], k: f64) -> f64 {
     dot - k
 }
 
-/// The residuals of rows `from..`, one at a time; every backend's tail.
+/// The residuals of the row-major tail rows `from..`, one at a time;
+/// every backend's tail.
 fn residual_tail<const N: usize>(
     rows: &[f64],
     rhs: &[f64],
@@ -1081,11 +1190,12 @@ mod avx2 {
         p
     }
 
-    /// Four lanes of [`super::exp_one`], with `fmadd` where it calls
-    /// `mul_add`.
+    /// The first half of [`exp4`]: the clamp and the Cody–Waite
+    /// reduction, returning the reduced argument `r` and the shift-trick
+    /// sum `t` whose low mantissa bits hold `n`.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn exp4(x: __m256d) -> __m256d {
+    unsafe fn exp_reduce4(x: __m256d) -> (__m256d, __m256d) {
         let set = _mm256_set1_pd;
         let v = _mm256_max_pd(x, set(-690.0));
         let shift = set(SHIFT);
@@ -1095,12 +1205,29 @@ mod avx2 {
             _mm256_sub_pd(v, _mm256_mul_pd(nv, set(LN2_HI))),
             _mm256_mul_pd(nv, set(LN2_LO)),
         );
+        (r, t)
+    }
+
+    /// The second half of [`exp4`]: the polynomial in `r` and the exact
+    /// `2ⁿ` scale from `t`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn exp_finish4(r: __m256d, t: __m256d) -> __m256d {
         let p = horner4(r, &EXP_C);
         let scale = _mm256_castsi256_pd(_mm256_slli_epi64(
             _mm256_add_epi64(_mm256_castpd_si256(t), _mm256_set1_epi64x(1023)),
             52,
         ));
         _mm256_mul_pd(p, scale)
+    }
+
+    /// Four lanes of [`super::exp_one`], with `fmadd` where it calls
+    /// `mul_add`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn exp4(x: __m256d) -> __m256d {
+        let (r, t) = exp_reduce4(x);
+        exp_finish4(r, t)
     }
 
     /// # Safety
@@ -1117,6 +1244,16 @@ mod avx2 {
         super::exp_non_positive_scalar(&mut xs[i..]);
     }
 
+    /// Weights per pass of [`gaussian_weights`]: the reduced arguments
+    /// and shift sums of one chunk fit in two 512-byte stack buffers.
+    const CHUNK: usize = 64;
+
+    /// [`exp4`] of each exponent in two passes per chunk of [`CHUNK`]
+    /// weights: the exponent and the reduction into `r` and `t`, then the
+    /// polynomial and the scale. One weight's exp is a long dependency
+    /// chain; split in two, each pass has only independent lanes to
+    /// overlap. The arithmetic per lane is `exp4`'s.
+    ///
     /// # Safety
     /// Caller must have verified AVX2 and FMA support and
     /// `out.len() == residuals.len()`.
@@ -1128,117 +1265,29 @@ mod avx2 {
         out: &mut [f64],
     ) {
         let n = out.len();
+        let whole = n - n % LANES;
         let muv = _mm256_set1_pd(mu);
         let inv = _mm256_set1_pd(inv_two_sigma2);
         // XOR with −0.0 flips the sign bit: the scalar `-(d * d)`.
         let sign = _mm256_set1_pd(-0.0);
-        let mut i = 0;
-        while i + 4 <= n {
-            let d = _mm256_sub_pd(_mm256_loadu_pd(residuals.as_ptr().add(i)), muv);
-            let x = _mm256_mul_pd(_mm256_xor_pd(_mm256_mul_pd(d, d), sign), inv);
-            _mm256_storeu_pd(out.as_mut_ptr().add(i), exp4(x));
-            i += 4;
-        }
-        super::gaussian_weights_scalar(&residuals[i..], mu, inv_two_sigma2, &mut out[i..]);
-    }
-
-    /// The `N` columns of the four rows stored from `base` (row-major,
-    /// `N` columns): entry `c` holds column `c`, row `i` in lane `i`.
-    ///
-    /// # Safety
-    /// AVX2 and FMA; `2 ≤ N ≤ 4`; `4·N` readable values from `base`.
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn columns<const N: usize>(base: *const f64) -> [__m256d; N] {
-        let mut out = [_mm256_setzero_pd(); N];
-        match N {
-            2 => {
-                let u0 = _mm256_loadu2_m128d(base.add(4), base); // a00 a01 | a20 a21
-                let u1 = _mm256_loadu2_m128d(base.add(6), base.add(2)); // a10 a11 | a30 a31
-                out[0] = _mm256_unpacklo_pd(u0, u1); // a00 a10 a20 a30
-                out[1] = _mm256_unpackhi_pd(u0, u1); // a01 a11 a21 a31
+        let (mut rs, mut ts) = ([0.0; CHUNK], [0.0; CHUNK]);
+        for from in (0..whole).step_by(CHUNK) {
+            let len = CHUNK.min(whole - from);
+            for i in (0..len).step_by(LANES) {
+                let d = _mm256_sub_pd(_mm256_loadu_pd(residuals.as_ptr().add(from + i)), muv);
+                let x = _mm256_mul_pd(_mm256_xor_pd(_mm256_mul_pd(d, d), sign), inv);
+                let (r, t) = exp_reduce4(x);
+                _mm256_storeu_pd(rs.as_mut_ptr().add(i), r);
+                _mm256_storeu_pd(ts.as_mut_ptr().add(i), t);
             }
-            3 => {
-                let v0 = _mm256_loadu_pd(base); // a00 a01 a02 a10
-                let v1 = _mm256_loadu_pd(base.add(4)); // a11 a12 a20 a21
-                let v2 = _mm256_loadu_pd(base.add(8)); // a22 a30 a31 a32
-                let ad = _mm256_blend_pd::<0b1100>(v0, v1); // a00 a01 | a20 a21
-                let be = _mm256_permute2f128_pd::<0x21>(v0, v2); // a02 a10 | a22 a30
-                let cf = _mm256_blend_pd::<0b1100>(v1, v2); // a11 a12 | a31 a32
-                out[0] = _mm256_shuffle_pd::<0b1010>(ad, be); // a00 a10 a20 a30
-                out[1] = _mm256_shuffle_pd::<0b0101>(ad, cf); // a01 a11 a21 a31
-                out[2] = _mm256_shuffle_pd::<0b1010>(be, cf); // a02 a12 a22 a32
-            }
-            _ => {
-                let u0 = _mm256_loadu2_m128d(base.add(8), base); // a00 a01 | a20 a21
-                let u1 = _mm256_loadu2_m128d(base.add(12), base.add(4)); // a10 a11 | a30 a31
-                let u2 = _mm256_loadu2_m128d(base.add(10), base.add(2)); // a02 a03 | a22 a23
-                let u3 = _mm256_loadu2_m128d(base.add(14), base.add(6)); // a12 a13 | a32 a33
-                out[0] = _mm256_unpacklo_pd(u0, u1); // a00 a10 a20 a30
-                out[1] = _mm256_unpackhi_pd(u0, u1); // a01 a11 a21 a31
-                out[2] = _mm256_unpacklo_pd(u2, u3); // a02 a12 a22 a32
-                out[3] = _mm256_unpackhi_pd(u2, u3); // a03 a13 a23 a33
+            for i in (0..len).step_by(LANES) {
+                let r = _mm256_loadu_pd(rs.as_ptr().add(i));
+                let t = _mm256_loadu_pd(ts.as_ptr().add(i));
+                _mm256_storeu_pd(out.as_mut_ptr().add(from + i), exp_finish4(r, t));
             }
         }
-        out
-    }
-
-    /// The inverse of [`columns`]: stores four rows of `N` columns
-    /// (column `c` in `cols[c]`, row `i` in lane `i`) row-major from
-    /// `base`, writing exactly `4·N` values.
-    ///
-    /// # Safety
-    /// AVX2 and FMA; `2 ≤ N ≤ 4`; `4·N` writable values from `base`.
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn store_rows<const N: usize>(base: *mut f64, cols: &[__m256d; N]) {
-        match N {
-            2 => {
-                let lo = _mm256_unpacklo_pd(cols[0], cols[1]); // a00 a01 | a20 a21
-                let hi = _mm256_unpackhi_pd(cols[0], cols[1]); // a10 a11 | a30 a31
-                _mm256_storeu2_m128d(base.add(4), base, lo);
-                _mm256_storeu2_m128d(base.add(6), base.add(2), hi);
-            }
-            3 => {
-                let ad = _mm256_unpacklo_pd(cols[0], cols[1]); // a00 a01 | a20 a21
-                let cf = _mm256_unpackhi_pd(cols[1], cols[2]); // a11 a12 | a31 a32
-                let be = _mm256_shuffle_pd::<0b1010>(cols[2], cols[0]); // a02 a10 | a22 a30
-                let v0 = _mm256_permute2f128_pd::<0x20>(ad, be); // a00 a01 a02 a10
-                let v1 = _mm256_blend_pd::<0b1100>(cf, ad); // a11 a12 a20 a21
-                let v2 = _mm256_permute2f128_pd::<0x31>(be, cf); // a22 a30 a31 a32
-                _mm256_storeu_pd(base, v0);
-                _mm256_storeu_pd(base.add(4), v1);
-                _mm256_storeu_pd(base.add(8), v2);
-            }
-            _ => {
-                let t0 = _mm256_unpacklo_pd(cols[0], cols[1]); // a00 a01 | a20 a21
-                let t1 = _mm256_unpackhi_pd(cols[0], cols[1]); // a10 a11 | a30 a31
-                let t2 = _mm256_unpacklo_pd(cols[2], cols[3]); // a02 a03 | a22 a23
-                let t3 = _mm256_unpackhi_pd(cols[2], cols[3]); // a12 a13 | a32 a33
-                _mm256_storeu2_m128d(base.add(8), base, t0);
-                _mm256_storeu2_m128d(base.add(12), base.add(4), t1);
-                _mm256_storeu2_m128d(base.add(10), base.add(2), t2);
-                _mm256_storeu2_m128d(base.add(14), base.add(6), t3);
-            }
-        }
-    }
-
-    /// The dot products `aᵢ·x` of the four rows stored from `base`
-    /// (row-major, `N` columns), row `i` in lane `i`. The columns are
-    /// transposed out of the block first, so each lane fuses its terms
-    /// into the sum left to right like [`super::residual`].
-    ///
-    /// # Safety
-    /// AVX2 and FMA; `2 ≤ N ≤ 4`; `4·N` readable values from `base`.
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn dot4<const N: usize>(base: *const f64, x: &[__m256d; N]) -> __m256d {
-        let a = columns::<N>(base);
-        let mut dot = _mm256_mul_pd(a[0], x[0]);
-        for c in 1..N {
-            dot = _mm256_fmadd_pd(a[c], x[c], dot);
-        }
-        dot
+        let (tail, out_tail) = (&residuals[whole..], &mut out[whole..]);
+        super::gaussian_weights_scalar(tail, mu, inv_two_sigma2, out_tail);
     }
 
     /// # Safety
@@ -1261,7 +1310,14 @@ mod avx2 {
         let mut sumsq = _mm256_setzero_pd();
         let mut i = 0;
         while i < whole {
-            let dot = dot4::<N>(rows.as_ptr().add(i * N), &xv);
+            // Column c of the block's four rows is one load, row `i` in
+            // lane `i mod 4`; each lane fuses its terms left to right
+            // like [`super::residual`].
+            let base = rows.as_ptr().add(i * N);
+            let mut dot = _mm256_mul_pd(_mm256_loadu_pd(base), xv[0]);
+            for (c, &xc) in xv.iter().enumerate().skip(1) {
+                dot = _mm256_fmadd_pd(_mm256_loadu_pd(base.add(c * LANES)), xc, dot);
+            }
             let r = _mm256_sub_pd(dot, _mm256_loadu_pd(rhs.as_ptr().add(i)));
             _mm256_storeu_pd(out.as_mut_ptr().add(i), r);
             sum = _mm256_add_pd(sum, r);
@@ -1349,13 +1405,13 @@ mod avx2 {
             3 => radical_blocks::<3, 4>(coords, n, deltas, pair_i, pair_j, design, rhs),
             _ => 0,
         };
-        let m = rhs.len();
-        super::radical_rows_range(coords, n, k, deltas, pair_i, pair_j, design, rhs, whole, m);
+        super::radical_rows_from(coords, n, k, deltas, pair_i, pair_j, design, rhs, whole);
     }
 
     /// The whole blocks of four rows of [`radical_rows`] for `K` axes
-    /// (`C = K + 1` columns), each lane repeating [`super::radical_row`];
-    /// returns the number of rows written.
+    /// (`C = K + 1` columns), each lane repeating [`super::radical_row`]
+    /// and each gathered column stored whole into its block; returns the
+    /// number of rows written.
     ///
     /// # Safety
     /// AVX2 and FMA, the slice lengths [`super::radical_rows`] asserts,
@@ -1392,21 +1448,23 @@ mod avx2 {
             let jj = _mm_min_epu32(jj_raw, last);
             let same = _mm_and_si128(_mm_cmpeq_epi32(ii, ii_raw), _mm_cmpeq_epi32(jj, jj_raw));
             in_bounds = _mm_and_si128(in_bounds, same);
-            let mut cols = [_mm256_setzero_pd(); C];
+            // Column c of the block's four rows is one store.
+            let block = design.as_mut_ptr().add(row * C);
             let mut kappa = _mm256_setzero_pd();
-            for (c, col) in cols[..K].iter_mut().enumerate() {
+            for c in 0..K {
                 let axis = coords.as_ptr().add(c * n);
                 let ci = _mm256_i32gather_pd::<8>(axis, ii);
                 let cj = _mm256_i32gather_pd::<8>(axis, jj);
-                *col = _mm256_mul_pd(two, _mm256_sub_pd(ci, cj));
+                let col = _mm256_mul_pd(two, _mm256_sub_pd(ci, cj));
+                _mm256_storeu_pd(block.add(c * LANES), col);
                 let sq = _mm256_sub_pd(_mm256_mul_pd(ci, ci), _mm256_mul_pd(cj, cj));
                 kappa = _mm256_add_pd(kappa, sq);
             }
             let di = _mm256_i32gather_pd::<8>(deltas.as_ptr(), ii);
             let dj = _mm256_i32gather_pd::<8>(deltas.as_ptr(), jj);
-            cols[K] = _mm256_mul_pd(two, _mm256_sub_pd(di, dj));
+            let d_col = _mm256_mul_pd(two, _mm256_sub_pd(di, dj));
+            _mm256_storeu_pd(block.add(K * LANES), d_col);
             let dsq = _mm256_sub_pd(_mm256_mul_pd(di, di), _mm256_mul_pd(dj, dj));
-            store_rows::<C>(design.as_mut_ptr().add(row * C), &cols);
             _mm256_storeu_pd(rhs.as_mut_ptr().add(row), _mm256_sub_pd(kappa, dsq));
             row += LANES;
         }
@@ -1436,6 +1494,36 @@ mod avx2 {
         super::gram_lanes(rows, rhs, weights, cols, lanes, gram, atk);
     }
 
+    /// Adds the Gram rows `range` and their `atk` entries of the first
+    /// `whole` rows into the accumulators.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn gram_pass<const N: usize>(
+        rows: &[f64],
+        rhs: &[f64],
+        weights: &[f64],
+        whole: usize,
+        range: std::ops::Range<usize>,
+        acc: &mut [[__m256d; N]; N],
+        acc_atk: &mut [__m256d; N],
+    ) {
+        let mut i = 0;
+        while i < whole {
+            let block = rows.as_ptr().add(i * N);
+            let col = |c: usize| _mm256_loadu_pd(block.add(c * LANES));
+            let w = _mm256_loadu_pd(weights.as_ptr().add(i));
+            let k = rhs.as_ptr().add(i);
+            for r in range.clone() {
+                let wa = _mm256_mul_pd(w, col(r));
+                for (c, a) in acc[r][..=r].iter_mut().enumerate() {
+                    *a = _mm256_fmadd_pd(wa, col(c), *a);
+                }
+                acc_atk[r] = _mm256_fmadd_pd(wa, _mm256_loadu_pd(k), acc_atk[r]);
+            }
+            i += LANES;
+        }
+    }
+
     /// # Safety
     /// Caller must have verified AVX2 and FMA support; `2 ≤ N ≤ 4`,
     /// `rows.len() == rhs.len()·N` and `weights.len() == rhs.len()`.
@@ -1450,28 +1538,22 @@ mod avx2 {
         // One accumulator per lower-triangle entry and per `atk` entry;
         // lane l of each is the scalar twin's partial sum l. Each term is
         // one `fmadd` into its accumulator, so a block needs no product
-        // temporaries, only its four columns, `w`, `k` and the current
-        // `wa`. For N = 4 that is still 7 + 14 values for 16 registers,
-        // and the release build keeps 6 of the 14 accumulators on the
-        // stack, a load and a store each per block. Splitting the Gram
-        // rows over two passes keeps every accumulator in a register but
-        // measured slower: the second pass reloads and re-transposes
-        // every block, and those shuffles compete with the arithmetic.
+        // temporaries. For N = 4 the 14 accumulators, `w`, `wa` and the
+        // columns would need more than the 16 registers, and LLVM keeps
+        // loaded columns in registers rather than folding each use into
+        // its `fmadd`, so one pass spills accumulators to the stack every
+        // block. Two passes over the blocks, Gram rows 0–2 and then row 3,
+        // keep every accumulator in a register: the second pass re-reads
+        // the blocks, which are already columns, and is still 13–30%
+        // faster than one pass with spills (m = 160–1944). Each
+        // accumulator sums its blocks in order either way.
         let mut acc = [[_mm256_setzero_pd(); N]; N];
         let mut acc_atk = [_mm256_setzero_pd(); N];
-        let mut i = 0;
-        while i < whole {
-            let a = columns::<N>(rows.as_ptr().add(i * N));
-            let w = _mm256_loadu_pd(weights.as_ptr().add(i));
-            let k = _mm256_loadu_pd(rhs.as_ptr().add(i));
-            for r in 0..N {
-                let wa = _mm256_mul_pd(w, a[r]);
-                for c in 0..=r {
-                    acc[r][c] = _mm256_fmadd_pd(wa, a[c], acc[r][c]);
-                }
-                acc_atk[r] = _mm256_fmadd_pd(wa, k, acc_atk[r]);
-            }
-            i += LANES;
+        if N == 4 {
+            gram_pass::<N>(rows, rhs, weights, whole, 0..3, &mut acc, &mut acc_atk);
+            gram_pass::<N>(rows, rhs, weights, whole, 3..4, &mut acc, &mut acc_atk);
+        } else {
+            gram_pass::<N>(rows, rhs, weights, whole, 0..N, &mut acc, &mut acc_atk);
         }
         let mut gram = [[0.0; N]; N];
         let mut atk = [0.0; N];
@@ -1486,8 +1568,9 @@ mod avx2 {
             }
             atk[r] = finish(acc_atk[r]);
         }
-        for ((a, &k), &w) in rows.chunks_exact(N).zip(rhs).zip(weights).skip(whole) {
-            super::gram_add_row(gram.as_flattened_mut(), &mut atk, a, k, w);
+        let tail = rows[whole * N..].chunks_exact(N).zip(&rhs[whole..]);
+        for ((a, &k), &w) in tail.zip(&weights[whole..]) {
+            super::gram_add_row(gram.as_flattened_mut(), &mut atk, |c| a[c], k, w);
         }
         (gram, atk)
     }
@@ -1818,7 +1901,10 @@ mod tests {
                 let x: [f64; N] = std::array::from_fn(|c| 0.5 + c as f64 * 0.25);
                 let mut out = vec![0.0; len];
                 let got = residuals_fixed_scalar::<N>(&rows, rhs, &x, &mut out);
-                let r = |i: usize| residual::<N>(&rows[i * N..(i + 1) * N], &x, rhs[i]);
+                let r = |i: usize| {
+                    let a: [f64; N] = std::array::from_fn(|c| rows[blocked_index(i, c, N, len)]);
+                    residual::<N>(&a, &x, rhs[i])
+                };
                 let want = indexed_lane_sums(len, |i| (r(i), r(i) * r(i)));
                 assert_eq!(bits(got), bits(want), "residuals::<{N}> at {len}");
                 for (i, o) in out.iter().enumerate() {

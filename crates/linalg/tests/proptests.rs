@@ -325,13 +325,17 @@ proptest! {
     // The NormalEq bit-identity gate: a solve is a pure function of the
     // stored rows, rhs and weights, so no interleaving of pushes, front
     // drains, in-place replacements, reweights, uniform resets and solves
-    // may leave a trace. After every step, `solve` and
-    // `covariance_diag_into` must be `==` a fresh bulk load of what the
-    // system holds. Fractional data, so a Gram matrix patched by weight
-    // deltas or row downdates instead of rebuilt would differ in the last
-    // bits. Covers the streaming delta tick's shape (a reweight, then row
-    // edits, then the IRLS restart) and, with 5 columns, the
-    // runtime-width `simd::gram_into` next to the fixed-width kernels.
+    // may leave a trace. After every step, the rows gathered back out of
+    // the blocked storage must equal a plain row list edited alongside,
+    // and `solve` and `covariance_diag_into` must be `==` a fresh bulk
+    // load of that list. Fractional data, so a Gram matrix patched by
+    // weight deltas or row downdates instead of rebuilt would differ in
+    // the last bits. The edits cover the layout's seams: front drains of
+    // every count mod 4 (0–7 rows), pushes that complete a block of four,
+    // and replacements into a whole block and into the row-major tail.
+    // Covers the streaming delta tick's shape (a reweight, then row edits,
+    // then the IRLS restart) and, with 5 columns, the runtime-width
+    // `simd::gram_into` next to the fixed-width kernels.
     #[test]
     fn normal_eq_edits_equal_a_fresh_load(
         cols in 2_usize..6,
@@ -343,26 +347,32 @@ proptest! {
         let mut ne = NormalEq::new();
         ne.begin(cols);
         let mut rhs = pool_k[..cols + 2].to_vec();
+        let mut rows: Vec<&[f64]> = Vec::new();
         for (i, &k) in rhs.iter().enumerate() {
             ne.push_row(pool_row(i), k);
+            rows.push(pool_row(i));
         }
         let mut fresh = NormalEq::new();
         let (mut got, mut want) = (Vec::new(), Vec::new());
+        let mut gathered = vec![0.0; cols];
         for &(kind, i, f) in &ops {
             let m = ne.rows();
             match kind {
                 0 | 1 => {
                     ne.push_row(pool_row(i), pool_k[i]);
+                    rows.push(pool_row(i));
                     rhs.push(pool_k[i]);
                 }
                 2 => {
-                    let count = (i % 4).min(m);
+                    let count = (i % 8).min(m);
                     ne.remove_rows_front(count);
+                    rows.drain(..count);
                     rhs.drain(..count);
                 }
                 3 if m > 0 => {
                     let at = ((f * m as f64) as usize).min(m - 1);
                     ne.replace_row(at, pool_row(i), pool_k[i]);
+                    rows[at] = pool_row(i);
                     rhs[at] = pool_k[i];
                     prop_assert_eq!(ne.weights()[at], 1.0);
                 }
@@ -374,7 +384,12 @@ proptest! {
                 }
                 _ => ne.reset_weights_uniform(),
             }
-            let flat: Vec<f64> = (0..ne.rows()).flat_map(|r| ne.row(r).to_vec()).collect();
+            prop_assert_eq!(ne.rows(), rows.len());
+            for (r, row) in rows.iter().enumerate() {
+                ne.row_into(r, &mut gathered);
+                prop_assert!(gathered == *row, "row {} of {}", r, rows.len());
+            }
+            let flat: Vec<f64> = rows.concat();
             fresh.set_system(cols, &flat, &rhs);
             fresh.set_weights(ne.weights()).unwrap();
             prop_assert_eq!(

@@ -424,6 +424,7 @@ fn residual_sums_follow_the_documented_lane_order() {
         for (row, &v) in flat.chunks_exact_mut(N).zip(r) {
             row[0] = v;
         }
+        simd::block_rows(&mut flat, N);
         let mut x = [0.0; N];
         x[0] = 1.0;
         let rhs = vec![0.0; r.len()];
@@ -511,40 +512,171 @@ fn on_both_backends(mut check: impl FnMut()) {
     simd::force(None);
 }
 
-/// The Gram sums of `m` pseudo-random rows at width `N`: the dispatched
-/// kernel (AVX2 where the CPU has it) and the runtime-width
-/// [`simd::gram_into`] both equal the scalar twin bit for bit.
-fn gram_matches_scalar<const N: usize>(seed: u64, m: usize) {
+/// `rows` (row-major, `cols` columns) in the kernels' blocked layout.
+fn blocked(rows: &[f64], cols: usize) -> Vec<f64> {
+    let mut out = rows.to_vec();
+    simd::block_rows(&mut out, cols);
+    out
+}
+
+/// The row-major Gram arithmetic the blocked kernels replaced, kept as
+/// their oracle: row `i` of the whole blocks into partial sum `i mod 4`,
+/// each term `(wᵢ·aᵢ[r])·aᵢ[c]` (or `·kᵢ`) fused into its sum, the
+/// partials combined as `(l0 + l1) + (l2 + l3)`, then the tail rows.
+/// Returns the lower triangle of `gram` (`cols × cols`, upper entries 0)
+/// and `atk`.
+fn row_major_gram(rows: &[f64], rhs: &[f64], weights: &[f64], cols: usize) -> (Vec<f64>, Vec<f64>) {
+    let add_row = |gram: &mut [f64], atk: &mut [f64], a: &[f64], k: f64, w: f64| {
+        for r in 0..cols {
+            let wa = w * a[r];
+            for c in 0..=r {
+                gram[r * cols + c] = wa.mul_add(a[c], gram[r * cols + c]);
+            }
+            atk[r] = wa.mul_add(k, atk[r]);
+        }
+    };
+    let whole = rhs.len() - rhs.len() % 4;
+    let mut lane_gram = vec![vec![0.0; cols * cols]; 4];
+    let mut lane_atk = vec![vec![0.0; cols]; 4];
+    for i in 0..whole {
+        let a = &rows[i * cols..(i + 1) * cols];
+        add_row(
+            &mut lane_gram[i % 4],
+            &mut lane_atk[i % 4],
+            a,
+            rhs[i],
+            weights[i],
+        );
+    }
+    let combine =
+        |parts: &[Vec<f64>], e: usize| (parts[0][e] + parts[1][e]) + (parts[2][e] + parts[3][e]);
+    let mut gram: Vec<f64> = (0..cols * cols).map(|e| combine(&lane_gram, e)).collect();
+    let mut atk: Vec<f64> = (0..cols).map(|e| combine(&lane_atk, e)).collect();
+    for i in whole..rhs.len() {
+        let a = &rows[i * cols..(i + 1) * cols];
+        add_row(&mut gram, &mut atk, a, rhs[i], weights[i]);
+    }
+    (gram, atk)
+}
+
+/// The row-major residual arithmetic the blocked kernels replaced, kept
+/// as their oracle: `rᵢ = fma(…fma(aᵢ[1], x[1], aᵢ[0]·x[0])…) − kᵢ`, and
+/// `(Σr, Σr²)` in the documented lane order.
+fn row_major_residuals(rows: &[f64], rhs: &[f64], x: &[f64]) -> (Vec<f64>, (f64, f64)) {
+    let cols = x.len();
+    let residuals: Vec<f64> = rhs
+        .iter()
+        .enumerate()
+        .map(|(i, &k)| {
+            let a = &rows[i * cols..(i + 1) * cols];
+            (1..cols).fold(a[0] * x[0], |dot, c| a[c].mul_add(x[c], dot)) - k
+        })
+        .collect();
+    let sum = |f: fn(f64) -> f64| {
+        let whole = residuals.len() - residuals.len() % 4;
+        let mut l = [0.0; 4];
+        for (i, &r) in residuals[..whole].iter().enumerate() {
+            l[i % 4] += f(r);
+        }
+        residuals[whole..]
+            .iter()
+            .fold((l[0] + l[1]) + (l[2] + l[3]), |s, &r| s + f(r))
+    };
+    let sums = (sum(|r| r), sum(|r| r * r));
+    (residuals, sums)
+}
+
+/// The Gram sums and residuals of `m` pseudo-random rows at width `N`,
+/// at non-unit weights: the dispatched kernels (AVX2 where the CPU has
+/// it), their scalar twins and the runtime-width [`simd::gram_into`],
+/// all reading the blocked rows, equal the row-major oracles bit for
+/// bit.
+fn blocked_kernels_match_the_oracle<const N: usize>(seed: u64, m: usize) {
     let flat = fill(seed, m * N, -5.0, 5.0);
     let rhs = fill(seed + 1, m, -5.0, 5.0);
     let weights = fill(seed + 2, m, 0.0, 1.0);
-    let (g_s, atk_s) = simd::gram_fixed_scalar::<N>(&flat, &rhs, &weights);
-    let (g_d, atk_d) = simd::gram_fixed::<N>(&flat, &rhs, &weights);
-    assert_eq!(
-        bits(g_s.as_flattened()),
-        bits(g_d.as_flattened()),
-        "N={N} m={m}"
-    );
-    assert_eq!(bits(&atk_s), bits(&atk_d), "N={N} m={m} atk");
+    let x = fill(seed + 3, N, -2.0, 2.0);
+    let rows = blocked(&flat, N);
+    let (want_gram, want_atk) = row_major_gram(&flat, &rhs, &weights, N);
+    for (name, (g, atk)) in [
+        ("dispatched", simd::gram_fixed::<N>(&rows, &rhs, &weights)),
+        (
+            "scalar",
+            simd::gram_fixed_scalar::<N>(&rows, &rhs, &weights),
+        ),
+    ] {
+        assert_eq!(
+            bits(g.as_flattened()),
+            bits(&want_gram),
+            "N={N} m={m} {name}"
+        );
+        assert_eq!(bits(&atk), bits(&want_atk), "N={N} m={m} {name} atk");
+    }
     let (mut gram, mut atk, mut lanes) = (vec![f64::NAN; N * N], vec![f64::NAN; N], Vec::new());
-    simd::gram_into(&flat, &rhs, &weights, N, &mut lanes, &mut gram, &mut atk);
-    assert_eq!(
-        bits(g_s.as_flattened()),
-        bits(&gram),
-        "N={N} m={m} gram_into"
-    );
-    assert_eq!(bits(&atk_s), bits(&atk), "N={N} m={m} gram_into atk");
+    simd::gram_into(&rows, &rhs, &weights, N, &mut lanes, &mut gram, &mut atk);
+    assert_eq!(bits(&gram), bits(&want_gram), "N={N} m={m} gram_into");
+    assert_eq!(bits(&atk), bits(&want_atk), "N={N} m={m} gram_into atk");
+
+    let (want, want_sums) = row_major_residuals(&flat, &rhs, &x);
+    let x: &[f64; N] = x[..].try_into().unwrap();
+    let (mut out_d, mut out_s) = (vec![f64::NAN; m], vec![f64::NAN; m]);
+    for (name, sums, out) in [
+        (
+            "dispatched",
+            simd::residuals_fixed::<N>(&rows, &rhs, x, &mut out_d),
+            &out_d,
+        ),
+        (
+            "scalar",
+            simd::residuals_fixed_scalar::<N>(&rows, &rhs, x, &mut out_s),
+            &out_s,
+        ),
+    ] {
+        assert_eq!(bits(out), bits(&want), "N={N} m={m} {name} residuals");
+        assert_eq!(
+            bits(&[sums.0, sums.1]),
+            bits(&[want_sums.0, want_sums.1]),
+            "N={N} m={m} {name} sums"
+        );
+    }
 }
 
 #[test]
-fn gram_kernel_matches_scalar_at_every_short_length_and_random_sizes() {
-    let _serial = dispatch_lock();
-    let sizes = (0..=9).chain(fill(40, 6, 10.0, 3000.0).into_iter().map(|x| x as usize));
-    for (seed, m) in sizes.enumerate() {
-        let seed = 100 + 3 * seed as u64;
-        gram_matches_scalar::<2>(seed, m);
-        gram_matches_scalar::<3>(seed, m);
-        gram_matches_scalar::<4>(seed, m);
+fn blocked_gram_and_residuals_match_the_row_major_oracle() {
+    let sizes: Vec<usize> = (0..=9)
+        .chain(fill(40, 6, 10.0, 3000.0).into_iter().map(|x| x as usize))
+        .collect();
+    on_both_backends(|| {
+        for (seed, &m) in sizes.iter().enumerate() {
+            let seed = 100 + 5 * seed as u64;
+            blocked_kernels_match_the_oracle::<2>(seed, m);
+            blocked_kernels_match_the_oracle::<3>(seed, m);
+            blocked_kernels_match_the_oracle::<4>(seed, m);
+            blocked_kernels_match_the_oracle::<5>(seed, m);
+            blocked_kernels_match_the_oracle::<6>(seed, m);
+        }
+    });
+}
+
+/// The blocked layout round-trips, and [`simd::blocked_index`] finds
+/// every entry where [`simd::block_rows`] put it, at every tail length
+/// and at the fixed widths 2–4 and the general ones around them.
+#[test]
+fn block_rows_places_every_entry_at_its_blocked_index() {
+    for cols in 1..=7 {
+        for m in 0..=13 {
+            let flat: Vec<f64> = (0..m * cols).map(|v| v as f64).collect();
+            let rows = blocked(&flat, cols);
+            for i in 0..m {
+                for c in 0..cols {
+                    let at = simd::blocked_index(i, c, cols, m);
+                    assert_eq!(rows[at], flat[i * cols + c], "cols={cols} m={m} ({i}, {c})");
+                }
+            }
+            let mut back = rows.clone();
+            simd::unblock_rows(&mut back, cols);
+            assert_eq!(back, flat, "cols={cols} m={m}");
+        }
     }
 }
 
@@ -564,6 +696,7 @@ fn gram_sums_follow_the_documented_lane_order() {
             row[0] = v;
             row[N - 1] = 1.0;
         }
+        simd::block_rows(&mut flat, N);
         let ones = vec![1.0; ORDER_PROBE.len()];
         let (gram, atk) = simd::gram_fixed::<N>(&flat, &ones, &ones);
         assert_eq!(gram[N - 1][0].to_bits(), want, "N={N} gram");
@@ -625,9 +758,10 @@ fn gram_products_are_fused_like_mul_add() {
         let rhs = fill(seed + 1, FUSION_ROWS, -3.0, 3.0);
         let weights = fill(seed + 2, FUSION_ROWS, 0.1, 2.0);
         let col = |c: usize| -> Vec<f64> { flat.chunks_exact(N).map(|a| a[c]).collect() };
-        let (gram, atk) = simd::gram_fixed::<N>(&flat, &rhs, &weights);
+        let blocked = blocked(&flat, N);
+        let (gram, atk) = simd::gram_fixed::<N>(&blocked, &rhs, &weights);
         let (mut g, mut t, mut lanes) = (vec![0.0; N * N], vec![0.0; N], Vec::new());
-        simd::gram_into(&flat, &rhs, &weights, N, &mut lanes, &mut g, &mut t);
+        simd::gram_into(&blocked, &rhs, &weights, N, &mut lanes, &mut g, &mut t);
         // How many Gram and `AᵀWk` entries tell fused from unfused.
         let mut told_apart = [0, 0];
         for r in 0..N {
@@ -685,7 +819,7 @@ fn residual_dots_are_fused_like_mul_add() {
             "N={N}: the tail row must tell fused from unfused"
         );
         let mut out = vec![f64::NAN; FUSION_ROWS];
-        let sums = simd::residuals_fixed::<N>(&flat, &rhs, &x, &mut out);
+        let sums = simd::residuals_fixed::<N>(&blocked(&flat, N), &rhs, &x, &mut out);
         assert_eq!(bits(&out), bits(&want), "N={N}");
         let reduced = simd::sum_sumsq(&want);
         assert_eq!(sums.0.to_bits(), reduced.0.to_bits(), "N={N} Σr");
@@ -754,6 +888,39 @@ fn exp_is_fused_like_mul_add() {
     });
 }
 
+/// The Gaussian weights equal their scalar twin bit for bit at every
+/// length around the vector twin's seams: the tail of four (0–9), the
+/// chunk of 64 its two passes share (63–65, 127–129) and random sizes.
+/// Residuals far from the mean put exponents below the −690 clamp in the
+/// whole blocks and in the tail.
+#[test]
+fn gaussian_weights_match_scalar_across_chunk_seams() {
+    let random = fill(43, 6, 130.0, 3000.0).into_iter().map(|x| x as usize);
+    let sizes: Vec<usize> = (0..=9)
+        .chain(63..=65)
+        .chain(127..=129)
+        .chain(random)
+        .collect();
+    let (mu, inv_two_sigma2) = (0.1, 0.5 / 0.2_f64.powi(2));
+    on_both_backends(|| {
+        for (seed, &m) in sizes.iter().enumerate() {
+            let mut residuals = fill(500 + seed as u64, m, -1.0, 1.0);
+            // (40 − μ)²·12.5 ≈ 2·10⁴ ≫ 690.
+            for r in residuals.iter_mut().step_by(7) {
+                *r = 40.0;
+            }
+            if let Some(last) = residuals.last_mut() {
+                *last = -40.0;
+            }
+            let mut want = vec![f64::NAN; m];
+            simd::gaussian_weights_scalar(&residuals, mu, inv_two_sigma2, &mut want);
+            let mut got = vec![f64::NAN; m];
+            simd::gaussian_weights(&residuals, mu, inv_two_sigma2, &mut got);
+            assert_eq!(bits(&got), bits(&want), "m={m}");
+        }
+    });
+}
+
 /// `m` rows over `n` samples with `k` axes, pseudo-random from `seed`:
 /// `(coords, deltas, pair_i, pair_j)`.
 fn radical_inputs(
@@ -817,8 +984,10 @@ fn radical_rows_match_scalar_for_every_frame_width_and_tail() {
                 let mut one = vec![0.0; k + 1];
                 let ends = (0..k).map(|c| (coords[c * n + i], coords[c * n + j]));
                 let rhs = simd::radical_row(ends, deltas[i], deltas[j], &mut one);
-                let stored = &design_s[row * (k + 1)..(row + 1) * (k + 1)];
-                assert_eq!(bits(&one), bits(stored), "k={k} m={m} row {row}");
+                let stored: Vec<f64> = (0..=k)
+                    .map(|c| design_s[simd::blocked_index(row, c, k + 1, m)])
+                    .collect();
+                assert_eq!(bits(&one), bits(&stored), "k={k} m={m} row {row}");
                 assert_eq!(rhs.to_bits(), rhs_s[row].to_bits(), "k={k} m={m} rhs {row}");
             }
         }

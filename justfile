@@ -4,9 +4,14 @@
 # CI would run.
 # Tests run with overflow-checks on (see [profile.test] in Cargo.toml);
 # the streaming parity + backpressure suites, the adaptive sweep's
-# reuse and per-cell oracles, the structured-pairing oracle, the
-# NormalEq bit-identity proptest (`normal_eq_edits_equal_a_fresh_load`,
-# under the `normal_eq` filter) and its QR oracles, the
+# reuse and per-cell oracles, the structured-pairing oracle (the cross
+# partners found once per range against the per-interval three-cursor
+# pass, and the lion-core unit gate one_classification_pairs_every_interval),
+# the NormalEq bit-identity proptest (`normal_eq_edits_equal_a_fresh_load`,
+# under the `normal_eq` filter: gathered rows and solves of the blocked
+# storage against a plain row list, across every drain count mod 4,
+# block-completing pushes and replacements in blocks and tail) and its
+# QR oracles, the
 # accelerated-IRLS fixed-point oracle, the sliding window's sorted-Vec
 # model proptest, the engine's serial-vs-N-workers gate for batch and
 # calibration jobs, the staged-layout gates (stage_layout: staged lanes
@@ -18,7 +23,11 @@
 # named explicitly so a test-filter typo can't silently skip a
 # bit-identicality gate.
 # The SIMD parity binary runs unfiltered, so its kernel-vs-scalar-twin
-# gates always run, among them gram_kernel_matches_scalar_at_every_short_length_and_random_sizes,
+# gates always run, among them the blocked-layout oracles
+# blocked_gram_and_residuals_match_the_row_major_oracle (the Gram and
+# residual kernels over blocked rows against the row-major arithmetic
+# they replaced, N = 2–6) and block_rows_places_every_entry_at_its_blocked_index,
+# gaussian_weights_match_scalar_across_chunk_seams,
 # gram_sums_follow_the_documented_lane_order,
 # radical_rows_match_scalar_for_every_frame_width_and_tail,
 # radical_rows_never_write_past_the_last_row and the circular-resultant
@@ -32,8 +41,9 @@
 # which tell a kernel that fuses its multiply-adds like `f64::mul_add`
 # from one that rounds the products first, on both backends.
 # The scalar-fallback step reruns stream_parity, engine_determinism,
-# sweep_cells, the staged-layout gates, the lion-linalg proptests and
-# lane-sum oracle, the accelerated-IRLS fixed-point oracle, the
+# sweep_cells, structured_pairs, the staged-layout gates, the SIMD
+# parity binary with its blocked-layout oracles, the lion-linalg
+# proptests and lane-sum oracle, the accelerated-IRLS fixed-point oracle, the
 # lion-stream estimator tests and the lion-core calibrate tests with
 # LION_SIMD=scalar, so the fallback kernels (whose
 # `mul_add` is a libm `fma` call on x86_64) pass the same gates from
@@ -52,12 +62,12 @@ verify:
     cargo test -q -p lion-core --test zero_alloc --test adaptive_regression
     cargo test -q -p lion-core --test sweep_reuse --test sweep_cells --test structured_pairs
     cargo test -q -p lion-core --test stage_layout
-    cargo test -q -p lion-core --lib -- frame_sums_follow_the_documented_lane_order pair_lanes_match_the_pair_list
+    cargo test -q -p lion-core --lib -- frame_sums_follow_the_documented_lane_order pair_lanes_match_the_pair_list one_classification_pairs_every_interval
     cargo test -q -p lion-linalg --lib lane_sums_match_the_indexed_oracle
     cargo test -q -p lion-core --test scalar_dispatch
     cargo test -q -p lion-core --test proptests window
     cargo test -q -p lion-linalg --test simd_parity
-    LION_SIMD=scalar sh -c 'cargo test -q --test stream_parity --test engine_determinism && cargo test -q -p lion-core --test sweep_cells --test stage_layout && cargo test -q -p lion-core --lib -- frame_sums_follow_the_documented_lane_order pair_lanes_match_the_pair_list && cargo test -q -p lion-linalg --test proptests && cargo test -q -p lion-linalg --lib lane_sums_match_the_indexed_oracle && cargo test -q -p lion-linalg --test irls_fixed_point && cargo test -q -p lion-stream --lib estimator && cargo test -q -p lion-core --lib calibrate'
+    LION_SIMD=scalar sh -c 'cargo test -q --test stream_parity --test engine_determinism && cargo test -q -p lion-core --test sweep_cells --test stage_layout --test structured_pairs && cargo test -q -p lion-core --lib -- frame_sums_follow_the_documented_lane_order pair_lanes_match_the_pair_list one_classification_pairs_every_interval && cargo test -q -p lion-linalg --test proptests --test simd_parity && cargo test -q -p lion-linalg --lib lane_sums_match_the_indexed_oracle && cargo test -q -p lion-linalg --test irls_fixed_point && cargo test -q -p lion-stream --lib estimator && cargo test -q -p lion-core --lib calibrate'
     cargo test -q -p lion-obs --test http_plane
     cargo test -q --test fleet_health
     cargo test -q --test history_determinism --test doctor
