@@ -9,7 +9,8 @@
 //! - **replay** — the full O(window) pipeline
 //!   (`lion_core::Localizer::locate_window_in`), exactly what
 //!   `ResolveMode::Replay` runs on every tick;
-//! - **incremental** — the persistent-state O(delta) patch
+//! - **incremental** — the persistent-state O(delta) preprocessing
+//!   followed by the batch solve
 //!   (`lion_core::IncrementalState::solve_window`), what
 //!   `ResolveMode::Incremental` runs between resyncs.
 //!

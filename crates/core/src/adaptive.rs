@@ -500,7 +500,7 @@ impl RangeUnit {
     ) -> Result<Estimate, CoreError> {
         let mut config = base.clone();
         config.pair_strategy = base.pair_strategy.with_interval(interval);
-        solve_prepared(&self.profile, &self.prepared, &config, ws)
+        solve_prepared(self.profile.lanes(), &self.prepared, &config, ws)
     }
 }
 

@@ -703,7 +703,7 @@ pub(crate) fn run_with_min_in(
     let mut prepared = std::mem::take(&mut ws.prepared);
     let result = prepared
         .prepare(profile, config, space, min_needed)
-        .and_then(|()| solve_prepared(profile, &prepared, config, ws));
+        .and_then(|()| solve_prepared(profile.lanes(), &prepared, config, ws));
     ws.prepared = prepared;
     result
 }
@@ -776,6 +776,17 @@ impl Prepared {
         let lanes = profile.lanes();
         self.frame = analyze_geometry_small(lanes, space, config.rank_tolerance)?;
         profile.delta_distances_into(self.reference, &mut self.deltas);
+        self.project(lanes);
+        config.pair_strategy.classify_into(lanes, &mut self.lines);
+        Ok(())
+    }
+
+    /// Projects `lanes` onto this state's frame: the axis-major frame
+    /// coordinates the rows read. [`Prepared::prepare`] runs it on the
+    /// frame it just computed, and the O(delta) resolver on every delta
+    /// tick, against the frame it froze at its last resync.
+    pub(crate) fn project(&mut self, lanes: PositionLanes<'_>) {
+        let n = lanes.len();
         let frame = &self.frame;
         let (xs, ys, zs) = (lanes.xs(), lanes.ys(), lanes.zs());
         let c = frame.centroid;
@@ -787,25 +798,23 @@ impl Prepared {
                 *out = (x - c.x) * axis.x + (y - c.y) * axis.y + (z - c.z) * axis.z;
             }
         }
-        config.pair_strategy.classify_into(lanes, &mut self.lines);
-        Ok(())
     }
 }
 
-/// The interval-dependent half of a solve: pairs `profile` under
-/// `config.pair_strategy`, stacks the rows, solves them and rebuilds the
-/// world position. `prepared` must come from [`Prepared::prepare`] on the
-/// same profile with a config that differs from `config` at most in the
-/// pair interval.
+/// The interval-dependent half of a solve: pairs the positions `lanes`
+/// under `config.pair_strategy`, stacks the rows, solves them and
+/// rebuilds the world position. `prepared` must describe the same
+/// positions: [`Prepared::prepare`] on their profile with a config that
+/// differs from `config` at most in the pair interval, or the O(delta)
+/// resolver's mirrors.
 pub(crate) fn solve_prepared(
-    profile: &PhaseProfile,
+    lanes: PositionLanes<'_>,
     prepared: &Prepared,
     config: &LocalizerConfig,
     ws: &mut Workspace,
 ) -> Result<Estimate, CoreError> {
-    let n = profile.len();
-    debug_assert_eq!(prepared.deltas.len(), n, "prepared for another profile");
-    let lanes = profile.lanes();
+    let n = lanes.len();
+    debug_assert_eq!(prepared.deltas.len(), n, "prepared for other positions");
     let Prepared {
         frame,
         reference,
@@ -874,14 +883,14 @@ pub(crate) fn solve_prepared(
     })
 }
 
-/// World-coordinate reconstruction shared by every solve path: rebuilds
+/// World-coordinate reconstruction of [`solve_prepared`]: rebuilds
 /// the position from the frame solution, maps per-parameter standard
 /// errors to world axes, and — on lower-dimension trajectories — recovers
 /// the perpendicular coordinate from the reference distance (paper
 /// Sec. III-C, Observation 2). `axes` must hold at least `k + 1` entries
 /// when `lower_dimension` is set (entry `k` is the recovery normal).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn assemble_position(
+fn assemble_position(
     centroid: Point3,
     axes: &[Vec3],
     k: usize,
@@ -947,13 +956,13 @@ pub(crate) fn assemble_position(
 
 /// Per-parameter standard errors `√diag(σ̂²·(AᵀWA)⁻¹)` from a solved
 /// normal-equation system, the IRLS run that solved it and that run's
-/// scratch — the one σ̂ routine, shared by every batch solve and the
-/// incremental delta ticks. σ̂² comes from the run's own `Σw` and `Σw·r²`,
+/// scratch — the one σ̂ routine, which every solve runs through
+/// [`solve_prepared`]. σ̂² comes from the run's own `Σw` and `Σw·r²`,
 /// and the final weights move into `ne` by swap for the covariance.
 /// Writes the 1σ errors (coordinates then `d_r`) into `param_std`,
 /// leaving it empty when the covariance is unavailable (no spare degrees
 /// of freedom, degenerate weights, or a singular Gram matrix).
-pub(crate) fn normal_param_std(
+fn normal_param_std(
     ne: &mut NormalEq,
     outcome: &NormalIrlsOutcome,
     irls: &mut NormalIrlsScratch,

@@ -1,26 +1,21 @@
-//! O(delta) incremental streaming re-solve (the PR-8 tentpole).
+//! O(delta) incremental preprocessing for streaming re-solves.
 //!
 //! The replay path ([`crate::Localizer::locate_window_in`]) re-runs the
-//! whole unwrap → smooth → pairs → solve pipeline over the full
-//! [`SlidingWindow`] on every cadence tick — O(window) work per solve
-//! even when only a handful of reads entered or left since the last
-//! tick. [`IncrementalState`] instead mirrors the window's preprocessed
-//! state across ticks and patches only what the slide changed:
+//! whole unwrap → smooth → prepare → pairs → solve pipeline over the
+//! full [`SlidingWindow`] on every cadence tick, even when only a
+//! handful of reads entered or left since the last tick.
+//! [`IncrementalState`] instead mirrors the window's preprocessed state
+//! across ticks and patches only what the slide changed:
 //!
 //! - the **unwrap chain** is continued from the last surviving sample
 //!   ([`crate::preprocess::unwrap_step`]) instead of re-anchoring at the
 //!   front — the front samples' unwrapped values are never recomputed,
 //!   so a slide touches O(appended) phases;
-//! - the **smoothing tail** is recomputed only over the indices whose
+//! - the **smoothing** is recomputed only over the indices whose
 //!   moving-average span changed ([`crate::preprocess::smoothed_at`]):
 //!   a half-window at the new front (when reads were evicted) and a
-//!   half-window plus the appended reads at the back;
-//! - the **pair set** is re-scanned exactly (the two-pointer interval
-//!   scan is O(window) but branch-cheap) and diffed against the previous
-//!   tick's pairs: evicted-front rows leave via
-//!   `NormalEq::remove_rows_front`, rows whose endpoints were re-smoothed
-//!   are `replace_row`ed in place, and new tail rows are pushed — any
-//!   structural mismatch falls back to a full replay;
+//!   half-window plus the appended reads at the back, and so are their
+//!   reference deltas;
 //! - the **frame** (centroid + principal axes) is frozen between
 //!   resyncs: a full-rank radical-line solve is frame-invariant in exact
 //!   arithmetic, so solving in a slightly stale frame moves the world
@@ -31,6 +26,12 @@
 //!   deterministically, via resync — when it is evicted or its smoothed
 //!   value changes.
 //!
+//! The mirrors live in a `Prepared`, the state the batch path's prepare
+//! step fills, and every delta tick ends in the batch path's own
+//! `solve_prepared`: the positions are re-projected onto the frozen
+//! frame, then pairs → rows → Gram → IRLS → σ̂ run exactly as on a
+//! replay tick. There is one solve path, not a stream-side copy of it.
+//!
 //! # Parity tiers
 //!
 //! A **resync tick literally runs the replay path**, so its estimate is
@@ -39,27 +40,20 @@
 //! direct-summation re-smoothing differ from the batch arithmetic at
 //! floating-point association order, and the frozen frame / pinned
 //! reference add further fp-order (but not model-order) deviations.
-//! Both paths solve the same normal equations with the same IRLS loop,
-//! for every [`crate::Weighting`].
-//!
-//! The row edits only rewrite the stored rows: `NormalEq` recomputes its
-//! Gram matrix from them on the next solve, so a delta tick's solve is
-//! the same function of its rows, right-hand side and weights as
-//! replay's, and the Gram matrix adds no term of its own, under every
-//! weighting. DESIGN.md §14 documents each term.
+//! From the deltas on, both ticks run the same code, for every
+//! [`crate::Weighting`]. DESIGN.md §14 documents each term.
 //!
 //! # Deterministic fallback
 //!
 //! Every fallback-to-replay trigger is a pure function of the read
-//! sequence (splice flags, slide counts, pair-list structure) — never of
-//! wall-clock timing — so a stream re-solved on any worker count takes
-//! replay and delta ticks at exactly the same points.
+//! sequence (splice flags, slide counts, the reference's fate, solve
+//! errors) — never of wall-clock timing — so a stream re-solved on any
+//! worker count takes replay and delta ticks at exactly the same points.
 
-use lion_geom::{Point3, Vec3};
-use lion_linalg::{simd, solve_irls_normal, stats, NormalEq, NormalIrlsScratch};
+use lion_linalg::stats;
 
 use crate::error::CoreError;
-use crate::localizer::{analyze_geometry_small, assemble_position, Estimate, Localizer};
+use crate::localizer::{solve_prepared, Estimate, Localizer, Prepared};
 use crate::pairs::PairStrategy;
 use crate::preprocess::{self, PositionLanes};
 use crate::window::SlidingWindow;
@@ -76,8 +70,8 @@ pub enum ResolvePath {
     /// The full O(window) replay pipeline ran (resync or fallback);
     /// bit-identical to the batch solver on the window contents.
     Replayed,
-    /// The O(delta) incremental patch ran; within the documented 1e-6 of
-    /// the replay oracle.
+    /// The O(delta) incremental preprocessing ran, then the batch solve;
+    /// within the documented 1e-6 of the replay oracle.
     Incremental,
 }
 
@@ -87,11 +81,11 @@ pub enum ResolvePath {
 /// [`Localizer`], and fed the stream's [`SlidingWindow`] on every
 /// cadence tick via [`IncrementalState::solve_window`]. The state
 /// decides per tick whether the slide since the last call is patchable;
-/// when it is not — splice, too-large delta, evicted reference, pinned
-/// reference index or non-interval pairing, lower-dimension geometry,
-/// structural pair change, or the periodic [`RESYNC_EVERY`] re-anchor —
-/// it runs the localizer's replay path and rebuilds itself from the
-/// window.
+/// when it is not — splice, too-large delta, evicted or re-smoothed
+/// reference, pinned reference index or non-interval pairing,
+/// lower-dimension geometry, a failed delta solve, or the periodic
+/// [`RESYNC_EVERY`] re-anchor — it runs the localizer's replay path and
+/// rebuilds itself from the window.
 #[derive(Debug, Clone)]
 pub struct IncrementalState {
     /// The localizer every tick solves with; its replay path
@@ -105,10 +99,6 @@ pub struct IncrementalState {
     front_abs: u64,
     /// Absolute index of the pinned reference sample.
     ref_abs: u64,
-    /// Frozen frame from the last resync (full-rank geometries only).
-    centroid: Point3,
-    axes: [Vec3; 3],
-    k: usize,
     // Window mirrors, index-aligned with the window's samples: the
     // positions as coordinate lanes, then the phase stages.
     xs: Vec<f64>,
@@ -117,32 +107,14 @@ pub struct IncrementalState {
     wrapped: Vec<f64>,
     unwrapped: Vec<f64>,
     smoothed: Vec<f64>,
-    deltas: Vec<f64>,
-    /// Frame coordinates, `k` per sample.
-    coords: Vec<f64>,
-    /// Pair list behind the normal-equation rows, in absolute indices.
-    pairs_abs: Vec<(u64, u64)>,
-    pairs_scratch: Vec<(usize, usize)>,
-    pairs_next: Vec<(u64, u64)>,
     smooth_prefix: Vec<f64>,
-    ne: NormalEq,
-    irls: NormalIrlsScratch,
-    param_std: Vec<f64>,
-    cov_diag: Vec<f64>,
+    /// What the solve reads: the frame frozen at the last resync, the
+    /// pinned reference as an index into the mirrors, the deltas against
+    /// it and the frame coordinates of the mirrored positions.
+    prepared: Prepared,
     rows_delta: u64,
     rebuilds: u64,
     delta_solves: u64,
-}
-
-/// Radical-line/plane row for the pair `(i, j)` in the frozen frame
-/// (sample-major `coords`, `k` per sample), built by the batch kernel's
-/// own single-row function; returns the right-hand side.
-fn build_row(coords: &[f64], deltas: &[f64], k: usize, i: usize, j: usize, row: &mut [f64]) -> f64 {
-    let ends = coords[i * k..(i + 1) * k]
-        .iter()
-        .copied()
-        .zip(coords[j * k..(j + 1) * k].iter().copied());
-    simd::radical_row(ends, deltas[i], deltas[j], &mut row[..=k])
 }
 
 impl IncrementalState {
@@ -155,34 +127,18 @@ impl IncrementalState {
             ticks_since_resync: 0,
             front_abs: 0,
             ref_abs: 0,
-            centroid: Point3::ORIGIN,
-            axes: [Vec3::new(0.0, 0.0, 0.0); 3],
-            k: 0,
             xs: Vec::new(),
             ys: Vec::new(),
             zs: Vec::new(),
             wrapped: Vec::new(),
             unwrapped: Vec::new(),
             smoothed: Vec::new(),
-            deltas: Vec::new(),
-            coords: Vec::new(),
-            pairs_abs: Vec::new(),
-            pairs_scratch: Vec::new(),
-            pairs_next: Vec::new(),
             smooth_prefix: Vec::new(),
-            ne: NormalEq::new(),
-            irls: NormalIrlsScratch::new(),
-            param_std: Vec::new(),
-            cov_diag: Vec::new(),
+            prepared: Prepared::default(),
             rows_delta: 0,
             rebuilds: 0,
             delta_solves: 0,
         }
-    }
-
-    /// The mirrored window positions.
-    fn lanes(&self) -> PositionLanes<'_> {
-        PositionLanes::new(&self.xs, &self.ys, &self.zs)
     }
 
     /// Forces the next tick to replay and rebuild (e.g. after the caller
@@ -191,8 +147,8 @@ impl IncrementalState {
         self.valid = false;
     }
 
-    /// Cumulative normal-equation rows touched by delta ticks (removed +
-    /// replaced + pushed) — the O(delta) work metric.
+    /// Cumulative normal-equation rows built by delta ticks: each delta
+    /// tick builds every row of its window's system, one per pair.
     pub fn rows_delta(&self) -> u64 {
         self.rows_delta
     }
@@ -284,25 +240,25 @@ impl IncrementalState {
         } else {
             survivors as i64 - 1
         };
-        let changed = move |r: usize| (r as i64) < keep_lo || (r as i64) > keep_hi;
-        if changed(ref_rel) {
+        if (ref_rel as i64) < keep_lo || (ref_rel as i64) > keep_hi {
             return None; // reference re-smoothed: every delta shifts → resync
         }
-        let k = self.k;
         // Slide the mirrors.
+        let deltas = &mut self.prepared.deltas;
         self.xs.drain(..evicted);
         self.ys.drain(..evicted);
         self.zs.drain(..evicted);
         self.wrapped.drain(..evicted);
         self.unwrapped.drain(..evicted);
         self.smoothed.drain(..evicted);
-        self.deltas.drain(..evicted);
-        self.coords.drain(..evicted * k);
+        deltas.drain(..evicted);
         // Cheap identity check that the surviving front really is the
         // window's front (the splice flag covers reorderings; this guards
         // the bookkeeping itself).
         let front = window.sample(0)?;
-        if front.position != self.lanes().point(0) || front.wrapped != self.wrapped[0] {
+        if front.position != PositionLanes::new(&self.xs, &self.ys, &self.zs).point(0)
+            || front.wrapped != self.wrapped[0]
+        {
             return None;
         }
         // Append the new tail, continuing the unwrap chain.
@@ -315,122 +271,27 @@ impl IncrementalState {
             self.wrapped.push(s.wrapped);
             self.unwrapped
                 .push(preprocess::unwrap_step(prev_w, prev_u, s.wrapped));
-            let d = s.position - self.centroid;
-            for axis in self.axes.iter().take(k) {
-                self.coords.push(d.dot(*axis));
-            }
         }
         if self.xs.len() != n_new {
             return None;
         }
         // Re-smooth only the changed spans.
         self.smoothed.resize(n_new, 0.0);
-        self.deltas.resize(n_new, 0.0);
+        deltas.resize(n_new, 0.0);
         let scale = config.wavelength / (4.0 * std::f64::consts::PI);
         let theta_r = self.smoothed[ref_rel];
         let lo_end = (keep_lo.max(0) as usize).min(n_new);
         let hi_start = ((keep_hi + 1).max(0) as usize).min(n_new);
         for r in (0..lo_end).chain(hi_start..n_new) {
             self.smoothed[r] = preprocess::smoothed_at(&self.unwrapped, w, r);
-            self.deltas[r] = scale * (self.smoothed[r] - theta_r);
+            deltas[r] = scale * (self.smoothed[r] - theta_r);
         }
-        // Fresh exact pair scan, then diff against the rows in the system.
-        let pairs_span = lion_obs::span!("lion.pairs");
+        self.prepared.reference = ref_rel;
         let lanes = PositionLanes::new(&self.xs, &self.ys, &self.zs);
-        config
-            .pair_strategy
-            .pairs_into(lanes, &mut self.pairs_scratch);
-        drop(pairs_span);
-        let cols = k + 1;
-        if self.pairs_scratch.len() < cols {
-            return None; // let replay produce the canonical error/estimate
-        }
-        let front_abs = self.front_abs;
-        self.pairs_next.clear();
-        self.pairs_next.extend(
-            self.pairs_scratch
-                .iter()
-                .map(|&(i, j)| (front_abs + i as u64, front_abs + j as u64)),
-        );
-        let _solve_span = lion_obs::span!("lion.solve");
-        // Rows whose first endpoint was evicted form a prefix (the
-        // interval scan emits pairs in ascending i with ascending j).
-        let drop_front = self.pairs_abs.partition_point(|&(i, _)| i < front_abs);
-        self.ne.remove_rows_front(drop_front);
-        let mut touched = drop_front as u64;
-        let old_tail = self.pairs_abs.len() - drop_front;
-        if self.pairs_next.len() < old_tail {
-            return None; // pairs vanished mid-list: structure changed
-        }
-        let mut row = [0.0_f64; 4];
-        for t in 0..self.pairs_next.len() {
-            let (ai, aj) = self.pairs_next[t];
-            let (ri, rj) = ((ai - front_abs) as usize, (aj - front_abs) as usize);
-            if rj >= n_new {
-                return None;
-            }
-            if t < old_tail {
-                if self.pairs_abs[drop_front + t] != (ai, aj) {
-                    // Carried-j divergence (e.g. near a ping-pong
-                    // turnaround): positional identity broke — resync.
-                    return None;
-                }
-                if changed(ri) || changed(rj) {
-                    let rhs = build_row(&self.coords, &self.deltas, k, ri, rj, &mut row);
-                    self.ne.replace_row(t, &row[..cols], rhs);
-                    touched += 1;
-                }
-            } else {
-                let rhs = build_row(&self.coords, &self.deltas, k, ri, rj, &mut row);
-                self.ne.push_row(&row[..cols], rhs);
-                touched += 1;
-            }
-        }
-        std::mem::swap(&mut self.pairs_abs, &mut self.pairs_next);
-        self.rows_delta += touched;
-        // Solve and assemble exactly like the batch path, with the same
-        // IRLS configuration. Cold-started from uniform weights like the
-        // replay oracle, not from the previous tick's: when IRLS hits its
-        // iteration cap without converging, the stopping point is
-        // trajectory-dependent, and only the oracle's own start tracks it
-        // closely enough for the documented 1e-6 delta-tick parity.
-        let outcome =
-            solve_irls_normal(&mut self.ne, &config.weighting.irls(), &mut self.irls).ok()?;
-        let m = self.ne.rows();
-        crate::localizer::normal_param_std(
-            &mut self.ne,
-            &outcome,
-            &mut self.irls,
-            &mut self.param_std,
-            &mut self.cov_diag,
-        );
-        let reference_position = self.lanes().point(ref_rel);
-        let (position, position_std) = assemble_position(
-            self.centroid,
-            &self.axes,
-            k,
-            self.ne.solution(),
-            &self.param_std,
-            reference_position,
-            false,
-            config.side_hint,
-        )
-        .ok()?;
-        ws.metrics.solves += 1;
-        ws.metrics.irls_iterations += outcome.iterations as u64;
-        ws.metrics.irls_unconverged += u64::from(!outcome.converged);
-        ws.metrics.equations += m as u64;
-        Some(Estimate {
-            position,
-            reference_distance: self.ne.solution()[k],
-            reference_position,
-            mean_residual: outcome.mean_residual,
-            weighted_rms: outcome.weighted_rms,
-            iterations: outcome.iterations,
-            equation_count: m,
-            lower_dimension: false,
-            position_std,
-        })
+        self.prepared.project(lanes);
+        let est = solve_prepared(lanes, &self.prepared, config, ws).ok()?;
+        self.rows_delta += est.equation_count as u64;
+        Some(est)
     }
 
     /// Replays the window (bit-exact oracle path), then rebuilds every
@@ -446,7 +307,7 @@ impl IncrementalState {
     ) -> Result<Estimate, CoreError> {
         self.valid = false;
         let est = self.localizer.locate_window_in(window, ws)?;
-        let (config, space) = (self.localizer.config(), self.localizer.space());
+        let config = self.localizer.config();
         self.rebuilds += 1;
         self.ticks_since_resync = 0;
         if config.reference_index.is_some()
@@ -454,7 +315,14 @@ impl IncrementalState {
         {
             return Ok(est);
         }
-        let n = window.len();
+        // The replay just framed these very positions; its frame is the
+        // one to freeze.
+        let frame = ws.prepared.frame;
+        if frame.spanned < frame.dims {
+            // Lower-dimension recovery is replay-only (the discriminant
+            // geometry is too sensitive to freeze a frame across slides).
+            return Ok(est);
+        }
         self.xs.clear();
         self.ys.clear();
         self.zs.clear();
@@ -474,60 +342,23 @@ impl IncrementalState {
             };
             self.unwrapped.push(u);
         }
-        let Ok(frame) = analyze_geometry_small(self.lanes(), space, config.rank_tolerance) else {
-            return Ok(est);
-        };
-        if frame.spanned < frame.dims {
-            // Lower-dimension recovery is replay-only (the discriminant
-            // geometry is too sensitive to freeze a frame across slides).
-            return Ok(est);
-        }
-        self.centroid = frame.centroid;
-        self.axes = frame.axes;
-        self.k = frame.dims;
-        let k = self.k;
         stats::moving_average_into(
             &self.unwrapped,
             config.smoothing_window,
             &mut self.smooth_prefix,
             &mut self.smoothed,
         );
-        let ref_rel = n / 2;
+        let ref_rel = window.len() / 2;
         self.ref_abs = self.front_abs + ref_rel as u64;
         let scale = config.wavelength / (4.0 * std::f64::consts::PI);
         let theta_r = self.smoothed[ref_rel];
-        self.deltas.clear();
-        self.deltas
+        let prepared = &mut self.prepared;
+        prepared.frame = frame;
+        prepared.reference = ref_rel;
+        prepared.deltas.clear();
+        prepared
+            .deltas
             .extend(self.smoothed.iter().map(|t| scale * (t - theta_r)));
-        self.coords.clear();
-        self.coords.reserve(n * k);
-        let lanes = PositionLanes::new(&self.xs, &self.ys, &self.zs);
-        for p in lanes.points() {
-            let d = p - frame.centroid;
-            for axis in frame.axes.iter().take(k) {
-                self.coords.push(d.dot(*axis));
-            }
-        }
-        config
-            .pair_strategy
-            .pairs_into(lanes, &mut self.pairs_scratch);
-        let cols = k + 1;
-        if self.pairs_scratch.len() < cols {
-            return Ok(est);
-        }
-        let front_abs = self.front_abs;
-        self.pairs_abs.clear();
-        self.pairs_abs.extend(
-            self.pairs_scratch
-                .iter()
-                .map(|&(i, j)| (front_abs + i as u64, front_abs + j as u64)),
-        );
-        self.ne.begin(cols);
-        let mut row = [0.0_f64; 4];
-        for &(i, j) in &self.pairs_scratch {
-            let rhs = build_row(&self.coords, &self.deltas, k, i, j, &mut row);
-            self.ne.push_row(&row[..cols], rhs);
-        }
         self.valid = true;
         Ok(est)
     }
@@ -538,6 +369,7 @@ mod tests {
     use super::*;
     use crate::localizer::{LocalizerConfig, SolveSpace};
     use crate::window::SlidingWindow;
+    use lion_geom::Point3;
     use std::f64::consts::{PI, TAU};
 
     const LAMBDA: f64 = 299_792_458.0 / 920.625e6;

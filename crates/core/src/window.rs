@@ -16,8 +16,8 @@
 //! **bit-identical** to the batch solver on the same reads.
 //! That full replay remains the parity oracle; an
 //! [`crate::IncrementalState`] can instead consume the window's
-//! [`WindowDelta`] (see [`SlidingWindow::take_slide_delta`]) to re-solve
-//! in O(delta) per tick — see DESIGN.md §"Streaming calibration" and
+//! [`WindowDelta`] (see [`SlidingWindow::take_slide_delta`]) to redo
+//! only O(delta) of the preprocessing per tick — see DESIGN.md §"Streaming calibration" and
 //! §"Incremental re-solve" for the numerical tradeoff.
 //!
 //! Out-of-order arrival is handled by timestamp-sorted insertion: a late

@@ -5,7 +5,8 @@
 //! keys, a third sweep over the same workload must perform **zero**
 //! allocations. Covered: the 2D `Interval` sweep, the windowed locate,
 //! and the 3D `StructuredScan` calibration sweep on a scan shorter than
-//! the widest range (so ranges are copied, not only solved). Only
+//! the widest range (so ranges are copied, not only solved), and the
+//! O(delta) stream resolver's ticks once its mirrors are sized. Only
 //! allocations made on the thread that runs a measured call are counted:
 //! the test harness allocates on its own threads while a test runs, and
 //! those allocations say nothing about the code under test.
@@ -16,8 +17,8 @@ use std::f64::consts::{PI, TAU};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use lion_core::{
-    estimate_offset, AdaptiveConfig, AdaptiveOutcome, Localizer, LocalizerConfig, PairStrategy,
-    SlidingWindow, SolveSpace, Workspace,
+    estimate_offset, AdaptiveConfig, AdaptiveOutcome, IncrementalState, Localizer, LocalizerConfig,
+    PairStrategy, ResolvePath, SlidingWindow, SolveSpace, Workspace,
 };
 use lion_geom::{Point3, ThreeLineScan, Trajectory};
 
@@ -194,4 +195,43 @@ fn steady_state_sweep_allocates_nothing() {
         "ranges must be copied"
     );
     assert!(out.estimate.distance_error(antenna) < 5e-2);
+}
+
+#[test]
+fn steady_state_incremental_ticks_allocate_nothing() {
+    // A circular scan (full-rank 2D) through a 128-read window, solved
+    // every 16 reads. Filling the window and two full slides size the
+    // resolver's mirrors and the workspace; then every tick of a third
+    // slide, delta ticks and the resyncs between them alike, must leave
+    // the heap untouched.
+    let target = Point3::new(1.1, 0.4, 0.0);
+    let localizer = Localizer::new(LocalizerConfig::default(), SolveSpace::TwoD);
+    let mut state = IncrementalState::new(localizer);
+    let mut window = SlidingWindow::new(128).expect("valid capacity");
+    let mut ws = Workspace::new();
+    let warm_up = 3 * 128 / 16;
+    let mut delta_ticks = 0;
+    for tick in 0..warm_up + 128 / 16 {
+        for i in 16 * tick..16 * (tick + 1) {
+            let a = i as f64 * TAU / 120.0;
+            let p = Point3::new(0.3 * a.cos(), 0.3 * a.sin(), 0.0);
+            let phase = (4.0 * PI * target.distance(p) / LAMBDA).rem_euclid(TAU);
+            window.push(i as f64 * 0.01, p, phase);
+        }
+        let (solved, during) = allocations_during(|| state.solve_window(&mut window, &mut ws));
+        let (est, path) = solved.expect("clean window solves");
+        if tick < warm_up {
+            continue;
+        }
+        assert_eq!(
+            during, 0,
+            "steady-state {path:?} tick performed {during} heap allocations"
+        );
+        assert!(est.distance_error(target) < 5e-2);
+        delta_ticks += usize::from(path == ResolvePath::Incremental);
+    }
+    assert!(
+        delta_ticks >= 4,
+        "a sliding in-order window must mostly take delta ticks, got {delta_ticks}"
+    );
 }

@@ -131,8 +131,9 @@ pub struct StreamOutcome {
     pub solve_errors: u64,
     /// Whether the stream ended in the converged state.
     pub converged: bool,
-    /// Normal-equation rows touched by incremental delta re-solves
-    /// (zero unless the job ran [`ResolveMode::Incremental`]).
+    /// Normal-equation rows built by incremental delta re-solves, one
+    /// per pair of each delta tick's window (zero unless the job ran
+    /// [`ResolveMode::Incremental`]).
     pub resolve_rows_delta: u64,
     /// Full incremental-state rebuilds (warm-up, periodic re-anchors,
     /// fallbacks); zero in replay mode.

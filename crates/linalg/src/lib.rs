@@ -16,13 +16,12 @@
 //! - [`Qr`]: Householder QR (least-squares solve, rank detection),
 //! - [`Cholesky`]: for symmetric positive-definite systems,
 //! - [`NormalEq`] and [`solve_irls_normal`]: weighted normal equations
-//!   over stored rows (bulk loads, reweights, front drains and in-place
-//!   row replacement; the Gram matrix is recomputed from the rows on the
-//!   next solve) and the Anderson-accelerated IRLS loop over them — the
-//!   solver behind every batch, sweep and streaming solve,
+//!   over stored rows (bulk loads and reweights; the Gram matrix is
+//!   recomputed from the rows on the next solve) and the
+//!   Anderson-accelerated IRLS loop over them — the solver behind every
+//!   batch, sweep and streaming solve,
 //! - [`sym_eigen3`]: stack-only symmetric 3×3 eigensolver for geometry
 //!   frames,
-//! - [`Svd`]: one-sided Jacobi SVD (condition numbers, pseudo-inverse),
 //! - [`lstsq`]: the weight functions and [`IrlsConfig`] the IRLS loop
 //!   runs with (the paper's Gaussian-of-residual weight, Eq. 15), plus
 //!   QR-based plain, weighted and iteratively-reweighted least squares —
@@ -69,7 +68,6 @@ pub mod poly;
 mod qr;
 pub mod simd;
 pub mod stats;
-mod svd;
 mod vector;
 
 pub use cholesky::Cholesky;
@@ -81,7 +79,6 @@ pub use lu::Lu;
 pub use matrix::Matrix;
 pub use normal::{solve_irls_normal, NormalEq, NormalIrlsOutcome, NormalIrlsScratch};
 pub use qr::Qr;
-pub use svd::Svd;
 pub use vector::Vector;
 
 /// Convenience result alias for fallible linear-algebra operations.

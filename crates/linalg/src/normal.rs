@@ -2,31 +2,26 @@
 //! least-squares problems.
 //!
 //! IRLS (paper Eq. 16) solves a sequence of weighted least-squares
-//! problems that differ only in their weights, and a sliding streaming
-//! window re-solves a system that differs from the previous one by a few
-//! rows at each end. [`NormalEq`] stores the rows, right-hand side and
-//! weights of `AᵀWA · x = AᵀWk` and lets callers edit them in place:
+//! problems that differ only in their weights. [`NormalEq`] stores the
+//! rows, right-hand side and weights of `AᵀWA · x = AᵀWk`:
 //!
-//! - **Loading** — `push_row` appends a row, `load_with` lets a caller
-//!   write a whole system straight into the row storage, and
-//!   `set_system` bulk-loads a pre-assembled one;
-//! - **Reweighting** — `set_weights` replaces the weight diagonal;
-//! - **Row edits** — `remove_rows_front` and `replace_row` retire or
-//!   change the rows a window slide touches, without starting over.
+//! - **Loading** — `load_with` lets a caller write a whole system
+//!   straight into the row storage, and `set_system` bulk-loads a
+//!   pre-assembled one;
+//! - **Reweighting** — `set_weights` replaces the weight diagonal.
 //!
-//! The rows are stored in blocks of four ([`crate::simd::blocked_index`]):
-//! in each whole block, column 0 of its four rows comes first, then
-//! column 1, and so on, and the `m mod 4` tail rows stay row-major. One
-//! vector load is one column of four rows, row `i` in lane `i mod 4`,
-//! which is the lane order of every row sum, so the Gram and residual
-//! kernels read the storage as it lies, with no transposes. The edits
-//! keep that layout: a push that completes four tail rows turns them
-//! into a block, and a front drain by a count that is not a multiple of
-//! four re-blocks the survivors.
+//! Every solve path loads its whole system and reweights it; nothing
+//! edits single rows. The rows are stored in blocks of four
+//! ([`crate::simd::blocked_index`]): in each whole block, column 0 of
+//! its four rows comes first, then column 1, and so on, and the
+//! `m mod 4` tail rows stay row-major. One vector load is one column of
+//! four rows, row `i` in lane `i mod 4`, which is the lane order of
+//! every row sum, so the Gram and residual kernels read the storage as
+//! it lies, with no transposes.
 //!
-//! The Gram matrix `AᵀWA` and `AᵀWk` are derived state: every edit only
-//! writes storage and marks them stale, and the next solve recomputes
-//! them from the stored rows in one fixed summation order
+//! The Gram matrix `AᵀWA` and `AᵀWk` are derived state: a load or a
+//! reweight only writes storage and marks them stale, and the next solve
+//! recomputes them from the stored rows in one fixed summation order
 //! ([`crate::simd::gram_fixed`]'s four interleaved partial sums), in
 //! `O(m·n²)` with no intermediate `m×n` factorization. IRLS changes
 //! every weight on every reweight, so patching the sums would cost the
@@ -47,8 +42,8 @@
 //! **Determinism contract:** a solve is a pure function of the stored
 //! `(rows, rhs, weights)`. Two systems holding the same rows, right-hand
 //! side and weights produce *bit-identical* Gram matrices, factors,
-//! solutions and covariances, whatever sequence of pushes, bulk loads,
-//! edits and reweights led there.
+//! solutions and covariances, whatever sequence of earlier loads,
+//! reweights and solves the buffers went through.
 //!
 //! Accuracy: solving via the normal equations squares the condition
 //! number relative to the QR route ([`crate::lstsq::solve_weighted`]),
@@ -71,9 +66,8 @@ fn fixed<const N: usize>(x: &[f64]) -> &[f64; N] {
 
 /// Weighted normal equations `AᵀWA · x = AᵀWk` over stored rows.
 ///
-/// All buffers are reused across [`NormalEq::begin`] calls, so a
-/// workspace-owned instance performs zero heap allocations in steady
-/// state.
+/// All buffers are reused across loads, so a workspace-owned instance
+/// performs zero heap allocations in steady state.
 ///
 /// # Example
 ///
@@ -81,12 +75,9 @@ fn fixed<const N: usize>(x: &[f64]) -> &[f64; N] {
 /// use lion_linalg::NormalEq;
 ///
 /// # fn main() -> Result<(), lion_linalg::LinalgError> {
-/// // Fit y = 2x + 1 from three points.
+/// // Fit y = 2x + 1 from three points: rows [x, 1], right-hand side y.
 /// let mut ne = NormalEq::new();
-/// ne.begin(2);
-/// for (x, y) in [(0.0, 1.0), (1.0, 3.0), (2.0, 5.0)] {
-///     ne.push_row(&[x, 1.0], y);
-/// }
+/// ne.set_system(2, &[0.0, 1.0, 1.0, 1.0, 2.0, 1.0], &[1.0, 3.0, 5.0]);
 /// let sol = ne.solve()?;
 /// assert!((sol[0] - 2.0).abs() < 1e-12 && (sol[1] - 1.0).abs() < 1e-12);
 /// # Ok(())
@@ -127,20 +118,10 @@ impl NormalEq {
         Self::default()
     }
 
-    /// Starts a fresh system with `cols` unknowns, reusing all buffers.
-    pub fn begin(&mut self, cols: usize) {
-        self.cols = cols;
-        self.rows.clear();
-        self.rhs.clear();
-        self.weights.clear();
-        self.stale = true;
-    }
-
-    /// Loads a whole pre-assembled system in one call: `begin(cols)`,
-    /// then every row of the flat row-major `rows` (length a multiple of
-    /// `cols`) with its `rhs` entry at unit weight. Equivalent to
-    /// pushing the rows one at a time (the determinism contract above);
-    /// a copy into [`NormalEq::load_with`], blocked in place as it lands.
+    /// Loads a whole pre-assembled system in one call, reusing all
+    /// buffers: every row of the flat row-major `rows` (length a multiple
+    /// of `cols`) with its `rhs` entry, at unit weight. A copy into
+    /// [`NormalEq::load_with`], blocked in place as it lands.
     ///
     /// # Panics
     ///
@@ -193,21 +174,6 @@ impl NormalEq {
         self.rhs.is_empty()
     }
 
-    /// Gathers design row `i` out of the blocked storage into `out`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i` is out of bounds or `out.len()` differs from the
-    /// column count.
-    pub fn row_into(&self, i: usize, out: &mut [f64]) {
-        let m = self.rhs.len();
-        assert!(i < m, "row {i} out of bounds for {m} rows");
-        assert_eq!(out.len(), self.cols, "row length must equal column count");
-        for (c, o) in out.iter_mut().enumerate() {
-            *o = self.rows[simd::blocked_index(i, c, self.cols, m)];
-        }
-    }
-
     /// Current per-row weights.
     pub fn weights(&self) -> &[f64] {
         &self.weights
@@ -216,78 +182,6 @@ impl NormalEq {
     /// The most recent solution (empty before the first solve).
     pub fn solution(&self) -> &[f64] {
         &self.solution
-    }
-
-    /// Appends a row with unit weight, as a tail row; the fourth tail
-    /// row turns the four into a block.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `a.len()` differs from the column count set by
-    /// [`NormalEq::begin`].
-    pub fn push_row(&mut self, a: &[f64], k: f64) {
-        assert_eq!(a.len(), self.cols, "row length must equal column count");
-        self.rows.extend_from_slice(a);
-        self.rhs.push(k);
-        self.weights.push(1.0);
-        if self.rhs.len().is_multiple_of(4) {
-            let start = self.rows.len() - 4 * self.cols;
-            simd::block_rows(&mut self.rows[start..], self.cols);
-        }
-        self.stale = true;
-    }
-
-    /// Removes the first `count` rows in one batched front drain — the
-    /// sliding-window case, where evicted reads retire the oldest
-    /// equations. The surviving rows shift down with a single `memmove`
-    /// instead of `count` of them. When `count` is not a multiple of
-    /// four, the survivors no longer sit in their blocks' lanes, so the
-    /// drain unblocks the rows, shifts them and blocks them again: O(m),
-    /// as the `memmove` is.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `count` exceeds the row count.
-    pub fn remove_rows_front(&mut self, count: usize) {
-        assert!(count <= self.rhs.len(), "front drain past the end");
-        if count == 0 {
-            return;
-        }
-        let realign = !count.is_multiple_of(4);
-        if realign {
-            simd::unblock_rows(&mut self.rows, self.cols);
-        }
-        let old = self.rows.len();
-        self.rows.copy_within(count * self.cols.., 0);
-        self.rows.truncate(old - count * self.cols);
-        if realign {
-            simd::block_rows(&mut self.rows, self.cols);
-        }
-        self.rhs.drain(..count);
-        self.weights.drain(..count);
-        self.stale = true;
-    }
-
-    /// Replaces the row at `at` in place (resetting its weight to 1),
-    /// with no row shuffling: a scatter into the row's block, or a copy
-    /// into its tail row. This is the refresh primitive for equations
-    /// whose underlying data changed (e.g. a smoothed phase near a window
-    /// boundary) while their position in the system did not.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `a.len()` differs from the column count or `at` is out
-    /// of bounds.
-    pub fn replace_row(&mut self, at: usize, a: &[f64], k: f64) {
-        assert_eq!(a.len(), self.cols, "row length must equal column count");
-        let m = self.rhs.len();
-        assert!(at < m, "replace position out of bounds");
-        for (c, &v) in a.iter().enumerate() {
-            self.rows[simd::blocked_index(at, c, self.cols, m)] = v;
-        }
-        self.rhs[at] = k;
-        self.weights[at] = 1.0;
-        self.stale = true;
     }
 
     /// Replaces the weight diagonal.
@@ -331,8 +225,9 @@ impl NormalEq {
     }
 
     /// Resets all weights to 1 (the IRLS starting point). Leaves the
-    /// Gram matrix in sync when the weights were already uniform.
-    pub fn reset_weights_uniform(&mut self) {
+    /// Gram matrix in sync when the weights were already uniform, as
+    /// they are after a load.
+    fn reset_weights_uniform(&mut self) {
         for w in &mut self.weights {
             if *w != 1.0 {
                 *w = 1.0;
@@ -389,8 +284,8 @@ impl NormalEq {
         cholesky::factor_in_place(&mut self.chol, self.cols)
     }
 
-    /// Solves the current system, rebuilding the Gram matrix first if an
-    /// edit left it stale. The returned slice aliases
+    /// Solves the current system, rebuilding the Gram matrix first if a
+    /// load or a reweight left it stale. The returned slice aliases
     /// [`NormalEq::solution`].
     ///
     /// # Errors
@@ -658,11 +553,10 @@ mod tests {
     }
 
     fn build(rows: &[([f64; 2], f64)]) -> NormalEq {
+        let flat: Vec<f64> = rows.iter().flat_map(|(a, _)| *a).collect();
+        let rhs: Vec<f64> = rows.iter().map(|(_, k)| *k).collect();
         let mut ne = NormalEq::new();
-        ne.begin(2);
-        for (a, k) in rows {
-            ne.push_row(a, *k);
-        }
+        ne.set_system(2, &flat, &rhs);
         ne
     }
 
@@ -773,54 +667,8 @@ mod tests {
     #[test]
     fn underdetermined_rejected() {
         let mut ne = NormalEq::new();
-        ne.begin(3);
-        ne.push_row(&[1.0, 0.0, 0.0], 1.0);
+        ne.set_system(3, &[1.0, 0.0, 0.0], &[1.0]);
         assert_eq!(ne.solve().unwrap_err(), LinalgError::NotPositiveDefinite);
-    }
-
-    #[test]
-    fn remove_rows_front_matches_suffix() {
-        let rows = line_rows();
-        let mut ne = build(&rows);
-        ne.solve().unwrap();
-        ne.remove_rows_front(3);
-        assert_eq!(ne.rows(), 5);
-        let mut row = [0.0; 2];
-        for (i, (a, _)) in rows[3..].iter().enumerate() {
-            ne.row_into(i, &mut row);
-            assert_eq!(&row, a);
-        }
-        let sol = ne.solve().unwrap().to_vec();
-        let qr = qr_weighted(&rows[3..], &[1.0; 5]);
-        for (p, q) in sol.iter().zip(&qr) {
-            assert!((p - q).abs() < 1e-9, "{sol:?} vs {qr:?}");
-        }
-        // Zero-count drain is a no-op.
-        let before = ne.rows();
-        ne.remove_rows_front(0);
-        assert_eq!(ne.rows(), before);
-    }
-
-    #[test]
-    fn replace_row_matches_fresh_build() {
-        let rows = line_rows();
-        let mut ne = build(&rows);
-        ne.solve().unwrap();
-        // Swap the outlier for its clean value, in place.
-        let clean = ([7.0, 1.0], 15.0);
-        ne.replace_row(7, &clean.0, clean.1);
-        let sol = ne.solve().unwrap().to_vec();
-        let mut fixed = rows.clone();
-        fixed[7] = clean;
-        let qr = qr_weighted(&fixed, &[1.0; 8]);
-        for (p, q) in sol.iter().zip(&qr) {
-            assert!((p - q).abs() < 1e-9, "{sol:?} vs {qr:?}");
-        }
-        let mut row = [0.0; 2];
-        ne.row_into(7, &mut row);
-        assert_eq!(row, clean.0);
-        // The clean line is recovered.
-        assert!((sol[0] - 2.0).abs() < 1e-9 && (sol[1] - 1.0).abs() < 1e-9);
     }
 
     #[test]

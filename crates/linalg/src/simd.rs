@@ -639,9 +639,9 @@ fn radical_rows_from(
 /// then `2(Δdᵢ − Δdⱼ)`. Returns the right-hand side
 /// `κ − (Δdᵢ² − Δdⱼ²)` with `κ = Σ_c (cᵢ² − cⱼ²)` added axis by axis.
 ///
-/// This is the arithmetic of every row the program builds: the batch
-/// kernel [`radical_rows`] (whose SIMD twin repeats it per lane) and the
-/// streaming resolver's row edits.
+/// This is the arithmetic of every row the program builds: the row
+/// kernel [`radical_rows`] runs it per row, and its SIMD twin repeats it
+/// per lane.
 #[inline]
 pub fn radical_row(
     ends: impl IntoIterator<Item = (f64, f64)>,

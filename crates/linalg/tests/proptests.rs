@@ -6,24 +6,36 @@
 
 use proptest::prelude::*;
 
-use lion_linalg::{lstsq, stats, Cholesky, Lu, Matrix, NormalEq, Qr, Svd, Vector};
+use lion_linalg::{
+    lstsq, solve_irls_normal, stats, sym_eigen3, Cholesky, IrlsConfig, Lu, Matrix, NormalEq,
+    NormalIrlsScratch, Qr, Vector,
+};
 
-/// Loads a matrix/rhs pair into a fresh incremental system.
+/// Loads a matrix/rhs pair into a fresh normal-equation system.
 fn normal_eq_from(m: &Matrix, b: &Vector) -> NormalEq {
     let mut ne = NormalEq::new();
-    ne.begin(m.cols());
-    for r in 0..m.rows() {
-        ne.push_row(m.row(r), b[r]);
-    }
+    ne.set_system(m.cols(), m.as_slice(), b.as_slice());
     ne
+}
+
+/// The 2-norm condition number `σ_max/σ_min` of a three-column matrix,
+/// from the eigenvalues of its Gram matrix `AᵀA` (the squared singular
+/// values); infinite when `AᵀA` is numerically singular.
+fn condition_number(m: &Matrix) -> f64 {
+    assert_eq!(m.cols(), 3, "three columns");
+    let g = m.gram();
+    let (vals, _) = sym_eigen3(&std::array::from_fn(|r| [0, 1, 2].map(|c| g[(r, c)])));
+    if vals[2] > 0.0 {
+        (vals[0] / vals[2]).sqrt()
+    } else {
+        f64::INFINITY
+    }
 }
 
 /// Skips draws where the squared-condition-number error amplification of
 /// the normal-equation route would exceed the parity tolerance.
 fn well_conditioned(m: &Matrix) -> bool {
-    Svd::decompose(m)
-        .map(|s| s.condition_number() < 1e3)
-        .unwrap_or(false)
+    condition_number(m) < 1e3
 }
 
 /// Strategy: a well-scaled `rows × cols` matrix with entries in [-10, 10].
@@ -116,22 +128,6 @@ proptest! {
     }
 
     #[test]
-    fn svd_reconstructs_and_orders(m in matrix_strategy(6, 4)) {
-        let svd = Svd::decompose(&m).unwrap();
-        let s = Matrix::from_diagonal(svd.singular_values());
-        let back = svd.u().mul_matrix(&s).unwrap()
-            .mul_matrix(&svd.v().transpose()).unwrap();
-        prop_assert!(back.approx_eq(&m, 1e-7));
-        for w in svd.singular_values().windows(2) {
-            prop_assert!(w[0] >= w[1] - 1e-12);
-        }
-        // Frobenius norm equals the root sum of squared singular values.
-        let fro = m.norm_frobenius();
-        let sv_norm = svd.singular_values().iter().map(|s| s * s).sum::<f64>().sqrt();
-        prop_assert!((fro - sv_norm).abs() < 1e-7 * fro.max(1.0));
-    }
-
-    #[test]
     fn weighted_ls_matches_scaled_plain_ls(
         m in matrix_strategy(8, 3),
         b in vector_strategy(8),
@@ -156,7 +152,7 @@ proptest! {
     ) {
         let qr = Qr::decompose(&m).unwrap();
         if qr.rank(1e-8) < 3 { return Ok(()); }
-        if Svd::decompose(&m).unwrap().condition_number() > 1e5 { return Ok(()); }
+        if condition_number(&m) > 1e5 { return Ok(()); }
         let b = m.mul_vector(&x).unwrap();
         let report = lstsq::solve_irls(&m, &b, &lion_linalg::IrlsConfig::default()).unwrap();
         for (p, q) in report.solution.as_slice().iter().zip(x.as_slice()) {
@@ -280,127 +276,76 @@ proptest! {
         }
     }
 
-    #[test]
-    fn normal_eq_add_remove_matches_subset_qr(
-        m in matrix_strategy(10, 3),
-        b in vector_strategy(10),
-        fresh in matrix_strategy(10, 3),
-        fresh_b in vector_strategy(10),
-        drain in 0_usize..6,
-        replace in proptest::collection::vec((0_usize..2).prop_map(|v| v == 1), 10),
-    ) {
-        // A sliding-window edit sequence on a solved system: drain rows
-        // off the front, replace some survivors in place, push fresh rows
-        // at the back. The solve must stay in parity with a from-scratch
-        // QR solve of the edited rows.
-        let mut ne = normal_eq_from(&m, &b);
-        ne.solve().ok();
-        ne.remove_rows_front(drain);
-        let mut rows: Vec<&[f64]> = Vec::new();
-        let mut rhs = Vec::new();
-        for r in drain..10 {
-            if replace[r] {
-                ne.replace_row(r - drain, fresh.row(r), fresh_b[r]);
-                rows.push(fresh.row(r));
-                rhs.push(fresh_b[r]);
-            } else {
-                rows.push(m.row(r));
-                rhs.push(b[r]);
-            }
-        }
-        for r in 0..drain {
-            ne.push_row(fresh.row(r), fresh_b[r]);
-            rows.push(fresh.row(r));
-            rhs.push(fresh_b[r]);
-        }
-        let edited = Matrix::from_rows(&rows).unwrap();
-        if !well_conditioned(&edited) { return Ok(()); }
-        let x_qr = lstsq::solve(&edited, &Vector::from_slice(&rhs)).unwrap();
-        let x_ne = ne.solve().unwrap();
-        for (p, q) in x_ne.iter().zip(x_qr.as_slice()) {
-            prop_assert!((p - q).abs() < 1e-6 * (1.0 + q.abs()), "{p} vs {q}");
-        }
-    }
-
     // The NormalEq bit-identity gate: a solve is a pure function of the
-    // stored rows, rhs and weights, so no interleaving of pushes, front
-    // drains, in-place replacements, reweights, uniform resets and solves
-    // may leave a trace. After every step, the rows gathered back out of
-    // the blocked storage must equal a plain row list edited alongside,
-    // and `solve` and `covariance_diag_into` must be `==` a fresh bulk
-    // load of that list. Fractional data, so a Gram matrix patched by
-    // weight deltas or row downdates instead of rebuilt would differ in
-    // the last bits. The edits cover the layout's seams: front drains of
-    // every count mod 4 (0–7 rows), pushes that complete a block of four,
-    // and replacements into a whole block and into the row-major tail.
-    // Covers the streaming delta tick's shape (a reweight, then row edits,
-    // then the IRLS restart) and, with 5 columns, the runtime-width
-    // `simd::gram_into` next to the fixed-width kernels.
+    // stored rows, rhs and weights, so a system loaded into a reused
+    // `NormalEq`, whose buffers hold whatever earlier systems of other
+    // shapes, weights and IRLS runs left there, must solve `==` the same
+    // system loaded into a fresh one: plain and reweighted solves,
+    // covariances and whole IRLS runs alike. The row counts cover every
+    // `m mod 4`, so each load has whole blocks and a row-major tail, and
+    // 5 columns run the runtime-width `simd::gram_into` next to the
+    // fixed-width kernels. The blocking itself is checked against the
+    // plain row list: the residuals at `x = 0` are `−kᵢ` and at the unit
+    // vector `e_c` are `a_ic − kᵢ`, exactly, since every other product
+    // is an exact zero, so they read each stored entry back.
     #[test]
-    fn normal_eq_edits_equal_a_fresh_load(
+    fn normal_eq_reloads_equal_a_fresh_load(
         cols in 2_usize..6,
-        pool in proptest::collection::vec(-10.0_f64..10.0, 16 * 5),
-        pool_k in proptest::collection::vec(-10.0_f64..10.0, 16),
-        ops in proptest::collection::vec((0_usize..6, 0_usize..16, 0.0_f64..1.0), 1..40),
+        pool in proptest::collection::vec(-10.0_f64..10.0, 26 * 5),
+        pool_k in proptest::collection::vec(-10.0_f64..10.0, 26),
+        loads in proptest::collection::vec((0_usize..14, 0_usize..8, 0.0_f64..1.0), 1..12),
     ) {
-        let pool_row = |i: usize| &pool[i * cols..(i + 1) * cols];
-        let mut ne = NormalEq::new();
-        ne.begin(cols);
-        let mut rhs = pool_k[..cols + 2].to_vec();
-        let mut rows: Vec<&[f64]> = Vec::new();
-        for (i, &k) in rhs.iter().enumerate() {
-            ne.push_row(pool_row(i), k);
-            rows.push(pool_row(i));
-        }
-        let mut fresh = NormalEq::new();
+        let mut reused = NormalEq::new();
+        let (mut reused_irls, mut fresh_irls) = (NormalIrlsScratch::new(), NormalIrlsScratch::new());
         let (mut got, mut want) = (Vec::new(), Vec::new());
-        let mut gathered = vec![0.0; cols];
-        for &(kind, i, f) in &ops {
-            let m = ne.rows();
-            match kind {
-                0 | 1 => {
-                    ne.push_row(pool_row(i), pool_k[i]);
-                    rows.push(pool_row(i));
-                    rhs.push(pool_k[i]);
+        let mut residuals = Vec::new();
+        for &(extra, start, f) in &loads {
+            let m = cols + extra;
+            let rows = &pool[start * cols..(start + m) * cols];
+            let rhs = &pool_k[start..start + m];
+            reused.set_system(cols, rows, rhs);
+            let mut fresh = NormalEq::new();
+            fresh.set_system(cols, rows, rhs);
+            prop_assert_eq!(reused.rows(), m);
+            let mut x = vec![0.0; cols];
+            reused.residuals_into(&x, &mut residuals);
+            let negated: Vec<f64> = rhs.iter().map(|k| -k).collect();
+            prop_assert_eq!(&residuals, &negated);
+            for c in 0..cols {
+                x.fill(0.0);
+                x[c] = 1.0;
+                reused.residuals_into(&x, &mut residuals);
+                for (r, (&res, &k)) in residuals.iter().zip(rhs).enumerate() {
+                    let entry = rows[r * cols + c] - k;
+                    prop_assert!(res.to_bits() == entry.to_bits(), "entry ({}, {})", r, c);
                 }
-                2 => {
-                    let count = (i % 8).min(m);
-                    ne.remove_rows_front(count);
-                    rows.drain(..count);
-                    rhs.drain(..count);
-                }
-                3 if m > 0 => {
-                    let at = ((f * m as f64) as usize).min(m - 1);
-                    ne.replace_row(at, pool_row(i), pool_k[i]);
-                    rows[at] = pool_row(i);
-                    rhs[at] = pool_k[i];
-                    prop_assert_eq!(ne.weights()[at], 1.0);
-                }
-                4 => {
-                    let w: Vec<f64> = (0..m)
-                        .map(|r| 0.1 + (r as f64 * 0.618 + f).fract() * 4.9)
-                        .collect();
-                    ne.set_weights(&w).unwrap();
-                }
-                _ => ne.reset_weights_uniform(),
             }
-            prop_assert_eq!(ne.rows(), rows.len());
-            for (r, row) in rows.iter().enumerate() {
-                ne.row_into(r, &mut gathered);
-                prop_assert!(gathered == *row, "row {} of {}", r, rows.len());
-            }
-            let flat: Vec<f64> = rows.concat();
-            fresh.set_system(cols, &flat, &rhs);
-            fresh.set_weights(ne.weights()).unwrap();
             prop_assert_eq!(
-                ne.solve().map(<[f64]>::to_vec),
+                reused.solve().map(<[f64]>::to_vec),
+                fresh.solve().map(<[f64]>::to_vec)
+            );
+            let w: Vec<f64> = (0..m)
+                .map(|r| 0.1 + (r as f64 * 0.618 + f).fract() * 4.9)
+                .collect();
+            reused.set_weights(&w).unwrap();
+            fresh.set_weights(&w).unwrap();
+            prop_assert_eq!(
+                reused.solve().map(<[f64]>::to_vec),
                 fresh.solve().map(<[f64]>::to_vec)
             );
             prop_assert_eq!(
-                ne.covariance_diag_into(&mut got),
+                reused.covariance_diag_into(&mut got),
                 fresh.covariance_diag_into(&mut want)
             );
             prop_assert_eq!(&got, &want);
+            // IRLS restarts from uniform weights whatever the system held:
+            // the reweighted system runs it `==` a freshly loaded one.
+            fresh.set_system(cols, rows, rhs);
+            let config = IrlsConfig::default();
+            let a = solve_irls_normal(&mut reused, &config, &mut reused_irls);
+            let b = solve_irls_normal(&mut fresh, &config, &mut fresh_irls);
+            prop_assert_eq!(a, b);
+            prop_assert_eq!(reused.solution(), fresh.solution());
         }
     }
 

@@ -32,7 +32,7 @@
 //!   fell back to the full replay path over the window exceeding
 //!   `max_resolve_fallback_rate`. A stream configured for O(delta)
 //!   re-solves that keeps replaying (out-of-order arrivals splicing the
-//!   window, degenerate geometry, pair-structure churn) has silently
+//!   window, lower-dimension geometry, failing delta solves) has silently
 //!   lost its latency budget; streams in plain replay mode produce no
 //!   data for this rule and it reports insufficient data.
 //!

@@ -121,11 +121,12 @@ pub enum ResolveMode {
     /// O(window) per solve, bit-identical to the batch localizer.
     #[default]
     Replay,
-    /// Patch persistent state with only the reads that entered/left since
-    /// the last tick ([`lion_core::IncrementalState`]) — O(delta) per
-    /// solve, within a documented 1e-6 of replay, falling back to a
-    /// bit-exact replay deterministically (splices, evicted reference,
-    /// lower-dimension geometry, periodic re-anchor).
+    /// Patch persistent preprocessing state (unwrap chain, smoothing,
+    /// frozen frame, pinned reference) with only the reads that
+    /// entered/left since the last tick ([`lion_core::IncrementalState`]),
+    /// then solve as replay does — within a documented 1e-6 of replay,
+    /// falling back to a bit-exact replay deterministically (splices,
+    /// evicted reference, lower-dimension geometry, periodic re-anchor).
     Incremental,
 }
 

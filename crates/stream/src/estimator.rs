@@ -82,7 +82,8 @@ pub struct StreamEstimate {
 /// [`lion_core::Localizer::locate`] on the same reads (see
 /// `tests/stream_parity.rs`). [`ResolveMode::Incremental`] trades that
 /// guarantee down to a documented 1e-6 on delta ticks in exchange for
-/// O(delta) work per solve; fallback ticks remain bit-identical.
+/// O(delta) preprocessing per solve; fallback ticks remain
+/// bit-identical.
 ///
 /// # Example
 ///
@@ -122,7 +123,7 @@ pub struct StreamLocalizer {
     /// The batch localizer every replay solve runs:
     /// [`StreamConfig::localizer`] in [`StreamConfig::space`].
     localizer: Localizer,
-    /// Persistent O(delta) re-solve state; `Some` iff the configured
+    /// Persistent O(delta) preprocessing state; `Some` iff the configured
     /// resolve mode is [`ResolveMode::Incremental`].
     resolve: Option<IncrementalState>,
     window: SlidingWindow,
@@ -383,9 +384,9 @@ impl StreamLocalizer {
         self.config.resolve_mode
     }
 
-    /// Normal-equation rows touched by incremental delta ticks (removed +
-    /// replaced + pushed) — the O(delta) work metric. Zero in
-    /// [`ResolveMode::Replay`].
+    /// Normal-equation rows built by incremental delta ticks: every delta
+    /// tick builds one row per pair of its window, as a replay tick does.
+    /// Zero in [`ResolveMode::Replay`].
     pub fn resolve_rows_delta(&self) -> u64 {
         self.resolve.as_ref().map_or(0, |s| s.rows_delta())
     }

@@ -33,8 +33,10 @@
 //!    under shuffled arrival, because insertion is timestamp-sorted
 //!    (`tests/stream_parity.rs`).
 //! 2. **O(delta) re-solves on demand.** [`ResolveMode::Incremental`]
-//!    patches persistent state ([`lion_core::IncrementalState`]) with
-//!    only the reads that entered/left since the previous tick. Fallback
+//!    patches persistent preprocessing state
+//!    ([`lion_core::IncrementalState`]) with only the reads that
+//!    entered/left since the previous tick, then solves the window's
+//!    system the way replay does. Fallback
 //!    and resync ticks literally run the replay path (bit-identical);
 //!    delta ticks agree with replay to a documented 1e-6, and every
 //!    fallback trigger is a pure function of the read sequence, so the

@@ -3,14 +3,20 @@
 # Build, test, lint, check doc links, and check formatting — everything
 # CI would run.
 # Tests run with overflow-checks on (see [profile.test] in Cargo.toml);
-# the streaming parity + backpressure suites, the adaptive sweep's
+# the streaming parity + backpressure suites (among them the O(delta)
+# resolver's back-and-forth scan gate
+# incremental_ping_pong_scan_stays_on_delta_ticks: every delta tick
+# within 1e-6 of replay through the turnarounds, at most one tick in six
+# replayed), the zero-allocation gates (the steady-state sweeps, the
+# windowed locate and steady_state_incremental_ticks_allocate_nothing,
+# the resolver's delta and resync ticks), the adaptive sweep's
 # reuse and per-cell oracles, the structured-pairing oracle (the cross
 # partners found once per range against the per-interval three-cursor
 # pass, and the lion-core unit gate one_classification_pairs_every_interval),
-# the NormalEq bit-identity proptest (`normal_eq_edits_equal_a_fresh_load`,
-# under the `normal_eq` filter: gathered rows and solves of the blocked
-# storage against a plain row list, across every drain count mod 4,
-# block-completing pushes and replacements in blocks and tail) and its
+# the NormalEq bit-identity proptest (`normal_eq_reloads_equal_a_fresh_load`,
+# under the `normal_eq` filter: systems of every row count mod 4 loaded
+# into a reused NormalEq solve, reweight and run IRLS `==` a fresh one,
+# and every stored entry reads back against the plain row list) and its
 # QR oracles, the
 # accelerated-IRLS fixed-point oracle, the sliding window's sorted-Vec
 # model proptest, the engine's serial-vs-N-workers gate for batch and
@@ -40,7 +46,8 @@
 # sin_cos_is_fused_like_mul_add,
 # which tell a kernel that fuses its multiply-adds like `f64::mul_add`
 # from one that rounds the products first, on both backends.
-# The scalar-fallback step reruns stream_parity, engine_determinism,
+# The scalar-fallback step reruns stream_parity (with the ping-pong
+# gate), engine_determinism, steady_state_incremental_ticks_allocate_nothing,
 # sweep_cells, structured_pairs, the staged-layout gates, the SIMD
 # parity binary with its blocked-layout oracles, the lion-linalg
 # proptests and lane-sum oracle, the accelerated-IRLS fixed-point oracle, the
@@ -67,7 +74,7 @@ verify:
     cargo test -q -p lion-core --test scalar_dispatch
     cargo test -q -p lion-core --test proptests window
     cargo test -q -p lion-linalg --test simd_parity
-    LION_SIMD=scalar sh -c 'cargo test -q --test stream_parity --test engine_determinism && cargo test -q -p lion-core --test sweep_cells --test stage_layout --test structured_pairs && cargo test -q -p lion-core --lib -- frame_sums_follow_the_documented_lane_order pair_lanes_match_the_pair_list one_classification_pairs_every_interval && cargo test -q -p lion-linalg --test proptests --test simd_parity && cargo test -q -p lion-linalg --lib lane_sums_match_the_indexed_oracle && cargo test -q -p lion-linalg --test irls_fixed_point && cargo test -q -p lion-stream --lib estimator && cargo test -q -p lion-core --lib calibrate'
+    LION_SIMD=scalar sh -c 'cargo test -q --test stream_parity --test engine_determinism && cargo test -q -p lion-core --test zero_alloc steady_state_incremental_ticks_allocate_nothing && cargo test -q -p lion-core --test sweep_cells --test stage_layout --test structured_pairs && cargo test -q -p lion-core --lib -- frame_sums_follow_the_documented_lane_order pair_lanes_match_the_pair_list one_classification_pairs_every_interval && cargo test -q -p lion-linalg --test proptests --test simd_parity && cargo test -q -p lion-linalg --lib lane_sums_match_the_indexed_oracle && cargo test -q -p lion-linalg --test irls_fixed_point && cargo test -q -p lion-stream --lib estimator && cargo test -q -p lion-core --lib calibrate'
     cargo test -q -p lion-obs --test http_plane
     cargo test -q --test fleet_health
     cargo test -q --test history_determinism --test doctor

@@ -6,8 +6,9 @@
 //!
 //! This facade crate re-exports the whole workspace:
 //!
-//! - [`linalg`] — dense linear algebra (QR/LU/Cholesky/SVD, weighted and
-//!   iteratively-reweighted least squares, Levenberg–Marquardt),
+//! - [`linalg`] — dense linear algebra (QR/LU/Cholesky, weighted normal
+//!   equations, weighted and iteratively-reweighted least squares,
+//!   Levenberg–Marquardt),
 //! - [`geom`] — points, circles/spheres, radical lines/planes, trajectories,
 //! - [`sim`] — the RF substrate: antennas with hidden phase centers, tags,
 //!   multipath, noise, and a reader sampling phase measurements,
@@ -21,7 +22,7 @@
 //! - [`stream`] — the online pipeline: reads in one at a time, bounded
 //!   sliding-window re-solves out, with convergence detection —
 //!   bit-identical to the batch solver on the same window in replay
-//!   mode, or O(delta) incremental re-solves
+//!   mode, or re-solves with O(delta) incremental preprocessing
 //!   ([`stream::ResolveMode::Incremental`]) within a documented 1e-6,
 //! - [`obs`] — zero-dependency observability: structured spans/events
 //!   with causal trace propagation, an always-on flight recorder that

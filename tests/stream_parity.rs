@@ -228,8 +228,9 @@ fn three_d_parity() {
 /// Runs the same feed through a replay-mode and an incremental-mode
 /// pipeline and checks the parity tiering tick by tick: both emit at the
 /// same cadence points; fallback/resync ticks are bit-identical to
-/// replay; delta ticks agree to 1e-6. Returns the number of delta ticks.
-fn assert_incremental_parity(reads: &[StreamRead], config: StreamConfig) -> usize {
+/// replay; delta ticks agree to 1e-6. Returns the number of delta ticks
+/// and the number of emitted ticks.
+fn assert_incremental_parity(reads: &[StreamRead], config: StreamConfig) -> (usize, usize) {
     let replay_cfg = StreamConfig {
         resolve_mode: ResolveMode::Replay,
         ..config.clone()
@@ -278,7 +279,7 @@ fn assert_incremental_parity(reads: &[StreamRead], config: StreamConfig) -> usiz
         }
     }
     assert_eq!(replay.estimates_emitted(), incr.estimates_emitted());
-    delta_ticks
+    (delta_ticks, incr.estimates_emitted() as usize)
 }
 
 #[test]
@@ -293,10 +294,58 @@ fn incremental_in_order_tracks_replay_within_1e6() {
             .localizer(localizer)
             .build()
             .expect("valid");
-        let delta_ticks = assert_incremental_parity(&reads, config);
+        let (delta_ticks, _) = assert_incremental_parity(&reads, config);
         assert!(
             delta_ticks >= 10,
             "in-order feed must mostly take delta ticks, got {delta_ticks}"
+        );
+    }
+}
+
+/// A tag scanned back and forth along an arc of radius 0.3 m: its angle
+/// is `0.5π·sin(2πi/300)`, so the scan turns around every 150 reads and
+/// a window holds positions on both legs.
+fn ping_pong_reads(antenna: Point3, n: usize) -> Vec<StreamRead> {
+    (0..n)
+        .map(|i| {
+            let a = 0.5 * PI * (TAU * i as f64 / 300.0).sin();
+            let p = Point3::new(0.3 * a.cos(), 0.3 * a.sin(), 0.0);
+            StreamRead {
+                time: i as f64 * 0.01,
+                position: p,
+                phase: (4.0 * PI * antenna.distance(p) / LAMBDA) % TAU,
+                ..StreamRead::default()
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn incremental_ping_pong_scan_stays_on_delta_ticks() {
+    // At a turnaround the pairs of the interval scan change shape between
+    // ticks. Every delta tick rebuilds its rows from the window's pairs,
+    // so that is no reason to replay: only resyncs (the pinned reference
+    // evicted or re-smoothed, the periodic re-anchor) replay here.
+    for (antenna, n) in [
+        (Point3::new(1.2, 0.4, 0.0), 4_000),
+        (Point3::new(0.9, -0.5, 0.0), 8_000),
+        (Point3::new(1.4, 0.1, 0.0), 4_000),
+    ] {
+        let config = StreamConfig::builder()
+            .window_capacity(256)
+            .min_window_len(24)
+            .cadence(Cadence::EveryReads(16))
+            .localizer(LocalizerConfig {
+                pair_strategy: PairStrategy::Interval { interval: 0.2 },
+                ..LocalizerConfig::default()
+            })
+            .build()
+            .expect("valid");
+        let (delta_ticks, ticks) = assert_incremental_parity(&ping_pong_reads(antenna, n), config);
+        let replays = ticks - delta_ticks;
+        assert!(
+            6 * replays <= ticks,
+            "antenna {antenna}: {replays} of {ticks} ticks replayed"
         );
     }
 }
