@@ -34,7 +34,9 @@ pub struct StreamJob {
     /// Pipeline configuration.
     pub config: StreamConfig,
     /// Reads delivered per arrival burst (an inventory round). The queue
-    /// is drained between bursts.
+    /// is drained between bursts. Every read of a burst shares the
+    /// burst's delivery instant, from which its
+    /// `lion.stream.stream_lag_ns` sample runs.
     pub burst: usize,
     /// Ingress queue capacity; a burst larger than this sheds its oldest
     /// queued reads deterministically.
@@ -173,8 +175,9 @@ fn run_stream_job(
     let mut ingress = Ingress::new(job.queue_capacity)?;
     let mut doctor = job.doctor.clone().map(Doctor::new);
     // Live telemetry plane: when a hub is installed, every solve feeds
-    // the fleet SLO window — the only consumer of solve wall time, so
-    // solves are clocked only then. One relaxed atomic load when it isn't.
+    // the fleet SLO window the wall time the `lion.stream.solve_ns` timer
+    // already measured (`last_solve_ns`), so the SLO reads no clock of
+    // its own. One relaxed atomic load when no hub is installed.
     let hub = lion_obs::telemetry_hub();
     let mut estimates = Vec::new();
     let mut solve_errors = 0u64;
@@ -203,57 +206,46 @@ fn run_stream_job(
         observed_accepted = accepted;
         observed_shed = shed;
     };
+    let mut settle = |solved: Result<Option<StreamEstimate>, CoreError>,
+                      solve_ns: u64,
+                      ingress: &Ingress| match solved {
+        Ok(Some(estimate)) => {
+            if let Some(hub) = &hub {
+                hub.with_fleet(|fleet| fleet.observe_solve(solve_ns));
+            }
+            observe(&estimate, ingress);
+            estimates.push(estimate);
+        }
+        Ok(None) => {}
+        Err(e) => {
+            solve_errors += 1;
+            if let Some(hub) = &hub {
+                hub.with_fleet(|fleet| fleet.observe_failure(e.kind()));
+            }
+        }
+    };
     for burst in job.reads.chunks(job.burst) {
         {
             let _ingress_span = lion_obs::span!("lion.stream.ingress");
+            // One clock read per burst: an inventory round's reads are
+            // delivered together.
+            let delivered = Instant::now();
             for &read in burst {
                 // Overflow sheds the oldest queued read; it never reaches
                 // the pipeline, exactly as if the reader buffer dropped it.
-                let _ = ingress.offer(read);
+                let _ = ingress.offer_at(read, delivered);
             }
         }
         while let Some((read, arrival)) = ingress.pop_with_arrival() {
-            let pushed_at = hub.is_some().then(Instant::now);
-            match pipeline.push_at(read, arrival) {
-                Ok(Some(estimate)) => {
-                    if let (Some(hub), Some(t)) = (&hub, pushed_at) {
-                        let solve_ns = lion_obs::saturating_ns_between(t, Instant::now());
-                        hub.with_fleet(|fleet| fleet.observe_solve(solve_ns));
-                    }
-                    observe(&estimate, &ingress);
-                    estimates.push(estimate);
-                }
-                Ok(None) => {}
-                Err(e) => {
-                    solve_errors += 1;
-                    if let Some(hub) = &hub {
-                        hub.with_fleet(|fleet| fleet.observe_failure(e.kind()));
-                    }
-                }
-            }
+            let solved = pipeline.push_at(read, arrival);
+            settle(solved, pipeline.last_solve_ns(), &ingress);
         }
     }
     if job.flush_at_end {
         // Only meaningful when reads arrived after the last cadence
         // solve; a flush on an already-solved window re-emits.
-        let flushed_at = hub.is_some().then(Instant::now);
-        match pipeline.flush() {
-            Ok(Some(estimate)) => {
-                if let (Some(hub), Some(t)) = (&hub, flushed_at) {
-                    let solve_ns = lion_obs::saturating_ns_between(t, Instant::now());
-                    hub.with_fleet(|fleet| fleet.observe_solve(solve_ns));
-                }
-                observe(&estimate, &ingress);
-                estimates.push(estimate);
-            }
-            Ok(None) => {}
-            Err(e) => {
-                solve_errors += 1;
-                if let Some(hub) = &hub {
-                    hub.with_fleet(|fleet| fleet.observe_failure(e.kind()));
-                }
-            }
-        }
+        let solved = pipeline.flush();
+        settle(solved, pipeline.last_solve_ns(), &ingress);
     }
     lion_obs::event!(
         lion_obs::Level::Info,
@@ -371,22 +363,24 @@ fn record_stream_series(
     let Some(tsdb) = hub.tsdb() else {
         return;
     };
-    let series = |metric: &str, label: &str| format!("lion.stream.{metric}{{stream=\"{label}\"}}");
     for (i, (job, outcome)) in jobs.iter().zip(outcomes).enumerate() {
         let Ok(outcome) = outcome else { continue };
         let label = stream_label(job, i);
+        let series = |metric: &str| format!("lion.stream.{metric}{{stream=\"{label}\"}}");
+        // Named once per stream, not once per estimate.
+        let (residual, confidence) = (series("residual"), series("confidence"));
         let mut last_t_ns = 0u64;
         for estimate in &outcome.estimates {
             // Stream-time timestamps: deterministic across runs and
             // worker counts, unlike the wall clock.
             let t_ns = (estimate.trigger_time * 1e9) as u64;
             last_t_ns = last_t_ns.max(t_ns);
-            tsdb.push_gauge(&series("residual", &label), t_ns, estimate.mean_residual);
-            tsdb.push_gauge(&series("confidence", &label), t_ns, estimate.confidence);
+            tsdb.push_gauge(&residual, t_ns, estimate.mean_residual);
+            tsdb.push_gauge(&confidence, t_ns, estimate.confidence);
         }
-        tsdb.push_counter(&series("reads_in", &label), last_t_ns, outcome.reads_in);
+        tsdb.push_counter(&series("reads_in"), last_t_ns, outcome.reads_in);
         tsdb.push_counter(
-            &series("overflow_dropped", &label),
+            &series("overflow_dropped"),
             last_t_ns,
             outcome.overflow_dropped,
         );

@@ -9,7 +9,7 @@
 //! The LION pipeline runs that loop on the normal equations
 //! ([`crate::solve_irls_normal`]) with the [`WeightFunction`] and
 //! [`IrlsConfig`] defined here. The QR routes in this module
-//! ([`solve`], [`solve_weighted`], [`solve_irls`]) are its
+//! ([`solve`], [`solve_irls`]) are its
 //! better-conditioned reference in tests and the solver of the baseline
 //! methods.
 
@@ -178,26 +178,19 @@ pub fn solve(a: &Matrix, k: &Vector) -> Result<Vector, LinalgError> {
     Qr::decompose(a)?.solve_least_squares(k)
 }
 
-/// Solves `min Σ wᵢ·(Aᵢ·x − kᵢ)²` (paper Eq. 14/16).
+/// Solves `min Σ wᵢ·(Aᵢ·x − kᵢ)²` (paper Eq. 14/16) into caller-provided
+/// buffers for the scaled system.
 ///
-/// Internally scales each row by `√wᵢ` and solves by QR, which is
-/// algebraically identical to `(AᵀWA)⁻¹AᵀWK` but better conditioned.
+/// Scales each row by `√wᵢ` and solves by QR, which is algebraically
+/// identical to `(AᵀWA)⁻¹AᵀWK` but better conditioned. `scaled`/`rhs`
+/// are overwritten; [`solve_irls`] reuses them across its reweights
+/// instead of cloning the design matrix each time.
 ///
 /// # Errors
 ///
 /// - [`LinalgError::DimensionMismatch`] when shapes disagree,
 /// - [`LinalgError::NotFinite`] when a weight is negative or non-finite,
 /// - factorization errors from [`Qr`].
-pub fn solve_weighted(a: &Matrix, k: &Vector, weights: &[f64]) -> Result<Vector, LinalgError> {
-    let mut scaled = Matrix::zeros(0, 0);
-    let mut rhs = Vector::zeros(0);
-    solve_weighted_into(a, k, weights, &mut scaled, &mut rhs)
-}
-
-/// [`solve_weighted`] with caller-provided buffers for the scaled system.
-///
-/// `scaled`/`rhs` are overwritten; [`solve_irls`] reuses them across its
-/// reweights instead of cloning the design matrix each time.
 fn solve_weighted_into(
     a: &Matrix,
     k: &Vector,
@@ -379,6 +372,11 @@ mod tests {
         let mut k: Vec<f64> = xs.iter().map(|&x| 2.0 * x + 1.0).collect();
         k[7] += 10.0; // outlier
         (a, Vector::from_slice(&k))
+    }
+
+    /// One weighted QR solve, as `solve_irls` runs it at each reweight.
+    fn solve_weighted(a: &Matrix, k: &Vector, w: &[f64]) -> Result<Vector, LinalgError> {
+        solve_weighted_into(a, k, w, &mut Matrix::zeros(0, 0), &mut Vector::zeros(0))
     }
 
     #[test]

@@ -46,7 +46,7 @@
 //! reweights and solves the buffers went through.
 //!
 //! Accuracy: solving via the normal equations squares the condition
-//! number relative to the QR route ([`crate::lstsq::solve_weighted`]),
+//! number relative to QR on the `√wᵢ`-scaled rows ([`crate::lstsq::solve`]),
 //! so solutions agree to roughly `κ(A)²·ε` relative error. For the
 //! well-conditioned systems the LION model produces this is ≤ ~1e-9;
 //! the proptests in `tests/proptests.rs` pin a 1e-6 parity tolerance
@@ -191,7 +191,7 @@ impl NormalEq {
     /// - [`LinalgError::DimensionMismatch`] when `w.len()` differs from
     ///   the row count,
     /// - [`LinalgError::NotFinite`] when a weight is negative or
-    ///   non-finite (matching [`crate::lstsq::solve_weighted`]).
+    ///   non-finite.
     pub fn set_weights(&mut self, w: &[f64]) -> Result<(), LinalgError> {
         let m = self.rhs.len();
         if w.len() != m {
@@ -560,11 +560,11 @@ mod tests {
         ne
     }
 
+    /// The QR oracle: plain least squares on rows and rhs scaled by `√wᵢ`.
     fn qr_weighted(rows: &[([f64; 2], f64)], w: &[f64]) -> Vec<f64> {
-        let refs: Vec<&[f64]> = rows.iter().map(|(a, _)| a.as_slice()).collect();
-        let a = Matrix::from_rows(&refs).unwrap();
-        let k = Vector::from_slice(&rows.iter().map(|(_, k)| *k).collect::<Vec<_>>());
-        lstsq::solve_weighted(&a, &k, w).unwrap().into_inner()
+        let a = Matrix::from_fn(rows.len(), 2, |r, c| rows[r].0[c] * w[r].sqrt());
+        let k = Vector::from_fn(rows.len(), |r| rows[r].1 * w[r].sqrt());
+        lstsq::solve(&a, &k).unwrap().into_inner()
     }
 
     #[test]

@@ -179,6 +179,14 @@ impl SloTracker {
         });
     }
 
+    /// The completed solves' latencies in the window, oldest first.
+    pub fn latencies_ns(&self) -> impl Iterator<Item = u64> + '_ {
+        self.recent.iter().filter_map(|sample| match sample {
+            SloSample::Ok { latency_ns } => Some(*latency_ns),
+            SloSample::Failed { .. } => None,
+        })
+    }
+
     /// The current windowed verdict.
     pub fn report(&self) -> SloReport {
         let window_len = self.recent.len() as u64;
@@ -434,6 +442,11 @@ impl FleetDoctor {
     /// Records one completed solve into the SLO window.
     pub fn observe_solve(&mut self, latency_ns: u64) {
         self.slo.observe_solve(latency_ns);
+    }
+
+    /// The SLO window the solves feed.
+    pub fn slo(&self) -> &SloTracker {
+        &self.slo
     }
 
     /// Records one failed solve into the SLO window under its

@@ -14,9 +14,12 @@ use crate::config::{Cadence, ResolveMode, StreamConfig};
 use crate::convergence::ConvergenceTracker;
 use crate::read::StreamRead;
 
-/// Histogram name for end-to-end read→estimate latency (nanoseconds):
-/// the time from a read's arrival (its [`Instant`] at ingress) to the
-/// emission of the estimate it triggered.
+/// Histogram name for end-to-end delivery→estimate latency
+/// (nanoseconds): the time from the arrival instant passed to
+/// [`StreamLocalizer::push_at`] to the emission of the estimate that read
+/// triggered. Behind an [`crate::Ingress`] that instant is the delivery
+/// of the read's burst, so the lag includes queue wait and the reads
+/// queued ahead of it in the burst.
 pub const STREAM_LAG_HISTOGRAM: &str = "lion.stream.stream_lag_ns";
 
 /// Histogram name for the solve-only latency (nanoseconds).
@@ -136,6 +139,7 @@ pub struct StreamLocalizer {
     seq: u64,
     solve_errors: u64,
     resolve_fallbacks: u64,
+    last_solve_ns: u64,
 }
 
 impl StreamLocalizer {
@@ -167,6 +171,7 @@ impl StreamLocalizer {
             seq: 0,
             solve_errors: 0,
             resolve_fallbacks: 0,
+            last_solve_ns: 0,
         })
     }
 
@@ -184,8 +189,9 @@ impl StreamLocalizer {
 
     /// [`StreamLocalizer::push`] with an explicit arrival instant —
     /// callers that queue reads (the engine's stream mode) pass the
-    /// *enqueue* time so the `lion.stream.stream_lag_ns` histogram
-    /// captures queue wait as well as solve latency.
+    /// instant the read's burst was delivered, so the
+    /// `lion.stream.stream_lag_ns` histogram captures queue wait as well
+    /// as solve latency. Reads no clock unless the read triggers a solve.
     pub fn push_at(
         &mut self,
         read: StreamRead,
@@ -262,7 +268,7 @@ impl StreamLocalizer {
         // Tags the latency with the ambient trace id (when tracing is
         // attached) so histogram exemplars link slow solves to their
         // flight-recorder span trees.
-        solve_timer.stop_traced();
+        self.last_solve_ns = solve_timer.stop_traced();
         let (batch, resolve_path) = match solved {
             Ok(solved) => solved,
             Err(e) => {
@@ -377,6 +383,14 @@ impl StreamLocalizer {
     /// Due solves that failed (the error was returned to the caller).
     pub fn solve_errors(&self) -> u64 {
         self.solve_errors
+    }
+
+    /// Wall time of the most recent solve, failed or not, in
+    /// nanoseconds — the value its [`SOLVE_HISTOGRAM`] sample recorded
+    /// (`0` before the first solve). Kept off [`StreamEstimate`] so
+    /// estimates stay `==` across runs and worker counts.
+    pub fn last_solve_ns(&self) -> u64 {
+        self.last_solve_ns
     }
 
     /// The configured resolve mode (replay vs incremental).

@@ -10,6 +10,11 @@
 //! Drops are deterministic (a pure function of the offered sequence and
 //! the drain schedule) and counted, so backpressure behaviour is testable
 //! exactly — see `tests/stream_backpressure.rs` at the workspace root.
+//!
+//! Each queued read carries the instant its burst was delivered. A caller
+//! that delivers a burst reads the clock once and offers every read of it
+//! with [`Ingress::offer_at`], so queueing costs no clock read per read;
+//! [`Ingress::offer`] stamps "now" for one-off offers.
 
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -70,10 +75,17 @@ impl Ingress {
         })
     }
 
-    /// Enqueues a read, stamping its arrival instant. When full, the
-    /// **oldest** queued read is removed to make room and returned (so
-    /// callers can count or log it); otherwise returns `None`.
+    /// Enqueues a read, stamping it with the current instant: exactly
+    /// [`Ingress::offer_at`] with `Instant::now()`.
     pub fn offer(&mut self, read: StreamRead) -> Option<StreamRead> {
+        self.offer_at(read, Instant::now())
+    }
+
+    /// Enqueues a read delivered at `arrival` — one instant for every
+    /// read of a burst. When full, the **oldest** queued read is removed
+    /// to make room and returned (so callers can count or log it);
+    /// otherwise returns `None`.
+    pub fn offer_at(&mut self, read: StreamRead, arrival: Instant) -> Option<StreamRead> {
         self.offered += 1;
         let shed = if self.queue.len() == self.capacity {
             // Shed before pushing so the backing buffer never exceeds
@@ -83,7 +95,7 @@ impl Ingress {
         } else {
             None
         };
-        self.queue.push_back((read, Instant::now()));
+        self.queue.push_back((read, arrival));
         shed.map(|(read, _)| read)
     }
 
@@ -92,9 +104,11 @@ impl Ingress {
         self.queue.pop_front().map(|(read, _)| read)
     }
 
-    /// Dequeues the oldest queued read together with the instant it was
-    /// offered — feed both to [`crate::StreamLocalizer::push_at`] so the
-    /// `lion.stream.stream_lag_ns` histogram includes queue wait.
+    /// Dequeues the oldest queued read together with the instant its
+    /// burst was delivered — feed both to
+    /// [`crate::StreamLocalizer::push_at`] so the
+    /// `lion.stream.stream_lag_ns` histogram runs from burst delivery and
+    /// includes queue wait.
     pub fn pop_with_arrival(&mut self) -> Option<(StreamRead, Instant)> {
         self.queue.pop_front()
     }
@@ -178,6 +192,34 @@ mod tests {
         assert_eq!(first.time, 0.0);
         assert_eq!(second.time, 1.0);
         assert!(t1 >= t0);
+    }
+
+    #[test]
+    fn one_burst_pops_with_one_arrival_and_offer_stamps_now() {
+        let mut burst = Ingress::new(3).unwrap();
+        let mut single = Ingress::new(3).unwrap();
+        let delivered = Instant::now();
+        // A burst of five into three slots sheds the oldest two, exactly
+        // as five one-off offers do.
+        for t in 0..5 {
+            burst.offer_at(read(t as f64), delivered);
+            single.offer(read(t as f64));
+        }
+        assert_eq!(burst.offered(), single.offered());
+        assert_eq!(burst.overflow_dropped(), 2);
+        assert_eq!(single.overflow_dropped(), 2);
+        for t in 2..5 {
+            let (r, arrival) = burst.pop_with_arrival().unwrap();
+            assert_eq!(r.time, t as f64);
+            assert_eq!(arrival, delivered);
+            assert_eq!(single.pop().unwrap().time, t as f64);
+        }
+        // `offer` stamps the instant it was called.
+        let before = Instant::now();
+        burst.offer(read(5.0));
+        let after = Instant::now();
+        let (_, stamped) = burst.pop_with_arrival().unwrap();
+        assert!(before <= stamped && stamped <= after);
     }
 
     #[test]

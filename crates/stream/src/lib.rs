@@ -46,7 +46,8 @@
 //!
 //! Observability: solves run under a `lion.stream.solve` span; the global
 //! [`lion_obs`] registry collects [`SOLVE_HISTOGRAM`] (solve latency) and
-//! [`STREAM_LAG_HISTOGRAM`] (read-arrival → estimate-emission lag).
+//! [`STREAM_LAG_HISTOGRAM`] (arrival → estimate-emission lag, where a
+//! queued read's arrival is its burst's delivery).
 //!
 //! # Example
 //!

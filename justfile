@@ -54,7 +54,14 @@
 # lion-stream estimator tests and the lion-core calibrate tests with
 # LION_SIMD=scalar, so the fallback kernels (whose
 # `mul_add` is a libm `fma` call on x86_64) pass the same gates from
-# process start, not only under `simd::force`. The end-to-end
+# process start, not only under `simd::force`. The stream clock gates
+# are named too: one_burst_pops_with_one_arrival_and_offer_stamps_now
+# (reads offered in one burst pop with its one arrival instant, `offer`
+# stamps now, shed counts match one-off offers) and
+# every_solve_feeds_one_slo_sample_timed_by_the_solve_histogram (with a
+# hub installed, one SLO sample per emitted estimate, each the time the
+# `lion.stream.solve_ns` histogram recorded, plus one failure per solve
+# error). The end-to-end
 # benchmark's own tests run every
 # workload at tiny scale and check the ledger identity; it sits outside
 # the workspace, so it gets its own clippy step.
@@ -76,7 +83,8 @@ verify:
     cargo test -q -p lion-linalg --test simd_parity
     LION_SIMD=scalar sh -c 'cargo test -q --test stream_parity --test engine_determinism && cargo test -q -p lion-core --test zero_alloc steady_state_incremental_ticks_allocate_nothing && cargo test -q -p lion-core --test sweep_cells --test stage_layout --test structured_pairs && cargo test -q -p lion-core --lib -- frame_sums_follow_the_documented_lane_order pair_lanes_match_the_pair_list one_classification_pairs_every_interval && cargo test -q -p lion-linalg --test proptests --test simd_parity && cargo test -q -p lion-linalg --lib lane_sums_match_the_indexed_oracle && cargo test -q -p lion-linalg --test irls_fixed_point && cargo test -q -p lion-stream --lib estimator && cargo test -q -p lion-core --lib calibrate'
     cargo test -q -p lion-obs --test http_plane
-    cargo test -q --test fleet_health
+    cargo test -q -p lion-stream --lib one_burst_pops_with_one_arrival_and_offer_stamps_now
+    cargo test -q --test fleet_health -- fleet_rollup_is_scrapeable_and_does_not_perturb_outcomes every_solve_feeds_one_slo_sample_timed_by_the_solve_histogram
     cargo test -q --test history_determinism --test doctor
     cargo build --release --offline --manifest-path bench_e2e/Cargo.toml
     cargo test --release --offline --manifest-path bench_e2e/Cargo.toml

@@ -10,14 +10,28 @@
 //! shipped Prometheus rule file against the `/metrics` scrape, so an
 //! alert cannot name a metric the exporter does not serve.
 //!
-//! The hub, registry, and recorder are process globals, so this file
-//! holds exactly one test.
+//! A second test checks that the hub's SLO window holds one sample per
+//! solve, each the time the `lion.stream.solve_ns` histogram recorded
+//! for that solve.
+//!
+//! The hub, registry, and recorder are process globals, so every test
+//! here holds the `GLOBALS` lock for its whole run.
 
+use lion::engine::StreamOutcome;
 use lion::prelude::*;
+use std::collections::BTreeMap;
 use std::f64::consts::{PI, TAU};
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
+
+/// Serializes the tests over the process-global hub and registry.
+static GLOBALS: Mutex<()> = Mutex::new(());
+
+fn hold_globals() -> MutexGuard<'static, ()> {
+    GLOBALS.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 const LAMBDA: f64 = 299_792_458.0 / 920.625e6;
 
@@ -129,6 +143,7 @@ fn scrape(addr: std::net::SocketAddr, path: &str) -> String {
 
 #[test]
 fn fleet_rollup_is_scrapeable_and_does_not_perturb_outcomes() {
+    let _globals = hold_globals();
     let jobs = fleet_jobs();
     let engine = Engine::builder().workers(4).build().expect("valid engine");
 
@@ -230,4 +245,92 @@ fn fleet_rollup_is_scrapeable_and_does_not_perturb_outcomes() {
     server.shutdown();
     let hub_again = uninstall_telemetry_hub().expect("hub was installed");
     assert_eq!(hub_again.fleet_report().streams, hub.fleet_report().streams);
+}
+
+/// The global `lion.stream.solve_ns` histogram as it stands.
+fn solve_histogram() -> Histogram {
+    lion::obs::global()
+        .snapshot()
+        .histogram(lion::stream::SOLVE_HISTOGRAM)
+        .cloned()
+        .unwrap_or_default()
+}
+
+/// Per-bucket counts recorded between two snapshots of one histogram.
+fn bucket_delta(before: &Histogram, after: &Histogram) -> BTreeMap<u64, u64> {
+    let earlier: BTreeMap<u64, u64> = before.nonzero_buckets().collect();
+    after
+        .nonzero_buckets()
+        .map(|(bound, n)| (bound, n - earlier.get(&bound).copied().unwrap_or(0)))
+        .filter(|&(_, n)| n > 0)
+        .collect()
+}
+
+#[test]
+fn every_solve_feeds_one_slo_sample_timed_by_the_solve_histogram() {
+    let _globals = hold_globals();
+    let engine = Engine::builder().workers(2).build().expect("valid engine");
+    let hub = install_telemetry_hub(lion::obs::SloConfig {
+        window: 1 << 16,
+        ..lion::obs::SloConfig::default()
+    });
+
+    // A clean fleet: every solve emits an estimate, and each emitted
+    // solve adds one SLO sample equal to its `solve_ns` sample.
+    let before = solve_histogram();
+    let outcomes = engine.run_streams(&fleet_jobs());
+    let after = solve_histogram();
+    let outcomes: Vec<StreamOutcome> = outcomes.into_iter().map(|o| o.unwrap()).collect();
+    let emitted: u64 = outcomes.iter().map(|o| o.estimates.len() as u64).sum();
+    assert!(emitted > 0);
+    assert!(outcomes.iter().all(|o| o.solve_errors == 0));
+    let samples: Vec<u64> = hub.with_fleet(|fleet| fleet.slo().latencies_ns().collect());
+    assert_eq!(hub.fleet_report().slo.total, emitted);
+    assert_eq!(samples.len() as u64, emitted);
+    assert_eq!(after.count() - before.count(), emitted);
+    assert_eq!(after.sum() - before.sum(), samples.iter().sum::<u64>());
+    let mut sampled = Histogram::new();
+    for &ns in &samples {
+        sampled.record(ns);
+    }
+    assert_eq!(
+        bucket_delta(&before, &after),
+        sampled.nonzero_buckets().collect::<BTreeMap<_, _>>()
+    );
+
+    // A stream that never moves cannot be solved: each failed solve adds
+    // one failure to the window and no latency sample.
+    let still: Vec<StreamRead> = circle_reads(Point3::new(1.2, 0.4, 0.0), 120)
+        .into_iter()
+        .map(|read| StreamRead {
+            position: Point3::new(0.3, 0.0, 0.0),
+            ..read
+        })
+        .collect();
+    let config = StreamConfig::builder()
+        .cadence(Cadence::EveryReads(20))
+        .build()
+        .expect("valid config");
+    let mixed = [
+        StreamJob::new(still, config.clone()),
+        StreamJob::new(circle_reads(Point3::new(1.1, 0.4, 0.0), 200), config),
+    ];
+    let outcomes: Vec<StreamOutcome> = engine
+        .run_streams(&mixed)
+        .into_iter()
+        .map(|o| o.unwrap())
+        .collect();
+    let emitted_again: u64 = outcomes.iter().map(|o| o.estimates.len() as u64).sum();
+    let errors: u64 = outcomes.iter().map(|o| o.solve_errors).sum();
+    assert!(errors > 0 && emitted_again > 0);
+    let slo = hub.fleet_report().slo;
+    assert_eq!(slo.total, emitted + emitted_again + errors);
+    assert_eq!(
+        slo.failures_by_kind.iter().map(|(_, n)| n).sum::<u64>(),
+        errors
+    );
+    let samples_now = hub.with_fleet(|fleet| fleet.slo().latencies_ns().count()) as u64;
+    assert_eq!(samples_now, emitted + emitted_again);
+
+    uninstall_telemetry_hub().expect("hub was installed");
 }
