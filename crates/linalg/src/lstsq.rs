@@ -129,7 +129,18 @@ pub struct IrlsConfig {
     /// threshold".
     pub max_iterations: usize,
     /// Convergence threshold on the reweighting step `‖G(xₖ) − xₖ‖∞`,
-    /// where `G` reweights from the residuals at `xₖ` and re-solves.
+    /// where `G` reweights from the residuals at `xₖ` and re-solves. It is
+    /// in the units of the solved unknowns: metres for every localizer
+    /// solve, whose unknowns are frame coordinates and `d_r`.
+    ///
+    /// The default is 1e-6 (1 µm). The normal equations' rounding floor
+    /// sits near 5e-9, where the last reweights of a tighter tolerance
+    /// only trade rounding noise. At 1 µm, a solve takes about a quarter
+    /// fewer reweights, and on the benchmark rigs it stays within
+    /// 0.02 mm of the same solve run to that floor, far inside the
+    /// calibration rig's 1.47 mm Cramér–Rao bound. 1e-5 is too loose:
+    /// there ten times as many adaptive-sweep calibrations swap their
+    /// pick of near-tied cells, and single solves move up to 0.14 mm.
     pub tolerance: f64,
     /// Weighting scheme.
     pub weight_fn: WeightFunction,
@@ -139,7 +150,7 @@ impl Default for IrlsConfig {
     fn default() -> Self {
         IrlsConfig {
             max_iterations: 20,
-            tolerance: 1e-8,
+            tolerance: 1e-6,
             weight_fn: WeightFunction::GaussianResidual,
         }
     }

@@ -36,7 +36,8 @@
 //! plain `x ← G(x)`. Plain IRLS shrinks `‖G(x) − x‖∞` by a roughly constant
 //! ratio per reweight (about 0.5 on the LION systems, so ~17 reweights to
 //! reach 1e-8); extrapolating over the last two steps reaches the same
-//! fixed point in ~6. The stopping rule is unchanged: stop once
+//! fixed point in ~6, or ~4.4–6 at the default 1 µm tolerance
+//! ([`IrlsConfig::tolerance`]). The stopping rule is unchanged: stop once
 //! `‖G(xₖ) − xₖ‖∞ < tolerance` and return `G(xₖ)`.
 //!
 //! **Determinism contract:** a solve is a pure function of the stored

@@ -10,7 +10,7 @@
 //!
 //! The oracle is a test-local plain IRLS loop over the public `NormalEq`
 //! API, run to a 1e-13 step and 500 iterations, far past the default
-//! 1e-8 / 20 the accelerated loop gets.
+//! 1e-6 / 20 the accelerated loop gets.
 
 use lion_linalg::{
     lstsq, solve_irls_normal, IrlsConfig, Matrix, NormalEq, NormalIrlsScratch, Vector,
@@ -200,8 +200,11 @@ fn cases() -> Vec<(String, System, WeightFunction)> {
 
 #[test]
 fn accelerated_loop_reaches_the_plain_fixed_point() {
+    // Stopped at the rounding floor's 1e-8 step, the accelerated loop
+    // lands on the fixed point itself.
     for (label, system, weight_fn) in cases() {
         let config = IrlsConfig {
+            tolerance: 1e-8,
             weight_fn,
             ..IrlsConfig::default()
         };
@@ -211,6 +214,38 @@ fn accelerated_loop_reaches_the_plain_fixed_point() {
         let gap = max_abs_diff(&fast.solution, &fixed.solution);
         assert!(gap < 1e-7, "{label}: {gap:e} from the fixed point");
     }
+}
+
+#[test]
+fn default_tolerance_bounds_the_gap_to_the_fixed_point() {
+    // At the default tolerance the loop stops earlier. It stops on the
+    // step, not on the distance to the fixed point: with the reweight map
+    // contracting by ρ, the returned iterate is about ρ/(1 − ρ) steps from
+    // the fixed point, so a slow case (ρ ≈ 2/3) lands up to twice the
+    // tolerance away. The worst of these 72 cases is 2.05e-6 (3
+    // columns, seed 0, Gaussian weights); 63 of 72 stay below the
+    // tolerance itself.
+    let tolerance = IrlsConfig::default().tolerance;
+    let mut within = 0;
+    for (label, system, weight_fn) in cases() {
+        let config = IrlsConfig {
+            weight_fn,
+            ..IrlsConfig::default()
+        };
+        let fast = accelerated(&system, &config);
+        assert!(fast.converged, "{label}: did not converge");
+        let fixed = reference(&system, weight_fn);
+        let gap = max_abs_diff(&fast.solution, &fixed.solution);
+        assert!(
+            gap < 3.0 * tolerance,
+            "{label}: {gap:e} from the fixed point"
+        );
+        within += usize::from(gap < tolerance);
+    }
+    assert!(
+        within >= 60,
+        "only {within} of 72 cases within the tolerance"
+    );
 }
 
 #[test]

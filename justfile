@@ -61,7 +61,12 @@
 # every_solve_feeds_one_slo_sample_timed_by_the_solve_histogram (with a
 # hub installed, one SLO sample per emitted estimate, each the time the
 # `lion.stream.solve_ns` histogram recorded, plus one failure per solve
-# error). The end-to-end
+# error). The IRLS tolerance gates are named as well:
+# default_irls_tolerance_stays_within_0_02_mm_of_the_rounding_floor
+# (the Fig. 13 line, the planar serpentine and one calibration cell
+# solve unconverged nowhere and within 0.02 mm of the same solve at a
+# 1e-8 m tolerance) and irls_fixed_point's
+# default_tolerance_bounds_the_gap_to_the_fixed_point. The end-to-end
 # benchmark's own tests run every
 # workload at tiny scale and check the ledger identity; it sits outside
 # the workspace, so it gets its own clippy step.
@@ -73,6 +78,7 @@ verify:
     cargo test -q --test tracing_causality
     cargo test -q -p lion-linalg --test proptests normal_eq
     cargo test -q -p lion-linalg --test irls_fixed_point
+    cargo test -q --test pipeline default_irls_tolerance_stays_within_0_02_mm_of_the_rounding_floor
     cargo test -q -p lion-core --test zero_alloc --test adaptive_regression
     cargo test -q -p lion-core --test sweep_reuse --test sweep_cells --test structured_pairs
     cargo test -q -p lion-core --test stage_layout
